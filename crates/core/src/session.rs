@@ -625,7 +625,8 @@ impl<'p> Session<'p> {
                              _ki: usize,
                              spec_kernel: &dynasparse_model::KernelSpec,
                              input: &FeatureMatrix,
-                             out: &FeatureMatrix| {
+                             out: &FeatureMatrix,
+                             scanned_profile: Option<&DensityProfile>| {
             // Fault injection: runs after the kernel wrote its output, so a
             // panicking hook unwinds with the arena mid-request.
             if let Some(hook) = &fault_hook {
@@ -651,16 +652,29 @@ impl<'p> Session<'p> {
                 });
             }
             let grid = grid_slot.as_ref().expect("grid fit above");
-            // The dispatch path refits a per-kernel reusable profile (no
+            // A kernel that streamed its dense input anyway (the blocked
+            // Update GEMM) hands its profile over: one scan, not two.  Every
+            // other dispatch route refits a per-kernel reusable profile (no
             // allocation); the legacy path keeps its allocating profiler.
             let owned_profile;
-            let feature_profile: &DensityProfile = if dispatch_enabled {
-                let slot = &mut profile_scratch[kernel_counter];
-                input.density_profile_into(grid, slot);
-                slot
-            } else {
-                owned_profile = input.density_profile(grid);
-                &owned_profile
+            let feature_profile: &DensityProfile = match scanned_profile {
+                Some(scanned) => {
+                    debug_assert_eq!(scanned.shape(), grid.shape());
+                    debug_assert_eq!(
+                        scanned.block_shape(),
+                        (grid.block_rows(), grid.block_cols())
+                    );
+                    scanned
+                }
+                None if dispatch_enabled => {
+                    let slot = &mut profile_scratch[kernel_counter];
+                    input.density_profile_into(grid, slot);
+                    slot
+                }
+                None => {
+                    owned_profile = input.density_profile(grid);
+                    &owned_profile
+                }
             };
             if let Some(started) = profile_started {
                 profile_ns += started.elapsed().as_nanos() as u64;
@@ -797,17 +811,17 @@ impl<'p> Session<'p> {
                 // into the session's arena (zero per-kernel allocations),
                 // block-granular over the compiler partition by default,
                 // probed per dispatch when telemetry is on.
-                predicted_kernel_ms = executor.forward_dispatch_blocked_probed(
+                predicted_kernel_ms = executor.forward_dispatch_blocked_profiled(
                     features,
                     dispatcher,
                     arena,
                     block_dispatch.then_some(&spec),
                     Some(&mut *telemetry),
-                    |l, k, s, i, o| on_kernel(l, k, s, i, o),
+                    &mut on_kernel,
                 )?;
                 arena.output().clone()
             }
-            _ => executor.forward_with(features, |l, k, s, i, o| on_kernel(l, k, s, i, o))?,
+            _ => executor.forward_with(features, |l, k, s, i, o| on_kernel(l, k, s, i, o, None))?,
         };
         if probe {
             telemetry.record_request_phases(profile_ns, pricing_ns);

@@ -93,14 +93,19 @@ pub trait CostModel {
 /// The features describe the *host* kernels being priced, not the
 /// accelerator's Table IV model, and the two genuinely differ:
 ///
-/// * `work` — the host kernel's inner-loop trip count.  GEMM: `m·n·d`
-///   (`gemm_into` skips zero elements of `X`, but the skip is a branchy
-///   row scan whose measured cost is non-monotone in density — the
-///   recorded sweep shows α = 0.5 *slower* than α = 1.0 — so the dense
-///   count is kept as a conservative upper envelope; it is accurate in the
-///   dense band, the only band where GEMM can win on a host, and
+/// * `work` — the host kernel's inner-loop trip count.  GEMM: `m·n·d`,
+///   the dense count, kept as a conservative upper envelope.  The row
+///   kernel of `gemm_into` skips zero elements of `X` (one test per 16-lane
+///   group, survivors compacted), so its measured cost falls with density,
+///   roughly an `m·n` scan plus `α_X·m·n·d` multiply-adds — but priced that
+///   way a dense-dense product with a narrow output (`d` below the scan's
+///   worth of MACs per element) loses to the CSR-fed SpDMM, which never
+///   scans, and no non-negative coefficients keep both that extreme at
+///   GEMM for every `d` and `α_X = 0.1` at SpDMM, the two ends the Table IV
+///   regions and this model must agree on.  The envelope is accurate in
+///   the dense band, the only band where GEMM can win on a host, and
 ///   overestimating GEMM elsewhere can only push the argmin toward the
-///   sparse kernels that measure faster there anyway).  SpDMM:
+///   sparse kernels that measure faster there anyway.  SpDMM:
 ///   `α_X·m·n·d` — `spmm_dense_into` walks the *left* CSR's nnz and never
 ///   skips zeros of the dense right operand, so the cost is left-density
 ///   proportional (the accelerator's `α_min` would underestimate by

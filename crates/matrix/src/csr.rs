@@ -12,6 +12,7 @@ use crate::error::{MatrixError, Result};
 use crate::is_nonzero;
 use crate::layout::Layout;
 use crate::pool::ThreadPool;
+use crate::profile::{compact_group, scan_row, SCAN_LANES};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -147,24 +148,30 @@ impl CsrMatrix {
         }
     }
 
-    /// Extracts the non-zero pattern of a dense matrix.
+    /// Extracts the non-zero pattern of a dense matrix: one [`scan_row`]
+    /// pass per row (all-zero lane groups are skipped with a single test),
+    /// compacting exactly the [`is_nonzero`] elements of the other groups
+    /// branch-free.
     pub fn from_dense(dense: &DenseMatrix) -> Self {
-        let mut row_ptr = vec![0usize; dense.rows() + 1];
+        let row_major = dense.row_major();
+        let (rows, cols) = dense.shape();
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
-        for r in 0..dense.rows() {
-            for c in 0..dense.cols() {
-                let v = dense.get(r, c);
-                if is_nonzero(v) {
-                    col_idx.push(c as u32);
-                    values.push(v);
-                }
-            }
-            row_ptr[r + 1] = col_idx.len();
+        for row in row_major.as_slice().chunks(cols.max(1)) {
+            scan_row(row, cols.max(1), &mut [0], |k, group| {
+                let (mut cs, mut vs) = ([0u32; SCAN_LANES], [0.0f32; SCAN_LANES]);
+                let len = compact_group(k, group, is_nonzero, &mut cs, &mut vs, 0);
+                col_idx.extend_from_slice(&cs[..len]);
+                values.extend_from_slice(&vs[..len]);
+            });
+            row_ptr.push(col_idx.len());
         }
+        row_ptr.resize(rows + 1, col_idx.len());
         CsrMatrix {
-            rows: dense.rows(),
-            cols: dense.cols(),
+            rows,
+            cols,
             row_ptr,
             col_idx,
             values,

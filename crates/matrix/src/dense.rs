@@ -4,6 +4,7 @@ use crate::error::{MatrixError, Result};
 use crate::is_nonzero;
 use crate::layout::Layout;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Sentinel for "nnz not computed yet / invalidated".
@@ -478,6 +479,17 @@ impl DenseMatrix {
             }
         }
         out
+    }
+
+    /// This matrix in row-major storage: borrowed when it already is (the
+    /// fast path of every kernel), a one-off [`DenseMatrix::to_layout`] copy
+    /// (cold path, allocates) for a column-major matrix.
+    pub fn row_major(&self) -> Cow<'_, DenseMatrix> {
+        if self.layout == Layout::RowMajor {
+            Cow::Borrowed(self)
+        } else {
+            Cow::Owned(self.to_layout(Layout::RowMajor))
+        }
     }
 
     /// Logical transposition: returns a `cols x rows` matrix.

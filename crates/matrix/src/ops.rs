@@ -21,6 +21,7 @@ use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::layout::Layout;
 use crate::pool::ThreadPool;
+use crate::profile::{compact_group, scan_row};
 use rayon::prelude::*;
 
 fn check_shapes(op: &'static str, x: (usize, usize), y: (usize, usize)) -> Result<()> {
@@ -78,62 +79,180 @@ pub fn gemm_parallel(x: &DenseMatrix, y: &DenseMatrix) -> Result<DenseMatrix> {
     DenseMatrix::from_row_major(m, d, out)
 }
 
-/// Register-tile width of the blocked GEMM: one output-row tile of this many
-/// columns is accumulated on the stack while the `k` dimension streams by.
+/// Widest register tile of the GEMM row kernel: the output row is cut into
+/// tiles of this width, then 16, 8, 4, 2 and 1 columns, each accumulated in
+/// a fixed-size (register-resident) array while the `k` dimension streams by.
 const GEMM_TILE: usize = 32;
 
-/// The blocked i-k-j GEMM inner kernel over raw row-major buffers.
+/// Capacity of the row kernel's compacted survivor list.  A row with more
+/// survivors flushes the list into the output row and refills it; the
+/// partial sums round-trip through `f32` storage exactly, so the flush
+/// points never show in the result.
+const SURVIVOR_CAP: usize = 512;
+
+/// Stack scratch of [`gemm_row`]: the `(k, xv)` pairs of one `X` row that
+/// survive the zero-skip, compacted in increasing `k`.
+struct Survivors {
+    k: [u32; SURVIVOR_CAP],
+    xv: [f32; SURVIVOR_CAP],
+    len: usize,
+}
+
+impl Survivors {
+    fn new() -> Self {
+        Survivors {
+            k: [0; SURVIVOR_CAP],
+            xv: [0.0; SURVIVOR_CAP],
+            len: 0,
+        }
+    }
+
+    /// Adds `Σ xv · Y[k, j0..j0 + W]` over the survivors, in list order, to
+    /// the first `W` elements of `out`.
+    #[inline(always)]
+    fn accumulate_tile<const W: usize>(&self, y: &[f32], d: usize, j0: usize, out: &mut [f32]) {
+        let mut acc = [0.0f32; W];
+        acc.copy_from_slice(&out[..W]);
+        for (&k, &xv) in self.k[..self.len].iter().zip(&self.xv[..self.len]) {
+            let yrow: &[f32; W] = y[k as usize * d + j0..][..W]
+                .try_into()
+                .expect("a W-wide slice");
+            for (a, &yv) in acc.iter_mut().zip(yrow) {
+                *a += xv * yv;
+            }
+        }
+        out[..W].copy_from_slice(&acc);
+    }
+
+    /// Adds the survivors' contributions to `orow` tile by tile and empties
+    /// the list.  Every tile streams the whole list in increasing `k`.
+    #[inline(never)]
+    fn flush_into(&mut self, y: &[f32], orow: &mut [f32]) {
+        let d = orow.len();
+        let mut j0 = 0;
+        macro_rules! tiles {
+            ($($w:expr),*) => {$(
+                while d - j0 >= $w {
+                    self.accumulate_tile::<{ $w }>(y, d, j0, &mut orow[j0..]);
+                    j0 += $w;
+                }
+            )*};
+        }
+        tiles!(GEMM_TILE, 16, 8, 4, 2, 1);
+        self.len = 0;
+    }
+}
+
+/// The GEMM row kernel: `orow = xrow × Y` for one row-major `X` row, in a
+/// **single pass** over `xrow` that also profiles it.
 ///
-/// Computes output rows `[row0, row0 + out_rows.len() / d)` of `Z = X × Y`
-/// into `out_rows`.  The output row is tiled into [`GEMM_TILE`]-wide register
-/// blocks; for each tile the `k` loop streams the corresponding slice of
-/// `Y`'s rows while the partial sums stay in a stack-resident accumulator.
-/// Zero elements of `X` are skipped, so per-element accumulation order (and
-/// with it the floating-point result) is bit-identical to
-/// [`gemm_reference`] — the blocking only changes *when* each tile is
-/// computed, never the `k`-order within an output element.
-///
-/// With `COUNT_NNZ` the kernel additionally returns the number of non-zero
-/// `X` elements in the computed rows, counted on the first output tile of
-/// each row (the zero-skip branch already inspects every element, so the
-/// count is free) — the block-granular dispatcher prices each block from
-/// this instead of paying a separate density scan.  With `COUNT_NNZ` off
-/// the loop is unchanged and the return value is `0`.
-fn gemm_block_rm<const COUNT_NNZ: bool>(
+/// [`scan_row`] skips every all-zero 16-lane group with one test, counts the
+/// non-zeros of the others into `counts` (one counter per `block_cols`-wide
+/// block column — the caller's row of a [`crate::DensityProfile`]) and hands
+/// them here, where the survivors of `xv != 0.0` are compacted branch-free
+/// into `survivors`.  This is the workspace's one zero-skip site; its
+/// predicate is the oracle's, so a `NaN` multiplies through (while
+/// `is_nonzero`, the counting predicate, does not count it).  The compacted
+/// list then feeds every output tile in increasing `k`, so each output
+/// element sees exactly the additions [`gemm_reference`] performs, in the
+/// same order, starting from the same `+0.0`: bit-identity is structural.
+#[inline(always)]
+fn gemm_row(
+    xrow: &[f32],
+    y: &[f32],
+    orow: &mut [f32],
+    block_cols: usize,
+    counts: &mut [usize],
+    survivors: &mut Survivors,
+) {
+    orow.fill(0.0);
+    scan_row(xrow, block_cols, counts, |k0, group| {
+        if survivors.len + group.len() > SURVIVOR_CAP {
+            survivors.flush_into(y, orow);
+        }
+        let Survivors { k, xv, len } = &mut *survivors;
+        *len = compact_group(k0, group, |xv| xv != 0.0, k, xv, *len);
+    });
+    survivors.flush_into(y, orow);
+}
+
+/// Where one multi-row kernel call reads and writes: every `x` row holds
+/// `blocks` left operands of width `w` side by side (one, for the plain
+/// product), `Y` is `w × d`, and every output row is `ld` floats long with
+/// block `b`'s `d` results at column `c0 + b·d`.
+#[derive(Clone, Copy)]
+struct RowsGeometry {
+    blocks: usize,
+    w: usize,
+    d: usize,
+    ld: usize,
+    c0: usize,
+}
+
+impl RowsGeometry {
+    /// The plain product `X (·×n) × Y (n×d)` into contiguous output rows.
+    fn plain(n: usize, d: usize) -> Self {
+        RowsGeometry {
+            blocks: 1,
+            w: n,
+            d,
+            ld: d,
+            c0: 0,
+        }
+    }
+}
+
+/// Runs [`gemm_row`] over the output rows in `out_rows`, which start at row
+/// `row0` of `x`.  Every row's block-column counts are added into the one
+/// counter row `counts` (the rows of a call belong to one profile grid row);
+/// an empty `counts` runs the kernel unprofiled.
+fn gemm_rows_rm(
     x: &[f32],
     y: &[f32],
     out_rows: &mut [f32],
     row0: usize,
-    n: usize,
-    d: usize,
-) -> usize {
-    debug_assert_eq!(out_rows.len() % d.max(1), 0);
-    let rows = out_rows.len().checked_div(d).unwrap_or(0);
-    let mut nnz = 0usize;
-    for i in 0..rows {
-        let xrow = &x[(row0 + i) * n..(row0 + i + 1) * n];
-        let orow = &mut out_rows[i * d..(i + 1) * d];
-        let mut j0 = 0;
-        while j0 < d {
-            let jw = GEMM_TILE.min(d - j0);
-            let mut acc = [0.0f32; GEMM_TILE];
-            for (k, &xv) in xrow.iter().enumerate() {
-                if xv == 0.0 {
-                    continue;
-                }
-                if COUNT_NNZ && j0 == 0 {
-                    nnz += 1;
-                }
-                let yrow = &y[k * d + j0..k * d + j0 + jw];
-                for (a, &yv) in acc[..jw].iter_mut().zip(yrow.iter()) {
-                    *a += xv * yv;
-                }
-            }
-            orow[j0..j0 + jw].copy_from_slice(&acc[..jw]);
-            j0 += jw;
+    g: RowsGeometry,
+    block_cols: usize,
+    counts: &mut [usize],
+) {
+    let mut unprofiled = [0usize];
+    let (block_cols, counts) = if counts.is_empty() {
+        (g.w.max(1), &mut unprofiled[..])
+    } else {
+        (block_cols, counts)
+    };
+    let mut survivors = Survivors::new();
+    let xw = g.blocks * g.w;
+    for (i, orow) in out_rows.chunks_mut(g.ld).enumerate() {
+        let xrow = &x[(row0 + i) * xw..][..xw];
+        for (b, ob) in orow[g.c0..][..g.blocks * g.d].chunks_mut(g.d).enumerate() {
+            let xb = &xrow[b * g.w..][..g.w];
+            gemm_row(xb, y, ob, block_cols, counts, &mut survivors);
         }
     }
-    nnz
+}
+
+/// Fans the unprofiled row kernel out over `out` (rows of `g.ld` floats),
+/// serially or in row chunks over `pool`.  Any row partition is
+/// bit-identical: rows are independent.
+fn gemm_fan_out(
+    pool: Option<&ThreadPool>,
+    x: &DenseMatrix,
+    y: &DenseMatrix,
+    out: &mut [f32],
+    g: RowsGeometry,
+) {
+    let (x, y) = (x.row_major(), y.row_major());
+    let (xs, ys) = (x.as_slice(), y.as_slice());
+    match pool {
+        Some(pool) if !pool.is_inline() => {
+            let chunk_rows = pool.chunk_rows(out.len() / g.ld);
+            pool.for_each_chunk_mut(out, chunk_rows * g.ld, |ci, chunk| {
+                gemm_rows_rm(xs, ys, chunk, ci * chunk_rows, g, 0, &mut []);
+            });
+        }
+        _ => gemm_rows_rm(xs, ys, out, 0, g, 0, &mut []),
+    }
 }
 
 /// Dense × dense product written into a caller-provided output matrix.
@@ -166,38 +285,11 @@ fn gemm_into_with(
     check_shapes("gemm_into", x.shape(), y.shape())?;
     let (m, n) = x.shape();
     let d = y.cols();
-    // Every output element is overwritten by the tile copies below, so the
-    // reshape skips the redundant zero-fill when the buffer is reused.
+    // Every output element is overwritten by the row kernel, so the reshape
+    // skips the redundant zero-fill when the buffer is reused.
     out.reset_for_overwrite(m, d);
-    if m == 0 || d == 0 {
-        return Ok(());
-    }
-    // Row-major fast path; column-major operands take a one-off copy.
-    let x_rm;
-    let xs = if x.layout() == Layout::RowMajor {
-        x.as_slice()
-    } else {
-        x_rm = x.to_layout(Layout::RowMajor);
-        x_rm.as_slice()
-    };
-    let y_rm;
-    let ys = if y.layout() == Layout::RowMajor {
-        y.as_slice()
-    } else {
-        y_rm = y.to_layout(Layout::RowMajor);
-        y_rm.as_slice()
-    };
-    let out_slice = out.as_mut_slice();
-    match pool {
-        Some(pool) if !pool.is_inline() => {
-            let chunk_rows = pool.chunk_rows(m);
-            pool.for_each_chunk_mut(out_slice, chunk_rows * d, |ci, chunk| {
-                gemm_block_rm::<false>(xs, ys, chunk, ci * chunk_rows, n, d);
-            });
-        }
-        _ => {
-            gemm_block_rm::<false>(xs, ys, out_slice, 0, n, d);
-        }
+    if m > 0 && d > 0 {
+        gemm_fan_out(pool, x, y, out.as_mut_slice(), RowsGeometry::plain(n, d));
     }
     Ok(())
 }
@@ -206,24 +298,29 @@ fn gemm_into_with(
 /// into a caller-owned row-major slice — the per-partition-block GEMM kernel
 /// of the block-granular dispatcher.
 ///
-/// The inner loop is the same blocked kernel [`gemm_into`] fans over the
-/// thread pool, so any row partition of the output — including the
+/// The inner loop is the same row kernel [`gemm_into`] fans over the thread
+/// pool, so any row partition of the output — including the
 /// per-partition-block dispatch loop — is bit-identical to the whole-kernel
 /// call.  Both operands must be row-major: the block loop is
 /// allocation-free, so a column-major operand is a shape error here rather
 /// than the whole-kernel entry points' silent layout copy.
 ///
-/// Returns the number of non-zero `X` elements in the computed rows,
-/// measured by the kernel's own zero-skip scan at no extra cost — the
-/// block-granular dispatcher derives the block's exact density from it
-/// *after* execution instead of paying a second full scan of a dense-stored
-/// operand up front (`0` when `d == 0`, where no row is scanned).
+/// The kernel's single pass over the `X` rows also profiles them: the
+/// non-zeros of every `block_cols`-wide block column are **added** into
+/// `counts` (`x.cols().div_ceil(block_cols)` counters — the row block's grid
+/// row of a [`crate::DensityProfile::refit_tiled`] profile), so the
+/// dispatcher gets the block's exact density, and the session the kernel
+/// input's whole profile, without a second scan of a dense-stored operand.
+/// An empty `counts` skips the profile, any other wrong length is a shape
+/// error; nothing is scanned when `d == 0`.
 pub fn gemm_rows_into(
     x: &DenseMatrix,
     y: &DenseMatrix,
     r0: usize,
     out_rows: &mut [f32],
-) -> Result<usize> {
+    block_cols: usize,
+    counts: &mut [usize],
+) -> Result<()> {
     check_shapes("gemm_rows", x.shape(), y.shape())?;
     if x.layout() != Layout::RowMajor || y.layout() != Layout::RowMajor {
         return Err(MatrixError::ShapeMismatch {
@@ -234,100 +331,31 @@ pub fn gemm_rows_into(
     }
     let n = x.cols();
     let d = y.cols();
+    // A counter row of the wrong length would silently drop columns of `X`
+    // from the product (the scan walks blocks and counters in lockstep).
+    if !counts.is_empty() && (block_cols == 0 || counts.len() != n.div_ceil(block_cols)) {
+        return Err(MatrixError::ShapeMismatch {
+            op: "gemm_rows (one counter per block column required)",
+            lhs: x.shape(),
+            rhs: (counts.len(), block_cols),
+        });
+    }
     if d == 0 {
-        return Ok(0);
+        return Ok(());
     }
     debug_assert_eq!(out_rows.len() % d, 0);
     debug_assert!(r0 + out_rows.len() / d <= x.rows());
-    Ok(gemm_block_rm::<true>(
+    let g = RowsGeometry::plain(n, d);
+    gemm_rows_rm(
         x.as_slice(),
         y.as_slice(),
         out_rows,
         r0,
-        n,
-        d,
-    ))
-}
-
-/// The column-blocked batched GEMM inner kernel over raw row-major buffers.
-///
-/// `x` is an `m × (blocks·w)` batch operand (B request feature matrices
-/// concatenated side by side), `y` a shared `w × n` weight; block `b` of the
-/// output rows receives `X[:, b·w..(b+1)·w] × Y`.  Per output element the
-/// `k` loop streams block `b`'s slice of the row in increasing order with
-/// zeros of `X` skipped, so each block's result is bit-identical to running
-/// [`gemm_block_rm`] on that request's extracted matrix alone.
-/// Stack budget of the k-streaming fast path: one whole batched output row
-/// (`blocks · n` floats) is accumulated on the stack while `k` streams by
-/// **once**, with every block consuming the same `Y` row — the genuinely
-/// batch-only win of the column-blocked GEMM (a skinny per-request GEMM
-/// re-streams `k` per call and re-loads each `Y` row per output tile).
-const BATCH_ROW_TILE: usize = 512;
-
-fn gemm_col_blocked_rm(
-    x: &[f32],
-    y: &[f32],
-    out_rows: &mut [f32],
-    row0: usize,
-    blocks: usize,
-    w: usize,
-    n: usize,
-) {
-    let xw = blocks * w;
-    let ow = blocks * n;
-    let rows = out_rows.len().checked_div(ow).unwrap_or(0);
-    if ow <= BATCH_ROW_TILE {
-        // k-streaming fast path: the full output row stays in a stack
-        // accumulator; each `k` loads `Y`'s row once and feeds every block.
-        // Per output element the contributions still arrive in increasing
-        // `k` with zeros of `X` skipped, so the result is bit-identical to
-        // the per-block tile loop below (and to `gemm_into` per request).
-        let mut acc = [0.0f32; BATCH_ROW_TILE];
-        for i in 0..rows {
-            let xrow = &x[(row0 + i) * xw..(row0 + i + 1) * xw];
-            let orow = &mut out_rows[i * ow..(i + 1) * ow];
-            acc[..ow].fill(0.0);
-            for k in 0..w {
-                let yrow = &y[k * n..(k + 1) * n];
-                for b in 0..blocks {
-                    let xv = xrow[b * w + k];
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    let ab = &mut acc[b * n..(b + 1) * n];
-                    for (a, &yv) in ab.iter_mut().zip(yrow.iter()) {
-                        *a += xv * yv;
-                    }
-                }
-            }
-            orow.copy_from_slice(&acc[..ow]);
-        }
-        return;
-    }
-    for i in 0..rows {
-        let xrow = &x[(row0 + i) * xw..(row0 + i + 1) * xw];
-        let orow = &mut out_rows[i * ow..(i + 1) * ow];
-        for b in 0..blocks {
-            let xb = &xrow[b * w..(b + 1) * w];
-            let ob = &mut orow[b * n..(b + 1) * n];
-            let mut j0 = 0;
-            while j0 < n {
-                let jw = GEMM_TILE.min(n - j0);
-                let mut acc = [0.0f32; GEMM_TILE];
-                for (k, &xv) in xb.iter().enumerate() {
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    let yrow = &y[k * n + j0..k * n + j0 + jw];
-                    for (a, &yv) in acc[..jw].iter_mut().zip(yrow.iter()) {
-                        *a += xv * yv;
-                    }
-                }
-                ob[j0..j0 + jw].copy_from_slice(&acc[..jw]);
-                j0 += jw;
-            }
-        }
-    }
+        g,
+        block_cols,
+        counts,
+    );
+    Ok(())
 }
 
 /// Dense × dense product written into the column block starting at `c0` of
@@ -373,56 +401,13 @@ fn gemm_into_cols_with(
             rhs: (m, c0 + d),
         });
     }
-    if m == 0 || d == 0 {
-        return Ok(());
-    }
-    let x_rm;
-    let xs = if x.layout() == Layout::RowMajor {
-        x.as_slice()
-    } else {
-        x_rm = x.to_layout(Layout::RowMajor);
-        x_rm.as_slice()
-    };
-    let y_rm;
-    let ys = if y.layout() == Layout::RowMajor {
-        y.as_slice()
-    } else {
-        y_rm = y.to_layout(Layout::RowMajor);
-        y_rm.as_slice()
-    };
-    let ow = out.cols();
-    let out_slice = out.as_mut_slice();
-    let fill = |out_rows: &mut [f32], row0: usize| {
-        let rows = out_rows.len() / ow;
-        for i in 0..rows {
-            let xrow = &xs[(row0 + i) * n..(row0 + i + 1) * n];
-            let orow = &mut out_rows[i * ow + c0..i * ow + c0 + d];
-            let mut j0 = 0;
-            while j0 < d {
-                let jw = GEMM_TILE.min(d - j0);
-                let mut acc = [0.0f32; GEMM_TILE];
-                for (k, &xv) in xrow.iter().enumerate() {
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    let yrow = &ys[k * d + j0..k * d + j0 + jw];
-                    for (a, &yv) in acc[..jw].iter_mut().zip(yrow.iter()) {
-                        *a += xv * yv;
-                    }
-                }
-                orow[j0..j0 + jw].copy_from_slice(&acc[..jw]);
-                j0 += jw;
-            }
-        }
-    };
-    match pool {
-        Some(pool) if !pool.is_inline() => {
-            let chunk_rows = pool.chunk_rows(m);
-            pool.for_each_chunk_mut(out_slice, chunk_rows * ow, |ci, chunk| {
-                fill(chunk, ci * chunk_rows);
-            });
-        }
-        _ => fill(out_slice, 0),
+    if m > 0 && d > 0 {
+        let g = RowsGeometry {
+            ld: out.cols(),
+            c0,
+            ..RowsGeometry::plain(n, d)
+        };
+        gemm_fan_out(pool, x, y, out.as_mut_slice(), g);
     }
     Ok(())
 }
@@ -432,8 +417,8 @@ fn gemm_into_cols_with(
 /// `x` is `m × (blocks·w)` — `blocks` request feature matrices of width `w`
 /// concatenated horizontally — and `y` is one shared `w × n` weight matrix.
 /// The output is reshaped to `m × (blocks·n)`; its block `b` equals
-/// `X_b × Y` bit for bit (same `k`-increasing accumulation as
-/// [`gemm_into`] on the extracted block).  This is the Update kernel of the
+/// `X_b × Y` bit for bit (the row kernel of [`gemm_into`] runs on block
+/// `b`'s slice of every row).  This is the Update kernel of the
 /// batch-fused executor: one wide kernel call instead of `blocks` skinny
 /// ones.
 pub fn gemm_col_blocked_into(
@@ -474,34 +459,15 @@ fn gemm_col_blocked_with(
         });
     }
     let m = x.rows();
-    // Every block of every output row is overwritten by the tile copies.
+    // Every block of every output row is overwritten by the row kernel.
     out.reset_for_overwrite(m, blocks * n);
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    let x_rm;
-    let xs = if x.layout() == Layout::RowMajor {
-        x.as_slice()
-    } else {
-        x_rm = x.to_layout(Layout::RowMajor);
-        x_rm.as_slice()
-    };
-    let y_rm;
-    let ys = if y.layout() == Layout::RowMajor {
-        y.as_slice()
-    } else {
-        y_rm = y.to_layout(Layout::RowMajor);
-        y_rm.as_slice()
-    };
-    let out_slice = out.as_mut_slice();
-    match pool {
-        Some(pool) if !pool.is_inline() => {
-            let chunk_rows = pool.chunk_rows(m);
-            pool.for_each_chunk_mut(out_slice, chunk_rows * blocks * n, |ci, chunk| {
-                gemm_col_blocked_rm(xs, ys, chunk, ci * chunk_rows, blocks, w, n);
-            });
-        }
-        _ => gemm_col_blocked_rm(xs, ys, out_slice, 0, blocks, w, n),
+    if m > 0 && n > 0 {
+        let g = RowsGeometry {
+            blocks,
+            ld: blocks * n,
+            ..RowsGeometry::plain(w, n)
+        };
+        gemm_fan_out(pool, x, y, out.as_mut_slice(), g);
     }
     Ok(())
 }
@@ -690,11 +656,11 @@ mod tests {
         gemm_into(&reqs[0], &y, &mut per_block).unwrap();
         assert_eq!(pooled.as_slice(), per_block.as_slice());
 
-        // A batch row wider than the stack budget takes the per-block tile
-        // path; it must still match the skinny per-request GEMM bit for bit.
-        let wide_y = random_dense(&mut rng, w, BATCH_ROW_TILE / 2, 0.7);
+        // A wide batch row (many tiles per block) must still match the
+        // skinny per-request GEMM bit for bit.
+        let wide_y = random_dense(&mut rng, w, 256, 0.7);
         gemm_col_blocked_into(&batch, &wide_y, blocks, &mut out).unwrap();
-        assert_eq!(out.shape(), (m, blocks * BATCH_ROW_TILE / 2));
+        assert_eq!(out.shape(), (m, blocks * 256));
         for (b, r) in reqs.iter().enumerate() {
             gemm_into(r, &wide_y, &mut per_block).unwrap();
             out.copy_cols_into(b * wide_y.cols(), (b + 1) * wide_y.cols(), &mut extracted);
@@ -724,6 +690,21 @@ mod tests {
         assert_eq!(pooled.as_slice(), out.as_slice());
         // A block that does not fit is rejected.
         assert!(gemm_into_cols(&x, &y, &mut out, 15).is_err());
+    }
+
+    #[test]
+    fn gemm_rows_rejects_a_counter_row_of_the_wrong_length() {
+        let (x, y) = dense_pair(45, 0.5, 1.0);
+        let mut out = vec![0.0f32; 2 * 9];
+        // 23 columns in blocks of 8 are three block columns.
+        for (block_cols, len) in [(8, 2), (8, 4), (0, 3)] {
+            let mut counts = vec![0usize; len];
+            assert!(gemm_rows_into(&x, &y, 0, &mut out, block_cols, &mut counts).is_err());
+        }
+        let mut counts = vec![0usize; 3];
+        gemm_rows_into(&x, &y, 0, &mut out, 8, &mut counts).unwrap();
+        assert_eq!(counts.iter().sum::<usize>(), x.nnz_rows(0, 2));
+        gemm_rows_into(&x, &y, 0, &mut out, 0, &mut []).unwrap();
     }
 
     #[test]

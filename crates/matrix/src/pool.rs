@@ -219,6 +219,10 @@ impl ThreadPool {
         });
         {
             let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+            // A caller that finishes whole jobs before any worker wakes
+            // would otherwise pile finished jobs up (and grow the queue's
+            // allocation) until a worker next looks.
+            queue.retain(|j| !j.done());
             queue.push(Arc::clone(&job));
         }
         self.shared.bell.notify_all();
@@ -261,25 +265,36 @@ impl ThreadPool {
     where
         F: Fn(usize, &mut [f32]) + Sync,
     {
-        let chunk_len = chunk_len.max(1);
-        let chunks = data.len().div_ceil(chunk_len);
-        if chunks <= 1 || self.workers.is_empty() {
-            for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-                f(i, chunk);
-            }
+        let chunks = data.chunks_mut(chunk_len.max(1)).enumerate();
+        self.for_each_item(chunks, |(i, chunk)| f(i, chunk));
+    }
+
+    /// Runs `f(item)` once for every item of `items` across the pool.  The
+    /// items are claimed one at a time under a lock, so an iterator of
+    /// disjoint `&mut` borrows (`chunks_mut`, or several of them zipped — an
+    /// output row block together with its profile counter row) hands each
+    /// participating thread its own exclusive pieces with no `unsafe`.
+    pub fn for_each_item<I, F>(&self, items: I, f: F)
+    where
+        I: ExactSizeIterator + Send,
+        F: Fn(I::Item) + Sync,
+    {
+        let tasks = items.len();
+        if tasks <= 1 || self.workers.is_empty() {
+            items.for_each(f);
             return;
         }
-        let base = data.as_mut_ptr() as usize;
-        let len = data.len();
-        self.run(chunks, &|i| {
-            let lo = i * chunk_len;
-            let hi = (lo + chunk_len).min(len);
-            // SAFETY: chunk ranges [lo, hi) are disjoint per index and within
-            // `len`; the underlying buffer outlives `run` (it is borrowed by
-            // the caller across the call).
-            let chunk =
-                unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(lo), hi - lo) };
-            f(i, chunk);
+        let items = Mutex::new(items);
+        self.run(tasks, &|_| {
+            // The guard drops before `f` runs: a panicking `f` cannot poison
+            // the iterator, and claiming never waits on kernel work.
+            let item = items
+                .lock()
+                .expect("only the iterator's `next` runs under this lock")
+                .next();
+            if let Some(item) = item {
+                f(item);
+            }
         });
     }
 }

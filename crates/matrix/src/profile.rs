@@ -24,6 +24,69 @@ pub fn density(values: &[f32]) -> f64 {
     values.iter().filter(|&&v| is_nonzero(v)).count() as f64 / values.len() as f64
 }
 
+/// Lane-group width of [`scan_row`]'s all-zero test.
+pub(crate) const SCAN_LANES: usize = 16;
+
+/// The one dense-row scan every dense ingest path shares (the GEMM row
+/// kernel, the stand-alone profile refits, `CsrMatrix::from_dense`): the
+/// host rendering of the paper's profile-while-you-stream hardware.
+///
+/// Walks `row` in `block_cols`-wide segments, one counter of `counts` each.
+/// Every [`SCAN_LANES`]-lane group of a segment is tested with a single OR
+/// of its magnitude bits; a group that is not all `±0.0` adds its
+/// [`is_nonzero`] count to the segment's counter and is handed to
+/// `visit(k, group)`, `k` being the group's first column.  An all-zero group
+/// costs no per-element work, so the scan is monotone in density.
+#[inline(always)]
+pub(crate) fn scan_row(
+    row: &[f32],
+    block_cols: usize,
+    counts: &mut [usize],
+    mut visit: impl FnMut(usize, &[f32]),
+) {
+    let mut k = 0;
+    let mut scan_group = |group: &[f32], count: &mut usize| {
+        if group.iter().fold(0, |bits, v| bits | v.to_bits()) << 1 != 0 {
+            *count += group.iter().filter(|&&v| is_nonzero(v)).count();
+            visit(k, group);
+        }
+        k += group.len();
+    };
+    for (segment, count) in row.chunks(block_cols).zip(counts) {
+        // Whole groups have a compile-time width (straight-line vector
+        // code); only a segment's ragged tail pays for a counted loop.
+        let (groups, tail) = segment.as_chunks::<SCAN_LANES>();
+        for group in groups {
+            scan_group(group, count);
+        }
+        if !tail.is_empty() {
+            scan_group(tail, count);
+        }
+    }
+}
+
+/// Branch-free compaction of one group [`scan_row`] handed out: stores
+/// `(k0 + lane, v)` of every lane at `ks[len]` / `vs[len]` and advances `len`
+/// only past the lanes `keep` accepts, so the survivors end up contiguous, in
+/// order, with no data-dependent branch.  Needs `group.len()` free slots past
+/// `len`; returns the new length.
+#[inline(always)]
+pub(crate) fn compact_group(
+    k0: usize,
+    group: &[f32],
+    keep: impl Fn(f32) -> bool,
+    ks: &mut [u32],
+    vs: &mut [f32],
+    mut len: usize,
+) -> usize {
+    for (k, &v) in (k0..).zip(group) {
+        ks[len] = k as u32;
+        vs[len] = v;
+        len += keep(v) as usize;
+    }
+    len
+}
+
 /// Density profile of a matrix over a block grid: the density of every block
 /// plus aggregate statistics.  The profile is the information the runtime
 /// system consumes for its kernel-to-primitive decisions.
@@ -42,24 +105,9 @@ pub struct DensityProfile {
 impl DensityProfile {
     /// Profiles a dense matrix over `grid`.
     pub fn of_dense(m: &DenseMatrix, grid: &BlockGrid) -> DensityProfile {
-        let block_nnz: Vec<usize> = grid
-            .blocks()
-            .par_iter()
-            .map(|b| {
-                let mut count = 0usize;
-                let r1 = b.row_end.min(m.rows());
-                let c1 = b.col_end.min(m.cols());
-                for r in b.row_start..r1 {
-                    for c in b.col_start..c1 {
-                        if is_nonzero(m.get(r, c)) {
-                            count += 1;
-                        }
-                    }
-                }
-                count
-            })
-            .collect();
-        DensityProfile::from_parts(m.shape(), grid, block_nnz)
+        let mut profile = DensityProfile::default();
+        profile.refit_dense(m, grid);
+        profile
     }
 
     /// Profiles a CSR matrix over `grid`.
@@ -84,37 +132,13 @@ impl DensityProfile {
 
     /// Recomputes this profile in place for a dense matrix, reusing the
     /// per-block counter allocation (zero-allocation once the counters have
-    /// grown to the largest grid seen).  Unlike [`DensityProfile::of_dense`],
-    /// which visits block by block through the layout-generic accessor, this
-    /// makes a single pass over the rows through the row-major fast path —
-    /// it is the per-kernel runtime Sparsity Profiler of the serving hot
-    /// path.  The resulting profile is identical to `of_dense`.
+    /// grown to the largest grid seen): a single [`scan_row`] pass over the
+    /// rows through the row-major fast path.  This is the stand-alone
+    /// runtime Sparsity Profiler of the serving hot path, for kernels whose
+    /// own scan does not fill the profile (see
+    /// [`DensityProfile::refit_tiled`]).
     pub fn refit_dense(&mut self, m: &DenseMatrix, grid: &BlockGrid) {
-        self.refit_header(m.shape(), grid);
-        let gc = self.grid_cols;
-        let bc = self.block_cols.max(1);
-        let br = self.block_rows.max(1);
-        for r in 0..m.rows() {
-            let base = (r / br) * gc;
-            match m.row_slice(r) {
-                Some(row) => {
-                    // One count per block-column segment: the branch-free
-                    // per-chunk count vectorizes, and the block index needs
-                    // no per-element division.
-                    for (bi, chunk) in row.chunks(bc).enumerate() {
-                        let cnt = chunk.iter().filter(|&&v| is_nonzero(v)).count();
-                        self.block_nnz[base + bi] += cnt;
-                    }
-                }
-                None => {
-                    for c in 0..m.cols() {
-                        if is_nonzero(m.get(r, c)) {
-                            self.block_nnz[base + c / bc] += 1;
-                        }
-                    }
-                }
-            }
-        }
+        self.refit_dense_cols(m, grid, 0, m.cols());
     }
 
     /// Recomputes this profile in place for a CSR matrix (see
@@ -147,18 +171,13 @@ impl DensityProfile {
         let bc = self.block_cols.max(1);
         let br = self.block_rows.max(1);
         for r in 0..m.rows() {
-            let base = (r / br) * gc;
+            let counts = &mut self.block_nnz[(r / br) * gc..][..gc];
             match m.row_slice(r) {
-                Some(row) => {
-                    for (bi, chunk) in row[c0..c1].chunks(bc).enumerate() {
-                        let cnt = chunk.iter().filter(|&&v| is_nonzero(v)).count();
-                        self.block_nnz[base + bi] += cnt;
-                    }
-                }
+                Some(row) => scan_row(&row[c0..c1], bc, counts, |_, _| {}),
                 None => {
                     for c in c0..c1 {
                         if is_nonzero(m.get(r, c)) {
-                            self.block_nnz[base + (c - c0) / bc] += 1;
+                            counts[(c - c0) / bc] += 1;
                         }
                     }
                 }
@@ -209,13 +228,9 @@ impl DensityProfile {
         for r in 0..m.rows() {
             match m.row_slice(r) {
                 Some(row) => {
-                    for (b, seg) in row.chunks_exact(width).enumerate() {
-                        let p = &mut profiles[b];
-                        let base = (r / br) * p.grid_cols;
-                        for (bi, chunk) in seg.chunks(bc).enumerate() {
-                            let cnt = chunk.iter().filter(|&&v| is_nonzero(v)).count();
-                            p.block_nnz[base + bi] += cnt;
-                        }
+                    for (p, seg) in profiles.iter_mut().zip(row.chunks_exact(width)) {
+                        let counts = &mut p.block_nnz[(r / br) * p.grid_cols..][..p.grid_cols];
+                        scan_row(seg, bc, counts, |_, _| {});
                     }
                 }
                 None => {
@@ -267,15 +282,57 @@ impl DensityProfile {
         }
     }
 
+    /// Re-tiles this profile for a `rows × cols` matrix cut into
+    /// `block_rows × block_cols` tiles, zeroes every counter (reusing the
+    /// allocation) and lends the counters out one grid row at a time — each a
+    /// `grid_cols`-long `&mut [usize]` covering `block_rows` matrix rows.
+    ///
+    /// This is the hand-over point of the one-scan dense ingest: a kernel
+    /// that streams the matrix anyway (the GEMM row kernel) adds each row
+    /// block's per-block-column counts into that block's counter row, and
+    /// the profile comes out identical to [`DensityProfile::refit_dense`]
+    /// over `BlockGrid::new(rows, cols, block_rows, block_cols)` without a
+    /// second pass over the data.  The rows are disjoint, so blocks may be
+    /// filled in any order or in parallel.
+    pub fn refit_tiled(
+        &mut self,
+        (rows, cols): (usize, usize),
+        (block_rows, block_cols): (usize, usize),
+    ) -> std::slice::ChunksMut<'_, usize> {
+        assert!(
+            block_rows > 0 && block_cols > 0,
+            "tile sizes must be positive"
+        );
+        self.set_header(
+            (rows, cols),
+            (block_rows, block_cols),
+            (rows.div_ceil(block_rows), cols.div_ceil(block_cols)),
+        );
+        self.block_nnz.chunks_mut(self.grid_cols.max(1))
+    }
+
     fn refit_header(&mut self, shape: (usize, usize), grid: &BlockGrid) {
-        self.rows = shape.0;
-        self.cols = shape.1;
-        self.block_rows = grid.block_rows();
-        self.block_cols = grid.block_cols();
-        self.grid_rows = grid.grid_rows();
-        self.grid_cols = grid.grid_cols();
+        self.set_header(
+            shape,
+            (grid.block_rows(), grid.block_cols()),
+            (grid.grid_rows(), grid.grid_cols()),
+        );
+    }
+
+    fn set_header(
+        &mut self,
+        (rows, cols): (usize, usize),
+        (block_rows, block_cols): (usize, usize),
+        (grid_rows, grid_cols): (usize, usize),
+    ) {
+        self.rows = rows;
+        self.cols = cols;
+        self.block_rows = block_rows;
+        self.block_cols = block_cols;
+        self.grid_rows = grid_rows;
+        self.grid_cols = grid_cols;
         self.block_nnz.clear();
-        self.block_nnz.resize(self.grid_rows * self.grid_cols, 0);
+        self.block_nnz.resize(grid_rows * grid_cols, 0);
     }
 
     fn from_parts(shape: (usize, usize), grid: &BlockGrid, block_nnz: Vec<usize>) -> Self {

@@ -4,10 +4,10 @@
 
 use dynasparse_matrix::format::{dense_to_coo, FormatTransformConfig};
 use dynasparse_matrix::ops::{
-    gemm_into, gemm_into_pooled, gemm_reference, spdmm_reference, spmm_reference,
+    gemm_into, gemm_into_pooled, gemm_reference, gemm_rows_into, spdmm_reference, spmm_reference,
 };
 use dynasparse_matrix::{
-    BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout, ThreadPool,
+    row_blocks, BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout, ThreadPool,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -34,6 +34,82 @@ fn dense_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Dense
         )
         .prop_map(move |data| DenseMatrix::from_row_major(rows, cols, data).unwrap())
     })
+}
+
+/// Strategy: the left operand of the GEMM row-kernel property — `rows × n`
+/// at one of the kernel's regime densities, its stored values drawn from
+/// ordinary numbers and the hostile ones a zero-skip can get wrong (`-0.0`
+/// must be skipped, a denormal must not; `±Inf` and `NaN` must multiply
+/// through, and `NaN` must not be counted as a non-zero).
+fn hostile_operand() -> impl Strategy<Value = DenseMatrix> {
+    let density = prop_oneof![Just(0.0f64), Just(1e-3), Just(0.5), Just(1.0)];
+    let n = prop_oneof![Just(1usize), Just(15), Just(16), Just(17), Just(1433)];
+    (1usize..=5, n, density).prop_flat_map(|(rows, n, density)| {
+        let value = prop_oneof![
+            12 => -5.0f32..5.0,
+            1 => Just(-0.0f32),
+            1 => Just(1.0e-40f32),
+            1 => Just(f32::INFINITY),
+            1 => Just(f32::NEG_INFINITY),
+            1 => Just(f32::NAN),
+        ];
+        proptest::collection::vec((0.0f64..1.0, value), rows * n).prop_map(move |cells| {
+            let data = cells
+                .into_iter()
+                .map(|(coin, v)| if coin < density { v } else { 0.0 })
+                .collect();
+            DenseMatrix::from_row_major(rows, n, data).unwrap()
+        })
+    })
+}
+
+/// Bit equality, with every `NaN` equal to every other (which operand's
+/// payload a `NaN` sum keeps is the code generator's choice, not ours).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn gemm_row_kernel_matches_the_oracle_and_profiles_as_it_goes(
+        x in hostile_operand(),
+        d in prop_oneof![Just(1usize), Just(7), Just(16), Just(33), Just(64)],
+        block_rows in 1usize..=5,
+        block_cols in prop_oneof![Just(1usize), Just(4), Just(16), Just(24), Just(2000)],
+        y_seed in -2.0f32..2.0,
+    ) {
+        let (m, n) = x.shape();
+        let y = DenseMatrix::from_fn(n, d, |r, c| y_seed + ((r * 31 + c * 17) % 13) as f32 - 6.0);
+        let want = gemm_reference(&x, &y).unwrap();
+
+        // Any row partition, block widths that do and do not divide `n`:
+        // the output is the oracle's, bit for bit, and the counter rows the
+        // kernel filled on the way are the stand-alone refit's.
+        let mut out = vec![f32::NAN; m * d];
+        let mut profile = DensityProfile::default();
+        let counts = profile.refit_tiled((m, n), (block_rows, block_cols));
+        for ((r0, r1), row) in row_blocks(m, block_rows).zip(counts) {
+            gemm_rows_into(&x, &y, r0, &mut out[r0 * d..r1 * d], block_cols, row).unwrap();
+        }
+        prop_assert!(same_bits(&out, want.as_slice()), "blocked rows differ from the oracle");
+        let grid = BlockGrid::new(m, n, block_rows, block_cols);
+        let mut refit = DensityProfile::default();
+        refit.refit_dense(&x, &grid);
+        prop_assert_eq!(&profile, &refit);
+        prop_assert_eq!(profile.total_nnz(), x.nnz());
+
+        // The whole-kernel entry points run the same row kernel unprofiled.
+        let mut whole = DenseMatrix::zeros(0, 0);
+        gemm_into(&x, &y, &mut whole).unwrap();
+        prop_assert!(same_bits(whole.as_slice(), want.as_slice()));
+        gemm_into_pooled(test_pool(), &x, &y, &mut whole).unwrap();
+        prop_assert!(same_bits(whole.as_slice(), want.as_slice()));
+    }
 }
 
 proptest! {

@@ -43,8 +43,8 @@ use crate::reference::ReferenceExecutor;
 use dynasparse_graph::FeatureMatrix;
 use dynasparse_matrix::ops::{gemm_into, gemm_into_pooled};
 use dynasparse_matrix::{
-    row_blocks, CsrMatrix, DenseMatrix, DispatchPolicy, HostCalibration, HostPrimitive, Layout,
-    PartitionSpec, ProductShape, SpGemmScratch, ThreadPool,
+    row_blocks, CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration,
+    HostPrimitive, Layout, PartitionSpec, ProductShape, SpGemmScratch, ThreadPool,
 };
 use dynasparse_telemetry::{SessionTelemetry, SpanPrimitive};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -266,6 +266,18 @@ impl ArenaSlot {
     }
 }
 
+/// The density profile of the current kernel's input, when the kernel's own
+/// scan filled it: the dense-input Update GEMM of the block-granular path
+/// streams every `X` row exactly once and counts as it goes, so the session
+/// prices the kernel from this profile instead of scanning the operand again.
+#[derive(Debug, Default)]
+pub(crate) struct ScannedProfile {
+    /// Counters over the kernel's `N2 × N2` subfiber tiling of its input.
+    profile: DensityProfile,
+    /// Whether the kernel that just ran filled `profile`.
+    filled: bool,
+}
+
 /// Plan-sized reusable buffers for the dispatched forward pass.
 ///
 /// Lifetime rules: an arena belongs to one session (it is `Send`, not
@@ -288,6 +300,9 @@ pub struct KernelArena {
     /// Workspace of the Gustavson sparse-sparse kernel; also recycles the
     /// CSR buffers of sparse slot outputs.
     pub(crate) spgemm: SpGemmScratch,
+    /// The current kernel's input profile, when its own scan fills one (the
+    /// counters grow to the largest grid once, then are reused).
+    scanned: ScannedProfile,
     /// Largest batch the buffers are sized for (1 for a per-request arena).
     pub(crate) batch_capacity: usize,
     /// Batch size of the last `forward_dispatch_batch` pass (0 before one).
@@ -336,6 +351,7 @@ impl KernelArena {
             acc: ArenaSlot::with_capacity(num_vertices, batch_dim),
             densify: empty_dense(num_vertices, batch_dim),
             spgemm: SpGemmScratch::new(),
+            scanned: ScannedProfile::default(),
             batch_capacity: max_batch,
             batch: 0,
         }
@@ -498,6 +514,11 @@ fn block_density(nnz: usize, rows: usize, n: usize) -> f64 {
     }
 }
 
+/// The counter rows of a route whose kernels profile nothing.
+fn no_count_rows() -> std::slice::ChunksMut<'static, usize> {
+    <&mut [usize]>::default().chunks_mut(1)
+}
+
 /// The shared row-block execution loop of
 /// [`ReferenceExecutor::execute_kernel_blocked`]: reshapes the slot's dense
 /// output for overwrite (every block kernel writes its whole chunk) and
@@ -506,11 +527,13 @@ fn block_density(nnz: usize, rows: usize, n: usize) -> f64 {
 /// `exec(prim, r0, chunk)` to compute it.  Returns the summed finite
 /// positive per-block predictions.
 ///
-/// `exec` may return the block's *measured* left-operand density when the
-/// kernel's own element scan counts non-zeros anyway (the dense-input GEMM
-/// route): pricing runs after execution and prefers the measured density
-/// over the refit estimate, so such routes need no up-front operand scan at
-/// all.
+/// `count_rows` lends block `k` the `k`-th counter row of the kernel
+/// input's density profile (see [`DensityProfile::refit_tiled`]; exhausted
+/// for routes that profile nothing, whose blocks get an empty row).  A
+/// kernel whose own scan counts non-zeros anyway (the dense-input GEMM
+/// route) fills its row and has `exec` return the block's *measured*
+/// left-operand density: pricing runs after execution and prefers it over
+/// the refit estimate, so such routes need no up-front operand scan at all.
 ///
 /// With a thread pool the blocks are the parallel shards
 /// ([`ThreadPool::for_each_chunk_mut`] hands out disjoint row chunks); each
@@ -527,6 +550,7 @@ fn blocked_dense_loop<R, D, E>(
     (rows, n, d): (usize, usize, usize),
     alpha_y: f64,
     block_rows: usize,
+    mut count_rows: std::slice::ChunksMut<'_, usize>,
     refit: R,
     decide: D,
     exec: E,
@@ -535,7 +559,7 @@ fn blocked_dense_loop<R, D, E>(
 where
     R: Fn(usize, usize) -> f64 + Sync,
     D: Fn(ProductShape, f64) -> HostPrimitive + Sync,
-    E: Fn(HostPrimitive, usize, &mut [f32]) -> Option<f64> + Sync,
+    E: Fn(HostPrimitive, usize, &mut [f32], &mut [usize]) -> Option<f64> + Sync,
 {
     let backend = dispatcher.backend().as_ref();
     let out = slot_as_dense(out_slot, spgemm);
@@ -548,13 +572,18 @@ where
     match dispatcher.pool() {
         Some(pool) => {
             let predicted_bits = AtomicU64::new(0.0f64.to_bits());
-            pool.for_each_chunk_mut(out_slice, block_rows * d, |bi, chunk| {
+            // Each shard owns its output rows *and* its counter row.
+            let blocks = out_slice
+                .chunks_mut(block_rows * d)
+                .enumerate()
+                .map(move |(bi, chunk)| (bi, chunk, count_rows.next().unwrap_or_default()));
+            pool.for_each_item(blocks, |(bi, chunk, counts)| {
                 let r0 = bi * block_rows;
                 let r1 = r0 + chunk.len() / d;
                 let ax = refit(r0, r1);
                 let shape = ProductShape::new(r1 - r0, n, d);
                 let prim = decide(shape, ax);
-                let ax = exec(prim, r0, chunk).unwrap_or(ax);
+                let ax = exec(prim, r0, chunk, counts).unwrap_or(ax);
                 let p = backend.predict_ms(prim, shape, ax, alpha_y);
                 if p.is_finite() && p > 0.0 {
                     let _ =
@@ -576,10 +605,11 @@ where
                 let shape = ProductShape::new(r1 - r0, n, d);
                 let prim = decide(shape, ax);
                 let chunk = &mut out_slice[r0 * d..r1 * d];
+                let counts = count_rows.next().unwrap_or_default();
                 match probe.as_deref_mut().filter(|pr| pr.telemetry.tracing()) {
                     Some(pr) => {
                         let started = Instant::now();
-                        let ax = exec(prim, r0, chunk).unwrap_or(ax);
+                        let ax = exec(prim, r0, chunk, counts).unwrap_or(ax);
                         let measured = started.elapsed().as_secs_f64() * 1e3;
                         let p = backend.predict_ms(prim, shape, ax, alpha_y);
                         if p.is_finite() && p > 0.0 {
@@ -598,7 +628,7 @@ where
                         );
                     }
                     None => {
-                        let ax = exec(prim, r0, chunk).unwrap_or(ax);
+                        let ax = exec(prim, r0, chunk, counts).unwrap_or(ax);
                         let p = backend.predict_ms(prim, shape, ax, alpha_y);
                         if p.is_finite() && p > 0.0 {
                             predicted += p;
@@ -680,6 +710,30 @@ impl ReferenceExecutor {
             .map(|_| ())
     }
 
+    /// [`ReferenceExecutor::forward_dispatch_blocked_profiled`] for callers
+    /// that do not consume kernel-scanned input profiles.
+    pub fn forward_dispatch_blocked_probed<F>(
+        &self,
+        input: &FeatureMatrix,
+        dispatcher: &KernelDispatcher,
+        arena: &mut KernelArena,
+        partition: Option<&PartitionSpec>,
+        telemetry: Option<&mut SessionTelemetry>,
+        mut on_kernel: F,
+    ) -> dynasparse_matrix::Result<f64>
+    where
+        F: FnMut(usize, usize, &KernelSpec, &FeatureMatrix, &FeatureMatrix),
+    {
+        self.forward_dispatch_blocked_profiled(
+            input,
+            dispatcher,
+            arena,
+            partition,
+            telemetry,
+            |l, k, spec, kin, out, _| on_kernel(l, k, spec, kin, out),
+        )
+    }
+
     /// The block-granular dispatched forward pass: every dense-output kernel
     /// is executed as a loop over the row blocks of the compiler's
     /// [`PartitionSpec`] (`N1` rows per Aggregate block, `N2` per Update
@@ -694,10 +748,18 @@ impl ReferenceExecutor {
     /// fixed-kernel reference path) regardless of what each block decides —
     /// see `tests/integration_backend.rs`.
     ///
+    /// `on_kernel(layer, kernel, spec, input, output, input_profile)` runs
+    /// after every kernel.  `input_profile` is `Some` when the kernel's own
+    /// scan already profiled `input` — the dense-input Update GEMM of the
+    /// blocked path, whose profile over the `N2 × N2` subfiber tiling equals
+    /// `input.density_profile_into(&partition.subfiber_grid(..), ..)` — and
+    /// `None` when the caller must refit it (CSR inputs, Aggregates,
+    /// whole-kernel and column-major fallbacks).
+    ///
     /// Returns the backend-predicted milliseconds summed over every executed
     /// kernel (finite predictions only; `0.0` when the backend prices
     /// nothing) — the serve runtime prices modeled device dwell with it.
-    pub fn forward_dispatch_blocked_probed<F>(
+    pub fn forward_dispatch_blocked_profiled<F>(
         &self,
         input: &FeatureMatrix,
         dispatcher: &KernelDispatcher,
@@ -707,7 +769,14 @@ impl ReferenceExecutor {
         mut on_kernel: F,
     ) -> dynasparse_matrix::Result<f64>
     where
-        F: FnMut(usize, usize, &KernelSpec, &FeatureMatrix, &FeatureMatrix),
+        F: FnMut(
+            usize,
+            usize,
+            &KernelSpec,
+            &FeatureMatrix,
+            &FeatureMatrix,
+            Option<&DensityProfile>,
+        ),
     {
         let mut telemetry = telemetry.filter(|t| t.enabled());
         let mut predicted_total = 0.0f64;
@@ -717,6 +786,7 @@ impl ReferenceExecutor {
             acc,
             densify,
             spgemm,
+            scanned,
             ..
         } = arena;
         // Layer 0 reads the request features directly (no copy into the
@@ -743,8 +813,9 @@ impl ReferenceExecutor {
                     KernelOp::Aggregate { .. } => p.aggregate_block_rows(),
                     KernelOp::Update { .. } => p.update_block_rows(),
                 });
+                scanned.filled = false;
                 let predicted = self.execute_kernel_dispatch_blocked_probed(
-                    spec, kin, out_slot, dispatcher, densify, spgemm, block_rows, probe,
+                    spec, kin, out_slot, dispatcher, densify, spgemm, block_rows, scanned, probe,
                 )?;
                 if predicted.is_finite() {
                     predicted_total += predicted;
@@ -752,7 +823,8 @@ impl ReferenceExecutor {
                 if let Some(act) = spec.activation {
                     apply_activation_inplace(&mut out_slot.value, act);
                 }
-                on_kernel(l, ki, spec, kin, &out_slot.value);
+                let input_profile = scanned.filled.then_some(&scanned.profile);
+                on_kernel(l, ki, spec, kin, &out_slot.value, input_profile);
             }
             combine_layer_outputs(layer, slots, acc, spgemm)?;
             if let Some(act) = layer.output_activation {
@@ -789,12 +861,13 @@ impl ReferenceExecutor {
         densify: &mut DenseMatrix,
         spgemm: &mut SpGemmScratch,
         block_rows: Option<usize>,
+        scanned: &mut ScannedProfile,
         probe: Option<ProbeCtx<'_>>,
     ) -> dynasparse_matrix::Result<f64> {
         let Some(mut probe) = probe else {
             if let Some(br) = block_rows.filter(|&br| br > 0) {
                 if let Some(predicted) = self.execute_kernel_blocked(
-                    spec, kin, out_slot, dispatcher, densify, spgemm, br, None,
+                    spec, kin, out_slot, dispatcher, densify, spgemm, br, scanned, None,
                 )? {
                     return Ok(predicted);
                 }
@@ -819,6 +892,7 @@ impl ReferenceExecutor {
                 densify,
                 spgemm,
                 br,
+                scanned,
                 Some(&mut probe),
             )? {
                 predicted_ms = sum;
@@ -846,9 +920,10 @@ impl ReferenceExecutor {
     /// Attempts to execute one kernel block-granularly: the dense output is
     /// partitioned into `block_rows`-row blocks (the compiler's `N1`/`N2`
     /// partition sizes), and every block gets its **own** density refit
-    /// (O(1) from CSR row pointers, one scan for dense-stored features) and
-    /// its own primitive decision/prediction through the dispatcher's
-    /// backend.
+    /// (O(1) from CSR row pointers; counted by the GEMM row kernel's own pass
+    /// for dense-stored features, which also leaves the kernel input's whole
+    /// profile in `scanned`) and its own primitive decision/prediction
+    /// through the dispatcher's backend.
     ///
     /// Returns `Ok(Some(predicted_ms_sum))` when the kernel ran blocked, and
     /// `Ok(None)` when this route must stay whole-kernel, which happens for:
@@ -876,6 +951,7 @@ impl ReferenceExecutor {
         densify: &mut DenseMatrix,
         spgemm: &mut SpGemmScratch,
         block_rows: usize,
+        scanned: &mut ScannedProfile,
         probe: Option<&mut ProbeCtx<'_>>,
     ) -> dynasparse_matrix::Result<Option<f64>> {
         let backend = dispatcher.backend().as_ref();
@@ -901,6 +977,7 @@ impl ReferenceExecutor {
                             (rows, n, d),
                             1.0,
                             block_rows,
+                            no_count_rows(),
                             |r0, r1| block_density(adj.rows_nnz(r0, r1), r1 - r0, n),
                             |shape, ax| {
                                 if shape.is_empty() || ax <= 0.0 {
@@ -909,7 +986,7 @@ impl ReferenceExecutor {
                                     HostPrimitive::SpDmm
                                 }
                             },
-                            |prim, r0, chunk| {
+                            |prim, r0, chunk, _| {
                                 match prim {
                                     HostPrimitive::Skip => chunk.fill(0.0),
                                     _ => backend
@@ -945,13 +1022,14 @@ impl ReferenceExecutor {
                                     (rows, n, d),
                                     ay,
                                     block_rows,
+                                    no_count_rows(),
                                     |r0, r1| block_density(adj.rows_nnz(r0, r1), r1 - r0, n),
                                     |shape, ax| match dispatcher.decide(shape, ax, ay) {
                                         HostPrimitive::Skip => HostPrimitive::Skip,
                                         HostPrimitive::Spmm => HostPrimitive::Spmm,
                                         _ => HostPrimitive::SpDmm,
                                     },
-                                    |prim, r0, chunk| {
+                                    |prim, r0, chunk, _| {
                                         match prim {
                                             HostPrimitive::Skip => chunk.fill(0.0),
                                             HostPrimitive::Spmm => backend
@@ -980,14 +1058,22 @@ impl ReferenceExecutor {
                         }
                         let (rows, n, d) = (h.rows(), h.cols(), w.cols());
                         let ay = w.density();
-                        // The blocked GEMM skips zero elements of H, so it
+                        // The GEMM row kernel skips zero elements of H, so it
                         // doubles as the host SpDMM here (same as the
-                        // whole-kernel route) — and its zero-skip scan
-                        // already counts the block's non-zeros, so the refit
-                        // is a placeholder and the exact measured density
-                        // prices the block after execution.  An all-zero
-                        // block computed as GEMM writes the same exact
-                        // `+0.0` a skip fill would.
+                        // whole-kernel route) — and its one pass over H also
+                        // profiles it.  An Update row block is one grid row
+                        // of the kernel's `N2 × N2` subfiber tiling of H, so
+                        // block `k` owns counter row `k`: the refit is a
+                        // placeholder, the block is priced from its exact
+                        // measured density after execution, and the filled
+                        // profile is handed to `on_kernel`.  (With `d == 0`
+                        // no row is scanned and nothing is handed over.)  An
+                        // all-zero block computed as GEMM writes the same
+                        // exact `+0.0` a skip fill would.
+                        scanned.filled = d > 0;
+                        let count_rows = scanned
+                            .profile
+                            .refit_tiled((rows, n), (block_rows, block_rows));
                         blocked_dense_loop(
                             out_slot,
                             spgemm,
@@ -995,6 +1081,7 @@ impl ReferenceExecutor {
                             (rows, n, d),
                             ay,
                             block_rows,
+                            count_rows,
                             |_, _| 1.0,
                             |shape, _ax| {
                                 if shape.is_empty() {
@@ -1003,16 +1090,17 @@ impl ReferenceExecutor {
                                     HostPrimitive::Gemm
                                 }
                             },
-                            |prim, r0, chunk| match prim {
+                            |prim, r0, chunk, counts| match prim {
                                 HostPrimitive::Skip => {
                                     chunk.fill(0.0);
                                     None
                                 }
                                 _ => {
-                                    let nnz = backend
-                                        .gemm_block(h, w, r0, chunk)
+                                    backend
+                                        .gemm_block(h, w, r0, chunk, block_rows, counts)
                                         .expect("pre-validated block kernel");
-                                    Some(block_density(nnz, chunk.len() / d.max(1), n))
+                                    let nnz = counts.iter().sum();
+                                    Some(block_density(nnz, chunk.len() / d, n))
                                 }
                             },
                             probe,
@@ -1041,13 +1129,14 @@ impl ReferenceExecutor {
                                     (rows, n, d),
                                     ay,
                                     block_rows,
+                                    no_count_rows(),
                                     |r0, r1| block_density(h.rows_nnz(r0, r1), r1 - r0, n),
                                     |shape, ax| match (dispatcher.decide(shape, ax, ay), w_csr) {
                                         (HostPrimitive::Skip, _) => HostPrimitive::Skip,
                                         (HostPrimitive::Spmm, Some(_)) => HostPrimitive::Spmm,
                                         _ => HostPrimitive::SpDmm,
                                     },
-                                    |prim, r0, chunk| {
+                                    |prim, r0, chunk, _| {
                                         match (prim, w_csr) {
                                             (HostPrimitive::Skip, _) => chunk.fill(0.0),
                                             (HostPrimitive::Spmm, Some(w_csr)) => backend

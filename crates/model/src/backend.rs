@@ -123,18 +123,21 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     }
 
     /// Dense × dense block: rows `[r0, r0 + out_rows.len()/d)` of `X·Y` into
-    /// the caller-owned row slice.  Returns the number of non-zero `X`
-    /// elements in the computed rows — the kernel's zero-skip scan measures
-    /// it for free, so the dispatcher can price the block from its exact
-    /// density without a second scan of a dense-stored operand.
+    /// the caller-owned row slice.  The kernel's single pass over the `X`
+    /// rows adds their non-zero count per `block_cols`-wide block column
+    /// into `counts` — the row block's counter row of the kernel input's
+    /// density profile (see [`gemm_rows_into`]) — so neither the dispatcher
+    /// nor the session scans a dense-stored operand a second time.
     fn gemm_block(
         &self,
         x: &DenseMatrix,
         y: &DenseMatrix,
         r0: usize,
         out_rows: &mut [f32],
-    ) -> dynasparse_matrix::Result<usize> {
-        gemm_rows_into(x, y, r0, out_rows)
+        block_cols: usize,
+        counts: &mut [usize],
+    ) -> dynasparse_matrix::Result<()> {
+        gemm_rows_into(x, y, r0, out_rows, block_cols, counts)
     }
 
     /// Sparse × dense block: rows `[r0, ...)` of `X·Y` with `X` in CSR form.
@@ -289,7 +292,7 @@ mod tests {
     fn block_primitives_match_the_whole_kernel_routes() {
         use dynasparse_matrix::ops::gemm_reference;
         use dynasparse_matrix::random::random_dense;
-        use dynasparse_matrix::row_blocks;
+        use dynasparse_matrix::{row_blocks, BlockGrid, DensityProfile};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let b = HostBackend::new(DispatchPolicy::default(), None);
@@ -299,10 +302,15 @@ mod tests {
         let want = gemm_reference(&x, &y).unwrap();
         let d = y.cols();
         let mut out = vec![0.0f32; 17 * 9];
-        for (r0, r1) in row_blocks(17, 5) {
-            b.gemm_block(&x, &y, r0, &mut out[r0 * d..r1 * d]).unwrap();
+        let mut profile = DensityProfile::default();
+        let counts = profile.refit_tiled(x.shape(), (5, 4));
+        for ((r0, r1), row) in row_blocks(17, 5).zip(counts) {
+            b.gemm_block(&x, &y, r0, &mut out[r0 * d..r1 * d], 4, row)
+                .unwrap();
         }
         assert_eq!(out.as_slice(), want.as_slice());
+        let grid = BlockGrid::new(17, 13, 5, 4);
+        assert_eq!(profile, DensityProfile::of_dense(&x, &grid));
 
         let xs = CsrMatrix::from_dense(&x);
         let mut out2 = vec![0.0f32; 17 * 9];

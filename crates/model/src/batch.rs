@@ -39,7 +39,7 @@
 
 use crate::arena::{
     apply_activation_inplace, combine_layer_outputs, slot_as_dense, span_primitive, ArenaSlot,
-    KernelArena, KernelDispatcher, ProbeCtx,
+    KernelArena, KernelDispatcher, ProbeCtx, ScannedProfile,
 };
 use crate::kernel::{KernelInput, KernelOp, KernelSpec};
 use crate::reference::ReferenceExecutor;
@@ -431,9 +431,18 @@ impl ReferenceExecutor {
         if matches!(spec.op, KernelOp::Aggregate { .. }) {
             // The batch aggregate reuses the per-request routes (and their
             // span plan, and the block-granular loop) verbatim on the batch
-            // operand.
+            // operand; no aggregate route profiles its input, so the
+            // scanned-profile slot is a throwaway.
             return self.execute_kernel_dispatch_blocked_probed(
-                spec, kin, out_slot, dispatcher, densify, spgemm, block_rows, probe,
+                spec,
+                kin,
+                out_slot,
+                dispatcher,
+                densify,
+                spgemm,
+                block_rows,
+                &mut ScannedProfile::default(),
+                probe,
             );
         }
         let KernelOp::Update { weight } = spec.op else {

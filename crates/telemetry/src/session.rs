@@ -219,6 +219,10 @@ impl SessionTelemetry {
 
     /// Records the non-kernel phases of one completed request:
     /// density-profile refit and Analyzer/Scheduler pricing, in nanoseconds.
+    /// `profile_ns` covers stand-alone refits only: a dense-input Update
+    /// kernel on the block path profiles its input inside its own scan, so
+    /// that kernel's profile time (kernel 0 of a dense-stored request) is
+    /// part of its kernel span, not of this phase.
     pub fn record_request_phases(&self, profile_ns: u64, pricing_ns: u64) {
         if !self.level.enabled() {
             return;

@@ -144,3 +144,42 @@ fn calibrated_and_regions_sessions_are_bit_identical() {
         outputs[1].to_dense().as_slice()
     );
 }
+
+#[test]
+fn a_faster_gemm_does_not_reach_the_sparse_sparse_region() {
+    // The one-scan GEMM row kernel made the measured GEMM curve cheaper.
+    // For a CSR-stored operand a Gemm and an SpDmm decision execute the
+    // same host kernel, so a cheaper GEMM can change what *runs* only by
+    // taking products from the Spmm region — and it must not: on the
+    // products the ledger's CSR-fed workloads dispatch (`pricing_churn`,
+    // `serve_paced`: Cora GCN-16, the CSR-stored features and adjacency as
+    // left operands, up to 20 % dense, against any right operand), wherever
+    // Gustavson clearly beats SpDMM, GEMM stays dearer than both.  (Near a
+    // three-way tie the measured fit's noise decides, as it always did.)
+    let Some(calibration) = HostCalibration::shared() else {
+        return; // DYNASPARSE_CALIBRATION=off
+    };
+    let policy = CalibratedPolicy::new(calibration, DispatchPolicy::from_regions(16));
+    let densities: Vec<f64> = (0..=16)
+        .map(|i| 10f64.powf(-4.0 + i as f64 / 4.0))
+        .collect();
+    for (m, n, d) in [(2708, 1433, 16), (2708, 2708, 16), (2708, 2708, 7)] {
+        let shape = ProductShape::new(m, n, d);
+        for &ax in densities.iter().filter(|&&ax| ax <= 0.2) {
+            for &ay in &densities {
+                let [gemm, spdmm, spmm] = [
+                    HostPrimitive::Gemm,
+                    HostPrimitive::SpDmm,
+                    HostPrimitive::Spmm,
+                ]
+                .map(|prim| policy.predict(prim, shape, ax, ay));
+                assert!(
+                    !(spmm < 0.5 * spdmm && gemm < spmm),
+                    "{m}x{n}x{d} at α = {ax:.4} × {ay:.4}: GEMM takes a product from \
+                     the sparse-sparse route (gemm {gemm:.4} ms, spdmm {spdmm:.4} ms, \
+                     spmm {spmm:.4} ms)"
+                );
+            }
+        }
+    }
+}

@@ -16,7 +16,10 @@
 //! * the modeled-accelerator backend against the host backend — the
 //!   backend may re-route and re-price every block product, but outputs
 //!   and pricing stay bit-identical; only `predicted_kernel_ms` (the
-//!   backend's own cost estimate) is allowed to differ.
+//!   backend's own cost estimate) is allowed to differ;
+//! * the one-scan dense ingest — a profile filled by the Update GEMM's own
+//!   pass (block dispatch on) against the session's separate refit (off),
+//!   with the kernel pool at one and at two threads.
 
 use dynasparse::{
     BackendKind, CompiledPlan, EngineOptions, HostExecutionOptions, InferenceReport,
@@ -238,6 +241,69 @@ fn whole_model_pricing_is_unchanged_across_paper_strategies() {
             w,
             g,
             &format!("paper strategies request {}", w.request_index),
+        );
+    }
+}
+
+/// Dense-stored requests whose layer-0 Update streams them: with block
+/// dispatch on, that GEMM's own pass fills the kernel's input profile and
+/// the session prices from it; with block dispatch off the session refits
+/// the profile in a separate scan.  Everything a report exposes — decisions,
+/// mix, cycles, density trace, embeddings — must be identical either way, on
+/// both backends, for uniform, skewed and hostile (`-0.0`, denormal) inputs.
+fn assert_scanned_profiles_equal_separate_refits() {
+    let (model, ds) = fixture(GnnModelKind::Gcn);
+    let v = ds.graph.num_vertices();
+    let mut hostile = dense_features(v, ds.features.dim(), 0.02, 41).to_dense();
+    for r in (0..v).step_by(7) {
+        hostile.set(r, r % ds.features.dim(), -0.0);
+        hostile.set(r, (r + 1) % ds.features.dim(), 1.0e-40);
+    }
+    let requests = [
+        dense_features(v, ds.features.dim(), 0.0127, 40),
+        skewed_request(&ds, v / 4, 42),
+        FeatureMatrix::Dense(hostile),
+        dense_features(v, ds.features.dim(), 0.0, 43),
+    ];
+    let strategies = MappingStrategy::paper_strategies();
+    for backend in [BackendKind::Host, BackendKind::ModeledAccel] {
+        let refit = plan_with(&model, &ds, backend, false);
+        let scanned = plan_with(&model, &ds, backend, true);
+        let mut refit_session = refit.session(&strategies);
+        let mut scanned_session = scanned.session(&strategies);
+        for (i, request) in requests.iter().enumerate() {
+            assert_reports_equal(
+                &refit_session.infer(request).unwrap(),
+                &scanned_session.infer(request).unwrap(),
+                &format!("one-scan profile on {} request {i}", backend.label()),
+            );
+        }
+    }
+}
+
+#[test]
+fn kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads() {
+    // The kernel pool is sized once per process from `DYNASPARSE_THREADS`,
+    // so each pool size (inline, and two threads — where row blocks and
+    // their profile counter rows are claimed by different threads) is a
+    // child run of this very test.
+    const CHILD: &str = "ONE_SCAN_EQUIVALENCE_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        return assert_scanned_profiles_equal_separate_refits();
+    }
+    for threads in ["1", "2"] {
+        let status = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "--exact",
+                "kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads",
+            ])
+            .env(CHILD, "1")
+            .env("DYNASPARSE_THREADS", threads)
+            .status()
+            .expect("re-run this test binary");
+        assert!(
+            status.success(),
+            "DYNASPARSE_THREADS={threads} child failed"
         );
     }
 }
