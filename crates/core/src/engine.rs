@@ -15,9 +15,11 @@ use crate::session::Session;
 use dynasparse_accel::AcceleratorConfig;
 use dynasparse_compiler::CompilerConfig;
 use dynasparse_graph::GraphDataset;
-use dynasparse_model::{BackendKind, GnnModel};
-use dynasparse_runtime::{MappingStrategy, PricingCacheMode};
+use dynasparse_matrix::HostCalibration;
+use dynasparse_model::{BackendKind, GnnModel, BACKEND_ENV};
+use dynasparse_runtime::{MappingStrategy, PricingCacheMode, PRICING_CACHE_ENV};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which cost model picks the host primitive of every dispatched kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -38,19 +40,29 @@ pub enum CostModelKind {
     Regions,
 }
 
+/// Environment variable force-disabling online recalibration (`0` / `off` /
+/// `false`), regardless of [`HostExecutionOptions::recalibrate`].
+pub const RECALIBRATE_ENV: &str = "DYNASPARSE_RECALIBRATE";
+
 /// How a session executes the functional kernels on the host.
 ///
-/// The dispatching engine (default) routes every kernel to a host primitive
-/// picked from its *runtime* operand densities — the same signal the
-/// accelerator's Analyzer profiles — and executes into a reusable
-/// [`KernelArena`](dynasparse_model::KernelArena), performing zero heap
-/// allocations per kernel in steady state.  Disabling it falls back to the
-/// fixed-kernel reference path (one fresh allocation per intermediate),
-/// which exists for A/B benchmarking and as the equivalence oracle.
+/// Every kernel is routed to a host primitive picked from its *runtime*
+/// operand densities — the same signal the accelerator's Analyzer profiles —
+/// and executes into a reusable [`KernelArena`](dynasparse_model::KernelArena),
+/// performing zero heap allocations per kernel in steady state.  The
+/// fixed-kernel [`ReferenceExecutor::forward`](dynasparse_model::ReferenceExecutor::forward)
+/// is the equivalence oracle the tests compare this engine against; it is
+/// not a serving path.
+///
+/// Three environment variables shadow fields of this struct
+/// (`DYNASPARSE_BACKEND`, `DYNASPARSE_RECALIBRATE`,
+/// `DYNASPARSE_PRICING_CACHE`); they are applied once, by
+/// [`HostExecutionOptions::shadowed_by_env`], where options enter a
+/// [`Planner`] or a [`ModelTemplate`](crate::ModelTemplate) — so
+/// [`CompiledPlan::options`](crate::CompiledPlan::options) *is* the effective
+/// configuration and nothing downstream reads the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostExecutionOptions {
-    /// Route host kernels by runtime density through the arena executor.
-    pub dispatch: bool,
     /// Fan row-parallel kernels out over the persistent thread pool
     /// (`DYNASPARSE_THREADS` / `available_parallelism`-sized; inline on a
     /// single-core host).
@@ -65,7 +77,6 @@ pub struct HostExecutionOptions {
     /// block views (bit-identical to the per-request loop — see
     /// `tests/integration_batch.rs`).  Disable to fall back to the
     /// request-by-request loop, which is kept as the equivalence oracle.
-    /// Requires `dispatch`; ignored otherwise.
     pub batch_fusion: bool,
     /// Which [`ExecBackend`](dynasparse_model::ExecBackend) routes and
     /// prices every dispatched product: the measured host calibration
@@ -73,14 +84,14 @@ pub struct HostExecutionOptions {
     /// cycle-accurate performance model ([`BackendKind::ModeledAccel`]).
     /// Both backends execute through the same block primitives, so swapping
     /// them changes routing and pricing only — results stay bit-identical.
-    /// Defaults from `DYNASPARSE_BACKEND` (`host` / `accel`).
+    /// Shadowed by `DYNASPARSE_BACKEND` (`host` / `accel`) when it is set.
     pub backend: BackendKind,
     /// Execute every dense-output kernel as a loop over the compiler
     /// partition's row blocks (`N1` rows per Aggregate block, `N2` per
     /// Update block) with per-block density refits and per-block primitive
     /// decisions.  Disable to fall back to one whole-kernel decision per
     /// dispatch; both paths are bit-identical
-    /// (see `tests/integration_backend.rs`).  Requires `dispatch`.
+    /// (see `tests/integration_backend.rs`).
     pub block_dispatch: bool,
     /// Rescale the host calibration online when a per-primitive
     /// measured/predicted drift EWMA leaves the accepted band (see
@@ -91,7 +102,7 @@ pub struct HostExecutionOptions {
     /// [`PricingCacheMode`]).  `Bucketed` (default) shares one pricing pass
     /// across profiles that quantize into the same half-octave density
     /// buckets; `Exact` only amortizes exact repeats; `Off` restores
-    /// uncached pricing.  Overridable via `DYNASPARSE_PRICING_CACHE`
+    /// uncached pricing.  Shadowed by `DYNASPARSE_PRICING_CACHE`
     /// (`off` / `exact` / `on`).  Embeddings are unaffected in every mode —
     /// the cache only touches the strategy pricing pass.
     pub pricing_cache: PricingCacheMode,
@@ -100,14 +111,58 @@ pub struct HostExecutionOptions {
 impl Default for HostExecutionOptions {
     fn default() -> Self {
         HostExecutionOptions {
-            dispatch: true,
             parallel: true,
             cost_model: CostModelKind::Calibrated,
             batch_fusion: true,
-            backend: BackendKind::from_env(),
+            backend: BackendKind::Host,
             block_dispatch: true,
             recalibrate: true,
             pricing_cache: PricingCacheMode::default(),
+        }
+    }
+}
+
+impl HostExecutionOptions {
+    /// Applies the option-shadowing environment: `DYNASPARSE_BACKEND`
+    /// replaces [`backend`](Self::backend) when set to a recognised name,
+    /// `DYNASPARSE_RECALIBRATE` = `0` / `off` / `false` clears
+    /// [`recalibrate`](Self::recalibrate), and `DYNASPARSE_PRICING_CACHE`
+    /// replaces [`pricing_cache`](Self::pricing_cache) (see
+    /// [`PricingCacheMode::resolve`]).  [`Planner::new`] and
+    /// [`ModelTemplate::compile`](crate::ModelTemplate::compile) call this;
+    /// it is the only place the three variables are read.
+    pub fn shadowed_by_env(self) -> Self {
+        self.shadowed_by(|name| std::env::var(name).ok())
+    }
+
+    /// [`HostExecutionOptions::shadowed_by_env`] over an explicit variable
+    /// lookup.
+    fn shadowed_by(mut self, var: impl Fn(&str) -> Option<String>) -> Self {
+        if let Some(name) = var(BACKEND_ENV) {
+            match BackendKind::parse(&name) {
+                Some(backend) => self.backend = backend,
+                None => eprintln!("dynasparse: ignoring unknown {BACKEND_ENV}={name}"),
+            }
+        }
+        if matches!(
+            var(RECALIBRATE_ENV).as_deref().map(str::trim),
+            Some("0" | "off" | "false")
+        ) {
+            self.recalibrate = false;
+        }
+        self.pricing_cache =
+            PricingCacheMode::resolve(self.pricing_cache, var(PRICING_CACHE_ENV).as_deref());
+        self
+    }
+
+    /// The measured host fit sessions dispatch with under these options: the
+    /// process-wide calibration (measured at most once per process;
+    /// `DYNASPARSE_CALIBRATION` overrides) for
+    /// [`CostModelKind::Calibrated`], none for the regions model.
+    pub(crate) fn calibration(&self) -> Option<Arc<HostCalibration>> {
+        match self.cost_model {
+            CostModelKind::Calibrated => HostCalibration::shared(),
+            CostModelKind::Regions => None,
         }
     }
 }
@@ -339,6 +394,32 @@ mod tests {
                 available: 0
             })
         ));
+    }
+
+    #[test]
+    fn environment_shadows_backend_recalibration_and_pricing_cache() {
+        let configured = HostExecutionOptions::default();
+        assert_eq!(configured.shadowed_by(|_| None), configured);
+        let shadowed = configured.shadowed_by(|name| match name {
+            BACKEND_ENV => Some("accel".to_string()),
+            RECALIBRATE_ENV => Some(" off ".to_string()),
+            PRICING_CACHE_ENV => Some("exact".to_string()),
+            _ => None,
+        });
+        assert_eq!(
+            shadowed,
+            HostExecutionOptions {
+                backend: BackendKind::ModeledAccel,
+                recalibrate: false,
+                pricing_cache: PricingCacheMode::Exact,
+                ..configured
+            }
+        );
+        // Unrecognised values leave the configured fields alone.
+        assert_eq!(
+            configured.shadowed_by(|_| Some("garbage".to_string())),
+            configured
+        );
     }
 
     #[test]

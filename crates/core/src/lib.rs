@@ -111,7 +111,7 @@
 //!
 //! ## The dispatching kernel engine
 //!
-//! By default a session's host execution exploits dynamic sparsity the same
+//! A session's host execution exploits dynamic sparsity the same
 //! way the modeled accelerator does: a per-session
 //! [`KernelDispatcher`](dynasparse_model::KernelDispatcher) routes every
 //! kernel by its *runtime* operand densities to the blocked dense GEMM, the
@@ -133,12 +133,12 @@
 //! documented in `README.md` (`DYNASPARSE_CALIBRATION`,
 //! `DYNASPARSE_THREADS`, …).
 //!
-//! Disable with [`HostExecutionOptions`] (`EngineOptions::builder()
-//! .host(...)`) to fall back to the fixed-kernel reference path or the
-//! per-request batch loop; all paths are bit-identical
-//! (`tests/integration_dispatch.rs`, `tests/integration_batch.rs`), and
-//! the benches assert the wins (`kernel_dispatch` ≥ 1.5x steady-state
-//! infer, `batch_fusion` ≥ 1.3x requests/s at batch 8).
+//! [`HostExecutionOptions`] (`EngineOptions::builder().host(...)`) can
+//! turn batch fusion off, which falls back to the per-request batch loop;
+//! both are bit-identical to each other and to the fixed-kernel
+//! `ReferenceExecutor::forward`, the test oracle
+//! (`tests/integration_batch.rs`, `tests/integration_dispatch.rs`), and
+//! the `batch_fusion` bench asserts the win (≥ 1.3x requests/s at batch 8).
 //!
 //! One-shot evaluation (compile + single request) remains available through
 //! the [`Engine`] wrapper, which produces cycle-for-cycle the same numbers:
@@ -198,11 +198,12 @@ pub mod template;
 pub use backend::ModeledAccelBackend;
 pub use engine::{
     CostModelKind, Engine, EngineOptions, EngineOptionsBuilder, HostExecutionOptions,
+    RECALIBRATE_ENV,
 };
 pub use error::{CompileError, DynasparseError, EngineError};
 pub use planner::{CompiledPlan, Planner};
 pub use report::{Evaluation, InferenceReport, KernelReport, StrategyRun};
-pub use session::{FaultHook, OwnedSession, Session, DRIFT_BAND, RECALIBRATE_ENV};
+pub use session::{FaultHook, OwnedSession, Session, DRIFT_BAND};
 pub use template::{ModelTemplate, TemplateInstance};
 
 // Re-export the pieces a downstream user needs to drive the engine without

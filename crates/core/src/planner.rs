@@ -12,30 +12,39 @@
 //! [`Session`]: crate::Session
 //! [`Session::infer`]: crate::Session::infer
 
-use crate::engine::{CostModelKind, EngineOptions};
+use crate::engine::EngineOptions;
 use crate::error::{CompileError, DynasparseError};
 use crate::session::Session;
 use dynasparse_compiler::{compile, CompileReport, CompiledProgram};
-use dynasparse_graph::{AggregatorKind, GraphDataset};
-use dynasparse_matrix::{CsrMatrix, HostCalibration, PartitionSpec};
+use dynasparse_graph::{AggregatorKind, FeatureMatrix, GraphDataset};
+use dynasparse_matrix::{CsrMatrix, HostCalibration, MatrixError, PartitionSpec};
 use dynasparse_model::{prepare_adjacencies, GnnModel};
 use dynasparse_runtime::MappingStrategy;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Validates a model against a dataset and compiles a serving plan.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Planner {
     options: EngineOptions,
 }
 
+impl Default for Planner {
+    fn default() -> Self {
+        Planner::new(EngineOptions::default())
+    }
+}
+
 impl Planner {
-    /// Creates a planner with the given engine options.
-    pub fn new(options: EngineOptions) -> Self {
+    /// Creates a planner with the given engine options, shadowed by the
+    /// environment (see
+    /// [`HostExecutionOptions::shadowed_by_env`](crate::HostExecutionOptions::shadowed_by_env)).
+    pub fn new(mut options: EngineOptions) -> Self {
+        options.host = options.host.shadowed_by_env();
         Planner { options }
     }
 
-    /// The options the planner compiles with.
+    /// The effective options the planner compiles with.
     pub fn options(&self) -> &EngineOptions {
         &self.options
     }
@@ -91,14 +100,9 @@ impl Planner {
         let report = compile(model, dataset, &self.options.compiler);
         // One-time graph preprocessing: normalized adjacency per aggregator.
         let adjacencies = Arc::new(prepare_adjacencies(model, &dataset.graph));
-        // One-time host micro-calibration (measured at most once per
-        // process; `DYNASPARSE_CALIBRATION` overrides): every session of
-        // this plan — including all serving workers — shares the fit by
-        // `Arc`.
-        let calibration = match (self.options.host.dispatch, self.options.host.cost_model) {
-            (true, CostModelKind::Calibrated) => HostCalibration::shared(),
-            _ => None,
-        };
+        // One-time host micro-calibration: every session of this plan —
+        // including all serving workers — shares the fit by `Arc`.
+        let calibration = self.options.host.calibration();
 
         Ok(CompiledPlan {
             options: self.options.clone(),
@@ -138,7 +142,7 @@ pub struct CompiledPlan {
     pub(crate) model: Arc<GnnModel>,
     pub(crate) adjacencies: Arc<HashMap<AggregatorKind, CsrMatrix>>,
     /// The measured host kernel cost model every session dispatches with;
-    /// `None` when dispatch is off, the regions model was requested, or
+    /// `None` when the regions model was requested or
     /// `DYNASPARSE_CALIBRATION=off`.
     pub(crate) calibration: Option<Arc<HostCalibration>>,
     pub(crate) report: CompileReport,
@@ -167,6 +171,27 @@ impl CompiledPlan {
         Session::shared(Arc::clone(self), strategies)
     }
 
+    /// Checks one request's shape against the plan topology: `features`
+    /// needs [`CompiledPlan::num_vertices`] rows and
+    /// [`CompiledPlan::input_dim`] columns.  `op` names the rejecting entry
+    /// point in the typed [`MatrixError::ShapeMismatch`].
+    pub fn validate_request(
+        &self,
+        features: &FeatureMatrix,
+        op: &'static str,
+    ) -> Result<(), DynasparseError> {
+        let expected = (self.num_vertices(), self.input_dim());
+        if features.shape() != expected {
+            return Err(MatrixError::ShapeMismatch {
+                op,
+                lhs: features.shape(),
+                rhs: expected,
+            }
+            .into());
+        }
+        Ok(())
+    }
+
     /// The engine options the plan was compiled with.
     pub fn options(&self) -> &EngineOptions {
         &self.options
@@ -179,7 +204,7 @@ impl CompiledPlan {
 
     /// The measured host kernel cost model sessions of this plan dispatch
     /// with, if calibration is active (see
-    /// [`CostModelKind`]).
+    /// [`CostModelKind`](crate::CostModelKind)).
     pub fn calibration(&self) -> Option<&Arc<HostCalibration>> {
         self.calibration.as_ref()
     }

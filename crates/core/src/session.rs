@@ -9,31 +9,34 @@
 //! task scheduling).  This mirrors the paper's serving model, where the
 //! compiled IR lives on the FPGA and each inference only moves the new
 //! feature matrix across PCIe.
+//!
+//! Every request — solo or member of a fused batch — crosses the same
+//! stages: **profile refit** (the kernel's input density profile),
+//! **pricing** (one [`PricingStage::price`] call per kernel per request) and
+//! **report assembly** (one replay of the recorded analyses through each
+//! strategy's scheduler).  Solo and fused serving differ in the executor
+//! call that runs the kernels and hands over the operands, and in nothing
+//! else.
 
 use crate::backend::ModeledAccelBackend;
 use crate::error::DynasparseError;
 use crate::planner::CompiledPlan;
 use crate::report::{InferenceReport, KernelReport, StrategyRun};
 use dynasparse_accel::{cycles_to_ms, ComputationCore, SoftProcessorModel};
-use dynasparse_compiler::KernelKind;
+use dynasparse_compiler::{CompiledProgram, KernelKind};
 use dynasparse_graph::FeatureMatrix;
-use dynasparse_matrix::{BlockGrid, DensityProfile, DispatchPolicy, MatrixError};
+use dynasparse_matrix::{BlockGrid, DensityProfile, DispatchPolicy};
 use dynasparse_model::{
-    BackendKind, DensityTrace, KernelArena, KernelDispatcher, ReferenceExecutor, StageDensity,
-    StageOp,
+    BackendKind, DensityTrace, KernelArena, KernelDispatcher, KernelSpec, ReferenceExecutor,
+    StageDensity, StageOp,
 };
 use dynasparse_runtime::{
-    pricing, Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCache,
-    PricingCacheMode, PricingKey, RuntimeOverhead, Scheduler, SharedPricingTier,
+    Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCacheMode, PricingStage,
+    RuntimeOverhead, Scheduler, SharedPricingTier,
 };
 use dynasparse_telemetry::{CounterId, GaugeId, Registry, SessionTelemetry};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Environment variable force-disabling online recalibration (`0` / `off` /
-/// `false`), regardless of
-/// [`HostExecutionOptions::recalibrate`](crate::HostExecutionOptions).
-pub const RECALIBRATE_ENV: &str = "DYNASPARSE_RECALIBRATE";
 
 /// Accepted band of the per-primitive measured/predicted drift EWMA
 /// (`measured_ms / predicted_ms`, see
@@ -43,17 +46,6 @@ pub const RECALIBRATE_ENV: &str = "DYNASPARSE_RECALIBRATE";
 /// the observed ratio, swaps the rescaled fit into its dispatcher and
 /// resets the gauge.
 pub const DRIFT_BAND: (f64, f64) = (0.5, 2.0);
-
-/// Reusable per-strategy state: the Analyzer is stateless and the Scheduler
-/// is rewound between requests.  The kernel-report buffer is handed to each
-/// request's report and re-sized ahead of the next request (reports own
-/// their data, so one `Vec` per strategy is allocated per request).
-struct StrategyState {
-    strategy: MappingStrategy,
-    analyzer: Analyzer,
-    scheduler: Scheduler,
-    kernels: Vec<KernelReport>,
-}
 
 /// How a session holds its plan: borrowed from the caller (the classic
 /// single-threaded shape) or co-owned through an [`Arc`] (the serving
@@ -79,8 +71,11 @@ impl PlanHandle<'_> {
 /// [`Session::set_fault_hook`]; a hook that panics therefore unwinds out of
 /// [`Session::infer`] / [`Session::infer_batch`] mid-forward, with arena
 /// slots and profile scratch in a partially-written state — exactly the
-/// failure a serving supervisor must contain.  Serving-layer fault-injection
-/// tests use this to prove worker supervision loses no request.
+/// failure a serving supervisor must contain.  A fused batch executes each
+/// kernel once for the whole batch, so a panicking hook fails the batch;
+/// the supervisor then retries its requests one by one to isolate the
+/// poisoned one.  Serving-layer fault-injection tests use this to prove
+/// worker supervision loses no request.
 pub type FaultHook = Arc<dyn Fn(usize) + Send + Sync>;
 
 /// Serving state bound to one [`CompiledPlan`].
@@ -89,42 +84,40 @@ pub struct Session<'p> {
     strategies: Vec<MappingStrategy>,
     executor: ReferenceExecutor,
     soft: SoftProcessorModel,
-    states: Vec<StrategyState>,
-    density_scratch: Vec<StageDensity>,
-    /// The dispatching kernel engine (mode-picked host kernels + arena);
-    /// `None` when `EngineOptions::host.dispatch` is off, in which case
-    /// requests run the fixed-kernel reference path.
-    dispatcher: Option<KernelDispatcher>,
-    /// Plan-sized ping-pong feature buffers reused by every request;
-    /// allocated only when the dispatcher is (legacy sessions never touch
-    /// them, and the buffers are plan-sized).
-    arena: Option<KernelArena>,
+    /// One stateless Analyzer per strategy, in strategy order.
+    analyzers: Vec<Analyzer>,
+    /// One Scheduler per strategy, rewound for every report.
+    schedulers: Vec<Scheduler>,
+    /// The dispatching kernel engine (mode-picked host kernels).
+    dispatcher: KernelDispatcher,
+    /// Plan-sized ping-pong feature buffers reused by every solo request.
+    arena: KernelArena,
     /// One reusable runtime sparsity profile per compiled kernel, refit in
-    /// place per request (no per-kernel allocation on the dispatch path).
+    /// place per solo request (no per-kernel allocation).
     profile_scratch: Vec<DensityProfile>,
     /// One cached profiling grid per compiled kernel: the grid depends only
     /// on the plan topology and the kernel's input width, so it is derived
     /// on the first request and reused by every later request (and by every
     /// request of a batch) instead of being re-derived per kernel call.
     grid_scratch: Vec<Option<BlockGrid>>,
-    /// Batch-sized arena of the fused [`Session::infer_batch`] path; sized
-    /// lazily for the largest batch seen (or eagerly via
-    /// [`Session::reserve_batch`]) and reused across micro-batches.  `None`
-    /// until the first fused batch, and always `None` when dispatch or
-    /// batch fusion is off.
+    /// Batch-sized arena of fused batches; sized lazily for the largest
+    /// batch seen (or eagerly via [`Session::reserve_batch`]) and reused
+    /// across micro-batches.  `None` until the first fused batch.
     batch_arena: Option<KernelArena>,
-    /// One reusable per-request profile per batch slot (fused path): each
-    /// kernel's batch-wide profiling pass refits these in place.
+    /// One reusable per-request profile per batch slot: each kernel's
+    /// batch-wide profiling pass refits these in place.
     batch_profile_scratch: Vec<DensityProfile>,
-    /// Reusable per-request output nnz counts of the fused path.
+    /// Reusable per-request output nnz counts of fused batches.
     batch_nnz_scratch: Vec<usize>,
     /// Per kernel: the later kernel whose input profile doubles as this
     /// kernel's output counts (see [`output_deferral_map`]); `None` means
-    /// the fused path counts the output directly.
+    /// a fused batch counts the output directly.
     defer_out: Vec<Option<usize>>,
     /// Inverse of `defer_out`: at kernel `t`, the earlier kernel whose
     /// deferred output densities resolve from `t`'s input profiles.
     out_source_for: Vec<Option<usize>>,
+    /// One reusable record per batch slot (slot 0 serves solo requests).
+    records: Vec<RequestRecord>,
     /// The session's telemetry bundle: counters/histograms through a writer
     /// shard of a [`Registry`] (the process-global one by default), plus the
     /// kernel-span flight recorder and drift tracker.  Costs one predictable
@@ -133,56 +126,144 @@ pub struct Session<'p> {
     /// Fault-injection hook run per executed kernel (see [`FaultHook`]);
     /// `None` (the default) costs one branch per kernel.
     fault_hook: Option<FaultHook>,
-    /// Execute dispatched kernels as row-block loops over the compiler
-    /// partition (`HostExecutionOptions::block_dispatch`).
-    block_dispatch: bool,
-    /// Drift-triggered online recalibration enabled: the options flag gated
-    /// by [`RECALIBRATE_ENV`], resolved once at build.
-    recalibrate: bool,
-    /// Pricing-cache mode: the options value gated by
-    /// [`PRICING_CACHE_ENV`](dynasparse_runtime::PRICING_CACHE_ENV),
-    /// resolved once at build.
-    pricing_mode: PricingCacheMode,
-    /// Per-session pricing cache (`None` when the mode is `Off` or the
-    /// session prices no strategies).  Values are pure functions of their
-    /// keys, so reuse never depends on request order or cache state.
-    pricing_cache: Option<PricingCache>,
-    /// Optional read-mostly tier shared across the serve workers of one
-    /// runtime; consulted on a local miss, published to on a fresh pass.
-    pricing_tier: Option<Arc<SharedPricingTier>>,
-    /// Fingerprint of the dispatcher's current calibration; refreshed when
-    /// online recalibration swaps a rescaled fit in, which makes every key
-    /// minted under the old fit unreachable.
-    calib_fingerprint: u64,
-    /// Fingerprint of the plan's static operands (adjacency + weight
-    /// profiles); recomputed on rebind so template instances of the same
-    /// subgraph class share pricing while different topologies never do.
-    statics_fingerprint: u64,
-    /// Reusable scratch holding the bucket-representative quantization of
-    /// the current kernel's feature profile (bucketed-mode misses only).
-    quant_scratch: DensityProfile,
+    /// Cache, shared tier, fingerprints and counters of the pricing stage.
+    /// Cached values are pure functions of their keys, so reuse never
+    /// depends on request order or cache state.
+    pricing: PricingStage,
     requests_served: usize,
 }
 
-/// Per-request bookkeeping captured while a batch executes fused: everything
-/// the report replay needs, in kernel execution order.
-struct BatchRecord {
+/// What one request leaves behind while the executor runs, in kernel
+/// execution order: everything report assembly needs.
+#[derive(Default)]
+struct RequestRecord {
     stages: Vec<StageDensity>,
     /// `(input_density, output_density)` per kernel.
     kernel_io: Vec<(f64, f64)>,
     /// One analysis per kernel per strategy, kernel-major
     /// (`kernel * num_strategies + strategy`).  `Arc`s so same-key requests
-    /// of one fused batch share a single Analyzer pass through the pricing
-    /// cache instead of cloning the task-cycle vectors.
+    /// share a single Analyzer pass through the pricing cache instead of
+    /// cloning the task-cycle vectors.
     analyses: Vec<Arc<KernelAnalysis>>,
 }
 
+/// The per-kernel stages both executor callbacks run, over the session
+/// state they need: kernel entry (fault hook, grid fit), the profile
+/// stopwatch, and pricing + recording of one request's kernel.
+struct KernelObserver<'s> {
+    program: &'s CompiledProgram,
+    num_vertices: usize,
+    grids: &'s mut [Option<BlockGrid>],
+    pricing: &'s mut PricingStage,
+    analyzers: &'s [Analyzer],
+    records: &'s mut [RequestRecord],
+    fault_hook: Option<FaultHook>,
+    /// Phase stopwatches only run when the registry records.
+    probe: bool,
+    profile_ns: u64,
+    next_kernel: usize,
+}
+
+impl KernelObserver<'_> {
+    /// Enters the next kernel in execution order and returns its index.
+    /// Fault injection runs here, after the kernel wrote its output, so a
+    /// panicking hook unwinds with the arena mid-request.
+    fn enter(&mut self, spec_kernel: &KernelSpec, input_dim: usize) -> usize {
+        let kidx = self.next_kernel;
+        self.next_kernel += 1;
+        if let Some(hook) = &self.fault_hook {
+            hook(kidx);
+        }
+        let kind = self.program.kernels[kidx].ir.kind;
+        debug_assert_eq!(
+            kind == KernelKind::Aggregate,
+            spec_kernel.op.is_aggregate(),
+            "compiled kernel order must match execution order"
+        );
+        // The grid depends only on the topology and the per-request input
+        // width, so it is fit once and shared by every later request and
+        // every request of a batch.
+        let shape = (self.num_vertices, input_dim);
+        let slot = &mut self.grids[kidx];
+        if slot.as_ref().map(BlockGrid::shape) != Some(shape) {
+            let spec = self.program.partition;
+            *slot = Some(match kind {
+                KernelKind::Aggregate => spec.feature_grid(shape.0, shape.1),
+                KernelKind::Update => spec.subfiber_grid(shape.0, shape.1),
+            });
+        }
+        kidx
+    }
+
+    /// The profiling grid of an entered kernel: feature fibers for an
+    /// Aggregate, subfibers for an Update.
+    fn grid(&self, kidx: usize) -> &BlockGrid {
+        self.grids[kidx].as_ref().expect("grid fit on kernel entry")
+    }
+
+    /// Runs `refit` over the kernel's grid under the profile stopwatch.
+    fn profile(&mut self, kidx: usize, refit: impl FnOnce(&BlockGrid)) {
+        let started = self.probe.then(Instant::now);
+        refit(self.grid(kidx));
+        if let Some(started) = started {
+            self.profile_ns += started.elapsed().as_nanos() as u64;
+        }
+    }
+
+    /// Prices kernel `kidx` for batch slot `b` from its input profile and
+    /// records its densities.
+    fn record(
+        &mut self,
+        b: usize,
+        kidx: usize,
+        features: &DensityProfile,
+        input_density: f64,
+        output_density: f64,
+    ) {
+        let compiled = &self.program.kernels[kidx];
+        let statics = &self.program.static_sparsity;
+        let profiles = OperandProfiles {
+            adjacency: &statics.adjacency,
+            weights: &statics.weights,
+            features,
+        };
+        let record = &mut self.records[b];
+        self.pricing.price(
+            kidx,
+            compiled,
+            &profiles,
+            self.analyzers,
+            self.probe,
+            &mut record.analyses,
+        );
+        record.kernel_io.push((input_density, output_density));
+        record.stages.push(StageDensity {
+            layer: compiled.ir.layer_id - 1,
+            kernel: compiled.ir.kernel_in_layer,
+            op: match compiled.ir.kind {
+                KernelKind::Aggregate => StageOp::Aggregate,
+                KernelKind::Update => StageOp::Update,
+            },
+            density: output_density,
+        });
+    }
+}
+
+/// `nnz / total`, with an empty matrix at density 0 — the same integer
+/// counts divided the same way as `FeatureMatrix::density`.
+fn density_of(nnz: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        nnz as f64 / total as f64
+    }
+}
 /// For every kernel (execution order), the later kernel whose **input** is
 /// the same unmodified matrix as this kernel's output — either a kernel in
 /// the same layer reading `Kernel(this)`, or (for a layer's sole
 /// contributor with no output activation) the first kernel of the next
 /// layer.  Since reports are assembled by replay after the forward pass,
-/// the fused batch path defers those kernels' output-density counts and
+/// a fused batch defers those kernels' output-density counts and
 /// recovers them for free from the target kernel's input profiles, instead
 /// of paying a separate counting pass over the batch operand.
 fn output_deferral_map(model: &dynasparse_model::GnnModel) -> Vec<Option<usize>> {
@@ -228,9 +309,20 @@ fn output_deferral_map(model: &dynasparse_model::GnnModel) -> Vec<Option<usize>>
 
 /// Default per-session pricing-cache capacity: several density-bucket
 /// working sets per (kernel, strategy) pair, floored so small plans still
-/// ride out bursty density mixes without thrashing.
+/// ride out bursty density mixes without thrashing; zero (no cache) for a
+/// session that prices no strategy.
 fn default_pricing_capacity(num_kernels: usize, num_strategies: usize) -> usize {
-    (num_kernels * num_strategies.max(1) * 8).max(256)
+    if num_strategies == 0 {
+        0
+    } else {
+        (num_kernels * num_strategies * 8).max(256)
+    }
+}
+
+/// The functional executor over a plan's model and pre-normalized
+/// adjacencies (both shared by refcount, nothing is copied).
+fn executor_over(plan: &CompiledPlan) -> ReferenceExecutor {
+    ReferenceExecutor::from_prepared(Arc::clone(&plan.model), Arc::clone(&plan.adjacencies))
 }
 
 /// A session that co-owns its plan and therefore has no borrowed lifetime;
@@ -249,78 +341,46 @@ impl<'p> Session<'p> {
     /// on each request.  Equivalent to
     /// [`CompiledPlan::session`](crate::CompiledPlan::session).
     pub fn new(plan: &'p CompiledPlan, strategies: &[MappingStrategy]) -> Self {
-        let executor = ReferenceExecutor::from_prepared(
-            Arc::clone(&plan.model),
-            Arc::clone(&plan.adjacencies),
-        );
-        Self::build(PlanHandle::Borrowed(plan), executor, strategies)
+        Self::build(PlanHandle::Borrowed(plan), strategies)
     }
 
     /// Opens a session that co-owns `plan`, so the session can outlive the
     /// caller's borrow and be moved onto another thread.  Equivalent to
     /// [`CompiledPlan::session_shared`](crate::CompiledPlan::session_shared).
     pub fn shared(plan: Arc<CompiledPlan>, strategies: &[MappingStrategy]) -> OwnedSession {
-        let executor = ReferenceExecutor::from_prepared(
-            Arc::clone(&plan.model),
-            Arc::clone(&plan.adjacencies),
-        );
-        Session::<'static>::build(PlanHandle::Shared(plan), executor, strategies)
+        Session::<'static>::build(PlanHandle::Shared(plan), strategies)
     }
 
-    fn build(
-        plan: PlanHandle<'p>,
-        executor: ReferenceExecutor,
-        strategies: &[MappingStrategy],
-    ) -> Session<'p> {
-        let accelerator = plan.get().options().accelerator;
-        let host = plan.get().options().host;
+    fn build(plan: PlanHandle<'p>, strategies: &[MappingStrategy]) -> Session<'p> {
+        let compiled = plan.get();
+        let executor = executor_over(compiled);
+        let accelerator = compiled.options().accelerator;
+        let host = compiled.options().host;
         let core = ComputationCore::new(accelerator);
-        let num_kernels = plan.get().program().kernels.len();
-        let num_vertices = plan.get().num_vertices();
-        let states = strategies
-            .iter()
-            .map(|&strategy| StrategyState {
-                strategy,
-                analyzer: Analyzer::new(core, strategy),
-                scheduler: Scheduler::new(accelerator.num_cores),
-                kernels: Vec::with_capacity(num_kernels),
-            })
-            .collect();
-        let dispatcher = host.dispatch.then(|| {
-            // Calibrated when the plan carries a measured host fit; the
-            // accelerator's Table IV regions otherwise (they also stay the
-            // sparse-output threshold and degenerate-prediction fallback).
-            let mut dispatcher = executor.dispatcher_calibrated(
-                DispatchPolicy::from_regions(accelerator.psys),
-                plan.get().calibration.clone(),
-                host.parallel,
-            );
-            // The modeled-accelerator backend swaps in over the same weight
-            // caches and retention policy: routing and pricing change,
-            // results stay bit-identical.
-            if host.backend == BackendKind::ModeledAccel {
-                dispatcher.set_backend(Arc::new(ModeledAccelBackend::new(&accelerator)));
-            }
-            dispatcher
-        });
-        let recalibrate = host.recalibrate
-            && !matches!(
-                std::env::var(RECALIBRATE_ENV)
-                    .ok()
-                    .as_deref()
-                    .map(str::trim),
-                Some("0") | Some("off") | Some("false")
-            );
-        let pricing_mode = PricingCacheMode::resolve(host.pricing_cache);
-        let pricing_cache =
-            (pricing_mode != PricingCacheMode::Off && !strategies.is_empty()).then(|| {
-                PricingCache::with_capacity(default_pricing_capacity(num_kernels, strategies.len()))
-            });
-        let calib_fingerprint = pricing::calibration_fingerprint(plan.get().calibration.as_deref());
-        let statics = &plan.get().program().static_sparsity;
-        let statics_fingerprint =
-            pricing::statics_fingerprint(&statics.adjacency, &statics.weights);
-        let arena = dispatcher.is_some().then(|| executor.arena(num_vertices));
+        let num_kernels = compiled.program().kernels.len();
+        // Calibrated when the plan carries a measured host fit; the
+        // accelerator's Table IV regions otherwise (they also stay the
+        // sparse-output threshold and degenerate-prediction fallback).
+        let mut dispatcher = executor.dispatcher_calibrated(
+            DispatchPolicy::from_regions(accelerator.psys),
+            compiled.calibration.clone(),
+            host.parallel,
+        );
+        // The modeled-accelerator backend swaps in over the same weight
+        // caches and retention policy: routing and pricing change, results
+        // stay bit-identical.
+        if host.backend == BackendKind::ModeledAccel {
+            dispatcher.set_backend(Arc::new(ModeledAccelBackend::new(&accelerator)));
+        }
+        let statics = &compiled.program().static_sparsity;
+        let pricing = PricingStage::new(
+            host.pricing_cache,
+            default_pricing_capacity(num_kernels, strategies.len()),
+            compiled.calibration.as_deref(),
+            &statics.adjacency,
+            &statics.weights,
+        );
+        let arena = executor.arena(compiled.num_vertices());
         let defer_out = output_deferral_map(executor.model());
         let mut out_source_for = vec![None; defer_out.len()];
         for (k, target) in defer_out.iter().enumerate() {
@@ -330,12 +390,16 @@ impl<'p> Session<'p> {
             }
         }
         Session {
-            plan,
             strategies: strategies.to_vec(),
-            executor,
             soft: SoftProcessorModel::from_config(&accelerator),
-            states,
-            density_scratch: Vec::with_capacity(num_kernels),
+            analyzers: strategies
+                .iter()
+                .map(|&strategy| Analyzer::new(core, strategy))
+                .collect(),
+            schedulers: strategies
+                .iter()
+                .map(|_| Scheduler::new(accelerator.num_cores))
+                .collect(),
             dispatcher,
             arena,
             profile_scratch: vec![DensityProfile::default(); num_kernels],
@@ -345,18 +409,31 @@ impl<'p> Session<'p> {
             batch_nnz_scratch: Vec::new(),
             defer_out,
             out_source_for,
+            records: Vec::new(),
             telemetry: SessionTelemetry::from_global(),
             fault_hook: None,
-            block_dispatch: host.block_dispatch,
-            recalibrate,
-            pricing_mode,
-            pricing_cache,
-            pricing_tier: None,
-            calib_fingerprint,
-            statics_fingerprint,
-            quant_scratch: DensityProfile::default(),
+            pricing,
             requests_served: 0,
+            executor,
+            plan,
         }
+    }
+
+    /// Replaces every piece of per-session execution state with a fresh
+    /// build over `plan`, keeping what is not plan state: the strategies,
+    /// the telemetry bundle (registry binding, pinned shard, retained
+    /// spans), the shared pricing tier (runtime wiring, and it holds only
+    /// key-pure analyses) and the `requests_served` counter.  The local
+    /// pricing cache starts fresh, keyed under the new plan's fingerprints.
+    fn rebuild(&mut self, plan: PlanHandle<'p>) {
+        let strategies = std::mem::take(&mut self.strategies);
+        let telemetry = std::mem::replace(&mut self.telemetry, SessionTelemetry::from_global());
+        let tier = self.pricing.set_tier(None);
+        let served = self.requests_served;
+        *self = Session::build(plan, &strategies);
+        self.telemetry = telemetry;
+        self.pricing.set_tier(tier);
+        self.requests_served = served;
     }
 
     /// The plan this session serves from.
@@ -365,7 +442,8 @@ impl<'p> Session<'p> {
     }
 
     /// Rebinds the session to a different plan, keeping every buffer the new
-    /// plan can reuse.
+    /// plan can reuse.  Rebinding to the plan the session already co-owns
+    /// (the same `Arc`) returns immediately.
     ///
     /// This is the serving primitive behind per-request subgraph
     /// instantiation: a worker holds one session and rebinds it to each
@@ -385,6 +463,9 @@ impl<'p> Session<'p> {
     /// and serving from the rebound session is bit-identical to a fresh
     /// session over the same plan (the retained state is pure capacity).
     pub fn rebind(&mut self, plan: Arc<CompiledPlan>) {
+        if matches!(&self.plan, PlanHandle::Shared(bound) if Arc::ptr_eq(bound, &plan)) {
+            return;
+        }
         let old = self.plan.get();
         let same_model = Arc::ptr_eq(&old.model, &plan.model);
         let same_calibration = match (&old.calibration, &plan.calibration) {
@@ -392,89 +473,47 @@ impl<'p> Session<'p> {
             (None, None) => true,
             _ => false,
         };
-        let executor = ReferenceExecutor::from_prepared(
-            Arc::clone(&plan.model),
-            Arc::clone(&plan.adjacencies),
-        );
         // `EngineOptions` carries no equality; a shared model pointer only
         // arises when both plans came from the same template (or the same
         // `Arc` clone), which fixes the options and the dispatcher inputs.
-        if same_model && same_calibration {
-            self.telemetry
-                .registry()
-                .incr(self.telemetry.shard(), CounterId::RebindReuse);
-            self.executor = executor;
+        let counter = if same_model && same_calibration {
+            self.executor = executor_over(&plan);
+            // The topology changed under the same model/calibration: re-key
+            // pricing so the new subgraph separates from the old.
+            let statics = &plan.program().static_sparsity;
+            self.pricing
+                .rebind_statics(&statics.adjacency, &statics.weights);
             self.plan = PlanHandle::Shared(plan);
-            for state in &mut self.states {
-                state.scheduler.reset();
-                state.kernels.clear();
-            }
-            self.density_scratch.clear();
-            // The topology changed under the same model/calibration: refresh
-            // the static-operand fingerprint so pricing keys separate the
-            // new subgraph from the old.  The cache itself survives — it is
-            // content-addressed, so a rebind back to an equal topology (or
-            // another instance of the same subgraph class) hits again while
-            // a different topology can only miss.
-            let statics = &self.plan.get().program().static_sparsity;
-            self.statics_fingerprint =
-                pricing::statics_fingerprint(&statics.adjacency, &statics.weights);
-            return;
-        }
-        let strategies = std::mem::take(&mut self.strategies);
-        let served = self.requests_served;
-        // Rebuilding replaces every field; carry the telemetry bundle (its
-        // registry binding, pinned shard and retained spans) across, the same
-        // way the request counter survives.  The shared pricing tier is
-        // runtime wiring, not plan state, so it also survives; the local
-        // pricing cache does not (the new plan's calibration may differ, and
-        // `build` re-derives both fingerprints from the new plan).
-        let telemetry = std::mem::replace(&mut self.telemetry, SessionTelemetry::from_global());
-        let tier = self.pricing_tier.take();
-        *self = Session::build(PlanHandle::Shared(plan), executor, &strategies);
-        self.telemetry = telemetry;
-        self.pricing_tier = tier;
+            CounterId::RebindReuse
+        } else {
+            self.rebuild(PlanHandle::Shared(plan));
+            CounterId::RebindRebuild
+        };
         self.telemetry
             .registry()
-            .incr(self.telemetry.shard(), CounterId::RebindRebuild);
-        self.requests_served = served;
+            .incr(self.telemetry.shard(), counter);
     }
 
     /// Rebuilds every piece of per-session execution state from the bound
     /// plan, as if the session had been freshly opened — keeping the
-    /// strategies, the telemetry bundle (registry binding, pinned shard)
-    /// and the `requests_served` counter.
+    /// strategies, the telemetry bundle (registry binding, pinned shard),
+    /// the shared pricing tier and the `requests_served` counter.
     ///
     /// This is the recovery primitive a serving supervisor calls after a
     /// panic unwound out of [`Session::infer`] / [`Session::infer_batch`]
     /// (e.g. through a [`FaultHook`]).  **Unwind-safety rule:** a panic
-    /// mid-forward may leave arena slots, profile scratch and scheduler
-    /// state partially written; none of that state is self-healing, so the
-    /// session must not serve again until it is rebuilt (or dropped).  The
-    /// per-request resets in `infer` clear scheduler/report scratch, but
-    /// arena buffer *shapes* and cached grids can be left mid-transition —
-    /// rebuilding discards them wholesale.  Any installed fault hook is
-    /// cleared.
+    /// mid-forward may leave arena slots, profile scratch and request
+    /// records partially written; none of that state is self-healing, so
+    /// the session must not serve again until it is rebuilt (or dropped).
+    /// Every request restarts its records and schedulers, but arena buffer
+    /// *shapes* and cached grids can be left mid-transition — rebuilding
+    /// discards them wholesale.  Any installed fault hook is cleared.
     pub fn rebuild_after_panic(&mut self) {
-        let strategies = std::mem::take(&mut self.strategies);
-        let served = self.requests_served;
-        let telemetry = std::mem::replace(&mut self.telemetry, SessionTelemetry::from_global());
         let plan = match &self.plan {
             PlanHandle::Borrowed(p) => PlanHandle::Borrowed(p),
             PlanHandle::Shared(p) => PlanHandle::Shared(Arc::clone(p)),
         };
-        let executor = ReferenceExecutor::from_prepared(
-            Arc::clone(&plan.get().model),
-            Arc::clone(&plan.get().adjacencies),
-        );
-        let tier = self.pricing_tier.take();
-        *self = Session::build(plan, executor, &strategies);
-        self.telemetry = telemetry;
-        // The shared tier holds only key-pure analyses, so a panicked
-        // forward cannot have poisoned it; the rebuilt local cache starts
-        // fresh.
-        self.pricing_tier = tier;
-        self.requests_served = served;
+        self.rebuild(plan);
     }
 
     /// Installs (or clears) the per-kernel [`FaultHook`].  Serving layers
@@ -490,10 +529,10 @@ impl<'p> Session<'p> {
         &self.strategies
     }
 
-    /// The pricing-cache mode the session resolved at build (options value
-    /// gated by `DYNASPARSE_PRICING_CACHE`).
+    /// The pricing-cache mode the session prices in: the plan's effective
+    /// [`HostExecutionOptions::pricing_cache`](crate::HostExecutionOptions).
     pub fn pricing_mode(&self) -> PricingCacheMode {
-        self.pricing_mode
+        self.pricing.mode()
     }
 
     /// Attaches (or detaches) a shared pricing tier.  Serve runtimes hand
@@ -501,16 +540,14 @@ impl<'p> Session<'p> {
     /// is a cache hit for all of them; safe because cached analyses are
     /// pure functions of their keys.
     pub fn set_pricing_tier(&mut self, tier: Option<Arc<SharedPricingTier>>) {
-        self.pricing_tier = tier;
+        self.pricing.set_tier(tier);
     }
 
     /// Replaces the session pricing cache with a fresh one of (at least)
     /// `capacity` slots.  A no-op when the cache is disabled.  Mainly a
     /// test/tuning knob: a tiny capacity forces steady-state eviction.
     pub fn set_pricing_capacity(&mut self, capacity: usize) {
-        if self.pricing_cache.is_some() {
-            self.pricing_cache = Some(PricingCache::with_capacity(capacity));
-        }
+        self.pricing.set_capacity(capacity);
     }
 
     /// Number of requests served so far.
@@ -551,310 +588,248 @@ impl<'p> Session<'p> {
     /// [`CompiledPlan::num_vertices`] rows and [`CompiledPlan::input_dim`]
     /// columns.
     pub fn infer(&mut self, features: &FeatureMatrix) -> Result<InferenceReport, DynasparseError> {
-        self.validate_request(features, "session infer")?;
-        self.infer_validated(features)
+        self.plan
+            .get()
+            .validate_request(features, "session infer")?;
+        let mut reports = self.serve(std::slice::from_ref(features))?;
+        Ok(reports.pop().expect("one report per request"))
     }
 
-    /// Checks one request's shape against the plan topology.
-    fn validate_request(
-        &self,
-        features: &FeatureMatrix,
-        op: &'static str,
-    ) -> Result<(), DynasparseError> {
-        let plan = self.plan.get();
-        let expected = (plan.num_vertices(), plan.input_dim());
-        if features.shape() != expected {
-            return Err(MatrixError::ShapeMismatch {
-                op,
-                lhs: features.shape(),
-                rhs: expected,
+    /// Serves already-validated requests through one executor pass: a solo
+    /// request through the session arena, two or more **fused** through the
+    /// batch arena.  The executor calls back after every kernel; the
+    /// callback profiles the kernel's input and hands each request's
+    /// profile to [`KernelObserver::record`], which prices it.  Reports are
+    /// assembled afterwards by replay — the analyzer is stateless and the
+    /// scheduler replays the same kernel order with the same analyses, so a
+    /// fused request's report is bit-identical to its solo report.
+    fn serve(&mut self, batch: &[FeatureMatrix]) -> Result<Vec<InferenceReport>, DynasparseError> {
+        let bsz = batch.len();
+        if bsz > 1 {
+            self.ensure_batch_arena(bsz);
+            if self.batch_profile_scratch.len() < bsz {
+                self.batch_profile_scratch
+                    .resize_with(bsz, DensityProfile::default);
             }
-            .into());
         }
-        Ok(())
-    }
-
-    /// Serves one already-validated request (see [`Session::infer`]).
-    fn infer_validated(
-        &mut self,
-        features: &FeatureMatrix,
-    ) -> Result<InferenceReport, DynasparseError> {
+        if self.records.len() < bsz {
+            self.records.resize_with(bsz, RequestRecord::default);
+        }
         let plan = self.plan.get();
         let program = plan.program();
-        let spec = program.partition;
         let num_vertices = plan.num_vertices();
         let num_kernels = program.kernels.len();
-        // The clears matter on the recovery path: a request that failed
-        // mid-execution leaves partial kernel reports and density stages
-        // behind, which the next request must not inherit.
-        for state in &mut self.states {
-            state.scheduler.reset();
-            state.kernels.clear();
+        // Every record restarts empty, which also covers recovery: a request
+        // that failed mid-execution leaves a partial record behind, which
+        // the next request must not inherit.
+        for record in &mut self.records[..bsz] {
+            record.stages.clear();
+            record.stages.reserve(num_kernels);
+            record.kernel_io.clear();
+            record.analyses.clear();
         }
-        self.density_scratch.clear();
-
-        let states = &mut self.states;
-        let density_stages = &mut self.density_scratch;
-        let profile_scratch = &mut self.profile_scratch;
-        let grid_scratch = &mut self.grid_scratch;
-        let executor = &self.executor;
-        let dispatcher = self.dispatcher.as_ref();
-        let arena = self.arena.as_mut();
-        let dispatch_enabled = dispatcher.is_some();
-        let telemetry = &mut self.telemetry;
-        // Phase stopwatches (profile refit, Analyzer/Scheduler pricing) only
-        // run when the registry records; the accumulators are plain locals so
-        // the timed path stays allocation-free.
-        let probe = telemetry.enabled();
-        let fault_hook = self.fault_hook.clone();
-        let pricing_mode = self.pricing_mode;
-        let mut pricing_cache = self.pricing_cache.as_mut();
-        let pricing_tier = self.pricing_tier.clone();
-        let calib_fp = self.calib_fingerprint;
-        let statics_fp = self.statics_fingerprint;
-        let quant_scratch = &mut self.quant_scratch;
-        let mut profile_ns = 0u64;
-        let mut pricing_ns = 0u64;
-        let mut pricing_hits = 0u64;
-        let mut pricing_misses = 0u64;
-        let mut pricing_evictions = 0u64;
-        let mut pricing_hit_ns = 0u64;
-        let mut pricing_miss_ns = 0u64;
-        let mut kernel_counter = 0usize;
-        let mut on_kernel = |_layer: usize,
-                             _ki: usize,
-                             spec_kernel: &dynasparse_model::KernelSpec,
-                             input: &FeatureMatrix,
-                             out: &FeatureMatrix,
-                             scanned_profile: Option<&DensityProfile>| {
-            // Fault injection: runs after the kernel wrote its output, so a
-            // panicking hook unwinds with the arena mid-request.
-            if let Some(hook) = &fault_hook {
-                hook(kernel_counter);
-            }
-            let compiled = &program.kernels[kernel_counter];
-            debug_assert_eq!(
-                compiled.ir.kind == KernelKind::Aggregate,
-                spec_kernel.op.is_aggregate(),
-                "compiled kernel order must match execution order"
-            );
-            // Runtime sparsity profiling of the kernel's input feature
-            // matrix at the granularity its execution scheme uses.  The
-            // grid depends only on the (fixed) topology and kernel input
-            // width, so it is fit once and reused by every later request.
-            let profile_started = probe.then(Instant::now);
-            let grid_slot = &mut grid_scratch[kernel_counter];
-            let input_shape = (num_vertices, input.dim());
-            if grid_slot.as_ref().map(BlockGrid::shape) != Some(input_shape) {
-                *grid_slot = Some(match compiled.ir.kind {
-                    KernelKind::Aggregate => spec.feature_grid(num_vertices, input.dim()),
-                    KernelKind::Update => spec.subfiber_grid(num_vertices, input.dim()),
-                });
-            }
-            let grid = grid_slot.as_ref().expect("grid fit above");
-            // A kernel that streamed its dense input anyway (the blocked
-            // Update GEMM) hands its profile over: one scan, not two.  Every
-            // other dispatch route refits a per-kernel reusable profile (no
-            // allocation); the legacy path keeps its allocating profiler.
-            let owned_profile;
-            let feature_profile: &DensityProfile = match scanned_profile {
-                Some(scanned) => {
-                    debug_assert_eq!(scanned.shape(), grid.shape());
-                    debug_assert_eq!(
-                        scanned.block_shape(),
-                        (grid.block_rows(), grid.block_cols())
-                    );
-                    scanned
-                }
-                None if dispatch_enabled => {
-                    let slot = &mut profile_scratch[kernel_counter];
-                    input.density_profile_into(grid, slot);
-                    slot
-                }
-                None => {
-                    owned_profile = input.density_profile(grid);
-                    &owned_profile
-                }
-            };
-            if let Some(started) = profile_started {
-                profile_ns += started.elapsed().as_nanos() as u64;
-            }
-            let profiles = OperandProfiles {
-                adjacency: &program.static_sparsity.adjacency,
-                weights: &program.static_sparsity.weights,
-                features: feature_profile,
-            };
-            let pricing_started = probe.then(Instant::now);
-            // The strategy-free part of the pricing key hashes the profile
-            // once per kernel; strategies fold in per state below.  The
-            // bucket-representative quantization is also shared by every
-            // strategy's miss of this kernel.
-            let base_key = pricing_cache.is_some().then(|| {
-                PricingKey::base(
-                    calib_fp,
-                    statics_fp,
-                    kernel_counter,
-                    pricing_mode,
-                    feature_profile,
-                )
-            });
-            let mut quantized = false;
-            for state in states.iter_mut() {
-                let state_started = probe.then(Instant::now);
-                let mut hit = false;
-                let analysis: Arc<KernelAnalysis> = match (&mut pricing_cache, base_key) {
-                    (Some(cache), Some(base)) => {
-                        let key = base.with_strategy(state.strategy);
-                        let mut cached = cache.get(&key);
-                        if cached.is_none() {
-                            if let Some(tier) = pricing_tier.as_deref() {
-                                if let Some(a) = tier.get(&key) {
-                                    if cache.insert(key, Arc::clone(&a)) {
-                                        pricing_evictions += 1;
-                                    }
-                                    cached = Some(a);
-                                }
-                            }
+        let partition = plan
+            .options()
+            .host
+            .block_dispatch
+            .then_some(&program.partition);
+        let probe = self.telemetry.enabled();
+        let mut observer = KernelObserver {
+            program,
+            num_vertices,
+            grids: &mut self.grid_scratch,
+            pricing: &mut self.pricing,
+            analyzers: &self.analyzers,
+            records: &mut self.records[..bsz],
+            fault_hook: self.fault_hook.clone(),
+            probe,
+            profile_ns: 0,
+            next_kernel: 0,
+        };
+        self.telemetry.begin_request();
+        // The executors are block-granular over the compiler partition by
+        // default and probed per dispatch when telemetry is on; both return
+        // the backend-predicted kernel milliseconds of the pass.
+        let predicted_kernel_ms = if let [features] = batch {
+            let profile_scratch = &mut self.profile_scratch;
+            self.executor.forward_dispatch_blocked_profiled(
+                features,
+                &self.dispatcher,
+                &mut self.arena,
+                partition,
+                Some(&mut self.telemetry),
+                |_layer, _ki, spec_kernel, input, out, scanned| {
+                    let kidx = observer.enter(spec_kernel, input.dim());
+                    // A kernel that streamed its dense input anyway (the
+                    // blocked Update GEMM) hands its profile over: one scan,
+                    // not two.  Every other route refits the kernel's
+                    // reusable profile.
+                    let profile: &DensityProfile = match scanned {
+                        Some(scanned) => {
+                            let grid = observer.grid(kidx);
+                            debug_assert_eq!(scanned.shape(), grid.shape());
+                            debug_assert_eq!(
+                                scanned.block_shape(),
+                                (grid.block_rows(), grid.block_cols())
+                            );
+                            scanned
                         }
-                        match cached {
-                            Some(a) => {
-                                hit = true;
-                                a
-                            }
-                            None => {
-                                // Determinism invariant: a bucketed-mode miss
-                                // prices the bucket's canonical representative
-                                // profile, never the first-seen exact one, so
-                                // the cached value is a pure function of the
-                                // key (order-, worker- and cache-state-free).
-                                let a = if pricing_mode == PricingCacheMode::Bucketed {
-                                    if !quantized {
-                                        pricing::quantize_profile_into(
-                                            feature_profile,
-                                            quant_scratch,
-                                        );
-                                        quantized = true;
-                                    }
-                                    let priced = OperandProfiles {
-                                        adjacency: &program.static_sparsity.adjacency,
-                                        weights: &program.static_sparsity.weights,
-                                        features: &*quant_scratch,
-                                    };
-                                    Arc::new(state.analyzer.analyze_kernel(compiled, &priced))
-                                } else {
-                                    Arc::new(state.analyzer.analyze_kernel(compiled, &profiles))
-                                };
-                                if cache.insert(key, Arc::clone(&a)) {
-                                    pricing_evictions += 1;
-                                }
-                                if let Some(tier) = pricing_tier.as_deref() {
-                                    if tier.publish(key, Arc::clone(&a)) {
-                                        pricing_evictions += 1;
-                                    }
-                                }
-                                a
-                            }
+                        None => {
+                            let slot = &mut profile_scratch[kidx];
+                            observer.profile(kidx, |grid| input.density_profile_into(grid, slot));
+                            slot
                         }
-                    }
-                    _ => Arc::new(state.analyzer.analyze_kernel(compiled, &profiles)),
-                };
-                let schedule = state.scheduler.schedule_kernel(compiled.ir.id, &analysis);
-                state.kernels.push(KernelReport {
-                    kernel_id: compiled.ir.id,
-                    layer_id: compiled.ir.layer_id,
-                    kind: compiled.ir.kind,
-                    cycles: schedule.cycles(),
-                    utilization: schedule.utilization,
-                    decisions: analysis.decisions,
-                    mix: analysis.mix,
-                    input_density: input.density(),
-                    output_density: out.density(),
-                });
-                if base_key.is_some() {
-                    if hit {
-                        pricing_hits += 1;
-                    } else {
-                        pricing_misses += 1;
-                    }
-                }
-                if let Some(started) = state_started {
-                    let ns = started.elapsed().as_nanos() as u64;
-                    if base_key.is_some() {
-                        if hit {
-                            pricing_hit_ns += ns;
-                        } else {
-                            pricing_miss_ns += ns;
-                        }
-                    }
-                }
-            }
-            if let Some(started) = pricing_started {
-                pricing_ns += started.elapsed().as_nanos() as u64;
-            }
-            density_stages.push(StageDensity {
-                layer: compiled.ir.layer_id - 1,
-                kernel: compiled.ir.kernel_in_layer,
-                op: match compiled.ir.kind {
-                    KernelKind::Aggregate => StageOp::Aggregate,
-                    KernelKind::Update => StageOp::Update,
+                    };
+                    observer.record(0, kidx, profile, input.density(), out.density());
                 },
-                density: out.density(),
-            });
-            kernel_counter += 1;
+            )?
+        } else {
+            let profiles = &mut self.batch_profile_scratch[..bsz];
+            let out_counts = &mut self.batch_nnz_scratch;
+            let (defer_out, out_source_for) = (&self.defer_out, &self.out_source_for);
+            let arena = self.batch_arena.as_mut().expect("ensured above");
+            let predicted_batch_ms = self.executor.forward_dispatch_batch_blocked_probed(
+                batch,
+                &self.dispatcher,
+                arena,
+                partition,
+                Some(&mut self.telemetry),
+                |_layer, _ki, spec_kernel, views| {
+                    let kidx = observer.enter(spec_kernel, views.input_dim());
+                    // One pass over the batch operand recovers every
+                    // request's input profile; the resulting densities are
+                    // bit-equal to what a solo request computes.
+                    observer.profile(kidx, |grid| views.profile_inputs_into(grid, profiles));
+                    let input_total = num_vertices * views.input_dim();
+                    // A kernel whose input is an earlier kernel's unmodified
+                    // output resolves that kernel's deferred output
+                    // densities from the profiles just fit — no separate
+                    // counting pass.
+                    if let Some(src) = out_source_for[kidx] {
+                        for (record, profile) in observer.records.iter_mut().zip(profiles.iter()) {
+                            let density = density_of(profile.total_nnz(), input_total);
+                            record.kernel_io[src].1 = density;
+                            record.stages[src].density = density;
+                        }
+                    }
+                    let deferred = defer_out[kidx].is_some();
+                    if !deferred {
+                        views.output_nnz_into(out_counts);
+                    }
+                    let output_total = num_vertices * views.output_dim();
+                    for (b, profile) in profiles.iter().enumerate() {
+                        // A deferred output density is patched when the
+                        // consuming kernel profiles this matrix as its input.
+                        let output_density = if deferred {
+                            f64::NAN
+                        } else {
+                            density_of(out_counts[b], output_total)
+                        };
+                        let input_density = density_of(profile.total_nnz(), input_total);
+                        observer.record(b, kidx, profile, input_density, output_density);
+                    }
+                },
+            )?;
+            // One fused pass priced the whole batch: attribute the predicted
+            // kernel milliseconds evenly across its reports.
+            predicted_batch_ms / bsz as f64
         };
-        telemetry.begin_request();
-        let block_dispatch = self.block_dispatch;
-        let mut predicted_kernel_ms = 0.0;
-        let output = match (dispatcher, arena) {
-            (Some(dispatcher), Some(arena)) => {
-                // The dispatching engine: mode-picked host kernels writing
-                // into the session's arena (zero per-kernel allocations),
-                // block-granular over the compiler partition by default,
-                // probed per dispatch when telemetry is on.
-                predicted_kernel_ms = executor.forward_dispatch_blocked_profiled(
-                    features,
-                    dispatcher,
-                    arena,
-                    block_dispatch.then_some(&spec),
-                    Some(&mut *telemetry),
-                    &mut on_kernel,
-                )?;
-                arena.output().clone()
-            }
-            _ => executor.forward_with(features, |l, k, s, i, o| on_kernel(l, k, s, i, o, None))?,
-        };
+        let profile_ns = observer.profile_ns;
+        let counters = self.pricing.take_counters();
         if probe {
-            telemetry.record_request_phases(profile_ns, pricing_ns);
-            telemetry.record_pricing_cache(
-                pricing_hits,
-                pricing_misses,
-                pricing_evictions,
-                pricing_hit_ns,
-                pricing_miss_ns,
+            // A fused pass served the whole batch: attribute the shared
+            // phase time evenly across requests so the per-request
+            // histograms stay comparable to solo serving.  Cache activity is
+            // counted per lookup, not per request, so it records once.
+            let per = bsz as u64;
+            for _ in 0..bsz {
+                self.telemetry
+                    .record_request_phases(profile_ns / per, counters.pricing_ns / per);
+            }
+            self.telemetry.record_pricing_cache(
+                counters.hits,
+                counters.misses,
+                counters.evictions,
+                counters.hit_ns,
+                counters.miss_ns,
             );
         }
+        let mut reports = Vec::with_capacity(bsz);
+        for (b, features) in batch.iter().enumerate() {
+            let output = match &self.batch_arena {
+                Some(arena) if bsz > 1 => arena.output_block(b),
+                _ => self.arena.output().clone(),
+            };
+            reports.push(self.assemble(b, features, predicted_kernel_ms, output));
+        }
+        self.maybe_recalibrate();
+        Ok(reports)
+    }
 
+    /// Assembles the report of batch slot `b` from its record: each
+    /// strategy's scheduler replays the recorded analyses in kernel
+    /// execution order.
+    fn assemble(
+        &mut self,
+        b: usize,
+        features: &FeatureMatrix,
+        predicted_kernel_ms: f64,
+        output_embeddings: FeatureMatrix,
+    ) -> InferenceReport {
+        let plan = self.plan.get();
+        let program = plan.program();
         let freq = plan.options().accelerator.frequency_mhz;
         let compile_ms = plan.compile_ms();
         let data_movement_ms = plan.request_data_movement_ms(features.size_bytes());
         let feature_movement_ms = plan.feature_movement_ms(features.size_bytes());
+        let record = &mut self.records[b];
+        let num_strategies = self.analyzers.len();
+        let soft = &self.soft;
         let runs = self
-            .states
-            .iter_mut()
-            .map(|state| {
-                let total_cycles = state.scheduler.total_cycles();
+            .analyzers
+            .iter()
+            .zip(&mut self.schedulers)
+            .enumerate()
+            .map(|(s, (analyzer, scheduler))| {
+                scheduler.reset();
+                let kernels: Vec<KernelReport> = program
+                    .kernels
+                    .iter()
+                    .enumerate()
+                    .map(|(kidx, compiled)| {
+                        let analysis = &record.analyses[kidx * num_strategies + s];
+                        let schedule = scheduler.schedule_kernel(compiled.ir.id, analysis);
+                        let (input_density, output_density) = record.kernel_io[kidx];
+                        debug_assert!(
+                            !output_density.is_nan(),
+                            "deferred output density of kernel {kidx} must have been resolved"
+                        );
+                        KernelReport {
+                            kernel_id: compiled.ir.id,
+                            layer_id: compiled.ir.layer_id,
+                            kind: compiled.ir.kind,
+                            cycles: schedule.cycles(),
+                            utilization: schedule.utilization,
+                            decisions: analysis.decisions,
+                            mix: analysis.mix,
+                            input_density,
+                            output_density,
+                        }
+                    })
+                    .collect();
+                let total_cycles = scheduler.total_cycles();
                 let latency_ms = cycles_to_ms(total_cycles, freq);
-                let decisions: usize = state.kernels.iter().map(|k| k.decisions).sum();
+                let decisions: usize = kernels.iter().map(|k| k.decisions).sum();
                 let overhead = RuntimeOverhead::from_counts(
-                    &self.soft,
+                    soft,
                     decisions,
-                    state.scheduler.total_schedule_events(),
+                    scheduler.total_schedule_events(),
                     latency_ms * 1e-3,
                 );
                 StrategyRun {
-                    strategy: state.strategy,
-                    average_utilization: state.scheduler.average_utilization(),
-                    kernels: std::mem::replace(&mut state.kernels, Vec::with_capacity(num_kernels)),
+                    strategy: analyzer.strategy(),
+                    average_utilization: scheduler.average_utilization(),
+                    kernels,
                     total_cycles,
                     latency_ms,
                     end_to_end_ms: compile_ms + data_movement_ms + latency_ms,
@@ -862,25 +837,20 @@ impl<'p> Session<'p> {
                 }
             })
             .collect();
-
-        self.maybe_recalibrate();
         let request_index = self.requests_served;
         self.requests_served += 1;
-        Ok(InferenceReport {
+        InferenceReport {
             request_index,
             data_movement_ms,
             feature_movement_ms,
             density_trace: DensityTrace {
                 input_density: features.density(),
-                stages: std::mem::replace(
-                    &mut self.density_scratch,
-                    Vec::with_capacity(num_kernels),
-                ),
+                stages: std::mem::take(&mut record.stages),
             },
             runs,
             predicted_kernel_ms,
-            output_embeddings: output,
-        })
+            output_embeddings,
+        }
     }
 
     /// Online drift-triggered recalibration (host backend only): after a
@@ -893,16 +863,12 @@ impl<'p> Session<'p> {
     /// Decisions and predictions change, results never do (the calibration
     /// only picks among bit-identical routes).
     fn maybe_recalibrate(&mut self) {
-        if !self.recalibrate {
+        if !self.plan.get().options().host.recalibrate
+            || self.dispatcher.backend_kind() != BackendKind::Host
+        {
             return;
         }
-        let Some(dispatcher) = self.dispatcher.as_mut() else {
-            return;
-        };
-        if dispatcher.backend_kind() != BackendKind::Host {
-            return;
-        }
-        let Some(calibration) = dispatcher.calibration().cloned() else {
+        let Some(calibration) = self.dispatcher.calibration().cloned() else {
             return;
         };
         const GAUGES: [GaugeId; 3] = [GaugeId::DriftGemm, GaugeId::DriftSpdmm, GaugeId::DriftSpmm];
@@ -928,17 +894,9 @@ impl<'p> Session<'p> {
                 fit.per_row *= ratio;
             }
         }
-        // The rescaled fit invalidates every cached pricing decision: the
-        // fingerprint change makes old keys unreachable (also in the shared
-        // tier, without a flush — sibling workers recalibrate on their own
-        // schedule), and clearing the local cache returns its slots to the
-        // fresh fit's working set immediately.
-        let new_fingerprint = pricing::calibration_fingerprint(Some(&rescaled));
-        dispatcher.recalibrate(Arc::new(rescaled));
-        self.calib_fingerprint = new_fingerprint;
-        if let Some(cache) = &mut self.pricing_cache {
-            cache.clear();
-        }
+        // The rescaled fit invalidates every cached pricing decision.
+        self.pricing.recalibrated(&rescaled);
+        self.dispatcher.recalibrate(Arc::new(rescaled));
         for (gauge, ratio) in GAUGES.into_iter().zip(ratios) {
             if ratio != 1.0 {
                 registry.gauge_set(gauge, 1.0);
@@ -953,7 +911,7 @@ impl<'p> Session<'p> {
     /// profile/grid scratch are shared across the whole batch.
     ///
     /// With the default [`HostExecutionOptions`](crate::HostExecutionOptions)
-    /// (`dispatch && batch_fusion`) and two or more requests, the batch is
+    /// (`batch_fusion`) and two or more requests, the batch is
     /// **fused**: the per-request feature matrices are horizontally
     /// concatenated into one `m × (d·B)` operand and every kernel executes
     /// once per layer through the [`KernelDispatcher`] — which now decides
@@ -966,7 +924,7 @@ impl<'p> Session<'p> {
     ///
     /// **Every** request's shape is validated before **any** request runs:
     /// a shape-mismatched matrix anywhere in the batch fails the whole call
-    /// up front (typed [`MatrixError::ShapeMismatch`], `op = "session
+    /// up front ([`CompiledPlan::validate_request`] with `op = "session
     /// infer_batch"`) instead of erroring midway with earlier requests
     /// already served.
     ///
@@ -993,33 +951,29 @@ impl<'p> Session<'p> {
         batch: &[FeatureMatrix],
     ) -> Result<Vec<InferenceReport>, DynasparseError> {
         for features in batch {
-            self.validate_request(features, "session infer_batch")?;
+            self.plan
+                .get()
+                .validate_request(features, "session infer_batch")?;
         }
-        let fused = batch.len() > 1
-            && self.dispatcher.is_some()
-            && self.plan.get().options().host.batch_fusion;
-        if !fused {
-            return batch
-                .iter()
-                .map(|features| self.infer_validated(features))
-                .collect();
+        if batch.len() == 1 || self.plan.get().options().host.batch_fusion {
+            return self.serve(batch);
         }
-        self.infer_batch_fused(batch)
+        let mut reports = Vec::with_capacity(batch.len());
+        for features in batch {
+            reports.append(&mut self.serve(std::slice::from_ref(features))?);
+        }
+        Ok(reports)
     }
 
     /// Pre-sizes the fused-batch arena for micro-batches of up to
     /// `max_batch` requests, so serving steady state never grows a buffer
-    /// mid-batch.  A no-op when dispatch or batch fusion is off (or for
+    /// mid-batch.  A no-op when batch fusion is off (or for
     /// `max_batch < 2`); serving runtimes call this once per worker with
     /// their configured batch cap.
     pub fn reserve_batch(&mut self, max_batch: usize) {
-        if self.dispatcher.is_none()
-            || !self.plan.get().options().host.batch_fusion
-            || max_batch < 2
-        {
-            return;
+        if max_batch >= 2 && self.plan.get().options().host.batch_fusion {
+            self.ensure_batch_arena(max_batch);
         }
-        self.ensure_batch_arena(max_batch);
     }
 
     fn ensure_batch_arena(&mut self, batch: usize) {
@@ -1032,360 +986,6 @@ impl<'p> Session<'p> {
             self.batch_arena = Some(self.executor.arena_batch(num_vertices, batch));
         }
     }
-
-    /// The fused batch path: one `forward_dispatch_batch` pass captures
-    /// per-request profiles/analyses through block views, then the reports
-    /// are replayed per request — the analyzer is stateless and the
-    /// scheduler replays the same kernel order with the same analyses, so
-    /// every report is bit-identical to the per-request loop's.
-    fn infer_batch_fused(
-        &mut self,
-        batch: &[FeatureMatrix],
-    ) -> Result<Vec<InferenceReport>, DynasparseError> {
-        let bsz = batch.len();
-        self.ensure_batch_arena(bsz);
-        let plan = self.plan.get();
-        let program = plan.program();
-        let spec = program.partition;
-        let num_vertices = plan.num_vertices();
-        let num_kernels = program.kernels.len();
-        let num_states = self.states.len();
-        // The clears matter on the recovery path (see `infer_validated`).
-        for state in &mut self.states {
-            state.scheduler.reset();
-            state.kernels.clear();
-        }
-        let analyzers: Vec<Analyzer> = self.states.iter().map(|s| s.analyzer).collect();
-        let mut records: Vec<BatchRecord> = (0..bsz)
-            .map(|_| BatchRecord {
-                stages: Vec::with_capacity(num_kernels),
-                kernel_io: Vec::with_capacity(num_kernels),
-                analyses: Vec::with_capacity(num_kernels * num_states),
-            })
-            .collect();
-
-        if self.batch_profile_scratch.len() < bsz {
-            self.batch_profile_scratch
-                .resize_with(bsz, DensityProfile::default);
-        }
-        let batch_profiles = &mut self.batch_profile_scratch;
-        let out_counts = &mut self.batch_nnz_scratch;
-        let grid_scratch = &mut self.grid_scratch;
-        let defer_out = &self.defer_out;
-        let out_source_for = &self.out_source_for;
-        let executor = &self.executor;
-        let dispatcher = self
-            .dispatcher
-            .as_ref()
-            .expect("fused path has a dispatcher");
-        let arena = self.batch_arena.as_mut().expect("ensured above");
-        let telemetry = &mut self.telemetry;
-        let probe = telemetry.enabled();
-        let fault_hook = self.fault_hook.clone();
-        let pricing_mode = self.pricing_mode;
-        let mut pricing_cache = self.pricing_cache.as_mut();
-        let pricing_tier = self.pricing_tier.clone();
-        let calib_fp = self.calib_fingerprint;
-        let statics_fp = self.statics_fingerprint;
-        let quant_scratch = &mut self.quant_scratch;
-        let mut profile_ns = 0u64;
-        let mut pricing_ns = 0u64;
-        let mut pricing_hits = 0u64;
-        let mut pricing_misses = 0u64;
-        let mut pricing_evictions = 0u64;
-        let mut pricing_hit_ns = 0u64;
-        let mut pricing_miss_ns = 0u64;
-        let mut kernel_counter = 0usize;
-        telemetry.begin_request();
-        let block_dispatch = self.block_dispatch;
-        let predicted_batch_ms = executor.forward_dispatch_batch_blocked_probed(
-            batch,
-            dispatcher,
-            arena,
-            block_dispatch.then_some(&spec),
-            Some(&mut *telemetry),
-            |_layer, _ki, spec_kernel, views| {
-                let kidx = kernel_counter;
-                kernel_counter += 1;
-                // Fault injection (see `FaultHook`): the fused pass executes
-                // each kernel once for the whole batch, so a panicking hook
-                // fails the batch — the serving supervisor then retries the
-                // requests individually to isolate the poisoned one.
-                if let Some(hook) = &fault_hook {
-                    hook(kidx);
-                }
-                let compiled = &program.kernels[kidx];
-                debug_assert_eq!(
-                    compiled.ir.kind == KernelKind::Aggregate,
-                    spec_kernel.op.is_aggregate(),
-                    "compiled kernel order must match execution order"
-                );
-                // Grids depend on the per-request width only, so the whole
-                // batch shares the cached grid.
-                let in_dim = views.input_dim();
-                let grid_slot = &mut grid_scratch[kidx];
-                let input_shape = (num_vertices, in_dim);
-                if grid_slot.as_ref().map(BlockGrid::shape) != Some(input_shape) {
-                    *grid_slot = Some(match compiled.ir.kind {
-                        KernelKind::Aggregate => spec.feature_grid(num_vertices, in_dim),
-                        KernelKind::Update => spec.subfiber_grid(num_vertices, in_dim),
-                    });
-                }
-                let grid = grid_slot.as_ref().expect("grid fit above");
-                // One pass over the batch operands recovers every request's
-                // input profile (and, for most kernels, the *previous* kernel's
-                // output densities — see below); the resulting densities are
-                // bit-equal to what the per-request loop computes (the same
-                // integer counts divided the same way).
-                let profile_started = probe.then(Instant::now);
-                views.profile_inputs_into(grid, batch_profiles);
-                if let Some(started) = profile_started {
-                    profile_ns += started.elapsed().as_nanos() as u64;
-                }
-                let input_total = num_vertices * in_dim;
-                // A kernel whose input is an earlier kernel's unmodified output
-                // resolves that kernel's deferred output densities from the
-                // profiles just fit — no separate counting pass.
-                if let Some(src) = out_source_for[kidx] {
-                    for (b, record) in records.iter_mut().enumerate() {
-                        let d = if input_total == 0 {
-                            0.0
-                        } else {
-                            batch_profiles[b].total_nnz() as f64 / input_total as f64
-                        };
-                        record.kernel_io[src].1 = d;
-                        record.stages[src].density = d;
-                    }
-                }
-                let deferred = defer_out[kidx].is_some();
-                if !deferred {
-                    views.output_nnz_into(out_counts);
-                }
-                let output_total = num_vertices * views.output_dim();
-                let pricing_started = probe.then(Instant::now);
-                for (b, record) in records.iter_mut().enumerate() {
-                    let profiles = OperandProfiles {
-                        adjacency: &program.static_sparsity.adjacency,
-                        weights: &program.static_sparsity.weights,
-                        features: &batch_profiles[b],
-                    };
-                    // Batch amortization: request `b` misses, computes and
-                    // inserts; any later request of this batch whose kernel
-                    // key collides hits the just-inserted entry — one
-                    // Analyzer pass per distinct key per fused batch.
-                    let base_key = pricing_cache.is_some().then(|| {
-                        PricingKey::base(
-                            calib_fp,
-                            statics_fp,
-                            kidx,
-                            pricing_mode,
-                            &batch_profiles[b],
-                        )
-                    });
-                    let mut quantized = false;
-                    for analyzer in &analyzers {
-                        let state_started = probe.then(Instant::now);
-                        let mut hit = false;
-                        let analysis: Arc<KernelAnalysis> = match (&mut pricing_cache, base_key) {
-                            (Some(cache), Some(base)) => {
-                                let key = base.with_strategy(analyzer.strategy());
-                                let mut cached = cache.get(&key);
-                                if cached.is_none() {
-                                    if let Some(tier) = pricing_tier.as_deref() {
-                                        if let Some(a) = tier.get(&key) {
-                                            if cache.insert(key, Arc::clone(&a)) {
-                                                pricing_evictions += 1;
-                                            }
-                                            cached = Some(a);
-                                        }
-                                    }
-                                }
-                                match cached {
-                                    Some(a) => {
-                                        hit = true;
-                                        a
-                                    }
-                                    None => {
-                                        let a = if pricing_mode == PricingCacheMode::Bucketed {
-                                            if !quantized {
-                                                pricing::quantize_profile_into(
-                                                    &batch_profiles[b],
-                                                    quant_scratch,
-                                                );
-                                                quantized = true;
-                                            }
-                                            let priced = OperandProfiles {
-                                                adjacency: &program.static_sparsity.adjacency,
-                                                weights: &program.static_sparsity.weights,
-                                                features: &*quant_scratch,
-                                            };
-                                            Arc::new(analyzer.analyze_kernel(compiled, &priced))
-                                        } else {
-                                            Arc::new(analyzer.analyze_kernel(compiled, &profiles))
-                                        };
-                                        if cache.insert(key, Arc::clone(&a)) {
-                                            pricing_evictions += 1;
-                                        }
-                                        if let Some(tier) = pricing_tier.as_deref() {
-                                            if tier.publish(key, Arc::clone(&a)) {
-                                                pricing_evictions += 1;
-                                            }
-                                        }
-                                        a
-                                    }
-                                }
-                            }
-                            _ => Arc::new(analyzer.analyze_kernel(compiled, &profiles)),
-                        };
-                        record.analyses.push(analysis);
-                        if base_key.is_some() {
-                            if hit {
-                                pricing_hits += 1;
-                            } else {
-                                pricing_misses += 1;
-                            }
-                        }
-                        if let Some(started) = state_started {
-                            let ns = started.elapsed().as_nanos() as u64;
-                            if base_key.is_some() {
-                                if hit {
-                                    pricing_hit_ns += ns;
-                                } else {
-                                    pricing_miss_ns += ns;
-                                }
-                            }
-                        }
-                    }
-                    let input_density = if input_total == 0 {
-                        0.0
-                    } else {
-                        batch_profiles[b].total_nnz() as f64 / input_total as f64
-                    };
-                    let out_density = if deferred {
-                        // Patched when the consuming kernel profiles this
-                        // matrix as its input.
-                        f64::NAN
-                    } else if output_total == 0 {
-                        0.0
-                    } else {
-                        out_counts[b] as f64 / output_total as f64
-                    };
-                    record.kernel_io.push((input_density, out_density));
-                    record.stages.push(StageDensity {
-                        layer: compiled.ir.layer_id - 1,
-                        kernel: compiled.ir.kernel_in_layer,
-                        op: match compiled.ir.kind {
-                            KernelKind::Aggregate => StageOp::Aggregate,
-                            KernelKind::Update => StageOp::Update,
-                        },
-                        density: out_density,
-                    });
-                }
-                if let Some(started) = pricing_started {
-                    pricing_ns += started.elapsed().as_nanos() as u64;
-                }
-            },
-        )?;
-        if probe {
-            // One fused pass served the whole batch: attribute the shared
-            // phase time evenly across requests so the per-request histograms
-            // stay comparable to the sequential path.
-            let per = bsz.max(1) as u64;
-            for _ in 0..bsz {
-                telemetry.record_request_phases(profile_ns / per, pricing_ns / per);
-            }
-            // Cache activity is counted per lookup, not per request, so the
-            // batch's aggregate records once.
-            telemetry.record_pricing_cache(
-                pricing_hits,
-                pricing_misses,
-                pricing_evictions,
-                pricing_hit_ns,
-                pricing_miss_ns,
-            );
-        }
-
-        let freq = plan.options().accelerator.frequency_mhz;
-        let compile_ms = plan.compile_ms();
-        // One fused pass priced the whole batch: attribute the predicted
-        // kernel milliseconds evenly across the batch's reports.
-        let predicted_kernel_ms = predicted_batch_ms / bsz.max(1) as f64;
-        let arena = self.batch_arena.as_ref().expect("ensured above");
-        let mut reports = Vec::with_capacity(bsz);
-        for (b, (features, record)) in batch.iter().zip(records).enumerate() {
-            for state in &mut self.states {
-                state.scheduler.reset();
-                state.kernels.clear();
-            }
-            for (kidx, compiled) in program.kernels.iter().enumerate() {
-                let (input_density, output_density) = record.kernel_io[kidx];
-                debug_assert!(
-                    !output_density.is_nan(),
-                    "deferred output density of kernel {kidx} must have been resolved"
-                );
-                for (s, state) in self.states.iter_mut().enumerate() {
-                    let analysis = record.analyses[kidx * num_states + s].as_ref();
-                    let schedule = state.scheduler.schedule_kernel(compiled.ir.id, analysis);
-                    state.kernels.push(KernelReport {
-                        kernel_id: compiled.ir.id,
-                        layer_id: compiled.ir.layer_id,
-                        kind: compiled.ir.kind,
-                        cycles: schedule.cycles(),
-                        utilization: schedule.utilization,
-                        decisions: analysis.decisions,
-                        mix: analysis.mix,
-                        input_density,
-                        output_density,
-                    });
-                }
-            }
-            let data_movement_ms = plan.request_data_movement_ms(features.size_bytes());
-            let feature_movement_ms = plan.feature_movement_ms(features.size_bytes());
-            let runs = self
-                .states
-                .iter_mut()
-                .map(|state| {
-                    let total_cycles = state.scheduler.total_cycles();
-                    let latency_ms = cycles_to_ms(total_cycles, freq);
-                    let decisions: usize = state.kernels.iter().map(|k| k.decisions).sum();
-                    let overhead = RuntimeOverhead::from_counts(
-                        &self.soft,
-                        decisions,
-                        state.scheduler.total_schedule_events(),
-                        latency_ms * 1e-3,
-                    );
-                    StrategyRun {
-                        strategy: state.strategy,
-                        average_utilization: state.scheduler.average_utilization(),
-                        kernels: std::mem::replace(
-                            &mut state.kernels,
-                            Vec::with_capacity(num_kernels),
-                        ),
-                        total_cycles,
-                        latency_ms,
-                        end_to_end_ms: compile_ms + data_movement_ms + latency_ms,
-                        overhead,
-                    }
-                })
-                .collect();
-            let request_index = self.requests_served;
-            self.requests_served += 1;
-            reports.push(InferenceReport {
-                request_index,
-                data_movement_ms,
-                feature_movement_ms,
-                density_trace: DensityTrace {
-                    input_density: features.density(),
-                    stages: record.stages,
-                },
-                runs,
-                predicted_kernel_ms,
-                output_embeddings: arena.output_block(b),
-            });
-        }
-        self.maybe_recalibrate();
-        Ok(reports)
-    }
 }
 
 #[cfg(test)]
@@ -1394,6 +994,7 @@ mod tests {
     use crate::engine::EngineOptions;
     use crate::planner::Planner;
     use dynasparse_graph::Dataset;
+    use dynasparse_matrix::MatrixError;
     use dynasparse_model::{GnnModel, GnnModelKind};
 
     fn plan_fixture() -> (CompiledPlan, FeatureMatrix) {
@@ -1559,7 +1160,7 @@ mod tests {
         match plan.calibration() {
             Some(calibration) => assert!(calibration.is_valid()),
             // Only when the environment disables calibration explicitly.
-            None => assert!(std::env::var("DYNASPARSE_CALIBRATION").is_ok()),
+            None => assert!(std::env::var_os("DYNASPARSE_CALIBRATION").is_some()),
         }
     }
 

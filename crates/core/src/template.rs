@@ -24,7 +24,7 @@
 //! depends on the spec only through `N2`), so steady-state instantiation
 //! profiles nothing but the request's adjacency and features.
 
-use crate::engine::{CostModelKind, EngineOptions};
+use crate::engine::EngineOptions;
 use crate::error::{CompileError, DynasparseError};
 use crate::planner::CompiledPlan;
 use crate::session::OwnedSession;
@@ -90,15 +90,14 @@ const _: () = {
 
 impl ModelTemplate {
     /// Validates `model` and performs every input-independent preparation:
-    /// the host calibration gate of [`Planner::plan`](crate::Planner::plan)
-    /// and the (lazily filled) weight-profile cache.
-    pub fn compile(model: &GnnModel, options: EngineOptions) -> Result<Self, DynasparseError> {
+    /// the option-shadowing environment and the host calibration gate a
+    /// [`Planner`](crate::Planner) applies, and the (lazily filled)
+    /// weight-profile cache.
+    pub fn compile(model: &GnnModel, mut options: EngineOptions) -> Result<Self, DynasparseError> {
         let start = Instant::now();
         model.validate()?;
-        let calibration = match (options.host.dispatch, options.host.cost_model) {
-            (true, CostModelKind::Calibrated) => HostCalibration::shared(),
-            _ => None,
-        };
+        options.host = options.host.shadowed_by_env();
+        let calibration = options.host.calibration();
         Ok(ModelTemplate {
             options,
             model: Arc::new(model.clone()),

@@ -148,7 +148,7 @@ impl CsrMatrix {
         }
     }
 
-    /// Extracts the non-zero pattern of a dense matrix: one [`scan_row`]
+    /// Extracts the non-zero pattern of a dense matrix: one `scan_row`
     /// pass per row (all-zero lane groups are skipped with a single test),
     /// compacting exactly the [`is_nonzero`] elements of the other groups
     /// branch-free.

@@ -132,7 +132,7 @@ impl DensityProfile {
 
     /// Recomputes this profile in place for a dense matrix, reusing the
     /// per-block counter allocation (zero-allocation once the counters have
-    /// grown to the largest grid seen): a single [`scan_row`] pass over the
+    /// grown to the largest grid seen): a single `scan_row` pass over the
     /// rows through the row-major fast path.  This is the stand-alone
     /// runtime Sparsity Profiler of the serving hot path, for kernels whose
     /// own scan does not fill the profile (see

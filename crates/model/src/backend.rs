@@ -25,8 +25,9 @@ use dynasparse_matrix::{
 };
 use std::sync::Arc;
 
-/// Environment variable selecting the default execution backend
-/// (`host` or `accel`/`modeled-accel`).
+/// Environment variable selecting the execution backend (`host` or
+/// `accel`/`modeled-accel`); `dynasparse`'s `HostExecutionOptions` applies
+/// it where engine options enter a planner or template.
 pub const BACKEND_ENV: &str = "DYNASPARSE_BACKEND";
 
 /// Which backend family prices and routes kernel products.
@@ -68,18 +69,6 @@ impl BackendKind {
                 Some(BackendKind::ModeledAccel)
             }
             _ => None,
-        }
-    }
-
-    /// The backend selected by [`BACKEND_ENV`], defaulting to
-    /// [`BackendKind::Host`] (with a warning on an unrecognized value).
-    pub fn from_env() -> BackendKind {
-        match std::env::var(BACKEND_ENV) {
-            Ok(v) => BackendKind::parse(&v).unwrap_or_else(|| {
-                eprintln!("dynasparse: ignoring unknown {BACKEND_ENV}={v} (using host)");
-                BackendKind::Host
-            }),
-            Err(_) => BackendKind::Host,
         }
     }
 }

@@ -1,13 +1,13 @@
 //! Profile-keyed pricing cache.
 //!
 //! Since the block-granular executor landed, the cycle-level
-//! [`Analyzer`](crate::Analyzer) —
+//! [`Analyzer`] —
 //! not the kernels — dominates Dynamic-priced serving.  The fix mirrors the
 //! paper's insight in reverse: sparsity profiles that quantize into the same
 //! density bucket lead to the same kernel-to-primitive mapping, so their
 //! pricing can be *shared* rather than recomputed.
 //!
-//! The module provides three pieces:
+//! The module provides four pieces:
 //!
 //! * [`PricingKey`] — a 128-bit content hash over everything that feeds a
 //!   pricing decision: the calibration fingerprint, the static-operand
@@ -21,6 +21,9 @@
 //! * [`SharedPricingTier`] — a read-mostly `RwLock` tier shared by serve
 //!   workers over one plan/template, so a profile priced by one worker is a
 //!   hit for every other.
+//! * [`PricingStage`] — the one place a served kernel is priced: it owns
+//!   the cache, the tier handle, both fingerprints and the lookup counters,
+//!   and runs the cache → tier → miss sequence for every execution path.
 //!
 //! **Determinism invariant**: a cached [`KernelAnalysis`] must be a pure
 //! function of its key.  In bucketed mode the analysis is therefore computed
@@ -31,19 +34,22 @@
 //! guarantee (serial vs. multi-worker, fused vs. loop) holds by
 //! construction.
 
-use crate::analyzer::KernelAnalysis;
+use crate::analyzer::{Analyzer, KernelAnalysis, OperandProfiles};
 use crate::strategy::MappingStrategy;
+use dynasparse_compiler::CompiledKernel;
 use dynasparse_matrix::{DensityProfile, HostCalibration};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::sync::RwLock;
+use std::time::Instant;
 
-/// Environment variable overriding the pricing-cache mode at session build:
-/// `off` disables the cache, `exact` keys on exact per-block nnz (always
-/// bit-identical to uncached pricing), anything else keeps the configured
-/// mode (bucketed by default).
+/// Environment variable shadowing the configured pricing-cache mode where
+/// engine options enter a planner or template: `off` disables the cache,
+/// `exact` keys on exact per-block nnz (always bit-identical to uncached
+/// pricing), `on` forces bucketing, anything else keeps the configured mode
+/// (bucketed by default).
 pub const PRICING_CACHE_ENV: &str = "DYNASPARSE_PRICING_CACHE";
 
 /// How `Session::infer` caches Analyzer results.
@@ -66,9 +72,10 @@ pub enum PricingCacheMode {
 }
 
 impl PricingCacheMode {
-    /// Applies the [`PRICING_CACHE_ENV`] override to a configured mode.
-    pub fn resolve(configured: PricingCacheMode) -> PricingCacheMode {
-        match std::env::var(PRICING_CACHE_ENV).ok().as_deref() {
+    /// Applies a [`PRICING_CACHE_ENV`] value (`None` = unset) to a
+    /// configured mode.  Pure: the caller reads the environment.
+    pub fn resolve(configured: PricingCacheMode, value: Option<&str>) -> PricingCacheMode {
+        match value {
             Some("off") | Some("0") | Some("false") => PricingCacheMode::Off,
             Some("exact") => PricingCacheMode::Exact,
             Some("on") | Some("bucket") | Some("bucketed") => PricingCacheMode::Bucketed,
@@ -479,6 +486,218 @@ impl SharedPricingTier {
     }
 }
 
+/// Lookup activity of a [`PricingStage`] since the last
+/// [`PricingStage::take_counters`]; the `_ns` fields only advance on probed
+/// calls.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PricingCounters {
+    /// Wall time spent inside [`PricingStage::price`].
+    pub pricing_ns: u64,
+    /// Lookups answered by the session cache or the shared tier.
+    pub hits: u64,
+    /// Lookups that ran the Analyzer.
+    pub misses: u64,
+    /// Entries displaced from the session cache or aged out of the tier.
+    pub evictions: u64,
+    /// Time spent on lookups that hit.
+    pub hit_ns: u64,
+    /// Time spent on lookups that missed (Analyzer pass included).
+    pub miss_ns: u64,
+}
+
+/// The pricing stage of a served request: given a kernel's runtime feature
+/// profile, one [`KernelAnalysis`] per mapping strategy — from the session
+/// cache, else the shared tier, else a fresh Analyzer pass that is then
+/// inserted and published.  A solo request and every request of a fused
+/// batch are priced by the same call, so cache state, counters and reports
+/// cannot depend on which executor ran the kernels.
+#[derive(Debug)]
+pub struct PricingStage {
+    mode: PricingCacheMode,
+    /// `None` when the mode is `Off` or nothing is priced (no strategies).
+    cache: Option<PricingCache>,
+    /// Read-mostly tier shared across the serve workers of one runtime;
+    /// consulted on a local miss, published to on a fresh pass.
+    tier: Option<Arc<SharedPricingTier>>,
+    /// Fingerprint of the calibration decisions are priced under; a
+    /// recalibration changes it, which makes every key minted under the old
+    /// fit unreachable.
+    calibration_fingerprint: u64,
+    /// Fingerprint of the bound plan's static operands, so template
+    /// instances of the same subgraph class share pricing while different
+    /// topologies never do.
+    statics_fingerprint: u64,
+    /// Bucket-representative quantization of the profile being priced
+    /// (bucketed-mode misses only), shared by every strategy's miss.
+    quant_scratch: DensityProfile,
+    counters: PricingCounters,
+}
+
+impl PricingStage {
+    /// A stage caching in `mode` with (at least) `capacity` slots
+    /// (`capacity == 0`: no cache), keyed under `calibration` and the
+    /// plan's static operand profiles.
+    pub fn new(
+        mode: PricingCacheMode,
+        capacity: usize,
+        calibration: Option<&HostCalibration>,
+        adjacency: &DensityProfile,
+        weights: &[DensityProfile],
+    ) -> PricingStage {
+        PricingStage {
+            mode,
+            cache: (mode != PricingCacheMode::Off && capacity > 0)
+                .then(|| PricingCache::with_capacity(capacity)),
+            tier: None,
+            calibration_fingerprint: calibration_fingerprint(calibration),
+            statics_fingerprint: statics_fingerprint(adjacency, weights),
+            quant_scratch: DensityProfile::default(),
+            counters: PricingCounters::default(),
+        }
+    }
+
+    /// The cache mode the stage prices in.
+    pub fn mode(&self) -> PricingCacheMode {
+        self.mode
+    }
+
+    /// Attaches (or detaches) the shared tier, returning the previous one.
+    pub fn set_tier(
+        &mut self,
+        tier: Option<Arc<SharedPricingTier>>,
+    ) -> Option<Arc<SharedPricingTier>> {
+        std::mem::replace(&mut self.tier, tier)
+    }
+
+    /// Replaces the cache with a fresh one of (at least) `capacity` slots;
+    /// a no-op when caching is disabled.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        if self.cache.is_some() {
+            self.cache = Some(PricingCache::with_capacity(capacity));
+        }
+    }
+
+    /// Re-keys the stage for a plan with different static operands.  The
+    /// cache survives: it is content-addressed, so a topology seen before
+    /// (or another instance of its subgraph class) hits again while a new
+    /// one can only miss.
+    pub fn rebind_statics(&mut self, adjacency: &DensityProfile, weights: &[DensityProfile]) {
+        self.statics_fingerprint = statics_fingerprint(adjacency, weights);
+    }
+
+    /// Re-keys the stage for a swapped-in calibration.  The fingerprint
+    /// change alone invalidates every cached decision (also in the shared
+    /// tier, without a flush — sibling workers recalibrate on their own
+    /// schedule); clearing returns the local slots to the fresh fit's
+    /// working set immediately.
+    pub fn recalibrated(&mut self, calibration: &HostCalibration) {
+        self.calibration_fingerprint = calibration_fingerprint(Some(calibration));
+        if let Some(cache) = &mut self.cache {
+            cache.clear();
+        }
+    }
+
+    /// Returns and zeroes the counters.
+    pub fn take_counters(&mut self) -> PricingCounters {
+        std::mem::take(&mut self.counters)
+    }
+
+    /// Prices `kernel` (execution index `kernel_index`) for one request
+    /// whose operands profile as `profiles`, pushing one analysis per
+    /// analyzer onto `out` in analyzer order.  `probe` turns the
+    /// stopwatches on.
+    ///
+    /// Same-key requests of one fused batch amortize here: the first misses
+    /// and inserts, the rest hit the just-inserted entry.
+    pub fn price(
+        &mut self,
+        kernel_index: usize,
+        kernel: &CompiledKernel,
+        profiles: &OperandProfiles<'_>,
+        analyzers: &[Analyzer],
+        probe: bool,
+        out: &mut Vec<Arc<KernelAnalysis>>,
+    ) {
+        let started = probe.then(Instant::now);
+        // The strategy-free part of the key hashes the profile once per
+        // kernel; strategies fold in below.
+        let base = self.cache.is_some().then(|| {
+            PricingKey::base(
+                self.calibration_fingerprint,
+                self.statics_fingerprint,
+                kernel_index,
+                self.mode,
+                profiles.features,
+            )
+        });
+        let mut quantized = false;
+        for analyzer in analyzers {
+            let lookup_started = probe.then(Instant::now);
+            let mut hit = false;
+            let analysis = match (&mut self.cache, base) {
+                (Some(cache), Some(base)) => {
+                    let key = base.with_strategy(analyzer.strategy());
+                    let cached = cache.get(&key).or_else(|| {
+                        let shared = self.tier.as_deref()?.get(&key)?;
+                        self.counters.evictions +=
+                            u64::from(cache.insert(key, Arc::clone(&shared)));
+                        Some(shared)
+                    });
+                    hit = cached.is_some();
+                    match cached {
+                        Some(analysis) => analysis,
+                        None => {
+                            // Determinism invariant: a bucketed-mode miss
+                            // prices the bucket's canonical representative
+                            // profile, never the first-seen exact one, so the
+                            // cached value is a pure function of the key
+                            // (order-, worker- and cache-state-free).
+                            let fresh = Arc::new(if self.mode == PricingCacheMode::Bucketed {
+                                if !quantized {
+                                    quantize_profile_into(
+                                        profiles.features,
+                                        &mut self.quant_scratch,
+                                    );
+                                    quantized = true;
+                                }
+                                let representative = OperandProfiles {
+                                    features: &self.quant_scratch,
+                                    ..*profiles
+                                };
+                                analyzer.analyze_kernel(kernel, &representative)
+                            } else {
+                                analyzer.analyze_kernel(kernel, profiles)
+                            });
+                            self.counters.evictions +=
+                                u64::from(cache.insert(key, Arc::clone(&fresh)));
+                            if let Some(tier) = self.tier.as_deref() {
+                                self.counters.evictions +=
+                                    u64::from(tier.publish(key, Arc::clone(&fresh)));
+                            }
+                            fresh
+                        }
+                    }
+                }
+                _ => Arc::new(analyzer.analyze_kernel(kernel, profiles)),
+            };
+            out.push(analysis);
+            if base.is_some() {
+                let ns = lookup_started.map_or(0, |s| s.elapsed().as_nanos() as u64);
+                if hit {
+                    self.counters.hits += 1;
+                    self.counters.hit_ns += ns;
+                } else {
+                    self.counters.misses += 1;
+                    self.counters.miss_ns += ns;
+                }
+            }
+        }
+        if let Some(started) = started {
+            self.counters.pricing_ns += started.elapsed().as_nanos() as u64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,11 +893,8 @@ mod tests {
 
     #[test]
     fn env_override_resolves_all_spellings() {
-        // Serialized through a lock-free convention: this test is the only
-        // writer of the var in this binary.
-        std::env::remove_var(PRICING_CACHE_ENV);
         assert_eq!(
-            PricingCacheMode::resolve(PricingCacheMode::Bucketed),
+            PricingCacheMode::resolve(PricingCacheMode::Bucketed, None),
             PricingCacheMode::Bucketed
         );
         for (val, want) in [
@@ -690,13 +906,11 @@ mod tests {
             ("bucketed", PricingCacheMode::Bucketed),
             ("garbage", PricingCacheMode::Exact),
         ] {
-            std::env::set_var(PRICING_CACHE_ENV, val);
             assert_eq!(
-                PricingCacheMode::resolve(PricingCacheMode::Exact),
+                PricingCacheMode::resolve(PricingCacheMode::Exact, Some(val)),
                 want,
                 "{val}"
             );
         }
-        std::env::remove_var(PRICING_CACHE_ENV);
     }
 }

@@ -53,17 +53,15 @@ pub enum ServeError {
     /// typed error.
     Inference(DynasparseError),
     /// The submission does not match the runtime's serving mode: a
-    /// fixed-topology runtime ([`ServeRuntime::start`]) only accepts
-    /// [`submit`] / [`try_submit`], a template runtime
-    /// ([`ServeRuntime::start_template`]) only accepts
-    /// [`submit_subgraph`] / [`try_submit_subgraph`].
+    /// fixed-topology runtime ([`ServeRuntime::start`]) only accepts a
+    /// [`Payload::Features`] (a `FeatureMatrix`), a template runtime
+    /// ([`ServeRuntime::start_template`]) only a [`Payload::Subgraph`] (a
+    /// `(Graph, FeatureMatrix)` pair).
     ///
     /// [`ServeRuntime::start`]: crate::ServeRuntime::start
     /// [`ServeRuntime::start_template`]: crate::ServeRuntime::start_template
-    /// [`submit`]: crate::ServeRuntime::submit
-    /// [`try_submit`]: crate::ServeRuntime::try_submit
-    /// [`submit_subgraph`]: crate::ServeRuntime::submit_subgraph
-    /// [`try_submit_subgraph`]: crate::ServeRuntime::try_submit_subgraph
+    /// [`Payload::Features`]: crate::Payload::Features
+    /// [`Payload::Subgraph`]: crate::Payload::Subgraph
     ModeMismatch {
         /// The submission entry point that was called.
         op: &'static str,

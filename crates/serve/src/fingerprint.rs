@@ -15,9 +15,16 @@
 //! [`CompiledPlan`]: dynasparse::CompiledPlan
 
 use crate::digest::{write_backend, write_graph, write_model, Fnv128};
+use dynasparse::HostExecutionOptions;
 use dynasparse_graph::GraphDataset;
 use dynasparse_model::{BackendKind, GnnModel};
 use serde::Serialize;
+
+/// The backend default options resolve to under `DYNASPARSE_BACKEND` — the
+/// one a `Planner::default()` compiles for.
+fn env_backend() -> BackendKind {
+    HostExecutionOptions::default().shadowed_by_env().backend
+}
 
 /// 128-bit structural digest of a (model, graph topology, feature shape,
 /// backend) tuple, used as the [`PlanCache`](crate::PlanCache) key.
@@ -38,7 +45,7 @@ impl PlanFingerprint {
     /// shape, and the backend kind.  Not covered: feature-matrix *values*,
     /// which are per-request inputs as far as a compiled plan is concerned.
     pub fn of(model: &GnnModel, dataset: &GraphDataset) -> Self {
-        Self::for_backend(model, dataset, BackendKind::from_env())
+        Self::for_backend(model, dataset, env_backend())
     }
 
     /// [`PlanFingerprint::of`] for an explicit execution backend.  Plans
@@ -83,7 +90,7 @@ impl ModelFingerprint {
     /// Digests `model` (architecture + weight values) into a cache key for
     /// the environment-default execution backend.
     pub fn of(model: &GnnModel) -> Self {
-        Self::for_backend(model, BackendKind::from_env())
+        Self::for_backend(model, env_backend())
     }
 
     /// [`ModelFingerprint::of`] for an explicit execution backend (see
@@ -187,11 +194,11 @@ mod tests {
         // The env-default constructors agree with the explicit form.
         assert_eq!(
             PlanFingerprint::of(&model, &ds),
-            PlanFingerprint::for_backend(&model, &ds, BackendKind::from_env())
+            PlanFingerprint::for_backend(&model, &ds, env_backend())
         );
         assert_eq!(
             ModelFingerprint::of(&model),
-            ModelFingerprint::for_backend(&model, BackendKind::from_env())
+            ModelFingerprint::for_backend(&model, env_backend())
         );
     }
 

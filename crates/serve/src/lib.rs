@@ -101,4 +101,6 @@ pub use error::ServeError;
 pub use fingerprint::{ModelFingerprint, PlanFingerprint};
 pub use metrics::{BatchBar, LatencySummary, MetricsCollector, ServeReport, WorkerLoad};
 pub use queue::{BoundedQueue, DrainedBatch, PushError};
-pub use runtime::{DeviceDwell, Priority, ServeConfig, ServeRuntime, SubmitOptions, Ticket};
+pub use runtime::{
+    DeviceDwell, Payload, Priority, ServeConfig, ServeRuntime, SubmitOptions, Ticket,
+};

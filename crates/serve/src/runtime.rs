@@ -24,7 +24,6 @@ use dynasparse::{
     CompiledPlan, InferenceReport, MappingStrategy, ModelTemplate, Session, SharedPricingTier,
 };
 use dynasparse_graph::{FeatureMatrix, Graph};
-use dynasparse_matrix::MatrixError;
 use dynasparse_telemetry::{CounterId, GaugeId, HistogramId, Registry};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -280,59 +279,125 @@ impl SubmitOptions {
     }
 }
 
-struct Reply {
-    result: Result<InferenceReport, ServeError>,
-}
+/// How one request ends: its report, or the typed error it resolved to.
+type Outcome = Result<InferenceReport, ServeError>;
 
-/// What one queued request carries: a bare feature matrix against the
-/// runtime's fixed topology, or a `(subgraph, features)` pair against the
-/// runtime's resident template.
-enum Payload {
+/// What one submission carries.  Every `submit*` entry point takes
+/// `impl Into<Payload>`: pass a [`FeatureMatrix`] to a fixed-topology
+/// runtime, a `(Graph, FeatureMatrix)` pair to a template runtime.
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// A feature matrix against the fixed topology of a runtime started
+    /// with [`ServeRuntime::start`].
     Features(FeatureMatrix),
+    /// A request that brings its own sampled topology, against the resident
+    /// template of a runtime started with [`ServeRuntime::start_template`].
     Subgraph {
+        /// The request's subgraph.
         graph: Graph,
+        /// One feature row per subgraph vertex.
         features: FeatureMatrix,
     },
 }
 
-struct QueuedRequest {
+impl From<FeatureMatrix> for Payload {
+    fn from(features: FeatureMatrix) -> Self {
+        Payload::Features(features)
+    }
+}
+
+impl From<(Graph, FeatureMatrix)> for Payload {
+    fn from((graph, features): (Graph, FeatureMatrix)) -> Self {
+        Payload::Subgraph { graph, features }
+    }
+}
+
+/// The reply side of one accepted request: everything but its payload.
+struct Envelope {
     id: u64,
-    payload: Payload,
+    /// When the queue accepted the request (queue wait counts from here).
     enqueued: Instant,
-    /// Absolute expiry stamped at submission; a request still queued past
-    /// it is shed by the draining worker without executing.
+    /// Absolute expiry, counted from the call to `submit*` — so time spent
+    /// blocked on a full queue counts against it; a request still queued
+    /// past it is shed by the draining worker without executing.
     deadline: Option<Instant>,
     /// Armed fault injection: panic at this kernel execution index.
     fault: Option<usize>,
-    reply: mpsc::Sender<Reply>,
+    reply: mpsc::Sender<Outcome>,
+}
+
+impl Envelope {
+    /// The request's fault-injection arming, if any.
+    fn armed(&self) -> Option<(u64, usize)> {
+        self.fault.map(|kernel| (self.id, kernel))
+    }
+}
+
+struct QueuedRequest {
+    envelope: Envelope,
+    payload: Payload,
 }
 
 impl QueuedRequest {
     fn expired_at(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now > d)
+        self.envelope.deadline.is_some_and(|d| now > d)
     }
 }
 
-/// Supervision state shared by the worker pool.
-struct Supervisor {
-    /// Workers still serving; the last one to retire on an open circuit
-    /// breaker closes the queue and fails residual tickets.
-    live_workers: AtomicUsize,
-}
-
-/// What the worker pool serves from: one compiled plan (every request
-/// shares the topology) or one resident model template (every request
-/// brings its own sampled subgraph).
+/// Where a request's plan comes from: one compiled plan every request
+/// shares, or one resident model template instantiated on each request's
+/// own sampled subgraph.  Nothing else distinguishes the two serving modes.
+#[derive(Clone)]
 enum Backend {
     Plan(Arc<CompiledPlan>),
     Template(Arc<ModelTemplate>),
+}
+
+impl Backend {
+    /// Admission check: the payload must be the kind this backend serves,
+    /// and is validated up front with the same typed errors
+    /// [`Session::infer`] / [`ModelTemplate::instantiate`] would produce.
+    fn validate(&self, payload: &Payload) -> Result<(), ServeError> {
+        match (self, payload) {
+            (Backend::Plan(plan), Payload::Features(features)) => {
+                Ok(plan.validate_request(features, "serve submit")?)
+            }
+            (Backend::Template(template), Payload::Subgraph { graph, features }) => {
+                Ok(template.validate_request(graph, features)?)
+            }
+            (Backend::Plan(_), Payload::Subgraph { .. }) => Err(ServeError::ModeMismatch {
+                op: "serve submit",
+                expected: "a fixed topology (submit a FeatureMatrix)",
+            }),
+            (Backend::Template(_), Payload::Features(_)) => Err(ServeError::ModeMismatch {
+                op: "serve submit",
+                expected: "per-request subgraphs (submit a (Graph, FeatureMatrix) pair)",
+            }),
+        }
+    }
+
+    /// The plan one admitted request runs on: the constant plan, or the
+    /// template instantiated on the request's subgraph.
+    fn resolve(
+        &self,
+        graph: Option<&Graph>,
+        features: &FeatureMatrix,
+    ) -> Result<Arc<CompiledPlan>, ServeError> {
+        match (self, graph) {
+            (Backend::Plan(plan), None) => Ok(Arc::clone(plan)),
+            (Backend::Template(template), Some(graph)) => {
+                Ok(template.instantiate(graph, features)?.into_plan())
+            }
+            _ => unreachable!("Backend::validate admits only the backend's own payload kind"),
+        }
+    }
 }
 
 /// Handle to one submitted request; redeem it with [`Ticket::wait`].
 #[derive(Debug)]
 pub struct Ticket {
     id: u64,
-    rx: mpsc::Receiver<Reply>,
+    rx: mpsc::Receiver<Outcome>,
 }
 
 impl Ticket {
@@ -344,11 +409,8 @@ impl Ticket {
 
     /// Blocks until the request's worker replies.
     pub fn wait(self) -> Result<InferenceReport, ServeError> {
-        match self.rx.recv() {
-            Ok(reply) => reply.result,
-            // Sender dropped without replying: the worker died mid-request.
-            Err(mpsc::RecvError) => Err(ServeError::WorkerLost),
-        }
+        // Sender dropped without replying: the worker died mid-request.
+        self.rx.recv().unwrap_or(Err(ServeError::WorkerLost))
     }
 }
 
@@ -395,11 +457,11 @@ impl ServeRuntime {
 
     /// Spawns a worker pool serving per-request **subgraphs** against one
     /// resident [`ModelTemplate`]: submissions carry their own sampled
-    /// topology ([`ServeRuntime::submit_subgraph`]), each worker
-    /// instantiates the template per request and serves it through a single
-    /// reusable session (the session is *rebound* to each instantiated
-    /// plan, so its dispatcher and arenas are re-shaped across varying
-    /// subgraph sizes, never re-allocated).
+    /// topology (a `(Graph, FeatureMatrix)` pair), each worker instantiates
+    /// the template per request and serves it through a single reusable
+    /// session (the session is *rebound* to each instantiated plan, so its
+    /// dispatcher and arenas are re-shaped across varying subgraph sizes,
+    /// never re-allocated).
     ///
     /// ```
     /// use dynasparse::{EngineOptions, ModelTemplate};
@@ -414,7 +476,7 @@ impl ServeRuntime {
     /// let runtime = ServeRuntime::start_template(template, ServeConfig::default());
     /// let sub = NeighborSampler::new([6, 3], 5).sample(&full.graph, &[1]);
     /// let features = sub.extract_features(&full.features);
-    /// let ticket = runtime.submit_subgraph(sub.into_graph(), features).unwrap();
+    /// let ticket = runtime.submit((sub.into_graph(), features)).unwrap();
     /// let report = ticket.wait().unwrap();
     /// assert_eq!(report.request_index, 0);
     /// runtime.shutdown();
@@ -433,60 +495,33 @@ impl ServeRuntime {
         if let Some((high, _)) = config.shed_watermarks {
             telemetry.gauge_set(GaugeId::ShedWatermark, high as f64);
         }
-        let supervisor = Arc::new(Supervisor {
-            live_workers: AtomicUsize::new(config.workers.max(1)),
-        });
+        let live_workers = Arc::new(AtomicUsize::new(config.workers.max(1)));
         // One read-mostly tier for the whole pool: workers publish priced
         // analyses into it and reuse each other's work across requests.
+        // Keys are content-addressed, so structurally identical subgraphs
+        // hit across workers and across rebinds too.
         let pricing_tier = config
             .pricing_tier
             .then(|| Arc::new(SharedPricingTier::new(PRICING_TIER_CAPACITY)));
         let workers = (0..config.workers.max(1))
             .map(|index| {
-                let queue = Arc::clone(&queue);
-                let metrics = Arc::clone(&metrics);
-                let telemetry = Arc::clone(&telemetry);
-                let supervisor = Arc::clone(&supervisor);
-                let pricing_tier = pricing_tier.clone();
-                let config = config.clone();
-                match &backend {
-                    Backend::Plan(plan) => {
-                        let plan = Arc::clone(plan);
-                        thread::Builder::new()
-                            .name(format!("dynasparse-serve-{index}"))
-                            .spawn(move || {
-                                worker_loop(
-                                    index,
-                                    plan,
-                                    config,
-                                    queue,
-                                    metrics,
-                                    telemetry,
-                                    supervisor,
-                                    pricing_tier,
-                                )
-                            })
-                            .expect("failed to spawn serve worker")
-                    }
-                    Backend::Template(template) => {
-                        let template = Arc::clone(template);
-                        thread::Builder::new()
-                            .name(format!("dynasparse-serve-{index}"))
-                            .spawn(move || {
-                                template_worker_loop(
-                                    index,
-                                    template,
-                                    config,
-                                    queue,
-                                    metrics,
-                                    telemetry,
-                                    supervisor,
-                                    pricing_tier,
-                                )
-                            })
-                            .expect("failed to spawn serve worker")
-                    }
-                }
+                let worker = Worker {
+                    index,
+                    backend: backend.clone(),
+                    config: config.clone(),
+                    queue: Arc::clone(&queue),
+                    metrics: Arc::clone(&metrics),
+                    telemetry: Arc::clone(&telemetry),
+                    live_workers: Arc::clone(&live_workers),
+                    pricing_tier: pricing_tier.clone(),
+                    session: None,
+                    respawns_left: config.max_worker_respawns,
+                    breaker_open: false,
+                };
+                thread::Builder::new()
+                    .name(format!("dynasparse-serve-{index}"))
+                    .spawn(move || worker.run())
+                    .expect("failed to spawn serve worker")
             })
             .collect();
         ServeRuntime {
@@ -501,18 +536,12 @@ impl ServeRuntime {
         }
     }
 
-    /// The plan every worker serves from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a template runtime ([`ServeRuntime::start_template`]),
-    /// which has no fixed plan — use [`ServeRuntime::template`] there.
-    pub fn plan(&self) -> &Arc<CompiledPlan> {
+    /// The plan every worker of a fixed-topology runtime serves from,
+    /// `None` for a template runtime (whose plans are per request).
+    pub fn plan(&self) -> Option<&Arc<CompiledPlan>> {
         match &self.backend {
-            Backend::Plan(plan) => plan,
-            Backend::Template(_) => {
-                panic!("a template runtime has no fixed plan; use ServeRuntime::template")
-            }
+            Backend::Plan(plan) => Some(plan),
+            Backend::Template(_) => None,
         }
     }
 
@@ -544,128 +573,38 @@ impl ServeRuntime {
     }
 
     /// Submits a request, blocking while the queue is at capacity
-    /// (backpressure).  Shape mismatches are rejected immediately with the
-    /// same typed error [`Session::infer`] would produce.
-    pub fn submit(&self, features: FeatureMatrix) -> Result<Ticket, ServeError> {
-        self.submit_inner(features, SubmitOptions::default(), false)
+    /// (backpressure).  A fixed-topology runtime takes a [`FeatureMatrix`],
+    /// a template runtime a `(Graph, FeatureMatrix)` pair; the other kind
+    /// is rejected with [`ServeError::ModeMismatch`].  The request is
+    /// validated up front with the same typed errors [`Session::infer`] /
+    /// [`ModelTemplate::instantiate`] would produce.
+    pub fn submit(&self, request: impl Into<Payload>) -> Result<Ticket, ServeError> {
+        self.enqueue(request.into(), SubmitOptions::default(), false)
     }
 
     /// Submits a request without blocking; a full queue returns
     /// [`ServeError::QueueFull`] instead of waiting.
-    pub fn try_submit(&self, features: FeatureMatrix) -> Result<Ticket, ServeError> {
-        self.submit_inner(features, SubmitOptions::default(), true)
+    pub fn try_submit(&self, request: impl Into<Payload>) -> Result<Ticket, ServeError> {
+        self.enqueue(request.into(), SubmitOptions::default(), true)
     }
 
     /// [`ServeRuntime::submit`] with per-request admission options
     /// (deadline, priority class, fault injection).
     pub fn submit_with(
         &self,
-        features: FeatureMatrix,
+        request: impl Into<Payload>,
         options: SubmitOptions,
     ) -> Result<Ticket, ServeError> {
-        self.submit_inner(features, options, false)
+        self.enqueue(request.into(), options, false)
     }
 
     /// [`ServeRuntime::try_submit`] with per-request admission options.
     pub fn try_submit_with(
         &self,
-        features: FeatureMatrix,
+        request: impl Into<Payload>,
         options: SubmitOptions,
     ) -> Result<Ticket, ServeError> {
-        self.submit_inner(features, options, true)
-    }
-
-    fn submit_inner(
-        &self,
-        features: FeatureMatrix,
-        options: SubmitOptions,
-        bounce: bool,
-    ) -> Result<Ticket, ServeError> {
-        let plan = match &self.backend {
-            Backend::Plan(plan) => plan,
-            Backend::Template(_) => {
-                return Err(ServeError::ModeMismatch {
-                    op: "serve submit",
-                    expected: "per-request subgraphs (use submit_subgraph)",
-                })
-            }
-        };
-        let expected = (plan.num_vertices(), plan.input_dim());
-        if features.shape() != expected {
-            return Err(ServeError::Inference(
-                MatrixError::ShapeMismatch {
-                    op: "serve submit",
-                    lhs: features.shape(),
-                    rhs: expected,
-                }
-                .into(),
-            ));
-        }
-        self.enqueue(Payload::Features(features), options, bounce)
-    }
-
-    /// Submits a `(subgraph, features)` request against the resident
-    /// template, blocking while the queue is at capacity.  The pair is
-    /// validated up front with the same typed errors
-    /// [`ModelTemplate::instantiate`] would produce; a fixed-topology
-    /// runtime rejects it with [`ServeError::ModeMismatch`].
-    pub fn submit_subgraph(
-        &self,
-        graph: Graph,
-        features: FeatureMatrix,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_subgraph_inner(graph, features, SubmitOptions::default(), false)
-    }
-
-    /// Submits a subgraph request without blocking; a full queue returns
-    /// [`ServeError::QueueFull`] instead of waiting.
-    pub fn try_submit_subgraph(
-        &self,
-        graph: Graph,
-        features: FeatureMatrix,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_subgraph_inner(graph, features, SubmitOptions::default(), true)
-    }
-
-    /// [`ServeRuntime::submit_subgraph`] with per-request admission options.
-    pub fn submit_subgraph_with(
-        &self,
-        graph: Graph,
-        features: FeatureMatrix,
-        options: SubmitOptions,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_subgraph_inner(graph, features, options, false)
-    }
-
-    /// [`ServeRuntime::try_submit_subgraph`] with per-request admission
-    /// options.
-    pub fn try_submit_subgraph_with(
-        &self,
-        graph: Graph,
-        features: FeatureMatrix,
-        options: SubmitOptions,
-    ) -> Result<Ticket, ServeError> {
-        self.submit_subgraph_inner(graph, features, options, true)
-    }
-
-    fn submit_subgraph_inner(
-        &self,
-        graph: Graph,
-        features: FeatureMatrix,
-        options: SubmitOptions,
-        bounce: bool,
-    ) -> Result<Ticket, ServeError> {
-        let template = match &self.backend {
-            Backend::Template(template) => template,
-            Backend::Plan(_) => {
-                return Err(ServeError::ModeMismatch {
-                    op: "serve submit_subgraph",
-                    expected: "a fixed topology (use submit)",
-                })
-            }
-        };
-        template.validate_request(&graph, &features)?;
-        self.enqueue(Payload::Subgraph { graph, features }, options, bounce)
+        self.enqueue(request.into(), options, true)
     }
 
     /// The admission gate of the load-shedding policy: reject when depth
@@ -708,6 +647,10 @@ impl ServeRuntime {
         options: SubmitOptions,
         bounce: bool,
     ) -> Result<Ticket, ServeError> {
+        // The deadline budget runs from here, not from queue acceptance: a
+        // blocking submission's backpressure wait is time the caller spent.
+        let submitted = Instant::now();
+        self.backend.validate(&payload)?;
         self.admit()?;
         let (tx, rx) = mpsc::channel();
         // The queue assigns the request id under its own lock, so accepted
@@ -715,12 +658,14 @@ impl ServeRuntime {
         // rejected submission consumes no id, and `request_index` matches
         // what a serial session over the accepted stream would assign.
         let make = |id: u64| QueuedRequest {
-            id,
+            envelope: Envelope {
+                id,
+                enqueued: Instant::now(),
+                deadline: options.deadline.map(|d| submitted + d),
+                fault: options.panic_at_kernel,
+                reply: tx,
+            },
             payload,
-            enqueued: Instant::now(),
-            deadline: options.deadline.map(|d| Instant::now() + d),
-            fault: options.panic_at_kernel,
-            reply: tx,
         };
         let lane = options.priority.lane();
         let pushed = if bounce {
@@ -739,32 +684,15 @@ impl ServeRuntime {
 
     /// Convenience driver: submits every request (blocking on backpressure)
     /// and waits for all replies, returned in submission order.
-    pub fn serve_all(
+    pub fn serve_all<R: Into<Payload>>(
         &self,
-        requests: impl IntoIterator<Item = FeatureMatrix>,
-    ) -> Vec<Result<InferenceReport, ServeError>> {
+        requests: impl IntoIterator<Item = R>,
+    ) -> Vec<Outcome> {
         // Tickets buffer replies through their per-request channels, so
         // collecting them first cannot deadlock against the bounded queue:
         // workers never block on a reply send.
         let tickets: Vec<Result<Ticket, ServeError>> =
-            requests.into_iter().map(|f| self.submit(f)).collect();
-        tickets
-            .into_iter()
-            .map(|t| t.and_then(Ticket::wait))
-            .collect()
-    }
-
-    /// Convenience driver for a template runtime: submits every
-    /// `(subgraph, features)` request (blocking on backpressure) and waits
-    /// for all replies, returned in submission order.
-    pub fn serve_all_subgraphs(
-        &self,
-        requests: impl IntoIterator<Item = (Graph, FeatureMatrix)>,
-    ) -> Vec<Result<InferenceReport, ServeError>> {
-        let tickets: Vec<Result<Ticket, ServeError>> = requests
-            .into_iter()
-            .map(|(g, f)| self.submit_subgraph(g, f))
-            .collect();
+            requests.into_iter().map(|r| self.submit(r)).collect();
         tickets
             .into_iter()
             .map(|t| t.and_then(Ticket::wait))
@@ -804,21 +732,9 @@ impl ServeRuntime {
                 break;
             }
             if Instant::now() >= deadline {
-                // Drain what the workers didn't get to and fail the tickets
-                // (close() already stopped new arrivals, and workers exit
-                // once the queue is empty, so this terminates).
-                while let Some(drained) =
-                    self.queue
-                        .pop_batch_where(self.config.max_batch.max(1), Duration::ZERO, |_| false)
-                {
-                    for request in drained.batch.into_iter().chain(drained.expired) {
-                        let _ = request.reply.send(Reply {
-                            result: Err(ServeError::Abandoned {
-                                reason: "shutdown drain deadline expired",
-                            }),
-                        });
-                    }
-                }
+                // close() already stopped new arrivals, and workers exit
+                // once the queue is empty, so this terminates.
+                abandon_queued(&self.queue, "shutdown drain deadline expired");
                 break;
             }
             thread::sleep(Duration::from_millis(1));
@@ -856,25 +772,17 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// Abandonment reason used when a worker pool's circuit breaker opens.
 const RESPAWN_EXHAUSTED: &str = "worker respawn budget exhausted";
 
-/// Fails every deadline-expired request a drain produced; they never
-/// execute and do not count as served requests.
-fn shed_expired(
-    index: usize,
-    expired: Vec<QueuedRequest>,
-    metrics: &MetricsCollector,
-    telemetry: &Registry,
-) {
-    let now = Instant::now();
-    for request in expired {
-        let late = request
-            .deadline
-            .map(|d| now.saturating_duration_since(d))
-            .unwrap_or_default();
-        metrics.record_deadline_expired();
-        telemetry.incr(index, CounterId::ServeDeadlineExpired);
-        let _ = request.reply.send(Reply {
-            result: Err(ServeError::DeadlineExceeded { late }),
-        });
+/// Fails every request still queued with [`ServeError::Abandoned`]; with
+/// nobody left to drain them, leaving them queued would hang their callers
+/// forever.
+fn abandon_queued(queue: &BoundedQueue<QueuedRequest>, reason: &'static str) {
+    while let Some(drained) = queue.pop_batch_where(64, Duration::ZERO, |_| false) {
+        for request in drained.batch.into_iter().chain(drained.expired) {
+            let _ = request
+                .envelope
+                .reply
+                .send(Err(ServeError::Abandoned { reason }));
+        }
     }
 }
 
@@ -890,41 +798,16 @@ fn arm_fault(session: &mut Session<'_>, fault: Option<(u64, usize)>) {
     }));
 }
 
-fn record_panic(index: usize, message: String, metrics: &MetricsCollector, telemetry: &Registry) {
-    metrics.record_worker_panic(message);
-    telemetry.incr(index, CounterId::ServeWorkerPanics);
-}
-
-/// Spends one respawn from the worker's budget; returns `false` (circuit
-/// breaker open) when the budget is exhausted.
-fn spend_respawn(
-    index: usize,
-    respawns_left: &mut usize,
-    metrics: &MetricsCollector,
-    telemetry: &Registry,
-) -> bool {
-    if *respawns_left == 0 {
-        return false;
-    }
-    *respawns_left -= 1;
-    metrics.record_worker_respawn();
-    telemetry.incr(index, CounterId::ServeWorkerRespawns);
-    true
-}
-
-/// Retires a worker whose circuit breaker opened.  The last live worker to
-/// retire closes the queue and fails every residual ticket — with nobody
-/// left to drain, leaving them queued would hang their callers forever.
 /// Modeled device-lane occupancy for one served batch.
 ///
 /// Each successful request occupies the lane for its feature transfer plus
 /// the **execution backend's** predicted kernel milliseconds
 /// ([`InferenceReport::predicted_kernel_ms`]) — host-calibrated or
 /// accelerator-modeled, whichever backend routed the request.  Requests the
-/// backend did not price (regions policy, reference path) fall back to
-/// `strategy`'s modeled accelerator latency, then to the first priced
-/// strategy, so the lane never idles through an unpriced batch.
-fn modeled_dwell(results: &[Result<InferenceReport, ServeError>], dwell: DeviceDwell) -> Duration {
+/// backend did not price (regions policy) fall back to `strategy`'s modeled
+/// accelerator latency, then to the first priced strategy, so the lane
+/// never idles through an unpriced batch.
+fn modeled_dwell(results: &[Outcome], dwell: DeviceDwell) -> Duration {
     match dwell {
         DeviceDwell::None => Duration::ZERO,
         DeviceDwell::Modeled { strategy, scale } => {
@@ -952,199 +835,264 @@ fn modeled_dwell(results: &[Result<InferenceReport, ServeError>], dwell: DeviceD
     }
 }
 
-fn retire_worker(queue: &BoundedQueue<QueuedRequest>, supervisor: &Supervisor) {
-    if supervisor.live_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
-        queue.close();
-        while let Some(drained) = queue.pop_batch_where(64, Duration::ZERO, |_| false) {
-            for request in drained.batch.into_iter().chain(drained.expired) {
-                let _ = request.reply.send(Reply {
-                    result: Err(ServeError::Abandoned {
-                        reason: RESPAWN_EXHAUSTED,
-                    }),
-                });
-            }
-        }
-    }
-}
-
 /// Entries the pool-wide [`SharedPricingTier`] retains before FIFO aging;
 /// sized for every (kernel, strategy, density-bucket) class a steady serving
 /// mix cycles through, while bounding worst-case memory under adversarial
 /// density churn.
 const PRICING_TIER_CAPACITY: usize = 4096;
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
+/// One worker thread's state.  A drained request crosses, in order: deadline
+/// shed → plan acquire ([`Backend::resolve`]) → session bind → one
+/// `infer_batch` per run of requests on one plan → id stamp → modeled dwell
+/// → metrics → reply.  Plan acquire and serving run under
+/// [`Worker::supervised`].
+struct Worker {
     index: usize,
-    plan: Arc<CompiledPlan>,
+    backend: Backend,
     config: ServeConfig,
     queue: Arc<BoundedQueue<QueuedRequest>>,
     metrics: Arc<MetricsCollector>,
     telemetry: Arc<Registry>,
-    supervisor: Arc<Supervisor>,
+    /// Workers still serving; the last one to retire on an open circuit
+    /// breaker closes the queue and fails residual tickets.
+    live_workers: Arc<AtomicUsize>,
     pricing_tier: Option<Arc<SharedPricingTier>>,
-) {
-    let mut session: Session<'static> = Session::shared(plan, &config.strategies);
-    // The session publishes into the runtime's registry through the worker's
-    // own shard, so per-shard counter breakdowns read as per-worker ones.
-    session.set_telemetry(Arc::clone(&telemetry));
-    session.set_telemetry_shard(index);
-    // Workers memoize pricing across the pool; the tier survives post-panic
-    // rebuilds because `rebuild_after_panic` carries it like telemetry.
-    session.set_pricing_tier(pricing_tier);
-    // Size the fused-batch arena for the worker's batch cap up front, so
-    // `max_batch` buys kernel-level fusion (one kernel pass per layer per
-    // micro-batch) without mid-serving buffer growth.
-    session.reserve_batch(config.max_batch);
-    let mut respawns_left = config.max_worker_respawns;
-    while let Some(drained) =
-        queue.pop_batch_where(config.max_batch, config.batch_deadline, |request| {
-            request.expired_at(Instant::now())
-        })
-    {
-        shed_expired(index, drained.expired, &metrics, &telemetry);
-        let batch = drained.batch;
-        if batch.is_empty() {
-            continue;
+    /// The worker's one session, opened on the first plan it binds and
+    /// rebound (never reopened) to every later one.
+    session: Option<Session<'static>>,
+    /// Post-panic session rebuilds left before the circuit breaker opens.
+    respawns_left: usize,
+    breaker_open: bool,
+}
+
+impl Worker {
+    fn run(mut self) {
+        // A constant plan is known before the first request arrives: open
+        // its session now, off the request path.
+        if let Backend::Plan(plan) = &self.backend {
+            let plan = Arc::clone(plan);
+            self.bind(&plan);
         }
+        while let Some(drained) = self.queue.pop_batch_where(
+            self.config.max_batch,
+            self.config.batch_deadline,
+            |request| request.expired_at(Instant::now()),
+        ) {
+            self.shed_expired(drained.expired);
+            if !drained.batch.is_empty() {
+                self.serve(drained.batch);
+            }
+            if self.breaker_open {
+                if self.live_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    self.queue.close();
+                    abandon_queued(&self.queue, RESPAWN_EXHAUSTED);
+                }
+                return;
+            }
+        }
+    }
+
+    /// Fails every deadline-expired request a drain produced; they never
+    /// execute and do not count as served requests.
+    fn shed_expired(&self, expired: Vec<QueuedRequest>) {
+        let now = Instant::now();
+        for request in expired {
+            let late = request
+                .envelope
+                .deadline
+                .map(|d| now.saturating_duration_since(d))
+                .unwrap_or_default();
+            self.metrics.record_deadline_expired();
+            self.telemetry
+                .incr(self.index, CounterId::ServeDeadlineExpired);
+            let _ = request
+                .envelope
+                .reply
+                .send(Err(ServeError::DeadlineExceeded { late }));
+        }
+    }
+
+    /// The worker's session bound to `plan`: opened on first use, rebound
+    /// afterwards (free when `plan` is the plan already bound).
+    fn bind(&mut self, plan: &Arc<CompiledPlan>) -> &mut Session<'static> {
+        if let Some(session) = &mut self.session {
+            session.rebind(Arc::clone(plan));
+        } else {
+            let mut session = Session::shared(Arc::clone(plan), &self.config.strategies);
+            // The session publishes into the runtime's registry through the
+            // worker's own shard, so per-shard counter breakdowns read as
+            // per-worker ones.  The tier and the telemetry bundle survive
+            // post-panic rebuilds (`rebuild_after_panic` carries both).
+            session.set_telemetry(Arc::clone(&self.telemetry));
+            session.set_telemetry_shard(self.index);
+            session.set_pricing_tier(self.pricing_tier.clone());
+            self.session = Some(session);
+            self.presize();
+        }
+        self.session.as_mut().expect("bound above")
+    }
+
+    /// Sizes the fused-batch arena for the worker's batch cap up front, so
+    /// `max_batch` buys kernel-level fusion without mid-serving buffer
+    /// growth.  Only a constant plan yields runs longer than one request,
+    /// so per-request plans reserve nothing.
+    fn presize(&mut self) {
+        if let (Backend::Plan(_), Some(session)) = (&self.backend, &mut self.session) {
+            session.reserve_batch(self.config.max_batch);
+        }
+    }
+
+    /// Runs one step under the supervisor's catch.  A panic is recorded and
+    /// costs one respawn from the worker's budget: budget permitting, the
+    /// session is rebuilt (the unwound pass left its arena and scratch
+    /// partially written) and the step fails with
+    /// [`ServeError::WorkerPanicked`]; an exhausted budget opens the circuit
+    /// breaker instead, after which every step fails with
+    /// [`ServeError::Abandoned`] without running.
+    fn supervised<T>(
+        &mut self,
+        step: impl FnOnce(&mut Self) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        if self.breaker_open {
+            return Err(ServeError::Abandoned {
+                reason: RESPAWN_EXHAUSTED,
+            });
+        }
+        catch_unwind(AssertUnwindSafe(|| step(self))).unwrap_or_else(|payload| {
+            let message = panic_message(payload.as_ref());
+            self.metrics.record_worker_panic(message.clone());
+            self.telemetry
+                .incr(self.index, CounterId::ServeWorkerPanics);
+            if self.respawns_left == 0 {
+                self.breaker_open = true;
+            } else {
+                self.respawns_left -= 1;
+                self.metrics.record_worker_respawn();
+                self.telemetry
+                    .incr(self.index, CounterId::ServeWorkerRespawns);
+                if let Some(session) = &mut self.session {
+                    session.rebuild_after_panic();
+                }
+                self.presize();
+            }
+            Err(ServeError::WorkerPanicked { message })
+        })
+    }
+
+    /// Serves `features` — requests that all run on `plan` — with one
+    /// `infer_batch` call, `fault` armed.
+    fn infer(
+        &mut self,
+        plan: &Arc<CompiledPlan>,
+        features: &[FeatureMatrix],
+        fault: Option<(u64, usize)>,
+    ) -> Result<Vec<InferenceReport>, ServeError> {
+        let session = self.bind(plan);
+        arm_fault(session, fault);
+        let served = session.infer_batch(features);
+        arm_fault(session, None);
+        Ok(served?)
+    }
+
+    /// Serves one run — consecutive requests on one plan — appending one
+    /// result per request.  A run is a single `infer_batch`: a constant
+    /// plan fuses the whole micro-batch, per-request plans serve batches of
+    /// one.  The fused pass has no per-request isolation, so when it panics
+    /// the run is retried request by request and only the poisoned ticket
+    /// fails.
+    fn serve_run(
+        &mut self,
+        plan: &Arc<CompiledPlan>,
+        envelopes: &[Envelope],
+        features: &[FeatureMatrix],
+        results: &mut Vec<Outcome>,
+    ) {
+        let fault = envelopes.iter().find_map(Envelope::armed);
+        match self.supervised(|w| w.infer(plan, features, fault)) {
+            Ok(reports) => results.extend(reports.into_iter().map(Ok)),
+            // A run of one needs no isolating retry (a panic names its only
+            // possible culprit), and a session error is systemic: shapes
+            // were validated at submission, so it would fail every request
+            // of the run identically.
+            Err(e) if features.len() == 1 || matches!(e, ServeError::Inference(_)) => {
+                results.extend(features.iter().map(|_| Err(e.clone())));
+            }
+            Err(_) => {
+                for (envelope, one) in envelopes.iter().zip(features.chunks(1)) {
+                    results.push(
+                        self.supervised(|w| w.infer(plan, one, envelope.armed()))
+                            .map(|mut reports| reports.pop().expect("one report per request")),
+                    );
+                }
+            }
+        }
+    }
+
+    /// Serves one drained micro-batch and replies to every ticket in it.
+    fn serve(&mut self, batch: Vec<QueuedRequest>) {
         let picked = Instant::now();
         let batch_size = batch.len();
-        metrics.record_batch(batch_size);
-        telemetry.gauge_set(GaugeId::QueueDepth, queue.len() as f64);
+        self.metrics.record_batch(batch_size);
+        let (index, telemetry) = (self.index, Arc::clone(&self.telemetry));
+        telemetry.gauge_set(GaugeId::QueueDepth, self.queue.len() as f64);
         telemetry.incr(index, CounterId::ServeBatches);
         telemetry.add(index, CounterId::ServeRequests, batch_size as u64);
         telemetry.observe(index, HistogramId::BatchSize, batch_size as u64);
 
-        // Take the feature matrices out of the requests (no copies) so the
-        // whole micro-batch is served by one `infer_batch` call.
+        // Take the feature matrices out of the requests (no copies) into one
+        // contiguous vector, so a run of them is one `infer_batch` slice.
         let mut envelopes = Vec::with_capacity(batch_size);
+        let mut graphs = Vec::with_capacity(batch_size);
         let mut features = Vec::with_capacity(batch_size);
         for request in batch {
-            envelopes.push((request.id, request.enqueued, request.reply, request.fault));
-            match request.payload {
-                Payload::Features(f) => features.push(f),
-                // Submission routes subgraph payloads only into template
-                // runtimes, whose workers run `template_worker_loop`.
-                Payload::Subgraph { .. } => {
-                    unreachable!("plan-mode runtime accepted a subgraph payload")
+            envelopes.push(request.envelope);
+            let (graph, matrix) = match request.payload {
+                Payload::Features(features) => (None, features),
+                Payload::Subgraph { graph, features } => (Some(graph), features),
+            };
+            graphs.push(graph);
+            features.push(matrix);
+        }
+
+        // Plan acquire, per request; supervised because instantiating a
+        // template compiles a caller-supplied topology.
+        let plans: Vec<Result<Arc<CompiledPlan>, ServeError>> = graphs
+            .iter()
+            .zip(&features)
+            .map(|(graph, features)| {
+                self.supervised(|w| w.backend.resolve(graph.as_ref(), features))
+            })
+            .collect();
+
+        let mut results = Vec::with_capacity(batch_size);
+        while results.len() < batch_size {
+            let start = results.len();
+            match &plans[start] {
+                Err(e) => results.push(Err(e.clone())),
+                Ok(plan) => {
+                    let len = plans[start..]
+                        .iter()
+                        .take_while(|p| matches!(p, Ok(q) if Arc::ptr_eq(q, plan)))
+                        .count();
+                    let run = start..start + len;
+                    self.serve_run(plan, &envelopes[run.clone()], &features[run], &mut results);
                 }
             }
         }
+        // Host time attributed to each request: its share of the batch,
+        // taken once results are final (isolating retries included).
+        let per_request = picked.elapsed() / batch_size as u32;
 
-        // Fast path: one fused `infer_batch` call under the supervisor's
-        // catch.  The fused pass has no per-request isolation, so a panic
-        // poisons the whole batch — the supervisor then rebuilds the
-        // session and retries each request individually, so only the
-        // poisoned ticket fails with `WorkerPanicked`.
-        arm_fault(
-            &mut session,
-            envelopes
-                .iter()
-                .find_map(|&(id, _, _, fault)| fault.map(|k| (id, k))),
-        );
-        let served = catch_unwind(AssertUnwindSafe(|| session.infer_batch(&features)));
-        let batch_elapsed = picked.elapsed();
-        // Host time attributed to each request: its share of the batch call.
-        let per_request = batch_elapsed / batch_size as u32;
-
-        let mut breaker_open = false;
-        let results: Vec<Result<InferenceReport, ServeError>> = match served {
-            // Shapes were validated at submission, so a session error here
-            // is systemic (it would fail every request of the batch
-            // identically) and is replied to all of them.
-            Ok(served) => {
-                arm_fault(&mut session, None);
-                match served {
-                    Ok(reports) => reports
-                        .into_iter()
-                        .zip(envelopes.iter())
-                        .map(|(mut report, &(id, _, _, _))| {
-                            // Session-local indices are meaningless across a
-                            // pool; stamp the global submission id instead,
-                            // which is what a serial session would have
-                            // assigned.
-                            report.request_index = id as usize;
-                            Ok(report)
-                        })
-                        .collect(),
-                    Err(e) => envelopes
-                        .iter()
-                        .map(|_| Err(ServeError::Inference(e.clone())))
-                        .collect(),
-                }
+        // Session-local indices are meaningless across a pool (and restart
+        // per rebind epoch); stamp the global submission id instead, which
+        // is what a serial session would have assigned.
+        for (result, envelope) in results.iter_mut().zip(&envelopes) {
+            if let Ok(report) = result {
+                report.request_index = envelope.id as usize;
             }
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                record_panic(index, message.clone(), &metrics, &telemetry);
-                if !spend_respawn(index, &mut respawns_left, &metrics, &telemetry) {
-                    breaker_open = true;
-                    if batch_size == 1 {
-                        // The sole request is the poisoned one; its ticket
-                        // gets the panic, not a vague abandonment.
-                        vec![Err(ServeError::WorkerPanicked { message })]
-                    } else {
-                        envelopes
-                            .iter()
-                            .map(|_| {
-                                Err(ServeError::Abandoned {
-                                    reason: RESPAWN_EXHAUSTED,
-                                })
-                            })
-                            .collect()
-                    }
-                } else if batch_size == 1 {
-                    // A batch of one needs no isolating retry: the panic
-                    // already names its only possible culprit.
-                    session.rebuild_after_panic();
-                    session.reserve_batch(config.max_batch);
-                    vec![Err(ServeError::WorkerPanicked { message })]
-                } else {
-                    // The unwound forward pass left arena/scratch state
-                    // partially written; rebuild before serving again, then
-                    // isolate the poisoned request by retrying one by one.
-                    session.rebuild_after_panic();
-                    session.reserve_batch(config.max_batch);
-                    let mut retried = Vec::with_capacity(batch_size);
-                    for (&(id, _, _, fault), feature) in envelopes.iter().zip(&features) {
-                        if breaker_open {
-                            retried.push(Err(ServeError::Abandoned {
-                                reason: RESPAWN_EXHAUSTED,
-                            }));
-                            continue;
-                        }
-                        arm_fault(&mut session, fault.map(|k| (id, k)));
-                        let one = catch_unwind(AssertUnwindSafe(|| session.infer(feature)));
-                        match one {
-                            Ok(result) => {
-                                arm_fault(&mut session, None);
-                                retried.push(
-                                    result
-                                        .map(|mut report| {
-                                            report.request_index = id as usize;
-                                            report
-                                        })
-                                        .map_err(ServeError::Inference),
-                                );
-                            }
-                            Err(payload) => {
-                                let message = panic_message(payload.as_ref());
-                                record_panic(index, message.clone(), &metrics, &telemetry);
-                                if spend_respawn(index, &mut respawns_left, &metrics, &telemetry) {
-                                    session.rebuild_after_panic();
-                                    session.reserve_batch(config.max_batch);
-                                } else {
-                                    breaker_open = true;
-                                }
-                                retried.push(Err(ServeError::WorkerPanicked { message }));
-                            }
-                        }
-                    }
-                    retried
-                }
-            }
-        };
+        }
 
-        let dwell = modeled_dwell(&results, config.device_dwell);
+        let dwell = modeled_dwell(&results, self.config.device_dwell);
         if dwell > Duration::ZERO {
             // The worker's virtual accelerator lane is busy executing the
             // batch; the host thread parks with no locks held, so sibling
@@ -1152,7 +1100,7 @@ fn worker_loop(
             thread::sleep(dwell);
         }
 
-        for ((_, enqueued, reply, _), result) in envelopes.into_iter().zip(results) {
+        for (envelope, result) in envelopes.into_iter().zip(results) {
             // Service records host time only; the modeled device dwell shows
             // up in the turnaround (enqueue → reply ready), as it would in a
             // real deployment where the reply follows device completion.
@@ -1163,8 +1111,13 @@ fn worker_loop(
                 result,
                 Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
             ) {
-                let queue_wait = picked.duration_since(enqueued);
-                metrics.record_request(index, queue_wait, per_request, enqueued.elapsed());
+                let queue_wait = picked.duration_since(envelope.enqueued);
+                self.metrics.record_request(
+                    index,
+                    queue_wait,
+                    per_request,
+                    envelope.enqueued.elapsed(),
+                );
                 telemetry.observe(
                     index,
                     HistogramId::QueueWaitMicros,
@@ -1177,162 +1130,7 @@ fn worker_loop(
                 );
             }
             // A dropped ticket (caller gave up) is fine; ignore send errors.
-            let _ = reply.send(Reply { result });
-        }
-
-        if breaker_open {
-            retire_worker(&queue, &supervisor);
-            return;
-        }
-    }
-}
-
-/// The subgraph-serving worker: every request carries its own topology, so
-/// each is instantiated from the resident template and served individually
-/// through **one reusable session**.  The first request builds the session;
-/// every later request *rebinds* it to the newly instantiated plan — the
-/// template shares its model and calibration with every instance by
-/// pointer, so the rebind keeps the dispatcher, the kernel arena and the
-/// per-kernel profile scratch, merely re-shaping buffers across varying
-/// subgraph sizes (capacity only ever grows to the high-water mark).
-#[allow(clippy::too_many_arguments)]
-fn template_worker_loop(
-    index: usize,
-    template: Arc<ModelTemplate>,
-    config: ServeConfig,
-    queue: Arc<BoundedQueue<QueuedRequest>>,
-    metrics: Arc<MetricsCollector>,
-    telemetry: Arc<Registry>,
-    supervisor: Arc<Supervisor>,
-    pricing_tier: Option<Arc<SharedPricingTier>>,
-) {
-    let mut session: Option<Session<'static>> = None;
-    let mut respawns_left = config.max_worker_respawns;
-    let mut breaker_open = false;
-    while let Some(drained) =
-        queue.pop_batch_where(config.max_batch, config.batch_deadline, |request| {
-            request.expired_at(Instant::now())
-        })
-    {
-        shed_expired(index, drained.expired, &metrics, &telemetry);
-        let batch = drained.batch;
-        if batch.is_empty() {
-            continue;
-        }
-        let picked = Instant::now();
-        let batch_size = batch.len();
-        metrics.record_batch(batch_size);
-        telemetry.gauge_set(GaugeId::QueueDepth, queue.len() as f64);
-        telemetry.incr(index, CounterId::ServeBatches);
-        telemetry.add(index, CounterId::ServeRequests, batch_size as u64);
-        telemetry.observe(index, HistogramId::BatchSize, batch_size as u64);
-
-        let mut envelopes = Vec::with_capacity(batch_size);
-        let mut results = Vec::with_capacity(batch_size);
-        for request in batch {
-            let fault = request.fault.map(|k| (request.id, k));
-            envelopes.push((request.id, request.enqueued, request.reply));
-            let (graph, features) = match request.payload {
-                Payload::Subgraph { graph, features } => (graph, features),
-                // Submission routes feature-only payloads only into
-                // fixed-topology runtimes.
-                Payload::Features(_) => {
-                    unreachable!("template-mode runtime accepted a plan payload")
-                }
-            };
-            if breaker_open {
-                results.push(Err(ServeError::Abandoned {
-                    reason: RESPAWN_EXHAUSTED,
-                }));
-                continue;
-            }
-            // Requests are served individually here (each brings its own
-            // topology), so the supervisor's catch already isolates a
-            // poisoned request: only its ticket fails.
-            let served = catch_unwind(AssertUnwindSafe(|| {
-                template
-                    .instantiate(&graph, &features)
-                    .and_then(|instance| {
-                        let plan = instance.into_plan();
-                        let active = match session.as_mut() {
-                            Some(active) => {
-                                active.rebind(plan);
-                                active
-                            }
-                            None => {
-                                let built = session.insert(plan.session_shared(&config.strategies));
-                                built.set_telemetry(Arc::clone(&telemetry));
-                                built.set_telemetry_shard(index);
-                                // Template keys are content-addressed, so
-                                // structurally identical subgraphs hit
-                                // across workers and across rebinds.
-                                built.set_pricing_tier(pricing_tier.clone());
-                                built
-                            }
-                        };
-                        arm_fault(active, fault);
-                        let result = active.infer(&features);
-                        arm_fault(active, None);
-                        result
-                    })
-            }));
-            let result = match served {
-                Ok(result) => result.map_err(ServeError::Inference),
-                Err(payload) => {
-                    let message = panic_message(payload.as_ref());
-                    record_panic(index, message.clone(), &metrics, &telemetry);
-                    // The unwound pass left the session's arena/scratch
-                    // state partially written; drop it so the next request
-                    // rebuilds a fresh rebinding session from the template.
-                    session = None;
-                    if !spend_respawn(index, &mut respawns_left, &metrics, &telemetry) {
-                        breaker_open = true;
-                    }
-                    Err(ServeError::WorkerPanicked { message })
-                }
-            };
-            results.push(result);
-        }
-        let batch_elapsed = picked.elapsed();
-        let per_request = batch_elapsed / batch_size as u32;
-
-        // Stamp global submission ids (session-local indices restart per
-        // rebind epoch and are meaningless across a pool).
-        for (result, &(id, _, _)) in results.iter_mut().zip(envelopes.iter()) {
-            if let Ok(report) = result {
-                report.request_index = id as usize;
-            }
-        }
-
-        let dwell = modeled_dwell(&results, config.device_dwell);
-        if dwell > Duration::ZERO {
-            thread::sleep(dwell);
-        }
-
-        for ((_, enqueued, reply), result) in envelopes.into_iter().zip(results) {
-            if !matches!(
-                result,
-                Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
-            ) {
-                let queue_wait = picked.duration_since(enqueued);
-                metrics.record_request(index, queue_wait, per_request, enqueued.elapsed());
-                telemetry.observe(
-                    index,
-                    HistogramId::QueueWaitMicros,
-                    queue_wait.as_micros() as u64,
-                );
-                telemetry.observe(
-                    index,
-                    HistogramId::ServiceMicros,
-                    per_request.as_micros() as u64,
-                );
-            }
-            let _ = reply.send(Reply { result });
-        }
-
-        if breaker_open {
-            retire_worker(&queue, &supervisor);
-            return;
+            let _ = envelope.reply.send(result);
         }
     }
 }
@@ -1481,7 +1279,7 @@ mod tests {
             "fixture should produce varying subgraph sizes, got {sizes:?}"
         );
 
-        let results = runtime.serve_all_subgraphs(requests);
+        let results = runtime.serve_all(requests);
         assert_eq!(results.len(), 5);
         for (i, r) in results.iter().enumerate() {
             let report = r.as_ref().expect("subgraph request should serve");
@@ -1500,7 +1298,7 @@ mod tests {
         let fixed = ServeRuntime::start(plan, ServeConfig::default());
         assert!(fixed.template().is_none());
         let err = fixed
-            .submit_subgraph(ds.graph.clone(), ds.features.clone())
+            .submit((ds.graph.clone(), ds.features.clone()))
             .unwrap_err();
         assert!(matches!(err, ServeError::ModeMismatch { .. }));
         fixed.shutdown();
@@ -1510,9 +1308,7 @@ mod tests {
         assert!(matches!(err, ServeError::ModeMismatch { .. }));
         // Invalid pairs bounce at submission with the instantiate error.
         let wrong = FeatureMatrix::Dense(DenseMatrix::zeros(ds.graph.num_vertices(), 3));
-        let err = templated
-            .submit_subgraph(ds.graph.clone(), wrong)
-            .unwrap_err();
+        let err = templated.submit((ds.graph.clone(), wrong)).unwrap_err();
         assert!(matches!(err, ServeError::Inference(_)));
         let report = templated.shutdown();
         assert_eq!(report.requests, 0);
@@ -1561,6 +1357,105 @@ mod tests {
         let report = runtime.shutdown();
         assert_eq!(report.deadline_expired, 1);
         assert_eq!(report.requests, 1, "the shed request never served");
+    }
+
+    #[test]
+    fn blocking_submit_deadline_counts_time_blocked_on_a_full_queue() {
+        let (plan, features) = plan_fixture();
+        let strategy = MappingStrategy::Dynamic;
+        // Scale the modeled dwell so one healthy request parks the worker
+        // for ~3x the deadline under test.
+        let deadline = Duration::from_millis(100);
+        let report = plan.session(&[strategy]).infer(&features).unwrap();
+        let unit = modeled_dwell(
+            &[Ok(report)],
+            DeviceDwell::Modeled {
+                strategy,
+                scale: 1.0,
+            },
+        );
+        let scale = 3.0 * deadline.as_secs_f64() / unit.as_secs_f64();
+        let runtime = ServeRuntime::start(
+            plan,
+            ServeConfig::default()
+                .workers(1)
+                .max_batch(1)
+                .queue_capacity(1)
+                .device_dwell(DeviceDwell::Modeled { strategy, scale }),
+        );
+        // The worker takes the first request and dwells on it; a second
+        // request fills the one queue slot, so a third, blocking submission
+        // waits out the dwell — longer than its deadline.  The queued
+        // request is poisoned: it fails fast and dwells for nothing, so the
+        // worker drains the third right after admitting it.
+        let parked = runtime.submit(features.clone()).unwrap();
+        while runtime.queue_depth() > 0 {
+            thread::sleep(Duration::from_micros(200));
+        }
+        let filler = runtime
+            .submit_with(
+                features.clone(),
+                SubmitOptions::default().panic_at_kernel(0),
+            )
+            .unwrap();
+        let started = Instant::now();
+        let late = runtime
+            .submit_with(features, SubmitOptions::default().deadline(deadline))
+            .unwrap();
+        let blocked = started.elapsed();
+        assert!(
+            blocked > deadline,
+            "fixture must hold the queue full past the deadline, blocked {blocked:?}"
+        );
+        match late.wait() {
+            Err(ServeError::DeadlineExceeded { late }) => assert!(late > Duration::ZERO),
+            other => panic!(
+                "a deadline spent blocked on backpressure must expire, got {:?}",
+                other.map(|report| report.request_index)
+            ),
+        }
+        assert!(parked.wait().is_ok());
+        assert!(matches!(
+            filler.wait(),
+            Err(ServeError::WorkerPanicked { .. })
+        ));
+        let report = runtime.shutdown();
+        assert_eq!(report.deadline_expired, 1);
+        assert_eq!(report.requests, 1);
+    }
+
+    #[test]
+    fn retried_batch_service_time_covers_the_isolating_retries() {
+        let (plan, features) = plan_fixture();
+        let runtime = ServeRuntime::start(
+            plan,
+            ServeConfig::default()
+                .workers(1)
+                .max_batch(2)
+                .batch_deadline(Duration::from_millis(250)),
+        );
+        let healthy = runtime.submit(features.clone()).unwrap();
+        let poisoned = runtime
+            .submit_with(features, SubmitOptions::default().panic_at_kernel(0))
+            .unwrap();
+        assert!(healthy.wait().is_ok());
+        assert!(matches!(
+            poisoned.wait(),
+            Err(ServeError::WorkerPanicked { .. })
+        ));
+        let report = runtime.shutdown();
+        assert_eq!(report.batches, 1, "fixture: both requests share one batch");
+        assert_eq!(report.requests, 1);
+        // The survivor is the one recorded request.  Its service time is its
+        // share (half) of the batch's host time, which — with no dwell — is
+        // the whole pick → reply span: the failed fused pass, the session
+        // rebuild *and* both isolating retries, not the fused pass alone.
+        let span_ms = report.turnaround.mean_ms - report.queue_wait.mean_ms;
+        assert!(
+            2.0 * report.service.mean_ms >= 0.8 * span_ms,
+            "service {} ms x2 must cover the {span_ms} ms the batch occupied the worker",
+            report.service.mean_ms
+        );
     }
 
     #[test]

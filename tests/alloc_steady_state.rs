@@ -7,8 +7,7 @@
 //! and runtime profiles are refit into per-kernel scratch.  This test
 //! instruments the global allocator and proves it, then checks that a full
 //! `Session::infer` allocates only its constant per-request bookkeeping
-//! (reports, output clone, analyzer pricing) — the same count every request,
-//! and strictly less than the fixed-kernel legacy path spends.
+//! (reports, output clone, analyzer pricing) — the same count every request.
 //!
 //! Everything runs in a single `#[test]` because the counter is global.
 
@@ -327,7 +326,7 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
         }
     }
 
-    // --- The session-level budget: constant per request, below legacy. ---
+    // --- The session-level budget: constant per request. ---
     //
     // Default options serve with block-granular dispatch, so this constant
     // budget covers the blocked hot path end to end (per-block refits and
@@ -369,27 +368,6 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
     assert_eq!(a, b, "steady-state infer allocation count must be constant");
     assert_eq!(b, c, "steady-state infer allocation count must be constant");
 
-    let legacy_plan = Planner::new(
-        EngineOptions::builder()
-            .host(HostExecutionOptions {
-                dispatch: false,
-                parallel: false,
-                ..Default::default()
-            })
-            .build(),
-    )
-    .plan(&model, &dataset)
-    .unwrap();
-    let mut legacy = legacy_plan.session(&strategies);
-    for _ in 0..2 {
-        legacy.infer(&features).unwrap();
-    }
-    let legacy_allocs = run(&mut legacy);
-    assert!(
-        a < legacy_allocs,
-        "dispatch path ({a} allocs/request) must allocate less than the \
-         fixed-kernel path ({legacy_allocs} allocs/request)"
-    );
     // The per-request budget must not scale with the kernel count times
     // matrix size — it is report bookkeeping only.  Give it generous slack
     // over the measured ~dozens so the assertion stays robust.

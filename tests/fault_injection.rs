@@ -14,7 +14,7 @@ use dynasparse::{CompiledPlan, MappingStrategy, Planner};
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
 use dynasparse_serve::{
-    DeviceDwell, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions, Ticket,
+    DeviceDwell, Payload, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions, Ticket,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -283,7 +283,7 @@ fn template_runtime_supervises_poisoned_subgraph_requests() {
         };
         tickets.push(
             runtime
-                .submit_subgraph_with(sub.into_graph(), features, options)
+                .submit_with((sub.into_graph(), features), options)
                 .unwrap(),
         );
     }
@@ -340,26 +340,52 @@ fn shutdown_with_deadline_resolves_every_outstanding_ticket() {
 /// The whole gauntlet at once: a mixed stream of healthy, poisoned, and
 /// tightly-deadlined requests against a small sheddable queue, ending in a
 /// deadline-bounded shutdown.  Accounting closes exactly: submissions =
-/// typed rejections + resolved tickets.
+/// typed rejections + resolved tickets, outcome by outcome, and the
+/// runtime's own counters agree — for a fixed-plan and a template runtime
+/// alike (they share one worker loop).
 #[test]
 fn mixed_fault_storm_loses_no_ticket() {
-    let (plan, plan_features) = plan_fixture();
-    let (rows, dim) = plan_features.shape();
-    let runtime = ServeRuntime::start(
-        plan,
+    use dynasparse::{EngineOptions, ModelTemplate};
+    use dynasparse_graph::NeighborSampler;
+
+    let config = || {
         ServeConfig::default()
             .workers(2)
             .max_batch(4)
             .queue_capacity(8)
             .shed_watermarks(6, 2)
             .max_worker_respawns(8)
-            .batch_deadline(Duration::from_micros(500)),
+            .batch_deadline(Duration::from_micros(500))
+    };
+
+    let (plan, plan_features) = plan_fixture();
+    let (rows, dim) = plan_features.shape();
+    storm(ServeRuntime::start(plan, config()), |i| {
+        dense_features(rows, dim, 0.05 + 0.015 * (i % 50) as f64, 300 + i as u64).into()
+    });
+
+    let full = Dataset::Cora.spec().generate_scaled(23, 0.08);
+    let model = GnnModel::standard(
+        GnnModelKind::Gcn,
+        full.features.dim(),
+        8,
+        full.spec.num_classes,
+        5,
     );
+    let template = ModelTemplate::compile_shared(&model, EngineOptions::default()).unwrap();
+    storm(ServeRuntime::start_template(template, config()), |i| {
+        let sub = NeighborSampler::new([5, 3], 300 + i as u64).sample(&full.graph, &[i as u32 * 3]);
+        let features = sub.extract_features(&full.features);
+        (sub.into_graph(), features).into()
+    });
+}
+
+/// Drives one fault storm through `runtime` and closes its accounting.
+fn storm(runtime: ServeRuntime, request: impl Fn(usize) -> Payload) {
     const TOTAL: usize = 48;
     let mut tickets = Vec::new();
-    let mut rejected = 0u64;
+    let (mut overloaded, mut queue_full) = (0u64, 0u64);
     for i in 0..TOTAL {
-        let features = dense_features(rows, dim, 0.05 + 0.015 * (i % 50) as f64, 300 + i as u64);
         let mut options = SubmitOptions::default();
         if i % 11 == 3 {
             options = options.panic_at_kernel(i % 3);
@@ -370,23 +396,26 @@ fn mixed_fault_storm_loses_no_ticket() {
         if i % 5 == 0 {
             options = options.priority(Priority::High);
         }
-        match runtime.try_submit_with(features, options) {
+        match runtime.try_submit_with(request(i), options) {
             Ok(t) => tickets.push(t),
-            Err(ServeError::Overloaded { .. }) | Err(ServeError::QueueFull { .. }) => rejected += 1,
+            Err(ServeError::Overloaded { .. }) => overloaded += 1,
+            Err(ServeError::QueueFull { .. }) => queue_full += 1,
             Err(e) => panic!("submission {i}: unexpected error {e}"),
         }
     }
+    let rejected = overloaded + queue_full;
     let accepted = tickets.len() as u64;
-    let mut resolved = 0u64;
+    let (mut ok, mut panicked, mut expired, mut abandoned) = (0u64, 0u64, 0u64, 0u64);
     for t in tickets {
         match t.wait() {
-            Ok(_)
-            | Err(ServeError::WorkerPanicked { .. })
-            | Err(ServeError::DeadlineExceeded { .. })
-            | Err(ServeError::Abandoned { .. }) => resolved += 1,
+            Ok(_) => ok += 1,
+            Err(ServeError::WorkerPanicked { .. }) => panicked += 1,
+            Err(ServeError::DeadlineExceeded { .. }) => expired += 1,
+            Err(ServeError::Abandoned { .. }) => abandoned += 1,
             Err(e) => panic!("ticket resolved with unexpected error: {e}"),
         }
     }
+    let resolved = ok + panicked + expired + abandoned;
     assert_eq!(resolved, accepted, "every accepted ticket resolved");
     assert_eq!(accepted + rejected, TOTAL as u64);
     let report = runtime.shutdown_with_deadline(Duration::from_secs(10));
@@ -395,4 +424,12 @@ fn mixed_fault_storm_loses_no_ticket() {
     // Caught panics and their respawns stay balanced: a worker either
     // rebuilt after a catch or opened its breaker, never silently died.
     assert!(report.worker_respawns <= report.worker_panics);
+    // Ticket conservation, outcome by outcome: what the callers saw is what
+    // the runtime counted.  (A poisoned request in a fused batch panics
+    // twice — in the fused pass and in its isolating retry — so panics
+    // bound the panicked tickets from above.)
+    assert_eq!(report.requests, ok, "served");
+    assert_eq!(report.shed, overloaded, "shed");
+    assert_eq!(report.deadline_expired, expired, "expired");
+    assert!(report.worker_panics >= panicked, "panicked");
 }
