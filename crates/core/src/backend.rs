@@ -2,10 +2,11 @@
 //!
 //! [`ModeledAccelBackend`] routes and prices the block-granular executor's
 //! products with the accelerator's Table IV performance model (the paper's
-//! Analyzer decision) instead of the measured host calibration.  It inherits
-//! the [`ExecBackend`] default block primitives unchanged, so the *values*
-//! a session computes are bit-identical to the host backend — only which
-//! primitive runs per block and what each block is predicted to cost differ.
+//! Analyzer decision) instead of the measured host calibration.  An
+//! [`ExecBackend`] only decides and prices — the executor's one block loop
+//! runs the kernels — so the *values* a session computes are bit-identical to
+//! the host backend; only which primitive runs per block and what each block
+//! is predicted to cost differ.
 //! This is the backend behind `DYNASPARSE_BACKEND=accel` and
 //! [`BackendKind::ModeledAccel`](dynasparse_model::BackendKind).
 

@@ -82,17 +82,11 @@ pub struct HostExecutionOptions {
     /// prices every dispatched product: the measured host calibration
     /// ([`BackendKind::Host`], the default) or the modeled accelerator's
     /// cycle-accurate performance model ([`BackendKind::ModeledAccel`]).
-    /// Both backends execute through the same block primitives, so swapping
-    /// them changes routing and pricing only — results stay bit-identical.
+    /// A backend only decides and prices — the executor's one block loop runs
+    /// the kernels — so swapping backends changes routing and pricing only and
+    /// results stay bit-identical.
     /// Shadowed by `DYNASPARSE_BACKEND` (`host` / `accel`) when it is set.
     pub backend: BackendKind,
-    /// Execute every dense-output kernel as a loop over the compiler
-    /// partition's row blocks (`N1` rows per Aggregate block, `N2` per
-    /// Update block) with per-block density refits and per-block primitive
-    /// decisions.  Disable to fall back to one whole-kernel decision per
-    /// dispatch; both paths are bit-identical
-    /// (see `tests/integration_backend.rs`).
-    pub block_dispatch: bool,
     /// Rescale the host calibration online when a per-primitive
     /// measured/predicted drift EWMA leaves the accepted band (see
     /// [`Session`] docs).  Only the host backend
@@ -115,7 +109,6 @@ impl Default for HostExecutionOptions {
             cost_model: CostModelKind::Calibrated,
             batch_fusion: true,
             backend: BackendKind::Host,
-            block_dispatch: true,
             recalibrate: true,
             pricing_cache: PricingCacheMode::default(),
         }

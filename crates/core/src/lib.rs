@@ -113,10 +113,12 @@
 //!
 //! A session's host execution exploits dynamic sparsity the same
 //! way the modeled accelerator does: a per-session
-//! [`KernelDispatcher`](dynasparse_model::KernelDispatcher) routes every
-//! kernel by its *runtime* operand densities to the blocked dense GEMM, the
-//! sparse-dense CSR kernel, or the Gustavson sparse-sparse kernel of
-//! `dynasparse-matrix`, writing into the session's zero-allocation
+//! [`KernelDispatcher`](dynasparse_model::KernelDispatcher) resolves every
+//! kernel's route once from its *runtime* operand densities and executes
+//! dense-output kernels over the compiler partition's row blocks, each block
+//! picking the zero-skipping dense GEMM, the sparse-dense CSR kernel or
+//! Gustavson sparse-sparse rows of `dynasparse-matrix` and writing into the
+//! session's zero-allocation
 //! [`KernelArena`](dynasparse_model::KernelArena).  Decisions come from the
 //! **measured host calibration** by default ([`CostModelKind::Calibrated`];
 //! the accelerator's Table IV regions stay the A/B oracle and fallback,

@@ -27,8 +27,8 @@ use dynasparse_compiler::{CompiledProgram, KernelKind};
 use dynasparse_graph::FeatureMatrix;
 use dynasparse_matrix::{BlockGrid, DensityProfile, DispatchPolicy};
 use dynasparse_model::{
-    BackendKind, DensityTrace, KernelArena, KernelDispatcher, KernelSpec, ReferenceExecutor,
-    StageDensity, StageOp,
+    BackendKind, DensityTrace, ExecBackend, HostBackend, KernelArena, KernelDispatcher, KernelSpec,
+    ReferenceExecutor, StageDensity, StageOp,
 };
 use dynasparse_runtime::{
     Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCacheMode, PricingStage,
@@ -358,20 +358,17 @@ impl<'p> Session<'p> {
         let host = compiled.options().host;
         let core = ComputationCore::new(accelerator);
         let num_kernels = compiled.program().kernels.len();
-        // Calibrated when the plan carries a measured host fit; the
-        // accelerator's Table IV regions otherwise (they also stay the
-        // sparse-output threshold and degenerate-prediction fallback).
-        let mut dispatcher = executor.dispatcher_calibrated(
-            DispatchPolicy::from_regions(accelerator.psys),
-            compiled.calibration.clone(),
-            host.parallel,
-        );
-        // The modeled-accelerator backend swaps in over the same weight
-        // caches and retention policy: routing and pricing change, results
-        // stay bit-identical.
-        if host.backend == BackendKind::ModeledAccel {
-            dispatcher.set_backend(Arc::new(ModeledAccelBackend::new(&accelerator)));
-        }
+        // The accelerator's Table IV regions own the sparse-output threshold
+        // and the CSR weight-cache gate under either backend, and remain the
+        // host backend's degenerate-prediction fallback (or its whole cost
+        // model when the plan carries no measured host fit).  Backends change
+        // routing and pricing only: results stay bit-identical.
+        let policy = DispatchPolicy::from_regions(accelerator.psys);
+        let backend: Arc<dyn ExecBackend> = match host.backend {
+            BackendKind::Host => Arc::new(HostBackend::new(policy, compiled.calibration.clone())),
+            BackendKind::ModeledAccel => Arc::new(ModeledAccelBackend::new(&accelerator)),
+        };
+        let dispatcher = KernelDispatcher::new(executor.model(), policy, backend, host.parallel);
         let statics = &compiled.program().static_sparsity;
         let pricing = PricingStage::new(
             host.pricing_cache,
@@ -628,11 +625,6 @@ impl<'p> Session<'p> {
             record.kernel_io.clear();
             record.analyses.clear();
         }
-        let partition = plan
-            .options()
-            .host
-            .block_dispatch
-            .then_some(&program.partition);
         let probe = self.telemetry.enabled();
         let mut observer = KernelObserver {
             program,
@@ -647,21 +639,21 @@ impl<'p> Session<'p> {
             next_kernel: 0,
         };
         self.telemetry.begin_request();
-        // The executors are block-granular over the compiler partition by
-        // default and probed per dispatch when telemetry is on; both return
-        // the backend-predicted kernel milliseconds of the pass.
+        // Both executor calls run dense-output kernels over the compiler
+        // partition's row blocks, probe every kernel when telemetry is on and
+        // return the backend-predicted kernel milliseconds of the pass.
         let predicted_kernel_ms = if let [features] = batch {
             let profile_scratch = &mut self.profile_scratch;
-            self.executor.forward_dispatch_blocked_profiled(
+            self.executor.forward_dispatch(
                 features,
                 &self.dispatcher,
                 &mut self.arena,
-                partition,
+                &program.partition,
                 Some(&mut self.telemetry),
                 |_layer, _ki, spec_kernel, input, out, scanned| {
                     let kidx = observer.enter(spec_kernel, input.dim());
                     // A kernel that streamed its dense input anyway (the
-                    // blocked Update GEMM) hands its profile over: one scan,
+                    // Update GEMM) hands its profile over: one scan,
                     // not two.  Every other route refits the kernel's
                     // reusable profile.
                     let profile: &DensityProfile = match scanned {
@@ -688,11 +680,11 @@ impl<'p> Session<'p> {
             let out_counts = &mut self.batch_nnz_scratch;
             let (defer_out, out_source_for) = (&self.defer_out, &self.out_source_for);
             let arena = self.batch_arena.as_mut().expect("ensured above");
-            let predicted_batch_ms = self.executor.forward_dispatch_batch_blocked_probed(
+            let predicted_batch_ms = self.executor.forward_dispatch_batch(
                 batch,
                 &self.dispatcher,
                 arena,
-                partition,
+                &program.partition,
                 Some(&mut self.telemetry),
                 |_layer, _ki, spec_kernel, views| {
                     let kidx = observer.enter(spec_kernel, views.input_dim());

@@ -351,26 +351,6 @@ impl CsrMatrix {
     /// dispatching executor.  A row-major `rhs` is consumed in place (no
     /// layout copy); column-major falls back to an internal copy.
     pub fn spmm_dense_into(&self, rhs: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-        self.spmm_dense_into_with(None, rhs, out)
-    }
-
-    /// [`CsrMatrix::spmm_dense_into`] with output rows fanned out over a
-    /// [`ThreadPool`].
-    pub fn spmm_dense_into_pooled(
-        &self,
-        pool: &ThreadPool,
-        rhs: &DenseMatrix,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        self.spmm_dense_into_with(Some(pool), rhs, out)
-    }
-
-    fn spmm_dense_into_with(
-        &self,
-        pool: Option<&ThreadPool>,
-        rhs: &DenseMatrix,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
         if self.cols != rhs.rows() {
             return Err(MatrixError::ShapeMismatch {
                 op: "spmm_dense",
@@ -392,16 +372,7 @@ impl CsrMatrix {
             rhs_rm = rhs.to_layout(Layout::RowMajor);
             rhs_rm.as_slice()
         };
-        let out_slice = out.as_mut_slice();
-        match pool {
-            Some(pool) if !pool.is_inline() => {
-                let chunk_rows = pool.chunk_rows(self.rows);
-                pool.for_each_chunk_mut(out_slice, chunk_rows * d, |ci, chunk| {
-                    self.spmm_dense_rows_rm(ys, d, ci * chunk_rows, chunk);
-                });
-            }
-            _ => self.spmm_dense_rows_rm(ys, d, 0, out_slice),
-        }
+        self.spmm_dense_rows_rm(ys, d, 0, out.as_mut_slice());
         Ok(())
     }
 
@@ -437,7 +408,7 @@ impl CsrMatrix {
     /// SpDMM product `self × rhs` into a caller-owned row-major slice — the
     /// per-partition-block SpDMM kernel of the block-granular dispatcher.
     ///
-    /// The row loop is the same one `spmm_dense_into[_pooled]` runs
+    /// The row loop is the same one [`CsrMatrix::spmm_dense_into`] runs
     /// (`CsrMatrix::spmm_dense_rows_rm`), so any row partition of the
     /// output is bit-identical to the whole-kernel call.  `rhs` must be
     /// row-major: the block loop is allocation-free, so a column-major
@@ -1266,26 +1237,6 @@ mod tests {
         // Second product into the same buffer overwrites cleanly.
         csr.spmm_dense_into(&b, &mut out).unwrap();
         assert_eq!(out.as_slice(), want.as_slice());
-    }
-
-    #[test]
-    fn spmm_dense_into_pooled_matches_serial_bitwise() {
-        let pool = ThreadPool::new(3);
-        let dense = DenseMatrix::from_fn(40, 25, |r, c| {
-            if (r * 7 + c) % 5 == 0 {
-                (r + 1) as f32 * 0.3 - c as f32 * 0.1
-            } else {
-                0.0
-            }
-        });
-        let csr = CsrMatrix::from_dense(&dense);
-        let rhs = DenseMatrix::from_fn(25, 13, |r, c| (r as f32 - c as f32) * 0.25);
-        let mut serial = DenseMatrix::zeros(0, 0);
-        let mut pooled = DenseMatrix::zeros(0, 0);
-        csr.spmm_dense_into(&rhs, &mut serial).unwrap();
-        csr.spmm_dense_into_pooled(&pool, &rhs, &mut pooled)
-            .unwrap();
-        assert_eq!(serial.as_slice(), pooled.as_slice());
     }
 
     #[test]

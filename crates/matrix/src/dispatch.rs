@@ -5,11 +5,11 @@
 //! regions of Table IV: GEMM when `min(α_X, α_Y) ≥ 1/2`, SpDMM when the
 //! denser operand clears `2 / p_sys`, SPMM otherwise, and *skip* when an
 //! operand is empty.  [`DispatchPolicy`] applies the same regions to the
-//! host executor's whole-kernel products, so the strategy the runtime system
-//! models for the accelerator also changes which *host* kernel actually
-//! runs: the blocked dense GEMM, the sparse-dense row kernel, or the
-//! Gustavson sparse-sparse kernel (see `dynasparse-model`'s dispatching
-//! executor).
+//! host executor's products (per kernel, then per partition row block), so
+//! the strategy the runtime system models for the accelerator also changes
+//! which *host* kernel actually runs: the dense GEMM, the sparse-dense row
+//! kernel, or the Gustavson sparse-sparse kernel (see `dynasparse-model`'s
+//! dispatching executor).
 
 use serde::{Deserialize, Serialize};
 

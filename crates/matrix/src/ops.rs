@@ -263,25 +263,6 @@ fn gemm_fan_out(
 /// operand falls back to an internal layout copy (cold path, allocates).
 /// The result is bit-identical to [`gemm_reference`].
 pub fn gemm_into(x: &DenseMatrix, y: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
-    gemm_into_with(None, x, y, out)
-}
-
-/// [`gemm_into`] with output rows fanned out over a [`ThreadPool`].
-pub fn gemm_into_pooled(
-    pool: &ThreadPool,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    out: &mut DenseMatrix,
-) -> Result<()> {
-    gemm_into_with(Some(pool), x, y, out)
-}
-
-fn gemm_into_with(
-    pool: Option<&ThreadPool>,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    out: &mut DenseMatrix,
-) -> Result<()> {
     check_shapes("gemm_into", x.shape(), y.shape())?;
     let (m, n) = x.shape();
     let d = y.cols();
@@ -289,7 +270,7 @@ fn gemm_into_with(
     // skips the redundant zero-fill when the buffer is reused.
     out.reset_for_overwrite(m, d);
     if m > 0 && d > 0 {
-        gemm_fan_out(pool, x, y, out.as_mut_slice(), RowsGeometry::plain(n, d));
+        gemm_fan_out(None, x, y, out.as_mut_slice(), RowsGeometry::plain(n, d));
     }
     Ok(())
 }
@@ -298,12 +279,12 @@ fn gemm_into_with(
 /// into a caller-owned row-major slice — the per-partition-block GEMM kernel
 /// of the block-granular dispatcher.
 ///
-/// The inner loop is the same row kernel [`gemm_into`] fans over the thread
-/// pool, so any row partition of the output — including the
-/// per-partition-block dispatch loop — is bit-identical to the whole-kernel
-/// call.  Both operands must be row-major: the block loop is
-/// allocation-free, so a column-major operand is a shape error here rather
-/// than the whole-kernel entry points' silent layout copy.
+/// The inner loop is the same row kernel [`gemm_into`] runs, so any row
+/// partition of the output — including the per-partition-block dispatch
+/// loop — is bit-identical to the whole-kernel call.  Both operands must be
+/// row-major: the block loop is allocation-free, so a column-major operand
+/// is a shape error here rather than the whole-kernel entry point's silent
+/// layout copy.
 ///
 /// The kernel's single pass over the `X` rows also profiles them: the
 /// non-zeros of every `block_cols`-wide block column are **added** into
@@ -593,19 +574,6 @@ mod tests {
         let mut out = DenseMatrix::zeros(0, 0);
         gemm_into(&xc, &yc, &mut out).unwrap();
         assert!(out.approx_eq(&want, 1e-5));
-    }
-
-    #[test]
-    fn gemm_into_pooled_matches_serial_bitwise() {
-        let pool = crate::pool::ThreadPool::new(3);
-        let mut rng = StdRng::seed_from_u64(21);
-        let x = random_dense(&mut rng, 67, 45, 0.4);
-        let y = random_dense(&mut rng, 45, 33, 0.8);
-        let mut serial = DenseMatrix::zeros(0, 0);
-        let mut pooled = DenseMatrix::zeros(0, 0);
-        gemm_into(&x, &y, &mut serial).unwrap();
-        gemm_into_pooled(&pool, &x, &y, &mut pooled).unwrap();
-        assert_eq!(serial.as_slice(), pooled.as_slice());
     }
 
     #[test]

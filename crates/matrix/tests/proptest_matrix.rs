@@ -4,7 +4,7 @@
 
 use dynasparse_matrix::format::{dense_to_coo, FormatTransformConfig};
 use dynasparse_matrix::ops::{
-    gemm_into, gemm_into_pooled, gemm_reference, gemm_rows_into, spdmm_reference, spmm_reference,
+    gemm_into, gemm_reference, gemm_rows_into, spdmm_reference, spmm_reference,
 };
 use dynasparse_matrix::{
     row_blocks, BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout, ThreadPool,
@@ -103,11 +103,9 @@ proptest! {
         prop_assert_eq!(&profile, &refit);
         prop_assert_eq!(profile.total_nnz(), x.nnz());
 
-        // The whole-kernel entry points run the same row kernel unprofiled.
+        // The whole-kernel entry point runs the same row kernel unprofiled.
         let mut whole = DenseMatrix::zeros(0, 0);
         gemm_into(&x, &y, &mut whole).unwrap();
-        prop_assert!(same_bits(whole.as_slice(), want.as_slice()));
-        gemm_into_pooled(test_pool(), &x, &y, &mut whole).unwrap();
         prop_assert!(same_bits(whole.as_slice(), want.as_slice()));
     }
 }
@@ -194,30 +192,40 @@ proptest! {
         // Random (m, n, d, alpha_x, alpha_y): the dense-matrix strategy
         // already randomises shapes and densities (including empty
         // operands). Force compatible inner dimensions, then check every
-        // host dispatch route — dense, sparse-dense, sparse-sparse, their
-        // `_into` variants, serial and pooled — against the reference GEMM.
+        // host dispatch route — dense, sparse-dense, sparse-sparse, whole and
+        // as the executor's row-block kernels — against the reference GEMM.
         let y = y.submatrix_padded(0, x.cols(), 0, y.cols());
         let want = gemm_reference(&x, &y).unwrap();
         let xs = CsrMatrix::from_dense(&x);
         let ys = CsrMatrix::from_dense(&y);
         let pool = test_pool();
 
-        // Dense route (blocked GEMM), serial + pooled.
+        // Dense route (zero-skipping GEMM).
         let mut out = DenseMatrix::zeros(0, 0);
         gemm_into(&x, &y, &mut out).unwrap();
         prop_assert!(out.approx_eq(&want, 1e-4));
-        gemm_into_pooled(pool, &x, &y, &mut out).unwrap();
-        prop_assert!(out.approx_eq(&want, 1e-4));
 
-        // Sparse-dense route (host SpDMM), serial + pooled.
+        // Sparse-dense route (host SpDMM).
         xs.spmm_dense_into(&y, &mut out).unwrap();
-        prop_assert!(out.approx_eq(&want, 1e-4));
-        xs.spmm_dense_into_pooled(pool, &y, &mut out).unwrap();
         prop_assert!(out.approx_eq(&want, 1e-4));
 
         // Sparse-sparse route (Gustavson SPMM), serial + pooled.
         prop_assert!(xs.spgemm(&ys).unwrap().to_dense().approx_eq(&want, 1e-4));
         prop_assert!(xs.spgemm_pooled(pool, &ys).unwrap().to_dense().approx_eq(&want, 1e-4));
+
+        // The CSR-left routes as the executor's row-block kernels, over a
+        // row partition that does not divide `m`: bit for bit the
+        // whole-kernel products (the GEMM row kernel has its own property
+        // above).
+        let (m, d) = (x.rows(), y.cols());
+        let spgemm = xs.spgemm(&ys).unwrap().to_dense();
+        let (mut spdmm_rows, mut spgemm_rows) = (vec![f32::NAN; m * d], vec![f32::NAN; m * d]);
+        for (r0, r1) in row_blocks(m, 5) {
+            xs.spmm_dense_rows_into(&y, r0, &mut spdmm_rows[r0 * d..r1 * d]).unwrap();
+            xs.spgemm_rows_dense_into(&ys, r0, &mut spgemm_rows[r0 * d..r1 * d]).unwrap();
+        }
+        prop_assert!(same_bits(&spdmm_rows, out.as_slice()), "SpDMM row blocks");
+        prop_assert!(same_bits(&spgemm_rows, spgemm.as_slice()), "Gustavson row blocks");
     }
 
     #[test]

@@ -1,39 +1,55 @@
-//! The dispatching host executor: mode-picked kernels over a zero-allocation
+//! The dispatching host executor: one kernel runner over a zero-allocation
 //! arena.
 //!
 //! The plain [`ReferenceExecutor::forward_with`] path runs one fixed host
 //! kernel per kernel kind and materialises every intermediate feature matrix
-//! in a fresh allocation.  This module adds the path a serving session
-//! actually uses:
+//! in a fresh allocation.  This module is the path a serving session uses,
+//! and it follows the paper's execution model: a GNN *kernel* is decoupled
+//! from the *primitive* that runs it, and the mapping is made per data
+//! partition at runtime.
 //!
-//! * [`KernelDispatcher`] inspects the *runtime* operand densities of every
-//!   kernel — the same signal the paper's Analyzer profiles — and routes the
-//!   host execution to the blocked dense GEMM, the sparse-dense CSR kernel
-//!   or the Gustavson sparse-sparse kernel.  The decision comes from a
-//!   [`CostModel`](dynasparse_matrix::CostModel): by default the measured
-//!   host calibration ([`CalibratedPolicy`](dynasparse_matrix::CalibratedPolicy)
-//!   — argmin over predicted milliseconds of each primitive), with the
-//!   closed-form Table IV regions ([`RegionPolicy`](dynasparse_matrix::RegionPolicy) /
-//!   [`DispatchPolicy`]) retained as the accelerator-side oracle and
-//!   fallback.  Sparse-sparse outputs stay in CSR form while their density
-//!   is below the dispatch threshold.
+//! * **One route per kernel.**  `Pass::resolve` turns `(op, input
+//!   representation, the backend's whole-product decision, cached weight
+//!   CSR)` into a `Route` exactly once: the whole-product view the kernel
+//!   span reports plus one of three execution shapes (`Exec`) — *skip*
+//!   (an empty product resets the output), *sparse product* (Gustavson to
+//!   CSR, retained sparse below the policy threshold; the representation
+//!   choice needs the whole product's density, so this is the one
+//!   whole-kernel route) or *rows* (a dense output computed over the
+//!   compiler partition's row blocks, `N1` rows per Aggregate block and
+//!   `N2` per Update block).  The span, the prediction and the execution all
+//!   read that one value.
+//! * **One decision per block.**  A *rows* route has one of two block
+//!   bodies (`BlockBody`): the counting GEMM for a dense-stored left
+//!   operand (its zero-skip doubles as the host SpDMM, and its single pass
+//!   over the operand also fills the kernel input's sparsity profile), or a
+//!   CSR left operand whose every block refits its density from the row
+//!   pointers and picks Skip / SpDMM / Gustavson-into-dense through the
+//!   dispatcher's [`ExecBackend`].  The kernel's predicted cost is the sum
+//!   of its blocks' predictions.
+//! * **One runner.**  `run_kernel` wraps whichever shape executes — here
+//!   and in the batch-fused pass of [`crate::batch`] — with the timing, the
+//!   kernel span and the region-fallback count behind a single `Option`
+//!   probe.
 //! * [`KernelArena`] owns plan-sized ping-pong feature buffers (one
 //!   dual-representation slot per kernel of the widest layer, plus the layer
-//!   input/output pair and a densify scratch), so the steady-state forward
+//!   input/output pair and the kernel scratch), so the steady-state forward
 //!   pass performs **zero heap allocations**: kernels write into reused
-//!   buffers via the `_into` kernels of `dynasparse-matrix`, activations
-//!   apply in place, layer outputs become the next layer's input by pointer
-//!   swap, and a slot that flips between CSR and dense across requests
-//!   reuses its retained counterpart buffer instead of reallocating.
-//! * Row-parallel kernels run over the persistent [`ThreadPool`] when the
-//!   dispatcher is built with `parallel = true` (the vendored rayon
+//!   buffers, activations apply in place, layer outputs become the next
+//!   layer's input by pointer swap, and a slot that flips between CSR and
+//!   dense across requests reuses its retained counterpart buffer.
+//! * Row blocks are the parallel shards over the persistent [`ThreadPool`]
+//!   when the dispatcher is built with `parallel = true` (the vendored rayon
 //!   stand-in is sequential, so this is the only intra-request parallelism
 //!   available).
 //!
-//! The dispatched pass is numerically identical to the fixed-kernel path:
-//! every route accumulates contributions to one output element in the same
-//! `k`-increasing order the reference kernels use (see the equivalence suite
-//! in `tests/integration_dispatch.rs`).
+//! The dispatched pass is bit-identical to the fixed-kernel path whatever
+//! each block decides: row blocks never split the `k` dimension, and every
+//! route accumulates contributions to one output element in the same
+//! `k`-increasing order the reference kernels use (the one genuinely
+//! different pairing, Gustavson rows into a dense block vs SpDMM over the
+//! densified operand, also normalizes `-0.0`).  See the equivalence suites in
+//! `tests/integration_dispatch.rs` and `tests/integration_backend.rs`.
 
 use crate::activation::Activation;
 use crate::backend::{BackendKind, ExecBackend, HostBackend};
@@ -41,18 +57,27 @@ use crate::kernel::{KernelInput, KernelOp, KernelSpec};
 use crate::models::GnnModel;
 use crate::reference::ReferenceExecutor;
 use dynasparse_graph::FeatureMatrix;
-use dynasparse_matrix::ops::{gemm_into, gemm_into_pooled};
+use dynasparse_matrix::ops::gemm_rows_into;
 use dynasparse_matrix::{
-    row_blocks, CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration,
-    HostPrimitive, Layout, PartitionSpec, ProductShape, SpGemmScratch, ThreadPool,
+    CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration, HostPrimitive,
+    MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool,
 };
 use dynasparse_telemetry::{SessionTelemetry, SpanPrimitive};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// One kernel's telemetry context on a probed forward pass: the session's
+/// telemetry bundle plus the kernel's coordinates in the model.
+pub(crate) struct ProbeCtx<'a> {
+    pub(crate) telemetry: &'a mut SessionTelemetry,
+    pub(crate) layer: u16,
+    pub(crate) kernel: u16,
+}
+
 /// The telemetry-facing name of a host primitive.
-pub(crate) fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
+fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
     match prim {
         HostPrimitive::Gemm => SpanPrimitive::Gemm,
         HostPrimitive::SpDmm => SpanPrimitive::SpDmm,
@@ -61,21 +86,13 @@ pub(crate) fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
     }
 }
 
-/// One kernel's telemetry context on the probed forward paths: the session's
-/// telemetry bundle plus the kernel's coordinates in the model.
-pub(crate) struct ProbeCtx<'a> {
-    pub(crate) telemetry: &'a mut SessionTelemetry,
-    pub(crate) layer: u16,
-    pub(crate) kernel: u16,
-}
-
 /// Runtime kernel-to-host-primitive dispatcher for one model.
 ///
 /// Holds the execution backend that picks and prices the primitive of every
-/// kernel-level product (see [`ExecBackend`]) plus the per-model caches the
-/// routes need: a CSR copy of every SPMM-eligible weight matrix (a weight
-/// sparse enough that the sparse-sparse route can ever be chosen for it),
-/// built once when the dispatcher is created.
+/// product (see [`ExecBackend`]) plus the per-model caches the routes need:
+/// a CSR copy of every SPMM-eligible weight matrix (a weight sparse enough
+/// that the sparse-sparse route can ever be chosen for it), built once when
+/// the dispatcher is created.
 #[derive(Debug)]
 pub struct KernelDispatcher {
     policy: DispatchPolicy,
@@ -86,38 +103,13 @@ pub struct KernelDispatcher {
 }
 
 impl KernelDispatcher {
-    /// Builds a region-model dispatcher for `model`.  `policy` supplies the
-    /// density regions (usually [`DispatchPolicy::from_regions`] of the
-    /// accelerator's ALU dimension); `parallel` routes row-parallel kernels
-    /// over the global [`ThreadPool`].
-    pub fn new(model: &GnnModel, policy: DispatchPolicy, parallel: bool) -> Self {
-        Self::with_calibration(model, policy, None, parallel)
-    }
-
-    /// Builds a dispatcher that decides with the measured host `calibration`
-    /// when one is supplied, and with `policy`'s Table IV regions otherwise
-    /// (the regions also remain the fallback for degenerate predictions and
-    /// keep owning the sparse-output retention threshold).
-    pub fn with_calibration(
-        model: &GnnModel,
-        policy: DispatchPolicy,
-        calibration: Option<Arc<HostCalibration>>,
-        parallel: bool,
-    ) -> Self {
-        Self::with_backend(
-            model,
-            policy,
-            Arc::new(HostBackend::new(policy, calibration)),
-            parallel,
-        )
-    }
-
-    /// Builds a dispatcher deciding and pricing through an arbitrary
-    /// execution backend (the modeled-accelerator backend lives in
+    /// Builds the dispatcher for `model`, deciding and pricing through
+    /// `backend` ([`HostBackend`] for the measured host calibration or the
+    /// Table IV regions; the modeled-accelerator backend lives in
     /// `dynasparse-core`, which can see the accelerator crate).  `policy`
-    /// keeps owning the sparse-output retention threshold and the CSR
-    /// weight-cache gate.
-    pub fn with_backend(
+    /// owns the sparse-output retention threshold and the CSR weight-cache
+    /// gate; `parallel` shards row blocks over the global [`ThreadPool`].
+    pub fn new(
         model: &GnnModel,
         policy: DispatchPolicy,
         backend: Arc<dyn ExecBackend>,
@@ -132,13 +124,7 @@ impl KernelDispatcher {
         let weight_csr = model
             .weights
             .iter()
-            .map(|w| {
-                if w.density() < csr_bound {
-                    Some(CsrMatrix::from_dense(w))
-                } else {
-                    None
-                }
-            })
+            .map(|w| (w.density() < csr_bound).then(|| CsrMatrix::from_dense(w)))
             .collect();
         KernelDispatcher {
             policy,
@@ -154,13 +140,8 @@ impl KernelDispatcher {
         &self.policy
     }
 
-    /// Whether decisions come from a measured host calibration (as opposed
-    /// to the accelerator's Table IV regions or cycle model).
-    pub fn is_calibrated(&self) -> bool {
-        self.backend.calibration().is_some()
-    }
-
-    /// The shared calibration the dispatcher decides with, if any.
+    /// The shared host calibration the dispatcher decides with, if any
+    /// (`None` under the Table IV regions or the accelerator cycle model).
     pub fn calibration(&self) -> Option<&Arc<HostCalibration>> {
         self.backend.calibration()
     }
@@ -175,12 +156,6 @@ impl KernelDispatcher {
         self.backend.kind()
     }
 
-    /// Swaps the execution backend (the per-model weight caches and the
-    /// retention policy are backend-independent and stay).
-    pub fn set_backend(&mut self, backend: Arc<dyn ExecBackend>) {
-        self.backend = backend;
-    }
-
     /// Swaps in a freshly rescaled host calibration — the online
     /// recalibration hook.  A non-host backend is left untouched (its
     /// decisions never came from the calibration).
@@ -190,21 +165,11 @@ impl KernelDispatcher {
         }
     }
 
-    /// Picks the host primitive for one kernel-level product through the
-    /// active backend.
-    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
-        self.backend.decide(shape, alpha_x, alpha_y).0
-    }
-
-    /// [`KernelDispatcher::decide`], additionally reporting whether a
-    /// calibrated decision fell back to the Table IV regions on a degenerate
-    /// fit (always `false` for a backend that never predicts).
-    pub fn decide_traced(
-        &self,
-        shape: ProductShape,
-        alpha_x: f64,
-        alpha_y: f64,
-    ) -> (HostPrimitive, bool) {
+    /// Picks the host primitive for one (sub-)product through the active
+    /// backend, also reporting whether a calibrated decision fell back to
+    /// the Table IV regions on a degenerate fit (always `false` for a backend
+    /// that never predicts).
+    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> (HostPrimitive, bool) {
         self.backend.decide(shape, alpha_x, alpha_y)
     }
 
@@ -221,7 +186,7 @@ impl KernelDispatcher {
         self.backend.predict_ms(prim, shape, alpha_x, alpha_y)
     }
 
-    /// Whether kernels fan out over the global thread pool.
+    /// Whether row blocks fan out over the global thread pool.
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }
@@ -266,16 +231,24 @@ impl ArenaSlot {
     }
 }
 
-/// The density profile of the current kernel's input, when the kernel's own
-/// scan filled it: the dense-input Update GEMM of the block-granular path
-/// streams every `X` row exactly once and counts as it goes, so the session
-/// prices the kernel from this profile instead of scanning the operand again.
-#[derive(Debug, Default)]
-pub(crate) struct ScannedProfile {
-    /// Counters over the kernel's `N2 × N2` subfiber tiling of its input.
+/// The working set the kernels of a pass share, borrowed as one piece.
+#[derive(Debug)]
+pub(crate) struct KernelScratch {
+    /// Dense scratch for densifying a sparse operand ahead of a
+    /// dense-operand kernel.
+    pub(crate) densify: DenseMatrix,
+    /// Workspace of the Gustavson sparse-sparse kernel; also recycles the
+    /// CSR buffers of sparse slot outputs.
+    pub(crate) spgemm: SpGemmScratch,
+    /// The current kernel's input profile over its `N2 × N2` subfiber
+    /// tiling, when the kernel's own scan fills one: the dense-input Update
+    /// GEMM streams every `X` row exactly once and counts as it goes, so the
+    /// session prices the kernel from this profile instead of scanning the
+    /// operand again (the counters grow to the largest grid once, then are
+    /// reused).
     profile: DensityProfile,
     /// Whether the kernel that just ran filled `profile`.
-    filled: bool,
+    profiled: bool,
 }
 
 /// Plan-sized reusable buffers for the dispatched forward pass.
@@ -294,15 +267,8 @@ pub struct KernelArena {
     pub(crate) input: ArenaSlot,
     /// The layer-output accumulator; swapped with `input` at layer end.
     pub(crate) acc: ArenaSlot,
-    /// Dense scratch for densifying a sparse operand on the GEMM/SpDMM
-    /// routes.
-    pub(crate) densify: DenseMatrix,
-    /// Workspace of the Gustavson sparse-sparse kernel; also recycles the
-    /// CSR buffers of sparse slot outputs.
-    pub(crate) spgemm: SpGemmScratch,
-    /// The current kernel's input profile, when its own scan fills one (the
-    /// counters grow to the largest grid once, then are reused).
-    scanned: ScannedProfile,
+    /// What every kernel borrows besides its operands and output slot.
+    pub(crate) scratch: KernelScratch,
     /// Largest batch the buffers are sized for (1 for a per-request arena).
     pub(crate) batch_capacity: usize,
     /// Batch size of the last `forward_dispatch_batch` pass (0 before one).
@@ -349,9 +315,12 @@ impl KernelArena {
                 .collect(),
             input: ArenaSlot::with_capacity(num_vertices, batch_dim),
             acc: ArenaSlot::with_capacity(num_vertices, batch_dim),
-            densify: empty_dense(num_vertices, batch_dim),
-            spgemm: SpGemmScratch::new(),
-            scanned: ScannedProfile::default(),
+            scratch: KernelScratch {
+                densify: empty_dense(num_vertices, batch_dim),
+                spgemm: SpGemmScratch::new(),
+                profile: DensityProfile::default(),
+                profiled: false,
+            },
             batch_capacity: max_batch,
             batch: 0,
         }
@@ -456,7 +425,7 @@ pub(crate) fn combine_layer_outputs(
     slots: &mut [ArenaSlot],
     acc: &mut ArenaSlot,
     spgemm: &mut SpGemmScratch,
-) -> dynasparse_matrix::Result<()> {
+) -> Result<()> {
     let contributors = layer
         .kernels
         .iter()
@@ -502,6 +471,94 @@ pub(crate) fn combine_layer_outputs(
     Ok(())
 }
 
+/// The whole-product view of one executed kernel — what its kernel span
+/// reports and what a whole-kernel prediction prices.  Densities are the
+/// values the routes charge (a dense-stored operand the kernel streams in
+/// full counts as `1.0`; adjacency and weight densities are cached), so
+/// building one never rescans a matrix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Product {
+    /// The primitive the whole-product decision executes as.
+    pub(crate) executed: HostPrimitive,
+    pub(crate) shape: ProductShape,
+    pub(crate) alpha_x: f64,
+    pub(crate) alpha_y: f64,
+    /// Whether a calibrated decision fell back to the Table IV regions.
+    pub(crate) fell_back: bool,
+}
+
+impl Product {
+    /// The backend's prediction for the product executed whole.
+    pub(crate) fn predicted_ms(&self, dispatcher: &KernelDispatcher) -> f64 {
+        dispatcher.predict_ms(self.executed, self.shape, self.alpha_x, self.alpha_y)
+    }
+}
+
+/// One kernel's routing, resolved once by [`Pass::resolve`].
+struct Route<'a> {
+    product: Product,
+    exec: Exec<'a>,
+}
+
+impl<'a> Route<'a> {
+    fn new(
+        executed: HostPrimitive,
+        shape: ProductShape,
+        (alpha_x, alpha_y): (f64, f64),
+        fell_back: bool,
+        exec: Exec<'a>,
+    ) -> Self {
+        let product = Product {
+            executed,
+            shape,
+            alpha_x,
+            alpha_y,
+            fell_back,
+        };
+        Route { product, exec }
+    }
+}
+
+/// How a resolved kernel executes.
+enum Exec<'a> {
+    /// An empty product: the output is reset to zeros.
+    Skip,
+    /// Sparse × sparse by Gustavson into CSR, kept sparse while the product's
+    /// density is below the dispatch threshold.
+    SparseProduct(&'a CsrMatrix, &'a CsrMatrix),
+    /// A dense output computed `block_rows` rows at a time.
+    Rows {
+        block_rows: usize,
+        body: BlockBody<'a>,
+    },
+}
+
+/// What every row block of an [`Exec::Rows`] route runs.  Dense operands are
+/// row-major: a column-major one was copied once at route resolution
+/// ([`DenseMatrix::row_major`] borrows otherwise), so the block kernels stay
+/// allocation-free.
+enum BlockBody<'a> {
+    /// Dense × dense.  The GEMM row kernel skips zero elements of `x`, so it
+    /// doubles as the host SpDMM for a sparse-in-value dense operand, and
+    /// its one pass over `x` counts the block's non-zeros into the block's
+    /// counter row of the kernel input's profile — the block is priced from
+    /// that exact density after it ran, and nothing scans `x` twice.
+    Gemm {
+        x: Cow<'a, DenseMatrix>,
+        y: Cow<'a, DenseMatrix>,
+    },
+    /// CSR × dense.  The block's density is an O(1) row-pointer difference;
+    /// an empty block is skipped, and when the right operand also exists in
+    /// CSR form (`y_csr`: sparse features, a cached pruned weight) the
+    /// backend picks per block between SpDMM against `y` and Gustavson rows
+    /// accumulated straight into the dense block.
+    CsrLeft {
+        x: &'a CsrMatrix,
+        y: Cow<'a, DenseMatrix>,
+        y_csr: Option<&'a CsrMatrix>,
+    },
+}
+
 /// The density a row block dispatches at: `nnz / (rows · n)`, `0.0` for a
 /// degenerate block.
 #[inline]
@@ -514,153 +571,358 @@ fn block_density(nnz: usize, rows: usize, n: usize) -> f64 {
     }
 }
 
-/// The counter rows of a route whose kernels profile nothing.
-fn no_count_rows() -> std::slice::ChunksMut<'static, usize> {
-    <&mut [usize]>::default().chunks_mut(1)
-}
-
-/// The shared row-block execution loop of
-/// [`ReferenceExecutor::execute_kernel_blocked`]: reshapes the slot's dense
-/// output for overwrite (every block kernel writes its whole chunk) and
-/// walks `block_rows`-row blocks, calling `refit(r0, r1)` for the block's
-/// left-operand density, `decide(shape, ax)` for its primitive and
-/// `exec(prim, r0, chunk)` to compute it.  Returns the summed finite
-/// positive per-block predictions.
-///
-/// `count_rows` lends block `k` the `k`-th counter row of the kernel
-/// input's density profile (see [`DensityProfile::refit_tiled`]; exhausted
-/// for routes that profile nothing, whose blocks get an empty row).  A
-/// kernel whose own scan counts non-zeros anyway (the dense-input GEMM
-/// route) fills its row and has `exec` return the block's *measured*
-/// left-operand density: pricing runs after execution and prefers it over
-/// the refit estimate, so such routes need no up-front operand scan at all.
-///
-/// With a thread pool the blocks are the parallel shards
-/// ([`ThreadPool::for_each_chunk_mut`] hands out disjoint row chunks); each
-/// worker refits, decides and computes its own blocks, and per-block spans
-/// are not recorded (the telemetry ring is single-writer).  On the serial
-/// path the loop is software-pipelined: block `k+1`'s density refit runs
-/// before block `k`'s kernel, mirroring the paper's overlap of profiling
-/// and computation, and each block lands in the trace ring through `probe`.
-#[allow(clippy::too_many_arguments)]
-fn blocked_dense_loop<R, D, E>(
-    out_slot: &mut ArenaSlot,
-    spgemm: &mut SpGemmScratch,
-    dispatcher: &KernelDispatcher,
-    (rows, n, d): (usize, usize, usize),
-    alpha_y: f64,
-    block_rows: usize,
-    mut count_rows: std::slice::ChunksMut<'_, usize>,
-    refit: R,
-    decide: D,
-    exec: E,
-    mut probe: Option<&mut ProbeCtx<'_>>,
-) -> dynasparse_matrix::Result<f64>
-where
-    R: Fn(usize, usize) -> f64 + Sync,
-    D: Fn(ProductShape, f64) -> HostPrimitive + Sync,
-    E: Fn(HostPrimitive, usize, &mut [f32], &mut [usize]) -> Option<f64> + Sync,
-{
-    let backend = dispatcher.backend().as_ref();
-    let out = slot_as_dense(out_slot, spgemm);
-    out.reset_for_overwrite(rows, d);
-    if rows == 0 || d == 0 {
-        return Ok(0.0);
-    }
-    let out_slice = out.as_mut_slice();
-    let mut predicted = 0.0f64;
-    match dispatcher.pool() {
-        Some(pool) => {
-            let predicted_bits = AtomicU64::new(0.0f64.to_bits());
-            // Each shard owns its output rows *and* its counter row.
-            let blocks = out_slice
-                .chunks_mut(block_rows * d)
-                .enumerate()
-                .map(move |(bi, chunk)| (bi, chunk, count_rows.next().unwrap_or_default()));
-            pool.for_each_item(blocks, |(bi, chunk, counts)| {
-                let r0 = bi * block_rows;
-                let r1 = r0 + chunk.len() / d;
-                let ax = refit(r0, r1);
-                let shape = ProductShape::new(r1 - r0, n, d);
-                let prim = decide(shape, ax);
-                let ax = exec(prim, r0, chunk, counts).unwrap_or(ax);
-                let p = backend.predict_ms(prim, shape, ax, alpha_y);
-                if p.is_finite() && p > 0.0 {
-                    let _ =
-                        predicted_bits.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
-                            Some((f64::from_bits(b) + p).to_bits())
-                        });
+impl BlockBody<'_> {
+    /// Decides and computes the output rows starting at `r0` into `out_rows`
+    /// (every element is written), returning the primitive that ran, the
+    /// block's product shape and its left-operand density.  `counts` is the
+    /// block's counter row of the kernel input's profile (empty for a body
+    /// that profiles nothing).
+    fn run_block(
+        &self,
+        dispatcher: &KernelDispatcher,
+        product: &Product,
+        block_rows: usize,
+        r0: usize,
+        out_rows: &mut [f32],
+        counts: &mut [usize],
+    ) -> (HostPrimitive, ProductShape, f64) {
+        let ProductShape { n, d, .. } = product.shape;
+        let rows = out_rows.len() / d;
+        let shape = ProductShape::new(rows, n, d);
+        match self {
+            BlockBody::Gemm { x, y } => {
+                // An Update row block is one grid row of the `N2 × N2`
+                // subfiber tiling of `x`, so block columns are `block_rows`
+                // wide.  An all-zero block computed as GEMM writes the same
+                // exact `+0.0` a skip fill would.
+                gemm_rows_into(x, y, r0, out_rows, block_rows, counts)
+                    .expect("shapes and layouts were settled at route resolution");
+                let nnz = counts.iter().sum();
+                (HostPrimitive::Gemm, shape, block_density(nnz, rows, n))
+            }
+            BlockBody::CsrLeft { x, y, y_csr } => {
+                let alpha_x = block_density(x.rows_nnz(r0, r0 + rows), rows, n);
+                let prim = match y_csr {
+                    Some(_) => match dispatcher.decide(shape, alpha_x, product.alpha_y).0 {
+                        HostPrimitive::Skip => HostPrimitive::Skip,
+                        HostPrimitive::Spmm => HostPrimitive::Spmm,
+                        HostPrimitive::Gemm | HostPrimitive::SpDmm => HostPrimitive::SpDmm,
+                    },
+                    // Without a CSR right operand the route is structurally
+                    // forced: the block has work for the sparse-dense kernel
+                    // or it has none.
+                    None if alpha_x > 0.0 => HostPrimitive::SpDmm,
+                    None => HostPrimitive::Skip,
+                };
+                match (prim, y_csr) {
+                    (HostPrimitive::Skip, _) => out_rows.fill(0.0),
+                    (HostPrimitive::Spmm, Some(y_csr)) => x
+                        .spgemm_rows_dense_into(y_csr, r0, out_rows)
+                        .expect("shapes were settled at route resolution"),
+                    _ => x
+                        .spmm_dense_rows_into(y, r0, out_rows)
+                        .expect("shapes and layouts were settled at route resolution"),
                 }
-            });
-            predicted = f64::from_bits(predicted_bits.load(Ordering::Relaxed));
-        }
-        None => {
-            let mut iter = row_blocks(rows, block_rows);
-            let mut next = iter.next().map(|(r0, r1)| (r0, r1, refit(r0, r1)));
-            let mut bi: usize = 0;
-            while let Some((r0, r1, ax)) = next {
-                // Refit block k+1 before computing block k: the density
-                // profile of the next block overlaps this block's kernel.
-                next = iter.next().map(|(s0, s1)| (s0, s1, refit(s0, s1)));
-                let shape = ProductShape::new(r1 - r0, n, d);
-                let prim = decide(shape, ax);
-                let chunk = &mut out_slice[r0 * d..r1 * d];
-                let counts = count_rows.next().unwrap_or_default();
-                match probe.as_deref_mut().filter(|pr| pr.telemetry.tracing()) {
-                    Some(pr) => {
-                        let started = Instant::now();
-                        let ax = exec(prim, r0, chunk, counts).unwrap_or(ax);
-                        let measured = started.elapsed().as_secs_f64() * 1e3;
-                        let p = backend.predict_ms(prim, shape, ax, alpha_y);
-                        if p.is_finite() && p > 0.0 {
-                            predicted += p;
-                        }
-                        pr.telemetry.record_block_span(
-                            pr.layer,
-                            pr.kernel,
-                            bi.min(u16::MAX as usize - 1) as u16,
-                            span_primitive(prim),
-                            (r1 - r0, n, d),
-                            ax,
-                            alpha_y,
-                            p,
-                            measured,
-                        );
-                    }
-                    None => {
-                        let ax = exec(prim, r0, chunk, counts).unwrap_or(ax);
-                        let p = backend.predict_ms(prim, shape, ax, alpha_y);
-                        if p.is_finite() && p > 0.0 {
-                            predicted += p;
-                        }
-                    }
-                }
-                bi += 1;
+                (prim, shape, alpha_x)
             }
         }
     }
-    Ok(predicted)
+}
+
+/// The one kernel runner: executes a kernel through `exec` — which resolves
+/// its routing, runs it and returns the whole-product view plus the
+/// backend-predicted milliseconds — and, when a probe is attached, times it
+/// and records the kernel span (counters and the kernel-time histogram
+/// always, the flight-recorder ring at `trace` level) and a region fallback:
+/// exactly one counter bump, histogram observation and drift fold per call.
+/// The probe itself allocates nothing.
+pub(crate) fn run_kernel(
+    mut probe: Option<&mut ProbeCtx<'_>>,
+    exec: impl FnOnce(Option<&mut ProbeCtx<'_>>) -> Result<(Product, f64)>,
+) -> Result<f64> {
+    let started = probe.as_ref().map(|_| Instant::now());
+    let (product, predicted_ms) = exec(probe.as_deref_mut())?;
+    if let (Some(probe), Some(started)) = (probe, started) {
+        if product.fell_back {
+            probe.telemetry.record_fallback();
+        }
+        probe.telemetry.record_span(
+            probe.layer,
+            probe.kernel,
+            span_primitive(product.executed),
+            (product.shape.m, product.shape.n, product.shape.d),
+            product.alpha_x,
+            product.alpha_y,
+            predicted_ms,
+            started.elapsed().as_secs_f64() * 1e3,
+        );
+    }
+    Ok(predicted_ms)
+}
+
+/// The shape of `left × right`, or the mismatch error of a request that
+/// does not fit the model.
+fn product_shape(left: (usize, usize), right: (usize, usize)) -> Result<ProductShape> {
+    if left.1 != right.0 {
+        return Err(MatrixError::ShapeMismatch {
+            op: "forward_dispatch",
+            lhs: left,
+            rhs: right,
+        });
+    }
+    Ok(ProductShape::new(left.0, left.1, right.1))
+}
+
+/// What stays fixed over one forward pass: the executor (model and
+/// adjacencies), the dispatcher, and the compiler partition whose row blocks
+/// dense-output kernels execute over.
+pub(crate) struct Pass<'a> {
+    pub(crate) executor: &'a ReferenceExecutor,
+    pub(crate) dispatcher: &'a KernelDispatcher,
+    pub(crate) partition: &'a PartitionSpec,
+}
+
+impl Pass<'_> {
+    /// Resolves the routing of `spec` over the input `kin` — the one place a
+    /// solo kernel's route is decided.  A sparse right operand the
+    /// dense-operand block kernel will read is densified into `densify` here.
+    fn resolve<'k>(
+        &'k self,
+        spec: &KernelSpec,
+        kin: &'k FeatureMatrix,
+        densify: &'k mut DenseMatrix,
+    ) -> Result<Route<'k>> {
+        // The operands as stored: the CSR left operand, the right operand in
+        // whichever of its dense / CSR forms exist, the density the route
+        // charges for it, and whether the route is forced whatever the
+        // backend would say.
+        let (shape, block_rows, x, y_dense, y_csr, alpha_y, forced) = match spec.op {
+            KernelOp::Aggregate { aggregator } => {
+                let adj = self
+                    .executor
+                    .adjacency(aggregator)
+                    .expect("adjacency prepared at executor construction");
+                let shape = product_shape(adj.shape(), kin.shape())?;
+                let block_rows = self.partition.aggregate_block_rows().max(1);
+                match kin {
+                    // Adjacencies are stored sparse, so a dense `H` forces
+                    // the sparse-dense route, and the kernel touches every
+                    // stored element of `H`: α_Y is the dense 1.0.
+                    FeatureMatrix::Dense(h) => (shape, block_rows, adj, Some(h), None, 1.0, true),
+                    FeatureMatrix::Sparse(h) => {
+                        (shape, block_rows, adj, None, Some(h), h.density(), false)
+                    }
+                }
+            }
+            KernelOp::Update { weight } => {
+                let w = &self.executor.model().weights[weight];
+                let shape = product_shape(kin.shape(), w.shape())?;
+                let block_rows = self.partition.update_block_rows().max(1);
+                match kin {
+                    // Dense-stored `H`: the counting GEMM whatever its
+                    // density (a decision here would only affect the modeled
+                    // accelerator, not which host loop runs).
+                    FeatureMatrix::Dense(h) => {
+                        let body = BlockBody::Gemm {
+                            x: h.row_major(),
+                            y: w.row_major(),
+                        };
+                        let exec = Exec::Rows { block_rows, body };
+                        let alphas = (1.0, w.density());
+                        return Ok(Route::new(HostPrimitive::Gemm, shape, alphas, false, exec));
+                    }
+                    FeatureMatrix::Sparse(h) => {
+                        let w_csr = self.dispatcher.weight_csr[weight].as_ref();
+                        (shape, block_rows, h, Some(w), w_csr, w.density(), false)
+                    }
+                }
+            }
+        };
+        let alpha_x = x.density();
+        let (decision, fell_back) = if forced {
+            (HostPrimitive::SpDmm, false)
+        } else {
+            self.dispatcher.decide(shape, alpha_x, alpha_y)
+        };
+        let (executed, exec) = match (decision, y_csr) {
+            (HostPrimitive::Skip, _) => (HostPrimitive::Skip, Exec::Skip),
+            (HostPrimitive::Spmm, Some(y_csr)) => {
+                (HostPrimitive::Spmm, Exec::SparseProduct(x, y_csr))
+            }
+            // Every other decision runs the CSR-left block body against the
+            // dense right operand (a GEMM decision would need a dense left
+            // operand, which adjacencies and CSR features never justify).
+            (_, y_csr) => {
+                let y = match (y_dense, y_csr) {
+                    (Some(y), _) => y.row_major(),
+                    (None, Some(y_csr)) => {
+                        y_csr.to_dense_into(densify);
+                        Cow::Borrowed(&*densify)
+                    }
+                    (None, None) => unreachable!("every right operand has a stored form"),
+                };
+                let body = BlockBody::CsrLeft { x, y, y_csr };
+                (HostPrimitive::SpDmm, Exec::Rows { block_rows, body })
+            }
+        };
+        Ok(Route::new(
+            executed,
+            shape,
+            (alpha_x, alpha_y),
+            fell_back,
+            exec,
+        ))
+    }
+
+    /// Runs one kernel into `out_slot` through [`run_kernel`], returning the
+    /// backend-predicted milliseconds: the sum of per-block predictions for
+    /// a *rows* route, the whole-product prediction otherwise (`NaN` when the
+    /// backend prices nothing).
+    pub(crate) fn run(
+        &self,
+        spec: &KernelSpec,
+        kin: &FeatureMatrix,
+        out_slot: &mut ArenaSlot,
+        scratch: &mut KernelScratch,
+        probe: Option<&mut ProbeCtx<'_>>,
+    ) -> Result<f64> {
+        let KernelScratch {
+            densify,
+            spgemm,
+            profile,
+            profiled,
+        } = scratch;
+        *profiled = false;
+        run_kernel(probe, |probe| {
+            let Route { product, exec } = self.resolve(spec, kin, densify)?;
+            let ProductShape { m, n, d } = product.shape;
+            let predicted_ms = match exec {
+                Exec::Skip => {
+                    slot_as_dense(out_slot, spgemm).reset(m, d);
+                    product.predicted_ms(self.dispatcher)
+                }
+                Exec::SparseProduct(x, y) => {
+                    let sparse = match self.dispatcher.pool() {
+                        Some(pool) => x.spgemm_pooled(pool, y)?,
+                        None => x.spgemm_with(y, spgemm)?,
+                    };
+                    if self.dispatcher.policy.keep_sparse_output(sparse.density()) {
+                        slot_set_sparse(out_slot, sparse, spgemm);
+                    } else {
+                        sparse.to_dense_into(slot_as_dense(out_slot, spgemm));
+                        spgemm.reclaim(sparse.into_parts());
+                    }
+                    product.predicted_ms(self.dispatcher)
+                }
+                Exec::Rows { block_rows, body } => {
+                    // Every block kernel writes its whole chunk, so the
+                    // reshape skips the zero-fill.
+                    let out = slot_as_dense(out_slot, spgemm);
+                    out.reset_for_overwrite(m, d);
+                    // Block `k` of the GEMM body owns counter row `k` of the
+                    // profile handed to `on_kernel` (with `d == 0` no row is
+                    // scanned and nothing is handed over).
+                    let count_rows = match body {
+                        BlockBody::Gemm { .. } => {
+                            *profiled = d > 0;
+                            profile.refit_tiled((m, n), (block_rows, block_rows))
+                        }
+                        BlockBody::CsrLeft { .. } => <&mut [usize]>::default().chunks_mut(1),
+                    };
+                    let out = out.as_mut_slice();
+                    self.run_rows(&product, block_rows, &body, out, count_rows, probe)
+                }
+            };
+            Ok((product, predicted_ms))
+        })
+    }
+
+    /// Walks the row blocks of a dense-output route: block `k` gets its own
+    /// density, decision and prediction through [`BlockBody::run_block`] and
+    /// the `k`-th counter row of `count_rows` (exhausted for a body that
+    /// profiles nothing).  Returns the summed finite positive per-block
+    /// predictions.
+    ///
+    /// With a thread pool the blocks are the parallel shards — each worker
+    /// claims disjoint output rows together with their counter row — and
+    /// per-block spans are not recorded (the telemetry ring is
+    /// single-writer); on the serial path each block lands in the trace ring
+    /// through `probe` at `trace` level.
+    fn run_rows(
+        &self,
+        product: &Product,
+        block_rows: usize,
+        body: &BlockBody<'_>,
+        out: &mut [f32],
+        mut count_rows: std::slice::ChunksMut<'_, usize>,
+        probe: Option<&mut ProbeCtx<'_>>,
+    ) -> f64 {
+        if out.is_empty() {
+            return 0.0;
+        }
+        let dispatcher = self.dispatcher;
+        let alpha_y = product.alpha_y;
+        let blocks = out
+            .chunks_mut(block_rows * product.shape.d)
+            .enumerate()
+            .map(move |(bi, chunk)| (bi, chunk, count_rows.next().unwrap_or_default()));
+        let run_block = |bi: usize, chunk: &mut [f32], counts: &mut [usize]| {
+            body.run_block(
+                dispatcher,
+                product,
+                block_rows,
+                bi * block_rows,
+                chunk,
+                counts,
+            )
+        };
+        let priced = |p: f64| if p.is_finite() && p > 0.0 { p } else { 0.0 };
+        match dispatcher.pool() {
+            Some(pool) => {
+                let predicted_bits = AtomicU64::new(0.0f64.to_bits());
+                pool.for_each_item(blocks, |(bi, chunk, counts)| {
+                    let (prim, shape, alpha_x) = run_block(bi, chunk, counts);
+                    let p = priced(dispatcher.predict_ms(prim, shape, alpha_x, alpha_y));
+                    if p > 0.0 {
+                        let _ = predicted_bits.fetch_update(
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                            |b| Some((f64::from_bits(b) + p).to_bits()),
+                        );
+                    }
+                });
+                f64::from_bits(predicted_bits.load(Ordering::Relaxed))
+            }
+            None => {
+                let mut probe = probe.filter(|probe| probe.telemetry.tracing());
+                let mut predicted = 0.0f64;
+                for (bi, chunk, counts) in blocks {
+                    let started = probe.as_ref().map(|_| Instant::now());
+                    let (prim, shape, alpha_x) = run_block(bi, chunk, counts);
+                    let measured_ms = started.map(|s| s.elapsed().as_secs_f64() * 1e3);
+                    let p = dispatcher.predict_ms(prim, shape, alpha_x, alpha_y);
+                    predicted += priced(p);
+                    if let (Some(probe), Some(measured_ms)) = (probe.as_deref_mut(), measured_ms) {
+                        probe.telemetry.record_block_span(
+                            probe.layer,
+                            probe.kernel,
+                            bi.min(u16::MAX as usize - 1) as u16,
+                            span_primitive(prim),
+                            (shape.m, shape.n, shape.d),
+                            alpha_x,
+                            alpha_y,
+                            p,
+                            measured_ms,
+                        );
+                    }
+                }
+                predicted
+            }
+        }
+    }
 }
 
 impl ReferenceExecutor {
-    /// Builds the runtime dispatcher for this executor's model, deciding
-    /// with `policy`'s Table IV regions.
-    pub fn dispatcher(&self, policy: DispatchPolicy, parallel: bool) -> KernelDispatcher {
-        KernelDispatcher::new(self.model(), policy, parallel)
-    }
-
-    /// Builds the runtime dispatcher for this executor's model, deciding by
-    /// argmin over the measured host `calibration` when one is supplied
-    /// (`policy` stays the region fallback and sparse-output threshold).
-    pub fn dispatcher_calibrated(
-        &self,
-        policy: DispatchPolicy,
-        calibration: Option<Arc<HostCalibration>>,
-        parallel: bool,
-    ) -> KernelDispatcher {
-        KernelDispatcher::with_calibration(self.model(), policy, calibration, parallel)
-    }
-
     /// Builds an arena sized for this executor's model at `num_vertices`.
     pub fn arena(&self, num_vertices: usize) -> KernelArena {
         KernelArena::for_model(self.model(), num_vertices)
@@ -672,102 +934,36 @@ impl ReferenceExecutor {
         KernelArena::for_model_batch(self.model(), num_vertices, max_batch)
     }
 
-    /// Runs the full model through the dispatching kernel engine, invoking
-    /// `on_kernel(layer, kernel, spec, input, output)` after every kernel.
-    /// The final embeddings are left in [`KernelArena::output`]; in steady
-    /// state (an arena reused across requests of one topology) the pass
-    /// performs no heap allocation.
+    /// Runs the full model through the dispatching kernel engine: every
+    /// kernel's route is resolved once from its runtime operands, and every
+    /// dense-output kernel executes over the row blocks of the compiler's
+    /// `partition` with a per-block density and primitive decision through
+    /// the dispatcher's [`ExecBackend`].  The final embeddings are left in
+    /// [`KernelArena::output`]; in steady state (an arena reused across
+    /// requests of one topology) the pass performs no heap allocation.
+    ///
+    /// When `telemetry` is supplied (and enabled) every kernel is timed and
+    /// recorded as one kernel span.
+    ///
+    /// `on_kernel(layer, kernel, spec, input, output, input_profile)` runs
+    /// after every kernel.  `input_profile` is `Some` when the kernel's own
+    /// scan already profiled `input` — the dense-input Update GEMM, whose
+    /// profile over the `N2 × N2` subfiber tiling equals
+    /// `input.density_profile_into(&partition.subfiber_grid(..), ..)` — and
+    /// `None` when the caller must refit it (CSR inputs, Aggregates).
+    ///
+    /// Returns the backend-predicted milliseconds summed over every executed
+    /// kernel (finite predictions only; `0.0` when the backend prices
+    /// nothing) — the serve runtime prices modeled device dwell with it.
     pub fn forward_dispatch<F>(
         &self,
         input: &FeatureMatrix,
         dispatcher: &KernelDispatcher,
         arena: &mut KernelArena,
-        on_kernel: F,
-    ) -> dynasparse_matrix::Result<()>
-    where
-        F: FnMut(usize, usize, &KernelSpec, &FeatureMatrix, &FeatureMatrix),
-    {
-        self.forward_dispatch_probed(input, dispatcher, arena, None, on_kernel)
-    }
-
-    /// [`ReferenceExecutor::forward_dispatch`] with telemetry: when
-    /// `telemetry` is supplied (and enabled), every kernel dispatch is timed
-    /// and recorded as a kernel span — counters and the kernel-time
-    /// histogram always, the flight-recorder ring at `trace` level.  The
-    /// probe itself allocates nothing.
-    pub fn forward_dispatch_probed<F>(
-        &self,
-        input: &FeatureMatrix,
-        dispatcher: &KernelDispatcher,
-        arena: &mut KernelArena,
-        telemetry: Option<&mut SessionTelemetry>,
-        on_kernel: F,
-    ) -> dynasparse_matrix::Result<()>
-    where
-        F: FnMut(usize, usize, &KernelSpec, &FeatureMatrix, &FeatureMatrix),
-    {
-        self.forward_dispatch_blocked_probed(input, dispatcher, arena, None, telemetry, on_kernel)
-            .map(|_| ())
-    }
-
-    /// [`ReferenceExecutor::forward_dispatch_blocked_profiled`] for callers
-    /// that do not consume kernel-scanned input profiles.
-    pub fn forward_dispatch_blocked_probed<F>(
-        &self,
-        input: &FeatureMatrix,
-        dispatcher: &KernelDispatcher,
-        arena: &mut KernelArena,
-        partition: Option<&PartitionSpec>,
+        partition: &PartitionSpec,
         telemetry: Option<&mut SessionTelemetry>,
         mut on_kernel: F,
-    ) -> dynasparse_matrix::Result<f64>
-    where
-        F: FnMut(usize, usize, &KernelSpec, &FeatureMatrix, &FeatureMatrix),
-    {
-        self.forward_dispatch_blocked_profiled(
-            input,
-            dispatcher,
-            arena,
-            partition,
-            telemetry,
-            |l, k, spec, kin, out, _| on_kernel(l, k, spec, kin, out),
-        )
-    }
-
-    /// The block-granular dispatched forward pass: every dense-output kernel
-    /// is executed as a loop over the row blocks of the compiler's
-    /// [`PartitionSpec`] (`N1` rows per Aggregate block, `N2` per Update
-    /// block), with a **per-block density refit** and a **per-block
-    /// primitive decision** through the dispatcher's [`ExecBackend`].  With
-    /// `partition = None` this is exactly the whole-kernel
-    /// [`ReferenceExecutor::forward_dispatch_probed`].
-    ///
-    /// Because row blocks never split the `k` dimension and every route
-    /// accumulates contributions to one output element in `k`-increasing
-    /// order, the pass is bit-identical to whole-kernel dispatch (and to the
-    /// fixed-kernel reference path) regardless of what each block decides —
-    /// see `tests/integration_backend.rs`.
-    ///
-    /// `on_kernel(layer, kernel, spec, input, output, input_profile)` runs
-    /// after every kernel.  `input_profile` is `Some` when the kernel's own
-    /// scan already profiled `input` — the dense-input Update GEMM of the
-    /// blocked path, whose profile over the `N2 × N2` subfiber tiling equals
-    /// `input.density_profile_into(&partition.subfiber_grid(..), ..)` — and
-    /// `None` when the caller must refit it (CSR inputs, Aggregates,
-    /// whole-kernel and column-major fallbacks).
-    ///
-    /// Returns the backend-predicted milliseconds summed over every executed
-    /// kernel (finite predictions only; `0.0` when the backend prices
-    /// nothing) — the serve runtime prices modeled device dwell with it.
-    pub fn forward_dispatch_blocked_profiled<F>(
-        &self,
-        input: &FeatureMatrix,
-        dispatcher: &KernelDispatcher,
-        arena: &mut KernelArena,
-        partition: Option<&PartitionSpec>,
-        telemetry: Option<&mut SessionTelemetry>,
-        mut on_kernel: F,
-    ) -> dynasparse_matrix::Result<f64>
+    ) -> Result<f64>
     where
         F: FnMut(
             usize,
@@ -784,49 +980,41 @@ impl ReferenceExecutor {
             slots,
             input: input_slot,
             acc,
-            densify,
-            spgemm,
-            scanned,
+            scratch,
             ..
         } = arena;
+        let pass = Pass {
+            executor: self,
+            dispatcher,
+            partition,
+        };
         // Layer 0 reads the request features directly (no copy into the
         // arena); later layers read the swapped-in accumulator.
         let mut external_input = Some(input);
-        let model = self.model();
-        for (l, layer) in model.layers.iter().enumerate() {
+        for (l, layer) in self.model().layers.iter().enumerate() {
             for (ki, spec) in layer.kernels.iter().enumerate() {
                 let (read, write) = slots.split_at_mut(ki);
                 let out_slot = &mut write[0];
                 let kin: &FeatureMatrix = match spec.input {
-                    KernelInput::LayerInput => match external_input {
-                        Some(ext) => ext,
-                        None => &input_slot.value,
-                    },
+                    KernelInput::LayerInput => external_input.unwrap_or(&input_slot.value),
                     KernelInput::Kernel(j) => &read[j].value,
                 };
-                let probe = telemetry.as_deref_mut().map(|t| ProbeCtx {
+                let mut probe = telemetry.as_deref_mut().map(|t| ProbeCtx {
                     telemetry: t,
                     layer: l as u16,
                     kernel: ki as u16,
                 });
-                let block_rows = partition.map(|p| match spec.op {
-                    KernelOp::Aggregate { .. } => p.aggregate_block_rows(),
-                    KernelOp::Update { .. } => p.update_block_rows(),
-                });
-                scanned.filled = false;
-                let predicted = self.execute_kernel_dispatch_blocked_probed(
-                    spec, kin, out_slot, dispatcher, densify, spgemm, block_rows, scanned, probe,
-                )?;
+                let predicted = pass.run(spec, kin, out_slot, scratch, probe.as_mut())?;
                 if predicted.is_finite() {
                     predicted_total += predicted;
                 }
                 if let Some(act) = spec.activation {
                     apply_activation_inplace(&mut out_slot.value, act);
                 }
-                let input_profile = scanned.filled.then_some(&scanned.profile);
+                let input_profile = scratch.profiled.then_some(&scratch.profile);
                 on_kernel(l, ki, spec, kin, &out_slot.value, input_profile);
             }
-            combine_layer_outputs(layer, slots, acc, spgemm)?;
+            combine_layer_outputs(layer, slots, acc, &mut scratch.spgemm)?;
             if let Some(act) = layer.output_activation {
                 apply_activation_inplace(&mut acc.value, act);
             }
@@ -835,527 +1023,26 @@ impl ReferenceExecutor {
         }
         Ok(predicted_total)
     }
-
-    /// Executes one kernel like
-    /// [`ReferenceExecutor::execute_kernel_dispatch`] with optional
-    /// block granularity: when `block_rows` is supplied and the kernel's
-    /// route supports row blocking, the output is computed block by block
-    /// with a per-block density refit and primitive decision
-    /// ([`ReferenceExecutor::execute_kernel_blocked`]); routes that cannot
-    /// block (sparse-output retention, column-major operands) fall back to
-    /// the whole-kernel route, bit-identically either way.
-    ///
-    /// Returns the backend-predicted milliseconds for the kernel: the sum of
-    /// per-block predictions on the blocked path, the whole-product
-    /// prediction otherwise (`NaN`/`0.0` when the backend prices nothing).
-    /// The whole-kernel telemetry contract is unchanged — exactly one
-    /// counter bump, histogram observation and drift fold per kernel; block
-    /// spans additionally land in the trace ring on the serial path.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_kernel_dispatch_blocked_probed(
-        &self,
-        spec: &KernelSpec,
-        kin: &FeatureMatrix,
-        out_slot: &mut ArenaSlot,
-        dispatcher: &KernelDispatcher,
-        densify: &mut DenseMatrix,
-        spgemm: &mut SpGemmScratch,
-        block_rows: Option<usize>,
-        scanned: &mut ScannedProfile,
-        probe: Option<ProbeCtx<'_>>,
-    ) -> dynasparse_matrix::Result<f64> {
-        let Some(mut probe) = probe else {
-            if let Some(br) = block_rows.filter(|&br| br > 0) {
-                if let Some(predicted) = self.execute_kernel_blocked(
-                    spec, kin, out_slot, dispatcher, densify, spgemm, br, scanned, None,
-                )? {
-                    return Ok(predicted);
-                }
-            }
-            let (executed, shape, ax, ay, _) = self.span_plan(spec, kin, dispatcher);
-            self.execute_kernel_dispatch(spec, kin, out_slot, dispatcher, densify, spgemm)?;
-            return Ok(dispatcher.predict_ms(executed, shape, ax, ay));
-        };
-        let (executed, shape, ax, ay, fell_back) = self.span_plan(spec, kin, dispatcher);
-        if fell_back {
-            probe.telemetry.record_fallback();
-        }
-        let started = Instant::now();
-        let mut predicted_ms = f64::NAN;
-        let mut blocked = false;
-        if let Some(br) = block_rows.filter(|&br| br > 0) {
-            if let Some(sum) = self.execute_kernel_blocked(
-                spec,
-                kin,
-                out_slot,
-                dispatcher,
-                densify,
-                spgemm,
-                br,
-                scanned,
-                Some(&mut probe),
-            )? {
-                predicted_ms = sum;
-                blocked = true;
-            }
-        }
-        if !blocked {
-            self.execute_kernel_dispatch(spec, kin, out_slot, dispatcher, densify, spgemm)?;
-            predicted_ms = dispatcher.predict_ms(executed, shape, ax, ay);
-        }
-        let measured_ms = started.elapsed().as_secs_f64() * 1e3;
-        probe.telemetry.record_span(
-            probe.layer,
-            probe.kernel,
-            span_primitive(executed),
-            (shape.m, shape.n, shape.d),
-            ax,
-            ay,
-            predicted_ms,
-            measured_ms,
-        );
-        Ok(predicted_ms)
-    }
-
-    /// Attempts to execute one kernel block-granularly: the dense output is
-    /// partitioned into `block_rows`-row blocks (the compiler's `N1`/`N2`
-    /// partition sizes), and every block gets its **own** density refit
-    /// (O(1) from CSR row pointers; counted by the GEMM row kernel's own pass
-    /// for dense-stored features, which also leaves the kernel input's whole
-    /// profile in `scanned`) and its own primitive decision/prediction
-    /// through the dispatcher's backend.
-    ///
-    /// Returns `Ok(Some(predicted_ms_sum))` when the kernel ran blocked, and
-    /// `Ok(None)` when this route must stay whole-kernel, which happens for:
-    ///
-    /// - sparse-output candidates (a whole-kernel `Spmm` decision whose
-    ///   output may be retained as CSR — the representation choice needs the
-    ///   whole product density);
-    /// - a whole-kernel `Skip` (resetting the output once is the blocked
-    ///   loop degenerate case, and the whole-kernel route already does it);
-    /// - column-major operands (the block kernels are allocation-free and
-    ///   refuse layout copies).
-    ///
-    /// Bit-identity is structural: row blocks never split the `k`
-    /// dimension, every block kernel runs the same fill-then-accumulate row
-    /// loop as its whole-kernel counterpart, and the one genuinely different
-    /// route pairing (Gustavson rows into a dense block vs densify-then-
-    /// SpDMM) accumulates in the same `k` order and normalizes `-0.0`.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_kernel_blocked(
-        &self,
-        spec: &KernelSpec,
-        kin: &FeatureMatrix,
-        out_slot: &mut ArenaSlot,
-        dispatcher: &KernelDispatcher,
-        densify: &mut DenseMatrix,
-        spgemm: &mut SpGemmScratch,
-        block_rows: usize,
-        scanned: &mut ScannedProfile,
-        probe: Option<&mut ProbeCtx<'_>>,
-    ) -> dynasparse_matrix::Result<Option<f64>> {
-        let backend = dispatcher.backend().as_ref();
-        match spec.op {
-            KernelOp::Aggregate { aggregator } => {
-                let adj = self
-                    .adjacency(aggregator)
-                    .expect("adjacency prepared at executor construction");
-                let (rows, n) = (adj.rows(), adj.cols());
-                match kin {
-                    FeatureMatrix::Dense(h) => {
-                        if h.layout() != Layout::RowMajor {
-                            return Ok(None);
-                        }
-                        let d = h.cols();
-                        // The route is structurally forced (adjacencies are
-                        // stored sparse): the per-block refit only chooses
-                        // between SpDMM and skipping an empty row block.
-                        blocked_dense_loop(
-                            out_slot,
-                            spgemm,
-                            dispatcher,
-                            (rows, n, d),
-                            1.0,
-                            block_rows,
-                            no_count_rows(),
-                            |r0, r1| block_density(adj.rows_nnz(r0, r1), r1 - r0, n),
-                            |shape, ax| {
-                                if shape.is_empty() || ax <= 0.0 {
-                                    HostPrimitive::Skip
-                                } else {
-                                    HostPrimitive::SpDmm
-                                }
-                            },
-                            |prim, r0, chunk, _| {
-                                match prim {
-                                    HostPrimitive::Skip => chunk.fill(0.0),
-                                    _ => backend
-                                        .spdmm_block(adj, h, r0, chunk)
-                                        .expect("pre-validated block kernel"),
-                                }
-                                None
-                            },
-                            probe,
-                        )
-                        .map(Some)
-                    }
-                    FeatureMatrix::Sparse(h) => {
-                        let d = h.cols();
-                        let shape = ProductShape::new(rows, n, d);
-                        match dispatcher.decide(shape, adj.density(), h.density()) {
-                            // Whole-kernel Skip resets once; whole-kernel
-                            // Spmm may retain a sparse output — both stay on
-                            // the unblocked route.
-                            HostPrimitive::Skip | HostPrimitive::Spmm => Ok(None),
-                            HostPrimitive::Gemm | HostPrimitive::SpDmm => {
-                                // Densify H once; per block the refit picks
-                                // sparse-sparse rows (Gustavson into the
-                                // dense block), sparse-dense, or skip — the
-                                // genuine three-way per-block mix.
-                                h.to_dense_into(densify);
-                                let ay = h.density();
-                                let densified: &DenseMatrix = densify;
-                                blocked_dense_loop(
-                                    out_slot,
-                                    spgemm,
-                                    dispatcher,
-                                    (rows, n, d),
-                                    ay,
-                                    block_rows,
-                                    no_count_rows(),
-                                    |r0, r1| block_density(adj.rows_nnz(r0, r1), r1 - r0, n),
-                                    |shape, ax| match dispatcher.decide(shape, ax, ay) {
-                                        HostPrimitive::Skip => HostPrimitive::Skip,
-                                        HostPrimitive::Spmm => HostPrimitive::Spmm,
-                                        _ => HostPrimitive::SpDmm,
-                                    },
-                                    |prim, r0, chunk, _| {
-                                        match prim {
-                                            HostPrimitive::Skip => chunk.fill(0.0),
-                                            HostPrimitive::Spmm => backend
-                                                .spgemm_block(adj, h, r0, chunk)
-                                                .expect("pre-validated block kernel"),
-                                            _ => backend
-                                                .spdmm_block(adj, densified, r0, chunk)
-                                                .expect("pre-validated block kernel"),
-                                        }
-                                        None
-                                    },
-                                    probe,
-                                )
-                                .map(Some)
-                            }
-                        }
-                    }
-                }
-            }
-            KernelOp::Update { weight } => {
-                let w = &self.model().weights[weight];
-                match kin {
-                    FeatureMatrix::Dense(h) => {
-                        if h.layout() != Layout::RowMajor || w.layout() != Layout::RowMajor {
-                            return Ok(None);
-                        }
-                        let (rows, n, d) = (h.rows(), h.cols(), w.cols());
-                        let ay = w.density();
-                        // The GEMM row kernel skips zero elements of H, so it
-                        // doubles as the host SpDMM here (same as the
-                        // whole-kernel route) — and its one pass over H also
-                        // profiles it.  An Update row block is one grid row
-                        // of the kernel's `N2 × N2` subfiber tiling of H, so
-                        // block `k` owns counter row `k`: the refit is a
-                        // placeholder, the block is priced from its exact
-                        // measured density after execution, and the filled
-                        // profile is handed to `on_kernel`.  (With `d == 0`
-                        // no row is scanned and nothing is handed over.)  An
-                        // all-zero block computed as GEMM writes the same
-                        // exact `+0.0` a skip fill would.
-                        scanned.filled = d > 0;
-                        let count_rows = scanned
-                            .profile
-                            .refit_tiled((rows, n), (block_rows, block_rows));
-                        blocked_dense_loop(
-                            out_slot,
-                            spgemm,
-                            dispatcher,
-                            (rows, n, d),
-                            ay,
-                            block_rows,
-                            count_rows,
-                            |_, _| 1.0,
-                            |shape, _ax| {
-                                if shape.is_empty() {
-                                    HostPrimitive::Skip
-                                } else {
-                                    HostPrimitive::Gemm
-                                }
-                            },
-                            |prim, r0, chunk, counts| match prim {
-                                HostPrimitive::Skip => {
-                                    chunk.fill(0.0);
-                                    None
-                                }
-                                _ => {
-                                    backend
-                                        .gemm_block(h, w, r0, chunk, block_rows, counts)
-                                        .expect("pre-validated block kernel");
-                                    let nnz = counts.iter().sum();
-                                    Some(block_density(nnz, chunk.len() / d, n))
-                                }
-                            },
-                            probe,
-                        )
-                        .map(Some)
-                    }
-                    FeatureMatrix::Sparse(h) => {
-                        let (rows, n, d) = (h.rows(), h.cols(), w.cols());
-                        let shape = ProductShape::new(rows, n, d);
-                        let ay = w.density();
-                        let w_csr = dispatcher.weight_csr[weight].as_ref();
-                        match (dispatcher.decide(shape, h.density(), ay), w_csr) {
-                            (HostPrimitive::Skip, _) => Ok(None),
-                            // Sparse-sparse with retention: the output
-                            // representation depends on the whole product
-                            // density, so it stays whole-kernel.
-                            (HostPrimitive::Spmm, Some(_)) => Ok(None),
-                            _ => {
-                                if w.layout() != Layout::RowMajor {
-                                    return Ok(None);
-                                }
-                                blocked_dense_loop(
-                                    out_slot,
-                                    spgemm,
-                                    dispatcher,
-                                    (rows, n, d),
-                                    ay,
-                                    block_rows,
-                                    no_count_rows(),
-                                    |r0, r1| block_density(h.rows_nnz(r0, r1), r1 - r0, n),
-                                    |shape, ax| match (dispatcher.decide(shape, ax, ay), w_csr) {
-                                        (HostPrimitive::Skip, _) => HostPrimitive::Skip,
-                                        (HostPrimitive::Spmm, Some(_)) => HostPrimitive::Spmm,
-                                        _ => HostPrimitive::SpDmm,
-                                    },
-                                    |prim, r0, chunk, _| {
-                                        match (prim, w_csr) {
-                                            (HostPrimitive::Skip, _) => chunk.fill(0.0),
-                                            (HostPrimitive::Spmm, Some(w_csr)) => backend
-                                                .spgemm_block(h, w_csr, r0, chunk)
-                                                .expect("pre-validated block kernel"),
-                                            _ => backend
-                                                .spdmm_block(h, w, r0, chunk)
-                                                .expect("pre-validated block kernel"),
-                                        }
-                                        None
-                                    },
-                                    probe,
-                                )
-                                .map(Some)
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// What [`ReferenceExecutor::execute_kernel_dispatch`] is about to do
-    /// for this kernel, without doing it: the host primitive that will
-    /// execute, the product shape, the densities the decision sees, and
-    /// whether a calibrated decision fell back to the regions.  Mirrors the
-    /// routing of `execute_kernel_dispatch` exactly; densities of
-    /// dense-stored operands are reported as the values the routes charge
-    /// for them (adjacency/weight densities are cached, so this never
-    /// rescans a matrix on the hot path).
-    fn span_plan(
-        &self,
-        spec: &KernelSpec,
-        kin: &FeatureMatrix,
-        dispatcher: &KernelDispatcher,
-    ) -> (HostPrimitive, ProductShape, f64, f64, bool) {
-        match spec.op {
-            KernelOp::Aggregate { aggregator } => {
-                let adj = self
-                    .adjacency(aggregator)
-                    .expect("adjacency prepared at executor construction");
-                match kin {
-                    FeatureMatrix::Dense(h) => {
-                        // Forced sparse-dense route; the kernel touches every
-                        // stored element of H, so α_Y is the dense 1.0.
-                        let shape = ProductShape::new(adj.rows(), adj.cols(), h.cols());
-                        (HostPrimitive::SpDmm, shape, adj.density(), 1.0, false)
-                    }
-                    FeatureMatrix::Sparse(h) => {
-                        let shape = ProductShape::new(adj.rows(), adj.cols(), h.cols());
-                        let (ax, ay) = (adj.density(), h.density());
-                        let (decision, fell_back) = dispatcher.decide_traced(shape, ax, ay);
-                        let executed = match decision {
-                            HostPrimitive::Skip => HostPrimitive::Skip,
-                            HostPrimitive::Spmm => HostPrimitive::Spmm,
-                            // The GEMM/SpDMM decision densifies H and runs
-                            // the sparse-dense kernel over the adjacency.
-                            HostPrimitive::Gemm | HostPrimitive::SpDmm => HostPrimitive::SpDmm,
-                        };
-                        (executed, shape, ax, ay, fell_back)
-                    }
-                }
-            }
-            KernelOp::Update { weight } => {
-                let w = &self.model().weights[weight];
-                match kin {
-                    FeatureMatrix::Dense(h) => {
-                        let shape = ProductShape::new(h.rows(), h.cols(), w.cols());
-                        (HostPrimitive::Gemm, shape, 1.0, w.density(), false)
-                    }
-                    FeatureMatrix::Sparse(h) => {
-                        let shape = ProductShape::new(h.rows(), h.cols(), w.cols());
-                        let (ax, ay) = (h.density(), w.density());
-                        let (decision, fell_back) = dispatcher.decide_traced(shape, ax, ay);
-                        let executed = match (decision, dispatcher.weight_csr[weight].as_ref()) {
-                            (HostPrimitive::Skip, _) => HostPrimitive::Skip,
-                            (HostPrimitive::Spmm, Some(_)) => HostPrimitive::Spmm,
-                            _ => HostPrimitive::SpDmm,
-                        };
-                        (executed, shape, ax, ay, fell_back)
-                    }
-                }
-            }
-        }
-    }
-
-    /// Executes one kernel, routed by runtime density, into `out_slot`.
-    pub(crate) fn execute_kernel_dispatch(
-        &self,
-        spec: &KernelSpec,
-        kin: &FeatureMatrix,
-        out_slot: &mut ArenaSlot,
-        dispatcher: &KernelDispatcher,
-        densify: &mut DenseMatrix,
-        spgemm: &mut SpGemmScratch,
-    ) -> dynasparse_matrix::Result<()> {
-        let policy = &dispatcher.policy;
-        let pool = dispatcher.pool();
-        match spec.op {
-            KernelOp::Aggregate { aggregator } => {
-                let adj = self
-                    .adjacency(aggregator)
-                    .expect("adjacency prepared at executor construction");
-                match kin {
-                    FeatureMatrix::Dense(h) => {
-                        // A is stored sparse, H dense: the sparse-dense row
-                        // kernel regardless of mode (a GEMM-mode adjacency
-                        // would need a dense A, which graph adjacencies
-                        // never justify).
-                        let out = slot_as_dense(out_slot, spgemm);
-                        match pool {
-                            Some(p) => adj.spmm_dense_into_pooled(p, h, out)?,
-                            None => adj.spmm_dense_into(h, out)?,
-                        }
-                    }
-                    FeatureMatrix::Sparse(h) => {
-                        let shape = ProductShape::new(adj.rows(), adj.cols(), h.cols());
-                        match dispatcher.decide(shape, adj.density(), h.density()) {
-                            HostPrimitive::Skip => {
-                                slot_as_dense(out_slot, spgemm).reset(adj.rows(), h.cols());
-                            }
-                            HostPrimitive::Spmm => {
-                                // Sparse × sparse: Gustavson, output stays
-                                // CSR below the dispatch threshold.
-                                let product = match pool {
-                                    Some(p) => adj.spgemm_pooled(p, h)?,
-                                    None => adj.spgemm_with(h, spgemm)?,
-                                };
-                                if policy.keep_sparse_output(product.density()) {
-                                    slot_set_sparse(out_slot, product, spgemm);
-                                } else {
-                                    let out = slot_as_dense(out_slot, spgemm);
-                                    product.to_dense_into(out);
-                                    spgemm.reclaim(product.into_parts());
-                                }
-                            }
-                            HostPrimitive::Gemm | HostPrimitive::SpDmm => {
-                                // H is stored sparse but dense enough that
-                                // the dense-operand kernel wins: densify it
-                                // into the scratch, then run sparse-dense.
-                                h.to_dense_into(densify);
-                                let out = slot_as_dense(out_slot, spgemm);
-                                match pool {
-                                    Some(p) => adj.spmm_dense_into_pooled(p, densify, out)?,
-                                    None => adj.spmm_dense_into(densify, out)?,
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            KernelOp::Update { weight } => {
-                let w = &self.model().weights[weight];
-                match kin {
-                    FeatureMatrix::Dense(h) => {
-                        // Dense-stored H: the blocked GEMM skips zero
-                        // elements of H, so it doubles as the host SpDMM for
-                        // a sparse-in-value H; the mode decision here only
-                        // affects the modeled accelerator, not which host
-                        // loop runs.
-                        let out = slot_as_dense(out_slot, spgemm);
-                        match pool {
-                            Some(p) => gemm_into_pooled(p, h, w, out)?,
-                            None => gemm_into(h, w, out)?,
-                        }
-                    }
-                    FeatureMatrix::Sparse(h) => {
-                        let shape = ProductShape::new(h.rows(), h.cols(), w.cols());
-                        let decision = dispatcher.decide(shape, h.density(), w.density());
-                        match (decision, dispatcher.weight_csr[weight].as_ref()) {
-                            (HostPrimitive::Skip, _) => {
-                                slot_as_dense(out_slot, spgemm).reset(h.rows(), w.cols());
-                            }
-                            (HostPrimitive::Spmm, Some(w_csr)) => {
-                                // Both operands sparse (pruned weights):
-                                // sparse-sparse route.
-                                let product = match pool {
-                                    Some(p) => h.spgemm_pooled(p, w_csr)?,
-                                    None => h.spgemm_with(w_csr, spgemm)?,
-                                };
-                                if policy.keep_sparse_output(product.density()) {
-                                    slot_set_sparse(out_slot, product, spgemm);
-                                } else {
-                                    let out = slot_as_dense(out_slot, spgemm);
-                                    product.to_dense_into(out);
-                                    spgemm.reclaim(product.into_parts());
-                                }
-                            }
-                            _ => {
-                                // Sparse H × dense W: the CSR row kernel.
-                                let out = slot_as_dense(out_slot, spgemm);
-                                match pool {
-                                    Some(p) => h.spmm_dense_into_pooled(p, w, out)?,
-                                    None => h.spmm_dense_into(w, out)?,
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::models::GnnModelKind;
     use crate::pruning::prune_model;
+    use crate::reference::prepare_adjacencies;
     use dynasparse_graph::generators::{dense_features, power_law_graph, PowerLawConfig};
     use dynasparse_graph::Graph;
-    use dynasparse_matrix::CsrMatrix;
+    use dynasparse_matrix::Layout;
+    use dynasparse_telemetry::{Registry, TelemetryLevel};
 
-    fn small_graph() -> Graph {
+    pub(crate) const VERTICES: usize = 48;
+
+    pub(crate) fn small_graph() -> Graph {
         power_law_graph(
             "dispatch-test",
             &PowerLawConfig {
-                num_vertices: 48,
+                num_vertices: VERTICES,
                 num_edges: 180,
                 exponent: 2.2,
                 seed: 3,
@@ -1363,122 +1050,332 @@ mod tests {
         )
     }
 
-    fn check_dispatch_matches_reference(
+    /// A host-backend dispatcher: the Table IV regions of `policy`, or the
+    /// argmin over `calibration` when one is supplied.
+    pub(crate) fn host_dispatcher(
         model: &GnnModel,
-        features: &FeatureMatrix,
+        policy: DispatchPolicy,
+        calibration: Option<Arc<HostCalibration>>,
+        parallel: bool,
+    ) -> KernelDispatcher {
+        let backend = Arc::new(HostBackend::new(policy, calibration));
+        KernelDispatcher::new(model, policy, backend, parallel)
+    }
+
+    pub(crate) fn sparse(features: &FeatureMatrix) -> FeatureMatrix {
+        FeatureMatrix::Sparse(CsrMatrix::from_dense(&features.to_dense()))
+    }
+
+    /// The one equivalence check of the executor: over `model` on the test
+    /// graph, every request served solo — and, when there are several, all
+    /// of them as one fused batch — must equal the fixed-kernel oracle
+    /// [`ReferenceExecutor::forward`] bit for bit, whatever `partition`
+    /// blocks the kernels into and under both host cost models.
+    pub(crate) fn check_against_reference(
+        model: &GnnModel,
+        requests: &[FeatureMatrix],
+        partition: &PartitionSpec,
         parallel: bool,
     ) {
         let exec = ReferenceExecutor::new(model, &small_graph());
-        let want = exec.forward(features).unwrap();
-        let dispatcher = exec.dispatcher(DispatchPolicy::from_regions(16), parallel);
-        let mut arena = exec.arena(features.num_vertices());
-        exec.forward_dispatch(features, &dispatcher, &mut arena, |_, _, _, _, _| {})
-            .unwrap();
-        let got = arena.output();
-        assert_eq!(got.shape(), want.shape());
-        assert_eq!(
-            got.to_dense().as_slice(),
-            want.to_dense().as_slice(),
-            "dispatched forward must match the reference bit for bit"
-        );
+        check_executor_against_reference(&exec, requests, partition, parallel);
+    }
+
+    /// [`check_against_reference`] over a caller-built executor (hand-made
+    /// adjacencies).
+    pub(crate) fn check_executor_against_reference(
+        exec: &ReferenceExecutor,
+        requests: &[FeatureMatrix],
+        partition: &PartitionSpec,
+        parallel: bool,
+    ) {
+        let policy = DispatchPolicy::from_regions(16);
+        let want: Vec<DenseMatrix> = requests
+            .iter()
+            .map(|r| exec.forward(r).unwrap().to_dense())
+            .collect();
+        for calibration in [None, Some(Arc::new(HostCalibration::reference()))] {
+            let ctx = format!(
+                "partition ({}, {}), parallel {parallel}, calibrated {}",
+                partition.n1,
+                partition.n2,
+                calibration.is_some()
+            );
+            let dispatcher = host_dispatcher(exec.model(), policy, calibration, parallel);
+            // One arena serves every solo request: reuse across requests of
+            // different densities and representations is part of the check.
+            let mut arena = exec.arena(VERTICES);
+            for (i, (request, want)) in requests.iter().zip(&want).enumerate() {
+                exec.forward_dispatch(
+                    request,
+                    &dispatcher,
+                    &mut arena,
+                    partition,
+                    None,
+                    |_, _, _, _, _, _| {},
+                )
+                .unwrap();
+                assert_eq!(arena.output().shape(), want.shape());
+                assert_eq!(
+                    arena.output().to_dense().as_slice(),
+                    want.as_slice(),
+                    "solo request {i} must match the reference bit for bit ({ctx})"
+                );
+            }
+            if requests.len() > 1 {
+                let mut batch_arena = exec.arena_batch(VERTICES, requests.len());
+                exec.forward_dispatch_batch(
+                    requests,
+                    &dispatcher,
+                    &mut batch_arena,
+                    partition,
+                    None,
+                    |_, _, _, _| {},
+                )
+                .unwrap();
+                for (b, want) in want.iter().enumerate() {
+                    assert_eq!(
+                        batch_arena.output_block(b).to_dense().as_slice(),
+                        want.as_slice(),
+                        "request {b} of the fused batch must match the reference bit for bit \
+                         ({ctx})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn every_model_kind_matches_the_reference_executor() {
-        let h0 = dense_features(48, 24, 0.3, 9);
+        let h0 = dense_features(VERTICES, 24, 0.3, 9);
         for kind in GnnModelKind::all() {
             let model = GnnModel::standard(kind, 24, 8, 5, 13);
-            check_dispatch_matches_reference(&model, &h0, false);
+            check_against_reference(
+                &model,
+                std::slice::from_ref(&h0),
+                &PartitionSpec::default(),
+                false,
+            );
         }
     }
 
     #[test]
     fn sparse_features_and_pruned_weights_match_the_reference() {
-        let h0_dense = dense_features(48, 24, 0.04, 10);
-        let h0 = FeatureMatrix::Sparse(CsrMatrix::from_dense(&h0_dense.to_dense()));
+        let h0 = sparse(&dense_features(VERTICES, 24, 0.04, 10));
         for sparsity in [0.0, 0.95] {
             let model = prune_model(&GnnModel::gcn(24, 8, 5, 17), sparsity);
-            check_dispatch_matches_reference(&model, &h0, false);
+            check_against_reference(
+                &model,
+                std::slice::from_ref(&h0),
+                &PartitionSpec::default(),
+                false,
+            );
         }
     }
 
     #[test]
     fn dense_full_density_features_take_the_gemm_route() {
-        let h0 = dense_features(48, 24, 1.0, 11);
+        let h0 = dense_features(VERTICES, 24, 1.0, 11);
         let model = GnnModel::gcn(24, 8, 5, 19);
-        check_dispatch_matches_reference(&model, &h0, false);
+        check_against_reference(&model, &[h0], &PartitionSpec::default(), false);
     }
 
-    fn check_blocked_matches_whole_kernel(
-        model: &GnnModel,
-        features: &FeatureMatrix,
-        partition: &PartitionSpec,
-        parallel: bool,
-    ) {
-        let exec = ReferenceExecutor::new(model, &small_graph());
-        let dispatcher = exec.dispatcher(DispatchPolicy::from_regions(16), parallel);
-        let mut whole = exec.arena(features.num_vertices());
-        exec.forward_dispatch(features, &dispatcher, &mut whole, |_, _, _, _, _| {})
-            .unwrap();
-        let mut blocked = exec.arena(features.num_vertices());
-        exec.forward_dispatch_blocked_probed(
-            features,
-            &dispatcher,
-            &mut blocked,
-            Some(partition),
-            None,
-            |_, _, _, _, _| {},
-        )
-        .unwrap();
-        assert_eq!(blocked.output().shape(), whole.output().shape());
-        assert_eq!(
-            blocked.output().to_dense().as_slice(),
-            whole.output().to_dense().as_slice(),
-            "block-granular dispatch must match whole-kernel dispatch bit for bit"
-        );
-    }
-
+    /// "Whole kernel" is the oracle's fixed whole-matrix kernel per kernel
+    /// kind; the executor has no whole-kernel dense path of its own.
     #[test]
     fn blocked_dispatch_matches_whole_kernel_for_every_model_kind() {
-        let h0 = dense_features(48, 24, 0.3, 9);
+        let h0 = dense_features(VERTICES, 24, 0.3, 9);
         // Block sizes that don't divide 48 exercise the fringe block.
         let partition = PartitionSpec::new(13, 7).unwrap();
         for kind in GnnModelKind::all() {
             let model = GnnModel::standard(kind, 24, 8, 5, 13);
-            check_blocked_matches_whole_kernel(&model, &h0, &partition, false);
-            check_blocked_matches_whole_kernel(&model, &h0, &partition, true);
+            check_against_reference(&model, std::slice::from_ref(&h0), &partition, false);
+            check_against_reference(&model, std::slice::from_ref(&h0), &partition, true);
         }
     }
 
     #[test]
     fn blocked_dispatch_matches_on_sparse_features_and_pruned_weights() {
-        let h0_dense = dense_features(48, 24, 0.04, 10);
-        let h0 = FeatureMatrix::Sparse(CsrMatrix::from_dense(&h0_dense.to_dense()));
+        let h0 = sparse(&dense_features(VERTICES, 24, 0.04, 10));
         let partition = PartitionSpec::new(48, 5).unwrap();
         for sparsity in [0.0, 0.95] {
             let model = prune_model(&GnnModel::gcn(24, 8, 5, 17), sparsity);
-            check_blocked_matches_whole_kernel(&model, &h0, &partition, false);
+            check_against_reference(&model, std::slice::from_ref(&h0), &partition, false);
+        }
+    }
+
+    /// Requests for the hostile-partition cases: dense and CSR, each with
+    /// rows 8..24 zeroed so whole Update row blocks are empty.
+    fn requests_with_an_all_zero_row_block(dim: usize) -> Vec<FeatureMatrix> {
+        let mut holed = dense_features(VERTICES, dim, 0.3, 21).to_dense();
+        for r in 8..24 {
+            for c in 0..dim {
+                holed.set(r, c, 0.0);
+            }
+        }
+        let holed = FeatureMatrix::Dense(holed);
+        vec![
+            sparse(&holed),
+            holed,
+            dense_features(VERTICES, dim, 0.05, 22),
+        ]
+    }
+
+    #[test]
+    fn hostile_partitions_match_the_reference() {
+        let requests = requests_with_an_all_zero_row_block(24);
+        // One-row blocks, blocks taller than the matrix, sizes that do not
+        // divide 48 (alone and against each other).
+        for (n1, n2) in [(1, 1), (VERTICES, VERTICES), (1000, 64), (13, 7), (5, 3)] {
+            let partition = PartitionSpec::new(n1, n2).unwrap();
+            for kind in GnnModelKind::all() {
+                let model = prune_model(&GnnModel::standard(kind, 24, 8, 5, 13), 0.9);
+                check_against_reference(&model, &requests, &partition, false);
+            }
+            let model = GnnModel::gcn(24, 8, 5, 13);
+            check_against_reference(&model, &requests, &partition, true);
+        }
+    }
+
+    /// Trace-level block spans of one solo pass, as `(layer, kernel, block
+    /// primitive)`.
+    fn block_primitives(
+        exec: &ReferenceExecutor,
+        request: &FeatureMatrix,
+        partition: &PartitionSpec,
+    ) -> Vec<(u16, u16, SpanPrimitive)> {
+        let dispatcher = host_dispatcher(exec.model(), DispatchPolicy::default(), None, false);
+        let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
+        let mut telemetry = SessionTelemetry::with_capacity(registry, 4096);
+        let mut arena = exec.arena(VERTICES);
+        exec.forward_dispatch(
+            request,
+            &dispatcher,
+            &mut arena,
+            partition,
+            Some(&mut telemetry),
+            |_, _, _, _, _, _| {},
+        )
+        .unwrap();
+        let spans = telemetry.recorder().spans();
+        spans
+            .filter(|s| s.is_block())
+            .map(|s| (s.layer, s.kernel, s.primitive))
+            .collect()
+    }
+
+    #[test]
+    fn empty_row_blocks_are_skipped_per_block_and_stay_exact() {
+        // Isolated vertices *without* self-loops: rows 8..16 of every
+        // adjacency are empty, so with 4-row Aggregate blocks two blocks of
+        // each Aggregate kernel have no non-zero at all.
+        let model = GnnModel::graphsage(24, 8, 5, 13);
+        let adjacencies = prepare_adjacencies(&model, &small_graph())
+            .into_iter()
+            .map(|(kind, adj)| {
+                let mut dense = adj.to_dense();
+                for r in 8..16 {
+                    for c in 0..VERTICES {
+                        dense.set(r, c, 0.0);
+                    }
+                }
+                (kind, CsrMatrix::from_dense(&dense))
+            })
+            .collect();
+        let exec = ReferenceExecutor::from_prepared(Arc::new(model), Arc::new(adjacencies));
+        let requests = requests_with_an_all_zero_row_block(24);
+        let partition = PartitionSpec::new(4, 4).unwrap();
+        check_executor_against_reference(&exec, &requests, &partition, false);
+        check_executor_against_reference(&exec, &requests, &partition, true);
+
+        // The empty blocks really are decided per block: the Aggregate
+        // kernels skip exactly their empty adjacency blocks, and the CSR
+        // request's layer-0 Update skips its four all-zero feature blocks.
+        let skipped = |request: &FeatureMatrix, aggregate: bool| {
+            block_primitives(&exec, request, &partition)
+                .into_iter()
+                .filter(|&(l, k, prim)| {
+                    let spec = &exec.model().layers[l as usize].kernels[k as usize];
+                    spec.op.is_aggregate() == aggregate && prim == SpanPrimitive::Skip
+                })
+                .count()
+        };
+        let aggregates = exec.model().layers.iter().flat_map(|l| &l.kernels);
+        let aggregates = aggregates.filter(|k| k.op.is_aggregate()).count();
+        assert_eq!(skipped(&requests[1], true), 2 * aggregates);
+        assert!(skipped(&requests[0], false) >= 4);
+    }
+
+    #[test]
+    fn column_major_operands_match_the_reference() {
+        // A column-major request reaches a dense Update input (GCN) and a
+        // dense Aggregate input (GraphSAGE, GIN); one model weight is
+        // column-major too.  Each takes one row-major copy at route
+        // resolution and then runs the ordinary block loop.
+        let partition = PartitionSpec::new(13, 7).unwrap();
+        let col_major =
+            |f: &FeatureMatrix| FeatureMatrix::Dense(f.to_dense().to_layout(Layout::ColMajor));
+        let requests = [
+            col_major(&dense_features(VERTICES, 24, 0.3, 31)),
+            dense_features(VERTICES, 24, 0.1, 32),
+            col_major(&dense_features(VERTICES, 24, 0.02, 33)),
+        ];
+        for kind in GnnModelKind::all() {
+            let mut model = GnnModel::standard(kind, 24, 8, 5, 13);
+            model.weights[0] = model.weights[0].to_layout(Layout::ColMajor);
+            check_against_reference(&model, &requests, &partition, false);
+            check_against_reference(&model, &requests[..1], &partition, true);
+        }
+    }
+
+    #[test]
+    fn a_request_that_does_not_fit_the_model_is_a_shape_error() {
+        let model = GnnModel::gcn(24, 8, 5, 13);
+        let exec = ReferenceExecutor::new(&model, &small_graph());
+        let dispatcher = host_dispatcher(&model, DispatchPolicy::default(), None, false);
+        let mut arena = exec.arena(VERTICES);
+        for request in [
+            dense_features(VERTICES, 23, 0.3, 1),
+            sparse(&dense_features(VERTICES, 25, 0.3, 1)),
+        ] {
+            let err = exec
+                .forward_dispatch(
+                    &request,
+                    &dispatcher,
+                    &mut arena,
+                    &PartitionSpec::default(),
+                    None,
+                    |_, _, _, _, _, _| {},
+                )
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                MatrixError::ShapeMismatch {
+                    op: "forward_dispatch",
+                    ..
+                }
+            ));
         }
     }
 
     #[test]
     fn blocked_dispatch_returns_predicted_cost_with_a_calibrated_backend() {
-        let h0 = dense_features(48, 24, 0.3, 9);
+        let h0 = dense_features(VERTICES, 24, 0.3, 9);
         let model = GnnModel::gcn(24, 8, 5, 13);
         let exec = ReferenceExecutor::new(&model, &small_graph());
         let calibration = Arc::new(HostCalibration::reference());
-        let dispatcher =
-            exec.dispatcher_calibrated(DispatchPolicy::from_regions(16), Some(calibration), false);
+        let policy = DispatchPolicy::from_regions(16);
+        let dispatcher = host_dispatcher(&model, policy, Some(calibration), false);
         let partition = PartitionSpec::new(13, 7).unwrap();
-        let mut arena = exec.arena(h0.num_vertices());
+        let mut arena = exec.arena(VERTICES);
         let predicted = exec
-            .forward_dispatch_blocked_probed(
+            .forward_dispatch(
                 &h0,
                 &dispatcher,
                 &mut arena,
-                Some(&partition),
+                &partition,
                 None,
-                |_, _, _, _, _| {},
+                |_, _, _, _, _, _| {},
             )
             .unwrap();
         assert!(
@@ -1490,36 +1387,40 @@ mod tests {
     #[test]
     fn arena_is_reusable_across_requests() {
         let model = GnnModel::graphsage(16, 8, 4, 23);
-        let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = exec.dispatcher(DispatchPolicy::default(), false);
-        let mut arena = exec.arena(48);
-        let a = dense_features(48, 16, 0.5, 1);
-        let b = dense_features(48, 16, 0.9, 2);
-        let want_a = exec.forward(&a).unwrap().to_dense();
-        let want_b = exec.forward(&b).unwrap().to_dense();
-        for _ in 0..3 {
-            exec.forward_dispatch(&a, &dispatcher, &mut arena, |_, _, _, _, _| {})
-                .unwrap();
-            assert_eq!(arena.output().to_dense().as_slice(), want_a.as_slice());
-            exec.forward_dispatch(&b, &dispatcher, &mut arena, |_, _, _, _, _| {})
-                .unwrap();
-            assert_eq!(arena.output().to_dense().as_slice(), want_b.as_slice());
-        }
+        let a = dense_features(VERTICES, 16, 0.5, 1);
+        let b = dense_features(VERTICES, 16, 0.9, 2);
+        let requests = [a.clone(), b.clone(), a.clone(), b.clone(), a, b];
+        check_against_reference(&model, &requests, &PartitionSpec::default(), false);
     }
 
     #[test]
     fn callback_sees_every_kernel_in_order() {
         let model = GnnModel::gin(16, 8, 4, 29);
         let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = exec.dispatcher(DispatchPolicy::default(), false);
-        let mut arena = exec.arena(48);
-        let h0 = dense_features(48, 16, 0.4, 5);
+        let dispatcher = host_dispatcher(&model, DispatchPolicy::default(), None, false);
+        let mut arena = exec.arena(VERTICES);
+        let h0 = dense_features(VERTICES, 16, 0.4, 5);
+        let partition = PartitionSpec::new(16, 8).unwrap();
         let mut seen = Vec::new();
-        exec.forward_dispatch(&h0, &dispatcher, &mut arena, |l, k, spec, input, out| {
-            assert_eq!(input.num_vertices(), 48);
-            assert_eq!(out.num_vertices(), 48);
-            seen.push((l, k, spec.op.is_aggregate()));
-        })
+        exec.forward_dispatch(
+            &h0,
+            &dispatcher,
+            &mut arena,
+            &partition,
+            None,
+            |l, k, spec, input, out, scanned| {
+                assert_eq!(input.num_vertices(), VERTICES);
+                assert_eq!(out.num_vertices(), VERTICES);
+                // Exactly the dense-input Updates hand over a scanned
+                // profile, and it is the separate refit's.
+                assert_eq!(scanned.is_some(), !spec.op.is_aggregate());
+                if let Some(scanned) = scanned {
+                    let grid = partition.subfiber_grid(VERTICES, input.dim());
+                    assert_eq!(scanned, &input.density_profile(&grid));
+                }
+                seen.push((l, k, spec.op.is_aggregate()));
+            },
+        )
         .unwrap();
         assert_eq!(seen.len(), model.num_kernels());
         let mut expected = Vec::new();
@@ -1533,37 +1434,33 @@ mod tests {
 
     #[test]
     fn pooled_dispatch_matches_serial_dispatch() {
-        // Force a real pool through the explicit env override is not
-        // possible per-test; exercise the pooled kernels through a parallel
-        // dispatcher (on a 1-core host this still runs the pooled code
-        // path selection logic and falls back inline).
-        let h0 = dense_features(48, 24, 0.6, 31);
+        // Forcing a real pool through the environment is not possible per
+        // test; a parallel dispatcher still runs the pool selection (and
+        // falls back inline on a 1-core host).
+        let h0 = dense_features(VERTICES, 24, 0.6, 31);
         let model = GnnModel::gcn(24, 8, 5, 37);
-        check_dispatch_matches_reference(&model, &h0, true);
+        check_against_reference(&model, &[h0], &PartitionSpec::default(), true);
     }
 
     #[test]
     fn calibrated_dispatcher_matches_the_reference_executor() {
-        let h0_dense = dense_features(48, 24, 0.04, 10);
-        let h0 = FeatureMatrix::Sparse(CsrMatrix::from_dense(&h0_dense.to_dense()));
+        let model = GnnModel::gcn(24, 8, 5, 17);
+        let calibration = Some(Arc::new(HostCalibration::reference()));
+        let policy = DispatchPolicy::from_regions(16);
+        let calibrated = host_dispatcher(&model, policy, calibration, false);
+        assert!(calibrated.calibration().is_some());
+        assert!(host_dispatcher(&model, policy, None, false)
+            .calibration()
+            .is_none());
+        // `check_against_reference` runs every case under both cost models.
+        let h0 = sparse(&dense_features(VERTICES, 24, 0.04, 10));
         for sparsity in [0.0, 0.95] {
-            let model = prune_model(&GnnModel::gcn(24, 8, 5, 17), sparsity);
-            let exec = ReferenceExecutor::new(&model, &small_graph());
-            let want = exec.forward(&h0).unwrap();
-            let dispatcher = exec.dispatcher_calibrated(
-                DispatchPolicy::from_regions(16),
-                Some(std::sync::Arc::new(HostCalibration::reference())),
+            let model = prune_model(&model, sparsity);
+            check_against_reference(
+                &model,
+                std::slice::from_ref(&h0),
+                &PartitionSpec::default(),
                 false,
-            );
-            assert!(dispatcher.is_calibrated());
-            assert!(dispatcher.calibration().is_some());
-            let mut arena = exec.arena(h0.num_vertices());
-            exec.forward_dispatch(&h0, &dispatcher, &mut arena, |_, _, _, _, _| {})
-                .unwrap();
-            assert_eq!(
-                arena.output().to_dense().as_slice(),
-                want.to_dense().as_slice(),
-                "calibrated dispatch must stay bit-identical (sparsity {sparsity})"
             );
         }
     }
@@ -1582,23 +1479,24 @@ mod tests {
             // request classes (0.0052 and 0.0208), so the slot flips.
             sparse_output_threshold: 0.015,
         };
-        let dispatcher = exec.dispatcher(policy, false);
-        let mut arena = exec.arena(48);
-        let sparse_req = FeatureMatrix::Sparse(CsrMatrix::from_dense(
-            &dense_features(48, 24, 0.01, 3).to_dense(),
-        ));
-        let dense_req = FeatureMatrix::Sparse(CsrMatrix::from_dense(
-            &dense_features(48, 24, 0.06, 4).to_dense(),
-        ));
+        let dispatcher = host_dispatcher(&model, policy, None, false);
+        let mut arena = exec.arena(VERTICES);
+        let sparse_req = sparse(&dense_features(VERTICES, 24, 0.01, 3));
+        let dense_req = sparse(&dense_features(VERTICES, 24, 0.06, 4));
         let want_sparse = exec.forward(&sparse_req).unwrap().to_dense();
         let want_dense = exec.forward(&dense_req).unwrap().to_dense();
         let mut kinds: Vec<Vec<bool>> = Vec::new();
         for _ in 0..2 {
             for (req, want) in [(&sparse_req, &want_sparse), (&dense_req, &want_dense)] {
                 let mut pass = Vec::new();
-                exec.forward_dispatch(req, &dispatcher, &mut arena, |_, _, _, _, out| {
-                    pass.push(out.is_sparse());
-                })
+                exec.forward_dispatch(
+                    req,
+                    &dispatcher,
+                    &mut arena,
+                    &PartitionSpec::default(),
+                    None,
+                    |_, _, _, _, out, _| pass.push(out.is_sparse()),
+                )
                 .unwrap();
                 assert_eq!(arena.output().to_dense().as_slice(), want.as_slice());
                 kinds.push(pass);
@@ -1618,15 +1516,15 @@ mod tests {
 
     #[test]
     fn spmm_eligible_weights_are_cached_as_csr() {
+        let policy = DispatchPolicy::from_regions(16);
         let model = prune_model(&GnnModel::gcn(24, 16, 5, 41), 0.95);
-        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::from_regions(16), false);
+        let dispatcher = host_dispatcher(&model, policy, None, false);
         assert!(
             dispatcher.weight_csr.iter().any(|w| w.is_some()),
             "a 95%-pruned weight is SPMM-eligible"
         );
         let dense_model = GnnModel::gcn(24, 16, 5, 41);
-        let dense_dispatcher =
-            KernelDispatcher::new(&dense_model, DispatchPolicy::from_regions(16), false);
+        let dense_dispatcher = host_dispatcher(&dense_model, policy, None, false);
         assert!(dense_dispatcher.weight_csr.iter().all(|w| w.is_none()));
     }
 }

@@ -1,15 +1,13 @@
-//! Execution backends: who prices a block product and which primitive runs.
+//! Execution backends: who decides and prices a block product.
 //!
-//! The block-granular executor (see [`crate::arena`]) separates *what* a
-//! kernel computes from *who decides and prices it*.  An [`ExecBackend`]
-//! supplies the decision surface — `decide` picks the primitive for one
+//! The executor (see [`crate::arena`]) separates *what* a kernel computes
+//! from *who decides and prices it*.  An [`ExecBackend`] is that decision
+//! surface and nothing else — `decide` picks the primitive for one
 //! (sub-)product from its runtime densities, `predict_ms` prices it — while
-//! the default-implemented block primitives (`gemm_block`, `spdmm_block`,
-//! `spgemm_block`) execute the product into a caller-owned row slice of the
-//! output.  Both backends share those default bodies, so swapping backends
-//! changes *routing and pricing only*: every route accumulates each output
-//! element in the same `k`-increasing order, keeping results bit-identical
-//! across backends and across block granularities.
+//! the block kernels themselves belong to the executor's one block loop.
+//! Swapping backends therefore changes *routing and pricing only*: every
+//! route accumulates each output element in the same `k`-increasing order,
+//! keeping results bit-identical across backends.
 //!
 //! * [`HostBackend`] wraps the host cost models of `dynasparse-matrix`: the
 //!   measured [`CalibratedPolicy`] argmin when a calibration is supplied,
@@ -18,10 +16,9 @@
 //!   accelerator crate) prices the same products with the accelerator's
 //!   cycle-accurate performance model instead.
 
-use dynasparse_matrix::ops::gemm_rows_into;
 use dynasparse_matrix::{
-    CalibratedPolicy, CostModel, CsrMatrix, DenseMatrix, DispatchPolicy, HostCalibration,
-    HostPrimitive, ProductShape, RegionPolicy,
+    CalibratedPolicy, CostModel, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
+    RegionPolicy,
 };
 use std::sync::Arc;
 
@@ -73,8 +70,8 @@ impl BackendKind {
     }
 }
 
-/// One execution backend: the decision/pricing surface of the block-granular
-/// dispatcher plus the (shared, default-implemented) block primitives.
+/// One execution backend: the decision and pricing surface of the
+/// block-granular dispatcher.
 ///
 /// Contract for implementors:
 ///
@@ -82,10 +79,6 @@ impl BackendKind {
 ///   [`HostPrimitive::Skip`] (the caller zero-fills the block rows).
 /// * `predict_ms` returns `NaN` when the backend cannot price the primitive
 ///   in wall-clock terms (drift tracking skips non-finite predictions).
-/// * The block primitives must **not** be overridden with routes that change
-///   accumulation order: the executor's bit-identity guarantee (block loop ≡
-///   whole kernel ≡ reference) rests on every route adding contributions to
-///   one output element in `k`-increasing order with no contribution skipped.
 pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     /// Which backend family this is (fingerprints and reports key on it).
     fn kind(&self) -> BackendKind;
@@ -109,47 +102,6 @@ pub trait ExecBackend: std::fmt::Debug + Send + Sync {
     /// drift-triggered recalibration; `None` for non-calibrated backends).
     fn calibration(&self) -> Option<&Arc<HostCalibration>> {
         None
-    }
-
-    /// Dense × dense block: rows `[r0, r0 + out_rows.len()/d)` of `X·Y` into
-    /// the caller-owned row slice.  The kernel's single pass over the `X`
-    /// rows adds their non-zero count per `block_cols`-wide block column
-    /// into `counts` — the row block's counter row of the kernel input's
-    /// density profile (see [`gemm_rows_into`]) — so neither the dispatcher
-    /// nor the session scans a dense-stored operand a second time.
-    fn gemm_block(
-        &self,
-        x: &DenseMatrix,
-        y: &DenseMatrix,
-        r0: usize,
-        out_rows: &mut [f32],
-        block_cols: usize,
-        counts: &mut [usize],
-    ) -> dynasparse_matrix::Result<()> {
-        gemm_rows_into(x, y, r0, out_rows, block_cols, counts)
-    }
-
-    /// Sparse × dense block: rows `[r0, ...)` of `X·Y` with `X` in CSR form.
-    fn spdmm_block(
-        &self,
-        x: &CsrMatrix,
-        y: &DenseMatrix,
-        r0: usize,
-        out_rows: &mut [f32],
-    ) -> dynasparse_matrix::Result<()> {
-        x.spmm_dense_rows_into(y, r0, out_rows)
-    }
-
-    /// Sparse × sparse block, dense output: rows `[r0, ...)` of `X·Y` by
-    /// Gustavson accumulation directly into the dense row slice.
-    fn spgemm_block(
-        &self,
-        x: &CsrMatrix,
-        y: &CsrMatrix,
-        r0: usize,
-        out_rows: &mut [f32],
-    ) -> dynasparse_matrix::Result<()> {
-        x.spgemm_rows_dense_into(y, r0, out_rows)
     }
 }
 
@@ -275,47 +227,5 @@ mod tests {
         }
         let (prim, _) = b.decide(shape, 0.0, 0.5);
         assert_eq!(prim, HostPrimitive::Skip);
-    }
-
-    #[test]
-    fn block_primitives_match_the_whole_kernel_routes() {
-        use dynasparse_matrix::ops::gemm_reference;
-        use dynasparse_matrix::random::random_dense;
-        use dynasparse_matrix::{row_blocks, BlockGrid, DensityProfile};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let b = HostBackend::new(DispatchPolicy::default(), None);
-        let mut rng = StdRng::seed_from_u64(7);
-        let x = random_dense(&mut rng, 17, 13, 0.4);
-        let y = random_dense(&mut rng, 13, 9, 0.6);
-        let want = gemm_reference(&x, &y).unwrap();
-        let d = y.cols();
-        let mut out = vec![0.0f32; 17 * 9];
-        let mut profile = DensityProfile::default();
-        let counts = profile.refit_tiled(x.shape(), (5, 4));
-        for ((r0, r1), row) in row_blocks(17, 5).zip(counts) {
-            b.gemm_block(&x, &y, r0, &mut out[r0 * d..r1 * d], 4, row)
-                .unwrap();
-        }
-        assert_eq!(out.as_slice(), want.as_slice());
-        let grid = BlockGrid::new(17, 13, 5, 4);
-        assert_eq!(profile, DensityProfile::of_dense(&x, &grid));
-
-        let xs = CsrMatrix::from_dense(&x);
-        let mut out2 = vec![0.0f32; 17 * 9];
-        for (r0, r1) in row_blocks(17, 4) {
-            b.spdmm_block(&xs, &y, r0, &mut out2[r0 * d..r1 * d])
-                .unwrap();
-        }
-        assert_eq!(out2.as_slice(), want.as_slice());
-
-        let ys = CsrMatrix::from_dense(&y);
-        let mut out3 = vec![0.0f32; 17 * 9];
-        for (r0, r1) in row_blocks(17, 3) {
-            b.spgemm_block(&xs, &ys, r0, &mut out3[r0 * d..r1 * d])
-                .unwrap();
-        }
-        let want_sp = xs.spgemm(&ys).unwrap().to_dense();
-        assert_eq!(out3.as_slice(), want_sp.as_slice());
     }
 }

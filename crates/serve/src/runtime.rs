@@ -1541,31 +1541,49 @@ mod tests {
         );
     }
 
+    /// A device dwell that holds a worker for about 300 ms per served
+    /// `features` request, sized from the plan's own modeled milliseconds so
+    /// it lasts that long whatever this host's calibration predicts.  A
+    /// worker replies only after its dwell, and serves its queue in order: a
+    /// warm request submitted first parks a lone worker while a test enqueues
+    /// the backlog it wants served (or abandoned) behind it.
+    fn parking_dwell(plan: &Arc<CompiledPlan>, features: &FeatureMatrix) -> DeviceDwell {
+        let strategy = MappingStrategy::Dynamic;
+        let report = plan.session(&[strategy]).infer(features).unwrap();
+        let unit = DeviceDwell::Modeled {
+            strategy,
+            scale: 1.0,
+        };
+        let scale = 0.3 / modeled_dwell(&[Ok(report)], unit).as_secs_f64();
+        DeviceDwell::Modeled { strategy, scale }
+    }
+
     #[test]
     fn circuit_breaker_drains_residual_tickets_instead_of_hanging() {
         let (plan, features) = plan_fixture();
         // Budget 0: the first panic opens the breaker; the lone worker must
         // retire AND fail everything still queued.
+        let dwell = parking_dwell(&plan, &features);
         let runtime = ServeRuntime::start(
             plan,
             ServeConfig::default()
                 .workers(1)
                 .max_batch(1)
                 .max_worker_respawns(0)
-                .device_dwell(DeviceDwell::Modeled {
-                    strategy: MappingStrategy::Dynamic,
-                    scale: 20.0,
-                }),
+                .device_dwell(dwell),
         );
+        // The open breaker closes the queue, so every residual must be
+        // enqueued before the poisoned request runs: the payloads are cloned
+        // up front and submitted back to back behind a warm request whose
+        // dwell parks the worker meanwhile.
+        let mut payloads = vec![features; 5].into_iter();
+        let mut next = || payloads.next().unwrap();
+        let warm = runtime.submit(next()).unwrap();
         let poisoned = runtime
-            .submit_with(
-                features.clone(),
-                SubmitOptions::default().panic_at_kernel(0),
-            )
+            .submit_with(next(), SubmitOptions::default().panic_at_kernel(0))
             .unwrap();
-        let queued: Vec<Ticket> = (0..3)
-            .map(|_| runtime.submit(features.clone()).unwrap())
-            .collect();
+        let queued: Vec<Ticket> = (0..3).map(|_| runtime.submit(next()).unwrap()).collect();
+        assert!(warm.wait().is_ok());
         // The poisoned ticket names its own panic; only the never-executed
         // residuals are abandoned.
         assert!(matches!(

@@ -66,9 +66,8 @@ pub struct KernelSpan {
 }
 
 impl KernelSpan {
-    /// The `block` value of a span covering the whole kernel (the legacy
-    /// whole-kernel dispatch, or the roll-up span of a block-granular
-    /// dispatch).
+    /// The `block` value of a span covering the whole kernel (the one
+    /// kernel span every dispatch records, which rolls up its block spans).
     pub const WHOLE_KERNEL: u16 = u16::MAX;
 
     /// Whether this span covers one row block rather than the whole kernel.

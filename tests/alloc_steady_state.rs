@@ -11,6 +11,9 @@
 //!
 //! Everything runs in a single `#[test]` because the counter is global.
 
+mod common;
+
+use common::regions_dispatcher;
 use dynasparse::{EngineOptions, HostExecutionOptions, MappingStrategy, Planner};
 use dynasparse_graph::generators::{dense_features, power_law_graph, PowerLawConfig};
 use dynasparse_graph::{Dataset, FeatureMatrix};
@@ -61,6 +64,13 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
     let features = dataset.features.clone();
 
     // --- The executor-level guarantee: zero allocations per request. ---
+    //
+    // Every dense-output kernel runs over the partition's row blocks: each
+    // block's density refit, backend decision and row-range kernel writes
+    // into the same arena slot, and resolving a kernel's route borrows its
+    // row-major operands, so a warmed arena serves the forward pass with zero
+    // heap allocations.
+    let spec = PartitionSpec::new(64, 16).unwrap();
     for kind in GnnModelKind::all() {
         let model = GnnModel::standard(
             kind,
@@ -70,70 +80,26 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
             5,
         );
         let exec = ReferenceExecutor::new(&model, &dataset.graph);
-        let dispatcher = exec.dispatcher(DispatchPolicy::from_regions(16), false);
+        let dispatcher = regions_dispatcher(&model, DispatchPolicy::from_regions(16), false);
         let mut arena = exec.arena(dataset.graph.num_vertices());
+        let mut forward = || {
+            exec.forward_dispatch(
+                &features,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                None,
+                |_, _, _, _, _, _| {},
+            )
+            .unwrap();
+        };
         // Warm up: the first requests size every buffer for this topology.
-        for _ in 0..2 {
-            exec.forward_dispatch(&features, &dispatcher, &mut arena, |_, _, _, _, _| {})
-                .unwrap();
-        }
-        let allocs = count_allocs(|| {
-            exec.forward_dispatch(&features, &dispatcher, &mut arena, |_, _, _, _, _| {})
-                .unwrap();
-        });
+        forward();
+        forward();
         assert_eq!(
-            allocs,
+            count_allocs(forward),
             0,
             "{}: steady-state dispatched forward must not allocate",
-            kind.name()
-        );
-    }
-
-    // --- The block-granular path must meet the same zero-alloc bar. ---
-    //
-    // Block-granular dispatch (the session default) re-decides the primitive
-    // per partition row block: every block's density refit, backend decision
-    // and row-range kernel writes into the same arena slot the whole-kernel
-    // path uses, so a warmed arena serves the blocked forward with zero heap
-    // allocations too.
-    for kind in GnnModelKind::all() {
-        let model = GnnModel::standard(
-            kind,
-            dataset.features.dim(),
-            16,
-            dataset.spec.num_classes,
-            5,
-        );
-        let exec = ReferenceExecutor::new(&model, &dataset.graph);
-        let dispatcher = exec.dispatcher(DispatchPolicy::from_regions(16), false);
-        let mut arena = exec.arena(dataset.graph.num_vertices());
-        let spec = PartitionSpec::new(64, 16).unwrap();
-        for _ in 0..2 {
-            exec.forward_dispatch_blocked_probed(
-                &features,
-                &dispatcher,
-                &mut arena,
-                Some(&spec),
-                None,
-                |_, _, _, _, _| {},
-            )
-            .unwrap();
-        }
-        let allocs = count_allocs(|| {
-            exec.forward_dispatch_blocked_probed(
-                &features,
-                &dispatcher,
-                &mut arena,
-                Some(&spec),
-                None,
-                |_, _, _, _, _| {},
-            )
-            .unwrap();
-        });
-        assert_eq!(
-            allocs,
-            0,
-            "{}: steady-state block-granular forward must not allocate",
             kind.name()
         );
     }
@@ -153,31 +119,25 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
             5,
         );
         let exec = ReferenceExecutor::new(&model, &dataset.graph);
-        let dispatcher = exec.dispatcher(DispatchPolicy::from_regions(16), false);
+        let dispatcher = regions_dispatcher(&model, DispatchPolicy::from_regions(16), false);
         let mut arena = exec.arena(dataset.graph.num_vertices());
         let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
         let mut telemetry = SessionTelemetry::new(Arc::clone(&registry));
-        for _ in 0..2 {
-            exec.forward_dispatch_probed(
+        let mut forward = || {
+            exec.forward_dispatch(
                 &features,
                 &dispatcher,
                 &mut arena,
+                &spec,
                 Some(&mut telemetry),
-                |_, _, _, _, _| {},
+                |_, _, _, _, _, _| {},
             )
             .unwrap();
-        }
+        };
+        forward();
+        forward();
         let spans_before = registry.counter(CounterId::KernelSpans);
-        let allocs = count_allocs(|| {
-            exec.forward_dispatch_probed(
-                &features,
-                &dispatcher,
-                &mut arena,
-                Some(&mut telemetry),
-                |_, _, _, _, _| {},
-            )
-            .unwrap();
-        });
+        let allocs = count_allocs(forward);
         assert_eq!(
             allocs, 0,
             "steady-state probed forward with counters telemetry must not allocate"
@@ -204,16 +164,30 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
             5,
         );
         let exec = ReferenceExecutor::new(&model, &dataset.graph);
-        let dispatcher = exec.dispatcher(DispatchPolicy::from_regions(16), false);
+        let dispatcher = regions_dispatcher(&model, DispatchPolicy::from_regions(16), false);
         let mut arena = exec.arena_batch(dataset.graph.num_vertices(), 4);
         let batch: Vec<FeatureMatrix> = (0..4).map(|_| features.clone()).collect();
         for _ in 0..2 {
-            exec.forward_dispatch_batch(&batch, &dispatcher, &mut arena, |_, _, _, _| {})
-                .unwrap();
+            exec.forward_dispatch_batch(
+                &batch,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                None,
+                |_, _, _, _| {},
+            )
+            .unwrap();
         }
         let allocs = count_allocs(|| {
-            exec.forward_dispatch_batch(&batch, &dispatcher, &mut arena, |_, _, _, _| {})
-                .unwrap();
+            exec.forward_dispatch_batch(
+                &batch,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                None,
+                |_, _, _, _| {},
+            )
+            .unwrap();
         });
         assert_eq!(
             allocs,
@@ -223,11 +197,25 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
         );
         // A smaller micro-batch over the same warmed arena is free too.
         let small: Vec<FeatureMatrix> = (0..2).map(|_| features.clone()).collect();
-        exec.forward_dispatch_batch(&small, &dispatcher, &mut arena, |_, _, _, _| {})
-            .unwrap();
+        exec.forward_dispatch_batch(
+            &small,
+            &dispatcher,
+            &mut arena,
+            &spec,
+            None,
+            |_, _, _, _| {},
+        )
+        .unwrap();
         let allocs = count_allocs(|| {
-            exec.forward_dispatch_batch(&small, &dispatcher, &mut arena, |_, _, _, _| {})
-                .unwrap();
+            exec.forward_dispatch_batch(
+                &small,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                None,
+                |_, _, _, _| {},
+            )
+            .unwrap();
         });
         assert_eq!(
             allocs,
@@ -247,17 +235,31 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
             5,
         );
         let exec = ReferenceExecutor::new(&model, &dataset.graph);
-        let dispatcher = exec.dispatcher(DispatchPolicy::from_regions(16), false);
+        let dispatcher = regions_dispatcher(&model, DispatchPolicy::from_regions(16), false);
         let mut arena = exec.arena_batch(dataset.graph.num_vertices(), 3);
         let sparse = FeatureMatrix::Sparse(CsrMatrix::from_dense(&features.to_dense()));
         let batch: Vec<FeatureMatrix> = (0..3).map(|_| sparse.clone()).collect();
         for _ in 0..2 {
-            exec.forward_dispatch_batch(&batch, &dispatcher, &mut arena, |_, _, _, _| {})
-                .unwrap();
+            exec.forward_dispatch_batch(
+                &batch,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                None,
+                |_, _, _, _| {},
+            )
+            .unwrap();
         }
         let allocs = count_allocs(|| {
-            exec.forward_dispatch_batch(&batch, &dispatcher, &mut arena, |_, _, _, _| {})
-                .unwrap();
+            exec.forward_dispatch_batch(
+                &batch,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                None,
+                |_, _, _, _| {},
+            )
+            .unwrap();
         });
         assert_eq!(
             allocs, 0,
@@ -291,7 +293,7 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
             // Between the two classes' aggregate-output densities.
             sparse_output_threshold: 0.015,
         };
-        let dispatcher = exec.dispatcher(policy, false);
+        let dispatcher = regions_dispatcher(&model, policy, false);
         let mut arena = exec.arena(48);
         let sparse_req = FeatureMatrix::Sparse(CsrMatrix::from_dense(
             &dense_features(48, 24, 0.01, 3).to_dense(),
@@ -303,9 +305,14 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
         let mut kinds = Vec::new();
         for req in [&sparse_req, &dense_req, &sparse_req, &dense_req] {
             let mut pass = Vec::new();
-            exec.forward_dispatch(req, &dispatcher, &mut arena, |_, _, _, _, out| {
-                pass.push(out.is_sparse());
-            })
+            exec.forward_dispatch(
+                req,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                None,
+                |_, _, _, _, out, _| pass.push(out.is_sparse()),
+            )
             .unwrap();
             kinds.push(pass);
         }
@@ -315,8 +322,15 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
         );
         for (label, req) in [("sparse", &sparse_req), ("dense", &dense_req)] {
             let allocs = count_allocs(|| {
-                exec.forward_dispatch(req, &dispatcher, &mut arena, |_, _, _, _, _| {})
-                    .unwrap();
+                exec.forward_dispatch(
+                    req,
+                    &dispatcher,
+                    &mut arena,
+                    &spec,
+                    None,
+                    |_, _, _, _, _, _| {},
+                )
+                .unwrap();
             });
             assert_eq!(
                 allocs, 0,
@@ -328,9 +342,9 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
 
     // --- The session-level budget: constant per request. ---
     //
-    // Default options serve with block-granular dispatch, so this constant
-    // budget covers the blocked hot path end to end (per-block refits and
-    // decisions included).  Online recalibration is pinned off: a
+    // This constant budget covers the hot path end to end (route
+    // resolution, per-block refits and decisions included).  Online
+    // recalibration is pinned off: a
     // drift-triggered fit rescale is a deliberate, rare allocation event
     // (clone + swap of the calibration) whose timing depends on host noise,
     // which would make the per-request count non-constant.

@@ -1,0 +1,179 @@
+//! The single oracle the equivalence suites compare a served report against.
+//!
+//! [`run_oracle`] runs the fixed-kernel `ReferenceExecutor::forward_with`
+//! and records what it observes kernel by kernel; [`price_oracle`] prices the
+//! density profiles of the oracle's kernel inputs with a fresh
+//! `Analyzer`/`Scheduler`; [`assert_matches_oracle`] holds a served
+//! [`InferenceReport`] to both.  Nothing here touches the dispatching
+//! executor, so "the session equals the oracle" is a statement about the one
+//! production path — including that a profile filled by a kernel's own scan
+//! equals a separate refit of the same operand.
+
+// Every test binary that mounts this module uses a subset of it.
+#![allow(dead_code)]
+
+use dynasparse::{CompiledPlan, InferenceReport, MappingStrategy, PricingCacheMode};
+use dynasparse_accel::ComputationCore;
+use dynasparse_compiler::KernelKind;
+use dynasparse_graph::FeatureMatrix;
+use dynasparse_matrix::{DensityProfile, DispatchPolicy};
+use dynasparse_model::{
+    GnnModel, HostBackend, KernelDispatcher, ReferenceExecutor, StageDensity, StageOp,
+};
+use dynasparse_runtime::{pricing, Analyzer, OperandProfiles, PrimitiveMix, Scheduler};
+use std::sync::Arc;
+
+/// A region-model host dispatcher for executor-level tests.
+pub fn regions_dispatcher(
+    model: &GnnModel,
+    policy: DispatchPolicy,
+    parallel: bool,
+) -> KernelDispatcher {
+    KernelDispatcher::new(
+        model,
+        policy,
+        Arc::new(HostBackend::new(policy, None)),
+        parallel,
+    )
+}
+
+/// What the fixed-kernel oracle observes, kernel by kernel in execution
+/// order.
+pub struct Oracle {
+    pub embeddings: FeatureMatrix,
+    pub stages: Vec<StageDensity>,
+    /// `(input_density, output_density)` per kernel.
+    pub io: Vec<(f64, f64)>,
+    /// Each kernel's input profiled at the granularity its scheme uses.
+    pub input_profiles: Vec<DensityProfile>,
+}
+
+/// Runs `features` through the oracle executor `exec` (built over the model
+/// and graph `plan` was compiled for).
+pub fn run_oracle(
+    exec: &ReferenceExecutor,
+    features: &FeatureMatrix,
+    plan: &CompiledPlan,
+) -> Oracle {
+    let (spec, vertices) = (plan.partition(), plan.num_vertices());
+    let kernels = &plan.program().kernels;
+    let (mut stages, mut io, mut input_profiles) = (Vec::new(), Vec::new(), Vec::new());
+    let embeddings = exec
+        .forward_with(features, |_, _, _, input, out| {
+            let ir = &kernels[stages.len()].ir;
+            let (grid, op) = match ir.kind {
+                KernelKind::Aggregate => {
+                    (spec.feature_grid(vertices, input.dim()), StageOp::Aggregate)
+                }
+                KernelKind::Update => (spec.subfiber_grid(vertices, input.dim()), StageOp::Update),
+            };
+            input_profiles.push(input.density_profile(&grid));
+            io.push((input.density(), out.density()));
+            stages.push(StageDensity {
+                layer: ir.layer_id - 1,
+                kernel: ir.kernel_in_layer,
+                op,
+                density: out.density(),
+            });
+        })
+        .unwrap();
+    Oracle {
+        embeddings,
+        stages,
+        io,
+        input_profiles,
+    }
+}
+
+/// One kernel of the oracle, priced.
+pub struct PricedKernel {
+    pub cycles: u64,
+    pub utilization: f64,
+    pub decisions: usize,
+    pub mix: PrimitiveMix,
+}
+
+/// Prices the oracle's kernel inputs under `strategy` with a fresh
+/// `Analyzer`/`Scheduler`: total cycles and every kernel's schedule and
+/// primitive mix.  In bucketed cache mode a session prices each profile's
+/// bucket representative, so the expectation does too.
+pub fn price_oracle(
+    plan: &CompiledPlan,
+    oracle: &Oracle,
+    strategy: MappingStrategy,
+    mode: PricingCacheMode,
+) -> (u64, Vec<PricedKernel>) {
+    let program = plan.program();
+    let accelerator = plan.options().accelerator;
+    let analyzer = Analyzer::new(ComputationCore::new(accelerator), strategy);
+    let mut scheduler = Scheduler::new(accelerator.num_cores);
+    let mut quantized = DensityProfile::default();
+    let kernels = program
+        .kernels
+        .iter()
+        .zip(&oracle.input_profiles)
+        .map(|(compiled, exact)| {
+            let features = if mode == PricingCacheMode::Bucketed {
+                pricing::quantize_profile_into(exact, &mut quantized);
+                &quantized
+            } else {
+                exact
+            };
+            let analysis = analyzer.analyze_kernel(
+                compiled,
+                &OperandProfiles {
+                    adjacency: &program.static_sparsity.adjacency,
+                    weights: &program.static_sparsity.weights,
+                    features,
+                },
+            );
+            let schedule = scheduler.schedule_kernel(compiled.ir.id, &analysis);
+            PricedKernel {
+                cycles: schedule.cycles(),
+                utilization: schedule.utilization,
+                decisions: analysis.decisions,
+                mix: analysis.mix,
+            }
+        })
+        .collect();
+    (scheduler.total_cycles(), kernels)
+}
+
+/// Holds a served report to the oracle: embeddings and density trace bit for
+/// bit, and every strategy run priced exactly as [`price_oracle`] prices the
+/// oracle's kernel inputs (`mode` is the session's pricing-cache mode).
+pub fn assert_matches_oracle(
+    got: &InferenceReport,
+    plan: &CompiledPlan,
+    want: &Oracle,
+    mode: PricingCacheMode,
+    ctx: &str,
+) {
+    assert_eq!(
+        got.output_embeddings.to_dense().as_slice(),
+        want.embeddings.to_dense().as_slice(),
+        "{ctx}: embeddings must be bit-identical"
+    );
+    assert_eq!(
+        got.density_trace.stages, want.stages,
+        "{ctx}: density traces must match"
+    );
+    for run in &got.runs {
+        let ctx = format!("{ctx}, {}", run.strategy.label());
+        let (total_cycles, kernels) = price_oracle(plan, want, run.strategy, mode);
+        assert_eq!(run.total_cycles, total_cycles, "{ctx}: modeled cycles");
+        assert_eq!(run.kernels.len(), kernels.len(), "{ctx}: kernel count");
+        for ((gk, wk), (input_density, output_density)) in
+            run.kernels.iter().zip(&kernels).zip(&want.io)
+        {
+            assert_eq!(gk.mix, wk.mix, "{ctx}: primitive mix");
+            assert_eq!(
+                (gk.cycles, gk.decisions, gk.utilization.to_bits()),
+                (wk.cycles, wk.decisions, wk.utilization.to_bits()),
+                "{ctx}: kernel schedule"
+            );
+            assert_eq!(gk.input_density.to_bits(), input_density.to_bits());
+            assert_eq!(gk.output_density.to_bits(), output_density.to_bits());
+        }
+    }
+}

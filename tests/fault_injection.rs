@@ -212,6 +212,18 @@ fn overload_resolves_every_submission_with_typed_outcomes() {
 #[test]
 fn exhausted_respawn_budget_drains_residual_tickets() {
     let (plan, features) = plan_fixture();
+    // A dwell of about 300 ms per request, sized from the plan's own modeled
+    // milliseconds so it lasts that long whatever this host's calibration
+    // predicts.  A worker replies only after its dwell and serves its queue
+    // in order, so a warm request submitted first parks the lone worker
+    // while the whole backlog is enqueued behind it.
+    let strategy = MappingStrategy::Dynamic;
+    let probe = plan.session(&[strategy]).infer(&features).unwrap();
+    let modeled_ms = if probe.predicted_kernel_ms > 0.0 {
+        probe.feature_movement_ms + probe.predicted_kernel_ms
+    } else {
+        probe.amortized_ms(strategy).unwrap()
+    };
     let runtime = ServeRuntime::start(
         plan,
         ServeConfig::default()
@@ -219,28 +231,24 @@ fn exhausted_respawn_budget_drains_residual_tickets() {
             .max_batch(1)
             .max_worker_respawns(1)
             .device_dwell(DeviceDwell::Modeled {
-                strategy: MappingStrategy::Dynamic,
-                scale: 10.0,
+                strategy,
+                scale: 300.0 / modeled_ms,
             }),
     );
     // First poison: caught, respawned (budget now 0).  Second poison: caught,
-    // breaker opens.  Residuals: drained as Abandoned.
-    let p1 = runtime
-        .submit_with(
-            features.clone(),
-            SubmitOptions::default().panic_at_kernel(0),
-        )
-        .unwrap();
-    let p2 = runtime
-        .submit_with(
-            features.clone(),
-            SubmitOptions::default().panic_at_kernel(0),
-        )
-        .unwrap();
-    let residuals: Vec<Ticket> = (0..4)
-        .map(|_| runtime.submit(features.clone()).unwrap())
-        .collect();
+    // breaker opens — which closes the queue, so every residual must already
+    // be enqueued: the payloads are cloned up front and submitted back to
+    // back while the warm request's dwell holds the worker.  Residuals:
+    // drained as Abandoned.
+    let mut payloads = vec![features; 7].into_iter();
+    let mut next = || payloads.next().unwrap();
+    let warm = runtime.submit(next()).unwrap();
+    let poison = SubmitOptions::default().panic_at_kernel(0);
+    let p1 = runtime.submit_with(next(), poison).unwrap();
+    let p2 = runtime.submit_with(next(), poison).unwrap();
+    let residuals: Vec<Ticket> = (0..4).map(|_| runtime.submit(next()).unwrap()).collect();
 
+    assert!(warm.wait().is_ok());
     assert!(matches!(p1.wait(), Err(ServeError::WorkerPanicked { .. })));
     assert!(matches!(p2.wait(), Err(ServeError::WorkerPanicked { .. })));
     for t in residuals {

@@ -1,33 +1,40 @@
 //! Equivalence of block-granular dispatch and the execution backends.
 //!
-//! The backend-abstracted executor rebuilds the dispatched forward pass as
-//! a loop over the compiler's partition row blocks, with a per-block
-//! density refit and a per-block primitive decision through the session's
+//! The executor runs every dense-output kernel as a loop over the compiler's
+//! partition row blocks, with a per-block density refit and a per-block
+//! primitive decision through the session's
 //! [`ExecBackend`](dynasparse::ExecBackend).  Because row blocks never
 //! split the `k` dimension and every route accumulates each output element
 //! in `k`-increasing order, none of that may change a single bit of any
 //! observable: this suite pins
 //!
-//! * block-granular execution (`block_dispatch: true`, the default) against
-//!   whole-kernel dispatch (`block_dispatch: false`) — embeddings, density
-//!   traces and strategy pricing bit-identical across all four model kinds,
-//!   batch sizes 1 and 8, and requests whose row blocks have wildly mixed
-//!   densities (a dense hub block over a sparse tail);
+//! * block-granular execution against the single oracle of `tests/common` —
+//!   the fixed-kernel `ReferenceExecutor`, which runs one whole-matrix
+//!   kernel per kernel kind, with `Analyzer`/`Scheduler` over the density
+//!   profiles of its kernel inputs — embeddings, density traces and strategy
+//!   pricing bit-identical across all four model kinds, batch sizes 1 and 8,
+//!   and requests whose row blocks have wildly mixed densities (a dense hub
+//!   block over a sparse tail);
 //! * the modeled-accelerator backend against the host backend — the
 //!   backend may re-route and re-price every block product, but outputs
 //!   and pricing stay bit-identical; only `predicted_kernel_ms` (the
 //!   backend's own cost estimate) is allowed to differ;
 //! * the one-scan dense ingest — a profile filled by the Update GEMM's own
-//!   pass (block dispatch on) against the session's separate refit (off),
-//!   with the kernel pool at one and at two threads.
+//!   pass against the oracle's separate refit of the same operand, with the
+//!   kernel pool at one and at two threads;
+//! * column-major operands, which take one row-major copy at route
+//!   resolution and then the ordinary block loop.
 
+mod common;
+
+use common::{assert_matches_oracle, run_oracle};
 use dynasparse::{
     BackendKind, CompiledPlan, EngineOptions, HostExecutionOptions, InferenceReport,
     MappingStrategy, Planner,
 };
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
-use dynasparse_matrix::CsrMatrix;
-use dynasparse_model::{GnnModel, GnnModelKind};
+use dynasparse_matrix::{CsrMatrix, Layout};
+use dynasparse_model::{GnnModel, GnnModelKind, ReferenceExecutor};
 
 fn fixture(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
     let ds = Dataset::Cora.spec().generate_scaled(23, 0.12);
@@ -35,16 +42,10 @@ fn fixture(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
     (model, ds)
 }
 
-fn plan_with(
-    model: &GnnModel,
-    ds: &GraphDataset,
-    backend: BackendKind,
-    block_dispatch: bool,
-) -> CompiledPlan {
+fn plan_with(model: &GnnModel, ds: &GraphDataset, backend: BackendKind) -> CompiledPlan {
     let options = EngineOptions::builder()
         .host(HostExecutionOptions {
             backend,
-            block_dispatch,
             ..Default::default()
         })
         .build();
@@ -53,7 +54,7 @@ fn plan_with(
 
 /// A request with mixed block densities: the first `hub_rows` vertices are
 /// ~90 % dense (a hub block the dispatcher should route as GEMM) while the
-/// tail stays ~1 % dense (SpDMM/SpGEMM territory).  Whole-kernel dispatch
+/// tail stays ~1 % dense (SpDMM/SpGEMM territory).  A whole-product decision
 /// sees one averaged density; the block loop refits each row block — the
 /// point of the test is that the differing decisions change nothing.
 fn skewed_request(ds: &GraphDataset, hub_rows: usize, seed: u64) -> FeatureMatrix {
@@ -90,10 +91,9 @@ fn request_batch(ds: &GraphDataset, n: usize) -> Vec<FeatureMatrix> {
 
 /// Exact equality of everything a report exposes except
 /// `predicted_kernel_ms`: that field is the backend's own cost estimate
-/// (whole-kernel predictions and summed per-block predictions legitimately
-/// differ, as do host and modeled-accelerator prices), while everything
-/// the paper's pipeline observes — embeddings, density traces, strategy
-/// pricing — must match bit for bit.
+/// (host and modeled-accelerator prices legitimately differ), while
+/// everything the paper's pipeline observes — embeddings, density traces,
+/// strategy pricing — must match bit for bit.
 fn assert_reports_equal(want: &InferenceReport, got: &InferenceReport, ctx: &str) {
     assert_eq!(
         want.request_index, got.request_index,
@@ -155,46 +155,64 @@ fn assert_reports_equal(want: &InferenceReport, got: &InferenceReport, ctx: &str
     }
 }
 
-/// Serves a batch-1 and a batch-8 request stream through `plan` and
-/// returns every report in order.
+/// The batch-1 and batch-8 request stream of the suite, in serving order.
+fn request_stream(ds: &GraphDataset) -> Vec<FeatureMatrix> {
+    let mut requests = vec![skewed_request(ds, ds.graph.num_vertices() / 4, 650)];
+    requests.extend(request_batch(ds, 8));
+    requests
+}
+
+/// Serves `requests` through a fresh session over `plan` — the first solo,
+/// the rest as one batch — and returns every report in order.
 fn serve(
     plan: &CompiledPlan,
-    ds: &GraphDataset,
+    requests: &[FeatureMatrix],
     strategies: &[MappingStrategy],
 ) -> Vec<InferenceReport> {
     let mut session = plan.session(strategies);
-    let mut reports = Vec::new();
-    reports.push(
-        session
-            .infer(&skewed_request(ds, ds.graph.num_vertices() / 4, 650))
-            .unwrap(),
-    );
-    reports.extend(session.infer_batch(&request_batch(ds, 8)).unwrap());
+    let mut reports = vec![session.infer(&requests[0]).unwrap()];
+    if requests.len() > 1 {
+        reports.extend(session.infer_batch(&requests[1..]).unwrap());
+    }
     reports
 }
 
+/// Serves `requests` over `plan` (first solo, rest fused) and holds every
+/// report to the oracle's run of the same request.
+fn assert_served_stream_matches_oracle(
+    model: &GnnModel,
+    ds: &GraphDataset,
+    plan: &CompiledPlan,
+    requests: &[FeatureMatrix],
+    strategies: &[MappingStrategy],
+    ctx: &str,
+) {
+    let oracle = ReferenceExecutor::new(model, &ds.graph);
+    let mode = plan.options().host.pricing_cache;
+    let reports = serve(plan, requests, strategies);
+    assert_eq!(reports.len(), requests.len());
+    for (i, (request, got)) in requests.iter().zip(&reports).enumerate() {
+        let want = run_oracle(&oracle, request, plan);
+        assert_matches_oracle(got, plan, &want, mode, &format!("{ctx} request {i}"));
+    }
+}
+
+/// "Whole kernel" is the oracle: one fixed whole-matrix kernel per kernel
+/// kind.  The executor itself has no whole-kernel dense path.
 #[test]
 fn block_granular_dispatch_is_bit_identical_to_whole_kernel_on_both_backends() {
     for kind in GnnModelKind::all() {
         let (model, ds) = fixture(kind);
+        let requests = request_stream(&ds);
         for backend in [BackendKind::Host, BackendKind::ModeledAccel] {
-            let whole = plan_with(&model, &ds, backend, false);
-            let blocked = plan_with(&model, &ds, backend, true);
-            let want = serve(&whole, &ds, &[MappingStrategy::Dynamic]);
-            let got = serve(&blocked, &ds, &[MappingStrategy::Dynamic]);
-            assert_eq!(want.len(), got.len());
-            for (w, g) in want.iter().zip(got.iter()) {
-                assert_reports_equal(
-                    w,
-                    g,
-                    &format!(
-                        "{} on {} request {}",
-                        kind.name(),
-                        backend.label(),
-                        w.request_index
-                    ),
-                );
-            }
+            assert_served_stream_matches_oracle(
+                &model,
+                &ds,
+                &plan_with(&model, &ds, backend),
+                &requests,
+                &[MappingStrategy::Dynamic],
+                &format!("{} on {}", kind.name(), backend.label()),
+            );
         }
     }
 }
@@ -202,11 +220,12 @@ fn block_granular_dispatch_is_bit_identical_to_whole_kernel_on_both_backends() {
 #[test]
 fn backends_agree_bitwise_and_the_modeled_backend_prices_every_request() {
     let (model, ds) = fixture(GnnModelKind::Gcn);
-    let host_plan = plan_with(&model, &ds, BackendKind::Host, true);
-    let accel_plan = plan_with(&model, &ds, BackendKind::ModeledAccel, true);
+    let host_plan = plan_with(&model, &ds, BackendKind::Host);
+    let accel_plan = plan_with(&model, &ds, BackendKind::ModeledAccel);
     let strategies = MappingStrategy::paper_strategies();
-    let want = serve(&host_plan, &ds, &strategies);
-    let got = serve(&accel_plan, &ds, &strategies);
+    let requests = request_stream(&ds);
+    let want = serve(&host_plan, &requests, &strategies);
+    let got = serve(&accel_plan, &requests, &strategies);
     assert_eq!(want.len(), got.len());
     for (w, g) in want.iter().zip(got.iter()) {
         assert_reports_equal(
@@ -227,30 +246,26 @@ fn backends_agree_bitwise_and_the_modeled_backend_prices_every_request() {
 
 #[test]
 fn whole_model_pricing_is_unchanged_across_paper_strategies() {
-    // The full strategy sweep (Static1/Static2/Dynamic) over the blocked
-    // path must reproduce the whole-kernel prices exactly — the Analyzer /
-    // Scheduler pipeline consumes the same density traces either way.
+    // The full strategy sweep (Static1/Static2/Dynamic) over the block loop
+    // must reproduce the oracle's prices exactly — the Analyzer / Scheduler
+    // pipeline consumes the same density traces either way.
     let (model, ds) = fixture(GnnModelKind::Gin);
-    let strategies = MappingStrategy::paper_strategies();
-    let whole = plan_with(&model, &ds, BackendKind::Host, false);
-    let blocked = plan_with(&model, &ds, BackendKind::Host, true);
-    let want = serve(&whole, &ds, &strategies);
-    let got = serve(&blocked, &ds, &strategies);
-    for (w, g) in want.iter().zip(got.iter()) {
-        assert_reports_equal(
-            w,
-            g,
-            &format!("paper strategies request {}", w.request_index),
-        );
-    }
+    assert_served_stream_matches_oracle(
+        &model,
+        &ds,
+        &plan_with(&model, &ds, BackendKind::Host),
+        &request_stream(&ds),
+        &MappingStrategy::paper_strategies(),
+        "paper strategies",
+    );
 }
 
-/// Dense-stored requests whose layer-0 Update streams them: with block
-/// dispatch on, that GEMM's own pass fills the kernel's input profile and
-/// the session prices from it; with block dispatch off the session refits
-/// the profile in a separate scan.  Everything a report exposes — decisions,
-/// mix, cycles, density trace, embeddings — must be identical either way, on
-/// both backends, for uniform, skewed and hostile (`-0.0`, denormal) inputs.
+/// Dense-stored requests whose layer-0 Update streams them: that GEMM's own
+/// pass fills the kernel's input profile and the session prices from it,
+/// while the oracle refits the same operand in a separate scan.  Everything
+/// a report exposes — decisions, mix, cycles, density trace, embeddings —
+/// must be identical, on both backends, for uniform, skewed and hostile
+/// (`-0.0`, denormal, all-zero) inputs, each served solo.
 fn assert_scanned_profiles_equal_separate_refits() {
     let (model, ds) = fixture(GnnModelKind::Gcn);
     let v = ds.graph.num_vertices();
@@ -266,15 +281,16 @@ fn assert_scanned_profiles_equal_separate_refits() {
         dense_features(v, ds.features.dim(), 0.0, 43),
     ];
     let strategies = MappingStrategy::paper_strategies();
+    let oracle = ReferenceExecutor::new(&model, &ds.graph);
     for backend in [BackendKind::Host, BackendKind::ModeledAccel] {
-        let refit = plan_with(&model, &ds, backend, false);
-        let scanned = plan_with(&model, &ds, backend, true);
-        let mut refit_session = refit.session(&strategies);
-        let mut scanned_session = scanned.session(&strategies);
+        let plan = plan_with(&model, &ds, backend);
+        let mut session = plan.session(&strategies);
         for (i, request) in requests.iter().enumerate() {
-            assert_reports_equal(
-                &refit_session.infer(request).unwrap(),
-                &scanned_session.infer(request).unwrap(),
+            assert_matches_oracle(
+                &session.infer(request).unwrap(),
+                &plan,
+                &run_oracle(&oracle, request, &plan),
+                session.pricing_mode(),
                 &format!("one-scan profile on {} request {i}", backend.label()),
             );
         }
@@ -304,6 +320,40 @@ fn kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads()
         assert!(
             status.success(),
             "DYNASPARSE_THREADS={threads} child failed"
+        );
+    }
+}
+
+#[test]
+fn column_major_operands_are_served_bit_identically_solo_and_batched() {
+    // Column-major request features reach a dense Update input (GCN) and a
+    // dense Aggregate input (GraphSAGE, GIN), and one model weight is
+    // column-major too: each takes one row-major copy at route resolution
+    // and then runs the ordinary block loop.  Solo, then a batch of 3.
+    for kind in [
+        GnnModelKind::Gcn,
+        GnnModelKind::GraphSage,
+        GnnModelKind::Gin,
+    ] {
+        let (mut model, ds) = fixture(kind);
+        model.weights[0] = model.weights[0].to_layout(Layout::ColMajor);
+        let col_major = |seed: u64| {
+            let request = skewed_request(&ds, ds.graph.num_vertices() / 4, seed).to_dense();
+            FeatureMatrix::Dense(request.to_layout(Layout::ColMajor))
+        };
+        let requests = [
+            col_major(810),
+            col_major(811),
+            dense_features(ds.graph.num_vertices(), ds.features.dim(), 0.05, 812),
+            col_major(813),
+        ];
+        assert_served_stream_matches_oracle(
+            &model,
+            &ds,
+            &plan_with(&model, &ds, BackendKind::Host),
+            &requests,
+            &MappingStrategy::paper_strategies(),
+            &format!("column-major {}", kind.name()),
         );
     }
 }

@@ -1,26 +1,21 @@
 //! Numerical equivalence of the dispatching kernel engine.
 //!
 //! `Session::infer` (mode-picked kernels into the reusable arena, optionally
-//! pooled) must be bit-identical to the fixed-kernel oracle
-//! (`ReferenceExecutor::forward_with`) — same output embeddings, same
-//! runtime density trace — and must price every strategy exactly as
-//! `Analyzer`/`Scheduler` run on the density profiles of the oracle's kernel
-//! inputs do, for every model kind, for dense and sparse feature storage,
-//! and for pruned weights that trigger the sparse-sparse route.
+//! pooled) must be bit-identical to the fixed-kernel oracle of
+//! `tests/common` (`ReferenceExecutor::forward_with`) — same output
+//! embeddings, same runtime density trace — and must price every strategy
+//! exactly as `Analyzer`/`Scheduler` run on the density profiles of the
+//! oracle's kernel inputs do, for every model kind, for dense and sparse
+//! feature storage, and for pruned weights that trigger the sparse-sparse
+//! route.
 
-use dynasparse::{
-    CompiledPlan, EngineOptions, HostExecutionOptions, MappingStrategy, Planner, PricingCacheMode,
-};
-use dynasparse_accel::ComputationCore;
-use dynasparse_compiler::KernelKind;
+mod common;
+
+use common::{assert_matches_oracle, run_oracle};
+use dynasparse::{EngineOptions, HostExecutionOptions, MappingStrategy, Planner};
 use dynasparse_graph::{Dataset, FeatureMatrix, GraphDataset};
-use dynasparse_matrix::DensityProfile;
-use dynasparse_model::{
-    prune_model, GnnModel, GnnModelKind, ReferenceExecutor, StageDensity, StageOp,
-};
-use dynasparse_runtime::{
-    pricing, Analyzer, MappingStrategy as Strategy, OperandProfiles, PrimitiveMix, Scheduler,
-};
+use dynasparse_model::{prune_model, GnnModel, GnnModelKind, ReferenceExecutor};
+use dynasparse_runtime::MappingStrategy as Strategy;
 
 fn options(parallel: bool) -> EngineOptions {
     EngineOptions::builder()
@@ -31,128 +26,20 @@ fn options(parallel: bool) -> EngineOptions {
         .build()
 }
 
-/// What the fixed-kernel oracle observes, kernel by kernel in execution
-/// order.
-struct Oracle {
-    embeddings: FeatureMatrix,
-    stages: Vec<StageDensity>,
-    /// `(input_density, output_density)` per kernel.
-    io: Vec<(f64, f64)>,
-    /// Each kernel's input profiled at the granularity its scheme uses.
-    input_profiles: Vec<DensityProfile>,
-}
-
-fn run_oracle(model: &GnnModel, dataset: &GraphDataset, plan: &CompiledPlan) -> Oracle {
-    let (spec, vertices) = (plan.partition(), plan.num_vertices());
-    let kernels = &plan.program().kernels;
-    let (mut stages, mut io, mut input_profiles) = (Vec::new(), Vec::new(), Vec::new());
-    let embeddings = ReferenceExecutor::new(model, &dataset.graph)
-        .forward_with(&dataset.features, |_, _, _, input, out| {
-            let ir = &kernels[stages.len()].ir;
-            let (grid, op) = match ir.kind {
-                KernelKind::Aggregate => {
-                    (spec.feature_grid(vertices, input.dim()), StageOp::Aggregate)
-                }
-                KernelKind::Update => (spec.subfiber_grid(vertices, input.dim()), StageOp::Update),
-            };
-            input_profiles.push(input.density_profile(&grid));
-            io.push((input.density(), out.density()));
-            stages.push(StageDensity {
-                layer: ir.layer_id - 1,
-                kernel: ir.kernel_in_layer,
-                op,
-                density: out.density(),
-            });
-        })
-        .unwrap();
-    Oracle {
-        embeddings,
-        stages,
-        io,
-        input_profiles,
-    }
-}
-
-/// Prices the oracle's kernel inputs under `strategy` with a fresh
-/// `Analyzer`/`Scheduler`: total cycles and per-kernel primitive mix.  In
-/// bucketed cache mode a session prices each profile's bucket
-/// representative, so the expectation does too.
-fn price_oracle(
-    plan: &CompiledPlan,
-    oracle: &Oracle,
-    strategy: MappingStrategy,
-    mode: PricingCacheMode,
-) -> (u64, Vec<PrimitiveMix>) {
-    let program = plan.program();
-    let accelerator = plan.options().accelerator;
-    let analyzer = Analyzer::new(ComputationCore::new(accelerator), strategy);
-    let mut scheduler = Scheduler::new(accelerator.num_cores);
-    let mut quantized = DensityProfile::default();
-    let mixes = program
-        .kernels
-        .iter()
-        .zip(&oracle.input_profiles)
-        .map(|(compiled, exact)| {
-            let features = if mode == PricingCacheMode::Bucketed {
-                pricing::quantize_profile_into(exact, &mut quantized);
-                &quantized
-            } else {
-                exact
-            };
-            let analysis = analyzer.analyze_kernel(
-                compiled,
-                &OperandProfiles {
-                    adjacency: &program.static_sparsity.adjacency,
-                    weights: &program.static_sparsity.weights,
-                    features,
-                },
-            );
-            scheduler.schedule_kernel(compiled.ir.id, &analysis);
-            analysis.mix
-        })
-        .collect();
-    (scheduler.total_cycles(), mixes)
-}
-
 fn assert_equivalent(model: &GnnModel, dataset: &GraphDataset, label: &str) {
     let strategies = MappingStrategy::paper_strategies();
+    let oracle = ReferenceExecutor::new(model, &dataset.graph);
     for parallel in [false, true] {
         let plan = Planner::new(options(parallel))
             .plan(model, dataset)
             .unwrap();
-        let want = run_oracle(model, dataset, &plan);
+        let want = run_oracle(&oracle, &dataset.features, &plan);
         let mut session = plan.session(&strategies);
         // Two requests: the second exercises steady-state arena reuse.
         let _first = session.infer(&dataset.features).unwrap();
         let got = session.infer(&dataset.features).unwrap();
-
-        assert_eq!(
-            got.output_embeddings.to_dense().as_slice(),
-            want.embeddings.to_dense().as_slice(),
-            "{label} (parallel={parallel}): embeddings must be bit-identical"
-        );
-        assert_eq!(
-            got.density_trace.stages, want.stages,
-            "{label} (parallel={parallel}): density traces must match"
-        );
-        for g in &got.runs {
-            let (total_cycles, mixes) =
-                price_oracle(&plan, &want, g.strategy, session.pricing_mode());
-            assert_eq!(
-                g.total_cycles,
-                total_cycles,
-                "{label} (parallel={parallel}, {}): modeled cycles must match",
-                g.strategy.label()
-            );
-            assert_eq!(g.kernels.len(), mixes.len());
-            for ((gk, mix), (input_density, output_density)) in
-                g.kernels.iter().zip(mixes).zip(&want.io)
-            {
-                assert_eq!(gk.mix, mix, "{label}: primitive mix must match");
-                assert_eq!(gk.input_density, *input_density);
-                assert_eq!(gk.output_density, *output_density);
-            }
-        }
+        let ctx = format!("{label} (parallel={parallel})");
+        assert_matches_oracle(&got, &plan, &want, session.pricing_mode(), &ctx);
     }
 }
 
