@@ -97,6 +97,47 @@ pub struct TaskExecution {
     pub total_cycles_no_overlap: u64,
 }
 
+/// Streaming double-buffered total of one task: feed it the task's block
+/// products in execution order and it keeps the cycle count so far, holding
+/// back only the last executed product's compute (which still has to be
+/// compared with the next product's loads).  Skipped products take no part
+/// in the pipeline.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TaskAccumulator {
+    overlapped: u64,
+    sequential: u64,
+    /// Compute cycles of the last executed product, not yet charged (0
+    /// before the first: its loads have nothing to hide behind).
+    pending_compute: u64,
+}
+
+impl TaskAccumulator {
+    /// Adds the next block product of the task.
+    #[inline]
+    pub fn push(&mut self, pair: &PairExecution) {
+        if pair.primitive.is_none() {
+            return;
+        }
+        let load = pair.load_side_cycles();
+        // Double buffering: this product's loads ran under the previous
+        // product's compute.
+        self.overlapped += self.pending_compute.max(load);
+        self.sequential += pair.compute_cycles + load;
+        self.pending_compute = pair.compute_cycles;
+    }
+
+    /// Cycles of the task once its output partition has been written back
+    /// in `store_cycles`.
+    pub fn total_cycles(&self, store_cycles: u64) -> u64 {
+        self.overlapped + self.pending_compute + store_cycles
+    }
+
+    /// The same without double buffering (sequential load → compute).
+    pub fn total_cycles_no_overlap(&self, store_cycles: u64) -> u64 {
+        self.sequential + store_cycles
+    }
+}
+
 /// A single Computation Core (cycle model side).
 #[derive(Debug, Clone, Copy)]
 pub struct ComputationCore {
@@ -164,11 +205,7 @@ impl ComputationCore {
                 + self.config.mode_switch_cycles;
 
         // Loads: each operand is streamed in its stored format.
-        let load = |op: &BlockOperand| match op.stored_format {
-            DataFormat::Dense => self.memory.dense_tile_load_cycles(op.rows, op.cols),
-            DataFormat::Sparse => self.memory.sparse_tile_load_cycles(op.nnz),
-        };
-        let load_cycles = load(x) + load(y);
+        let load_cycles = self.operand_load_cycles(x) + self.operand_load_cycles(y);
 
         // Format transformation: each execution mode requires a specific
         // on-chip format per operand (Table III).
@@ -195,6 +232,13 @@ impl ComputationCore {
         }
     }
 
+    /// Cycles to write a task's output partition back to DDR and profile
+    /// its sparsity on the way out.
+    pub fn task_store_cycles(&self, output_rows: usize, output_cols: usize) -> u64 {
+        self.memory.dense_tile_load_cycles(output_rows, output_cols)
+            + self.ahm.profile_cycles(output_rows * output_cols)
+    }
+
     /// Cycle cost of a whole task: the sequence of block products plus the
     /// output write-back, with double buffering overlapping each product's
     /// compute with the next product's loads.
@@ -204,32 +248,16 @@ impl ComputationCore {
         output_rows: usize,
         output_cols: usize,
     ) -> TaskExecution {
-        let store_cycles = self.memory.dense_tile_load_cycles(output_rows, output_cols)
-            + self.ahm.profile_cycles(output_rows * output_cols);
-
-        let active: Vec<&PairExecution> = pairs.iter().filter(|p| p.primitive.is_some()).collect();
-        let mut total = 0u64;
-        if !active.is_empty() {
-            // Load the first product's operands, then pipeline.
-            total += active[0].load_side_cycles();
-            for (t, pair) in active.iter().enumerate() {
-                let next_load = active.get(t + 1).map(|n| n.load_side_cycles()).unwrap_or(0);
-                total += pair.compute_cycles.max(next_load);
-            }
+        let store_cycles = self.task_store_cycles(output_rows, output_cols);
+        let mut pipeline = TaskAccumulator::default();
+        for pair in pairs {
+            pipeline.push(pair);
         }
-        total += store_cycles;
-
-        let total_no_overlap: u64 = active
-            .iter()
-            .map(|p| p.compute_cycles + p.load_side_cycles())
-            .sum::<u64>()
-            + store_cycles;
-
         TaskExecution {
             pairs: pairs.to_vec(),
             store_cycles,
-            total_cycles: total,
-            total_cycles_no_overlap: total_no_overlap,
+            total_cycles: pipeline.total_cycles(store_cycles),
+            total_cycles_no_overlap: pipeline.total_cycles_no_overlap(store_cycles),
         }
     }
 
@@ -344,6 +372,35 @@ mod tests {
             task.total_cycles,
             pairs[0].load_side_cycles() + compute_sum + store
         );
+    }
+
+    #[test]
+    fn skipped_products_take_no_part_in_the_pipeline() {
+        let c = core();
+        let executed = |compute_cycles, load_cycles, transform_cycles| PairExecution {
+            primitive: Some(Primitive::SpDmm),
+            compute_cycles,
+            load_cycles,
+            transform_cycles,
+        };
+        let empty = BlockOperand::new(16, 16, 0);
+        let skipped = c.execute_pair_analytic(None, &empty, &empty);
+        let (a, b, d) = (
+            executed(10, 30, 5),
+            executed(100, 20, 0),
+            executed(7, 90, 10),
+        );
+        let task = c.execute_task_analytic(&[skipped, a, skipped, b, d, skipped], 16, 16);
+        // a's loads, then a's compute under b's loads (the loads are longer),
+        // b's compute over d's loads (exactly hidden), d's compute, the store.
+        assert_eq!(task.total_cycles, 35 + 20 + 100 + 7 + task.store_cycles);
+        assert_eq!(
+            task.total_cycles_no_overlap,
+            (10 + 35) + (100 + 20) + (7 + 100) + task.store_cycles
+        );
+        assert_eq!(task.pairs.len(), 6);
+        let idle = c.execute_task_analytic(&[skipped, skipped], 16, 16);
+        assert_eq!(idle.total_cycles, idle.store_cycles);
     }
 
     #[test]

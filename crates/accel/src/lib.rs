@@ -38,7 +38,7 @@ pub mod primitive;
 pub mod soft_processor;
 
 pub use config::AcceleratorConfig;
-pub use core::{BlockOperand, ComputationCore, PairExecution};
+pub use core::{BlockOperand, ComputationCore, PairExecution, TaskAccumulator};
 pub use memory::MemoryModel;
 pub use model::PerformanceModel;
 pub use pool::{CorePool, ScheduleOutcome};

@@ -9,10 +9,18 @@
 //! over the cores, plus the bookkeeping needed for the overhead analysis
 //! (how many decisions the soft processor made, how many products were
 //! skipped, which primitives were used).
+//!
+//! Every block of an operand is described at the profile's nominal block
+//! shape, so within one kernel and strategy a product's decision and cycle
+//! breakdown depend on nothing but the two blocks' non-zero counts.  The
+//! walk therefore prices each *distinct* `(x_nnz, y_nnz)` once and looks the
+//! rest up in a bounded table; only the stationary operand's residency
+//! discount and the double-buffered fold of a task depend on the position of
+//! a product, and those stay in the walk.
 
 use crate::strategy::MappingStrategy;
-use dynasparse_accel::{BlockOperand, ComputationCore, Primitive};
-use dynasparse_compiler::{BlockRef, CompiledKernel, OperandKind};
+use dynasparse_accel::{BlockOperand, ComputationCore, PairExecution, Primitive, TaskAccumulator};
+use dynasparse_compiler::{BlockRef, CompiledKernel, KernelKind, OperandKind};
 use dynasparse_matrix::DensityProfile;
 use serde::{Deserialize, Serialize};
 
@@ -29,14 +37,18 @@ pub struct OperandProfiles<'a> {
     pub features: &'a DensityProfile,
 }
 
-impl OperandProfiles<'_> {
-    /// Resolves a block reference to its shape and occupancy.
-    pub fn lookup(&self, block: &BlockRef) -> BlockOperand {
-        let profile = match block.operand {
+impl<'a> OperandProfiles<'a> {
+    fn profile(&self, operand: OperandKind) -> &'a DensityProfile {
+        match operand {
             OperandKind::Adjacency => self.adjacency,
             OperandKind::Features => self.features,
             OperandKind::Weight(w) => &self.weights[w],
-        };
+        }
+    }
+
+    /// Resolves a block reference to its shape and occupancy.
+    pub fn lookup(&self, block: &BlockRef) -> BlockOperand {
+        let profile = self.profile(block.operand);
         let (rows, cols) = profile.block_shape();
         let nnz = profile.block_nnz(block.grid_row, block.grid_col);
         BlockOperand::new(rows, cols, nnz)
@@ -96,6 +108,65 @@ impl KernelAnalysis {
     }
 }
 
+/// What one block product costs as a function of its operands' occupancies.
+#[derive(Debug, Clone, Copy)]
+struct PairCost {
+    x_nnz: usize,
+    y_nnz: usize,
+    /// Decision and cycle breakdown with both operands streamed from DDR.
+    exec: PairExecution,
+    /// The Y block's share of `exec.load_cycles`: what the product saves
+    /// when the stationary operand is already resident on-chip.
+    y_load_cycles: u64,
+}
+
+/// Most slots a [`PairCostTable`] ever has (56 KB).  Bucket-representative
+/// features against unpruned weights make a few dozen distinct products per
+/// kernel; exact counts against 90 %-pruned weights make several hundred,
+/// and measured 2x slower at 256 slots than at 1024.
+const MAX_COST_SLOTS: usize = 1024;
+
+/// Direct-mapped memo of [`PairCost`]s keyed on `(x_nnz, y_nnz)`.  A slot
+/// holds the last product priced into it and a colliding key prices afresh,
+/// so the table bounds the Analyzer's memory, never what it computes.
+struct PairCostTable {
+    slots: Vec<Option<PairCost>>,
+}
+
+impl PairCostTable {
+    /// A table for a kernel of `pairs` block products: one slot per product
+    /// up to [`MAX_COST_SLOTS`], so a one-product ego-net kernel does not
+    /// set up (or clear) a full-graph-sized table.
+    fn for_pairs(pairs: usize) -> PairCostTable {
+        let slots = pairs.clamp(1, MAX_COST_SLOTS).next_power_of_two();
+        PairCostTable {
+            slots: vec![None; slots],
+        }
+    }
+
+    /// The cost of a product over blocks of `x_nnz` and `y_nnz` non-zeros,
+    /// priced by `price` unless the slot already holds it.
+    #[inline]
+    fn get_or_price(
+        &mut self,
+        x_nnz: usize,
+        y_nnz: usize,
+        price: impl FnOnce() -> PairCost,
+    ) -> PairCost {
+        // Fibonacci hashing: occupancies are small integers, and the top
+        // bits of the product spread consecutive ones over the table.
+        let hash = (x_nnz as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (y_nnz as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+        let index = (hash >> (64 - MAX_COST_SLOTS.trailing_zeros())) as usize;
+        let mask = self.slots.len() - 1;
+        let slot = &mut self.slots[index & mask];
+        match slot {
+            Some(cost) if cost.x_nnz == x_nnz && cost.y_nnz == y_nnz => *cost,
+            _ => *slot.insert(price()),
+        }
+    }
+}
+
 /// The Analyzer, bound to a Computation Core's cycle model and a strategy.
 #[derive(Debug, Clone, Copy)]
 pub struct Analyzer {
@@ -114,17 +185,59 @@ impl Analyzer {
         self.strategy
     }
 
+    /// Decides and prices one block product `X × Y` of a `kind` kernel, both
+    /// operands streamed from DDR.
+    fn price_pair(&self, kind: KernelKind, x: &BlockOperand, y: &BlockOperand) -> PairCost {
+        let perf = self.core.performance_model();
+        let decision = self.strategy.decide(kind, x.density(), y.density(), perf);
+        // Compute cycles under the strategy's (possibly forced-role)
+        // pricing, then let the core add load/transform costs.
+        let mut exec = self.core.execute_pair_analytic(decision.primitive, x, y);
+        if decision.primitive == Some(Primitive::SpDmm) {
+            let forced = self.strategy.pair_cycles(
+                &decision,
+                x.rows,
+                x.cols,
+                y.cols,
+                x.density(),
+                y.density(),
+                perf,
+            );
+            // Preserve the mode-switch cycle the core added.
+            exec.compute_cycles = forced + 1;
+        }
+        PairCost {
+            x_nnz: x.nnz,
+            y_nnz: y.nnz,
+            exec,
+            y_load_cycles: self.core.operand_load_cycles(y),
+        }
+    }
+
     /// Analyzes one compiled kernel: decides a primitive for every block
-    /// product and prices every task.
+    /// product and prices every task.  A product's `X` (`Y`) block is read
+    /// from the `X` (`Y`) operand of the kernel's execution scheme:
+    /// adjacency × features for an Aggregate (Algorithm 2), features ×
+    /// weight for an Update (Algorithm 3).
     pub fn analyze_kernel(
         &self,
         kernel: &CompiledKernel,
         profiles: &OperandProfiles<'_>,
     ) -> KernelAnalysis {
-        let perf = *self.core.performance_model();
-        let mut task_cycles = Vec::with_capacity(kernel.tasks.len());
-        let mut decisions = 0usize;
-        let mut mix = PrimitiveMix::default();
+        let kind = kernel.ir.kind;
+        let (x_operand, y_operand) = match kind {
+            KernelKind::Aggregate => (OperandKind::Adjacency, OperandKind::Features),
+            KernelKind::Update => (
+                OperandKind::Features,
+                kernel
+                    .ir
+                    .weight
+                    .map_or(OperandKind::Features, OperandKind::Weight),
+            ),
+        };
+        let (x_profile, y_profile) = (profiles.profile(x_operand), profiles.profile(y_operand));
+        let (x_rows, x_cols) = x_profile.block_shape();
+        let (y_rows, y_cols) = y_profile.block_shape();
 
         // The Y-side operand of a kernel is *stationary*: every task of an
         // Update kernel walks the same weight blocks, every task of an
@@ -132,86 +245,73 @@ impl Analyzer {
         // the whole operand fits the on-chip operand-cache budget it is
         // loaded once and reused, so its DDR traffic is charged only on the
         // first touch of each block.
-        let y_profile = match kernel.ir.kind {
-            dynasparse_compiler::KernelKind::Aggregate => profiles.features,
-            dynasparse_compiler::KernelKind::Update => kernel
-                .ir
-                .weight
-                .map(|w| &profiles.weights[w])
-                .unwrap_or(profiles.features),
-        };
-        let y_total_bytes: usize = {
-            let (br, bc) = y_profile.block_shape();
-            let (gr, gc) = y_profile.grid_shape();
-            (0..gr)
-                .flat_map(|r| (0..gc).map(move |c| (r, c)))
-                .map(|(r, c)| BlockOperand::new(br, bc, y_profile.block_nnz(r, c)).stored_bytes())
-                .sum()
-        };
+        let y_total_bytes: usize = y_profile
+            .block_counts()
+            .iter()
+            .map(|&nnz| BlockOperand::new(y_rows, y_cols, nnz).stored_bytes())
+            .sum();
         let cache_y = y_total_bytes <= self.core.config().operand_cache_bytes;
         // Residency map of the stationary operand's blocks: a flat bitmap
         // indexed by grid position (a hash set per kernel costs a SipHash
         // per block product on the serving hot path).
-        let (y_grid_rows, y_grid_cols) = y_profile.grid_shape();
-        let mut y_loaded = vec![false; y_grid_rows * y_grid_cols];
+        let y_grid_cols = y_profile.grid_shape().1;
+        let mut y_loaded = vec![false; y_profile.block_count()];
 
         // Output partition shape: rows from the X operand tiling, cols from
         // the Y operand tiling.
+        let store_cycles = self.core.task_store_cycles(x_rows, y_cols);
+        let pairs = kernel.total_pairs();
+        let mut costs = PairCostTable::for_pairs(pairs);
+        let mut task_cycles = Vec::with_capacity(kernel.tasks.len());
+        let mut mix = PrimitiveMix::default();
         for task in &kernel.tasks {
-            let mut pair_execs = Vec::with_capacity(task.pairs.len());
-            let mut out_rows = 0usize;
-            let mut out_cols = 0usize;
+            let mut pipeline = TaskAccumulator::default();
             for pair in &task.pairs {
-                let x = profiles.lookup(&pair.x);
-                let y = profiles.lookup(&pair.y);
-                out_rows = x.rows;
-                out_cols = y.cols;
-                let decision =
-                    self.strategy
-                        .decide(kernel.ir.kind, x.density(), y.density(), &perf);
-                if self.strategy.uses_runtime_sparsity() {
-                    decisions += 1;
-                }
-                mix.record(decision.primitive);
-                // Compute cycles under the strategy's (possibly forced-role)
-                // pricing, then let the core add load/transform costs.
-                let mut exec = self.core.execute_pair_analytic(decision.primitive, &x, &y);
-                if decision.primitive == Some(Primitive::SpDmm) {
-                    let forced = self.strategy.pair_cycles(
-                        &decision,
-                        x.rows,
-                        x.cols,
-                        y.cols,
-                        x.density(),
-                        y.density(),
-                        &perf,
-                    );
-                    // Preserve the mode-switch cycle the core added.
-                    exec.compute_cycles = forced + 1;
-                }
-                if decision.primitive.is_some() && cache_y {
+                debug_assert_eq!(
+                    (pair.x.operand, pair.y.operand),
+                    (x_operand, y_operand),
+                    "block products follow the kernel's execution scheme"
+                );
+                let x_nnz = x_profile.block_nnz(pair.x.grid_row, pair.x.grid_col);
+                let y_nnz = y_profile.block_nnz(pair.y.grid_row, pair.y.grid_col);
+                let cost = costs.get_or_price(x_nnz, y_nnz, || {
+                    self.price_pair(
+                        kind,
+                        &BlockOperand::new(x_rows, x_cols, x_nnz),
+                        &BlockOperand::new(y_rows, y_cols, y_nnz),
+                    )
+                });
+                mix.record(cost.exec.primitive);
+                let mut exec = cost.exec;
+                if cache_y && exec.primitive.is_some() {
                     let slot = &mut y_loaded[pair.y.grid_row * y_grid_cols + pair.y.grid_col];
                     if *slot {
                         // Stationary operand already resident on-chip.
-                        exec.load_cycles = exec
-                            .load_cycles
-                            .saturating_sub(self.core.operand_load_cycles(&y));
+                        exec.load_cycles = exec.load_cycles.saturating_sub(cost.y_load_cycles);
                     } else {
                         *slot = true;
                     }
                 }
-                pair_execs.push(exec);
+                pipeline.push(&exec);
             }
-            let task_exec = self
-                .core
-                .execute_task_analytic(&pair_execs, out_rows, out_cols);
-            task_cycles.push(task_exec.total_cycles);
+            // A task without products has no output partition to write back.
+            let store = if task.pairs.is_empty() {
+                0
+            } else {
+                store_cycles
+            };
+            task_cycles.push(pipeline.total_cycles(store));
         }
 
         let total_cycles = task_cycles.iter().sum();
         KernelAnalysis {
             task_cycles,
-            decisions,
+            // The soft processor decides once per product, or never.
+            decisions: if self.strategy.uses_runtime_sparsity() {
+                pairs
+            } else {
+                0
+            },
             mix,
             total_cycles,
         }

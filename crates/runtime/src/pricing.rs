@@ -124,19 +124,84 @@ pub fn bucket_nnz(bucket: u8, block_area: usize) -> usize {
     ((density * block_area as f64).round() as usize).clamp(1, block_area)
 }
 
+/// [`density_bucket`] and [`bucket_nnz`] of one block area as lookup tables,
+/// each entry computed the first time it is asked for.  Pricing maps every
+/// block of a feature profile per kernel per request, and a profile holds
+/// far more blocks than distinct occupancies, so the `log2` / `powf` behind
+/// the two functions run once per distinct occupancy, not once per block.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BucketTable {
+    area: usize,
+    /// Bucket of every occupancy in `0..=area`.
+    buckets: Vec<u8>,
+    /// Representative occupancy of every bucket.
+    representatives: Vec<usize>,
+}
+
+impl BucketTable {
+    /// A bucket not computed yet; [`density_bucket`] stops at 254.
+    const NO_BUCKET: u8 = u8::MAX;
+    /// A representative not computed yet; real ones are at most the area.
+    const NO_REPRESENTATIVE: usize = usize::MAX;
+
+    /// Points the table at blocks of `area` elements.  Entries are a pure
+    /// function of the area, so the same area again keeps what is filled.
+    fn reset(&mut self, area: usize) {
+        if self.buckets.len() == area + 1 {
+            return;
+        }
+        self.area = area;
+        self.buckets.clear();
+        self.buckets.resize(area + 1, Self::NO_BUCKET);
+        self.representatives.clear();
+        self.representatives
+            .resize(usize::from(Self::NO_BUCKET), Self::NO_REPRESENTATIVE);
+    }
+
+    /// [`density_bucket`] of `nnz` over the table's area.  A count beyond
+    /// the area reads the full block's entry, which is the bucket
+    /// `density_bucket` gives it (densities clamp at 1).
+    #[inline]
+    fn bucket(&mut self, nnz: usize) -> u8 {
+        let nnz = nnz.min(self.area);
+        let slot = &mut self.buckets[nnz];
+        if *slot == Self::NO_BUCKET {
+            *slot = density_bucket(nnz, self.area);
+        }
+        *slot
+    }
+
+    /// [`bucket_nnz`] of `nnz`'s bucket: the occupancy the block prices at.
+    #[inline]
+    fn representative(&mut self, nnz: usize) -> usize {
+        let bucket = self.bucket(nnz);
+        let slot = &mut self.representatives[usize::from(bucket)];
+        if *slot == Self::NO_REPRESENTATIVE {
+            *slot = bucket_nnz(bucket, self.area);
+        }
+        *slot
+    }
+
+    /// Snaps every block of `src` to its bucket's representative occupancy,
+    /// in place over `dst`'s reusable counter allocation.
+    fn quantize_into(&mut self, src: &DensityProfile, dst: &mut DensityProfile) {
+        let (br, bc) = src.block_shape();
+        self.reset(br * bc);
+        dst.refit_mapped(src, |nnz| self.representative(nnz));
+    }
+}
+
 /// Snaps every block of a profile to its bucket's representative occupancy,
 /// in place over `dst`'s reusable counter allocation.  In exact mode this
 /// is the identity and the caller should skip it.
 pub fn quantize_profile_into(src: &DensityProfile, dst: &mut DensityProfile) {
-    let (br, bc) = src.block_shape();
-    let area = br * bc;
-    dst.refit_mapped(src, |nnz| bucket_nnz(density_bucket(nnz, area), area));
+    BucketTable::default().quantize_into(src, dst);
 }
 
-// Two independent FNV-1a 64-bit streams; the pair gives an effectively
-// 128-bit key, so accidental collisions across a serve lifetime are not a
-// practical concern (and a collision only ever swaps in the pricing of a
-// *different* profile — embeddings are never affected).
+// Two independent FNV-1a-style 64-bit streams over 64-bit words; the pair
+// gives an effectively 128-bit key, so accidental collisions across a serve
+// lifetime are not a practical concern (and a collision only ever swaps in
+// the pricing of a *different* profile — embeddings are never affected).
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -155,22 +220,24 @@ impl Fnv2 {
         }
     }
 
+    /// Mixes one word into both streams.  Every operation is a bijection of
+    /// the stream's state and, for a given state, of the word — so two
+    /// inputs that differ in a single word never share either half.  A
+    /// multiply only carries a word's bits upwards, so the shift folds the
+    /// high half back down before the next word comes in, and stream `b`
+    /// reads the word with its halves swapped: whichever lane of a word
+    /// changes, one of the two streams carries it through its whole state.
     #[inline]
-    fn byte(&mut self, v: u8) {
-        self.a = (self.a ^ u64::from(v)).wrapping_mul(FNV_PRIME);
-        self.b = (self.b ^ u64::from(v ^ 0xa5)).wrapping_mul(FNV_PRIME);
-    }
-
-    #[inline]
-    fn u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.byte(byte);
-        }
+    fn word(&mut self, v: u64) {
+        self.a = (self.a ^ v).wrapping_mul(FNV_PRIME);
+        self.a ^= self.a >> 32;
+        self.b = (self.b ^ v.rotate_left(32)).wrapping_mul(FNV_PRIME);
+        self.b ^= self.b >> 29;
     }
 
     #[inline]
     fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
+        self.word(v as u64);
     }
 }
 
@@ -197,16 +264,39 @@ impl PricingKey {
         mode: PricingCacheMode,
         features: &DensityProfile,
     ) -> PricingKey {
+        PricingKey::base_with(
+            calibration_fingerprint,
+            statics_fingerprint,
+            kernel_index,
+            mode,
+            features,
+            &mut BucketTable::default(),
+        )
+    }
+
+    /// [`PricingKey::base`] over a caller-kept bucket table (only bucketed
+    /// mode uses it, and points it at the profile's block area).
+    fn base_with(
+        calibration_fingerprint: u64,
+        statics_fingerprint: u64,
+        kernel_index: usize,
+        mode: PricingCacheMode,
+        features: &DensityProfile,
+        buckets: &mut BucketTable,
+    ) -> PricingKey {
         let mut h = Fnv2::new();
-        h.u64(calibration_fingerprint);
-        h.u64(statics_fingerprint);
+        h.word(calibration_fingerprint);
+        h.word(statics_fingerprint);
         h.usize(kernel_index);
-        h.byte(match mode {
+        h.word(match mode {
             PricingCacheMode::Off => 0,
             PricingCacheMode::Exact => 1,
             PricingCacheMode::Bucketed => 2,
         });
-        hash_profile(&mut h, features, mode);
+        match mode {
+            PricingCacheMode::Bucketed => hash_bucketed(&mut h, features, buckets),
+            _ => hash_exact(&mut h, features),
+        }
         PricingKey { hi: h.a, lo: h.b }
     }
 
@@ -225,7 +315,8 @@ impl PricingKey {
     }
 }
 
-fn hash_profile(h: &mut Fnv2, profile: &DensityProfile, mode: PricingCacheMode) {
+/// Hashes a profile's shape and grid, which also fix its block count.
+fn hash_grid(h: &mut Fnv2, profile: &DensityProfile) {
     let (rows, cols) = profile.shape();
     let (br, bc) = profile.block_shape();
     let (gr, gc) = profile.grid_shape();
@@ -235,18 +326,28 @@ fn hash_profile(h: &mut Fnv2, profile: &DensityProfile, mode: PricingCacheMode) 
     h.usize(bc);
     h.usize(gr);
     h.usize(gc);
-    let area = br * bc;
-    match mode {
-        PricingCacheMode::Bucketed => {
-            for &nnz in profile.block_counts() {
-                h.byte(density_bucket(nnz, area));
-            }
-        }
-        _ => {
-            for &nnz in profile.block_counts() {
-                h.usize(nnz);
-            }
-        }
+}
+
+/// Hashes a profile by its exact per-block counts, one word each.
+fn hash_exact(h: &mut Fnv2, profile: &DensityProfile) {
+    hash_grid(h, profile);
+    for &nnz in profile.block_counts() {
+        h.usize(nnz);
+    }
+}
+
+/// Hashes a profile by its per-block density buckets, eight bucket bytes to
+/// a word (the hashed grid fixes the block count, so a short last word
+/// cannot alias a full one).
+fn hash_bucketed(h: &mut Fnv2, profile: &DensityProfile, buckets: &mut BucketTable) {
+    hash_grid(h, profile);
+    let (br, bc) = profile.block_shape();
+    buckets.reset(br * bc);
+    for lanes in profile.block_counts().chunks(8) {
+        let word = lanes.iter().rev().fold(0u64, |word, &nnz| {
+            word << 8 | u64::from(buckets.bucket(nnz))
+        });
+        h.word(word);
     }
 }
 
@@ -261,11 +362,11 @@ pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
         return 0x7f4a_7c15_9e37_79b9;
     };
     let mut h = Fnv2::new();
-    h.u64(u64::from(c.version));
+    h.word(u64::from(c.version));
     for fit in [&c.gemm, &c.spdmm, &c.spmm] {
-        h.u64(fit.work.to_bits());
-        h.u64(fit.output.to_bits());
-        h.u64(fit.per_row.to_bits());
+        h.word(fit.work.to_bits());
+        h.word(fit.output.to_bits());
+        h.word(fit.per_row.to_bits());
     }
     h.a
 }
@@ -276,10 +377,10 @@ pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
 /// each other's pricing across rebinds.
 pub fn statics_fingerprint(adjacency: &DensityProfile, weights: &[DensityProfile]) -> u64 {
     let mut h = Fnv2::new();
-    hash_profile(&mut h, adjacency, PricingCacheMode::Exact);
+    hash_exact(&mut h, adjacency);
     h.usize(weights.len());
     for w in weights {
-        hash_profile(&mut h, w, PricingCacheMode::Exact);
+        hash_exact(&mut h, w);
     }
     h.b
 }
@@ -499,7 +600,8 @@ pub struct PricingCounters {
     pub misses: u64,
     /// Entries displaced from the session cache or aged out of the tier.
     pub evictions: u64,
-    /// Time spent on lookups that hit.
+    /// Time spent on lookups that hit.  A kernel's key hash is on its first
+    /// lookup, so `hit_ns + miss_ns` is `pricing_ns` whenever a cache is on.
     pub hit_ns: u64,
     /// Time spent on lookups that missed (Analyzer pass included).
     pub miss_ns: u64,
@@ -527,6 +629,10 @@ pub struct PricingStage {
     /// instances of the same subgraph class share pricing while different
     /// topologies never do.
     statics_fingerprint: u64,
+    /// Occupancy → bucket → representative tables of the block area being
+    /// priced (bucketed mode): the key and a miss's quantization read the
+    /// same entries.
+    buckets: BucketTable,
     /// Bucket-representative quantization of the profile being priced
     /// (bucketed-mode misses only), shared by every strategy's miss.
     quant_scratch: DensityProfile,
@@ -551,6 +657,7 @@ impl PricingStage {
             tier: None,
             calibration_fingerprint: calibration_fingerprint(calibration),
             statics_fingerprint: statics_fingerprint(adjacency, weights),
+            buckets: BucketTable::default(),
             quant_scratch: DensityProfile::default(),
             counters: PricingCounters::default(),
         }
@@ -618,21 +725,24 @@ impl PricingStage {
         probe: bool,
         out: &mut Vec<Arc<KernelAnalysis>>,
     ) {
-        let started = probe.then(Instant::now);
+        // One running stopwatch, read after every lookup: the key below is
+        // on the first lookup's lap, so the hit and miss times add up to
+        // the stage's own.
+        let mut lap_start = probe.then(Instant::now);
         // The strategy-free part of the key hashes the profile once per
         // kernel; strategies fold in below.
         let base = self.cache.is_some().then(|| {
-            PricingKey::base(
+            PricingKey::base_with(
                 self.calibration_fingerprint,
                 self.statics_fingerprint,
                 kernel_index,
                 self.mode,
                 profiles.features,
+                &mut self.buckets,
             )
         });
         let mut quantized = false;
         for analyzer in analyzers {
-            let lookup_started = probe.then(Instant::now);
             let mut hit = false;
             let analysis = match (&mut self.cache, base) {
                 (Some(cache), Some(base)) => {
@@ -654,10 +764,8 @@ impl PricingStage {
                             // (order-, worker- and cache-state-free).
                             let fresh = Arc::new(if self.mode == PricingCacheMode::Bucketed {
                                 if !quantized {
-                                    quantize_profile_into(
-                                        profiles.features,
-                                        &mut self.quant_scratch,
-                                    );
+                                    self.buckets
+                                        .quantize_into(profiles.features, &mut self.quant_scratch);
                                     quantized = true;
                                 }
                                 let representative = OperandProfiles {
@@ -681,19 +789,22 @@ impl PricingStage {
                 _ => Arc::new(analyzer.analyze_kernel(kernel, profiles)),
             };
             out.push(analysis);
+            let lap_ns = lap_start.as_mut().map_or(0, |lap_start| {
+                let now = Instant::now();
+                let ns = now.duration_since(*lap_start).as_nanos() as u64;
+                *lap_start = now;
+                ns
+            });
+            self.counters.pricing_ns += lap_ns;
             if base.is_some() {
-                let ns = lookup_started.map_or(0, |s| s.elapsed().as_nanos() as u64);
                 if hit {
                     self.counters.hits += 1;
-                    self.counters.hit_ns += ns;
+                    self.counters.hit_ns += lap_ns;
                 } else {
                     self.counters.misses += 1;
-                    self.counters.miss_ns += ns;
+                    self.counters.miss_ns += lap_ns;
                 }
             }
-        }
-        if let Some(started) = started {
-            self.counters.pricing_ns += started.elapsed().as_nanos() as u64;
         }
     }
 }
@@ -714,8 +825,19 @@ mod tests {
     }
 
     fn profile(counts: Vec<usize>) -> DensityProfile {
-        let grid = BlockGrid::new(8, 8, 4, 4);
-        DensityProfile::from_block_nnz(8, 8, &grid, counts)
+        grid_profile(2, 2, 4, counts)
+    }
+
+    /// A profile over a `grid_rows × grid_cols` grid of square blocks.
+    fn grid_profile(
+        grid_rows: usize,
+        grid_cols: usize,
+        block: usize,
+        counts: Vec<usize>,
+    ) -> DensityProfile {
+        let (rows, cols) = (grid_rows * block, grid_cols * block);
+        let grid = BlockGrid::new(rows, cols, block, block);
+        DensityProfile::from_block_nnz(rows, cols, &grid, counts)
     }
 
     #[test]
@@ -764,6 +886,62 @@ mod tests {
     }
 
     #[test]
+    fn bucket_table_agrees_with_the_bucket_functions() {
+        let mut table = BucketTable::default();
+        for area in [0usize, 1, 16, 256, 512, 1024] {
+            table.reset(area);
+            for nnz in 0..=area {
+                let bucket = density_bucket(nnz, area);
+                assert_eq!(table.bucket(nnz), bucket, "area {area} nnz {nnz}");
+                assert_eq!(
+                    table.representative(nnz),
+                    bucket_nnz(bucket, area),
+                    "area {area} nnz {nnz}"
+                );
+            }
+            // A count no block of this area can hold clamps to the full
+            // block instead of indexing past the table.
+            for nnz in [area + 1, 10 * area + 7, usize::MAX] {
+                assert_eq!(table.bucket(nnz), density_bucket(nnz, area));
+                assert_eq!(table.representative(nnz), area);
+            }
+        }
+        // Entries do not survive a change of area.
+        table.reset(16);
+        assert_eq!(table.bucket(8), density_bucket(8, 16));
+        table.reset(256);
+        assert_eq!(table.bucket(8), density_bucket(8, 256));
+        assert_eq!(
+            table.representative(8),
+            bucket_nnz(density_bucket(8, 256), 256)
+        );
+    }
+
+    #[test]
+    fn any_one_block_changes_both_halves_of_the_key() {
+        // Kernel 0 of Cora GCN-16: 170 x 90 subfibers of 16 x 16, i.e. 1912
+        // full words of eight buckets and a tail of four.
+        let blocks = 170 * 90;
+        assert_eq!(blocks % 8, 4);
+        let key = |counts: Vec<usize>, mode| {
+            PricingKey::base(1, 2, 0, mode, &grid_profile(170, 90, 16, counts))
+        };
+        let positions = (0..8) // every lane of the first word
+            .chain([8, 4_001, 7_650, 15_295]) // later words
+            .chain(blocks - 4..blocks); // the tail
+        for mode in [PricingCacheMode::Bucketed, PricingCacheMode::Exact] {
+            let base = key(vec![4; blocks], mode);
+            for at in positions.clone() {
+                let mut counts = vec![4; blocks];
+                counts[at] = 64;
+                let changed = key(counts, mode);
+                assert_ne!(changed.hi, base.hi, "{mode:?}: block {at}, high half");
+                assert_ne!(changed.lo, base.lo, "{mode:?}: block {at}, low half");
+            }
+        }
+    }
+
+    #[test]
     fn keys_separate_the_pricing_inputs() {
         let p = profile(vec![4, 0, 16, 2]);
         let base = PricingKey::base(1, 2, 0, PricingCacheMode::Bucketed, &p);
@@ -803,6 +981,83 @@ mod tests {
             PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &p),
             PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &q)
         );
+        // The same over a grid that fills one word of buckets and leaves a
+        // tail of seven: the differing block sits in the tail.
+        let wide = |last: usize| {
+            let mut counts = vec![16, 0, 3, 8, 1, 16, 0, 2, 5, 0, 16, 4, 0, 9];
+            counts.push(last);
+            grid_profile(5, 3, 4, counts)
+        };
+        let bucketed =
+            |p: &DensityProfile| PricingKey::base(1, 2, 0, PricingCacheMode::Bucketed, p);
+        let exact = |p: &DensityProfile| PricingKey::base(1, 2, 0, PricingCacheMode::Exact, p);
+        assert_eq!(density_bucket(16, 16), density_bucket(15, 16));
+        assert_eq!(bucketed(&wide(16)), bucketed(&wide(15)));
+        assert_ne!(exact(&wide(16)), exact(&wide(15)));
+        assert_ne!(bucketed(&wide(16)), bucketed(&wide(2)));
+        assert_ne!(bucketed(&wide(1)), bucketed(&wide(0)), "Skip is a bucket");
+    }
+
+    #[test]
+    fn hit_and_miss_times_add_up_to_the_pricing_time() {
+        use dynasparse_accel::{AcceleratorConfig, ComputationCore};
+        use dynasparse_compiler::{compile, CompilerConfig};
+        use dynasparse_graph::Dataset;
+        use dynasparse_model::GnnModel;
+
+        let ds = Dataset::Cora.spec().generate_scaled(7, 0.1);
+        let model = GnnModel::gcn(ds.features.dim(), 16, 7, 3);
+        let program = compile(&model, &ds, &CompilerConfig::default()).program;
+        let statics = &program.static_sparsity;
+        let grid = program
+            .partition
+            .subfiber_grid(ds.graph.num_vertices(), ds.features.dim());
+        let features = ds.features.density_profile(&grid);
+        let profiles = OperandProfiles {
+            adjacency: &statics.adjacency,
+            weights: &statics.weights,
+            features: &features,
+        };
+        let core = ComputationCore::new(AcceleratorConfig::default());
+        let analyzers = MappingStrategy::paper_strategies().map(|s| Analyzer::new(core, s));
+        let mut stage = PricingStage::new(
+            PricingCacheMode::Bucketed,
+            64,
+            None,
+            &statics.adjacency,
+            &statics.weights,
+        );
+        let mut out = Vec::new();
+        // The first call misses every strategy, the second hits them all;
+        // either way the key hash is part of the stage's time, so it must be
+        // part of a lookup's.
+        for (hits, misses) in [(0, 3), (3, 0)] {
+            stage.price(
+                0,
+                &program.kernels[0],
+                &profiles,
+                &analyzers,
+                true,
+                &mut out,
+            );
+            let c = stage.take_counters();
+            assert_eq!((c.hits, c.misses), (hits, misses));
+            assert!(c.pricing_ns > 0);
+            assert_eq!(c.hit_ns + c.miss_ns, c.pricing_ns);
+            assert_eq!(c.hit_ns > 0, hits > 0);
+            assert_eq!(c.miss_ns > 0, misses > 0);
+        }
+        // Unprobed calls count lookups but read no clock.
+        stage.price(
+            0,
+            &program.kernels[0],
+            &profiles,
+            &analyzers,
+            false,
+            &mut out,
+        );
+        let c = stage.take_counters();
+        assert_eq!((c.hits, c.pricing_ns, c.hit_ns), (3, 0, 0));
     }
 
     #[test]

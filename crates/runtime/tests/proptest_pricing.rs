@@ -3,11 +3,21 @@
 //! profile was built (fresh vs. refit into reused scratch) and of what the
 //! scratch held before — and the density-bucket grid must preserve exact
 //! zeros (Skip decisions) while bounding the distortion of everything else.
+//!
+//! The last property is the Analyzer's differential oracle: every other
+//! pricing expectation in the workspace (`tests/common::price_oracle`,
+//! `tests/pricing_cache.rs`) is computed *with* the Analyzer, so only a
+//! composition that does not go through it can catch a wrong cost table.
 
-use dynasparse_matrix::{BlockGrid, DenseMatrix, DensityProfile};
+use dynasparse_accel::{AcceleratorConfig, ComputationCore, Primitive};
+use dynasparse_compiler::schemes::generate_tasks;
+use dynasparse_compiler::{CompiledKernel, ComputationGraph, KernelKind};
+use dynasparse_matrix::{BlockGrid, DenseMatrix, DensityProfile, PartitionSpec};
+use dynasparse_model::GnnModel;
 use dynasparse_runtime::pricing::{bucket_nnz, density_bucket, quantize_profile_into, SKIP_BUCKET};
 use dynasparse_runtime::{
-    Analyzer, MappingStrategy, OperandProfiles, PricingCacheMode, PricingKey,
+    Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCacheMode, PricingKey,
+    PrimitiveMix,
 };
 use proptest::prelude::*;
 
@@ -33,8 +43,203 @@ fn keys_for(profile: &DensityProfile, mode: PricingCacheMode) -> Vec<PricingKey>
         .collect()
 }
 
+/// A profile over `grid` whose block occupancies mix the corner cases a
+/// cost keyed on occupancy has to get right — empty, a single non-zero,
+/// full — with everything in between.
+fn feature_profile(grid: BlockGrid) -> impl Strategy<Value = DensityProfile> {
+    let area = grid.block_rows() * grid.block_cols();
+    let blocks = grid.grid_rows() * grid.grid_cols();
+    collection::vec(
+        prop_oneof![Just(0usize), Just(1usize), Just(area), 0..=area],
+        blocks,
+    )
+    .prop_map(move |counts| profile_over(&grid, counts))
+}
+
+fn profile_over(grid: &BlockGrid, counts: Vec<usize>) -> DensityProfile {
+    let (rows, cols) = grid.shape();
+    DensityProfile::from_block_nnz(rows, cols, grid, counts)
+}
+
+/// A weight profile over `grid` in one of the regimes the sparsification
+/// papers prune to: unpruned, about 90 % pruned, 99.9 % pruned, all zero.
+fn weight_profile(grid: BlockGrid) -> impl Strategy<Value = DensityProfile> {
+    let area = grid.block_rows() * grid.block_cols();
+    let blocks = grid.grid_rows() * grid.grid_cols();
+    prop_oneof![
+        Just(vec![area; blocks]),
+        collection::vec(0..=area.div_ceil(5), blocks),
+        collection::vec(prop_oneof![19 => Just(0usize), 1 => Just(1usize)], blocks),
+        Just(vec![0; blocks]),
+    ]
+    .prop_map(move |counts| profile_over(&grid, counts))
+}
+
+/// One Update kernel (`H (v × f_in) × W (f_in × hidden)`) and the Aggregate
+/// kernel behind it (`A (v × v) × H (v × hidden)`), with a profile for every
+/// operand and a budget for the stationary one.
+#[derive(Debug)]
+struct PricingProblem {
+    kernels: Vec<CompiledKernel>,
+    adjacency: DensityProfile,
+    weights: Vec<DensityProfile>,
+    /// Input features of the Update (subfibers) and of the Aggregate (fibers).
+    features: [DensityProfile; 2],
+    operand_cache_bytes: usize,
+}
+
+fn pricing_problem() -> impl Strategy<Value = PricingProblem> {
+    (
+        1usize..=40,
+        1usize..=40,
+        1usize..=20,
+        (1usize..=6, 1usize..=3),
+        // Nothing fits, only small operands fit, everything fits.
+        prop_oneof![Just(0usize), Just(512usize), Just(4usize << 20)],
+        // A degenerate instantiation: the first task has no products.
+        prop_oneof![3 => Just(false), 1 => Just(true)],
+    )
+        .prop_flat_map(
+            |(v, f_in, hidden, (n2, subfibers), operand_cache_bytes, strip)| {
+                let spec = PartitionSpec::new(n2 * subfibers, n2).unwrap();
+                let graph = ComputationGraph::from_model(&GnnModel::gcn(f_in, hidden, 3, 1), v, 0);
+                let kernels: Vec<CompiledKernel> = graph.kernels[..2]
+                    .iter()
+                    .map(|ir| {
+                        let mut tasks = generate_tasks(ir, &spec);
+                        if strip {
+                            tasks[0].pairs.clear();
+                        }
+                        CompiledKernel {
+                            ir: ir.clone(),
+                            tasks,
+                        }
+                    })
+                    .collect();
+                assert_eq!(kernels[0].ir.kind, KernelKind::Update);
+                assert_eq!(kernels[1].ir.kind, KernelKind::Aggregate);
+                (
+                    feature_profile(spec.adjacency_grid(v)),
+                    weight_profile(spec.weight_grid(f_in, hidden)),
+                    feature_profile(spec.subfiber_grid(v, f_in)),
+                    feature_profile(spec.feature_grid(v, hidden)),
+                )
+                    .prop_map(
+                        move |(adjacency, weight, update_in, aggregate_in)| PricingProblem {
+                            kernels: kernels.clone(),
+                            adjacency,
+                            weights: vec![weight],
+                            features: [update_in, aggregate_in],
+                            operand_cache_bytes,
+                        },
+                    )
+            },
+        )
+}
+
+/// The Analyzer as a plain composition of the Computation Core's per-product
+/// and per-task models: every block product looked up, decided and priced on
+/// its own, every task's products collected and handed to
+/// `execute_task_analytic`.
+fn naive_analysis(
+    core: &ComputationCore,
+    strategy: MappingStrategy,
+    kernel: &CompiledKernel,
+    profiles: &OperandProfiles<'_>,
+) -> KernelAnalysis {
+    let perf = core.performance_model();
+    let stationary = match kernel.ir.kind {
+        KernelKind::Aggregate => profiles.features,
+        KernelKind::Update => &profiles.weights[kernel.ir.weight.unwrap()],
+    };
+    let (y_rows, y_cols) = stationary.block_shape();
+    let stationary_bytes: usize = stationary
+        .block_counts()
+        .iter()
+        .map(|&nnz| dynasparse_accel::BlockOperand::new(y_rows, y_cols, nnz).stored_bytes())
+        .sum();
+    let resident_y = stationary_bytes <= core.config().operand_cache_bytes;
+    let mut loaded = std::collections::HashSet::new();
+    let mut analysis = KernelAnalysis {
+        task_cycles: Vec::new(),
+        decisions: 0,
+        mix: PrimitiveMix::default(),
+        total_cycles: 0,
+    };
+    for task in &kernel.tasks {
+        let mut executions = Vec::new();
+        let (mut out_rows, mut out_cols) = (0, 0);
+        for pair in &task.pairs {
+            let (x, y) = (profiles.lookup(&pair.x), profiles.lookup(&pair.y));
+            (out_rows, out_cols) = (x.rows, y.cols);
+            let decision = strategy.decide(kernel.ir.kind, x.density(), y.density(), perf);
+            analysis.decisions += usize::from(strategy.uses_runtime_sparsity());
+            match decision.primitive {
+                Some(Primitive::Gemm) => analysis.mix.gemm += 1,
+                Some(Primitive::SpDmm) => analysis.mix.spdmm += 1,
+                Some(Primitive::Spmm) => analysis.mix.spmm += 1,
+                None => analysis.mix.skipped += 1,
+            }
+            let mut execution = core.execute_pair_analytic(decision.primitive, &x, &y);
+            if decision.primitive == Some(Primitive::SpDmm) {
+                let (ax, ay) = (x.density(), y.density());
+                let forced = strategy.pair_cycles(&decision, x.rows, x.cols, y.cols, ax, ay, perf);
+                execution.compute_cycles = forced + 1;
+            }
+            // An executed product leaves its Y block on-chip; a later one
+            // does not load it again.
+            if resident_y
+                && decision.primitive.is_some()
+                && !loaded.insert((pair.y.grid_row, pair.y.grid_col))
+            {
+                execution.load_cycles -= core.operand_load_cycles(&y);
+            }
+            executions.push(execution);
+        }
+        let task = core.execute_task_analytic(&executions, out_rows, out_cols);
+        analysis.task_cycles.push(task.total_cycles);
+    }
+    analysis.total_cycles = analysis.task_cycles.iter().sum();
+    analysis
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Analyzer::analyze_kernel` equals the naive composition field for
+    /// field: both kernel kinds, grids from a single block to ragged edges,
+    /// every strategy, exact and bucket-representative feature profiles, the
+    /// stationary operand resident or not.
+    #[test]
+    fn analyzer_equals_the_naive_composition(problem in pricing_problem()) {
+        let core = ComputationCore::new(AcceleratorConfig {
+            operand_cache_bytes: problem.operand_cache_bytes,
+            ..AcceleratorConfig::default()
+        });
+        for (kernel, exact) in problem.kernels.iter().zip(&problem.features) {
+            let mut representative = DensityProfile::default();
+            quantize_profile_into(exact, &mut representative);
+            for features in [exact, &representative] {
+                let profiles = OperandProfiles {
+                    adjacency: &problem.adjacency,
+                    weights: &problem.weights,
+                    features,
+                };
+                for strategy in [
+                    MappingStrategy::Static1,
+                    MappingStrategy::Static2,
+                    MappingStrategy::Dynamic,
+                    MappingStrategy::Oracle,
+                ] {
+                    prop_assert_eq!(
+                        Analyzer::new(core, strategy).analyze_kernel(kernel, &profiles),
+                        naive_analysis(&core, strategy, kernel, &profiles),
+                        "{:?} {:?} over {:?}", kernel.ir.kind, strategy, problem
+                    );
+                }
+            }
+        }
+    }
 
     /// Equal profile content gives equal keys regardless of construction
     /// path: a profile refit into scratch that previously held a *different*

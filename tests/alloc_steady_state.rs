@@ -487,4 +487,10 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
         y, z,
         "cache-miss/evict steady state must allocate a constant count per cycle"
     );
+    let lookups = classes.len() * plan.program().kernels.len() * strategies.len();
+    assert!(
+        x <= 16 * lookups,
+        "a cycle of {lookups} missed lookups spent {x} allocations; pricing a kernel must not \
+         allocate per task"
+    );
 }

@@ -428,4 +428,10 @@ fn fused_batches_amortize_pricing_across_same_key_requests() {
         .unwrap();
     assert_same_pricing(&solo, &reports[0], "solo vs fused batch");
     assert_eq!(solo.output_embeddings, reports[0].output_embeddings);
+    // Steady state: the same batch again is all hits, which lifts the hit
+    // ratio of identical requests past 80 % with the cold batch included.
+    session.infer_batch(&batch).unwrap();
+    let (warm_hits, warm_misses, _) = cache_counters(&registry);
+    assert_eq!(warm_misses, misses, "a repeated batch must add no misses");
+    assert!(warm_hits as f64 > 0.8 * (warm_hits + warm_misses) as f64);
 }
