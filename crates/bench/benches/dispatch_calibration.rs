@@ -1,11 +1,13 @@
 //! Calibration smoke: the calibrated dispatch policy against ground truth.
 //!
-//! Measures the three host kernels over the fixed-seed density × shape grid
+//! Measures the four host kernels over the fixed-seed density × shape grid
 //! of the kernel sweep, asks the process-shared [`HostCalibration`] for its
-//! pick at every point, and **fails if the calibrated policy picks a
-//! primitive ≥ 2x slower than the measured best** anywhere on the grid.  At
-//! the recorded-mispick point (α = 0.1 × 0.1, 512 × 512 × 64) the pick must
-//! be SpDMM outright — the acceptance criterion of the cost-model fix.
+//! pick at every point — the policy's decision, or the right-sparse SpDMM
+//! where the executor runs it (Table IV's SpDMM region with the right
+//! operand the sparser one) — and **fails if the pick is ≥ 2x slower than
+//! the measured best** anywhere on the grid.  At the recorded-mispick point
+//! (α = 0.1 × 0.1, 512 × 512 × 64) the pick must be SpDMM outright — the
+//! acceptance criterion of the cost-model fix.
 //!
 //! Every grid point prints one JSON line and the whole log is also written
 //! to `BENCH_dispatch_calibrated.json` at the workspace root, so CI (and
@@ -25,7 +27,8 @@ fn calibration_smoke() {
             return;
         }
     };
-    let policy = CalibratedPolicy::new(calibration.clone(), DispatchPolicy::from_regions(16));
+    let regions = DispatchPolicy::from_regions(16);
+    let policy = CalibratedPolicy::new(calibration.clone(), regions);
     // Ground truth measured by the calibration's own grid walk, at the
     // kernel-sweep shape and density pairs (same fixed seed as the sweep).
     let config = CalibrationConfig {
@@ -37,6 +40,9 @@ fn calibration_smoke() {
             (0.01, 1.0),
             (0.1, 0.1),
             (0.01, 0.01),
+            // Pruned-weight updates: the right operand is the sparser one.
+            (1.0, 0.1),
+            (0.5, 0.1),
         ],
         reps: 3,
         seed: 42,
@@ -51,22 +57,38 @@ fn calibration_smoke() {
         .zip(&config.densities)
     {
         let (m, n, d) = (sample.m, sample.n, sample.d);
-        let picked = policy.decide(ProductShape::new(m, n, d), sample.alpha_x, sample.alpha_y);
-        let measured = [sample.gemm_ms, sample.spdmm_ms, sample.spmm_ms];
+        // The executor's Update arm over a dense-stored left operand: in
+        // Table IV's SpDMM region, SpDMM runs by the right operand when that
+        // is the sparser one.  Everything else is the policy's decision.
+        let picked = if regions.decide(sample.alpha_x, sample.alpha_y) == HostPrimitive::SpDmm
+            && sample.alpha_y < sample.alpha_x
+        {
+            HostPrimitive::SpDmmRight
+        } else {
+            policy.decide(ProductShape::new(m, n, d), sample.alpha_x, sample.alpha_y)
+        };
+        let measured = [
+            sample.gemm_ms,
+            sample.spdmm_ms,
+            sample.spdmm_right_ms,
+            sample.spmm_ms,
+        ];
         let best = measured.iter().cloned().fold(f64::INFINITY, f64::min);
         let pick_ms = match picked {
             HostPrimitive::Gemm => sample.gemm_ms,
             HostPrimitive::SpDmm => sample.spdmm_ms,
+            HostPrimitive::SpDmmRight => sample.spdmm_right_ms,
             HostPrimitive::Spmm => sample.spmm_ms,
             HostPrimitive::Skip => unreachable!("non-empty grid operands"),
         };
         let line = format!(
             "{{\"bench\":\"dispatch_calibrated\",\"m\":{m},\"n\":{n},\"d\":{d},\
              \"alpha_x\":{ax},\"alpha_y\":{ay},\"gemm_ms\":{:.3},\
-             \"spdmm_ms\":{:.3},\"spmm_ms\":{:.3},\
+             \"spdmm_ms\":{:.3},\"spdmm_right_ms\":{:.3},\"spmm_ms\":{:.3},\
              \"picked\":\"{}\",\"picked_ms\":{pick_ms:.3},\"best_ms\":{best:.3}}}",
             sample.gemm_ms,
             sample.spdmm_ms,
+            sample.spdmm_right_ms,
             sample.spmm_ms,
             picked.label()
         );
@@ -76,7 +98,8 @@ fn calibration_smoke() {
         assert!(
             pick_ms <= 2.0 * best,
             "calibrated policy picked {} ({pick_ms:.3} ms) at alpha {ax} x {ay} \
-             but the measured best is {best:.3} ms (gemm/spdmm/spmm = {measured:?})",
+             but the measured best is {best:.3} ms \
+             (gemm/spdmm/spdmm-right/spmm = {measured:?})",
             picked.label()
         );
         if (ax, ay) == (0.1, 0.1) {

@@ -71,7 +71,9 @@ impl ExecBackend for ModeledAccelBackend {
     ) -> f64 {
         let accel_prim = match prim {
             HostPrimitive::Gemm => Primitive::Gemm,
-            HostPrimitive::SpDmm => Primitive::SpDmm,
+            // Table IV has one SpDMM, charged by the sparser operand
+            // whichever side it is on.
+            HostPrimitive::SpDmm | HostPrimitive::SpDmmRight => Primitive::SpDmm,
             HostPrimitive::Spmm => Primitive::Spmm,
             HostPrimitive::Skip => return 0.0,
         };

@@ -672,7 +672,12 @@ impl<'p> Session<'p> {
                             slot
                         }
                     };
-                    observer.record(0, kidx, profile, input.density(), out.density());
+                    // The profile already holds the input's non-zero count:
+                    // asking `input` for its density would scan a request
+                    // the cache has not seen a second time.
+                    let input_total = num_vertices * input.dim();
+                    let input_density = density_of(profile.total_nnz(), input_total);
+                    observer.record(0, kidx, profile, input_density, out.density());
                 },
             )?
         } else {
@@ -836,7 +841,9 @@ impl<'p> Session<'p> {
             data_movement_ms,
             feature_movement_ms,
             density_trace: DensityTrace {
-                input_density: features.density(),
+                // Kernel 0 reads the layer input, so its recorded input
+                // density is the request's (no second count of `features`).
+                input_density: record.kernel_io[0].0,
                 stages: std::mem::take(&mut record.stages),
             },
             runs,
@@ -850,8 +857,10 @@ impl<'p> Session<'p> {
     /// (measured/predicted EWMA, see
     /// [`DriftTracker`](dynasparse_telemetry::DriftTracker)) that is finite
     /// but outside [`DRIFT_BAND`] rescales that primitive's calibration fit
-    /// by the observed ratio; the rescaled calibration is swapped into the
-    /// dispatcher in one step and the tripped gauges reset to `1.0`.
+    /// by the observed ratio (the SpDMM gauge folds both orientations of the
+    /// primitive, so it rescales both of their curves); the rescaled
+    /// calibration is swapped into the dispatcher in one step and the
+    /// tripped gauges reset to `1.0`.
     /// Decisions and predictions change, results never do (the calibration
     /// only picks among bit-identical routes).
     fn maybe_recalibrate(&mut self) {
@@ -878,8 +887,13 @@ impl<'p> Session<'p> {
             return;
         }
         let mut rescaled = (*calibration).clone();
-        let fits = [&mut rescaled.gemm, &mut rescaled.spdmm, &mut rescaled.spmm];
-        for (fit, ratio) in fits.into_iter().zip(ratios) {
+        let [gemm, spdmm, spmm] = ratios;
+        for (fit, ratio) in [
+            (&mut rescaled.gemm, gemm),
+            (&mut rescaled.spdmm, spdmm),
+            (&mut rescaled.spdmm_right, spdmm),
+            (&mut rescaled.spmm, spmm),
+        ] {
             if ratio != 1.0 {
                 fit.work *= ratio;
                 fit.output *= ratio;
@@ -1199,6 +1213,19 @@ mod tests {
         );
         // The tripped gauge was reset after the swap.
         assert!((registry.gauge(GaugeId::DriftGemm) - 1.0).abs() < 1e-12);
+
+        // The SpDMM gauge folds both orientations of the primitive, so it
+        // rescales both of their curves.
+        let before = session.dispatcher.calibration().unwrap().clone();
+        registry.gauge_set(GaugeId::DriftSpdmm, 4.0);
+        session.infer(&features).unwrap();
+        let after = session.dispatcher.calibration().unwrap();
+        for (was, is) in [
+            (&before.spdmm, &after.spdmm),
+            (&before.spdmm_right, &after.spdmm_right),
+        ] {
+            assert!(is.work > 2.0 * was.work, "{was:?} -> {is:?}");
+        }
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //! performance model of the platform that executes it (paper §VI-A), so this
 //! module measures that model on the actual host:
 //!
-//! * [`HostCalibration::measure`] times the three `_into` kernels
+//! * [`HostCalibration::measure`] times the four host kernels
 //!   ([`gemm_into`], [`CsrMatrix::spmm_dense_into`],
-//!   [`CsrMatrix::spgemm_with`]) over a small fixed-seed density × shape grid
-//!   and fits one [`PrimitiveFit`] cost curve per primitive: GEMM ∝ `m·n·d`,
-//!   SpDMM ∝ `nnz(X)·d` (the left CSR operand's zeros skipped), Gustavson
-//!   SPMM ∝ its flop-proportional nnz work plus the expected touched-output
-//!   and per-row scatter terms.
+//!   [`right_sparse_rows_into`], [`CsrMatrix::spgemm_with`]) over a small
+//!   fixed-seed density × shape grid and fits one [`PrimitiveFit`] cost curve
+//!   per kernel: GEMM ∝ `m·n·d`; SpDMM once per orientation — ∝ `nnz(X)·d`
+//!   for the CSR-left kernel (the left operand's zeros skipped) and
+//!   ∝ `m·nnz(Y)`, plus the `m·n` tile transposition and the `m·d` column
+//!   walk, for the right-sparse kernel (the right operand's zeros skipped),
+//!   so the primitive is priced by whichever operand the kernel that runs it
+//!   skips; Gustavson SPMM ∝ its flop-proportional nnz work plus the expected
+//!   touched-output and per-row scatter terms.
 //! * [`CostModel`] is the dispatch abstraction: [`CalibratedPolicy`] decides
 //!   by **argmin over predicted costs**, [`RegionPolicy`] replays the paper's
 //!   closed-form regions (retained as the accelerator-side oracle and as the
@@ -29,7 +33,7 @@
 use crate::csr::{CsrMatrix, SpGemmScratch};
 use crate::dense::DenseMatrix;
 use crate::dispatch::{sanitize_density, DispatchPolicy, HostPrimitive};
-use crate::ops::gemm_into;
+use crate::ops::{gemm_into, right_sparse_rows_into};
 use crate::random::random_dense;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,16 +109,25 @@ pub trait CostModel {
 ///   regions and this model must agree on.  The envelope is accurate in
 ///   the dense band, the only band where GEMM can win on a host, and
 ///   overestimating GEMM elsewhere can only push the argmin toward the
-///   sparse kernels that measure faster there anyway.  SpDMM:
-///   `α_X·m·n·d` — `spmm_dense_into` walks the *left* CSR's nnz and never
-///   skips zeros of the dense right operand, so the cost is left-density
-///   proportional (the accelerator's `α_min` would underestimate by
-///   `α_X/α_Y` whenever the right operand is sparser, e.g. pruned
-///   weights).  SPMM: the Gustavson flop count `α_X·α_Y·m·n·d`.
-/// * `output` — elements the primitive writes (dense `m·d` for GEMM/SpDMM;
-///   for SPMM the *expected* touched outputs `m·d·(1 − e^{−α_X·α_Y·n})`,
-///   which also sizes its per-row scatter-list sort).
-/// * `rows` — `m`, the per-row loop overhead.
+///   sparse kernels that measure faster there anyway.  SpDMM has one
+///   kernel per orientation, each proportional to the operand it skips:
+///   `α_X·m·n·d` for `spmm_dense_into`, which walks the *left* CSR's nnz and
+///   never skips zeros of the dense right operand, and `α_Y·m·n·d` for
+///   `right_sparse_rows_into` ([`HostPrimitive::SpDmmRight`]), which walks
+///   the stored entries of the *right* operand for every row of a dense
+///   left one.  Together they are the accelerator's `α_min` — where a kernel
+///   exists: only an Update over dense-stored features with a cached pruned
+///   weight can run the second, so `decide` never weighs it.  SPMM: the
+///   Gustavson flop count `α_X·α_Y·m·n·d`.
+/// * `output` — elements the primitive writes (dense `m·d` for GEMM and
+///   both SpDMM kernels — the right-sparse one also starts one column walk
+///   per tile for each; for SPMM the *expected* touched outputs
+///   `m·d·(1 − e^{−α_X·α_Y·n})`, which also sizes its per-row scatter-list
+///   sort).
+/// * `rows` — `m`, the per-row loop overhead; `m·n` for the right-sparse
+///   SpDMM, whose per-row cost is counting and transposing the whole `X`
+///   row.  (`m·(n + d)` and `m` would not do: both grid shapes have
+///   `n + d = 160`, which makes the two collinear and the fit singular.)
 fn features(prim: HostPrimitive, shape: ProductShape, ax: f64, ay: f64) -> [f64; 3] {
     let macs = shape.macs();
     let out = (shape.m * shape.d) as f64;
@@ -122,6 +135,7 @@ fn features(prim: HostPrimitive, shape: ProductShape, ax: f64, ay: f64) -> [f64;
     match prim {
         HostPrimitive::Gemm => [macs, out, rows],
         HostPrimitive::SpDmm => [ax * macs, out, rows],
+        HostPrimitive::SpDmmRight => [ay * macs, out, rows * shape.n as f64],
         HostPrimitive::Spmm => {
             let flops = ax * ay * macs;
             let touched = out * (1.0 - (-(ax * ay) * shape.n as f64).exp());
@@ -139,7 +153,8 @@ pub struct PrimitiveFit {
     pub work: f64,
     /// Milliseconds per output element written/touched.
     pub output: f64,
-    /// Milliseconds per output row (loop overhead).
+    /// Milliseconds per output row (loop overhead) — per element of the
+    /// rows read, for the right-sparse SpDMM (see `features`).
     pub per_row: f64,
 }
 
@@ -199,9 +214,10 @@ impl Default for CalibrationConfig {
                 (0.1, 0.1),
                 (0.05, 0.05),
                 (0.02, 0.02),
-                // Reversed pairs (left denser than right): the SpDMM host
-                // kernel's cost is left-density proportional, so the grid
-                // must witness α_X > α_Y (pruned-weight updates live here).
+                // Reversed pairs (left denser than right): each SpDMM
+                // orientation is proportional to the operand it skips, so
+                // the grid must witness α_X > α_Y (pruned-weight updates
+                // live here).
                 (0.5, 0.05),
                 (0.2, 0.02),
             ],
@@ -228,6 +244,10 @@ pub struct CalibrationSample {
     pub gemm_ms: f64,
     /// Measured milliseconds of the sparse-dense CSR row kernel.
     pub spdmm_ms: f64,
+    /// Measured milliseconds of the right-sparse row kernel (dense left
+    /// operand, right operand as the CSR of its transpose), scaled up from
+    /// the first `RIGHT_SPARSE_TIMED_ROWS` rows.
+    pub spdmm_right_ms: f64,
     /// Measured milliseconds of the Gustavson sparse-sparse kernel.
     pub spmm_ms: f64,
 }
@@ -244,8 +264,11 @@ pub struct HostCalibration {
     pub version: u32,
     /// Fitted GEMM cost curve.
     pub gemm: PrimitiveFit,
-    /// Fitted SpDMM cost curve.
+    /// Fitted SpDMM cost curve (CSR left operand).
     pub spdmm: PrimitiveFit,
+    /// Fitted SpDMM cost curve of the other orientation (dense left operand,
+    /// sparse right one).
+    pub spdmm_right: PrimitiveFit,
     /// Fitted SPMM (Gustavson) cost curve.
     pub spmm: PrimitiveFit,
     /// Number of grid points measured (0 for loaded/synthetic fits).
@@ -254,8 +277,14 @@ pub struct HostCalibration {
     pub measure_ms: f64,
 }
 
+/// Output rows the calibration times the right-sparse kernel over.  Its row
+/// tiles share nothing and cost the same, so two of them time the whole
+/// product, and the fourth kernel adds a few percent to the calibration pass
+/// instead of a fifth.
+const RIGHT_SPARSE_TIMED_ROWS: usize = 32;
+
 /// Current schema version of the persisted calibration JSON.
-pub const CALIBRATION_VERSION: u32 = 1;
+pub const CALIBRATION_VERSION: u32 = 2;
 
 /// Environment variable overriding [`HostCalibration::shared`]: `off` (or
 /// `regions`) disables calibration entirely, any other value is a path to a
@@ -263,8 +292,8 @@ pub const CALIBRATION_VERSION: u32 = 1;
 pub const CALIBRATION_ENV: &str = "DYNASPARSE_CALIBRATION";
 
 impl HostCalibration {
-    /// Times the three host kernels over `config`'s grid and fits the
-    /// per-primitive cost curves.
+    /// Times the four host kernels over `config`'s grid and fits one cost
+    /// curve per kernel.
     pub fn measure(config: &CalibrationConfig) -> HostCalibration {
         let started = Instant::now();
         let samples = Self::measure_grid(config);
@@ -276,6 +305,7 @@ impl HostCalibration {
                     let t = match prim {
                         HostPrimitive::Gemm => s.gemm_ms,
                         HostPrimitive::SpDmm => s.spdmm_ms,
+                        HostPrimitive::SpDmmRight => s.spdmm_right_ms,
                         HostPrimitive::Spmm => s.spmm_ms,
                         HostPrimitive::Skip => 0.0,
                     };
@@ -288,6 +318,7 @@ impl HostCalibration {
             version: CALIBRATION_VERSION,
             gemm: fit_for(HostPrimitive::Gemm),
             spdmm: fit_for(HostPrimitive::SpDmm),
+            spdmm_right: fit_for(HostPrimitive::SpDmmRight),
             spmm: fit_for(HostPrimitive::Spmm),
             samples: samples.len(),
             measure_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -307,6 +338,7 @@ impl HostCalibration {
                 let y = random_dense(&mut rng, n, d, ay);
                 let xs = CsrMatrix::from_dense(&x);
                 let ys = CsrMatrix::from_dense(&y);
+                let yt = CsrMatrix::from_dense(&y.transpose());
                 let mut out = DenseMatrix::zeros(m, d);
                 let gemm_ms = time_min_ms(reps, || {
                     gemm_into(&x, &y, &mut out).expect("calibration shapes agree");
@@ -315,6 +347,12 @@ impl HostCalibration {
                     xs.spmm_dense_into(&y, &mut out)
                         .expect("calibration shapes agree");
                 });
+                let timed_rows = m.min(RIGHT_SPARSE_TIMED_ROWS);
+                let timed = &mut out.as_mut_slice()[..timed_rows * d];
+                let spdmm_right_ms = time_min_ms(reps, || {
+                    right_sparse_rows_into(&x, &yt, 0, timed, 0, &mut [])
+                        .expect("calibration shapes agree");
+                }) * (m as f64 / timed_rows.max(1) as f64);
                 let spmm_ms = time_min_ms(reps, || {
                     let product = xs
                         .spgemm_with(&ys, &mut scratch)
@@ -329,6 +367,7 @@ impl HostCalibration {
                     alpha_y: ys.density(),
                     gemm_ms,
                     spdmm_ms,
+                    spdmm_right_ms,
                     spmm_ms,
                 });
             }
@@ -353,6 +392,11 @@ impl HostCalibration {
                 output: 2.0e-7,
                 per_row: 0.0,
             },
+            spdmm_right: PrimitiveFit {
+                work: 2.0e-6,
+                output: 2.0e-7,
+                per_row: 0.0,
+            },
             spmm: PrimitiveFit {
                 work: 4.0e-5,
                 output: 4.0e-7,
@@ -374,6 +418,7 @@ impl HostCalibration {
         let fit = match prim {
             HostPrimitive::Gemm => &self.gemm,
             HostPrimitive::SpDmm => &self.spdmm,
+            HostPrimitive::SpDmmRight => &self.spdmm_right,
             HostPrimitive::Spmm => &self.spmm,
             HostPrimitive::Skip => return 0.0,
         };
@@ -382,7 +427,9 @@ impl HostCalibration {
 
     /// Whether every fitted curve is finite, non-negative and non-trivial.
     pub fn is_valid(&self) -> bool {
-        self.gemm.is_valid() && self.spdmm.is_valid() && self.spmm.is_valid()
+        [&self.gemm, &self.spdmm, &self.spdmm_right, &self.spmm]
+            .iter()
+            .all(|fit| fit.is_valid())
     }
 
     /// Serializes the calibration to its persisted JSON form.
@@ -394,6 +441,14 @@ impl HostCalibration {
     /// [`HostCalibration::to_json`] (hand-rolled fixed-schema reader; the
     /// vendored serde has no deserializer).
     pub fn from_json(json: &str) -> Result<HostCalibration, String> {
+        // The version first: an older file lacks the curves added since, and
+        // should be refused for what it is.
+        let version = json_number(json, "version")? as u32;
+        if version != CALIBRATION_VERSION {
+            return Err(format!(
+                "calibration version {version} unsupported (expected {CALIBRATION_VERSION})"
+            ));
+        }
         let fit = |name: &str| -> Result<PrimitiveFit, String> {
             let obj = json_object(json, name)?;
             Ok(PrimitiveFit {
@@ -403,19 +458,14 @@ impl HostCalibration {
             })
         };
         let calibration = HostCalibration {
-            version: json_number(json, "version")? as u32,
+            version,
             gemm: fit("gemm")?,
             spdmm: fit("spdmm")?,
+            spdmm_right: fit("spdmm_right")?,
             spmm: fit("spmm")?,
             samples: json_number(json, "samples").unwrap_or(0.0) as usize,
             measure_ms: json_number(json, "measure_ms").unwrap_or(0.0),
         };
-        if calibration.version != CALIBRATION_VERSION {
-            return Err(format!(
-                "calibration version {} unsupported (expected {CALIBRATION_VERSION})",
-                calibration.version
-            ));
-        }
         if !calibration.is_valid() {
             return Err("calibration coefficients are not finite non-negative".into());
         }
@@ -609,7 +659,7 @@ impl CostModel for RegionPolicy {
         let ay = sanitize_density(alpha_y);
         match prim {
             HostPrimitive::Gemm => shape.macs(),
-            HostPrimitive::SpDmm => ax.min(ay) * shape.macs(),
+            HostPrimitive::SpDmm | HostPrimitive::SpDmmRight => ax.min(ay) * shape.macs(),
             HostPrimitive::Spmm => ax * ay * shape.macs(),
             HostPrimitive::Skip => 0.0,
         }
@@ -813,8 +863,50 @@ mod tests {
         let back = HostCalibration::from_json(&json).unwrap();
         assert_eq!(back.gemm, calibration.gemm);
         assert_eq!(back.spdmm, calibration.spdmm);
+        assert_eq!(back.spdmm_right, calibration.spdmm_right);
         assert_eq!(back.spmm, calibration.spmm);
         assert_eq!(back.version, CALIBRATION_VERSION);
+    }
+
+    #[test]
+    fn a_version_1_file_is_refused_for_its_version() {
+        // What the three-curve schema wrote: no `spdmm_right`.  The refusal
+        // names the version, not the key the file could not have.
+        let fit = r#"{ "work": 1e-6, "output": 1e-7, "per_row": 0 }"#;
+        let v1 = format!(
+            r#"{{ "version": 1, "gemm": {fit}, "spdmm": {fit}, "spmm": {fit},
+                 "samples": 20, "measure_ms": 21.5 }}"#
+        );
+        let err = HostCalibration::from_json(&v1).unwrap_err();
+        assert!(err.contains("version 1 unsupported"), "{err}");
+    }
+
+    #[test]
+    fn the_default_grid_resolves_every_right_sparse_coefficient() {
+        // Both default shapes have `n + d = 160`: features that are not
+        // independent on the grid (such as `m·(n + d)` beside `m`) make the
+        // normal equations singular and the fit fall back to `work` alone,
+        // which prices a kernel without its fixed costs.
+        let truth = [9.0e-8, 5.0e-7, 3.0e-7];
+        let config = CalibrationConfig::default();
+        let rows: Vec<([f64; 3], f64)> = config
+            .shapes
+            .iter()
+            .flat_map(|&(m, n, d)| config.densities.iter().map(move |&a| (m, n, d, a)))
+            .map(|(m, n, d, (ax, ay))| {
+                let f = features(
+                    HostPrimitive::SpDmmRight,
+                    ProductShape::new(m, n, d),
+                    ax,
+                    ay,
+                );
+                (f, truth[0] * f[0] + truth[1] * f[1] + truth[2] * f[2])
+            })
+            .collect();
+        let fit = fit_nonnegative(&rows);
+        for (got, want) in fit.coefficients().iter().zip(truth) {
+            assert!((got - want).abs() / want < 1e-6, "{fit:?}");
+        }
     }
 
     #[test]

@@ -531,12 +531,22 @@ impl DenseMatrix {
         }
     }
 
-    /// In-place element-wise application of `f`.
+    /// In-place element-wise application of `f`.  The pass counts the
+    /// non-zeros it writes and leaves the count cached, so the density of an
+    /// activated kernel output costs no second scan.
     pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
+        let mut nnz = 0usize;
+        // Counted per chunk in 32-bit lanes, which the map's vector loop
+        // carries along; a `usize` counter would halve its width.
+        for chunk in self.data.chunks_mut(1 << 12) {
+            let mut count = 0u32;
+            for v in chunk {
+                *v = f(*v);
+                count += is_nonzero(*v) as u32;
+            }
+            nnz += count as usize;
         }
-        self.invalidate_nnz();
+        self.nnz_cache.store(encode_nnz(nnz), Ordering::Relaxed);
     }
 
     /// Element-wise sum of two matrices.
@@ -755,6 +765,17 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         m.as_mut_slice()[0] = 5.0;
         assert_eq!(m.nnz(), 1);
+        // `map_inplace` leaves the count it made while writing: the cached
+        // value, not a rescan, answers — and it counts as `is_nonzero` does
+        // (`-0.0` and `NaN` are not non-zeros, a denormal is).
+        let hostile = vec![-0.0, 1.0e-40, f32::NAN, f32::INFINITY, 0.0, -2.5];
+        let mut m = DenseMatrix::from_row_major(2, 3, hostile).unwrap();
+        assert_eq!(m.nnz_cache.load(Ordering::Relaxed), NNZ_UNKNOWN);
+        m.map_inplace(|v| v);
+        assert_eq!(m.nnz_cache.load(Ordering::Relaxed), encode_nnz(3));
+        assert_eq!(m.clone().nnz(), 3);
+        m.invalidate_nnz();
+        assert_eq!(m.nnz(), 3);
     }
 
     #[test]

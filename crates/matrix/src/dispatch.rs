@@ -37,6 +37,12 @@ pub enum HostPrimitive {
     Gemm,
     /// Sparse × dense: CSR row kernel (scatter-gather paradigm).
     SpDmm,
+    /// Dense × sparse: SpDMM run by the *right* operand's non-zeros (the
+    /// right-sparse row kernel over the CSR of `Wᵀ`).  No `decide` returns
+    /// it — only an Update over dense-stored features with a cached pruned
+    /// weight can run it, and the executor settles that by rule — so it
+    /// exists to name the kernel's own cost curve where it is priced.
+    SpDmmRight,
     /// Sparse × sparse: Gustavson row-wise product.
     Spmm,
     /// An operand is empty; the kernel output is all zeros.
@@ -49,6 +55,7 @@ impl HostPrimitive {
         match self {
             HostPrimitive::Gemm => "gemm",
             HostPrimitive::SpDmm => "spdmm",
+            HostPrimitive::SpDmmRight => "spdmm-right",
             HostPrimitive::Spmm => "spmm",
             HostPrimitive::Skip => "skip",
         }
@@ -197,6 +204,7 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(HostPrimitive::Gemm.label(), "gemm");
         assert_eq!(HostPrimitive::SpDmm.label(), "spdmm");
+        assert_eq!(HostPrimitive::SpDmmRight.label(), "spdmm-right");
         assert_eq!(HostPrimitive::Spmm.label(), "spmm");
         assert_eq!(HostPrimitive::Skip.label(), "skip");
     }

@@ -17,6 +17,7 @@
 //! dense product is on the critical path of an experiment harness.
 
 use crate::coo::CooMatrix;
+use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::layout::Layout;
@@ -312,15 +313,12 @@ pub fn gemm_rows_into(
     }
     let n = x.cols();
     let d = y.cols();
-    // A counter row of the wrong length would silently drop columns of `X`
-    // from the product (the scan walks blocks and counters in lockstep).
-    if !counts.is_empty() && (block_cols == 0 || counts.len() != n.div_ceil(block_cols)) {
-        return Err(MatrixError::ShapeMismatch {
-            op: "gemm_rows (one counter per block column required)",
-            lhs: x.shape(),
-            rhs: (counts.len(), block_cols),
-        });
-    }
+    check_counter_row(
+        "gemm_rows (one counter per block column required)",
+        x,
+        block_cols,
+        counts,
+    )?;
     if d == 0 {
         return Ok(());
     }
@@ -336,6 +334,193 @@ pub fn gemm_rows_into(
         block_cols,
         counts,
     );
+    Ok(())
+}
+
+/// Checks the profile counter row a block kernel was lent for `x`: empty (no
+/// profile) or one counter per `block_cols`-wide block column.  A counter
+/// row of the wrong length would silently drop columns of `X` from the
+/// product (the scan walks blocks and counters in lockstep).
+fn check_counter_row(
+    op: &'static str,
+    x: &DenseMatrix,
+    block_cols: usize,
+    counts: &[usize],
+) -> Result<()> {
+    if !counts.is_empty() && (block_cols == 0 || counts.len() != x.cols().div_ceil(block_cols)) {
+        return Err(MatrixError::ShapeMismatch {
+            op,
+            lhs: x.shape(),
+            rhs: (counts.len(), block_cols),
+        });
+    }
+    Ok(())
+}
+
+/// Rows per tile of the right-sparse kernel: one output column of a tile is
+/// accumulated in this many lanes (four SSE registers).
+const RIGHT_TILE_ROWS: usize = 16;
+
+/// Columns of `X` a tile is transposed at a time.  Like [`SURVIVOR_CAP`] it
+/// bounds the stack scratch (16 KB) whatever `n` is; a wider `X` is walked in
+/// chunks and the partial sums round-trip through the output exactly.
+const RIGHT_TILE_K: usize = 256;
+
+/// One tile of `X`, transposed: `[k - k0][row]`.
+type TransposedTile = [[f32; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
+
+/// The right-sparse row kernel: output rows of `X × W` for row-major `x`
+/// rows of width `n` and the weight as `wt`, the CSR of `Wᵀ` (row `j` holds
+/// column `j` of `W`, its stored `k` increasing).
+///
+/// Per tile of [`RIGHT_TILE_ROWS`] rows: [`scan_row`] counts the rows'
+/// non-zeros into `counts`, the tile is transposed `k`-major into stack
+/// scratch, and every output column walks its stored weights in increasing
+/// `k` with one tile-high accumulator.  An output element therefore receives
+/// [`gemm_reference`]'s additions in its order from the same `+0.0`, minus
+/// the `x · 0` terms of the weights that are not stored — each a `±0.0`
+/// added to a sum that is never `-0.0` — so the result is the oracle's bit
+/// for bit on finite operands.  The product of a zero `x` is masked out, as
+/// the oracle skips it.
+fn right_sparse_rows_rm(
+    x: &[f32],
+    n: usize,
+    wt: &CsrMatrix,
+    out_rows: &mut [f32],
+    row0: usize,
+    block_cols: usize,
+    counts: &mut [usize],
+) {
+    let d = wt.rows();
+    if n == 0 {
+        out_rows.fill(0.0);
+        return;
+    }
+    // Lanes past a short last tile keep an earlier tile's values: they are
+    // accumulated and never written.
+    let mut xt: TransposedTile = [[0.0; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
+    for (t, otile) in out_rows.chunks_mut(RIGHT_TILE_ROWS * d).enumerate() {
+        let rows = otile.len() / d;
+        let xtile = &x[(row0 + t * RIGHT_TILE_ROWS) * n..][..rows * n];
+        for xrow in xtile.chunks_exact(n) {
+            scan_row(xrow, block_cols, counts, |_, _| {});
+        }
+        for k0 in (0..n).step_by(RIGHT_TILE_K) {
+            let k1 = n.min(k0 + RIGHT_TILE_K);
+            transpose_tile(xtile, n, k0, k1, &mut xt);
+            for j in 0..d {
+                let (ks, ws) = wt.row(j);
+                // The column's stored weights inside this chunk: all of
+                // them when `X` fits one chunk (no search per tile).
+                let (lo, hi) = if n <= RIGHT_TILE_K {
+                    (0, ks.len())
+                } else {
+                    let before = |end: usize| ks.partition_point(|&k| (k as usize) < end);
+                    (before(k0), before(k1))
+                };
+                let mut acc = [0.0f32; RIGHT_TILE_ROWS];
+                if k0 > 0 {
+                    for (a, orow) in acc.iter_mut().zip(otile.chunks_exact(d)) {
+                        *a = orow[j];
+                    }
+                }
+                for (&k, &w) in ks[lo..hi].iter().zip(&ws[lo..hi]) {
+                    // `k0 <= k < k1`, so the modulo changes nothing; it
+                    // spares the bounds check, whose panic path would spill
+                    // the accumulator every step.
+                    let lanes = &xt[(k as usize - k0) % RIGHT_TILE_K];
+                    for (a, &xv) in acc.iter_mut().zip(lanes) {
+                        *a += if xv != 0.0 { xv * w } else { 0.0 };
+                    }
+                }
+                for (&a, orow) in acc.iter().zip(otile.chunks_exact_mut(d)) {
+                    orow[j] = a;
+                }
+            }
+        }
+    }
+}
+
+/// Transposes columns `[k0, k1)` of the row-major `xtile` (rows of width `n`)
+/// into `xt[k - k0][row]`, four rows by four columns at a time so the moves
+/// compile to register shuffles.
+#[inline(always)]
+fn transpose_tile(xtile: &[f32], n: usize, k0: usize, k1: usize, xt: &mut TransposedTile) {
+    let kc = k1 - k0;
+    let mut quads = xtile.chunks_exact(4 * n);
+    let mut r = 0;
+    for quad in &mut quads {
+        let rows: [&[f32]; 4] = std::array::from_fn(|i| &quad[i * n + k0..][..kc]);
+        for k in (0..kc - kc % 4).step_by(4) {
+            let q: [&[f32; 4]; 4] = rows.map(|row| row[k..k + 4].try_into().expect("four lanes"));
+            for i in 0..4 {
+                xt[k + i][r..r + 4].copy_from_slice(&q.map(|lanes| lanes[i]));
+            }
+        }
+        for k in kc - kc % 4..kc {
+            xt[k][r..r + 4].copy_from_slice(&rows.map(|row| row[k]));
+        }
+        r += 4;
+    }
+    for xrow in quads.remainder().chunks_exact(n) {
+        for (lanes, &xv) in xt.iter_mut().zip(&xrow[k0..k1]) {
+            lanes[r] = xv;
+        }
+        r += 1;
+    }
+}
+
+/// Computes output rows `[r0, r0 + out_rows.len() / d)` of `Z = X × W` into a
+/// caller-owned row-major slice, with the weight given as `wt`, the CSR of
+/// `Wᵀ` (`d × n`) — the host SpDMM in its second orientation, run by the
+/// *right* operand's non-zeros.  It is the block kernel of an Update whose
+/// pruned weight is sparser than its dense-stored features:
+/// [`gemm_rows_into`] pays for every non-zero of `X` times all `d` columns,
+/// this kernel for every row of `X` times the stored weights only.
+///
+/// The contract is [`gemm_rows_into`]'s: `x` row-major (a column-major one is
+/// a shape error, the block loop being allocation-free), the rows'
+/// non-zeros **added** into `counts` per `block_cols`-wide block column (an
+/// empty `counts` skips the profile, any other wrong length is a shape
+/// error), every output element written, and — on finite operands — the
+/// result bit-identical to [`gemm_reference`] for any row partition.  A
+/// non-finite feature reaches only the output columns whose weight is
+/// stored, as in [`CsrMatrix::spgemm_rows_dense_into`].
+pub fn right_sparse_rows_into(
+    x: &DenseMatrix,
+    wt: &CsrMatrix,
+    r0: usize,
+    out_rows: &mut [f32],
+    block_cols: usize,
+    counts: &mut [usize],
+) -> Result<()> {
+    let n = x.cols();
+    let d = wt.rows();
+    if n != wt.cols() || x.layout() != Layout::RowMajor {
+        return Err(MatrixError::ShapeMismatch {
+            op: "right_sparse_rows (row-major x and the transposed weight required)",
+            lhs: x.shape(),
+            rhs: (wt.cols(), d),
+        });
+    }
+    check_counter_row(
+        "right_sparse_rows (one counter per block column required)",
+        x,
+        block_cols,
+        counts,
+    )?;
+    if d == 0 {
+        return Ok(());
+    }
+    debug_assert_eq!(out_rows.len() % d, 0);
+    debug_assert!(r0 + out_rows.len() / d <= x.rows());
+    let mut unprofiled = [0usize];
+    let (block_cols, counts) = if counts.is_empty() {
+        (n.max(1), &mut unprofiled[..])
+    } else {
+        (block_cols, counts)
+    };
+    right_sparse_rows_rm(x.as_slice(), n, wt, out_rows, r0, block_cols, counts);
     Ok(())
 }
 

@@ -4,10 +4,12 @@
 
 use dynasparse_matrix::format::{dense_to_coo, FormatTransformConfig};
 use dynasparse_matrix::ops::{
-    gemm_into, gemm_reference, gemm_rows_into, spdmm_reference, spmm_reference,
+    gemm_into, gemm_reference, gemm_rows_into, right_sparse_rows_into, spdmm_reference,
+    spmm_reference,
 };
 use dynasparse_matrix::{
-    row_blocks, BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout, ThreadPool,
+    row_blocks, BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout, MatrixError,
+    ThreadPool,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -226,6 +228,17 @@ proptest! {
         }
         prop_assert!(same_bits(&spdmm_rows, out.as_slice()), "SpDMM row blocks");
         prop_assert!(same_bits(&spgemm_rows, spgemm.as_slice()), "Gustavson row blocks");
+
+        // The dense-left route by the right operand's non-zeros, over the
+        // same row partition: the oracle itself, bit for bit (it has its own
+        // property below).
+        let yt = ys.transpose();
+        let mut right_rows = vec![f32::NAN; m * d];
+        for (r0, r1) in row_blocks(m, 5) {
+            right_sparse_rows_into(&x, &yt, r0, &mut right_rows[r0 * d..r1 * d], 0, &mut [])
+                .unwrap();
+        }
+        prop_assert!(same_bits(&right_rows, want.as_slice()), "right-sparse row blocks");
     }
 
     #[test]
@@ -312,6 +325,164 @@ mod cost_model_extremes {
             let (ax, ay) = if zero_side == 1 { (dead, alive) } else { (alive, dead) };
             prop_assert_eq!(regions.decide(shape, ax, ay), HostPrimitive::Skip);
             prop_assert_eq!(calibrated.decide(shape, ax, ay), HostPrimitive::Skip);
+        }
+    }
+}
+
+/// One stored feature of the right-sparse property: ordinary numbers and the
+/// finite ones a zero-skip can get wrong (`-0.0` is a zero on either side, a
+/// denormal is not).
+fn finite_hostile_value() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        12 => -5.0f32..5.0,
+        1 => Just(-0.0f32),
+        1 => Just(1.0e-40f32),
+        1 => Just(-1.0e-40f32),
+    ]
+}
+
+/// One stored weight: the same, and now and then `±Inf`, which must not meet
+/// a zero feature (the oracle skips those).
+fn hostile_weight() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        14 => finite_hostile_value(),
+        1 => Just(f32::INFINITY),
+        1 => Just(f32::NEG_INFINITY),
+    ]
+}
+
+/// Strategy: `(x, w, r0, block_rows)` for the right-sparse kernel property.
+/// `x` has `r0` rows the kernel must not read followed by one full row block
+/// and a ragged one, `block_rows` sits around the kernel's 16-row tile, the
+/// widths around its 256-column chunk and its 4 × 4 transposition, the
+/// densities are the kernel's regimes, and about a fifth of the weight's
+/// rows and columns are all zero.
+fn right_sparse_case() -> impl Strategy<Value = (DenseMatrix, DenseMatrix, usize, usize)> {
+    let n = prop_oneof![
+        Just(1usize),
+        Just(15),
+        Just(16),
+        Just(17),
+        Just(513),
+        Just(1433)
+    ];
+    let d = prop_oneof![Just(1usize), Just(3), Just(4), Just(5), Just(64)];
+    let block_rows = prop_oneof![Just(1usize), Just(15), Just(16), Just(17), Just(50)];
+    let tail = prop_oneof![Just(0usize), Just(1), Just(9)];
+    let alpha_x = prop_oneof![Just(0.0f64), Just(1e-3), Just(0.5), Just(1.0)];
+    let alpha_w = prop_oneof![Just(0.0f64), Just(0.01), Just(0.1), Just(0.5)];
+    (n, d, (block_rows, tail, 0usize..=3), alpha_x, alpha_w).prop_flat_map(
+        |(n, d, (block_rows, tail, r0), alpha_x, alpha_w)| {
+            let m = r0 + block_rows + tail;
+            (
+                proptest::collection::vec((0.0f64..1.0, finite_hostile_value()), m * n),
+                proptest::collection::vec((0.0f64..1.0, hostile_weight()), n * d),
+                proptest::collection::vec(0.0f64..1.0, n + d),
+            )
+                .prop_map(move |(xs, ws, dead)| {
+                    let keep = |cells: Vec<(f64, f32)>, alpha: f64| -> Vec<f32> {
+                        let stored = |(coin, v)| if coin < alpha { v } else { 0.0 };
+                        cells.into_iter().map(stored).collect()
+                    };
+                    let x = DenseMatrix::from_row_major(m, n, keep(xs, alpha_x)).unwrap();
+                    let mut w = keep(ws, alpha_w);
+                    for (i, v) in w.iter_mut().enumerate() {
+                        if dead[i / d] < 0.2 || dead[n + i % d] < 0.2 {
+                            *v = 0.0;
+                        }
+                    }
+                    let w = DenseMatrix::from_row_major(n, d, w).unwrap();
+                    (x, w, r0, block_rows)
+                })
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn right_sparse_row_kernel_matches_the_oracle_and_profiles_as_it_goes(
+        case in right_sparse_case(),
+        block_cols in prop_oneof![Just(1usize), Just(4), Just(16), Just(24), Just(2000)],
+        poison in proptest::collection::vec((0usize..1 << 20, prop_oneof![
+            Just(f32::INFINITY), Just(f32::NEG_INFINITY), Just(f32::NAN),
+        ]), 1..6),
+    ) {
+        let (x, w, r0, block_rows) = case;
+        let ((m, n), d) = (x.shape(), w.cols());
+        let wt = CsrMatrix::from_dense(&w.transpose());
+        let want = gemm_reference(&x, &w).unwrap();
+
+        // Rows `[r0, m)` in `block_rows`-row calls, block widths that do and
+        // do not divide `n`: the oracle's output bit for bit, and the counter
+        // rows filled on the way are the stand-alone refit's over those rows.
+        let run = |x: &DenseMatrix, profile: &mut DensityProfile| {
+            let mut out = vec![f32::NAN; (m - r0) * d];
+            let counts = profile.refit_tiled((m - r0, n), (block_rows, block_cols));
+            for ((b0, b1), row) in row_blocks(m - r0, block_rows).zip(counts) {
+                right_sparse_rows_into(x, &wt, r0 + b0, &mut out[b0 * d..b1 * d], block_cols, row)
+                    .unwrap();
+            }
+            out
+        };
+        let refit = |x: &DenseMatrix| {
+            let grid = BlockGrid::new(m - r0, n, block_rows, block_cols);
+            let mut refit = DensityProfile::default();
+            refit.refit_dense(&x.submatrix_padded(r0, m, 0, n), &grid);
+            refit
+        };
+        let mut profile = DensityProfile::default();
+        let out = run(&x, &mut profile);
+        prop_assert!(same_bits(&out, &want.as_slice()[r0 * d..]), "rows differ from the oracle");
+        prop_assert_eq!(&profile, &refit(&x));
+
+        // The contract's refusals: a counter row of the wrong length, a
+        // column-major `x`.
+        let mut row = vec![0.0f32; d];
+        let mut short = vec![0usize; n.div_ceil(block_cols) + 1];
+        for refused in [
+            right_sparse_rows_into(&x, &wt, 0, &mut row, block_cols, &mut short),
+            right_sparse_rows_into(&x.to_layout(Layout::ColMajor), &wt, 0, &mut row, 0, &mut []),
+        ] {
+            prop_assert!(matches!(refused, Err(MatrixError::ShapeMismatch { .. })));
+        }
+
+        // Non-finite features.  The kernel multiplies every `x != 0.0` by the
+        // stored weights only, so an `Inf` or `NaN` reaches the output
+        // columns whose weight is stored — not the whole output row, as in
+        // the GEMM oracle — which is what the Gustavson block kernel computes
+        // from the same stored entries, except that its dense emission turns
+        // a `NaN` sum into `+0.0`.  Routing therefore still changes numerics
+        // on non-finite inputs: this pins what the kernel does today, the
+        // contract ROADMAP's differential-harness item has to settle.
+        let mut poisoned = x.clone();
+        for &(at, v) in &poison {
+            let at = r0 * n + at % ((m - r0) * n);
+            poisoned.set(at / n, at % n, v);
+        }
+        let got = run(&poisoned, &mut profile);
+        prop_assert_eq!(&profile, &refit(&poisoned));
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..m {
+            for (k, &v) in poisoned.row_slice(r).unwrap().iter().enumerate() {
+                if v != 0.0 {
+                    col_idx.push(k as u32);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let stored = CsrMatrix::from_parts(m, n, row_ptr, col_idx, values);
+        let mut gustavson = vec![f32::NAN; (m - r0) * d];
+        stored
+            .spgemm_rows_dense_into(&CsrMatrix::from_dense(&w), r0, &mut gustavson)
+            .unwrap();
+        for (g, s) in got.iter().zip(&gustavson) {
+            prop_assert!(
+                g.to_bits() == s.to_bits() || (g.is_nan() && s.to_bits() == 0),
+                "right-sparse {g} against Gustavson {s}"
+            );
         }
     }
 }

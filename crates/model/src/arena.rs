@@ -19,14 +19,17 @@
 //!   compiler partition's row blocks, `N1` rows per Aggregate block and
 //!   `N2` per Update block).  The span, the prediction and the execution all
 //!   read that one value.
-//! * **One decision per block.**  A *rows* route has one of two block
-//!   bodies (`BlockBody`): the counting GEMM for a dense-stored left
-//!   operand (its zero-skip doubles as the host SpDMM, and its single pass
-//!   over the operand also fills the kernel input's sparsity profile), or a
-//!   CSR left operand whose every block refits its density from the row
-//!   pointers and picks Skip / SpDMM / Gustavson-into-dense through the
-//!   dispatcher's [`ExecBackend`].  The kernel's predicted cost is the sum
-//!   of its blocks' predictions.
+//! * **One decision per block.**  A *rows* route has one of three block
+//!   bodies (`BlockBody`).  A dense-stored left operand (an Update over
+//!   dense `H`) runs the counting GEMM, whose zero-skip doubles as the host
+//!   SpDMM by the *left* operand — or, when the product lies in Table IV's
+//!   SpDMM region and the model's pruned weight is its sparser operand, the
+//!   right-sparse kernel over the cached CSR of `Wᵀ`, the host SpDMM by the
+//!   *right* operand; either one's single pass over the operand also fills
+//!   the kernel input's sparsity profile.  A CSR left operand refits every
+//!   block's density from the row pointers and picks Skip / SpDMM /
+//!   Gustavson-into-dense through the dispatcher's [`ExecBackend`].  The
+//!   kernel's predicted cost is the sum of its blocks' predictions.
 //! * **One runner.**  `run_kernel` wraps whichever shape executes — here
 //!   and in the batch-fused pass of [`crate::batch`] — with the timing, the
 //!   kernel span and the region-fallback count behind a single `Option`
@@ -57,7 +60,7 @@ use crate::kernel::{KernelInput, KernelOp, KernelSpec};
 use crate::models::GnnModel;
 use crate::reference::ReferenceExecutor;
 use dynasparse_graph::FeatureMatrix;
-use dynasparse_matrix::ops::gemm_rows_into;
+use dynasparse_matrix::ops::{gemm_rows_into, right_sparse_rows_into};
 use dynasparse_matrix::{
     CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration, HostPrimitive,
     MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool,
@@ -80,7 +83,7 @@ pub(crate) struct ProbeCtx<'a> {
 fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
     match prim {
         HostPrimitive::Gemm => SpanPrimitive::Gemm,
-        HostPrimitive::SpDmm => SpanPrimitive::SpDmm,
+        HostPrimitive::SpDmm | HostPrimitive::SpDmmRight => SpanPrimitive::SpDmm,
         HostPrimitive::Spmm => SpanPrimitive::Spmm,
         HostPrimitive::Skip => SpanPrimitive::Skip,
     }
@@ -90,16 +93,27 @@ fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
 ///
 /// Holds the execution backend that picks and prices the primitive of every
 /// product (see [`ExecBackend`]) plus the per-model caches the routes need:
-/// a CSR copy of every SPMM-eligible weight matrix (a weight sparse enough
-/// that the sparse-sparse route can ever be chosen for it), built once when
-/// the dispatcher is created.
+/// the CSR forms of every weight matrix sparse enough that a route skipping
+/// its zeros can ever be chosen for it, built once when the dispatcher is
+/// created.
 #[derive(Debug)]
 pub struct KernelDispatcher {
     policy: DispatchPolicy,
     backend: Arc<dyn ExecBackend>,
     parallel: bool,
-    /// CSR forms of SPMM-eligible weights, indexed like `model.weights`.
-    weight_csr: Vec<Option<CsrMatrix>>,
+    /// CSR forms of the sparse-eligible weights, indexed like
+    /// `model.weights`.
+    weight_csr: Vec<Option<WeightCsr>>,
+}
+
+/// A pruned weight as the routes that skip its zeros read it.
+#[derive(Debug)]
+struct WeightCsr {
+    /// `W` in CSR: the right operand of the sparse-sparse (Gustavson) routes.
+    csr: CsrMatrix,
+    /// `Wᵀ` in CSR — column `j` of `W` as row `j`: the right operand of the
+    /// right-sparse Update body.
+    transposed: CsrMatrix,
 }
 
 impl KernelDispatcher {
@@ -115,16 +129,23 @@ impl KernelDispatcher {
         backend: Arc<dyn ExecBackend>,
         parallel: bool,
     ) -> Self {
-        // Cache a CSR for any weight either cost model could route
-        // sparse-sparse: the calibrated argmin is not bounded by the
-        // accelerator's SpDMM threshold, so the gate is the (wider) GEMM
-        // boundary.  An uncached weight simply forces the sparse-dense
-        // route, so widening the gate never changes results.
+        // Cache the CSR forms of any weight either cost model could route
+        // by its zeros (sparse-sparse, or SpDMM by the right operand): the
+        // calibrated argmin is not bounded by the accelerator's SpDMM
+        // threshold, so the gate is the (wider) GEMM boundary.  An uncached
+        // weight simply forces the routes that read it dense, so widening
+        // the gate never changes results.
         let csr_bound = policy.gemm_min_density.max(policy.spdmm_max_density);
         let weight_csr = model
             .weights
             .iter()
-            .map(|w| (w.density() < csr_bound).then(|| CsrMatrix::from_dense(w)))
+            .map(|w| {
+                (w.density() < csr_bound).then(|| {
+                    let csr = CsrMatrix::from_dense(w);
+                    let transposed = csr.transpose();
+                    WeightCsr { csr, transposed }
+                })
+            })
             .collect();
         KernelDispatcher {
             policy,
@@ -547,6 +568,13 @@ enum BlockBody<'a> {
         x: Cow<'a, DenseMatrix>,
         y: Cow<'a, DenseMatrix>,
     },
+    /// Dense × CSR: the host SpDMM by the right operand, over `wt`, the CSR
+    /// of `Wᵀ`.  It reads every element of `x` and multiplies by the stored
+    /// weights only; it counts the block's non-zeros as the GEMM body does.
+    RightSparse {
+        x: Cow<'a, DenseMatrix>,
+        wt: &'a CsrMatrix,
+    },
     /// CSR × dense.  The block's density is an O(1) row-pointer difference;
     /// an empty block is skipped, and when the right operand also exists in
     /// CSR form (`y_csr`: sparse features, a cached pruned weight) the
@@ -600,13 +628,25 @@ impl BlockBody<'_> {
                 let nnz = counts.iter().sum();
                 (HostPrimitive::Gemm, shape, block_density(nnz, rows, n))
             }
+            BlockBody::RightSparse { x, wt } => {
+                right_sparse_rows_into(x, wt, r0, out_rows, block_rows, counts)
+                    .expect("shapes and layouts were settled at route resolution");
+                let nnz = counts.iter().sum();
+                (
+                    HostPrimitive::SpDmmRight,
+                    shape,
+                    block_density(nnz, rows, n),
+                )
+            }
             BlockBody::CsrLeft { x, y, y_csr } => {
                 let alpha_x = block_density(x.rows_nnz(r0, r0 + rows), rows, n);
                 let prim = match y_csr {
                     Some(_) => match dispatcher.decide(shape, alpha_x, product.alpha_y).0 {
                         HostPrimitive::Skip => HostPrimitive::Skip,
                         HostPrimitive::Spmm => HostPrimitive::Spmm,
-                        HostPrimitive::Gemm | HostPrimitive::SpDmm => HostPrimitive::SpDmm,
+                        HostPrimitive::Gemm | HostPrimitive::SpDmm | HostPrimitive::SpDmmRight => {
+                            HostPrimitive::SpDmm
+                        }
                     },
                     // Without a CSR right operand the route is structurally
                     // forced: the block has work for the sparse-dense kernel
@@ -718,21 +758,48 @@ impl Pass<'_> {
                 let w = &self.executor.model().weights[weight];
                 let shape = product_shape(kin.shape(), w.shape())?;
                 let block_rows = self.partition.update_block_rows().max(1);
+                let w_csr = self.dispatcher.weight_csr[weight].as_ref();
                 match kin {
-                    // Dense-stored `H`: the counting GEMM whatever its
-                    // density (a decision here would only affect the modeled
-                    // accelerator, not which host loop runs).
+                    // Dense-stored `H`: SpDMM by whichever operand is
+                    // sparser.  The counting GEMM skips the zeros of `H`; the
+                    // right-sparse body skips the weight's, and runs when
+                    // `Wᵀ` is cached, the product lies in Table IV's SpDMM
+                    // region at `H`'s measured density, and the weight is its
+                    // sparser operand.  Below that region both operands are
+                    // nearly empty, and the GEMM's group skip of `H` beats
+                    // transposing it.  No price is asked: the GEMM is priced
+                    // by its dense envelope, which does not see `α_H`.
                     FeatureMatrix::Dense(h) => {
-                        let body = BlockBody::Gemm {
-                            x: h.row_major(),
-                            y: w.row_major(),
+                        let alpha_w = w.density();
+                        let x = h.row_major();
+                        let right = w_csr.map(|w_csr| (&w_csr.transposed, h.density())).filter(
+                            |&(_, alpha_h)| {
+                                let region = self.dispatcher.policy.decide(alpha_h, alpha_w);
+                                region == HostPrimitive::SpDmm && alpha_w < alpha_h
+                            },
+                        );
+                        let (executed, alphas, body) = match right {
+                            Some((wt, alpha_h)) => (
+                                HostPrimitive::SpDmmRight,
+                                (alpha_h, alpha_w),
+                                BlockBody::RightSparse { x, wt },
+                            ),
+                            // The GEMM streams every stored element of `H`:
+                            // α_X is the dense 1.0.
+                            None => (
+                                HostPrimitive::Gemm,
+                                (1.0, alpha_w),
+                                BlockBody::Gemm {
+                                    x,
+                                    y: w.row_major(),
+                                },
+                            ),
                         };
                         let exec = Exec::Rows { block_rows, body };
-                        let alphas = (1.0, w.density());
-                        return Ok(Route::new(HostPrimitive::Gemm, shape, alphas, false, exec));
+                        return Ok(Route::new(executed, shape, alphas, false, exec));
                     }
                     FeatureMatrix::Sparse(h) => {
-                        let w_csr = self.dispatcher.weight_csr[weight].as_ref();
+                        let w_csr = w_csr.map(|w_csr| &w_csr.csr);
                         (shape, block_rows, h, Some(w), w_csr, w.density(), false)
                     }
                 }
@@ -819,11 +886,11 @@ impl Pass<'_> {
                     // reshape skips the zero-fill.
                     let out = slot_as_dense(out_slot, spgemm);
                     out.reset_for_overwrite(m, d);
-                    // Block `k` of the GEMM body owns counter row `k` of the
-                    // profile handed to `on_kernel` (with `d == 0` no row is
+                    // Block `k` of a dense-left body owns counter row `k` of
+                    // the profile handed to `on_kernel` (with `d == 0` no row is
                     // scanned and nothing is handed over).
                     let count_rows = match body {
-                        BlockBody::Gemm { .. } => {
+                        BlockBody::Gemm { .. } | BlockBody::RightSparse { .. } => {
                             *profiled = d > 0;
                             profile.refit_tiled((m, n), (block_rows, block_rows))
                         }
@@ -1237,12 +1304,38 @@ pub(crate) mod tests {
         }
     }
 
-    /// Trace-level block spans of one solo pass, as `(layer, kernel, block
-    /// primitive)`.
-    fn block_primitives(
+    #[test]
+    fn pruned_weights_over_dense_requests_match_the_reference() {
+        // Dense-stored requests on both sides of the pruned weights'
+        // densities (and of Table IV's SpDMM boundary), so Updates take the
+        // right-sparse body, the counting GEMM, and both within one pass —
+        // over the hostile partitions (ragged and one-row tiles of the
+        // right-sparse kernel) and with the pool on.
+        let requests: Vec<FeatureMatrix> = [0.02, 0.5, 1.0]
+            .iter()
+            .map(|&density| dense_features(VERTICES, 24, density, 51))
+            .collect();
+        for sparsity in [0.9, 0.99] {
+            for kind in GnnModelKind::all() {
+                let model = prune_model(&GnnModel::standard(kind, 24, 8, 5, 13), sparsity);
+                for (n1, n2) in [(1, 1), (VERTICES, VERTICES), (1000, 64), (13, 7), (5, 3)] {
+                    let partition = PartitionSpec::new(n1, n2).unwrap();
+                    check_against_reference(&model, &requests, &partition, false);
+                }
+                let partition = PartitionSpec::new(17, 16).unwrap();
+                check_against_reference(&model, &requests, &partition, true);
+            }
+        }
+    }
+
+    /// The kernel spans of one solo pass (the block spans with `blocks`), as
+    /// `(layer, kernel, primitive)`, recorded at trace level under the
+    /// Table IV regions.
+    fn span_primitives(
         exec: &ReferenceExecutor,
         request: &FeatureMatrix,
         partition: &PartitionSpec,
+        blocks: bool,
     ) -> Vec<(u16, u16, SpanPrimitive)> {
         let dispatcher = host_dispatcher(exec.model(), DispatchPolicy::default(), None, false);
         let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
@@ -1259,9 +1352,54 @@ pub(crate) mod tests {
         .unwrap();
         let spans = telemetry.recorder().spans();
         spans
-            .filter(|s| s.is_block())
+            .filter(|s| s.is_block() == blocks)
             .map(|s| (s.layer, s.kernel, s.primitive))
             .collect()
+    }
+
+    #[test]
+    fn a_pruned_weight_runs_a_dense_update_as_spdmm_where_it_is_the_sparser_operand() {
+        let partition = PartitionSpec::new(16, 16).unwrap();
+        // What every Update kernel of one pass ran as, in execution order.
+        let updates = |model: &GnnModel, request: &FeatureMatrix| -> Vec<SpanPrimitive> {
+            let exec = ReferenceExecutor::new(model, &small_graph());
+            let update = |&(l, k, _): &(u16, u16, SpanPrimitive)| {
+                !model.layers[l as usize].kernels[k as usize]
+                    .op
+                    .is_aggregate()
+            };
+            let kernels = span_primitives(&exec, request, &partition, false);
+            let blocks = span_primitives(&exec, request, &partition, true);
+            let kernels: Vec<_> = kernels.into_iter().filter(update).collect();
+            // Every block of a kernel ran what the kernel span says.
+            for &(l, k, prim) in blocks.iter().filter(|&span| update(span)) {
+                assert!(
+                    kernels.contains(&(l, k, prim)),
+                    "block of ({l}, {k}) ran {prim:?}"
+                );
+            }
+            kernels.into_iter().map(|(_, _, prim)| prim).collect()
+        };
+        let half_dense = dense_features(VERTICES, 24, 0.5, 61);
+        // A 90 %-pruned GIN: all four Updates read features denser than
+        // their weight.
+        let gin = prune_model(&GnnModel::gin(24, 16, 8, 13), 0.9);
+        assert_eq!(updates(&gin, &half_dense), [SpanPrimitive::SpDmm; 4]);
+        // A 1 %-dense request is sparser than the first weight of a pruned
+        // GCN: that Update stays the counting GEMM.
+        let gcn = prune_model(&GnnModel::gcn(24, 16, 8, 13), 0.9);
+        let sparse_request = dense_features(VERTICES, 24, 0.01, 62);
+        assert_eq!(updates(&gcn, &sparse_request)[0], SpanPrimitive::Gemm);
+        assert_eq!(updates(&gcn, &half_dense)[0], SpanPrimitive::SpDmm);
+        // An unpruned weight caches no CSR: every Update is GEMM.
+        for kind in GnnModelKind::all() {
+            let model = GnnModel::standard(kind, 24, 16, 8, 13);
+            let ran = updates(&model, &half_dense);
+            assert!(
+                ran.iter().all(|&prim| prim == SpanPrimitive::Gemm),
+                "{kind:?}: {ran:?}"
+            );
+        }
     }
 
     #[test]
@@ -1292,7 +1430,7 @@ pub(crate) mod tests {
         // kernels skip exactly their empty adjacency blocks, and the CSR
         // request's layer-0 Update skips its four all-zero feature blocks.
         let skipped = |request: &FeatureMatrix, aggregate: bool| {
-            block_primitives(&exec, request, &partition)
+            span_primitives(&exec, request, &partition, true)
                 .into_iter()
                 .filter(|&(l, k, prim)| {
                     let spec = &exec.model().layers[l as usize].kernels[k as usize];
@@ -1523,6 +1661,11 @@ pub(crate) mod tests {
             dispatcher.weight_csr.iter().any(|w| w.is_some()),
             "a 95%-pruned weight is SPMM-eligible"
         );
+        for (w, cached) in model.weights.iter().zip(&dispatcher.weight_csr) {
+            let cached = cached.as_ref().expect("every weight is 95 % pruned");
+            assert_eq!(cached.csr.to_dense(), *w);
+            assert_eq!(cached.transposed.to_dense(), w.transpose());
+        }
         let dense_model = GnnModel::gcn(24, 16, 5, 41);
         let dense_dispatcher = host_dispatcher(&dense_model, policy, None, false);
         assert!(dense_dispatcher.weight_csr.iter().all(|w| w.is_none()));

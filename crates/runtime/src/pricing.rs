@@ -351,7 +351,7 @@ fn hash_bucketed(h: &mut Fnv2, profile: &DensityProfile, buckets: &mut BucketTab
     }
 }
 
-/// Content fingerprint of a calibration: the nine fit coefficients plus the
+/// Content fingerprint of a calibration: the twelve fit coefficients plus the
 /// version, hashed bit-exactly.  `None` (region cost model) fingerprints to
 /// a fixed constant.  Recalibration swaps the fit, which changes the
 /// fingerprint — every key minted under the old fit becomes unreachable,
@@ -363,7 +363,7 @@ pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
     };
     let mut h = Fnv2::new();
     h.word(u64::from(c.version));
-    for fit in [&c.gemm, &c.spdmm, &c.spmm] {
+    for fit in [&c.gemm, &c.spdmm, &c.spdmm_right, &c.spmm] {
         h.word(fit.work.to_bits());
         h.word(fit.output.to_bits());
         h.word(fit.per_row.to_bits());
@@ -1123,6 +1123,12 @@ mod tests {
         assert_ne!(
             calibration_fingerprint(Some(&a)),
             calibration_fingerprint(Some(&b))
+        );
+        let mut c = HostCalibration::reference();
+        c.spdmm_right.per_row += 1.0e-9;
+        assert_ne!(
+            calibration_fingerprint(Some(&a)),
+            calibration_fingerprint(Some(&c))
         );
         assert_ne!(
             calibration_fingerprint(Some(&a)),

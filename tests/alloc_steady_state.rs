@@ -148,6 +148,58 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
         );
     }
 
+    // --- A pruned model: Updates run the right-sparse body. ---
+    //
+    // A 90 %-pruned GIN over half-dense features runs all four Updates by
+    // the weight's non-zeros: `Wᵀ` was cached in CSR when the dispatcher was
+    // built and the kernel's transposed tile lives on the stack, so the
+    // route allocates nothing either.
+    {
+        let model = prune_model(
+            &GnnModel::standard(
+                GnnModelKind::Gin,
+                dataset.features.dim(),
+                16,
+                dataset.spec.num_classes,
+                5,
+            ),
+            0.9,
+        );
+        let vertices = dataset.graph.num_vertices();
+        let request = dense_features(vertices, dataset.features.dim(), 0.5, 9);
+        let exec = ReferenceExecutor::new(&model, &dataset.graph);
+        let dispatcher = regions_dispatcher(&model, DispatchPolicy::from_regions(16), false);
+        let mut arena = exec.arena(vertices);
+        let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
+        let mut telemetry = SessionTelemetry::new(Arc::clone(&registry));
+        let mut forward = || {
+            exec.forward_dispatch(
+                &request,
+                &dispatcher,
+                &mut arena,
+                &spec,
+                Some(&mut telemetry),
+                |_, _, _, _, _, _| {},
+            )
+            .unwrap();
+        };
+        forward();
+        forward();
+        assert_eq!(
+            count_allocs(forward),
+            0,
+            "steady-state forward over pruned weights must not allocate"
+        );
+        assert_eq!(
+            (
+                registry.counter(CounterId::DispatchGemm),
+                registry.counter(CounterId::DispatchSpdmm)
+            ),
+            (0, 3 * 6),
+            "two Aggregates and four right-sparse Updates per pass"
+        );
+    }
+
     // --- The batched guarantee: zero allocations per fused micro-batch. ---
     //
     // A batch-sized arena that has served a micro-batch of this topology

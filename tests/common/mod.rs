@@ -158,6 +158,12 @@ pub fn assert_matches_oracle(
         got.density_trace.stages, want.stages,
         "{ctx}: density traces must match"
     );
+    // Kernel 0 reads the request, so the oracle's first input density is it.
+    assert_eq!(
+        got.density_trace.input_density.to_bits(),
+        want.io[0].0.to_bits(),
+        "{ctx}: input density"
+    );
     for run in &got.runs {
         let ctx = format!("{ctx}, {}", run.strategy.label());
         let (total_cycles, kernels) = price_oracle(plan, want, run.strategy, mode);

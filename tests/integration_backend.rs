@@ -23,18 +23,23 @@
 //!   pass against the oracle's separate refit of the same operand, with the
 //!   kernel pool at one and at two threads;
 //! * column-major operands, which take one row-major copy at route
-//!   resolution and then the ordinary block loop.
+//!   resolution and then the ordinary block loop;
+//! * pruned weights under dense-stored requests, whose solo Updates run by
+//!   the weight's non-zeros (the right-sparse body) while the fused batch
+//!   keeps the column-blocked GEMM.
 
 mod common;
 
 use common::{assert_matches_oracle, run_oracle};
 use dynasparse::{
     BackendKind, CompiledPlan, EngineOptions, HostExecutionOptions, InferenceReport,
-    MappingStrategy, Planner,
+    MappingStrategy, Planner, Registry, TelemetryLevel,
 };
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
 use dynasparse_matrix::{CsrMatrix, Layout};
-use dynasparse_model::{GnnModel, GnnModelKind, ReferenceExecutor};
+use dynasparse_model::{prune_model, GnnModel, GnnModelKind, ReferenceExecutor};
+use dynasparse_telemetry::CounterId;
+use std::sync::Arc;
 
 fn fixture(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
     let ds = Dataset::Cora.spec().generate_scaled(23, 0.12);
@@ -356,4 +361,57 @@ fn column_major_operands_are_served_bit_identically_solo_and_batched() {
             &format!("column-major {}", kind.name()),
         );
     }
+}
+
+#[test]
+fn pruned_weights_run_solo_updates_by_the_sparser_operand_and_the_fused_batch_by_gemm() {
+    // Dense-stored requests on both sides of the pruned weights' densities:
+    // one served solo, then a fused batch of three, against the oracle, on
+    // both backends.
+    for sparsity in [0.9, 0.99] {
+        for kind in GnnModelKind::all() {
+            let (model, ds) = fixture(kind);
+            let model = prune_model(&model, sparsity);
+            let (v, dim) = (ds.graph.num_vertices(), ds.features.dim());
+            let requests: Vec<FeatureMatrix> = [0.5, 0.02, 0.5, 1.0]
+                .iter()
+                .zip(900..)
+                .map(|(&density, seed)| dense_features(v, dim, density, seed))
+                .collect();
+            for backend in [BackendKind::Host, BackendKind::ModeledAccel] {
+                assert_served_stream_matches_oracle(
+                    &model,
+                    &ds,
+                    &plan_with(&model, &ds, backend),
+                    &requests,
+                    &[MappingStrategy::Dynamic],
+                    &format!("{sparsity} pruned {} on {}", kind.name(), backend.label()),
+                );
+            }
+        }
+    }
+
+    // And each path says what it ran.  Over a 90 %-pruned GIN and half-dense
+    // requests, a solo pass runs its two Aggregates and all four Updates as
+    // SpDMM; a fused batch of three aggregates layer 0 per request and
+    // layer 1 once, and runs each Update once, as GEMM.
+    let (model, ds) = fixture(GnnModelKind::Gin);
+    let model = prune_model(&model, 0.9);
+    let plan = plan_with(&model, &ds, BackendKind::Host);
+    let half_dense = |seed| dense_features(ds.graph.num_vertices(), ds.features.dim(), 0.5, seed);
+    let dispatched = |batch: &[FeatureMatrix]| {
+        let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
+        let mut session = plan.session(&[]);
+        session.set_telemetry(Arc::clone(&registry));
+        session.infer_batch(batch).unwrap();
+        (
+            registry.counter(CounterId::DispatchGemm),
+            registry.counter(CounterId::DispatchSpdmm),
+        )
+    };
+    assert_eq!(dispatched(&[half_dense(910)]), (0, 6));
+    assert_eq!(
+        dispatched(&[half_dense(911), half_dense(912), half_dense(913)]),
+        (4, 4)
+    );
 }

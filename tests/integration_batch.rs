@@ -15,7 +15,7 @@ use dynasparse::{
     CompiledPlan, EngineOptions, HostExecutionOptions, InferenceReport, MappingStrategy, Planner,
 };
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
-use dynasparse_matrix::CsrMatrix;
+use dynasparse_matrix::{CsrMatrix, DenseMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
 
 fn fixture(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
@@ -172,6 +172,45 @@ fn fused_batches_match_sequential_single_infers() {
             g,
             &format!("vs Session::infer, request {}", w.request_index),
         );
+    }
+}
+
+#[test]
+fn a_request_reports_the_same_whether_or_not_its_non_zero_count_is_cached() {
+    // A report's densities come from the profiles the kernels fill, never
+    // from the request's own cached count: a request that has answered
+    // `density()` before and a fresh copy of the same bytes (no count
+    // cached) report identically — solo, as a batch of one, and as a member
+    // of a fused batch.
+    for kind in GnnModelKind::all() {
+        let (model, ds) = fixture(kind);
+        let plan = plan_with_fusion(&model, &ds, true);
+        let warm = request_batch(&ds, 2, false).pop().unwrap();
+        let want_density = warm.density();
+        let fresh = || {
+            let dense = warm.to_dense();
+            let bytes = dense.as_slice().to_vec();
+            let copy = DenseMatrix::from_row_major(dense.rows(), dense.cols(), bytes);
+            FeatureMatrix::Dense(copy.unwrap())
+        };
+        let first_report = |batch: &[FeatureMatrix]| {
+            let mut session = plan.session(&MappingStrategy::paper_strategies());
+            session.infer_batch(batch).unwrap().swap_remove(0)
+        };
+        let want = plan
+            .session(&MappingStrategy::paper_strategies())
+            .infer(&warm)
+            .unwrap();
+        assert_eq!(
+            want.density_trace.input_density.to_bits(),
+            want_density.to_bits()
+        );
+        for (got, ctx) in [
+            (first_report(&[fresh()]), "batch of one, fresh copy"),
+            (first_report(&[fresh(), warm.clone()]), "fused, fresh copy"),
+        ] {
+            assert_reports_equal(&want, &got, &format!("{} {ctx}", kind.name()));
+        }
     }
 }
 

@@ -25,7 +25,12 @@ use std::sync::Arc;
 /// separate file so parallel binaries never race on the JSON).
 fn install_stale_calibration() {
     let mut stale = HostCalibration::reference();
-    for fit in [&mut stale.gemm, &mut stale.spdmm, &mut stale.spmm] {
+    for fit in [
+        &mut stale.gemm,
+        &mut stale.spdmm,
+        &mut stale.spdmm_right,
+        &mut stale.spmm,
+    ] {
         fit.work *= 1e6;
         fit.output *= 1e6;
         fit.per_row *= 1e6;

@@ -31,7 +31,12 @@ fn install_stale_calibration() {
     // slower than it is.  Uniform inflation keeps the argmin (and therefore
     // the dispatch decisions) unchanged — only the drift should notice.
     let mut stale = HostCalibration::reference();
-    for fit in [&mut stale.gemm, &mut stale.spdmm, &mut stale.spmm] {
+    for fit in [
+        &mut stale.gemm,
+        &mut stale.spdmm,
+        &mut stale.spdmm_right,
+        &mut stale.spmm,
+    ] {
         fit.work *= 1e6;
         fit.output *= 1e6;
         fit.per_row *= 1e6;
