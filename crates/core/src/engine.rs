@@ -70,14 +70,6 @@ pub struct HostExecutionOptions {
     /// Cost model behind every dispatch decision (measured host calibration
     /// by default; the Table IV regions for A/B comparison).
     pub cost_model: CostModelKind,
-    /// Fuse [`Session::infer_batch`](crate::Session::infer_batch) across the
-    /// batch dimension: the micro-batch's feature matrices are concatenated
-    /// into one `m × (d·B)` operand and every kernel runs **once** per layer
-    /// instead of once per request, with per-request reports recovered from
-    /// block views (bit-identical to the per-request loop — see
-    /// `tests/integration_batch.rs`).  Disable to fall back to the
-    /// request-by-request loop, which is kept as the equivalence oracle.
-    pub batch_fusion: bool,
     /// Which [`ExecBackend`](dynasparse_model::ExecBackend) routes and
     /// prices every dispatched product: the measured host calibration
     /// ([`BackendKind::Host`], the default) or the modeled accelerator's
@@ -107,7 +99,6 @@ impl Default for HostExecutionOptions {
         HostExecutionOptions {
             parallel: true,
             cost_model: CostModelKind::Calibrated,
-            batch_fusion: true,
             backend: BackendKind::Host,
             recalibrate: true,
             pricing_cache: PricingCacheMode::default(),

@@ -122,25 +122,25 @@
 //! [`KernelArena`](dynasparse_model::KernelArena).  Decisions come from the
 //! **measured host calibration** by default ([`CostModelKind::Calibrated`];
 //! the accelerator's Table IV regions stay the A/B oracle and fallback,
-//! [`CostModelKind::Regions`]).  [`Session::infer_batch`] additionally
-//! fuses a micro-batch into one kernel pass per layer over `m × (d·B)`
-//! batch operands, bit-identically to the per-request loop.
+//! [`CostModelKind::Regions`]).  [`Session::infer_batch`] serves a
+//! micro-batch as a loop of the same pass, one request at a time.
 //!
 //! The full story — the Planner → CompiledPlan → Session →
 //! KernelDispatcher → KernelArena → ServeRuntime data flow, the
 //! buffer-ownership rules behind the zero-allocation contract, where the
 //! calibrated cost model sits relative to the Table IV `RegionPolicy`, and
-//! how batch fusion recovers exact per-request reports — lives in
+//! what a micro-batch does and does not amortize — lives in
 //! `ARCHITECTURE.md` at the repository root, together with the knobs
 //! documented in `README.md` (`DYNASPARSE_CALIBRATION`,
 //! `DYNASPARSE_THREADS`, …).
 //!
-//! [`HostExecutionOptions`] (`EngineOptions::builder().host(...)`) can
-//! turn batch fusion off, which falls back to the per-request batch loop;
-//! both are bit-identical to each other and to the fixed-kernel
+//! Whatever [`HostExecutionOptions`] (`EngineOptions::builder().host(...)`)
+//! select — backend, cost model, pricing-cache mode, kernel threads —
+//! embeddings stay bit-identical to the fixed-kernel
 //! `ReferenceExecutor::forward`, the test oracle
-//! (`tests/integration_batch.rs`, `tests/integration_dispatch.rs`), and
-//! the `batch_fusion` bench asserts the win (≥ 1.3x requests/s at batch 8).
+//! (`tests/integration_dispatch.rs`, `tests/integration_backend.rs`), and a
+//! batched request reports exactly what it reports served alone
+//! (`tests/integration_batch.rs`).
 //!
 //! One-shot evaluation (compile + single request) remains available through
 //! the [`Engine`] wrapper, which produces cycle-for-cycle the same numbers:

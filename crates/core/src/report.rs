@@ -94,9 +94,9 @@ pub struct InferenceReport {
     pub density_trace: DensityTrace,
     /// The execution backend's predicted wall-clock milliseconds summed over
     /// every kernel dispatched for this request (`0.0` when the backend
-    /// prices nothing, e.g. the regions policy).  A fused batch's
-    /// batch-wide sum is attributed evenly across its reports.  Serving runtimes price modeled device dwell
-    /// with this instead of a hard-coded host-time multiplier.
+    /// prices nothing, e.g. the regions policy) — the request's own sum,
+    /// served alone or in a batch.  Serving runtimes price modeled device
+    /// dwell with this instead of a hard-coded host-time multiplier.
     pub predicted_kernel_ms: f64,
     /// One run per session strategy, in session order.
     pub runs: Vec<StrategyRun>,

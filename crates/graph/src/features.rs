@@ -188,36 +188,6 @@ impl FeatureMatrix {
         }
     }
 
-    /// One non-zero count per `width`-wide column block, computed in a
-    /// single pass (the per-request output-density probe of the batch-fused
-    /// executor).
-    pub fn nnz_col_blocks(&self, width: usize, counts: &mut Vec<usize>) {
-        match self {
-            FeatureMatrix::Dense(d) => d.nnz_col_blocks(width, counts),
-            FeatureMatrix::Sparse(s) => s.nnz_col_blocks(width, counts),
-        }
-    }
-
-    /// Fits one density profile per `width`-wide column block in a single
-    /// pass; `profiles[b]` is identical to profiling block `b`'s extracted
-    /// matrix (the per-request runtime profiling path of the batch-fused
-    /// executor).
-    pub fn density_profile_col_blocks_into(
-        &self,
-        grid: &BlockGrid,
-        width: usize,
-        profiles: &mut [DensityProfile],
-    ) {
-        match self {
-            FeatureMatrix::Dense(d) => {
-                DensityProfile::refit_dense_col_blocks(d, grid, width, profiles)
-            }
-            FeatureMatrix::Sparse(s) => {
-                DensityProfile::refit_csr_col_blocks(s, grid, width, profiles)
-            }
-        }
-    }
-
     /// Bytes occupied by the current representation.
     pub fn size_bytes(&self) -> usize {
         match self {

@@ -54,19 +54,6 @@ impl SpGemmScratch {
         self.values = parts.2;
     }
 
-    /// Hands out the recycled output buffers (empty, capacity retained) so a
-    /// caller can build a CSR matrix in place — e.g. via
-    /// [`CsrMatrix::hconcat_from_parts`] — without allocating in steady
-    /// state.  Pair with [`SpGemmScratch::reclaim`] to return the buffers
-    /// once the matrix is retired.
-    pub fn take_recycled(&mut self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
-        (
-            std::mem::take(&mut self.row_ptr),
-            std::mem::take(&mut self.col_idx),
-            std::mem::take(&mut self.values),
-        )
-    }
-
     /// Sizes the accumulator for `cols` output columns and starts a new
     /// epoch (no clearing of the accumulator payload needed).
     fn prepare(&mut self, cols: usize) {
@@ -484,359 +471,6 @@ impl CsrMatrix {
                     *o = 0.0;
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Horizontal concatenation `[B₀ | B₁ | …]` of CSR matrices with equal
-    /// row counts, assembled into caller-provided buffers (cleared, capacity
-    /// reused — pair with [`SpGemmScratch::take_recycled`] /
-    /// [`SpGemmScratch::reclaim`] for allocation-free reuse).
-    ///
-    /// Per output row the blocks contribute in order with their column
-    /// indices offset by the widths of the preceding blocks, so block `b` of
-    /// the result carries exactly matrix `b`'s stored entries (sorted
-    /// column order is preserved).  The batch-fused executor concatenates
-    /// lazily (layer-0 kernels write column blocks of batch-shaped outputs
-    /// directly), so this is a standalone assembly utility, not a hot-path
-    /// dependency.  The iterator is consumed twice; pass a cheap `Clone`
-    /// (e.g. a slice iterator).
-    pub fn hconcat_from_parts<'a, I>(
-        blocks: I,
-        parts: (Vec<usize>, Vec<u32>, Vec<f32>),
-    ) -> Result<CsrMatrix>
-    where
-        I: Iterator<Item = &'a CsrMatrix> + Clone,
-    {
-        let (mut row_ptr, mut col_idx, mut values) = parts;
-        let mut rows = None;
-        let mut cols = 0usize;
-        let mut nnz = 0usize;
-        for b in blocks.clone() {
-            match rows {
-                None => rows = Some(b.rows),
-                Some(r) if r != b.rows => {
-                    return Err(MatrixError::ShapeMismatch {
-                        op: "hconcat",
-                        lhs: (r, cols),
-                        rhs: b.shape(),
-                    });
-                }
-                Some(_) => {}
-            }
-            cols += b.cols;
-            nnz += b.nnz();
-        }
-        let rows = rows.unwrap_or(0);
-        row_ptr.clear();
-        row_ptr.reserve(rows + 1);
-        row_ptr.push(0);
-        col_idx.clear();
-        col_idx.reserve(nnz);
-        values.clear();
-        values.reserve(nnz);
-        for r in 0..rows {
-            let mut offset = 0u32;
-            for b in blocks.clone() {
-                let (bc, bv) = b.row(r);
-                for (&c, &v) in bc.iter().zip(bv.iter()) {
-                    col_idx.push(c + offset);
-                    values.push(v);
-                }
-                offset += b.cols as u32;
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Ok(CsrMatrix {
-            rows,
-            cols,
-            row_ptr,
-            col_idx,
-            values,
-        })
-    }
-
-    /// Allocating convenience wrapper over [`CsrMatrix::hconcat_from_parts`].
-    pub fn hconcat<'a, I>(blocks: I) -> Result<CsrMatrix>
-    where
-        I: Iterator<Item = &'a CsrMatrix> + Clone,
-    {
-        Self::hconcat_from_parts(blocks, (Vec::new(), Vec::new(), Vec::new()))
-    }
-
-    /// Extracts the column block `[c0, c1)` as a new CSR matrix (column
-    /// indices rebased to the block) — the inverse of
-    /// [`CsrMatrix::hconcat_from_parts`] for one request of a batch operand.
-    pub fn col_block(&self, c0: usize, c1: usize) -> CsrMatrix {
-        debug_assert!(c0 <= c1 && c1 <= self.cols);
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..self.rows {
-            let (lo, hi) = self.col_range(r, c0, c1);
-            for k in lo..hi {
-                col_idx.push(self.col_idx[k] - c0 as u32);
-                values.push(self.values[k]);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        CsrMatrix {
-            rows: self.rows,
-            cols: c1 - c0,
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-
-    /// Scatters this matrix's entries into `out` starting at column `c0`
-    /// (`out[r][c0 + c] += self[r][c]`) — the sparse-request arm of dense
-    /// batch concatenation.  `out` must already have the batch shape.
-    pub fn write_into_dense_cols(&self, out: &mut DenseMatrix, c0: usize) {
-        debug_assert_eq!(self.rows, out.rows());
-        debug_assert!(c0 + self.cols <= out.cols());
-        debug_assert_eq!(
-            out.layout(),
-            Layout::RowMajor,
-            "batch operands are row-major"
-        );
-        let cols_total = out.cols();
-        let data = out.as_mut_slice();
-        for r in 0..self.rows {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                data[r * cols_total + c0 + self.col_idx[k] as usize] += self.values[k];
-            }
-        }
-    }
-
-    /// Number of stored entries inside the column block `[c0, c1)`.
-    pub fn nnz_cols(&self, c0: usize, c1: usize) -> usize {
-        debug_assert!(c0 <= c1 && c1 <= self.cols);
-        (0..self.rows)
-            .map(|r| {
-                let (lo, hi) = self.col_range(r, c0, c1);
-                hi - lo
-            })
-            .sum()
-    }
-
-    /// Counts the stored entries of every `width`-wide column block in one
-    /// pass (see [`DenseMatrix::nnz_col_blocks`]); one count per block is
-    /// appended to `counts` (cleared first).  Entries in a trailing partial
-    /// block (when `cols` is not a multiple of `width`) are ignored, like
-    /// the dense variant's.
-    pub fn nnz_col_blocks(&self, width: usize, counts: &mut Vec<usize>) {
-        let blocks = self.cols.checked_div(width).unwrap_or(0);
-        counts.clear();
-        counts.resize(blocks, 0);
-        if blocks == 0 {
-            return;
-        }
-        let limit = blocks * width;
-        for r in 0..self.rows {
-            let (cols, _) = self.row(r);
-            // Columns are sorted: walk the block boundary incrementally.
-            let mut block = 0usize;
-            let mut block_end = width;
-            for &c in cols {
-                let c = c as usize;
-                if c >= limit {
-                    break;
-                }
-                while c >= block_end {
-                    block += 1;
-                    block_end += width;
-                }
-                counts[block] += 1;
-            }
-        }
-    }
-
-    /// Entry range of row `r` whose columns fall inside `[c0, c1)` (columns
-    /// are sorted per row, so two binary searches suffice).
-    #[inline]
-    fn col_range(&self, r: usize, c0: usize, c1: usize) -> (usize, usize) {
-        let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-        let row_cols = &self.col_idx[lo..hi];
-        let start = lo + row_cols.partition_point(|&c| (c as usize) < c0);
-        let end = lo + row_cols.partition_point(|&c| (c as usize) < c1);
-        (start, end)
-    }
-
-    /// Sparse × dense product written into the column block starting at
-    /// `c0` of an **already-shaped** output (no reset — the batch-fused
-    /// executor shapes the batch slot once, then each request's layer-0
-    /// kernel overwrites its own block; each row's block is zeroed while
-    /// L1-resident just before accumulation).  The block's result equals
-    /// [`CsrMatrix::spmm_dense_into`] bit for bit.
-    pub fn spmm_dense_into_cols(
-        &self,
-        rhs: &DenseMatrix,
-        out: &mut DenseMatrix,
-        c0: usize,
-    ) -> Result<()> {
-        self.spmm_dense_into_cols_with(None, rhs, out, c0)
-    }
-
-    /// [`CsrMatrix::spmm_dense_into_cols`] with output rows fanned out over
-    /// a [`ThreadPool`].
-    pub fn spmm_dense_into_cols_pooled(
-        &self,
-        pool: &ThreadPool,
-        rhs: &DenseMatrix,
-        out: &mut DenseMatrix,
-        c0: usize,
-    ) -> Result<()> {
-        self.spmm_dense_into_cols_with(Some(pool), rhs, out, c0)
-    }
-
-    fn spmm_dense_into_cols_with(
-        &self,
-        pool: Option<&ThreadPool>,
-        rhs: &DenseMatrix,
-        out: &mut DenseMatrix,
-        c0: usize,
-    ) -> Result<()> {
-        let d = rhs.cols();
-        if self.cols != rhs.rows()
-            || out.rows() != self.rows
-            || c0 + d > out.cols()
-            || out.layout() != Layout::RowMajor
-        {
-            return Err(MatrixError::ShapeMismatch {
-                op: "spmm_dense_into_cols",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        if self.rows == 0 || d == 0 {
-            return Ok(());
-        }
-        let rhs_rm;
-        let ys = if rhs.layout() == Layout::RowMajor {
-            rhs.as_slice()
-        } else {
-            rhs_rm = rhs.to_layout(Layout::RowMajor);
-            rhs_rm.as_slice()
-        };
-        let ow = out.cols();
-        let out_slice = out.as_mut_slice();
-        let fill_rows = |out_rows: &mut [f32], row0: usize| {
-            let rows = out_rows.len() / ow;
-            for i in 0..rows {
-                let (cols, vals) = self.row(row0 + i);
-                let out_row = &mut out_rows[i * ow + c0..i * ow + c0 + d];
-                out_row.fill(0.0);
-                for (&c, &v) in cols.iter().zip(vals.iter()) {
-                    let src = &ys[c as usize * d..(c as usize + 1) * d];
-                    for (o, &s) in out_row.iter_mut().zip(src.iter()) {
-                        *o += v * s;
-                    }
-                }
-            }
-        };
-        match pool {
-            Some(pool) if !pool.is_inline() => {
-                let chunk_rows = pool.chunk_rows(self.rows);
-                pool.for_each_chunk_mut(out_slice, chunk_rows * ow, |ci, chunk| {
-                    fill_rows(chunk, ci * chunk_rows);
-                });
-            }
-            _ => fill_rows(out_slice, 0),
-        }
-        Ok(())
-    }
-
-    /// Batched sparse × dense product over a column-blocked sparse batch
-    /// operand: `self` is `m × (blocks·w)` (request matrices concatenated
-    /// horizontally), `rhs` one shared dense `w × n` weight.  Output block
-    /// `b` equals `self_b × rhs` bit for bit: a row's stored entries are
-    /// walked in column order, so within each block the contraction index
-    /// increases exactly as in [`CsrMatrix::spmm_dense_into`] on the
-    /// extracted request matrix.
-    pub fn spmm_dense_col_blocked_into(
-        &self,
-        rhs: &DenseMatrix,
-        blocks: usize,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        self.spmm_dense_col_blocked_with(None, rhs, blocks, out)
-    }
-
-    /// [`CsrMatrix::spmm_dense_col_blocked_into`] with output rows fanned
-    /// out over a [`ThreadPool`].
-    pub fn spmm_dense_col_blocked_into_pooled(
-        &self,
-        pool: &ThreadPool,
-        rhs: &DenseMatrix,
-        blocks: usize,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        self.spmm_dense_col_blocked_with(Some(pool), rhs, blocks, out)
-    }
-
-    fn spmm_dense_col_blocked_with(
-        &self,
-        pool: Option<&ThreadPool>,
-        rhs: &DenseMatrix,
-        blocks: usize,
-        out: &mut DenseMatrix,
-    ) -> Result<()> {
-        let w = rhs.rows();
-        let n = rhs.cols();
-        if blocks == 0 || self.cols != blocks * w {
-            return Err(MatrixError::ShapeMismatch {
-                op: "spmm_dense_col_blocked",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let ow = blocks * n;
-        out.reset(self.rows, ow);
-        if self.rows == 0 || n == 0 {
-            return Ok(());
-        }
-        let rhs_rm;
-        let ys = if rhs.layout() == Layout::RowMajor {
-            rhs.as_slice()
-        } else {
-            rhs_rm = rhs.to_layout(Layout::RowMajor);
-            rhs_rm.as_slice()
-        };
-        let fill_rows = |out_rows: &mut [f32], row0: usize| {
-            let rows = out_rows.len() / ow;
-            for i in 0..rows {
-                let (cols, vals) = self.row(row0 + i);
-                let out_row = &mut out_rows[i * ow..(i + 1) * ow];
-                // Entries are column-sorted, so blocks appear consecutively:
-                // walk the block boundary incrementally instead of paying a
-                // division per stored entry.
-                let mut block = 0usize;
-                let mut block_start = 0usize;
-                for (&c, &v) in cols.iter().zip(vals.iter()) {
-                    let c = c as usize;
-                    while c >= block_start + w {
-                        block += 1;
-                        block_start += w;
-                    }
-                    let src = &ys[(c - block_start) * n..(c - block_start + 1) * n];
-                    let dst = &mut out_row[block * n..(block + 1) * n];
-                    for (o, &s) in dst.iter_mut().zip(src.iter()) {
-                        *o += v * s;
-                    }
-                }
-            }
-        };
-        let out_slice = out.as_mut_slice();
-        match pool {
-            Some(pool) if !pool.is_inline() => {
-                let chunk_rows = pool.chunk_rows(self.rows);
-                pool.for_each_chunk_mut(out_slice, chunk_rows * ow, |ci, chunk| {
-                    fill_rows(chunk, ci * chunk_rows);
-                });
-            }
-            _ => fill_rows(out_slice, 0),
         }
         Ok(())
     }
@@ -1384,115 +1018,5 @@ mod tests {
         let csr = CsrMatrix::from_dense(&sample_dense());
         assert!((csr.density() - 5.0 / 12.0).abs() < 1e-12);
         assert_eq!(csr.size_bytes(), 5 * 8 + 4 * 8);
-    }
-
-    fn random_csr(seed: u64, rows: usize, cols: usize, density: f64) -> CsrMatrix {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        CsrMatrix::from_dense(&crate::random::random_dense(&mut rng, rows, cols, density))
-    }
-
-    #[test]
-    fn hconcat_then_col_block_round_trips() {
-        let blocks: Vec<CsrMatrix> = (0..3)
-            .map(|b| random_csr(50 + b, 9, 5, 0.1 + 0.3 * b as f64))
-            .collect();
-        let batch = CsrMatrix::hconcat(blocks.iter()).unwrap();
-        assert_eq!(batch.shape(), (9, 15));
-        assert_eq!(batch.nnz(), blocks.iter().map(CsrMatrix::nnz).sum());
-        for (b, want) in blocks.iter().enumerate() {
-            let got = batch.col_block(b * 5, (b + 1) * 5);
-            assert_eq!(&got, want, "block {b} must round-trip exactly");
-            assert_eq!(batch.nnz_cols(b * 5, (b + 1) * 5), want.nnz());
-            assert_eq!(got.to_dense(), want.to_dense());
-        }
-        // Recycled-parts assembly produces the same matrix without fresh
-        // buffers.
-        let mut scratch = SpGemmScratch::new();
-        scratch.reclaim(batch.clone().into_parts());
-        let rebuilt =
-            CsrMatrix::hconcat_from_parts(blocks.iter(), scratch.take_recycled()).unwrap();
-        assert_eq!(rebuilt, batch);
-        // Mismatched row counts are rejected.
-        let short = random_csr(99, 4, 5, 0.5);
-        let mixed = [blocks[0].clone(), short];
-        assert!(CsrMatrix::hconcat(mixed.iter()).is_err());
-    }
-
-    #[test]
-    fn write_into_dense_cols_scatters_the_block() {
-        let a = random_csr(7, 6, 4, 0.4);
-        let mut out = DenseMatrix::zeros(6, 10);
-        a.write_into_dense_cols(&mut out, 3);
-        let mut extracted = DenseMatrix::zeros(0, 0);
-        out.copy_cols_into(3, 7, &mut extracted);
-        assert_eq!(extracted, a.to_dense());
-        assert_eq!(out.nnz_cols(0, 3), 0);
-        assert_eq!(out.nnz_cols(7, 10), 0);
-    }
-
-    #[test]
-    fn spmm_dense_into_cols_accumulates_one_block() {
-        let a = random_csr(11, 8, 5, 0.3);
-        let mut rng = {
-            use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(12)
-        };
-        let y = crate::random::random_dense(&mut rng, 5, 4, 0.8);
-        let mut want = DenseMatrix::zeros(0, 0);
-        a.spmm_dense_into(&y, &mut want).unwrap();
-        let mut out = DenseMatrix::zeros(8, 10);
-        a.spmm_dense_into_cols(&y, &mut out, 3).unwrap();
-        let mut got = DenseMatrix::zeros(0, 0);
-        out.copy_cols_into(3, 7, &mut got);
-        assert_eq!(got.as_slice(), want.as_slice());
-        assert_eq!(out.nnz_cols(0, 3), 0);
-        assert_eq!(out.nnz_cols(7, 10), 0);
-        let pool = crate::pool::ThreadPool::new(2);
-        let mut pooled = DenseMatrix::zeros(8, 10);
-        a.spmm_dense_into_cols_pooled(&pool, &y, &mut pooled, 3)
-            .unwrap();
-        assert_eq!(pooled.as_slice(), out.as_slice());
-        assert!(a.spmm_dense_into_cols(&y, &mut out, 8).is_err());
-    }
-
-    #[test]
-    fn spmm_dense_col_blocked_matches_per_block_spmm() {
-        let blocks: Vec<CsrMatrix> = (0..4)
-            .map(|b| random_csr(70 + b, 12, 7, 0.05 + 0.25 * b as f64))
-            .collect();
-        let batch = CsrMatrix::hconcat(blocks.iter()).unwrap();
-        let mut rng = {
-            use rand::SeedableRng;
-            rand::rngs::StdRng::seed_from_u64(91)
-        };
-        let w = crate::random::random_dense(&mut rng, 7, 11, 0.9);
-        let mut fused = DenseMatrix::zeros(0, 0);
-        batch
-            .spmm_dense_col_blocked_into(&w, 4, &mut fused)
-            .unwrap();
-        assert_eq!(fused.shape(), (12, 44));
-        let mut per_block = DenseMatrix::zeros(0, 0);
-        let mut extracted = DenseMatrix::zeros(0, 0);
-        for (b, req) in blocks.iter().enumerate() {
-            req.spmm_dense_into(&w, &mut per_block).unwrap();
-            fused.copy_cols_into(b * 11, (b + 1) * 11, &mut extracted);
-            assert_eq!(
-                extracted.as_slice(),
-                per_block.as_slice(),
-                "block {b} must match the per-request sparse-dense kernel bit for bit"
-            );
-        }
-        let pool = crate::pool::ThreadPool::new(3);
-        let mut pooled = DenseMatrix::zeros(0, 0);
-        batch
-            .spmm_dense_col_blocked_into_pooled(&pool, &w, 4, &mut pooled)
-            .unwrap();
-        assert_eq!(pooled.as_slice(), fused.as_slice());
-        // Width mismatches are rejected.
-        assert!(batch
-            .spmm_dense_col_blocked_into(&w, 3, &mut pooled)
-            .is_err());
     }
 }

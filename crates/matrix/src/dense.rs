@@ -147,9 +147,9 @@ impl DenseMatrix {
     /// when the backing buffer already holds exactly that many elements; the
     /// previous contents are unspecified afterwards, so this is only valid
     /// when the caller overwrites (or explicitly zeroes) every element —
-    /// the kernels of the batch-fused executor do, which lets steady-state
-    /// passes skip a full-buffer memset that the subsequent writes would
-    /// make redundant.  Falls back to [`DenseMatrix::reset`] (zero-filled)
+    /// the block kernels of the dispatching executor do, which lets
+    /// steady-state passes skip a full-buffer memset that the subsequent
+    /// writes would make redundant.  Falls back to [`DenseMatrix::reset`] (zero-filled)
     /// when the element count differs.
     pub fn reset_for_overwrite(&mut self, rows: usize, cols: usize) {
         if self.data.len() == rows * cols {
@@ -159,103 +159,6 @@ impl DenseMatrix {
             self.invalidate_nnz();
         } else {
             self.reset(rows, cols);
-        }
-    }
-
-    /// Zeroes the column block `[c0, c1)` of every row (row-major only) —
-    /// the block initialiser of scatter-style writers that do not touch
-    /// every element.
-    pub fn zero_cols(&mut self, c0: usize, c1: usize) {
-        debug_assert!(c0 <= c1 && c1 <= self.cols);
-        debug_assert_eq!(
-            self.layout,
-            Layout::RowMajor,
-            "batch operands are row-major"
-        );
-        let (rows, cols) = (self.rows, self.cols);
-        let data = self.as_mut_slice();
-        for r in 0..rows {
-            data[r * cols + c0..r * cols + c1].fill(0.0);
-        }
-    }
-
-    /// Copies the column block `[c0, c1)` of this matrix into `out`, which is
-    /// reshaped in place to `rows × (c1 - c0)` (reusing its allocation).
-    ///
-    /// This is the de-concatenation primitive of the batched executor: one
-    /// request's feature block is carved out of the `m × (d·B)` batch operand
-    /// for per-request profiling and reporting without touching the batch
-    /// buffer itself.
-    pub fn copy_cols_into(&self, c0: usize, c1: usize, out: &mut DenseMatrix) {
-        debug_assert!(c0 <= c1 && c1 <= self.cols);
-        let width = c1 - c0;
-        out.reset(self.rows, width);
-        if width == 0 || self.rows == 0 {
-            return;
-        }
-        let data = out.as_mut_slice();
-        match self.layout {
-            Layout::RowMajor => {
-                for r in 0..self.rows {
-                    let src = &self.data[r * self.cols + c0..r * self.cols + c1];
-                    data[r * width..(r + 1) * width].copy_from_slice(src);
-                }
-            }
-            Layout::ColMajor => {
-                for r in 0..self.rows {
-                    for c in c0..c1 {
-                        data[r * width + (c - c0)] =
-                            self.data[self.layout.offset(r, c, self.rows, self.cols)];
-                    }
-                }
-            }
-        }
-    }
-
-    /// Overwrites the column block starting at `c0` with the contents of
-    /// `src` (same row count; `src` must fit within this matrix's columns).
-    /// The concatenation primitive of the batched executor: request feature
-    /// matrices are pasted side by side into one batch operand.
-    pub fn paste_cols(&mut self, c0: usize, src: &DenseMatrix) {
-        debug_assert_eq!(self.rows, src.rows());
-        debug_assert!(c0 + src.cols() <= self.cols);
-        debug_assert_eq!(
-            self.layout,
-            Layout::RowMajor,
-            "batch operands are row-major"
-        );
-        let (rows, cols, width) = (self.rows, self.cols, src.cols());
-        let data = self.as_mut_slice();
-        for r in 0..rows {
-            let dst = &mut data[r * cols + c0..r * cols + c0 + width];
-            match src.row_slice(r) {
-                Some(row) => dst.copy_from_slice(row),
-                None => {
-                    for (c, d) in dst.iter_mut().enumerate() {
-                        *d = src.get(r, c);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Counts the non-zero elements inside the column block `[c0, c1)` — the
-    /// per-request density probe of the batched executor (no extraction
-    /// copy, one pass over the block).
-    pub fn nnz_cols(&self, c0: usize, c1: usize) -> usize {
-        debug_assert!(c0 <= c1 && c1 <= self.cols);
-        match self.layout {
-            Layout::RowMajor => (0..self.rows)
-                .map(|r| {
-                    self.data[r * self.cols + c0..r * self.cols + c1]
-                        .iter()
-                        .filter(|&&v| is_nonzero(v))
-                        .count()
-                })
-                .sum(),
-            Layout::ColMajor => (0..self.rows)
-                .map(|r| (c0..c1).filter(|&c| is_nonzero(self.get(r, c))).count())
-                .sum(),
         }
     }
 
@@ -276,37 +179,6 @@ impl DenseMatrix {
                         .count()
                 })
                 .sum(),
-        }
-    }
-
-    /// Counts the non-zero elements of every `width`-wide column block in
-    /// one pass, appending one count per block to `counts` (cleared first).
-    /// Equivalent to calling [`DenseMatrix::nnz_cols`] per block, but with a
-    /// single cache-friendly sweep over the rows — the per-request output
-    /// density probe of the batch-fused executor.  Elements in a trailing
-    /// partial block (when `cols` is not a multiple of `width`) are ignored.
-    pub fn nnz_col_blocks(&self, width: usize, counts: &mut Vec<usize>) {
-        let blocks = self.cols.checked_div(width).unwrap_or(0);
-        counts.clear();
-        counts.resize(blocks, 0);
-        if blocks == 0 {
-            return;
-        }
-        for r in 0..self.rows {
-            match self.row_slice(r) {
-                Some(row) => {
-                    for (b, chunk) in row.chunks_exact(width).enumerate() {
-                        counts[b] += chunk.iter().filter(|&&v| is_nonzero(v)).count();
-                    }
-                }
-                None => {
-                    for c in 0..blocks * width {
-                        if is_nonzero(self.get(r, c)) {
-                            counts[c / width] += 1;
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -799,55 +671,6 @@ mod tests {
         assert_eq!(dst, src);
         assert_eq!(dst.layout(), Layout::ColMajor);
         assert_eq!(dst.nnz(), src.nnz());
-    }
-
-    #[test]
-    fn copy_cols_into_extracts_blocks_from_both_layouts() {
-        let m = DenseMatrix::from_fn(3, 6, |r, c| (r * 6 + c) as f32);
-        let mut block = DenseMatrix::zeros(0, 0);
-        for src in [m.clone(), m.to_layout(Layout::ColMajor)] {
-            src.copy_cols_into(2, 4, &mut block);
-            assert_eq!(block.shape(), (3, 2));
-            for r in 0..3 {
-                for c in 0..2 {
-                    assert_eq!(block.get(r, c), m.get(r, 2 + c));
-                }
-            }
-        }
-        // Empty block is a valid (degenerate) extraction.
-        m.copy_cols_into(6, 6, &mut block);
-        assert_eq!(block.shape(), (3, 0));
-    }
-
-    #[test]
-    fn paste_cols_round_trips_with_copy_cols_into() {
-        let a = DenseMatrix::from_fn(4, 3, |r, c| (r + c) as f32 + 0.5);
-        let b = DenseMatrix::from_fn(4, 2, |r, c| (r * c) as f32 - 1.0);
-        let mut batch = DenseMatrix::zeros(4, 5);
-        batch.paste_cols(0, &a);
-        batch.paste_cols(3, &b);
-        let mut out = DenseMatrix::zeros(0, 0);
-        batch.copy_cols_into(0, 3, &mut out);
-        assert_eq!(out, a);
-        batch.copy_cols_into(3, 5, &mut out);
-        assert_eq!(out, b);
-        // Column-major sources go through the element fallback.
-        let mut batch2 = DenseMatrix::zeros(4, 3);
-        batch2.paste_cols(0, &a.to_layout(Layout::ColMajor));
-        batch2.copy_cols_into(0, 3, &mut out);
-        assert_eq!(out.as_slice(), a.as_slice());
-    }
-
-    #[test]
-    fn nnz_cols_counts_per_block() {
-        let m = sample(); // [[1,0,2],[0,3,0]]
-        assert_eq!(m.nnz_cols(0, 3), 3);
-        assert_eq!(m.nnz_cols(0, 1), 1);
-        assert_eq!(m.nnz_cols(1, 2), 1);
-        assert_eq!(m.nnz_cols(2, 3), 1);
-        assert_eq!(m.nnz_cols(1, 1), 0);
-        let c = m.to_layout(Layout::ColMajor);
-        assert_eq!(c.nnz_cols(0, 2), 2);
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::layout::Layout;
-use crate::pool::ThreadPool;
 use crate::profile::{compact_group, scan_row};
 use rayon::prelude::*;
 
@@ -177,34 +176,9 @@ fn gemm_row(
     survivors.flush_into(y, orow);
 }
 
-/// Where one multi-row kernel call reads and writes: every `x` row holds
-/// `blocks` left operands of width `w` side by side (one, for the plain
-/// product), `Y` is `w × d`, and every output row is `ld` floats long with
-/// block `b`'s `d` results at column `c0 + b·d`.
-#[derive(Clone, Copy)]
-struct RowsGeometry {
-    blocks: usize,
-    w: usize,
-    d: usize,
-    ld: usize,
-    c0: usize,
-}
-
-impl RowsGeometry {
-    /// The plain product `X (·×n) × Y (n×d)` into contiguous output rows.
-    fn plain(n: usize, d: usize) -> Self {
-        RowsGeometry {
-            blocks: 1,
-            w: n,
-            d,
-            ld: d,
-            c0: 0,
-        }
-    }
-}
-
 /// Runs [`gemm_row`] over the output rows in `out_rows`, which start at row
-/// `row0` of `x`.  Every row's block-column counts are added into the one
+/// `row0` of `x`: `x` rows are `n` floats, `Y` is `n × d`, output rows `d`
+/// floats.  Every row's block-column counts are added into the one
 /// counter row `counts` (the rows of a call belong to one profile grid row);
 /// an empty `counts` runs the kernel unprofiled.
 fn gemm_rows_rm(
@@ -212,47 +186,24 @@ fn gemm_rows_rm(
     y: &[f32],
     out_rows: &mut [f32],
     row0: usize,
-    g: RowsGeometry,
+    (n, d): (usize, usize),
     block_cols: usize,
     counts: &mut [usize],
 ) {
+    if n == 0 {
+        out_rows.fill(0.0);
+        return;
+    }
     let mut unprofiled = [0usize];
     let (block_cols, counts) = if counts.is_empty() {
-        (g.w.max(1), &mut unprofiled[..])
+        (n, &mut unprofiled[..])
     } else {
         (block_cols, counts)
     };
     let mut survivors = Survivors::new();
-    let xw = g.blocks * g.w;
-    for (i, orow) in out_rows.chunks_mut(g.ld).enumerate() {
-        let xrow = &x[(row0 + i) * xw..][..xw];
-        for (b, ob) in orow[g.c0..][..g.blocks * g.d].chunks_mut(g.d).enumerate() {
-            let xb = &xrow[b * g.w..][..g.w];
-            gemm_row(xb, y, ob, block_cols, counts, &mut survivors);
-        }
-    }
-}
-
-/// Fans the unprofiled row kernel out over `out` (rows of `g.ld` floats),
-/// serially or in row chunks over `pool`.  Any row partition is
-/// bit-identical: rows are independent.
-fn gemm_fan_out(
-    pool: Option<&ThreadPool>,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    out: &mut [f32],
-    g: RowsGeometry,
-) {
-    let (x, y) = (x.row_major(), y.row_major());
-    let (xs, ys) = (x.as_slice(), y.as_slice());
-    match pool {
-        Some(pool) if !pool.is_inline() => {
-            let chunk_rows = pool.chunk_rows(out.len() / g.ld);
-            pool.for_each_chunk_mut(out, chunk_rows * g.ld, |ci, chunk| {
-                gemm_rows_rm(xs, ys, chunk, ci * chunk_rows, g, 0, &mut []);
-            });
-        }
-        _ => gemm_rows_rm(xs, ys, out, 0, g, 0, &mut []),
+    let xrows = x[row0 * n..].chunks_exact(n);
+    for (xrow, orow) in xrows.zip(out_rows.chunks_mut(d)) {
+        gemm_row(xrow, y, orow, block_cols, counts, &mut survivors);
     }
 }
 
@@ -271,7 +222,9 @@ pub fn gemm_into(x: &DenseMatrix, y: &DenseMatrix, out: &mut DenseMatrix) -> Res
     // skips the redundant zero-fill when the buffer is reused.
     out.reset_for_overwrite(m, d);
     if m > 0 && d > 0 {
-        gemm_fan_out(None, x, y, out.as_mut_slice(), RowsGeometry::plain(n, d));
+        let (x, y) = (x.row_major(), y.row_major());
+        let out = out.as_mut_slice();
+        gemm_rows_rm(x.as_slice(), y.as_slice(), out, 0, (n, d), 0, &mut []);
     }
     Ok(())
 }
@@ -324,13 +277,12 @@ pub fn gemm_rows_into(
     }
     debug_assert_eq!(out_rows.len() % d, 0);
     debug_assert!(r0 + out_rows.len() / d <= x.rows());
-    let g = RowsGeometry::plain(n, d);
     gemm_rows_rm(
         x.as_slice(),
         y.as_slice(),
         out_rows,
         r0,
-        g,
+        (n, d),
         block_cols,
         counts,
     );
@@ -524,120 +476,6 @@ pub fn right_sparse_rows_into(
     Ok(())
 }
 
-/// Dense × dense product written into the column block starting at `c0` of
-/// an **already-shaped** output (no reset — the batch-fused executor shapes
-/// the batch slot once and lets each request's layer-0 kernel write its own
-/// block, skipping the materialised `m × (d·B)` input concatenation).
-/// Every output element of the block is overwritten; the result equals
-/// [`gemm_into`] on a per-request output bit for bit.
-pub fn gemm_into_cols(
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    out: &mut DenseMatrix,
-    c0: usize,
-) -> Result<()> {
-    gemm_into_cols_with(None, x, y, out, c0)
-}
-
-/// [`gemm_into_cols`] with output rows fanned out over a [`ThreadPool`].
-pub fn gemm_into_cols_pooled(
-    pool: &ThreadPool,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    out: &mut DenseMatrix,
-    c0: usize,
-) -> Result<()> {
-    gemm_into_cols_with(Some(pool), x, y, out, c0)
-}
-
-fn gemm_into_cols_with(
-    pool: Option<&ThreadPool>,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    out: &mut DenseMatrix,
-    c0: usize,
-) -> Result<()> {
-    check_shapes("gemm_into_cols", x.shape(), y.shape())?;
-    let (m, n) = x.shape();
-    let d = y.cols();
-    if out.rows() != m || c0 + d > out.cols() || out.layout() != Layout::RowMajor {
-        return Err(MatrixError::ShapeMismatch {
-            op: "gemm_into_cols",
-            lhs: out.shape(),
-            rhs: (m, c0 + d),
-        });
-    }
-    if m > 0 && d > 0 {
-        let g = RowsGeometry {
-            ld: out.cols(),
-            c0,
-            ..RowsGeometry::plain(n, d)
-        };
-        gemm_fan_out(pool, x, y, out.as_mut_slice(), g);
-    }
-    Ok(())
-}
-
-/// Batched dense × dense product over a column-blocked batch operand.
-///
-/// `x` is `m × (blocks·w)` — `blocks` request feature matrices of width `w`
-/// concatenated horizontally — and `y` is one shared `w × n` weight matrix.
-/// The output is reshaped to `m × (blocks·n)`; its block `b` equals
-/// `X_b × Y` bit for bit (the row kernel of [`gemm_into`] runs on block
-/// `b`'s slice of every row).  This is the Update kernel of the
-/// batch-fused executor: one wide kernel call instead of `blocks` skinny
-/// ones.
-pub fn gemm_col_blocked_into(
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    blocks: usize,
-    out: &mut DenseMatrix,
-) -> Result<()> {
-    gemm_col_blocked_with(None, x, y, blocks, out)
-}
-
-/// [`gemm_col_blocked_into`] with output rows fanned out over a
-/// [`ThreadPool`].
-pub fn gemm_col_blocked_into_pooled(
-    pool: &ThreadPool,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    blocks: usize,
-    out: &mut DenseMatrix,
-) -> Result<()> {
-    gemm_col_blocked_with(Some(pool), x, y, blocks, out)
-}
-
-fn gemm_col_blocked_with(
-    pool: Option<&ThreadPool>,
-    x: &DenseMatrix,
-    y: &DenseMatrix,
-    blocks: usize,
-    out: &mut DenseMatrix,
-) -> Result<()> {
-    let w = y.rows();
-    let n = y.cols();
-    if blocks == 0 || x.cols() != blocks * w {
-        return Err(MatrixError::ShapeMismatch {
-            op: "gemm_col_blocked",
-            lhs: x.shape(),
-            rhs: (blocks.max(1) * w, n),
-        });
-    }
-    let m = x.rows();
-    // Every block of every output row is overwritten by the row kernel.
-    out.reset_for_overwrite(m, blocks * n);
-    if m > 0 && n > 0 {
-        let g = RowsGeometry {
-            blocks,
-            ld: blocks * n,
-            ..RowsGeometry::plain(w, n)
-        };
-        gemm_fan_out(pool, x, y, out.as_mut_slice(), g);
-    }
-    Ok(())
-}
-
 /// Sparse × dense product with the scatter-gather paradigm of Algorithm 5.
 ///
 /// `x` is the sparse operand in COO; `y` is dense.  Every non-zero
@@ -773,79 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_col_blocked_is_bit_identical_to_per_block_gemm() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let (m, w, n, blocks) = (23, 19, GEMM_TILE + 7, 4);
-        let reqs: Vec<DenseMatrix> = (0..blocks)
-            .map(|b| random_dense(&mut rng, m, w, 0.2 + 0.2 * b as f64))
-            .collect();
-        let y = random_dense(&mut rng, w, n, 0.8);
-        // Concatenate the requests into one batch operand.
-        let mut batch = DenseMatrix::zeros(m, blocks * w);
-        for (b, r) in reqs.iter().enumerate() {
-            batch.paste_cols(b * w, r);
-        }
-        let mut out = DenseMatrix::zeros(0, 0);
-        gemm_col_blocked_into(&batch, &y, blocks, &mut out).unwrap();
-        assert_eq!(out.shape(), (m, blocks * n));
-        let mut per_block = DenseMatrix::zeros(0, 0);
-        let mut extracted = DenseMatrix::zeros(0, 0);
-        for (b, r) in reqs.iter().enumerate() {
-            gemm_into(r, &y, &mut per_block).unwrap();
-            out.copy_cols_into(b * n, (b + 1) * n, &mut extracted);
-            assert_eq!(
-                extracted.as_slice(),
-                per_block.as_slice(),
-                "block {b} must match the skinny per-request GEMM bit for bit"
-            );
-        }
-        // Pooled variant is bit-identical to the serial one.
-        let pool = crate::pool::ThreadPool::new(3);
-        let mut pooled = DenseMatrix::zeros(0, 0);
-        gemm_col_blocked_into_pooled(&pool, &batch, &y, blocks, &mut pooled).unwrap();
-        assert_eq!(pooled.as_slice(), out.as_slice());
-        // blocks = 1 degenerates to the plain GEMM.
-        gemm_col_blocked_into(&reqs[0], &y, 1, &mut pooled).unwrap();
-        gemm_into(&reqs[0], &y, &mut per_block).unwrap();
-        assert_eq!(pooled.as_slice(), per_block.as_slice());
-
-        // A wide batch row (many tiles per block) must still match the
-        // skinny per-request GEMM bit for bit.
-        let wide_y = random_dense(&mut rng, w, 256, 0.7);
-        gemm_col_blocked_into(&batch, &wide_y, blocks, &mut out).unwrap();
-        assert_eq!(out.shape(), (m, blocks * 256));
-        for (b, r) in reqs.iter().enumerate() {
-            gemm_into(r, &wide_y, &mut per_block).unwrap();
-            out.copy_cols_into(b * wide_y.cols(), (b + 1) * wide_y.cols(), &mut extracted);
-            assert_eq!(extracted.as_slice(), per_block.as_slice(), "wide block {b}");
-        }
-    }
-
-    #[test]
-    fn gemm_into_cols_writes_one_block_of_a_shaped_output() {
-        let mut rng = StdRng::seed_from_u64(44);
-        let x = random_dense(&mut rng, 9, 14, 0.4);
-        let y = random_dense(&mut rng, 14, 6, 0.9);
-        let mut want = DenseMatrix::zeros(0, 0);
-        gemm_into(&x, &y, &mut want).unwrap();
-        let mut out = DenseMatrix::zeros(9, 20);
-        gemm_into_cols(&x, &y, &mut out, 6).unwrap();
-        let mut got = DenseMatrix::zeros(0, 0);
-        out.copy_cols_into(6, 12, &mut got);
-        assert_eq!(got.as_slice(), want.as_slice());
-        // Outside the block nothing was touched.
-        assert_eq!(out.nnz_cols(0, 6), 0);
-        assert_eq!(out.nnz_cols(12, 20), 0);
-        // Pooled matches serial bitwise.
-        let pool = crate::pool::ThreadPool::new(3);
-        let mut pooled = DenseMatrix::zeros(9, 20);
-        gemm_into_cols_pooled(&pool, &x, &y, &mut pooled, 6).unwrap();
-        assert_eq!(pooled.as_slice(), out.as_slice());
-        // A block that does not fit is rejected.
-        assert!(gemm_into_cols(&x, &y, &mut out, 15).is_err());
-    }
-
-    #[test]
     fn gemm_rows_rejects_a_counter_row_of_the_wrong_length() {
         let (x, y) = dense_pair(45, 0.5, 1.0);
         let mut out = vec![0.0f32; 2 * 9];
@@ -858,15 +623,6 @@ mod tests {
         gemm_rows_into(&x, &y, 0, &mut out, 8, &mut counts).unwrap();
         assert_eq!(counts.iter().sum::<usize>(), x.nnz_rows(0, 2));
         gemm_rows_into(&x, &y, 0, &mut out, 0, &mut []).unwrap();
-    }
-
-    #[test]
-    fn gemm_col_blocked_rejects_mismatched_widths() {
-        let x = DenseMatrix::zeros(3, 10);
-        let y = DenseMatrix::zeros(4, 2);
-        let mut out = DenseMatrix::zeros(0, 0);
-        assert!(gemm_col_blocked_into(&x, &y, 2, &mut out).is_err());
-        assert!(gemm_col_blocked_into(&x, &y, 0, &mut out).is_err());
     }
 
     #[test]

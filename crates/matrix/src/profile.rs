@@ -138,7 +138,23 @@ impl DensityProfile {
     /// own scan does not fill the profile (see
     /// [`DensityProfile::refit_tiled`]).
     pub fn refit_dense(&mut self, m: &DenseMatrix, grid: &BlockGrid) {
-        self.refit_dense_cols(m, grid, 0, m.cols());
+        self.refit_header(m.shape(), grid);
+        let gc = self.grid_cols;
+        let bc = self.block_cols.max(1);
+        let br = self.block_rows.max(1);
+        for r in 0..m.rows() {
+            let counts = &mut self.block_nnz[(r / br) * gc..][..gc];
+            match m.row_slice(r) {
+                Some(row) => scan_row(row, bc, counts, |_, _| {}),
+                None => {
+                    for c in 0..m.cols() {
+                        if is_nonzero(m.get(r, c)) {
+                            counts[c / bc] += 1;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Recomputes this profile in place for a CSR matrix (see
@@ -154,130 +170,6 @@ impl DensityProfile {
             let (cols, _) = m.row(r);
             for &c in cols {
                 self.block_nnz[base + c as usize / bc] += 1;
-            }
-        }
-    }
-
-    /// Recomputes this profile in place for the column block `[c0, c1)` of a
-    /// dense matrix, as if that block had been extracted first: the profile
-    /// is shaped `m × (c1 - c0)` over `grid` and is identical to
-    /// `refit_dense` on the extracted block.  This is the per-request
-    /// profiling path of the batch-fused executor — one pass over the
-    /// request's columns of the batch operand, no extraction copy.
-    pub fn refit_dense_cols(&mut self, m: &DenseMatrix, grid: &BlockGrid, c0: usize, c1: usize) {
-        debug_assert!(c0 <= c1 && c1 <= m.cols());
-        self.refit_header((m.rows(), c1 - c0), grid);
-        let gc = self.grid_cols;
-        let bc = self.block_cols.max(1);
-        let br = self.block_rows.max(1);
-        for r in 0..m.rows() {
-            let counts = &mut self.block_nnz[(r / br) * gc..][..gc];
-            match m.row_slice(r) {
-                Some(row) => scan_row(&row[c0..c1], bc, counts, |_, _| {}),
-                None => {
-                    for c in c0..c1 {
-                        if is_nonzero(m.get(r, c)) {
-                            counts[(c - c0) / bc] += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Recomputes this profile in place for the column block `[c0, c1)` of a
-    /// CSR matrix (see [`DensityProfile::refit_dense_cols`]): identical to
-    /// `refit_csr` on the extracted block, one pass over the block's stored
-    /// entries.
-    pub fn refit_csr_cols(&mut self, m: &CsrMatrix, grid: &BlockGrid, c0: usize, c1: usize) {
-        debug_assert!(c0 <= c1 && c1 <= m.cols());
-        self.refit_header((m.rows(), c1 - c0), grid);
-        let gc = self.grid_cols;
-        let bc = self.block_cols.max(1);
-        let br = self.block_rows.max(1);
-        for r in 0..m.rows() {
-            let base = (r / br) * gc;
-            let (cols, _) = m.row(r);
-            let start = cols.partition_point(|&c| (c as usize) < c0);
-            let end = cols.partition_point(|&c| (c as usize) < c1);
-            for &c in &cols[start..end] {
-                self.block_nnz[base + (c as usize - c0) / bc] += 1;
-            }
-        }
-    }
-
-    /// Refits one profile per `width`-wide column block of a dense batch
-    /// operand, in a **single pass** over the rows: `profiles[b]` ends up
-    /// identical to [`DensityProfile::refit_dense`] over block `b`'s
-    /// extracted matrix, but the batch row is streamed once with full cache
-    /// lines instead of `B` strided column sweeps.  The first
-    /// `profiles.len()` blocks are profiled (columns past them are
-    /// ignored); `grid` is the per-request grid.
-    pub fn refit_dense_col_blocks(
-        m: &DenseMatrix,
-        grid: &BlockGrid,
-        width: usize,
-        profiles: &mut [DensityProfile],
-    ) {
-        debug_assert!(profiles.len() * width <= m.cols());
-        for p in profiles.iter_mut() {
-            p.refit_header((m.rows(), width), grid);
-        }
-        let bc = grid.block_cols().max(1);
-        let br = grid.block_rows().max(1);
-        for r in 0..m.rows() {
-            match m.row_slice(r) {
-                Some(row) => {
-                    for (p, seg) in profiles.iter_mut().zip(row.chunks_exact(width)) {
-                        let counts = &mut p.block_nnz[(r / br) * p.grid_cols..][..p.grid_cols];
-                        scan_row(seg, bc, counts, |_, _| {});
-                    }
-                }
-                None => {
-                    for c in 0..profiles.len() * width {
-                        if is_nonzero(m.get(r, c)) {
-                            let p = &mut profiles[c / width];
-                            let base = (r / br) * p.grid_cols;
-                            p.block_nnz[base + (c % width) / bc] += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// CSR variant of [`DensityProfile::refit_dense_col_blocks`]: one pass
-    /// over the stored entries (columns are sorted per row, so the block
-    /// index advances incrementally).
-    pub fn refit_csr_col_blocks(
-        m: &CsrMatrix,
-        grid: &BlockGrid,
-        width: usize,
-        profiles: &mut [DensityProfile],
-    ) {
-        debug_assert!(profiles.len() * width <= m.cols());
-        for p in profiles.iter_mut() {
-            p.refit_header((m.rows(), width), grid);
-        }
-        let bc = grid.block_cols().max(1);
-        let br = grid.block_rows().max(1);
-        let limit = profiles.len() * width;
-        for r in 0..m.rows() {
-            let (cols, _) = m.row(r);
-            let mut block = 0usize;
-            let mut block_start = 0usize;
-            for &c in cols {
-                let c = c as usize;
-                if c >= limit {
-                    break;
-                }
-                while c >= block_start + width {
-                    block += 1;
-                    block_start += width;
-                }
-                let p = &mut profiles[block];
-                let base = (r / br) * p.grid_cols;
-                p.block_nnz[base + (c - block_start) / bc] += 1;
             }
         }
     }
@@ -512,6 +404,9 @@ mod tests {
         let po = DensityProfile::of_coo(&CooMatrix::from_dense(&m), &grid);
         assert_eq!(pd, pc);
         assert_eq!(pd, po);
+        // A column-major matrix goes through the element fallback.
+        let col_major = m.to_layout(crate::Layout::ColMajor);
+        assert_eq!(pd, DensityProfile::of_dense(&col_major, &grid));
     }
 
     #[test]
@@ -541,114 +436,5 @@ mod tests {
     fn from_block_nnz_validates_length() {
         let grid = BlockGrid::new(4, 4, 2, 2);
         let _ = DensityProfile::from_block_nnz(4, 4, &grid, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn refit_col_blocks_matches_per_block_refits() {
-        use crate::random::random_dense;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(29);
-        let m = random_dense(&mut rng, 15, 24, 0.35);
-        let csr = CsrMatrix::from_dense(&m);
-        let width = 8;
-        let grid = BlockGrid::new(15, width, 4, 3);
-        let mut profiles = vec![DensityProfile::default(); 3];
-        DensityProfile::refit_dense_col_blocks(&m, &grid, width, &mut profiles);
-        let mut want = DensityProfile::default();
-        for (b, got) in profiles.iter().enumerate() {
-            want.refit_dense_cols(&m, &grid, b * width, (b + 1) * width);
-            assert_eq!(got, &want, "dense block {b}");
-        }
-        DensityProfile::refit_csr_col_blocks(&csr, &grid, width, &mut profiles);
-        for (b, got) in profiles.iter().enumerate() {
-            want.refit_dense_cols(&m, &grid, b * width, (b + 1) * width);
-            assert_eq!(got, &want, "csr block {b}");
-        }
-        // Column-major fallback agrees too.
-        DensityProfile::refit_dense_col_blocks(
-            &m.to_layout(crate::Layout::ColMajor),
-            &grid,
-            width,
-            &mut profiles,
-        );
-        for (b, got) in profiles.iter().enumerate() {
-            want.refit_dense_cols(&m, &grid, b * width, (b + 1) * width);
-            assert_eq!(got, &want, "col-major block {b}");
-        }
-    }
-
-    #[test]
-    fn nnz_col_blocks_matches_per_block_counts() {
-        use crate::random::random_dense;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(31);
-        let m = random_dense(&mut rng, 9, 20, 0.4);
-        let csr = CsrMatrix::from_dense(&m);
-        let mut counts = Vec::new();
-        m.nnz_col_blocks(5, &mut counts);
-        assert_eq!(counts.len(), 4);
-        for (b, &got) in counts.iter().enumerate() {
-            assert_eq!(got, m.nnz_cols(b * 5, (b + 1) * 5), "dense block {b}");
-        }
-        csr.nnz_col_blocks(5, &mut counts);
-        for (b, &got) in counts.iter().enumerate() {
-            assert_eq!(got, csr.nnz_cols(b * 5, (b + 1) * 5), "csr block {b}");
-        }
-    }
-
-    #[test]
-    fn col_block_probes_ignore_trailing_partial_blocks() {
-        // A width that does not divide the column count is a contract
-        // violation of the hot path (debug-asserted), but the public probes
-        // must degrade gracefully in release builds: entries past the last
-        // whole block are ignored, never out-of-bounds.
-        let m = DenseMatrix::from_fn(3, 10, |_, _| 1.0);
-        let csr = CsrMatrix::from_dense(&m);
-        let mut counts = Vec::new();
-        m.nnz_col_blocks(4, &mut counts);
-        assert_eq!(counts, vec![12, 12]);
-        m.to_layout(crate::Layout::ColMajor)
-            .nnz_col_blocks(4, &mut counts);
-        assert_eq!(counts, vec![12, 12]);
-        csr.nnz_col_blocks(4, &mut counts);
-        assert_eq!(counts, vec![12, 12]);
-        let grid = BlockGrid::new(3, 4, 2, 2);
-        let mut profiles = vec![DensityProfile::default(); 2];
-        DensityProfile::refit_csr_col_blocks(&csr, &grid, 4, &mut profiles);
-        assert_eq!(profiles[1].total_nnz(), 12);
-        DensityProfile::refit_dense_col_blocks(
-            &m.to_layout(crate::Layout::ColMajor),
-            &grid,
-            4,
-            &mut profiles,
-        );
-        assert_eq!(profiles[1].total_nnz(), 12);
-    }
-
-    #[test]
-    fn refit_cols_matches_refit_on_the_extracted_block() {
-        use crate::random::random_dense;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(17);
-        let m = random_dense(&mut rng, 13, 21, 0.3);
-        let csr = CsrMatrix::from_dense(&m);
-        for (c0, c1) in [(0usize, 7usize), (7, 14), (14, 21), (3, 21), (5, 5)] {
-            let grid = BlockGrid::new(13, c1 - c0, 4, 3);
-            let mut extracted = DenseMatrix::zeros(0, 0);
-            m.copy_cols_into(c0, c1, &mut extracted);
-            let mut want = DensityProfile::default();
-            want.refit_dense(&extracted, &grid);
-            let mut got = DensityProfile::default();
-            got.refit_dense_cols(&m, &grid, c0, c1);
-            assert_eq!(got, want, "dense cols [{c0},{c1})");
-            got.refit_csr_cols(&csr, &grid, c0, c1);
-            assert_eq!(got, want, "csr cols [{c0},{c1})");
-            // Column-major dense goes through the element fallback.
-            got.refit_dense_cols(&m.to_layout(crate::Layout::ColMajor), &grid, c0, c1);
-            assert_eq!(got, want, "col-major cols [{c0},{c1})");
-        }
     }
 }

@@ -30,10 +30,9 @@
 //!   block's density from the row pointers and picks Skip / SpDMM /
 //!   Gustavson-into-dense through the dispatcher's [`ExecBackend`].  The
 //!   kernel's predicted cost is the sum of its blocks' predictions.
-//! * **One runner.**  `run_kernel` wraps whichever shape executes — here
-//!   and in the batch-fused pass of [`crate::batch`] — with the timing, the
-//!   kernel span and the region-fallback count behind a single `Option`
-//!   probe.
+//! * **One runner.**  `run_kernel` wraps whichever shape executes with the
+//!   timing, the kernel span and the region-fallback count behind a single
+//!   `Option` probe.
 //! * [`KernelArena`] owns plan-sized ping-pong feature buffers (one
 //!   dual-representation slot per kernel of the widest layer, plus the layer
 //!   input/output pair and the kernel scratch), so the steady-state forward
@@ -73,10 +72,10 @@ use std::time::Instant;
 
 /// One kernel's telemetry context on a probed forward pass: the session's
 /// telemetry bundle plus the kernel's coordinates in the model.
-pub(crate) struct ProbeCtx<'a> {
-    pub(crate) telemetry: &'a mut SessionTelemetry,
-    pub(crate) layer: u16,
-    pub(crate) kernel: u16,
+struct ProbeCtx<'a> {
+    telemetry: &'a mut SessionTelemetry,
+    layer: u16,
+    kernel: u16,
 }
 
 /// The telemetry-facing name of a host primitive.
@@ -212,7 +211,7 @@ impl KernelDispatcher {
         self.parallel
     }
 
-    pub(crate) fn pool(&self) -> Option<&'static ThreadPool> {
+    fn pool(&self) -> Option<&'static ThreadPool> {
         if self.parallel {
             let pool = ThreadPool::global();
             if !pool.is_inline() {
@@ -233,9 +232,9 @@ impl KernelDispatcher {
 /// buffers cycle through the [`SpGemmScratch`] reclaim pool) restores the
 /// zero-allocation contract under oscillating densities.
 #[derive(Debug)]
-pub(crate) struct ArenaSlot {
+struct ArenaSlot {
     /// The representation the last kernel wrote (what consumers read).
-    pub(crate) value: FeatureMatrix,
+    value: FeatureMatrix,
     /// Retained dense capacity while `value` is sparse; empty otherwise
     /// (the capacity migrates between `value` and here on each flip).
     spare_dense: DenseMatrix,
@@ -254,13 +253,13 @@ impl ArenaSlot {
 
 /// The working set the kernels of a pass share, borrowed as one piece.
 #[derive(Debug)]
-pub(crate) struct KernelScratch {
+struct KernelScratch {
     /// Dense scratch for densifying a sparse operand ahead of a
     /// dense-operand kernel.
-    pub(crate) densify: DenseMatrix,
+    densify: DenseMatrix,
     /// Workspace of the Gustavson sparse-sparse kernel; also recycles the
     /// CSR buffers of sparse slot outputs.
-    pub(crate) spgemm: SpGemmScratch,
+    spgemm: SpGemmScratch,
     /// The current kernel's input profile over its `N2 × N2` subfiber
     /// tiling, when the kernel's own scan fills one: the dense-input Update
     /// GEMM streams every `X` row exactly once and counts as it goes, so the
@@ -283,17 +282,13 @@ pub(crate) struct KernelScratch {
 #[derive(Debug)]
 pub struct KernelArena {
     /// One slot per kernel of the widest layer (kernel outputs).
-    pub(crate) slots: Vec<ArenaSlot>,
+    slots: Vec<ArenaSlot>,
     /// The current layer's input features (`H^{l-1}`).
-    pub(crate) input: ArenaSlot,
+    input: ArenaSlot,
     /// The layer-output accumulator; swapped with `input` at layer end.
-    pub(crate) acc: ArenaSlot,
+    acc: ArenaSlot,
     /// What every kernel borrows besides its operands and output slot.
-    pub(crate) scratch: KernelScratch,
-    /// Largest batch the buffers are sized for (1 for a per-request arena).
-    pub(crate) batch_capacity: usize,
-    /// Batch size of the last `forward_dispatch_batch` pass (0 before one).
-    pub(crate) batch: usize,
+    scratch: KernelScratch,
 }
 
 impl KernelArena {
@@ -301,16 +296,6 @@ impl KernelArena {
     /// vertices: each buffer gets capacity for the widest feature matrix any
     /// kernel of the model can produce.
     pub fn for_model(model: &GnnModel, num_vertices: usize) -> Self {
-        Self::for_model_batch(model, num_vertices, 1)
-    }
-
-    /// Sizes an arena for batch-fused execution: every slot gets capacity
-    /// for `max_batch` horizontally concatenated feature matrices of the
-    /// model's widest dimension (`num_vertices × (max_dim · max_batch)`), so
-    /// micro-batches up to `max_batch` execute with zero steady-state
-    /// allocations.  Memory scales linearly with `max_batch`.
-    pub fn for_model_batch(model: &GnnModel, num_vertices: usize, max_batch: usize) -> Self {
-        let max_batch = max_batch.max(1);
         let mut max_dim = model.input_dim;
         for layer in &model.layers {
             max_dim = max_dim.max(layer.in_dim).max(layer.out_dim);
@@ -324,7 +309,6 @@ impl KernelArena {
             .map(|l| l.kernels.len())
             .max()
             .unwrap_or(0);
-        let batch_dim = max_dim * max_batch;
         let empty_dense = |rows: usize, cols: usize| {
             let mut m = DenseMatrix::zeros(rows, cols);
             m.reset(0, 0);
@@ -332,49 +316,22 @@ impl KernelArena {
         };
         KernelArena {
             slots: (0..max_kernels)
-                .map(|_| ArenaSlot::with_capacity(num_vertices, batch_dim))
+                .map(|_| ArenaSlot::with_capacity(num_vertices, max_dim))
                 .collect(),
-            input: ArenaSlot::with_capacity(num_vertices, batch_dim),
-            acc: ArenaSlot::with_capacity(num_vertices, batch_dim),
+            input: ArenaSlot::with_capacity(num_vertices, max_dim),
+            acc: ArenaSlot::with_capacity(num_vertices, max_dim),
             scratch: KernelScratch {
-                densify: empty_dense(num_vertices, batch_dim),
+                densify: empty_dense(num_vertices, max_dim),
                 spgemm: SpGemmScratch::new(),
                 profile: DensityProfile::default(),
                 profiled: false,
             },
-            batch_capacity: max_batch,
-            batch: 0,
         }
     }
 
-    /// Largest batch this arena's buffers are sized for.
-    pub fn batch_capacity(&self) -> usize {
-        self.batch_capacity
-    }
-
-    /// The final embeddings of the last dispatched forward pass.  After a
-    /// batched pass this is the whole `m × (d·B)` batch output; use
-    /// [`KernelArena::output_block`] for one request's embeddings.
+    /// The final embeddings of the last dispatched forward pass.
     pub fn output(&self) -> &FeatureMatrix {
         &self.input.value
-    }
-
-    /// One request's embeddings out of the last batched pass: column block
-    /// `block` of [`KernelArena::output`], materialised in the batch
-    /// output's representation.  Allocates (reports own their embeddings).
-    pub fn output_block(&self, block: usize) -> FeatureMatrix {
-        let bsz = self.batch.max(1);
-        debug_assert!(block < bsz, "block {block} out of batch {bsz}");
-        let width = self.input.value.dim() / bsz;
-        let (c0, c1) = (block * width, (block + 1) * width);
-        match &self.input.value {
-            FeatureMatrix::Dense(d) => {
-                let mut out = DenseMatrix::zeros(0, 0);
-                d.copy_cols_into(c0, c1, &mut out);
-                FeatureMatrix::Dense(out)
-            }
-            FeatureMatrix::Sparse(s) => FeatureMatrix::Sparse(s.col_block(c0, c1)),
-        }
     }
 }
 
@@ -382,10 +339,7 @@ impl KernelArena {
 /// slot currently holding a sparse matrix flips to its retained spare dense
 /// buffer (dual representation — no allocation once the spare has served
 /// this topology) and donates its CSR buffers to the spgemm workspace.
-pub(crate) fn slot_as_dense<'s>(
-    slot: &'s mut ArenaSlot,
-    spgemm: &mut SpGemmScratch,
-) -> &'s mut DenseMatrix {
+fn slot_as_dense<'s>(slot: &'s mut ArenaSlot, spgemm: &mut SpGemmScratch) -> &'s mut DenseMatrix {
     if let FeatureMatrix::Sparse(_) = &slot.value {
         let dense = std::mem::replace(&mut slot.spare_dense, DenseMatrix::zeros(0, 0));
         let old = std::mem::replace(&mut slot.value, FeatureMatrix::Dense(dense));
@@ -402,7 +356,7 @@ pub(crate) fn slot_as_dense<'s>(
 /// Stores `csr` into `slot`.  A previously sparse slot recycles its old CSR
 /// buffers through the spgemm workspace; a previously dense slot retains its
 /// dense buffer as the spare so a later flip back to dense is free.
-pub(crate) fn slot_set_sparse(slot: &mut ArenaSlot, csr: CsrMatrix, spgemm: &mut SpGemmScratch) {
+fn slot_set_sparse(slot: &mut ArenaSlot, csr: CsrMatrix, spgemm: &mut SpGemmScratch) {
     let old = std::mem::replace(&mut slot.value, FeatureMatrix::Sparse(csr));
     match old {
         FeatureMatrix::Sparse(old_csr) => spgemm.reclaim(old_csr.into_parts()),
@@ -412,7 +366,7 @@ pub(crate) fn slot_set_sparse(slot: &mut ArenaSlot, csr: CsrMatrix, spgemm: &mut
 
 /// Applies an activation to a slot in place (no allocation on either
 /// representation).
-pub(crate) fn apply_activation_inplace(slot: &mut FeatureMatrix, act: Activation) {
+fn apply_activation_inplace(slot: &mut FeatureMatrix, act: Activation) {
     match slot {
         FeatureMatrix::Dense(d) => d.map_inplace(|v| act.apply_scalar(v)),
         FeatureMatrix::Sparse(s) => s.map_retain(|v| act.apply_scalar(v)),
@@ -420,7 +374,7 @@ pub(crate) fn apply_activation_inplace(slot: &mut FeatureMatrix, act: Activation
 }
 
 /// Adds a CSR matrix element-wise into a dense accumulator.
-pub(crate) fn add_csr_into_dense(acc: &mut DenseMatrix, csr: &CsrMatrix) {
+fn add_csr_into_dense(acc: &mut DenseMatrix, csr: &CsrMatrix) {
     debug_assert_eq!(acc.shape(), csr.shape());
     debug_assert_eq!(
         acc.layout(),
@@ -439,9 +393,8 @@ pub(crate) fn add_csr_into_dense(acc: &mut DenseMatrix, csr: &CsrMatrix) {
 
 /// Combines a layer's contributing kernel slots into the accumulator slot —
 /// one contributor swaps by pointer, several accumulate densely in kernel
-/// order (the same order the reference path adds them).  Shared by the
-/// per-request and batch-fused forward passes.
-pub(crate) fn combine_layer_outputs(
+/// order (the same order the reference path adds them).
+fn combine_layer_outputs(
     layer: &crate::kernel::LayerSpec,
     slots: &mut [ArenaSlot],
     acc: &mut ArenaSlot,
@@ -498,19 +451,19 @@ pub(crate) fn combine_layer_outputs(
 /// full counts as `1.0`; adjacency and weight densities are cached), so
 /// building one never rescans a matrix.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Product {
+struct Product {
     /// The primitive the whole-product decision executes as.
-    pub(crate) executed: HostPrimitive,
-    pub(crate) shape: ProductShape,
-    pub(crate) alpha_x: f64,
-    pub(crate) alpha_y: f64,
+    executed: HostPrimitive,
+    shape: ProductShape,
+    alpha_x: f64,
+    alpha_y: f64,
     /// Whether a calibrated decision fell back to the Table IV regions.
-    pub(crate) fell_back: bool,
+    fell_back: bool,
 }
 
 impl Product {
     /// The backend's prediction for the product executed whole.
-    pub(crate) fn predicted_ms(&self, dispatcher: &KernelDispatcher) -> f64 {
+    fn predicted_ms(&self, dispatcher: &KernelDispatcher) -> f64 {
         dispatcher.predict_ms(self.executed, self.shape, self.alpha_x, self.alpha_y)
     }
 }
@@ -676,7 +629,7 @@ impl BlockBody<'_> {
 /// always, the flight-recorder ring at `trace` level) and a region fallback:
 /// exactly one counter bump, histogram observation and drift fold per call.
 /// The probe itself allocates nothing.
-pub(crate) fn run_kernel(
+fn run_kernel(
     mut probe: Option<&mut ProbeCtx<'_>>,
     exec: impl FnOnce(Option<&mut ProbeCtx<'_>>) -> Result<(Product, f64)>,
 ) -> Result<f64> {
@@ -716,16 +669,16 @@ fn product_shape(left: (usize, usize), right: (usize, usize)) -> Result<ProductS
 /// What stays fixed over one forward pass: the executor (model and
 /// adjacencies), the dispatcher, and the compiler partition whose row blocks
 /// dense-output kernels execute over.
-pub(crate) struct Pass<'a> {
-    pub(crate) executor: &'a ReferenceExecutor,
-    pub(crate) dispatcher: &'a KernelDispatcher,
-    pub(crate) partition: &'a PartitionSpec,
+struct Pass<'a> {
+    executor: &'a ReferenceExecutor,
+    dispatcher: &'a KernelDispatcher,
+    partition: &'a PartitionSpec,
 }
 
 impl Pass<'_> {
     /// Resolves the routing of `spec` over the input `kin` — the one place a
-    /// solo kernel's route is decided.  A sparse right operand the
-    /// dense-operand block kernel will read is densified into `densify` here.
+    /// kernel's route is decided.  A sparse right operand the dense-operand
+    /// block kernel will read is densified into `densify` here.
     fn resolve<'k>(
         &'k self,
         spec: &KernelSpec,
@@ -845,7 +798,7 @@ impl Pass<'_> {
     /// backend-predicted milliseconds: the sum of per-block predictions for
     /// a *rows* route, the whole-product prediction otherwise (`NaN` when the
     /// backend prices nothing).
-    pub(crate) fn run(
+    fn run(
         &self,
         spec: &KernelSpec,
         kin: &FeatureMatrix,
@@ -995,12 +948,6 @@ impl ReferenceExecutor {
         KernelArena::for_model(self.model(), num_vertices)
     }
 
-    /// Builds an arena sized for batch-fused execution of up to `max_batch`
-    /// concatenated requests (see [`KernelArena::for_model_batch`]).
-    pub fn arena_batch(&self, num_vertices: usize, max_batch: usize) -> KernelArena {
-        KernelArena::for_model_batch(self.model(), num_vertices, max_batch)
-    }
-
     /// Runs the full model through the dispatching kernel engine: every
     /// kernel's route is resolved once from its runtime operands, and every
     /// dense-output kernel executes over the row blocks of the compiler's
@@ -1048,7 +995,6 @@ impl ReferenceExecutor {
             input: input_slot,
             acc,
             scratch,
-            ..
         } = arena;
         let pass = Pass {
             executor: self,
@@ -1093,7 +1039,7 @@ impl ReferenceExecutor {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::models::GnnModelKind;
     use crate::pruning::prune_model;
@@ -1103,9 +1049,9 @@ pub(crate) mod tests {
     use dynasparse_matrix::Layout;
     use dynasparse_telemetry::{Registry, TelemetryLevel};
 
-    pub(crate) const VERTICES: usize = 48;
+    const VERTICES: usize = 48;
 
-    pub(crate) fn small_graph() -> Graph {
+    fn small_graph() -> Graph {
         power_law_graph(
             "dispatch-test",
             &PowerLawConfig {
@@ -1119,7 +1065,7 @@ pub(crate) mod tests {
 
     /// A host-backend dispatcher: the Table IV regions of `policy`, or the
     /// argmin over `calibration` when one is supplied.
-    pub(crate) fn host_dispatcher(
+    fn host_dispatcher(
         model: &GnnModel,
         policy: DispatchPolicy,
         calibration: Option<Arc<HostCalibration>>,
@@ -1129,16 +1075,15 @@ pub(crate) mod tests {
         KernelDispatcher::new(model, policy, backend, parallel)
     }
 
-    pub(crate) fn sparse(features: &FeatureMatrix) -> FeatureMatrix {
+    fn sparse(features: &FeatureMatrix) -> FeatureMatrix {
         FeatureMatrix::Sparse(CsrMatrix::from_dense(&features.to_dense()))
     }
 
     /// The one equivalence check of the executor: over `model` on the test
-    /// graph, every request served solo — and, when there are several, all
-    /// of them as one fused batch — must equal the fixed-kernel oracle
+    /// graph, every request must equal the fixed-kernel oracle
     /// [`ReferenceExecutor::forward`] bit for bit, whatever `partition`
     /// blocks the kernels into and under both host cost models.
-    pub(crate) fn check_against_reference(
+    fn check_against_reference(
         model: &GnnModel,
         requests: &[FeatureMatrix],
         partition: &PartitionSpec,
@@ -1150,7 +1095,7 @@ pub(crate) mod tests {
 
     /// [`check_against_reference`] over a caller-built executor (hand-made
     /// adjacencies).
-    pub(crate) fn check_executor_against_reference(
+    fn check_executor_against_reference(
         exec: &ReferenceExecutor,
         requests: &[FeatureMatrix],
         partition: &PartitionSpec,
@@ -1169,7 +1114,7 @@ pub(crate) mod tests {
                 calibration.is_some()
             );
             let dispatcher = host_dispatcher(exec.model(), policy, calibration, parallel);
-            // One arena serves every solo request: reuse across requests of
+            // One arena serves every request: reuse across requests of
             // different densities and representations is part of the check.
             let mut arena = exec.arena(VERTICES);
             for (i, (request, want)) in requests.iter().zip(&want).enumerate() {
@@ -1186,28 +1131,8 @@ pub(crate) mod tests {
                 assert_eq!(
                     arena.output().to_dense().as_slice(),
                     want.as_slice(),
-                    "solo request {i} must match the reference bit for bit ({ctx})"
+                    "request {i} must match the reference bit for bit ({ctx})"
                 );
-            }
-            if requests.len() > 1 {
-                let mut batch_arena = exec.arena_batch(VERTICES, requests.len());
-                exec.forward_dispatch_batch(
-                    requests,
-                    &dispatcher,
-                    &mut batch_arena,
-                    partition,
-                    None,
-                    |_, _, _, _| {},
-                )
-                .unwrap();
-                for (b, want) in want.iter().enumerate() {
-                    assert_eq!(
-                        batch_arena.output_block(b).to_dense().as_slice(),
-                        want.as_slice(),
-                        "request {b} of the fused batch must match the reference bit for bit \
-                         ({ctx})"
-                    );
-                }
             }
         }
     }
@@ -1328,7 +1253,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// The kernel spans of one solo pass (the block spans with `blocks`), as
+    /// The kernel spans of one pass (the block spans with `blocks`), as
     /// `(layer, kernel, primitive)`, recorded at trace level under the
     /// Table IV regions.
     fn span_primitives(

@@ -31,7 +31,7 @@
 //! snapped to its bucket's representative density), never from the
 //! first-seen exact profile — so pricing is independent of request order,
 //! worker count and cache state, and every cross-path bit-identity
-//! guarantee (serial vs. multi-worker, fused vs. loop) holds by
+//! guarantee (serial vs. multi-worker, batched vs. one by one) holds by
 //! construction.
 
 use crate::analyzer::{Analyzer, KernelAnalysis, OperandProfiles};
@@ -610,9 +610,8 @@ pub struct PricingCounters {
 /// The pricing stage of a served request: given a kernel's runtime feature
 /// profile, one [`KernelAnalysis`] per mapping strategy — from the session
 /// cache, else the shared tier, else a fresh Analyzer pass that is then
-/// inserted and published.  A solo request and every request of a fused
-/// batch are priced by the same call, so cache state, counters and reports
-/// cannot depend on which executor ran the kernels.
+/// inserted and published.  Every request, served alone or in a batch, is
+/// priced by this one call.
 #[derive(Debug)]
 pub struct PricingStage {
     mode: PricingCacheMode,
@@ -714,8 +713,8 @@ impl PricingStage {
     /// analyzer onto `out` in analyzer order.  `probe` turns the
     /// stopwatches on.
     ///
-    /// Same-key requests of one fused batch amortize here: the first misses
-    /// and inserts, the rest hit the just-inserted entry.
+    /// Same-key requests of one batch amortize here: the first misses and
+    /// inserts, the rest hit the just-inserted entry.
     pub fn price(
         &mut self,
         kernel_index: usize,

@@ -9,7 +9,10 @@
 //! and every worker session dispatches through the same `Arc`'d fit.  Producers [`submit`](ServeRuntime::submit) feature
 //! matrices and get a [`Ticket`] to wait on; workers drain the queue in
 //! deadline-coalesced micro-batches of up to `max_batch` requests, serving
-//! each batch with a single [`Session::infer_batch`] call.
+//! each batch with a single [`Session::infer_batch`] call.  The session
+//! serves a batch as a loop of single-request passes, so `max_batch`
+//! amortizes queue pops, worker wake-ups and pricing-tier lookups across a
+//! burst — not kernel work.
 //!
 //! Because every request is profiled and priced from a freshly reset
 //! analyzer/scheduler, a report does not depend on which worker served the
@@ -426,8 +429,8 @@ impl Ticket {
 /// let model = GnnModel::gcn(dataset.features.dim(), 8, dataset.spec.num_classes, 7);
 /// let plan = Planner::default().plan_shared(&model, &dataset).unwrap();
 ///
-/// // Two workers, micro-batches of up to 4 requests served through the
-/// // batch-fused session path.
+/// // Two workers, micro-batches of up to 4 requests, each served by one
+/// // `Session::infer_batch` call.
 /// let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(2).max_batch(4));
 /// let ticket = runtime.submit(dataset.features.clone()).unwrap();
 /// let report = ticket.wait().unwrap();
@@ -927,19 +930,8 @@ impl Worker {
             session.set_telemetry_shard(self.index);
             session.set_pricing_tier(self.pricing_tier.clone());
             self.session = Some(session);
-            self.presize();
         }
         self.session.as_mut().expect("bound above")
-    }
-
-    /// Sizes the fused-batch arena for the worker's batch cap up front, so
-    /// `max_batch` buys kernel-level fusion without mid-serving buffer
-    /// growth.  Only a constant plan yields runs longer than one request,
-    /// so per-request plans reserve nothing.
-    fn presize(&mut self) {
-        if let (Backend::Plan(_), Some(session)) = (&self.backend, &mut self.session) {
-            session.reserve_batch(self.config.max_batch);
-        }
     }
 
     /// Runs one step under the supervisor's catch.  A panic is recorded and
@@ -973,7 +965,6 @@ impl Worker {
                 if let Some(session) = &mut self.session {
                     session.rebuild_after_panic();
                 }
-                self.presize();
             }
             Err(ServeError::WorkerPanicked { message })
         })
@@ -996,10 +987,9 @@ impl Worker {
 
     /// Serves one run — consecutive requests on one plan — appending one
     /// result per request.  A run is a single `infer_batch`: a constant
-    /// plan fuses the whole micro-batch, per-request plans serve batches of
-    /// one.  The fused pass has no per-request isolation, so when it panics
-    /// the run is retried request by request and only the poisoned ticket
-    /// fails.
+    /// plan makes the whole micro-batch one run, per-request plans serve
+    /// batches of one.  A panic unwinds out of the whole call, so the run is
+    /// then retried request by request and only the poisoned ticket fails.
     fn serve_run(
         &mut self,
         plan: &Arc<CompiledPlan>,
@@ -1448,8 +1438,8 @@ mod tests {
         assert_eq!(report.requests, 1);
         // The survivor is the one recorded request.  Its service time is its
         // share (half) of the batch's host time, which — with no dwell — is
-        // the whole pick → reply span: the failed fused pass, the session
-        // rebuild *and* both isolating retries, not the fused pass alone.
+        // the whole pick → reply span: the failed batch call, the session
+        // rebuild *and* both isolating retries, not the batch call alone.
         let span_ms = report.turnaround.mean_ms - report.queue_wait.mean_ms;
         assert!(
             2.0 * report.service.mean_ms >= 0.8 * span_ms,

@@ -200,125 +200,6 @@ fn steady_state_kernel_hot_path_is_allocation_free() {
         );
     }
 
-    // --- The batched guarantee: zero allocations per fused micro-batch. ---
-    //
-    // A batch-sized arena that has served a micro-batch of this topology
-    // once must serve every later micro-batch (same or smaller batch size)
-    // with zero heap allocations: concatenation reuses the batch slots,
-    // the column-blocked kernels write into reused buffers, and the
-    // per-request block views extract into retained scratch.
-    for kind in GnnModelKind::all() {
-        let model = GnnModel::standard(
-            kind,
-            dataset.features.dim(),
-            16,
-            dataset.spec.num_classes,
-            5,
-        );
-        let exec = ReferenceExecutor::new(&model, &dataset.graph);
-        let dispatcher = regions_dispatcher(&model, DispatchPolicy::from_regions(16), false);
-        let mut arena = exec.arena_batch(dataset.graph.num_vertices(), 4);
-        let batch: Vec<FeatureMatrix> = (0..4).map(|_| features.clone()).collect();
-        for _ in 0..2 {
-            exec.forward_dispatch_batch(
-                &batch,
-                &dispatcher,
-                &mut arena,
-                &spec,
-                None,
-                |_, _, _, _| {},
-            )
-            .unwrap();
-        }
-        let allocs = count_allocs(|| {
-            exec.forward_dispatch_batch(
-                &batch,
-                &dispatcher,
-                &mut arena,
-                &spec,
-                None,
-                |_, _, _, _| {},
-            )
-            .unwrap();
-        });
-        assert_eq!(
-            allocs,
-            0,
-            "{}: steady-state fused batch forward must not allocate",
-            kind.name()
-        );
-        // A smaller micro-batch over the same warmed arena is free too.
-        let small: Vec<FeatureMatrix> = (0..2).map(|_| features.clone()).collect();
-        exec.forward_dispatch_batch(
-            &small,
-            &dispatcher,
-            &mut arena,
-            &spec,
-            None,
-            |_, _, _, _| {},
-        )
-        .unwrap();
-        let allocs = count_allocs(|| {
-            exec.forward_dispatch_batch(
-                &small,
-                &dispatcher,
-                &mut arena,
-                &spec,
-                None,
-                |_, _, _, _| {},
-            )
-            .unwrap();
-        });
-        assert_eq!(
-            allocs,
-            0,
-            "{}: a smaller micro-batch over a warmed batch arena must not allocate",
-            kind.name()
-        );
-    }
-
-    // --- Sparse batches: CSR concatenation must also reach zero. ---
-    {
-        let model = GnnModel::standard(
-            GnnModelKind::Gcn,
-            dataset.features.dim(),
-            16,
-            dataset.spec.num_classes,
-            5,
-        );
-        let exec = ReferenceExecutor::new(&model, &dataset.graph);
-        let dispatcher = regions_dispatcher(&model, DispatchPolicy::from_regions(16), false);
-        let mut arena = exec.arena_batch(dataset.graph.num_vertices(), 3);
-        let sparse = FeatureMatrix::Sparse(CsrMatrix::from_dense(&features.to_dense()));
-        let batch: Vec<FeatureMatrix> = (0..3).map(|_| sparse.clone()).collect();
-        for _ in 0..2 {
-            exec.forward_dispatch_batch(
-                &batch,
-                &dispatcher,
-                &mut arena,
-                &spec,
-                None,
-                |_, _, _, _| {},
-            )
-            .unwrap();
-        }
-        let allocs = count_allocs(|| {
-            exec.forward_dispatch_batch(
-                &batch,
-                &dispatcher,
-                &mut arena,
-                &spec,
-                None,
-                |_, _, _, _| {},
-            )
-            .unwrap();
-        });
-        assert_eq!(
-            allocs, 0,
-            "steady-state fused batch over CSR requests must not allocate"
-        );
-    }
-
     // --- Oscillating densities: representation flips must stay free. ---
     //
     // Two request classes whose sparse-sparse kernel output straddles the

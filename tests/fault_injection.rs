@@ -433,9 +433,9 @@ fn storm(runtime: ServeRuntime, request: impl Fn(usize) -> Payload) {
     // rebuilt after a catch or opened its breaker, never silently died.
     assert!(report.worker_respawns <= report.worker_panics);
     // Ticket conservation, outcome by outcome: what the callers saw is what
-    // the runtime counted.  (A poisoned request in a fused batch panics
-    // twice — in the fused pass and in its isolating retry — so panics
-    // bound the panicked tickets from above.)
+    // the runtime counted.  (A poisoned request in a batch of several
+    // panics twice — in the batch call and in its isolating retry — so
+    // panics bound the panicked tickets from above.)
     assert_eq!(report.requests, ok, "served");
     assert_eq!(report.shed, overloaded, "shed");
     assert_eq!(report.deadline_expired, expired, "expired");

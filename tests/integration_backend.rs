@@ -24,9 +24,8 @@
 //!   kernel pool at one and at two threads;
 //! * column-major operands, which take one row-major copy at route
 //!   resolution and then the ordinary block loop;
-//! * pruned weights under dense-stored requests, whose solo Updates run by
-//!   the weight's non-zeros (the right-sparse body) while the fused batch
-//!   keeps the column-blocked GEMM.
+//! * pruned weights under dense-stored requests, whose Updates run by the
+//!   weight's non-zeros (the right-sparse body), alone and in a batch.
 
 mod common;
 
@@ -182,8 +181,8 @@ fn serve(
     reports
 }
 
-/// Serves `requests` over `plan` (first solo, rest fused) and holds every
-/// report to the oracle's run of the same request.
+/// Serves `requests` over `plan` (first alone, rest as one batch) and holds
+/// every report to the oracle's run of the same request.
 fn assert_served_stream_matches_oracle(
     model: &GnnModel,
     ds: &GraphDataset,
@@ -364,10 +363,10 @@ fn column_major_operands_are_served_bit_identically_solo_and_batched() {
 }
 
 #[test]
-fn pruned_weights_run_solo_updates_by_the_sparser_operand_and_the_fused_batch_by_gemm() {
+fn pruned_weights_run_updates_by_the_sparser_operand_solo_and_batched() {
     // Dense-stored requests on both sides of the pruned weights' densities:
-    // one served solo, then a fused batch of three, against the oracle, on
-    // both backends.
+    // one served alone, then a batch of three, against the oracle, on both
+    // backends.
     for sparsity in [0.9, 0.99] {
         for kind in GnnModelKind::all() {
             let (model, ds) = fixture(kind);
@@ -391,10 +390,9 @@ fn pruned_weights_run_solo_updates_by_the_sparser_operand_and_the_fused_batch_by
         }
     }
 
-    // And each path says what it ran.  Over a 90 %-pruned GIN and half-dense
-    // requests, a solo pass runs its two Aggregates and all four Updates as
-    // SpDMM; a fused batch of three aggregates layer 0 per request and
-    // layer 1 once, and runs each Update once, as GEMM.
+    // And the session says what it ran.  Over a 90 %-pruned GIN and
+    // half-dense requests, a pass runs its two Aggregates and all four
+    // Updates as SpDMM; a batch of three is three such passes.
     let (model, ds) = fixture(GnnModelKind::Gin);
     let model = prune_model(&model, 0.9);
     let plan = plan_with(&model, &ds, BackendKind::Host);
@@ -412,6 +410,6 @@ fn pruned_weights_run_solo_updates_by_the_sparser_operand_and_the_fused_batch_by
     assert_eq!(dispatched(&[half_dense(910)]), (0, 6));
     assert_eq!(
         dispatched(&[half_dense(911), half_dense(912), half_dense(913)]),
-        (4, 4)
+        (0, 3 * 6)
     );
 }

@@ -1,15 +1,14 @@
-//! Equivalence of the fused batch path and the per-request loop.
+//! A batch is a loop of single-request passes.
 //!
-//! `Session::infer_batch` (with the default `batch_fusion`) concatenates a
-//! micro-batch into one `m × (d·B)` operand and runs every kernel once per
-//! layer; the per-request loop (`batch_fusion: false`) is kept as the
-//! equivalence oracle.  This suite proves the fused path changes **nothing
-//! observable**: per-request embeddings are bit-identical, density traces
-//! (input density and every kernel stage) are exactly equal, strategy
-//! pricing (cycles, latency bits, utilization, kernel reports, primitive
-//! mixes) matches, and `request_index` numbering is unchanged — across
-//! batch sizes 1/3/8, all four model kinds, and batches mixing per-request
-//! feature densities and representations.
+//! `Session::infer_batch` validates every request up front and then serves
+//! them one by one through the pass `Session::infer` runs.  This suite pins
+//! that batching changes **nothing observable**: per-request embeddings are
+//! bit-identical, density traces (input density and every kernel stage) are
+//! exactly equal, strategy pricing (cycles, latency bits, utilization, kernel
+//! reports, primitive mixes) matches, `request_index` numbering is unchanged,
+//! and a request's predicted kernel time and telemetry spans are its own —
+//! across batch sizes 0/1/2/3/8, all four model kinds, and batches of dense,
+//! CSR and mixed requests of differing densities.
 
 use dynasparse::{
     CompiledPlan, EngineOptions, HostExecutionOptions, InferenceReport, MappingStrategy, Planner,
@@ -17,6 +16,8 @@ use dynasparse::{
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
 use dynasparse_matrix::{CsrMatrix, DenseMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
+use dynasparse_telemetry::{CounterId, Registry, TelemetryLevel};
+use std::sync::Arc;
 
 fn fixture(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
     let ds = Dataset::Cora.spec().generate_scaled(19, 0.12);
@@ -24,19 +25,21 @@ fn fixture(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
     (model, ds)
 }
 
-fn plan_with_fusion(model: &GnnModel, ds: &GraphDataset, fusion: bool) -> CompiledPlan {
-    let options = EngineOptions::builder()
-        .host(HostExecutionOptions {
-            batch_fusion: fusion,
-            ..Default::default()
-        })
-        .build();
-    Planner::new(options).plan(model, ds).unwrap()
+fn plan(model: &GnnModel, ds: &GraphDataset) -> CompiledPlan {
+    Planner::default().plan(model, ds).unwrap()
 }
 
-/// A micro-batch mixing per-request feature densities, with every other
-/// request stored sparse (CSR) when `mixed_repr` is set.
-fn request_batch(ds: &GraphDataset, n: usize, mixed_repr: bool) -> Vec<FeatureMatrix> {
+/// How the requests of a batch are stored.
+#[derive(Debug, Clone, Copy)]
+enum Repr {
+    Dense,
+    Csr,
+    /// Every other request CSR.
+    Mixed,
+}
+
+/// A micro-batch of `n` requests of differing feature densities.
+fn request_batch(ds: &GraphDataset, n: usize, repr: Repr) -> Vec<FeatureMatrix> {
     (0..n)
         .map(|i| {
             let density = 0.01 + 0.9 * (i as f64 / n.max(1) as f64);
@@ -46,7 +49,12 @@ fn request_batch(ds: &GraphDataset, n: usize, mixed_repr: bool) -> Vec<FeatureMa
                 density,
                 500 + i as u64,
             );
-            if mixed_repr && i % 2 == 1 {
+            let csr = match repr {
+                Repr::Dense => false,
+                Repr::Csr => true,
+                Repr::Mixed => i % 2 == 1,
+            };
+            if csr {
                 FeatureMatrix::Sparse(CsrMatrix::from_dense(&f.to_dense()))
             } else {
                 f
@@ -55,10 +63,8 @@ fn request_batch(ds: &GraphDataset, n: usize, mixed_repr: bool) -> Vec<FeatureMa
         .collect()
 }
 
-/// Exact equality of everything a report exposes, except the output
-/// embeddings' storage representation (the fused path may materialise a
-/// block dense where the solo pass kept CSR, or vice versa; the values must
-/// still match bit for bit).
+/// Exact equality of everything a report exposes outside wall-clock-derived
+/// fields; embeddings are compared by value, bit for bit.
 fn assert_reports_equal(want: &InferenceReport, got: &InferenceReport, ctx: &str) {
     assert_eq!(
         want.request_index, got.request_index,
@@ -125,53 +131,35 @@ fn assert_reports_equal(want: &InferenceReport, got: &InferenceReport, ctx: &str
     }
 }
 
+/// The one oracle: for every model kind × request representation, a session
+/// serving batches of 1, 2, 3 and 8 requests reports exactly what a fresh
+/// session serving the same requests through `infer`, one call each, reports.
 #[test]
-fn fused_batches_are_bit_identical_to_the_per_request_loop() {
+fn batches_match_sequential_single_infers() {
+    let strategies = MappingStrategy::paper_strategies();
     for kind in GnnModelKind::all() {
         let (model, ds) = fixture(kind);
-        let fused_plan = plan_with_fusion(&model, &ds, true);
-        let loop_plan = plan_with_fusion(&model, &ds, false);
-        let strategies = MappingStrategy::paper_strategies();
-        let mut fused = fused_plan.session(&strategies);
-        let mut serial = loop_plan.session(&strategies);
-        for (batch_size, mixed) in [(1usize, false), (3, false), (8, true)] {
-            let batch = request_batch(&ds, batch_size, mixed);
-            let want = serial.infer_batch(&batch).unwrap();
-            let got = fused.infer_batch(&batch).unwrap();
-            assert_eq!(want.len(), got.len());
-            for (w, g) in want.iter().zip(got.iter()) {
-                assert_reports_equal(
-                    w,
-                    g,
-                    &format!(
-                        "{} batch {batch_size} mixed {mixed} request {}",
+        let plan = plan(&model, &ds);
+        for repr in [Repr::Dense, Repr::Csr, Repr::Mixed] {
+            let mut one_by_one = plan.session(&strategies);
+            let mut batched = plan.session(&strategies);
+            for batch_size in [1usize, 2, 3, 8] {
+                let batch = request_batch(&ds, batch_size, repr);
+                let served = batched.requests_served();
+                let got = batched.infer_batch(&batch).unwrap();
+                assert_eq!(got.len(), batch_size);
+                assert_eq!(batched.requests_served(), served + batch_size);
+                for (features, got) in batch.iter().zip(&got) {
+                    let want = one_by_one.infer(features).unwrap();
+                    let ctx = format!(
+                        "{} {repr:?} batch {batch_size} request {}",
                         kind.name(),
-                        w.request_index
-                    ),
-                );
+                        want.request_index
+                    );
+                    assert_reports_equal(&want, got, &ctx);
+                }
             }
         }
-        // Both sessions served the same number of requests in the same
-        // order: fusion does not disturb request numbering.
-        assert_eq!(fused.requests_served(), serial.requests_served());
-    }
-}
-
-#[test]
-fn fused_batches_match_sequential_single_infers() {
-    let (model, ds) = fixture(GnnModelKind::Gcn);
-    let plan = plan_with_fusion(&model, &ds, true);
-    let batch = request_batch(&ds, 5, true);
-    let mut one_by_one = plan.session(&[MappingStrategy::Dynamic]);
-    let want: Vec<InferenceReport> = batch.iter().map(|f| one_by_one.infer(f).unwrap()).collect();
-    let mut batched = plan.session(&[MappingStrategy::Dynamic]);
-    let got = batched.infer_batch(&batch).unwrap();
-    for (w, g) in want.iter().zip(got.iter()) {
-        assert_reports_equal(
-            w,
-            g,
-            &format!("vs Session::infer, request {}", w.request_index),
-        );
     }
 }
 
@@ -180,12 +168,12 @@ fn a_request_reports_the_same_whether_or_not_its_non_zero_count_is_cached() {
     // A report's densities come from the profiles the kernels fill, never
     // from the request's own cached count: a request that has answered
     // `density()` before and a fresh copy of the same bytes (no count
-    // cached) report identically — solo, as a batch of one, and as a member
-    // of a fused batch.
+    // cached) report identically — alone, as a batch of one, and as a member
+    // of a batch of two.
     for kind in GnnModelKind::all() {
         let (model, ds) = fixture(kind);
-        let plan = plan_with_fusion(&model, &ds, true);
-        let warm = request_batch(&ds, 2, false).pop().unwrap();
+        let plan = plan(&model, &ds);
+        let warm = request_batch(&ds, 2, Repr::Dense).pop().unwrap();
         let want_density = warm.density();
         let fresh = || {
             let dense = warm.to_dense();
@@ -207,7 +195,10 @@ fn a_request_reports_the_same_whether_or_not_its_non_zero_count_is_cached() {
         );
         for (got, ctx) in [
             (first_report(&[fresh()]), "batch of one, fresh copy"),
-            (first_report(&[fresh(), warm.clone()]), "fused, fresh copy"),
+            (
+                first_report(&[fresh(), warm.clone()]),
+                "batch of two, fresh copy",
+            ),
         ] {
             assert_reports_equal(&want, &got, &format!("{} {ctx}", kind.name()));
         }
@@ -215,55 +206,85 @@ fn a_request_reports_the_same_whether_or_not_its_non_zero_count_is_cached() {
 }
 
 #[test]
-fn fused_sessions_interleave_batch_sizes_and_stay_exact() {
-    // The batch arena is sized for the largest batch seen and reused by
-    // smaller (and later equal) micro-batches; correctness must not depend
-    // on the batch-size history.
-    let (model, ds) = fixture(GnnModelKind::GraphSage);
-    let fused_plan = plan_with_fusion(&model, &ds, true);
-    let loop_plan = plan_with_fusion(&model, &ds, false);
-    let mut fused = fused_plan.session(&[MappingStrategy::Dynamic]);
-    let mut serial = loop_plan.session(&[MappingStrategy::Dynamic]);
-    for (batch_size, mixed) in [(8usize, false), (2, true), (8, true), (3, false)] {
-        let batch = request_batch(&ds, batch_size, mixed);
-        let want = serial.infer_batch(&batch).unwrap();
-        let got = fused.infer_batch(&batch).unwrap();
-        for (w, g) in want.iter().zip(got.iter()) {
-            assert_reports_equal(
-                w,
-                g,
-                &format!("interleaved batch {batch_size} request {}", w.request_index),
-            );
-        }
-    }
-}
-
-#[test]
-fn reserve_batch_pre_sizes_without_changing_results() {
-    let (model, ds) = fixture(GnnModelKind::Gin);
-    let plan = plan_with_fusion(&model, &ds, true);
-    let batch = request_batch(&ds, 4, false);
-    let mut lazy = plan.session(&[MappingStrategy::Dynamic]);
-    let want = lazy.infer_batch(&batch).unwrap();
-    let mut reserved = plan.session(&[MappingStrategy::Dynamic]);
-    reserved.reserve_batch(8);
-    let got = reserved.infer_batch(&batch).unwrap();
-    for (w, g) in want.iter().zip(got.iter()) {
-        assert_reports_equal(w, g, &format!("reserved request {}", w.request_index));
-    }
-}
-
-#[test]
-fn fused_batch_with_a_bad_shape_fails_before_serving_anything() {
+fn a_batch_with_a_bad_shape_fails_before_serving_anything() {
     let (model, ds) = fixture(GnnModelKind::Gcn);
-    let plan = plan_with_fusion(&model, &ds, true);
+    let plan = plan(&model, &ds);
     let mut session = plan.session(&[MappingStrategy::Dynamic]);
-    let mut batch = request_batch(&ds, 3, false);
-    batch[1] = FeatureMatrix::Dense(dynasparse_matrix::DenseMatrix::zeros(3, 5));
+    let mut batch = request_batch(&ds, 3, Repr::Dense);
+    batch[1] = FeatureMatrix::Dense(DenseMatrix::zeros(3, 5));
     assert!(session.infer_batch(&batch).is_err());
     assert_eq!(session.requests_served(), 0);
-    // The session stays healthy for the next valid (fused) batch.
-    let ok = request_batch(&ds, 3, false);
+    // The session stays healthy for the next valid batch.
+    let ok = request_batch(&ds, 3, Repr::Dense);
     assert_eq!(session.infer_batch(&ok).unwrap().len(), 3);
     assert_eq!(session.requests_served(), 3);
+}
+
+#[test]
+fn an_empty_batch_serves_nothing() {
+    let (model, ds) = fixture(GnnModelKind::Gcn);
+    let plan = plan(&model, &ds);
+    let mut session = plan.session(&[MappingStrategy::Dynamic]);
+    let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
+    session.set_telemetry(registry.clone());
+    // On a session that has never served, and after a two-request batch.
+    for served in [0usize, 2] {
+        assert!(session.infer_batch(&[]).unwrap().is_empty());
+        assert_eq!(session.requests_served(), served);
+        assert_eq!(registry.counter(CounterId::SessionRequests), served as u64);
+        if served == 0 {
+            let two = request_batch(&ds, 2, Repr::Mixed);
+            assert_eq!(session.infer_batch(&two).unwrap().len(), 2);
+        }
+    }
+    // No request index was consumed and no telemetry request opened: the
+    // next request is the session's third on both counts.
+    session.telemetry_mut().clear_recorder();
+    let report = session.infer(&ds.features).unwrap();
+    assert_eq!(report.request_index, 2);
+    let recorder = session.telemetry().recorder();
+    assert!(!recorder.is_empty());
+    assert!(recorder.spans().all(|span| span.request == 3));
+}
+
+/// A batched request's predicted kernel time and kernel spans are its own:
+/// what serving it alone reports, not a share of a batch-wide sum.
+#[test]
+fn a_batched_request_predicts_and_traces_as_it_does_alone() {
+    let (model, ds) = fixture(GnnModelKind::Gin);
+    // Recalibration off: both sessions keep the plan's calibration, so their
+    // predictions are comparable whatever the measured times drift to.  And
+    // the serial block loop: the pooled one sums a kernel's block predictions
+    // in completion order, which moves the last bit from run to run.
+    let options = EngineOptions::builder()
+        .host(HostExecutionOptions {
+            recalibrate: false,
+            parallel: false,
+            ..Default::default()
+        })
+        .build();
+    let plan = Planner::new(options).plan(&model, &ds).unwrap();
+    let traced_session = || {
+        let mut session = plan.session(&[MappingStrategy::Dynamic]);
+        let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
+        session.set_telemetry(registry);
+        session
+    };
+    let batch = request_batch(&ds, 3, Repr::Mixed);
+    let mut batched = traced_session();
+    let got = batched.infer_batch(&batch).unwrap();
+    let mut alone_spans = 0u64;
+    for (features, got) in batch.iter().zip(&got) {
+        let mut alone = traced_session();
+        let want = alone.infer(features).unwrap();
+        assert_eq!(
+            want.predicted_kernel_ms.to_bits(),
+            got.predicted_kernel_ms.to_bits(),
+            "request {}",
+            got.request_index
+        );
+        alone_spans += alone.telemetry().recorder().recorded();
+    }
+    assert!(alone_spans >= (batch.len() * model.num_kernels()) as u64);
+    assert_eq!(batched.telemetry().recorder().recorded(), alone_spans);
 }

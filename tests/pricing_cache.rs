@@ -387,7 +387,7 @@ fn tiny_capacity_evicts_and_still_prices_correctly() {
 }
 
 #[test]
-fn fused_batches_amortize_pricing_across_same_key_requests() {
+fn batches_amortize_pricing_across_same_key_requests() {
     let ds = Dataset::Cora.spec().generate_scaled(19, 0.2);
     let model = GnnModel::standard(
         GnnModelKind::Gcn,
@@ -402,7 +402,6 @@ fn fused_batches_amortize_pricing_across_same_key_requests() {
         .unwrap();
     let mut session = plan.session(&[MappingStrategy::Dynamic]);
     session.set_telemetry(Arc::clone(&registry));
-    session.reserve_batch(4);
 
     let batch: Vec<FeatureMatrix> = (0..4).map(|_| ds.features.clone()).collect();
     let reports = session.infer_batch(&batch).unwrap();

@@ -7,8 +7,8 @@
 //! template runtime fed the *same* topology on every request must return
 //! exactly what a fixed-plan runtime over that topology returns for the
 //! same request stream — whether requests are served one at a time or
-//! coalesced (which fuses on the constant plan and does not on per-request
-//! instances).
+//! coalesced (one `infer_batch` per micro-batch on the constant plan, one
+//! per request on per-request instances).
 
 use dynasparse::{EngineOptions, InferenceReport, MappingStrategy, ModelTemplate, Planner};
 use dynasparse_graph::generators::dense_features;
