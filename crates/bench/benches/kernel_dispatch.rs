@@ -1,7 +1,6 @@
 //! Dynamic-sparsity kernel dispatch: microbenchmark sweep + end-to-end cost.
 //!
-//! Two measurements, each printing one JSON summary line per configuration
-//! (same machine-greppable style as `serve_throughput.rs`):
+//! Two measurements, each printing one JSON summary line per configuration:
 //!
 //! 1. **Kernel sweep** — a density × size sweep over the three host
 //!    execution modes (blocked GEMM, sparse-dense CSR kernel, Gustavson

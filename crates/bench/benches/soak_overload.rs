@@ -1,12 +1,12 @@
 //! Open-loop overload soak: Poisson arrivals at 1x/2x/4x of measured
 //! capacity against the traffic-controlled serve runtime.
 //!
-//! `serve_throughput` is closed-loop: the load generator waits for replies,
-//! so it can never push the runtime past saturation and never exercises the
-//! admission-control path.  This bench is open-loop — a Poisson arrival
-//! process submits at a rate fixed in advance, independent of how fast the
-//! runtime drains — which is the regime where deadlines, load shedding, and
-//! worker supervision earn their keep.
+//! A closed-loop load generator waits for replies, so it can never push the
+//! runtime past saturation and never exercises the admission-control path.
+//! This bench is open-loop — a Poisson arrival process submits at a rate
+//! fixed in advance, independent of how fast the runtime drains — which is
+//! the regime where deadlines, load shedding, and worker supervision earn
+//! their keep.
 //!
 //! ## What is being measured
 //!
@@ -76,7 +76,7 @@ fn quarter_cora() -> (Arc<CompiledPlan>, FeatureMatrix) {
 }
 
 /// Calibrates the modeled device dwell so lane occupancy dominates host
-/// work (same scheme as `serve_throughput`).
+/// work.
 fn calibrate_dwell(plan: &Arc<CompiledPlan>, features: &FeatureMatrix) -> f64 {
     let mut session = plan.session(&[MappingStrategy::Dynamic]);
     session.infer(features).unwrap(); // warm-up
@@ -98,7 +98,6 @@ fn soak_config(dwell_scale: f64, respawn_budget: usize) -> ServeConfig {
     ServeConfig::default()
         .workers(WORKERS)
         .max_batch(MAX_BATCH)
-        .batch_deadline(Duration::from_millis(1))
         .queue_capacity(QUEUE_CAPACITY)
         .shed_watermarks(QUEUE_CAPACITY * 3 / 4, QUEUE_CAPACITY / 2)
         .max_worker_respawns(respawn_budget)

@@ -106,8 +106,8 @@
 //!
 //! The `dynasparse-serve` crate builds the full serving runtime on this
 //! surface: a plan cache keyed by a structural (model, topology)
-//! fingerprint, a bounded request queue with deadline-driven
-//! micro-batching, a worker thread pool, and serving metrics.
+//! fingerprint, a bounded request queue, a worker thread pool serving one
+//! request at a time per worker, and serving metrics.
 //!
 //! ## The dispatching kernel engine
 //!
@@ -184,7 +184,7 @@
 //! | `dynasparse-accel` | cycle-level accelerator model (ACM, AHM, memory, soft processor) |
 //! | `dynasparse-runtime` | Analyzer (Alg. 7), Scheduler (Alg. 8), S1/S2 baselines |
 //! | `dynasparse` (this crate) | Planner → CompiledPlan → Session, one-shot Engine wrapper |
-//! | `dynasparse-serve` | plan cache, worker pool, micro-batching, serving metrics |
+//! | `dynasparse-serve` | plan cache, worker pool, bounded queue, serving metrics |
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -215,9 +215,7 @@ pub use dynasparse_compiler::CompilerConfig;
 pub use dynasparse_model::{
     BackendKind, ExecBackend, HostBackend, LayerError, ModelError, BACKEND_ENV,
 };
-pub use dynasparse_runtime::{
-    MappingStrategy, PricingCacheMode, SharedPricingTier, PRICING_CACHE_ENV,
-};
+pub use dynasparse_runtime::{MappingStrategy, PricingCacheMode, PRICING_CACHE_ENV};
 pub use dynasparse_telemetry::{
     CounterId, FlightRecorder, GaugeId, HistogramId, KernelSpan, Registry, SessionTelemetry,
     SpanPrimitive, TelemetryLevel, TelemetrySnapshot, TELEMETRY_ENV,

@@ -31,7 +31,7 @@ use dynasparse_model::{
 };
 use dynasparse_runtime::{
     Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCacheMode, PricingStage,
-    RuntimeOverhead, Scheduler, SharedPricingTier,
+    RuntimeOverhead, Scheduler,
 };
 use dynasparse_telemetry::{CounterId, GaugeId, Registry, SessionTelemetry};
 use std::sync::Arc;
@@ -70,10 +70,9 @@ impl PlanHandle<'_> {
 /// [`Session::set_fault_hook`]; a hook that panics therefore unwinds out of
 /// [`Session::infer`] / [`Session::infer_batch`] mid-forward, with arena
 /// slots and profile scratch in a partially-written state — exactly the
-/// failure a serving supervisor must contain.  The hook is armed for a
-/// whole [`Session::infer_batch`] call, so a panicking hook fails the batch
-/// (reports of requests already served unwind with it); the supervisor then
-/// retries its requests one by one to isolate the poisoned one.
+/// failure a serving supervisor must contain.  The serve worker arms it per
+/// request, around the one [`Session::infer`] call that serves it, so a
+/// panicking hook fails exactly the request it was armed for.
 /// Serving-layer fault-injection tests use this to prove worker supervision
 /// loses no request.
 pub type FaultHook = Arc<dyn Fn(usize) + Send + Sync>;
@@ -110,7 +109,7 @@ pub struct Session<'p> {
     /// Fault-injection hook run per executed kernel (see [`FaultHook`]);
     /// `None` (the default) costs one branch per kernel.
     fault_hook: Option<FaultHook>,
-    /// Cache, shared tier, fingerprints and counters of the pricing stage.
+    /// Cache, fingerprints and counters of the pricing stage.
     /// Cached values are pure functions of their keys, so reuse never
     /// depends on request order or cache state.
     pricing: PricingStage,
@@ -339,17 +338,14 @@ impl<'p> Session<'p> {
     /// Replaces every piece of per-session execution state with a fresh
     /// build over `plan`, keeping what is not plan state: the strategies,
     /// the telemetry bundle (registry binding, pinned shard, retained
-    /// spans), the shared pricing tier (runtime wiring, and it holds only
-    /// key-pure analyses) and the `requests_served` counter.  The local
-    /// pricing cache starts fresh, keyed under the new plan's fingerprints.
+    /// spans) and the `requests_served` counter.  The pricing cache starts
+    /// fresh, keyed under the new plan's fingerprints.
     fn rebuild(&mut self, plan: PlanHandle<'p>) {
         let strategies = std::mem::take(&mut self.strategies);
         let telemetry = std::mem::replace(&mut self.telemetry, SessionTelemetry::from_global());
-        let tier = self.pricing.set_tier(None);
         let served = self.requests_served;
         *self = Session::build(plan, &strategies);
         self.telemetry = telemetry;
-        self.pricing.set_tier(tier);
         self.requests_served = served;
     }
 
@@ -413,8 +409,8 @@ impl<'p> Session<'p> {
 
     /// Rebuilds every piece of per-session execution state from the bound
     /// plan, as if the session had been freshly opened — keeping the
-    /// strategies, the telemetry bundle (registry binding, pinned shard),
-    /// the shared pricing tier and the `requests_served` counter.
+    /// strategies, the telemetry bundle (registry binding, pinned shard)
+    /// and the `requests_served` counter.
     ///
     /// This is the recovery primitive a serving supervisor calls after a
     /// panic unwound out of [`Session::infer`] / [`Session::infer_batch`]
@@ -450,14 +446,6 @@ impl<'p> Session<'p> {
     /// [`HostExecutionOptions::pricing_cache`](crate::HostExecutionOptions).
     pub fn pricing_mode(&self) -> PricingCacheMode {
         self.pricing.mode()
-    }
-
-    /// Attaches (or detaches) a shared pricing tier.  Serve runtimes hand
-    /// every worker session the same tier so a profile priced by one worker
-    /// is a cache hit for all of them; safe because cached analyses are
-    /// pure functions of their keys.
-    pub fn set_pricing_tier(&mut self, tier: Option<Arc<SharedPricingTier>>) {
-        self.pricing.set_tier(tier);
     }
 
     /// Replaces the session pricing cache with a fresh one of (at least)
@@ -743,7 +731,9 @@ impl<'p> Session<'p> {
     /// pricing, `predicted_kernel_ms`, `request_index` — and every telemetry
     /// span is exactly what serving the requests one by one produces (proved
     /// by `tests/integration_batch.rs`).  An empty batch serves nothing and
-    /// returns no report.
+    /// returns no report.  The serving runtime does not call this: a worker
+    /// serves its requests one [`Session::infer`] at a time, so each has its
+    /// own fault arming, timing and reply.
     ///
     /// **Every** request's shape is validated before **any** request runs:
     /// a shape-mismatched matrix anywhere in the batch fails the whole call

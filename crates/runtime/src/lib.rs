@@ -29,8 +29,7 @@ pub mod strategy;
 pub use analyzer::{Analyzer, KernelAnalysis, OperandProfiles, PrimitiveMix};
 pub use overhead::RuntimeOverhead;
 pub use pricing::{
-    PricingCache, PricingCacheMode, PricingCounters, PricingKey, PricingStage, SharedPricingTier,
-    PRICING_CACHE_ENV,
+    PricingCache, PricingCacheMode, PricingCounters, PricingKey, PricingStage, PRICING_CACHE_ENV,
 };
 pub use scheduler::{KernelSchedule, Scheduler};
 pub use strategy::{MappingStrategy, PairDecision};

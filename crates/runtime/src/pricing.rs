@@ -7,7 +7,7 @@
 //! density bucket lead to the same kernel-to-primitive mapping, so their
 //! pricing can be *shared* rather than recomputed.
 //!
-//! The module provides four pieces:
+//! The module provides three pieces:
 //!
 //! * [`PricingKey`] — a 128-bit content hash over everything that feeds a
 //!   pricing decision: the calibration fingerprint, the static-operand
@@ -18,12 +18,9 @@
 //! * [`PricingCache`] — a fixed-capacity, open-addressed per-session cache
 //!   with zero-allocation steady state (like `KernelArena`): hits clone an
 //!   `Arc`, misses evict in place.
-//! * [`SharedPricingTier`] — a read-mostly `RwLock` tier shared by serve
-//!   workers over one plan/template, so a profile priced by one worker is a
-//!   hit for every other.
 //! * [`PricingStage`] — the one place a served kernel is priced: it owns
-//!   the cache, the tier handle, both fingerprints and the lookup counters,
-//!   and runs the cache → tier → miss sequence for every execution path.
+//!   the cache, both fingerprints and the lookup counters, and runs the
+//!   cache → miss sequence for every execution path.
 //!
 //! **Determinism invariant**: a cached [`KernelAnalysis`] must be a pure
 //! function of its key.  In bucketed mode the analysis is therefore computed
@@ -39,10 +36,7 @@ use crate::strategy::MappingStrategy;
 use dynasparse_compiler::CompiledKernel;
 use dynasparse_matrix::{DensityProfile, HostCalibration};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::sync::RwLock;
 use std::time::Instant;
 
 /// Environment variable shadowing the configured pricing-cache mode where
@@ -354,9 +348,7 @@ fn hash_bucketed(h: &mut Fnv2, profile: &DensityProfile, buckets: &mut BucketTab
 /// Content fingerprint of a calibration: the twelve fit coefficients plus the
 /// version, hashed bit-exactly.  `None` (region cost model) fingerprints to
 /// a fixed constant.  Recalibration swaps the fit, which changes the
-/// fingerprint — every key minted under the old fit becomes unreachable,
-/// which is how drift-triggered recalibration invalidates shared tiers
-/// without a flush.
+/// fingerprint — every key minted under the old fit becomes unreachable.
 pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
     let Some(c) = calibration else {
         return 0x7f4a_7c15_9e37_79b9;
@@ -507,86 +499,6 @@ impl PricingCache {
     }
 }
 
-/// Read-mostly pricing tier shared by the serve workers of one runtime.
-///
-/// Safe to share without coordination because every value is a pure
-/// function of its key (see the module docs): whichever worker computes an
-/// entry first, every other worker would have computed bit-identical
-/// contents.  Recalibration needs no flush — a recalibrated worker's new
-/// fingerprint makes the stale keys unreachable for it, while workers still
-/// on the old fit keep hitting them until capacity aging retires them.
-#[derive(Debug)]
-pub struct SharedPricingTier {
-    inner: RwLock<TierInner>,
-    capacity: usize,
-}
-
-#[derive(Debug, Default)]
-struct TierInner {
-    map: HashMap<PricingKey, Arc<KernelAnalysis>>,
-    order: VecDeque<PricingKey>,
-}
-
-impl SharedPricingTier {
-    /// Creates a tier bounded to `capacity` entries (minimum 8).
-    pub fn new(capacity: usize) -> SharedPricingTier {
-        SharedPricingTier {
-            inner: RwLock::new(TierInner::default()),
-            capacity: capacity.max(8),
-        }
-    }
-
-    /// Looks a key up under the read lock.
-    pub fn get(&self, key: &PricingKey) -> Option<Arc<KernelAnalysis>> {
-        let inner = self.inner.read().unwrap_or_else(|e| e.into_inner());
-        inner.map.get(key).cloned()
-    }
-
-    /// Publishes a freshly priced entry.  First writer wins (identical
-    /// contents by the purity invariant).  Returns `true` when an older
-    /// entry was aged out to stay within capacity.
-    pub fn publish(&self, key: PricingKey, analysis: Arc<KernelAnalysis>) -> bool {
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        if inner.map.contains_key(&key) {
-            return false;
-        }
-        let mut evicted = false;
-        while inner.map.len() >= self.capacity {
-            match inner.order.pop_front() {
-                Some(old) => {
-                    inner.map.remove(&old);
-                    evicted = true;
-                }
-                None => break,
-            }
-        }
-        inner.map.insert(key, analysis);
-        inner.order.push_back(key);
-        evicted
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.inner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len()
-    }
-
-    /// True when the tier holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry.
-    pub fn clear(&self) {
-        let mut inner = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        inner.map.clear();
-        inner.order.clear();
-    }
-}
-
 /// Lookup activity of a [`PricingStage`] since the last
 /// [`PricingStage::take_counters`]; the `_ns` fields only advance on probed
 /// calls.
@@ -594,11 +506,11 @@ impl SharedPricingTier {
 pub struct PricingCounters {
     /// Wall time spent inside [`PricingStage::price`].
     pub pricing_ns: u64,
-    /// Lookups answered by the session cache or the shared tier.
+    /// Lookups answered by the session cache.
     pub hits: u64,
     /// Lookups that ran the Analyzer.
     pub misses: u64,
-    /// Entries displaced from the session cache or aged out of the tier.
+    /// Entries displaced from the session cache.
     pub evictions: u64,
     /// Time spent on lookups that hit.  A kernel's key hash is on its first
     /// lookup, so `hit_ns + miss_ns` is `pricing_ns` whenever a cache is on.
@@ -609,17 +521,13 @@ pub struct PricingCounters {
 
 /// The pricing stage of a served request: given a kernel's runtime feature
 /// profile, one [`KernelAnalysis`] per mapping strategy — from the session
-/// cache, else the shared tier, else a fresh Analyzer pass that is then
-/// inserted and published.  Every request, served alone or in a batch, is
-/// priced by this one call.
+/// cache, else a fresh Analyzer pass that is then inserted.  Every request,
+/// served alone or in a batch, is priced by this one call.
 #[derive(Debug)]
 pub struct PricingStage {
     mode: PricingCacheMode,
     /// `None` when the mode is `Off` or nothing is priced (no strategies).
     cache: Option<PricingCache>,
-    /// Read-mostly tier shared across the serve workers of one runtime;
-    /// consulted on a local miss, published to on a fresh pass.
-    tier: Option<Arc<SharedPricingTier>>,
     /// Fingerprint of the calibration decisions are priced under; a
     /// recalibration changes it, which makes every key minted under the old
     /// fit unreachable.
@@ -653,7 +561,6 @@ impl PricingStage {
             mode,
             cache: (mode != PricingCacheMode::Off && capacity > 0)
                 .then(|| PricingCache::with_capacity(capacity)),
-            tier: None,
             calibration_fingerprint: calibration_fingerprint(calibration),
             statics_fingerprint: statics_fingerprint(adjacency, weights),
             buckets: BucketTable::default(),
@@ -665,14 +572,6 @@ impl PricingStage {
     /// The cache mode the stage prices in.
     pub fn mode(&self) -> PricingCacheMode {
         self.mode
-    }
-
-    /// Attaches (or detaches) the shared tier, returning the previous one.
-    pub fn set_tier(
-        &mut self,
-        tier: Option<Arc<SharedPricingTier>>,
-    ) -> Option<Arc<SharedPricingTier>> {
-        std::mem::replace(&mut self.tier, tier)
     }
 
     /// Replaces the cache with a fresh one of (at least) `capacity` slots;
@@ -692,10 +591,8 @@ impl PricingStage {
     }
 
     /// Re-keys the stage for a swapped-in calibration.  The fingerprint
-    /// change alone invalidates every cached decision (also in the shared
-    /// tier, without a flush — sibling workers recalibrate on their own
-    /// schedule); clearing returns the local slots to the fresh fit's
-    /// working set immediately.
+    /// change alone invalidates every cached decision; clearing returns the
+    /// slots to the fresh fit's working set immediately.
     pub fn recalibrated(&mut self, calibration: &HostCalibration) {
         self.calibration_fingerprint = calibration_fingerprint(Some(calibration));
         if let Some(cache) = &mut self.cache {
@@ -746,12 +643,7 @@ impl PricingStage {
             let analysis = match (&mut self.cache, base) {
                 (Some(cache), Some(base)) => {
                     let key = base.with_strategy(analyzer.strategy());
-                    let cached = cache.get(&key).or_else(|| {
-                        let shared = self.tier.as_deref()?.get(&key)?;
-                        self.counters.evictions +=
-                            u64::from(cache.insert(key, Arc::clone(&shared)));
-                        Some(shared)
-                    });
+                    let cached = cache.get(&key);
                     hit = cached.is_some();
                     match cached {
                         Some(analysis) => analysis,
@@ -777,10 +669,6 @@ impl PricingStage {
                             });
                             self.counters.evictions +=
                                 u64::from(cache.insert(key, Arc::clone(&fresh)));
-                            if let Some(tier) = self.tier.as_deref() {
-                                self.counters.evictions +=
-                                    u64::from(tier.publish(key, Arc::clone(&fresh)));
-                            }
                             fresh
                         }
                     }
@@ -1085,29 +973,6 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert!(cache.get(&keys[63]).is_none());
-    }
-
-    #[test]
-    fn shared_tier_first_writer_wins_and_ages_out() {
-        let tier = SharedPricingTier::new(8);
-        let p = profile(vec![0, 0, 0, 1]);
-        let key = PricingKey::base(1, 1, 0, PricingCacheMode::Bucketed, &p);
-        assert!(tier.get(&key).is_none());
-        assert!(!tier.publish(key, analysis(10)));
-        assert!(
-            !tier.publish(key, analysis(99)),
-            "second publish is a no-op"
-        );
-        assert_eq!(tier.get(&key).unwrap().total_cycles, 10);
-        let mut aged = false;
-        for k in 1..32usize {
-            let extra = PricingKey::base(1, 1, k, PricingCacheMode::Bucketed, &p);
-            aged |= tier.publish(extra, analysis(k as u64));
-        }
-        assert!(aged, "publishing past capacity must age entries out");
-        assert!(tier.len() <= 8);
-        tier.clear();
-        assert!(tier.is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Concurrent serving runtime for Dynasparse inference: plan caching,
 //! a worker thread pool over one shared [`CompiledPlan`], bounded request
-//! queueing with micro-batching, and serving metrics.
+//! queueing, and serving metrics.
 //!
 //! Dynasparse's premise is that compilation — sparsity profiling,
 //! partitioning (Algorithm 9), kernel mapping schemes — runs once per
@@ -17,8 +17,8 @@
 //! - [`ServeRuntime`] spawns worker threads that each open a
 //!   [`Session`](dynasparse::Session) over the same `Arc<CompiledPlan>`
 //!   (no deep copy of weights or adjacencies — they are reference-counted),
-//!   drain a bounded MPSC queue, and coalesce bursts into micro-batches of
-//!   up to `max_batch` requests served by one `infer_batch` call.
+//!   take up to `max_batch` already-queued requests per drain of a bounded
+//!   queue, and serve each with its own `infer`, replying as it finishes.
 //! - Production traffic control keeps behavior bounded under overload and
 //!   faults: per-request deadlines and priority classes
 //!   ([`SubmitOptions`]), a load-shedding watermark with hysteresis
@@ -62,7 +62,7 @@
 //! assert_eq!(cache.stats().hits, 1);
 //! assert!(std::sync::Arc::ptr_eq(&plan, &same));
 //!
-//! // Serve: 2 workers, micro-batches of up to 4 requests.
+//! // Serve: 2 workers, each taking up to 4 queued requests per drain.
 //! let runtime = ServeRuntime::start(
 //!     plan,
 //!     ServeConfig::default()

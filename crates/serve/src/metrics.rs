@@ -48,10 +48,10 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// One bar of the batch-size histogram: how many batches had `size` items.
+/// One bar of the batch-size histogram: how many drains took `size` requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BatchBar {
-    /// Batch size (number of requests coalesced into one `infer_batch`).
+    /// Batch size (number of requests one queue drain took).
     pub size: usize,
     /// Number of batches of that size.
     pub batches: u64,
@@ -72,21 +72,23 @@ pub struct WorkerLoad {
 pub struct ServeReport {
     /// Requests served to completion (successes and typed failures alike).
     pub requests: u64,
-    /// Batches executed (each one `Session::infer_batch` call).
+    /// Batches executed: a batch is what one queue drain took, served one
+    /// request at a time.
     pub batches: u64,
     /// Wall-clock seconds from runtime start to shutdown.
     pub wall_seconds: f64,
     /// Served requests per wall-clock second.
     pub throughput_rps: f64,
-    /// Time requests spent queued before a worker picked them up.
+    /// Time from enqueue to the request's own turn on its worker (behind
+    /// the drain-mates served before it).
     pub queue_wait: LatencySummary,
-    /// Host time spent inside `infer_batch`, attributed per request (each
-    /// request's share of its batch call; excludes modeled device dwell).
+    /// Each request's own host time, from its turn to its final result
+    /// (plan acquire and `infer`; excludes modeled device dwell).
     pub service: LatencySummary,
     /// End-to-end request latency (enqueue → reply ready), including any
     /// modeled device dwell.
     pub turnaround: LatencySummary,
-    /// Distribution of micro-batch sizes, ascending by size.
+    /// Distribution of drain sizes, ascending by size.
     pub batch_histogram: Vec<BatchBar>,
     /// Per-worker request counts, ascending by worker index.
     pub worker_loads: Vec<WorkerLoad>,
@@ -94,10 +96,9 @@ pub struct ServeReport {
     /// entered the queue and are not in `requests`).
     pub shed: u64,
     /// Accepted requests dropped unexecuted because their deadline had
-    /// expired by the time a worker drained them.
+    /// expired by the time a worker drained them or their turn came.
     pub deadline_expired: u64,
-    /// Worker batch executions that panicked and were caught by the
-    /// supervisor.
+    /// Requests whose execution panicked and was caught by the supervisor.
     pub worker_panics: u64,
     /// Worker sessions rebuilt after a caught panic.
     pub worker_respawns: u64,
@@ -167,7 +168,7 @@ impl MetricsCollector {
         inner.worker_requests[worker] += 1;
     }
 
-    /// Records one executed micro-batch of `size` requests.
+    /// Records one queue drain of `size` requests.
     pub fn record_batch(&self, size: usize) {
         let mut inner = self.inner.lock().unwrap();
         if size >= inner.batch_sizes.len() {

@@ -1,13 +1,13 @@
 //! A bounded multi-producer/multi-consumer queue with priority lanes and
-//! micro-batch draining.
+//! multi-item draining.
 //!
 //! `std::sync::mpsc` is unbounded and single-consumer, and the vendored
 //! `rayon` stand-in is sequential, so the serving runtime hand-rolls its
 //! queue on `Mutex` + `Condvar`: producers block (or bounce, for
 //! `try_push`) when the queue is at capacity — the backpressure a bounded
-//! serving system needs — and each consumer drains up to `max_batch` items
-//! per wakeup, waiting out a coalescing deadline so short request bursts
-//! ride in one batch.
+//! serving system needs — and each consumer takes up to `max_batch` of the
+//! items already queued per wakeup, under one lock acquisition; it never
+//! waits for more once it holds one.
 //!
 //! Two admission-control features sit on top of the plain FIFO:
 //!
@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Why a push did not enqueue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,20 +197,19 @@ impl<T> BoundedQueue<T> {
         seq
     }
 
-    /// Dequeues a micro-batch of up to `max_batch` items (all lanes, lane 0
-    /// first).
+    /// Dequeues up to `max_batch` of the items already queued (all lanes,
+    /// lane 0 first).
     ///
     /// Blocks until at least one item is available (or the queue is closed
-    /// and drained — then returns `None`, the consumer's shutdown signal).
-    /// After the first item, keeps draining until `max_batch` items are
-    /// held or `deadline` has elapsed since the batch started forming;
-    /// a zero `deadline` takes whatever is immediately available.
-    pub fn pop_batch(&self, max_batch: usize, deadline: Duration) -> Option<Vec<T>> {
-        self.pop_batch_where(max_batch, deadline, |_| false)
-            .map(|drained| {
-                debug_assert!(drained.expired.is_empty(), "predicate never fires");
-                drained.batch
-            })
+    /// and drained — then returns `None`, the consumer's shutdown signal),
+    /// then takes whatever is immediately available.  `_deadline` is ignored
+    /// (no drain waits for stragglers); the parameter stays because the perf
+    /// ledger (`crates/bench/src/bin/ledger`) passes `Duration::ZERO`.
+    pub fn pop_batch(&self, max_batch: usize, _deadline: Duration) -> Option<Vec<T>> {
+        self.pop_batch_where(max_batch, |_| false).map(|drained| {
+            debug_assert!(drained.expired.is_empty(), "predicate never fires");
+            drained.batch
+        })
     }
 
     /// [`BoundedQueue::pop_batch`] with an expiry predicate evaluated on
@@ -218,14 +217,12 @@ impl<T> BoundedQueue<T> {
     /// routed to [`DrainedBatch::expired`] instead of the serving batch and
     /// do not count toward `max_batch`.
     ///
-    /// If everything available has expired, the call returns immediately
-    /// with an empty batch (it does not wait out the coalescing deadline):
-    /// the consumer should fail the expired items and pop again.  Returns
-    /// `None` only when the queue is closed and fully drained.
+    /// If everything available has expired, the batch comes back empty: the
+    /// consumer should fail the expired items and pop again.  Returns `None`
+    /// only when the queue is closed and fully drained.
     pub fn pop_batch_where(
         &self,
         max_batch: usize,
-        deadline: Duration,
         mut expire: impl FnMut(&T) -> bool,
     ) -> Option<DrainedBatch<T>> {
         let max_batch = max_batch.max(1);
@@ -240,40 +237,11 @@ impl<T> BoundedQueue<T> {
         // draining with a huge max_batch doesn't over-reserve.
         let mut batch = Vec::with_capacity(max_batch.min(inner.len()));
         let mut expired = Vec::new();
-        let started = Instant::now();
-        loop {
-            while batch.len() < max_batch {
-                match inner.pop_front() {
-                    Some(item) => {
-                        if expire(&item) {
-                            expired.push(item);
-                        } else {
-                            batch.push(item);
-                        }
-                    }
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch || inner.closed {
-                break;
-            }
-            // Everything drained so far was dead: hand the corpses back now
-            // so their tickets fail promptly, instead of coalescing-waiting
-            // for live traffic that may never come.
-            if batch.is_empty() && !expired.is_empty() {
-                break;
-            }
-            let waited = started.elapsed();
-            if waited >= deadline {
-                break;
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - waited)
-                .unwrap();
-            inner = guard;
-            if timeout.timed_out() && inner.is_empty() {
-                break;
+        while batch.len() < max_batch {
+            match inner.pop_front() {
+                Some(item) if expire(&item) => expired.push(item),
+                Some(item) => batch.push(item),
+                None => break,
             }
         }
         drop(inner);
@@ -323,24 +291,6 @@ mod tests {
         assert_eq!(q.pop_batch(2, Duration::ZERO).unwrap(), vec![0, 1]);
         assert_eq!(q.pop_batch(2, Duration::ZERO).unwrap(), vec![2, 3]);
         assert_eq!(q.pop_batch(2, Duration::ZERO).unwrap(), vec![4]);
-    }
-
-    #[test]
-    fn deadline_coalesces_items_arriving_late() {
-        let q = Arc::new(BoundedQueue::new(8));
-        let producer = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || {
-                q.push(1).unwrap();
-                thread::sleep(Duration::from_millis(20));
-                q.push(2).unwrap();
-            })
-        };
-        // Generous deadline: both items must land in one batch even though
-        // the second arrives 20 ms after the first.
-        let batch = q.pop_batch(2, Duration::from_secs(5)).unwrap();
-        assert_eq!(batch, vec![1, 2]);
-        producer.join().unwrap();
     }
 
     #[test]
@@ -399,7 +349,7 @@ mod tests {
             let q = Arc::clone(&q);
             thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(batch) = q.pop_batch(8, Duration::from_millis(1)) {
+                while let Some(batch) = q.pop_batch(8, Duration::ZERO) {
                     seen.extend(batch);
                 }
                 seen
@@ -454,9 +404,7 @@ mod tests {
         for i in 0..6 {
             q.push(i).unwrap();
         }
-        let drained = q
-            .pop_batch_where(4, Duration::ZERO, |&i| i % 2 == 0)
-            .unwrap();
+        let drained = q.pop_batch_where(4, |&i| i % 2 == 0).unwrap();
         // Expired items do not count toward max_batch: 4 live ones would
         // need 8 pops, but only 6 are queued → 3 live + 3 expired.
         assert_eq!(drained.batch, vec![1, 3, 5]);
@@ -469,18 +417,13 @@ mod tests {
         let q = BoundedQueue::new(8);
         q.push(1).unwrap();
         q.push(2).unwrap();
-        let started = Instant::now();
-        // A 60 s coalescing deadline must NOT be waited out when everything
-        // drained is expired — the consumer needs those corpses now.
-        let drained = q
-            .pop_batch_where(8, Duration::from_secs(60), |_| true)
-            .unwrap();
+        // Nothing live is queued: the drain hands the corpses back with an
+        // empty batch instead of blocking for live traffic that may never
+        // come — the consumer needs them now.
+        let drained = q.pop_batch_where(8, |_| true).unwrap();
         assert!(drained.batch.is_empty());
         assert_eq!(drained.expired, vec![1, 2]);
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "expired-only drain must not wait out the coalescing deadline"
-        );
+        assert!(q.is_empty());
     }
 
     // -- close/blocked interleavings ------------------------------------
@@ -517,7 +460,7 @@ mod tests {
                     let q = Arc::clone(&q);
                     thread::spawn(move || {
                         let mut seen = Vec::new();
-                        while let Some(batch) = q.pop_batch(2, Duration::from_micros(50)) {
+                        while let Some(batch) = q.pop_batch(2, Duration::ZERO) {
                             seen.extend(batch);
                         }
                         seen

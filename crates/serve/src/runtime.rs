@@ -7,12 +7,12 @@
 //! calibration ([`CompiledPlan::calibration`]): the micro-calibration runs
 //! at most once per process (inside planning, never on the serving path)
 //! and every worker session dispatches through the same `Arc`'d fit.  Producers [`submit`](ServeRuntime::submit) feature
-//! matrices and get a [`Ticket`] to wait on; workers drain the queue in
-//! deadline-coalesced micro-batches of up to `max_batch` requests, serving
-//! each batch with a single [`Session::infer_batch`] call.  The session
-//! serves a batch as a loop of single-request passes, so `max_batch`
-//! amortizes queue pops, worker wake-ups and pricing-tier lookups across a
-//! burst — not kernel work.
+//! matrices and get a [`Ticket`] to wait on.  A worker serves one request at
+//! a time: it takes up to `max_batch` of the requests already queued under
+//! one lock acquisition (it never waits for more), then gives each, in
+//! order, its own turn — deadline check, plan acquire, one supervised
+//! [`Session::infer`], id stamp, modeled dwell, metrics — and replies as
+//! soon as that request is done.
 //!
 //! Because every request is profiled and priced from a freshly reset
 //! analyzer/scheduler, a report does not depend on which worker served the
@@ -23,9 +23,7 @@
 use crate::error::ServeError;
 use crate::metrics::{MetricsCollector, ServeReport};
 use crate::queue::{BoundedQueue, PushError};
-use dynasparse::{
-    CompiledPlan, InferenceReport, MappingStrategy, ModelTemplate, Session, SharedPricingTier,
-};
+use dynasparse::{CompiledPlan, InferenceReport, MappingStrategy, ModelTemplate, Session};
 use dynasparse_graph::{FeatureMatrix, Graph};
 use dynasparse_telemetry::{CounterId, GaugeId, HistogramId, Registry};
 use std::any::Any;
@@ -67,10 +65,8 @@ pub enum DeviceDwell {
 pub struct ServeConfig {
     /// Worker threads (each with its own session and virtual device lane).
     pub workers: usize,
-    /// Maximum requests coalesced into one `infer_batch` call.
+    /// Requests one drain may take from the queue; never waited for.
     pub max_batch: usize,
-    /// How long a worker waits for stragglers once a batch starts forming.
-    pub batch_deadline: Duration,
     /// Bounded request-queue capacity (backpressure threshold).
     pub queue_capacity: usize,
     /// Mapping strategies every request is priced under.
@@ -91,16 +87,6 @@ pub struct ServeConfig {
     /// retiring worker closes the queue and fails residual tickets with
     /// [`ServeError::Abandoned`] instead of hanging them.
     pub max_worker_respawns: usize,
-    /// Whether workers share a read-mostly pricing tier
-    /// ([`SharedPricingTier`]): a kernel analysis priced by one worker is
-    /// reused by every other worker serving the same plan/template, so a
-    /// repeated density profile is analyzed once per pool instead of once
-    /// per worker.  Cached entries are pure
-    /// functions of their key, so sharing never changes any report
-    /// (`tests/pricing_cache.rs`); disable to make workers price fully
-    /// independently.  The per-session `DYNASPARSE_PRICING_CACHE=off`
-    /// escape hatch also bypasses the tier.
-    pub pricing_tier: bool,
 }
 
 impl PartialEq for ServeConfig {
@@ -113,13 +99,11 @@ impl PartialEq for ServeConfig {
         same_registry
             && self.workers == other.workers
             && self.max_batch == other.max_batch
-            && self.batch_deadline == other.batch_deadline
             && self.queue_capacity == other.queue_capacity
             && self.strategies == other.strategies
             && self.device_dwell == other.device_dwell
             && self.shed_watermarks == other.shed_watermarks
             && self.max_worker_respawns == other.max_worker_respawns
-            && self.pricing_tier == other.pricing_tier
     }
 }
 
@@ -128,14 +112,12 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 1,
             max_batch: 8,
-            batch_deadline: Duration::from_micros(200),
             queue_capacity: 64,
             strategies: vec![MappingStrategy::Dynamic],
             device_dwell: DeviceDwell::None,
             telemetry: None,
             shed_watermarks: None,
             max_worker_respawns: 32,
-            pricing_tier: true,
         }
     }
 }
@@ -147,15 +129,9 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the micro-batch size cap.
+    /// Sets how many queued requests one drain may take.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the micro-batch coalescing deadline.
-    pub fn batch_deadline(mut self, deadline: Duration) -> Self {
-        self.batch_deadline = deadline;
         self
     }
 
@@ -197,12 +173,6 @@ impl ServeConfig {
     /// rebuilds.
     pub fn max_worker_respawns(mut self, respawns: usize) -> Self {
         self.max_worker_respawns = respawns;
-        self
-    }
-
-    /// Enables or disables the pool-wide shared pricing tier.
-    pub fn pricing_tier(mut self, enabled: bool) -> Self {
-        self.pricing_tier = enabled;
         self
     }
 }
@@ -429,8 +399,8 @@ impl Ticket {
 /// let model = GnnModel::gcn(dataset.features.dim(), 8, dataset.spec.num_classes, 7);
 /// let plan = Planner::default().plan_shared(&model, &dataset).unwrap();
 ///
-/// // Two workers, micro-batches of up to 4 requests, each served by one
-/// // `Session::infer_batch` call.
+/// // Two workers, each taking up to 4 queued requests per drain and
+/// // serving them one `Session::infer` at a time.
 /// let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(2).max_batch(4));
 /// let ticket = runtime.submit(dataset.features.clone()).unwrap();
 /// let report = ticket.wait().unwrap();
@@ -499,13 +469,6 @@ impl ServeRuntime {
             telemetry.gauge_set(GaugeId::ShedWatermark, high as f64);
         }
         let live_workers = Arc::new(AtomicUsize::new(config.workers.max(1)));
-        // One read-mostly tier for the whole pool: workers publish priced
-        // analyses into it and reuse each other's work across requests.
-        // Keys are content-addressed, so structurally identical subgraphs
-        // hit across workers and across rebinds too.
-        let pricing_tier = config
-            .pricing_tier
-            .then(|| Arc::new(SharedPricingTier::new(PRICING_TIER_CAPACITY)));
         let workers = (0..config.workers.max(1))
             .map(|index| {
                 let worker = Worker {
@@ -516,7 +479,6 @@ impl ServeRuntime {
                     metrics: Arc::clone(&metrics),
                     telemetry: Arc::clone(&telemetry),
                     live_workers: Arc::clone(&live_workers),
-                    pricing_tier: pricing_tier.clone(),
                     session: None,
                     respawns_left: config.max_worker_respawns,
                     breaker_open: false,
@@ -724,9 +686,9 @@ impl ServeRuntime {
     /// No ticket hangs: each one resolves to a result, a typed error, or
     /// `Abandoned`.
     ///
-    /// Workers still finish the batch they are executing when the budget
-    /// runs out (a batch is not preemptible); only *queued* requests are
-    /// abandoned.
+    /// Workers still finish the requests they have already drained when the
+    /// budget runs out (at most `max_batch` each); only *queued* requests
+    /// are abandoned.
     pub fn shutdown_with_deadline(self, budget: Duration) -> ServeReport {
         self.queue.close();
         let deadline = Instant::now() + budget;
@@ -779,7 +741,7 @@ const RESPAWN_EXHAUSTED: &str = "worker respawn budget exhausted";
 /// nobody left to drain them, leaving them queued would hang their callers
 /// forever.
 fn abandon_queued(queue: &BoundedQueue<QueuedRequest>, reason: &'static str) {
-    while let Some(drained) = queue.pop_batch_where(64, Duration::ZERO, |_| false) {
+    while let Some(drained) = queue.pop_batch_where(64, |_| false) {
         for request in drained.batch.into_iter().chain(drained.expired) {
             let _ = request
                 .envelope
@@ -801,54 +763,41 @@ fn arm_fault(session: &mut Session<'_>, fault: Option<(u64, usize)>) {
     }));
 }
 
-/// Modeled device-lane occupancy for one served batch.
+/// Modeled device-lane occupancy of one served request (zero for a failed
+/// one).
 ///
-/// Each successful request occupies the lane for its feature transfer plus
+/// A successful request occupies the lane for its feature transfer plus
 /// the **execution backend's** predicted kernel milliseconds
 /// ([`InferenceReport::predicted_kernel_ms`]) — host-calibrated or
-/// accelerator-modeled, whichever backend routed the request.  Requests the
-/// backend did not price (regions policy) fall back to `strategy`'s modeled
+/// accelerator-modeled, whichever backend routed the request.  A request the
+/// backend did not price (regions policy) falls back to `strategy`'s modeled
 /// accelerator latency, then to the first priced strategy, so the lane
-/// never idles through an unpriced batch.
-fn modeled_dwell(results: &[Outcome], dwell: DeviceDwell) -> Duration {
-    match dwell {
-        DeviceDwell::None => Duration::ZERO,
-        DeviceDwell::Modeled { strategy, scale } => {
-            let ms: f64 = results
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .map(|report| {
-                    if report.predicted_kernel_ms > 0.0 {
-                        report.feature_movement_ms + report.predicted_kernel_ms
-                    } else {
-                        report
-                            .amortized_ms(strategy)
-                            .or_else(|| {
-                                report
-                                    .runs
-                                    .first()
-                                    .map(|run| report.feature_movement_ms + run.latency_ms)
-                            })
-                            .unwrap_or(0.0)
-                    }
-                })
-                .sum();
-            Duration::from_secs_f64((ms * scale.max(0.0)) / 1e3)
-        }
-    }
+/// never idles through an unpriced request.
+fn modeled_dwell(result: &Outcome, dwell: DeviceDwell) -> Duration {
+    let (DeviceDwell::Modeled { strategy, scale }, Ok(report)) = (dwell, result) else {
+        return Duration::ZERO;
+    };
+    let ms = if report.predicted_kernel_ms > 0.0 {
+        report.feature_movement_ms + report.predicted_kernel_ms
+    } else {
+        report
+            .amortized_ms(strategy)
+            .or_else(|| {
+                report
+                    .runs
+                    .first()
+                    .map(|run| report.feature_movement_ms + run.latency_ms)
+            })
+            .unwrap_or(0.0)
+    };
+    Duration::from_secs_f64((ms * scale.max(0.0)) / 1e3)
 }
 
-/// Entries the pool-wide [`SharedPricingTier`] retains before FIFO aging;
-/// sized for every (kernel, strategy, density-bucket) class a steady serving
-/// mix cycles through, while bounding worst-case memory under adversarial
-/// density churn.
-const PRICING_TIER_CAPACITY: usize = 4096;
-
-/// One worker thread's state.  A drained request crosses, in order: deadline
-/// shed → plan acquire ([`Backend::resolve`]) → session bind → one
-/// `infer_batch` per run of requests on one plan → id stamp → modeled dwell
-/// → metrics → reply.  Plan acquire and serving run under
-/// [`Worker::supervised`].
+/// One worker thread's state.  Each drained request crosses, in order and
+/// on its own: deadline shed (at pop, and again when its turn comes) → plan
+/// acquire ([`Backend::resolve`]) → session bind → fault arming → one
+/// [`Session::infer`] → id stamp → modeled dwell → metrics → reply.  Plan
+/// acquire and serving are one step under [`Worker::supervised`].
 struct Worker {
     index: usize,
     backend: Backend,
@@ -859,7 +808,6 @@ struct Worker {
     /// Workers still serving; the last one to retire on an open circuit
     /// breaker closes the queue and fails residual tickets.
     live_workers: Arc<AtomicUsize>,
-    pricing_tier: Option<Arc<SharedPricingTier>>,
     /// The worker's one session, opened on the first plan it binds and
     /// rebound (never reopened) to every later one.
     session: Option<Session<'static>>,
@@ -876,14 +824,26 @@ impl Worker {
             let plan = Arc::clone(plan);
             self.bind(&plan);
         }
-        while let Some(drained) = self.queue.pop_batch_where(
-            self.config.max_batch,
-            self.config.batch_deadline,
-            |request| request.expired_at(Instant::now()),
-        ) {
-            self.shed_expired(drained.expired);
+        while let Some(drained) = self
+            .queue
+            .pop_batch_where(self.config.max_batch, |request| {
+                request.expired_at(Instant::now())
+            })
+        {
+            for request in drained.expired {
+                self.shed_expired(request);
+            }
             if !drained.batch.is_empty() {
-                self.serve(drained.batch);
+                let size = drained.batch.len();
+                self.metrics.record_batch(size);
+                self.telemetry
+                    .gauge_set(GaugeId::QueueDepth, self.queue.len() as f64);
+                self.telemetry.incr(self.index, CounterId::ServeBatches);
+                self.telemetry
+                    .observe(self.index, HistogramId::BatchSize, size as u64);
+                for request in drained.batch {
+                    self.serve(request);
+                }
             }
             if self.breaker_open {
                 if self.live_workers.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -895,24 +855,22 @@ impl Worker {
         }
     }
 
-    /// Fails every deadline-expired request a drain produced; they never
-    /// execute and do not count as served requests.
-    fn shed_expired(&self, expired: Vec<QueuedRequest>) {
-        let now = Instant::now();
-        for request in expired {
-            let late = request
-                .envelope
-                .deadline
-                .map(|d| now.saturating_duration_since(d))
-                .unwrap_or_default();
-            self.metrics.record_deadline_expired();
-            self.telemetry
-                .incr(self.index, CounterId::ServeDeadlineExpired);
-            let _ = request
-                .envelope
-                .reply
-                .send(Err(ServeError::DeadlineExceeded { late }));
-        }
+    /// Fails a request whose deadline has passed — found at pop time or
+    /// when its turn came; it never executes and does not count as a served
+    /// request.
+    fn shed_expired(&self, request: QueuedRequest) {
+        let late = request
+            .envelope
+            .deadline
+            .map(|d| Instant::now().saturating_duration_since(d))
+            .unwrap_or_default();
+        self.metrics.record_deadline_expired();
+        self.telemetry
+            .incr(self.index, CounterId::ServeDeadlineExpired);
+        let _ = request
+            .envelope
+            .reply
+            .send(Err(ServeError::DeadlineExceeded { late }));
     }
 
     /// The worker's session bound to `plan`: opened on first use, rebound
@@ -924,11 +882,10 @@ impl Worker {
             let mut session = Session::shared(Arc::clone(plan), &self.config.strategies);
             // The session publishes into the runtime's registry through the
             // worker's own shard, so per-shard counter breakdowns read as
-            // per-worker ones.  The tier and the telemetry bundle survive
-            // post-panic rebuilds (`rebuild_after_panic` carries both).
+            // per-worker ones.  The telemetry bundle survives post-panic
+            // rebuilds (`rebuild_after_panic` carries it).
             session.set_telemetry(Arc::clone(&self.telemetry));
             session.set_telemetry_shard(self.index);
-            session.set_pricing_tier(self.pricing_tier.clone());
             self.session = Some(session);
         }
         self.session.as_mut().expect("bound above")
@@ -970,158 +927,75 @@ impl Worker {
         })
     }
 
-    /// Serves `features` — requests that all run on `plan` — with one
-    /// `infer_batch` call, `fault` armed.
-    fn infer(
-        &mut self,
-        plan: &Arc<CompiledPlan>,
-        features: &[FeatureMatrix],
-        fault: Option<(u64, usize)>,
-    ) -> Result<Vec<InferenceReport>, ServeError> {
-        let session = self.bind(plan);
-        arm_fault(session, fault);
-        let served = session.infer_batch(features);
-        arm_fault(session, None);
-        Ok(served?)
-    }
-
-    /// Serves one run — consecutive requests on one plan — appending one
-    /// result per request.  A run is a single `infer_batch`: a constant
-    /// plan makes the whole micro-batch one run, per-request plans serve
-    /// batches of one.  A panic unwinds out of the whole call, so the run is
-    /// then retried request by request and only the poisoned ticket fails.
-    fn serve_run(
-        &mut self,
-        plan: &Arc<CompiledPlan>,
-        envelopes: &[Envelope],
-        features: &[FeatureMatrix],
-        results: &mut Vec<Outcome>,
-    ) {
-        let fault = envelopes.iter().find_map(Envelope::armed);
-        match self.supervised(|w| w.infer(plan, features, fault)) {
-            Ok(reports) => results.extend(reports.into_iter().map(Ok)),
-            // A run of one needs no isolating retry (a panic names its only
-            // possible culprit), and a session error is systemic: shapes
-            // were validated at submission, so it would fail every request
-            // of the run identically.
-            Err(e) if features.len() == 1 || matches!(e, ServeError::Inference(_)) => {
-                results.extend(features.iter().map(|_| Err(e.clone())));
-            }
-            Err(_) => {
-                for (envelope, one) in envelopes.iter().zip(features.chunks(1)) {
-                    results.push(
-                        self.supervised(|w| w.infer(plan, one, envelope.armed()))
-                            .map(|mut reports| reports.pop().expect("one report per request")),
-                    );
-                }
-            }
+    /// Serves one drained request on its own turn and replies to its ticket.
+    fn serve(&mut self, request: QueuedRequest) {
+        let turn = Instant::now();
+        // Drain-mates ahead of it may have taken longer than its budget.
+        if request.expired_at(turn) {
+            return self.shed_expired(request);
         }
-    }
-
-    /// Serves one drained micro-batch and replies to every ticket in it.
-    fn serve(&mut self, batch: Vec<QueuedRequest>) {
-        let picked = Instant::now();
-        let batch_size = batch.len();
-        self.metrics.record_batch(batch_size);
-        let (index, telemetry) = (self.index, Arc::clone(&self.telemetry));
-        telemetry.gauge_set(GaugeId::QueueDepth, self.queue.len() as f64);
-        telemetry.incr(index, CounterId::ServeBatches);
-        telemetry.add(index, CounterId::ServeRequests, batch_size as u64);
-        telemetry.observe(index, HistogramId::BatchSize, batch_size as u64);
-
-        // Take the feature matrices out of the requests (no copies) into one
-        // contiguous vector, so a run of them is one `infer_batch` slice.
-        let mut envelopes = Vec::with_capacity(batch_size);
-        let mut graphs = Vec::with_capacity(batch_size);
-        let mut features = Vec::with_capacity(batch_size);
-        for request in batch {
-            envelopes.push(request.envelope);
-            let (graph, matrix) = match request.payload {
-                Payload::Features(features) => (None, features),
-                Payload::Subgraph { graph, features } => (Some(graph), features),
-            };
-            graphs.push(graph);
-            features.push(matrix);
-        }
-
-        // Plan acquire, per request; supervised because instantiating a
-        // template compiles a caller-supplied topology.
-        let plans: Vec<Result<Arc<CompiledPlan>, ServeError>> = graphs
-            .iter()
-            .zip(&features)
-            .map(|(graph, features)| {
-                self.supervised(|w| w.backend.resolve(graph.as_ref(), features))
-            })
-            .collect();
-
-        let mut results = Vec::with_capacity(batch_size);
-        while results.len() < batch_size {
-            let start = results.len();
-            match &plans[start] {
-                Err(e) => results.push(Err(e.clone())),
-                Ok(plan) => {
-                    let len = plans[start..]
-                        .iter()
-                        .take_while(|p| matches!(p, Ok(q) if Arc::ptr_eq(q, plan)))
-                        .count();
-                    let run = start..start + len;
-                    self.serve_run(plan, &envelopes[run.clone()], &features[run], &mut results);
-                }
-            }
-        }
-        // Host time attributed to each request: its share of the batch,
-        // taken once results are final (isolating retries included).
-        let per_request = picked.elapsed() / batch_size as u32;
-
+        let QueuedRequest { envelope, payload } = request;
+        self.telemetry.incr(self.index, CounterId::ServeRequests);
+        let (graph, features) = match payload {
+            Payload::Features(features) => (None, features),
+            Payload::Subgraph { graph, features } => (Some(graph), features),
+        };
+        // Plan acquire is supervised too: instantiating a template compiles
+        // a caller-supplied topology.
+        let mut result = self.supervised(|w| {
+            let plan = w.backend.resolve(graph.as_ref(), &features)?;
+            let session = w.bind(&plan);
+            arm_fault(session, envelope.armed());
+            let served = session.infer(&features);
+            arm_fault(session, None);
+            Ok(served?)
+        });
+        let service = turn.elapsed();
         // Session-local indices are meaningless across a pool (and restart
         // per rebind epoch); stamp the global submission id instead, which
         // is what a serial session would have assigned.
-        for (result, envelope) in results.iter_mut().zip(&envelopes) {
-            if let Ok(report) = result {
-                report.request_index = envelope.id as usize;
-            }
+        if let Ok(report) = &mut result {
+            report.request_index = envelope.id as usize;
         }
 
-        let dwell = modeled_dwell(&results, self.config.device_dwell);
+        let dwell = modeled_dwell(&result, self.config.device_dwell);
         if dwell > Duration::ZERO {
             // The worker's virtual accelerator lane is busy executing the
-            // batch; the host thread parks with no locks held, so sibling
+            // request; the host thread parks with no locks held, so sibling
             // lanes keep draining the queue.
             thread::sleep(dwell);
         }
 
-        for (envelope, result) in envelopes.into_iter().zip(results) {
-            // Service records host time only; the modeled device dwell shows
-            // up in the turnaround (enqueue → reply ready), as it would in a
-            // real deployment where the reply follows device completion.
-            // Panicked and abandoned tickets never executed to completion,
-            // so they stay out of the served-request count and latency
-            // summaries — they are tallied by the supervision counters.
-            if !matches!(
-                result,
-                Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
-            ) {
-                let queue_wait = picked.duration_since(envelope.enqueued);
-                self.metrics.record_request(
-                    index,
-                    queue_wait,
-                    per_request,
-                    envelope.enqueued.elapsed(),
-                );
-                telemetry.observe(
-                    index,
-                    HistogramId::QueueWaitMicros,
-                    queue_wait.as_micros() as u64,
-                );
-                telemetry.observe(
-                    index,
-                    HistogramId::ServiceMicros,
-                    per_request.as_micros() as u64,
-                );
-            }
-            // A dropped ticket (caller gave up) is fine; ignore send errors.
-            let _ = envelope.reply.send(result);
+        // Service records host time only; the modeled device dwell shows
+        // up in the turnaround (enqueue → reply ready), as it would in a
+        // real deployment where the reply follows device completion.
+        // Panicked and abandoned tickets never executed to completion,
+        // so they stay out of the served-request count and latency
+        // summaries — they are tallied by the supervision counters.
+        if !matches!(
+            result,
+            Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
+        ) {
+            let queue_wait = turn.duration_since(envelope.enqueued);
+            self.metrics.record_request(
+                self.index,
+                queue_wait,
+                service,
+                envelope.enqueued.elapsed(),
+            );
+            self.telemetry.observe(
+                self.index,
+                HistogramId::QueueWaitMicros,
+                queue_wait.as_micros() as u64,
+            );
+            self.telemetry.observe(
+                self.index,
+                HistogramId::ServiceMicros,
+                service.as_micros() as u64,
+            );
         }
+        // A dropped ticket (caller gave up) is fine; ignore send errors.
+        let _ = envelope.reply.send(result);
     }
 }
 
@@ -1358,7 +1232,7 @@ mod tests {
         let deadline = Duration::from_millis(100);
         let report = plan.session(&[strategy]).infer(&features).unwrap();
         let unit = modeled_dwell(
-            &[Ok(report)],
+            &Ok(report),
             DeviceDwell::Modeled {
                 strategy,
                 scale: 1.0,
@@ -1412,40 +1286,6 @@ mod tests {
         let report = runtime.shutdown();
         assert_eq!(report.deadline_expired, 1);
         assert_eq!(report.requests, 1);
-    }
-
-    #[test]
-    fn retried_batch_service_time_covers_the_isolating_retries() {
-        let (plan, features) = plan_fixture();
-        let runtime = ServeRuntime::start(
-            plan,
-            ServeConfig::default()
-                .workers(1)
-                .max_batch(2)
-                .batch_deadline(Duration::from_millis(250)),
-        );
-        let healthy = runtime.submit(features.clone()).unwrap();
-        let poisoned = runtime
-            .submit_with(features, SubmitOptions::default().panic_at_kernel(0))
-            .unwrap();
-        assert!(healthy.wait().is_ok());
-        assert!(matches!(
-            poisoned.wait(),
-            Err(ServeError::WorkerPanicked { .. })
-        ));
-        let report = runtime.shutdown();
-        assert_eq!(report.batches, 1, "fixture: both requests share one batch");
-        assert_eq!(report.requests, 1);
-        // The survivor is the one recorded request.  Its service time is its
-        // share (half) of the batch's host time, which — with no dwell — is
-        // the whole pick → reply span: the failed batch call, the session
-        // rebuild *and* both isolating retries, not the batch call alone.
-        let span_ms = report.turnaround.mean_ms - report.queue_wait.mean_ms;
-        assert!(
-            2.0 * report.service.mean_ms >= 0.8 * span_ms,
-            "service {} ms x2 must cover the {span_ms} ms the batch occupied the worker",
-            report.service.mean_ms
-        );
     }
 
     #[test]
@@ -1544,7 +1384,7 @@ mod tests {
             strategy,
             scale: 1.0,
         };
-        let scale = 0.3 / modeled_dwell(&[Ok(report)], unit).as_secs_f64();
+        let scale = 0.3 / modeled_dwell(&Ok(report), unit).as_secs_f64();
         DeviceDwell::Modeled { strategy, scale }
     }
 
@@ -1589,6 +1429,106 @@ mod tests {
         let report = runtime.shutdown();
         assert_eq!(report.worker_panics, 1);
         assert_eq!(report.worker_respawns, 0);
+    }
+
+    /// A one-worker runtime taking up to four requests per drain, its worker
+    /// parked on a warm request's [`parking_dwell`]: whatever a test submits
+    /// next is drained together once the dwell ends.
+    fn parked_runtime(respawns: usize) -> (ServeRuntime, FeatureMatrix, Ticket) {
+        let (plan, features) = plan_fixture();
+        let dwell = parking_dwell(&plan, &features);
+        let runtime = ServeRuntime::start(
+            plan,
+            ServeConfig::default()
+                .workers(1)
+                .max_batch(4)
+                .max_worker_respawns(respawns)
+                .device_dwell(dwell),
+        );
+        let warm = runtime.submit(features.clone()).unwrap();
+        while runtime.queue_depth() > 0 {
+            thread::sleep(Duration::from_micros(200));
+        }
+        (runtime, features, warm)
+    }
+
+    #[test]
+    fn a_deadline_that_passes_behind_drain_mates_is_shed_at_its_turn() {
+        let (runtime, features, warm) = parked_runtime(32);
+        // Both are drained ~300 ms in, `late` still inside its budget; its
+        // turn comes a dwell later, ~600 ms in.
+        let ahead = runtime.submit(features.clone()).unwrap();
+        let late = runtime
+            .submit_with(
+                features,
+                SubmitOptions::default().deadline(Duration::from_millis(450)),
+            )
+            .unwrap();
+        assert!(warm.wait().is_ok());
+        assert!(ahead.wait().is_ok());
+        match late.wait() {
+            Err(ServeError::DeadlineExceeded { late }) => assert!(late > Duration::ZERO),
+            other => panic!(
+                "a deadline that passed behind a drain-mate must shed, got {:?}",
+                other.map(|report| report.request_index)
+            ),
+        }
+        let report = runtime.shutdown();
+        assert_eq!(report.deadline_expired, 1);
+        assert_eq!(report.requests, 2, "the shed request never executed");
+    }
+
+    #[test]
+    fn a_poisoned_drain_mate_costs_one_panic_and_one_respawn() {
+        // A budget of one respawn: a second charge for the same poisoned
+        // request would open the breaker and abandon everything behind it.
+        let (runtime, features, warm) = parked_runtime(1);
+        let before = runtime.submit(features.clone()).unwrap();
+        let poisoned = runtime
+            .submit_with(
+                features.clone(),
+                SubmitOptions::default().panic_at_kernel(0),
+            )
+            .unwrap();
+        let after = runtime.submit(features.clone()).unwrap();
+        assert!(warm.wait().is_ok());
+        assert!(before.wait().is_ok());
+        assert!(matches!(
+            poisoned.wait(),
+            Err(ServeError::WorkerPanicked { .. })
+        ));
+        assert!(after.wait().is_ok(), "a healthy drain-mate must serve");
+        assert!(runtime.submit(features).unwrap().wait().is_ok());
+        let report = runtime.shutdown();
+        assert_eq!(report.batch_histogram.last().map(|bar| bar.size), Some(3));
+        assert_eq!((report.worker_panics, report.worker_respawns), (1, 1));
+        assert_eq!(report.requests, 4);
+    }
+
+    #[test]
+    fn each_request_is_answered_when_it_finishes_not_when_its_drain_does() {
+        let (runtime, features, warm) = parked_runtime(32);
+        let tickets: Vec<Ticket> = (0..3)
+            .map(|_| runtime.submit(features.clone()).unwrap())
+            .collect();
+        assert!(warm.wait().is_ok());
+        let mut answered = tickets.into_iter().map(|ticket| {
+            ticket.wait().unwrap();
+            Instant::now()
+        });
+        let first = answered.next().unwrap();
+        let last = answered.last().unwrap();
+        // Two dwells (~600 ms) separate the first reply from the third.
+        assert!(
+            last.duration_since(first) >= Duration::from_millis(100),
+            "drain-mates resolved together, {:?} apart",
+            last.duration_since(first)
+        );
+        let report = runtime.shutdown();
+        assert_eq!(report.batch_histogram.last().map(|bar| bar.size), Some(3));
+        // Queue wait runs to a request's own turn: the third waited out the
+        // warm dwell and both drain-mates' (~900 ms), not just the former.
+        assert!(report.queue_wait.max_ms >= 500.0, "{:?}", report.queue_wait);
     }
 
     #[test]

@@ -57,8 +57,7 @@ pub enum CounterId {
     PricingHit,
     /// Pricing-cache lookups that ran a fresh Analyzer pass.
     PricingMiss,
-    /// Pricing-cache entries evicted to make room (session cache and shared
-    /// tier combined).
+    /// Pricing-cache entries evicted to make room.
     PricingEvict,
 }
 

@@ -32,18 +32,15 @@ fn plan_fixture() -> (Arc<CompiledPlan>, FeatureMatrix) {
     (plan, ds.features)
 }
 
-/// Worker panic + respawn: in a multi-request batch with one poisoned
-/// member, only the poisoned ticket fails, with the panic message; the
-/// worker respawns and keeps serving bit-identically.
+/// Worker panic + respawn: among requests queued together with one poisoned
+/// member, only the poisoned ticket fails, with the panic message, and is
+/// charged once; the worker respawns and keeps serving bit-identically.
 #[test]
 fn poisoned_request_fails_alone_and_worker_respawns() {
     let (plan, features) = plan_fixture();
     let runtime = ServeRuntime::start(
         Arc::clone(&plan),
-        ServeConfig::default()
-            .workers(1)
-            .max_batch(8)
-            .batch_deadline(Duration::from_millis(20)),
+        ServeConfig::default().workers(1).max_batch(8),
     );
 
     // Serial reference for bit-identity of the survivors.
@@ -81,8 +78,7 @@ fn poisoned_request_fails_alone_and_worker_respawns() {
 
     let report = runtime.shutdown();
     assert_eq!(report.requests, 5, "five healthy requests served");
-    assert!(report.worker_panics >= 1);
-    assert!(report.worker_respawns >= 1);
+    assert_eq!((report.worker_panics, report.worker_respawns), (1, 1));
     assert!(report
         .worker_failures
         .iter()
@@ -363,7 +359,6 @@ fn mixed_fault_storm_loses_no_ticket() {
             .queue_capacity(8)
             .shed_watermarks(6, 2)
             .max_worker_respawns(8)
-            .batch_deadline(Duration::from_micros(500))
     };
 
     let (plan, plan_features) = plan_fixture();

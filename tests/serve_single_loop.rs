@@ -3,19 +3,16 @@
 //!
 //! `ServeRuntime` has one worker loop: every request resolves to a plan (the
 //! constant one, or the template instantiated on the request's subgraph)
-//! and a run of requests on one plan is served by one `infer_batch`.  So a
-//! template runtime fed the *same* topology on every request must return
-//! exactly what a fixed-plan runtime over that topology returns for the
-//! same request stream — whether requests are served one at a time or
-//! coalesced (one `infer_batch` per micro-batch on the constant plan, one
-//! per request on per-request instances).
+//! and is served by one `Session::infer` on it.  So a template runtime fed
+//! the *same* topology on every request must return exactly what a
+//! fixed-plan runtime over that topology returns for the same request
+//! stream — whether a drain takes one queued request or several.
 
 use dynasparse::{EngineOptions, InferenceReport, MappingStrategy, ModelTemplate, Planner};
 use dynasparse_graph::generators::dense_features;
 use dynasparse_graph::{Dataset, FeatureMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
 use dynasparse_serve::{ServeConfig, ServeRuntime};
-use std::time::Duration;
 
 /// Bit-level equality of everything a report carries except
 /// `end_to_end_ms`, which folds in the wall-clock compile (or instantiate)
@@ -84,7 +81,6 @@ fn a_template_runtime_on_one_topology_matches_the_fixed_plan_runtime() {
         let config = ServeConfig::default()
             .workers(2)
             .max_batch(max_batch)
-            .batch_deadline(Duration::from_millis(5))
             .strategies(&strategies);
         let fixed = ServeRuntime::start(
             Planner::default().plan_shared(&model, &ds).unwrap(),
