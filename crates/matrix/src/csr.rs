@@ -11,6 +11,7 @@ use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::is_nonzero;
 use crate::layout::Layout;
+use crate::ops::accumulate_row;
 use crate::pool::ThreadPool;
 use crate::profile::{compact_group, scan_row, SCAN_LANES};
 use rayon::prelude::*;
@@ -323,9 +324,9 @@ impl CsrMatrix {
 
     /// Sparse × dense product `self * rhs` where `rhs` is dense.
     ///
-    /// This is the aggregation kernel of the functional executor.  Rows of the
-    /// output are computed independently with rayon; each output row is a
-    /// linear combination of the dense rows selected by the sparse row's
+    /// This is the aggregation kernel of the functional executor.  The rows
+    /// are computed one after another on the calling thread; each output row
+    /// is a linear combination of the dense rows selected by the sparse row's
     /// column indices.
     pub fn spmm_dense(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
         let mut out = DenseMatrix::zeros(0, 0);
@@ -364,21 +365,18 @@ impl CsrMatrix {
     }
 
     /// The SpDMM row loop shared by the whole-kernel `_into` kernels and the
-    /// block-granular [`CsrMatrix::spmm_dense_rows_into`]: one copy of the
-    /// fill-then-accumulate rule is what keeps every row partition of the
-    /// output bit-identical to the serial whole-kernel product.
+    /// block-granular [`CsrMatrix::spmm_dense_rows_into`]: each output row is
+    /// zeroed, then the GEMM row kernel's register-tile ladder streams the
+    /// CSR row's `(col, val)` pairs through it — the paper's Reduce Unit,
+    /// which keeps a partial output row on chip while the edges stream by.
+    /// Stored columns increase, so every output element receives
+    /// [`gemm_reference`](crate::ops::gemm_reference)'s additions in its
+    /// order from the same `+0.0`, whatever the row partition.
     fn spmm_dense_rows_rm(&self, ys: &[f32], d: usize, row0: usize, out_rows: &mut [f32]) {
-        let rows = out_rows.len() / d.max(1);
-        for i in 0..rows {
+        for (i, out_row) in out_rows.chunks_exact_mut(d).enumerate() {
             let (cols, vals) = self.row(row0 + i);
-            let out_row = &mut out_rows[i * d..(i + 1) * d];
             out_row.fill(0.0);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                let src = &ys[c as usize * d..(c as usize + 1) * d];
-                for (o, &s) in out_row.iter_mut().zip(src.iter()) {
-                    *o += v * s;
-                }
-            }
+            accumulate_row(cols, vals, ys, out_row);
         }
     }
 

@@ -13,8 +13,9 @@
 //! zero-operations they skip (and therefore in execution time on the
 //! accelerator).  The functions here are the software oracles used by the
 //! accelerator simulator's self-checks, by the functional executor and by the
-//! host baselines.  `gemm_parallel` is the rayon-parallel variant used when a
-//! dense product is on the critical path of an experiment harness.
+//! host baselines.  `gemm_parallel` is the same product written over rayon's
+//! `par_chunks_mut` (the vendored rayon runs it sequentially); the functional
+//! executor's dense Update calls it.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -79,9 +80,7 @@ pub fn gemm_parallel(x: &DenseMatrix, y: &DenseMatrix) -> Result<DenseMatrix> {
     DenseMatrix::from_row_major(m, d, out)
 }
 
-/// Widest register tile of the GEMM row kernel: the output row is cut into
-/// tiles of this width, then 16, 8, 4, 2 and 1 columns, each accumulated in
-/// a fixed-size (register-resident) array while the `k` dimension streams by.
+/// Widest register tile of [`accumulate_row`]'s ladder.
 const GEMM_TILE: usize = 32;
 
 /// Capacity of the row kernel's compacted survivor list.  A row with more
@@ -107,40 +106,47 @@ impl Survivors {
         }
     }
 
-    /// Adds `Σ xv · Y[k, j0..j0 + W]` over the survivors, in list order, to
-    /// the first `W` elements of `out`.
+    /// Adds the survivors' contributions to `orow` and empties the list.
     #[inline(always)]
-    fn accumulate_tile<const W: usize>(&self, y: &[f32], d: usize, j0: usize, out: &mut [f32]) {
-        let mut acc = [0.0f32; W];
-        acc.copy_from_slice(&out[..W]);
-        for (&k, &xv) in self.k[..self.len].iter().zip(&self.xv[..self.len]) {
-            let yrow: &[f32; W] = y[k as usize * d + j0..][..W]
-                .try_into()
-                .expect("a W-wide slice");
-            for (a, &yv) in acc.iter_mut().zip(yrow) {
-                *a += xv * yv;
-            }
-        }
-        out[..W].copy_from_slice(&acc);
-    }
-
-    /// Adds the survivors' contributions to `orow` tile by tile and empties
-    /// the list.  Every tile streams the whole list in increasing `k`.
-    #[inline(never)]
     fn flush_into(&mut self, y: &[f32], orow: &mut [f32]) {
-        let d = orow.len();
-        let mut j0 = 0;
-        macro_rules! tiles {
-            ($($w:expr),*) => {$(
-                while d - j0 >= $w {
-                    self.accumulate_tile::<{ $w }>(y, d, j0, &mut orow[j0..]);
-                    j0 += $w;
-                }
-            )*};
-        }
-        tiles!(GEMM_TILE, 16, 8, 4, 2, 1);
+        accumulate_row(&self.k[..self.len], &self.xv[..self.len], y, orow);
         self.len = 0;
     }
+}
+
+/// Adds `Σ xv · Y[k, ..W]` over the `(k, xv)` pairs, in list order, to the
+/// first `W` elements of `out`.
+#[inline(always)]
+fn accumulate_tile<const W: usize>(ks: &[u32], vs: &[f32], y: &[f32], d: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(&out[..W]);
+    for (&k, &xv) in ks.iter().zip(vs) {
+        let yrow: &[f32; W] = y[k as usize * d..][..W].try_into().expect("a W-wide slice");
+        for (a, &yv) in acc.iter_mut().zip(yrow) {
+            *a += xv * yv;
+        }
+    }
+    out[..W].copy_from_slice(&acc);
+}
+
+/// The register-tile ladder, `orow += Σ vs[i] · Y[ks[i]]` for a row-major
+/// `Y` of width `orow.len()`: the inner loop of the GEMM row kernel (over its
+/// survivors) and of the CSR × dense gather (over a CSR row).  Each
+/// [`GEMM_TILE`]-, 16-, 8-, 4-, 2- or 1-wide tile of the row is accumulated
+/// in an array while the whole list streams by in order.
+#[inline(never)]
+pub(crate) fn accumulate_row(ks: &[u32], vs: &[f32], y: &[f32], orow: &mut [f32]) {
+    let d = orow.len();
+    let mut j0 = 0;
+    macro_rules! tiles {
+        ($($w:expr),*) => {$(
+            while d - j0 >= $w {
+                accumulate_tile::<{ $w }>(ks, vs, &y[j0..], d, &mut orow[j0..]);
+                j0 += $w;
+            }
+        )*};
+    }
+    tiles!(GEMM_TILE, 16, 8, 4, 2, 1);
 }
 
 /// The GEMM row kernel: `orow = xrow × Y` for one row-major `X` row, in a

@@ -256,19 +256,6 @@ impl ThreadPool {
         rows.div_ceil(self.threads.max(1) * 4).max(8)
     }
 
-    /// Splits `data` into contiguous chunks of `chunk_len` elements and runs
-    /// `f(chunk_index, chunk)` for each across the pool.  This is the shape
-    /// every row-parallel `_into` kernel uses: `data` is the row-major output
-    /// buffer and `chunk_len` a multiple of the row width, so chunks are
-    /// disjoint row ranges.
-    pub fn for_each_chunk_mut<F>(&self, data: &mut [f32], chunk_len: usize, f: F)
-    where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        let chunks = data.chunks_mut(chunk_len.max(1)).enumerate();
-        self.for_each_item(chunks, |(i, chunk)| f(i, chunk));
-    }
-
     /// Runs `f(item)` once for every item of `items` across the pool.  The
     /// items are claimed one at a time under a lock, so an iterator of
     /// disjoint `&mut` borrows (`chunks_mut`, or several of them zipped — an
@@ -343,7 +330,7 @@ mod tests {
     fn chunked_run_covers_the_buffer_disjointly() {
         let pool = ThreadPool::new(3);
         let mut data = vec![0.0f32; 1003];
-        pool.for_each_chunk_mut(&mut data, 64, |i, chunk| {
+        pool.for_each_item(data.chunks_mut(64).enumerate(), |(i, chunk)| {
             for v in chunk.iter_mut() {
                 *v += 1.0 + i as f32;
             }

@@ -110,6 +110,57 @@ proptest! {
         gemm_into(&x, &y, &mut whole).unwrap();
         prop_assert!(same_bits(whole.as_slice(), want.as_slice()));
     }
+
+    #[test]
+    fn spdmm_gather_matches_the_oracle_over_every_tile_width(
+        x in hostile_operand(),
+        d in prop_oneof![Just(1usize), Just(7), Just(16), Just(33), Just(64), Just(100)],
+        block_rows in 1usize..=5,
+        y_seed in -2.0f32..2.0,
+        poison in proptest::collection::vec((0usize..1 << 20, prop_oneof![
+            Just(f32::INFINITY), Just(f32::NEG_INFINITY), Just(f32::NAN),
+        ]), 0..4),
+    ) {
+        // The CSR × dense gather streams each CSR row through the GEMM row
+        // kernel's tile ladder: over every tile width (`d` from 1 to three
+        // 32-wide tiles and a 4), any row partition and non-finite values on
+        // either side, it is the oracle bit for bit.
+        let (m, n) = x.shape();
+        let mut y = DenseMatrix::from_fn(n, d, |r, c| y_seed + ((r * 31 + c * 17) % 13) as f32 - 6.0);
+        for &(at, v) in &poison {
+            y.set(at % n, at / n % d, v);
+        }
+        let want = gemm_reference(&x, &y).unwrap();
+        let xs = stored_csr(&x);
+        let mut out = vec![f32::NAN; m * d];
+        for (r0, r1) in row_blocks(m, block_rows) {
+            xs.spmm_dense_rows_into(&y, r0, &mut out[r0 * d..r1 * d]).unwrap();
+        }
+        prop_assert!(same_bits(&out, want.as_slice()), "blocked rows differ from the oracle");
+
+        // The whole-kernel entry point overwrites a reused buffer with the
+        // same rows.
+        let mut whole = DenseMatrix::from_fn(m, d, |_, _| f32::NAN);
+        xs.spmm_dense_into(&y, &mut whole).unwrap();
+        prop_assert!(same_bits(whole.as_slice(), want.as_slice()));
+    }
+}
+
+/// The CSR of `x` as the oracle reads it: every element with `v != 0.0`,
+/// `NaN` included (which [`CsrMatrix::from_dense`] does not store).
+fn stored_csr(x: &DenseMatrix) -> CsrMatrix {
+    let (m, n) = x.shape();
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for r in 0..m {
+        for (k, &v) in x.row_slice(r).unwrap().iter().enumerate() {
+            if v != 0.0 {
+                col_idx.push(k as u32);
+                values.push(v);
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_parts(m, n, row_ptr, col_idx, values)
 }
 
 proptest! {
@@ -183,7 +234,7 @@ proptest! {
         let y = y.submatrix_padded(0, x.cols(), 0, y.cols());
         let want = gemm_reference(&x, &y).unwrap();
         let got = CsrMatrix::from_dense(&x).spmm_dense(&y).unwrap();
-        prop_assert!(got.approx_eq(&want, 1e-3));
+        prop_assert!(same_bits(got.as_slice(), want.as_slice()));
     }
 
     #[test]
@@ -207,9 +258,9 @@ proptest! {
         gemm_into(&x, &y, &mut out).unwrap();
         prop_assert!(out.approx_eq(&want, 1e-4));
 
-        // Sparse-dense route (host SpDMM).
+        // Sparse-dense route (host SpDMM): the oracle bit for bit.
         xs.spmm_dense_into(&y, &mut out).unwrap();
-        prop_assert!(out.approx_eq(&want, 1e-4));
+        prop_assert!(same_bits(out.as_slice(), want.as_slice()));
 
         // Sparse-sparse route (Gustavson SPMM), serial + pooled.
         prop_assert!(xs.spgemm(&ys).unwrap().to_dense().approx_eq(&want, 1e-4));
@@ -463,19 +514,8 @@ proptest! {
         }
         let got = run(&poisoned, &mut profile);
         prop_assert_eq!(&profile, &refit(&poisoned));
-        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
-        for r in 0..m {
-            for (k, &v) in poisoned.row_slice(r).unwrap().iter().enumerate() {
-                if v != 0.0 {
-                    col_idx.push(k as u32);
-                    values.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let stored = CsrMatrix::from_parts(m, n, row_ptr, col_idx, values);
         let mut gustavson = vec![f32::NAN; (m - r0) * d];
-        stored
+        stored_csr(&poisoned)
             .spgemm_rows_dense_into(&CsrMatrix::from_dense(&w), r0, &mut gustavson)
             .unwrap();
         for (g, s) in got.iter().zip(&gustavson) {

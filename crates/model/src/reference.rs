@@ -278,6 +278,21 @@ mod tests {
         dense_features(60, dim, density, 4)
     }
 
+    /// The manual formulas below run `gemm_reference` alone, never the
+    /// executor's CSR gather, and every host route promises its additions
+    /// in its order: the embeddings must match bit for bit.
+    fn assert_same_bits(got: &DenseMatrix, want: &DenseMatrix) {
+        let bits = |m: &DenseMatrix| -> Vec<u32> {
+            m.row_major()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(got.shape(), want.shape());
+        assert_eq!(bits(got), bits(want));
+    }
+
     #[test]
     fn all_models_run_and_produce_finite_output() {
         let g = small_graph();
@@ -310,11 +325,7 @@ mod tests {
         let h1 = gemm_reference(&a_hat, &t1).unwrap().map(|v| v.max(0.0));
         let t2 = gemm_reference(&h1, &m.weights[1]).unwrap();
         let want = gemm_reference(&a_hat, &t2).unwrap();
-        assert!(
-            got.approx_eq(&want, 1e-3),
-            "max diff {}",
-            got.max_abs_diff(&want).unwrap()
-        );
+        assert_same_bits(&got, &want);
     }
 
     #[test]
@@ -336,7 +347,7 @@ mod tests {
         };
         let h1 = layer(&h0d, &m.weights[0], &m.weights[1]).map(|v| v.max(0.0));
         let want = layer(&h1, &m.weights[2], &m.weights[3]);
-        assert!(got.approx_eq(&want, 1e-3));
+        assert_same_bits(&got, &want);
     }
 
     #[test]
@@ -352,7 +363,28 @@ mod tests {
         let one_hop = gemm_reference(&a_hat, &h0d).unwrap();
         let two_hop = gemm_reference(&a_hat, &one_hop).unwrap();
         let want = gemm_reference(&two_hop, &m.weights[0]).unwrap();
-        assert!(got.approx_eq(&want, 1e-3));
+        assert_same_bits(&got, &want);
+    }
+
+    #[test]
+    fn gin_forward_matches_manual_formula() {
+        // Manual 2-layer GIN, each layer an MLP over the sum aggregate:
+        // H' = ReLU(Â H W_a) W_b with Â = A + I, ReLU between the layers.
+        let g = small_graph();
+        let h0 = small_features(16, 0.5);
+        let m = GnnModel::gin(16, 8, 4, 5);
+        let exec = ReferenceExecutor::new(&m, &g);
+        let got = exec.forward(&h0).unwrap().to_dense();
+
+        let a_sum = normalized_adjacency(g.adjacency(), AggregatorKind::Sum).to_dense();
+        let layer = |h: &DenseMatrix, wa: &DenseMatrix, wb: &DenseMatrix| {
+            let agg = gemm_reference(&a_sum, h).unwrap();
+            let t = gemm_reference(&agg, wa).unwrap().map(|v| v.max(0.0));
+            gemm_reference(&t, wb).unwrap()
+        };
+        let h1 = layer(&h0.to_dense(), &m.weights[0], &m.weights[1]).map(|v| v.max(0.0));
+        let want = layer(&h1, &m.weights[2], &m.weights[3]);
+        assert_same_bits(&got, &want);
     }
 
     #[test]
