@@ -15,7 +15,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dynasparse_matrix::{
-    CalibratedPolicy, CalibrationConfig, CostModel, DispatchPolicy, HostCalibration, HostPrimitive,
+    CalibratedPolicy, CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive,
     ProductShape,
 };
 

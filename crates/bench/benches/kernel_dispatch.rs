@@ -24,8 +24,7 @@ use dynasparse_graph::Dataset;
 use dynasparse_matrix::ops::{gemm_into, gemm_reference};
 use dynasparse_matrix::random::random_dense;
 use dynasparse_matrix::{
-    CalibratedPolicy, CostModel, CsrMatrix, DenseMatrix, DispatchPolicy, HostCalibration,
-    ProductShape,
+    CalibratedPolicy, CsrMatrix, DenseMatrix, DispatchPolicy, HostCalibration, ProductShape,
 };
 use dynasparse_model::{GnnModel, GnnModelKind};
 use rand::rngs::StdRng;

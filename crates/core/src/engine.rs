@@ -15,82 +15,37 @@ use crate::session::Session;
 use dynasparse_accel::AcceleratorConfig;
 use dynasparse_compiler::CompilerConfig;
 use dynasparse_graph::GraphDataset;
-use dynasparse_matrix::HostCalibration;
-use dynasparse_model::{BackendKind, GnnModel, BACKEND_ENV};
-use dynasparse_runtime::{MappingStrategy, PricingCacheMode, PRICING_CACHE_ENV};
+use dynasparse_model::GnnModel;
+use dynasparse_runtime::{MappingStrategy, PricingCacheMode};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-/// Which cost model picks the host primitive of every dispatched kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CostModelKind {
-    /// Argmin over per-primitive cost curves measured on the actual host:
-    /// a one-time micro-calibration (at most once per process, shared by
-    /// `Arc` across plans and worker sessions) times the three `_into`
-    /// kernels over a fixed-seed density × shape grid and fits
-    /// GEMM ∝ `m·n·d`, SpDMM ∝ `nnz·d`, Gustavson ∝ flop-proportional nnz
-    /// work.  Overridable via `DYNASPARSE_CALIBRATION` (`off` → regions
-    /// only; a path → load the persisted fit instead of measuring).
-    #[default]
-    Calibrated,
-    /// The paper's Table IV closed-form regions of the modeled 16×16 ALU
-    /// accelerator — the accelerator-side oracle.  On the host this is
-    /// known to mispick (see `BENCH_kernels.json`, α = 0.1 × 0.1); it is
-    /// kept for A/B comparison and as the calibrated model's fallback.
-    Regions,
-}
-
-/// Environment variable force-disabling online recalibration (`0` / `off` /
-/// `false`), regardless of [`HostExecutionOptions::recalibrate`].
-pub const RECALIBRATE_ENV: &str = "DYNASPARSE_RECALIBRATE";
 
 /// How a session executes the functional kernels on the host.
 ///
 /// Every kernel is routed to a host primitive picked from its *runtime*
 /// operand densities — the same signal the accelerator's Analyzer profiles —
-/// and executes into a reusable [`KernelArena`](dynasparse_model::KernelArena),
-/// performing zero heap allocations per kernel in steady state.  The
-/// fixed-kernel [`ReferenceExecutor::forward`](dynasparse_model::ReferenceExecutor::forward)
+/// by the argmin over the process-wide measured host calibration (the Table
+/// IV regions under `DYNASPARSE_CALIBRATION=off`), and executes into a
+/// reusable [`KernelArena`](dynasparse_model::KernelArena), performing zero
+/// heap allocations per kernel in steady state.  The fixed-kernel
+/// [`ReferenceExecutor::forward`](dynasparse_model::ReferenceExecutor::forward)
 /// is the equivalence oracle the tests compare this engine against; it is
 /// not a serving path.
-///
-/// Three environment variables shadow fields of this struct
-/// (`DYNASPARSE_BACKEND`, `DYNASPARSE_RECALIBRATE`,
-/// `DYNASPARSE_PRICING_CACHE`); they are applied once, by
-/// [`HostExecutionOptions::shadowed_by_env`], where options enter a
-/// [`Planner`] or a [`ModelTemplate`](crate::ModelTemplate) — so
-/// [`CompiledPlan::options`](crate::CompiledPlan::options) *is* the effective
-/// configuration and nothing downstream reads the environment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostExecutionOptions {
     /// Fan row-parallel kernels out over the persistent thread pool
     /// (`DYNASPARSE_THREADS` / `available_parallelism`-sized; inline on a
     /// single-core host).
     pub parallel: bool,
-    /// Cost model behind every dispatch decision (measured host calibration
-    /// by default; the Table IV regions for A/B comparison).
-    pub cost_model: CostModelKind,
-    /// Which [`ExecBackend`](dynasparse_model::ExecBackend) routes and
-    /// prices every dispatched product: the measured host calibration
-    /// ([`BackendKind::Host`], the default) or the modeled accelerator's
-    /// cycle-accurate performance model ([`BackendKind::ModeledAccel`]).
-    /// A backend only decides and prices — the executor's one block loop runs
-    /// the kernels — so swapping backends changes routing and pricing only and
-    /// results stay bit-identical.
-    /// Shadowed by `DYNASPARSE_BACKEND` (`host` / `accel`) when it is set.
-    pub backend: BackendKind,
     /// Rescale the host calibration online when a per-primitive
     /// measured/predicted drift EWMA leaves the accepted band (see
-    /// [`Session`] docs).  Only the host backend
-    /// recalibrates; `DYNASPARSE_RECALIBRATE=0` force-disables it.
+    /// [`Session`] docs).
     pub recalibrate: bool,
     /// Cache Analyzer results keyed on quantized sparsity profiles (see
     /// [`PricingCacheMode`]).  `Bucketed` (default) shares one pricing pass
     /// across profiles that quantize into the same half-octave density
     /// buckets; `Exact` only amortizes exact repeats; `Off` restores
-    /// uncached pricing.  Shadowed by `DYNASPARSE_PRICING_CACHE`
-    /// (`off` / `exact` / `on`).  Embeddings are unaffected in every mode —
-    /// the cache only touches the strategy pricing pass.
+    /// uncached pricing.  Embeddings are unaffected in every mode — the
+    /// cache only touches the strategy pricing pass.
     pub pricing_cache: PricingCacheMode,
 }
 
@@ -98,55 +53,8 @@ impl Default for HostExecutionOptions {
     fn default() -> Self {
         HostExecutionOptions {
             parallel: true,
-            cost_model: CostModelKind::Calibrated,
-            backend: BackendKind::Host,
             recalibrate: true,
             pricing_cache: PricingCacheMode::default(),
-        }
-    }
-}
-
-impl HostExecutionOptions {
-    /// Applies the option-shadowing environment: `DYNASPARSE_BACKEND`
-    /// replaces [`backend`](Self::backend) when set to a recognised name,
-    /// `DYNASPARSE_RECALIBRATE` = `0` / `off` / `false` clears
-    /// [`recalibrate`](Self::recalibrate), and `DYNASPARSE_PRICING_CACHE`
-    /// replaces [`pricing_cache`](Self::pricing_cache) (see
-    /// [`PricingCacheMode::resolve`]).  [`Planner::new`] and
-    /// [`ModelTemplate::compile`](crate::ModelTemplate::compile) call this;
-    /// it is the only place the three variables are read.
-    pub fn shadowed_by_env(self) -> Self {
-        self.shadowed_by(|name| std::env::var(name).ok())
-    }
-
-    /// [`HostExecutionOptions::shadowed_by_env`] over an explicit variable
-    /// lookup.
-    fn shadowed_by(mut self, var: impl Fn(&str) -> Option<String>) -> Self {
-        if let Some(name) = var(BACKEND_ENV) {
-            match BackendKind::parse(&name) {
-                Some(backend) => self.backend = backend,
-                None => eprintln!("dynasparse: ignoring unknown {BACKEND_ENV}={name}"),
-            }
-        }
-        if matches!(
-            var(RECALIBRATE_ENV).as_deref().map(str::trim),
-            Some("0" | "off" | "false")
-        ) {
-            self.recalibrate = false;
-        }
-        self.pricing_cache =
-            PricingCacheMode::resolve(self.pricing_cache, var(PRICING_CACHE_ENV).as_deref());
-        self
-    }
-
-    /// The measured host fit sessions dispatch with under these options: the
-    /// process-wide calibration (measured at most once per process;
-    /// `DYNASPARSE_CALIBRATION` overrides) for
-    /// [`CostModelKind::Calibrated`], none for the regions model.
-    pub(crate) fn calibration(&self) -> Option<Arc<HostCalibration>> {
-        match self.cost_model {
-            CostModelKind::Calibrated => HostCalibration::shared(),
-            CostModelKind::Regions => None,
         }
     }
 }
@@ -378,32 +286,6 @@ mod tests {
                 available: 0
             })
         ));
-    }
-
-    #[test]
-    fn environment_shadows_backend_recalibration_and_pricing_cache() {
-        let configured = HostExecutionOptions::default();
-        assert_eq!(configured.shadowed_by(|_| None), configured);
-        let shadowed = configured.shadowed_by(|name| match name {
-            BACKEND_ENV => Some("accel".to_string()),
-            RECALIBRATE_ENV => Some(" off ".to_string()),
-            PRICING_CACHE_ENV => Some("exact".to_string()),
-            _ => None,
-        });
-        assert_eq!(
-            shadowed,
-            HostExecutionOptions {
-                backend: BackendKind::ModeledAccel,
-                recalibrate: false,
-                pricing_cache: PricingCacheMode::Exact,
-                ..configured
-            }
-        );
-        // Unrecognised values leave the configured fields alone.
-        assert_eq!(
-            configured.shadowed_by(|_| Some("garbage".to_string())),
-            configured
-        );
     }
 
     #[test]

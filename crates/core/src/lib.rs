@@ -119,24 +119,25 @@
 //! picking the zero-skipping dense GEMM, the sparse-dense CSR kernel or
 //! Gustavson sparse-sparse rows of `dynasparse-matrix` and writing into the
 //! session's zero-allocation
-//! [`KernelArena`](dynasparse_model::KernelArena).  Decisions come from the
-//! **measured host calibration** by default ([`CostModelKind::Calibrated`];
-//! the accelerator's Table IV regions stay the A/B oracle and fallback,
-//! [`CostModelKind::Regions`]).  [`Session::infer_batch`] serves a
-//! micro-batch as a loop of the same pass, one request at a time.
+//! [`KernelArena`](dynasparse_model::KernelArena).  Decisions are the
+//! argmin over the **measured host calibration**; under
+//! `DYNASPARSE_CALIBRATION=off` they fall back to the accelerator's Table IV
+//! regions, which also stay the oracle and the degenerate-fit fallback.
+//! [`Session::infer_batch`] serves a micro-batch as a loop of the same pass,
+//! one request at a time.
 //!
 //! The full story — the Planner → CompiledPlan → Session →
 //! KernelDispatcher → KernelArena → ServeRuntime data flow, the
 //! buffer-ownership rules behind the zero-allocation contract, where the
-//! calibrated cost model sits relative to the Table IV `RegionPolicy`, and
-//! what a micro-batch does and does not amortize — lives in
-//! `ARCHITECTURE.md` at the repository root, together with the knobs
-//! documented in `README.md` (`DYNASPARSE_CALIBRATION`,
-//! `DYNASPARSE_THREADS`, …).
+//! calibrated cost model sits relative to the Table IV regions, and what a
+//! micro-batch does and does not amortize — lives in `ARCHITECTURE.md` at
+//! the repository root, together with the knobs documented in `README.md`
+//! (`DYNASPARSE_CALIBRATION`, `DYNASPARSE_THREADS`, …).
 //!
 //! Whatever [`HostExecutionOptions`] (`EngineOptions::builder().host(...)`)
-//! select — backend, cost model, pricing-cache mode, kernel threads —
-//! embeddings stay bit-identical to the fixed-kernel
+//! or the calibration select — calibrated or regions decisions,
+//! pricing-cache mode, kernel threads — embeddings stay bit-identical to the
+//! fixed-kernel
 //! `ReferenceExecutor::forward`, the test oracle
 //! (`tests/integration_dispatch.rs`, `tests/integration_backend.rs`), and a
 //! batched request reports exactly what it reports served alone
@@ -189,7 +190,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod backend;
 pub mod engine;
 pub mod error;
 pub mod planner;
@@ -197,11 +197,7 @@ pub mod report;
 pub mod session;
 pub mod template;
 
-pub use backend::ModeledAccelBackend;
-pub use engine::{
-    CostModelKind, Engine, EngineOptions, EngineOptionsBuilder, HostExecutionOptions,
-    RECALIBRATE_ENV,
-};
+pub use engine::{Engine, EngineOptions, EngineOptionsBuilder, HostExecutionOptions};
 pub use error::{CompileError, DynasparseError, EngineError};
 pub use planner::{CompiledPlan, Planner};
 pub use report::{Evaluation, InferenceReport, KernelReport, StrategyRun};
@@ -212,10 +208,8 @@ pub use template::{ModelTemplate, TemplateInstance};
 // depending on every sub-crate explicitly.
 pub use dynasparse_accel::AcceleratorConfig;
 pub use dynasparse_compiler::CompilerConfig;
-pub use dynasparse_model::{
-    BackendKind, ExecBackend, HostBackend, LayerError, ModelError, BACKEND_ENV,
-};
-pub use dynasparse_runtime::{MappingStrategy, PricingCacheMode, PRICING_CACHE_ENV};
+pub use dynasparse_model::{LayerError, ModelError};
+pub use dynasparse_runtime::{MappingStrategy, PricingCacheMode};
 pub use dynasparse_telemetry::{
     CounterId, FlightRecorder, GaugeId, HistogramId, KernelSpan, Registry, SessionTelemetry,
     SpanPrimitive, TelemetryLevel, TelemetrySnapshot, TELEMETRY_ENV,

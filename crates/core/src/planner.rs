@@ -36,15 +36,12 @@ impl Default for Planner {
 }
 
 impl Planner {
-    /// Creates a planner with the given engine options, shadowed by the
-    /// environment (see
-    /// [`HostExecutionOptions::shadowed_by_env`](crate::HostExecutionOptions::shadowed_by_env)).
-    pub fn new(mut options: EngineOptions) -> Self {
-        options.host = options.host.shadowed_by_env();
+    /// Creates a planner with the given engine options.
+    pub fn new(options: EngineOptions) -> Self {
         Planner { options }
     }
 
-    /// The effective options the planner compiles with.
+    /// The options the planner compiles with.
     pub fn options(&self) -> &EngineOptions {
         &self.options
     }
@@ -102,7 +99,7 @@ impl Planner {
         let adjacencies = Arc::new(prepare_adjacencies(model, &dataset.graph));
         // One-time host micro-calibration: every session of this plan —
         // including all serving workers — shares the fit by `Arc`.
-        let calibration = self.options.host.calibration();
+        let calibration = HostCalibration::shared();
 
         Ok(CompiledPlan {
             options: self.options.clone(),
@@ -142,8 +139,8 @@ pub struct CompiledPlan {
     pub(crate) model: Arc<GnnModel>,
     pub(crate) adjacencies: Arc<HashMap<AggregatorKind, CsrMatrix>>,
     /// The measured host kernel cost model every session dispatches with;
-    /// `None` when the regions model was requested or
-    /// `DYNASPARSE_CALIBRATION=off`.
+    /// `None` under `DYNASPARSE_CALIBRATION=off`, where sessions decide by
+    /// the Table IV regions.
     pub(crate) calibration: Option<Arc<HostCalibration>>,
     pub(crate) report: CompileReport,
 }
@@ -203,8 +200,9 @@ impl CompiledPlan {
     }
 
     /// The measured host kernel cost model sessions of this plan dispatch
-    /// with, if calibration is active (see
-    /// [`CostModelKind`](crate::CostModelKind)).
+    /// with: the process-wide [`HostCalibration::shared`] fit, or `None`
+    /// under `DYNASPARSE_CALIBRATION=off` (sessions then decide by the
+    /// Table IV regions).
     pub fn calibration(&self) -> Option<&Arc<HostCalibration>> {
         self.calibration.as_ref()
     }
@@ -286,8 +284,10 @@ impl CompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::HostExecutionOptions;
     use dynasparse_graph::Dataset;
     use dynasparse_model::{GnnModelKind, ModelError};
+    use dynasparse_runtime::PricingCacheMode;
 
     fn setup() -> (GnnModel, GraphDataset) {
         let ds = Dataset::Cora.spec().generate_scaled(9, 0.15);
@@ -313,6 +313,24 @@ mod tests {
         // Static movement is a strict subset of a full request's movement.
         let req = plan.request_data_movement_ms(ds.features.size_bytes());
         assert!(plan.static_data_movement_ms() < req);
+    }
+
+    #[test]
+    fn plans_and_templates_keep_the_options_they_were_given() {
+        let options = EngineOptions::builder()
+            .host(HostExecutionOptions {
+                parallel: false,
+                recalibrate: false,
+                pricing_cache: PricingCacheMode::Exact,
+            })
+            .build();
+        assert_ne!(options.host, HostExecutionOptions::default());
+        let planner = Planner::new(options.clone());
+        assert_eq!(planner.options().host, options.host);
+        let (model, ds) = setup();
+        assert_eq!(planner.plan(&model, &ds).unwrap().options(), &options);
+        let template = crate::ModelTemplate::compile(&model, options.clone()).unwrap();
+        assert_eq!(template.options(), &options);
     }
 
     #[test]

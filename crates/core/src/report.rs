@@ -92,9 +92,10 @@ pub struct InferenceReport {
     pub feature_movement_ms: f64,
     /// Densities of the request input and of every kernel output (Fig. 2).
     pub density_trace: DensityTrace,
-    /// The execution backend's predicted wall-clock milliseconds summed over
-    /// every kernel dispatched for this request (`0.0` when the backend
-    /// prices nothing, e.g. the regions policy) — the request's own sum,
+    /// The host calibration's predicted wall-clock milliseconds summed over
+    /// every kernel dispatched for this request (`0.0` when nothing is
+    /// priced: the Table IV regions under `DYNASPARSE_CALIBRATION=off`) —
+    /// the request's own sum,
     /// served alone or in a batch.  Serving runtimes price modeled device
     /// dwell with this instead of a hard-coded host-time multiplier.
     pub predicted_kernel_ms: f64,

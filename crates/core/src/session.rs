@@ -17,7 +17,6 @@
 //! analyses through each strategy's scheduler).  A batch is a loop of such
 //! passes.
 
-use crate::backend::ModeledAccelBackend;
 use crate::error::DynasparseError;
 use crate::planner::CompiledPlan;
 use crate::report::{InferenceReport, KernelReport, StrategyRun};
@@ -26,8 +25,8 @@ use dynasparse_compiler::{CompiledProgram, KernelKind};
 use dynasparse_graph::FeatureMatrix;
 use dynasparse_matrix::{BlockGrid, DensityProfile, DispatchPolicy};
 use dynasparse_model::{
-    BackendKind, DensityTrace, ExecBackend, HostBackend, KernelArena, KernelDispatcher, KernelSpec,
-    ReferenceExecutor, StageDensity, StageOp,
+    DensityTrace, KernelArena, KernelDispatcher, KernelSpec, ReferenceExecutor, StageDensity,
+    StageOp,
 };
 use dynasparse_runtime::{
     Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCacheMode, PricingStage,
@@ -291,16 +290,17 @@ impl<'p> Session<'p> {
         let core = ComputationCore::new(accelerator);
         let num_kernels = compiled.program().kernels.len();
         // The accelerator's Table IV regions own the sparse-output threshold
-        // and the CSR weight-cache gate under either backend, and remain the
-        // host backend's degenerate-prediction fallback (or its whole cost
-        // model when the plan carries no measured host fit).  Backends change
-        // routing and pricing only: results stay bit-identical.
+        // and the CSR weight-cache gate, and remain the calibrated argmin's
+        // degenerate-prediction fallback (or the whole decision when the
+        // plan carries no measured host fit).  Decisions change routing
+        // only: results stay bit-identical.
         let policy = DispatchPolicy::from_regions(accelerator.psys);
-        let backend: Arc<dyn ExecBackend> = match host.backend {
-            BackendKind::Host => Arc::new(HostBackend::new(policy, compiled.calibration.clone())),
-            BackendKind::ModeledAccel => Arc::new(ModeledAccelBackend::new(&accelerator)),
-        };
-        let dispatcher = KernelDispatcher::new(executor.model(), policy, backend, host.parallel);
+        let dispatcher = KernelDispatcher::new(
+            executor.model(),
+            policy,
+            compiled.calibration.clone(),
+            host.parallel,
+        );
         let statics = &compiled.program().static_sparsity;
         let pricing = PricingStage::new(
             host.pricing_cache,
@@ -386,9 +386,9 @@ impl<'p> Session<'p> {
             (None, None) => true,
             _ => false,
         };
-        // `EngineOptions` carries no equality; a shared model pointer only
-        // arises when both plans came from the same template (or the same
-        // `Arc` clone), which fixes the options and the dispatcher inputs.
+        // A shared model pointer only arises when both plans came from the
+        // same template (or the same `Arc` clone), which fixes the options
+        // and the dispatcher inputs.
         let counter = if same_model && same_calibration {
             self.executor = executor_over(&plan);
             // The topology changed under the same model/calibration: re-key
@@ -532,7 +532,7 @@ impl<'p> Session<'p> {
         self.telemetry.begin_request();
         // The executor runs dense-output kernels over the compiler
         // partition's row blocks, probes every kernel when telemetry is on and
-        // returns the backend-predicted kernel milliseconds of the pass.
+        // returns the predicted kernel milliseconds of the pass.
         let profile_scratch = &mut self.profile_scratch;
         let predicted_kernel_ms = self.executor.forward_dispatch(
             features,
@@ -666,8 +666,8 @@ impl<'p> Session<'p> {
         }
     }
 
-    /// Online drift-triggered recalibration (host backend only): after a
-    /// served request, any per-primitive drift gauge
+    /// Online drift-triggered recalibration (calibrated sessions only): after
+    /// a served request, any per-primitive drift gauge
     /// (measured/predicted EWMA, see
     /// [`DriftTracker`](dynasparse_telemetry::DriftTracker)) that is finite
     /// but outside [`DRIFT_BAND`] rescales that primitive's calibration fit
@@ -678,9 +678,7 @@ impl<'p> Session<'p> {
     /// Decisions and predictions change, results never do (the calibration
     /// only picks among bit-identical routes).
     fn maybe_recalibrate(&mut self) {
-        if !self.plan.get().options().host.recalibrate
-            || self.dispatcher.backend_kind() != BackendKind::Host
-        {
+        if !self.plan.get().options().host.recalibrate {
             return;
         }
         let Some(calibration) = self.dispatcher.calibration().cloned() else {
@@ -961,7 +959,7 @@ mod tests {
         if plan.calibration().is_some() {
             assert!(
                 report.predicted_kernel_ms > 0.0,
-                "a calibrated backend must price the request"
+                "a calibrated session must price the request"
             );
         }
         assert!(report.predicted_kernel_ms.is_finite());

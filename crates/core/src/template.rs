@@ -90,18 +90,15 @@ const _: () = {
 
 impl ModelTemplate {
     /// Validates `model` and performs every input-independent preparation:
-    /// the option-shadowing environment and the host calibration gate a
-    /// [`Planner`](crate::Planner) applies, and the (lazily filled)
-    /// weight-profile cache.
-    pub fn compile(model: &GnnModel, mut options: EngineOptions) -> Result<Self, DynasparseError> {
+    /// the process-wide host calibration a [`Planner`](crate::Planner)
+    /// shares, and the (lazily filled) weight-profile cache.
+    pub fn compile(model: &GnnModel, options: EngineOptions) -> Result<Self, DynasparseError> {
         let start = Instant::now();
         model.validate()?;
-        options.host = options.host.shadowed_by_env();
-        let calibration = options.host.calibration();
         Ok(ModelTemplate {
             options,
             model: Arc::new(model.clone()),
-            calibration,
+            calibration: HostCalibration::shared(),
             weight_profiles: Mutex::new(HashMap::new()),
             compile_ms: start.elapsed().as_secs_f64() * 1e3,
         })

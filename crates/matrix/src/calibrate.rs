@@ -20,10 +20,10 @@
 //!   so the primitive is priced by whichever operand the kernel that runs it
 //!   skips; Gustavson SPMM ∝ its flop-proportional nnz work plus the expected
 //!   touched-output and per-row scatter terms.
-//! * [`CostModel`] is the dispatch abstraction: [`CalibratedPolicy`] decides
-//!   by **argmin over predicted costs**, [`RegionPolicy`] replays the paper's
-//!   closed-form regions (retained as the accelerator-side oracle and as the
-//!   fallback whenever a prediction degenerates).
+//! * [`CalibratedPolicy`] decides by **argmin over predicted costs**; the
+//!   paper's closed-form regions ([`DispatchPolicy::decide`]) stay the
+//!   accelerator-side oracle and the fallback whenever a prediction
+//!   degenerates.
 //! * The fit is serde-able and env-overridable: `DYNASPARSE_CALIBRATION=off`
 //!   disables calibration (regions only), `DYNASPARSE_CALIBRATION=<path>`
 //!   loads a persisted fit instead of measuring, so CI stays deterministic.
@@ -67,26 +67,6 @@ impl ProductShape {
     pub fn is_empty(&self) -> bool {
         self.m == 0 || self.n == 0 || self.d == 0
     }
-}
-
-/// A cost model over the three host primitives: predicts the cost of running
-/// one kernel-level product in each mode and picks the cheapest.
-///
-/// The two implementations are [`CalibratedPolicy`] (measured host costs,
-/// argmin decision — the serving default) and [`RegionPolicy`] (the paper's
-/// Table IV closed forms — the accelerator-side oracle and fallback).
-pub trait CostModel {
-    /// Predicted cost (milliseconds for calibrated models, modeled MACs for
-    /// the region oracle — only comparisons between primitives matter) of
-    /// executing `X × Y` with primitive `prim`.  `alpha_x` is the density
-    /// of the left operand (the one the host kernels consume in CSR form),
-    /// `alpha_y` the right operand's.
-    fn predict(&self, prim: HostPrimitive, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> f64;
-
-    /// Picks the primitive for the product.  Implementations must treat
-    /// non-finite densities (the 0/0 of a degenerate empty-dimension
-    /// operand) and empty operands/shapes as [`HostPrimitive::Skip`].
-    fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive;
 }
 
 /// Per-primitive feature vector of the linear cost model; every cost is
@@ -486,7 +466,7 @@ impl HostCalibration {
     /// The process-wide shared calibration, honoring [`CALIBRATION_ENV`]:
     ///
     /// * `DYNASPARSE_CALIBRATION=off` (or `regions`) → `None`; dispatchers
-    ///   fall back to the Table IV [`RegionPolicy`].
+    ///   fall back to the Table IV regions ([`DispatchPolicy::decide`]).
     /// * `DYNASPARSE_CALIBRATION=<path>` → the persisted fit at `path`
     ///   (measured afresh, with a warning, if the file does not parse).
     /// * unset → measured once per process over the default grid; every
@@ -636,43 +616,6 @@ fn solve_normal(rows: &[([f64; 3], f64)], active: [bool; 3]) -> Option<[f64; 3]>
     Some(out)
 }
 
-/// The Table IV closed-form regions as a [`CostModel`]: `decide` replays
-/// [`DispatchPolicy::decide`] exactly (this is the accelerator-side oracle),
-/// `predict` reports the modeled skipped-zero MAC counts the regions are
-/// derived from.
-#[derive(Debug, Clone, Copy)]
-pub struct RegionPolicy {
-    /// The density regions replayed by `decide`.
-    pub regions: DispatchPolicy,
-}
-
-impl RegionPolicy {
-    /// Wraps a region policy.
-    pub fn new(regions: DispatchPolicy) -> Self {
-        RegionPolicy { regions }
-    }
-}
-
-impl CostModel for RegionPolicy {
-    fn predict(&self, prim: HostPrimitive, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> f64 {
-        let ax = sanitize_density(alpha_x);
-        let ay = sanitize_density(alpha_y);
-        match prim {
-            HostPrimitive::Gemm => shape.macs(),
-            HostPrimitive::SpDmm | HostPrimitive::SpDmmRight => ax.min(ay) * shape.macs(),
-            HostPrimitive::Spmm => ax * ay * shape.macs(),
-            HostPrimitive::Skip => 0.0,
-        }
-    }
-
-    fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
-        if shape.is_empty() {
-            return HostPrimitive::Skip;
-        }
-        self.regions.decide(alpha_x, alpha_y)
-    }
-}
-
 /// The measured host cost model: picks the primitive with the smallest
 /// predicted milliseconds, falling back to the Table IV regions whenever a
 /// prediction degenerates (non-finite fit output).
@@ -697,8 +640,33 @@ impl CalibratedPolicy {
         &self.calibration
     }
 
-    /// [`CostModel::decide`], additionally reporting whether the decision
-    /// fell back to the Table IV regions because a fitted prediction
+    /// Predicted milliseconds of executing `X × Y` with primitive `prim`.
+    /// `alpha_x` is the density of the left operand (the one the host
+    /// kernels consume in CSR form), `alpha_y` the right operand's.
+    pub fn predict(
+        &self,
+        prim: HostPrimitive,
+        shape: ProductShape,
+        alpha_x: f64,
+        alpha_y: f64,
+    ) -> f64 {
+        self.calibration.predict(
+            prim,
+            shape,
+            sanitize_density(alpha_x),
+            sanitize_density(alpha_y),
+        )
+    }
+
+    /// Picks the primitive with the smallest predicted cost; non-finite
+    /// densities (the 0/0 of a degenerate empty-dimension operand) and empty
+    /// operands or shapes are [`HostPrimitive::Skip`].
+    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
+        self.decide_with_fallback(shape, alpha_x, alpha_y).0
+    }
+
+    /// [`CalibratedPolicy::decide`], additionally reporting whether the
+    /// decision fell back to the Table IV regions because a fitted prediction
     /// degenerated (non-finite cost). Telemetry counts these fallbacks so a
     /// silently diverging fit is visible.
     pub fn decide_with_fallback(
@@ -731,21 +699,6 @@ impl CalibratedPolicy {
             }
         }
         (best, false)
-    }
-}
-
-impl CostModel for CalibratedPolicy {
-    fn predict(&self, prim: HostPrimitive, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> f64 {
-        self.calibration.predict(
-            prim,
-            shape,
-            sanitize_density(alpha_x),
-            sanitize_density(alpha_y),
-        )
-    }
-
-    fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
-        self.decide_with_fallback(shape, alpha_x, alpha_y).0
     }
 }
 
@@ -826,17 +779,14 @@ mod tests {
             Arc::new(HostCalibration::reference()),
             DispatchPolicy::from_regions(16),
         );
-        let regions = RegionPolicy::new(DispatchPolicy::from_regions(16));
+        let regions = DispatchPolicy::from_regions(16);
         for bad in [f64::NAN, f64::NEG_INFINITY] {
             assert_eq!(calibrated.decide(shape(), bad, 0.5), HostPrimitive::Skip);
             assert_eq!(calibrated.decide(shape(), 0.5, bad), HostPrimitive::Skip);
-            assert_eq!(regions.decide(shape(), bad, 0.5), HostPrimitive::Skip);
+            assert_eq!(regions.decide(bad, 0.5), HostPrimitive::Skip);
         }
         // +inf sanitizes to full density, which must not Skip.
-        assert_eq!(
-            regions.decide(shape(), f64::INFINITY, 1.0),
-            HostPrimitive::Gemm
-        );
+        assert_eq!(regions.decide(f64::INFINITY, 1.0), HostPrimitive::Gemm);
     }
 
     #[test]
@@ -845,15 +795,13 @@ mod tests {
             Arc::new(HostCalibration::reference()),
             DispatchPolicy::from_regions(16),
         );
-        assert_eq!(
-            policy.decide(ProductShape::new(0, 16, 16), 0.5, 0.5),
-            HostPrimitive::Skip
-        );
-        let regions = RegionPolicy::new(DispatchPolicy::from_regions(16));
-        assert_eq!(
-            regions.decide(ProductShape::new(16, 0, 16), 0.5, 0.5),
-            HostPrimitive::Skip
-        );
+        for shape in [
+            ProductShape::new(0, 16, 16),
+            ProductShape::new(16, 0, 16),
+            ProductShape::new(16, 16, 0),
+        ] {
+            assert_eq!(policy.decide(shape, 0.5, 0.5), HostPrimitive::Skip);
+        }
     }
 
     #[test]

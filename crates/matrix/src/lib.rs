@@ -46,8 +46,7 @@ pub mod profile;
 pub mod random;
 
 pub use calibrate::{
-    CalibratedPolicy, CalibrationConfig, CostModel, HostCalibration, PrimitiveFit, ProductShape,
-    RegionPolicy,
+    CalibratedPolicy, CalibrationConfig, HostCalibration, PrimitiveFit, ProductShape,
 };
 pub use coo::{CooEntry, CooMatrix};
 pub use csr::{CsrMatrix, SpGemmScratch};

@@ -331,16 +331,15 @@ proptest! {
 mod cost_model_extremes {
     use super::*;
     use dynasparse_matrix::{
-        CalibratedPolicy, CostModel, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
-        RegionPolicy,
+        CalibratedPolicy, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
     };
     use std::sync::Arc;
 
-    fn policies() -> (CalibratedPolicy, RegionPolicy) {
+    fn policies() -> (CalibratedPolicy, DispatchPolicy) {
         let regions = DispatchPolicy::from_regions(16);
         (
             CalibratedPolicy::new(Arc::new(HostCalibration::reference()), regions),
-            RegionPolicy::new(regions),
+            regions,
         )
     }
 
@@ -357,7 +356,7 @@ mod cost_model_extremes {
         ) {
             let (calibrated, regions) = policies();
             let shape = ProductShape::new(m, n, d);
-            prop_assert_eq!(regions.decide(shape, ax, ay), HostPrimitive::Gemm);
+            prop_assert_eq!(regions.decide(ax, ay), HostPrimitive::Gemm);
             prop_assert_eq!(calibrated.decide(shape, ax, ay), HostPrimitive::Gemm);
         }
 
@@ -374,7 +373,7 @@ mod cost_model_extremes {
             let shape = ProductShape::new(m, n, d);
             let dead = if not_a_number == 1 { f64::NAN } else { 0.0 };
             let (ax, ay) = if zero_side == 1 { (dead, alive) } else { (alive, dead) };
-            prop_assert_eq!(regions.decide(shape, ax, ay), HostPrimitive::Skip);
+            prop_assert_eq!(regions.decide(ax, ay), HostPrimitive::Skip);
             prop_assert_eq!(calibrated.decide(shape, ax, ay), HostPrimitive::Skip);
         }
     }

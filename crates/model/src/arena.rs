@@ -9,7 +9,7 @@
 //! partition at runtime.
 //!
 //! * **One route per kernel.**  `Pass::resolve` turns `(op, input
-//!   representation, the backend's whole-product decision, cached weight
+//!   representation, the dispatcher's whole-product decision, cached weight
 //!   CSR)` into a `Route` exactly once: the whole-product view the kernel
 //!   span reports plus one of three execution shapes (`Exec`) — *skip*
 //!   (an empty product resets the output), *sparse product* (Gustavson to
@@ -28,7 +28,7 @@
 //!   *right* operand; either one's single pass over the operand also fills
 //!   the kernel input's sparsity profile.  A CSR left operand refits every
 //!   block's density from the row pointers and picks Skip / SpDMM /
-//!   Gustavson-into-dense through the dispatcher's [`ExecBackend`].  The
+//!   Gustavson-into-dense through [`KernelDispatcher::decide`].  The
 //!   kernel's predicted cost is the sum of its blocks' predictions.
 //! * **One runner.**  `run_kernel` wraps whichever shape executes with the
 //!   timing, the kernel span and the region-fallback count behind a single
@@ -54,15 +54,14 @@
 //! `tests/integration_dispatch.rs` and `tests/integration_backend.rs`.
 
 use crate::activation::Activation;
-use crate::backend::{BackendKind, ExecBackend, HostBackend};
 use crate::kernel::{KernelInput, KernelOp, KernelSpec};
 use crate::models::GnnModel;
 use crate::reference::ReferenceExecutor;
 use dynasparse_graph::FeatureMatrix;
 use dynasparse_matrix::ops::{gemm_rows_into, right_sparse_rows_into};
 use dynasparse_matrix::{
-    CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration, HostPrimitive,
-    MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool,
+    CalibratedPolicy, CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration,
+    HostPrimitive, MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool,
 };
 use dynasparse_telemetry::{SessionTelemetry, SpanPrimitive};
 use std::borrow::Cow;
@@ -88,17 +87,20 @@ fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
     }
 }
 
-/// Runtime kernel-to-host-primitive dispatcher for one model.
+/// Runtime kernel-to-host-primitive dispatcher for one model: the one host
+/// decider.
 ///
-/// Holds the execution backend that picks and prices the primitive of every
-/// product (see [`ExecBackend`]) plus the per-model caches the routes need:
-/// the CSR forms of every weight matrix sparse enough that a route skipping
-/// its zeros can ever be chosen for it, built once when the dispatcher is
-/// created.
+/// With a measured host calibration every product runs the argmin over the
+/// calibrated costs; without one (`DYNASPARSE_CALIBRATION=off`) it runs the
+/// Table IV regions of `policy`, which are also the calibrated argmin's
+/// fallback on a degenerate fit.  The dispatcher also holds the per-model
+/// caches the routes need: the CSR forms of every weight matrix sparse
+/// enough that a route skipping its zeros can ever be chosen for it, built
+/// once when the dispatcher is created.
 #[derive(Debug)]
 pub struct KernelDispatcher {
     policy: DispatchPolicy,
-    backend: Arc<dyn ExecBackend>,
+    calibrated: Option<CalibratedPolicy>,
     parallel: bool,
     /// CSR forms of the sparse-eligible weights, indexed like
     /// `model.weights`.
@@ -116,16 +118,15 @@ struct WeightCsr {
 }
 
 impl KernelDispatcher {
-    /// Builds the dispatcher for `model`, deciding and pricing through
-    /// `backend` ([`HostBackend`] for the measured host calibration or the
-    /// Table IV regions; the modeled-accelerator backend lives in
-    /// `dynasparse-core`, which can see the accelerator crate).  `policy`
-    /// owns the sparse-output retention threshold and the CSR weight-cache
-    /// gate; `parallel` shards row blocks over the global [`ThreadPool`].
+    /// Builds the dispatcher for `model`, deciding by the argmin over
+    /// `calibration` when one is supplied and by the Table IV regions of
+    /// `policy` otherwise.  `policy` also owns the sparse-output retention
+    /// threshold and the CSR weight-cache gate; `parallel` shards row blocks
+    /// over the global [`ThreadPool`].
     pub fn new(
         model: &GnnModel,
         policy: DispatchPolicy,
-        backend: Arc<dyn ExecBackend>,
+        calibration: Option<Arc<HostCalibration>>,
         parallel: bool,
     ) -> Self {
         // Cache the CSR forms of any weight either cost model could route
@@ -148,7 +149,7 @@ impl KernelDispatcher {
             .collect();
         KernelDispatcher {
             policy,
-            backend,
+            calibrated: calibration.map(|c| CalibratedPolicy::new(c, policy)),
             parallel,
             weight_csr,
         }
@@ -161,41 +162,32 @@ impl KernelDispatcher {
     }
 
     /// The shared host calibration the dispatcher decides with, if any
-    /// (`None` under the Table IV regions or the accelerator cycle model).
+    /// (`None` under the Table IV regions).
     pub fn calibration(&self) -> Option<&Arc<HostCalibration>> {
-        self.backend.calibration()
-    }
-
-    /// The execution backend deciding and pricing every product.
-    pub fn backend(&self) -> &Arc<dyn ExecBackend> {
-        &self.backend
-    }
-
-    /// Which backend family routes this dispatcher's kernels.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.kind()
+        self.calibrated.as_ref().map(CalibratedPolicy::calibration)
     }
 
     /// Swaps in a freshly rescaled host calibration — the online
-    /// recalibration hook.  A non-host backend is left untouched (its
-    /// decisions never came from the calibration).
+    /// recalibration hook.
     pub fn recalibrate(&mut self, calibration: Arc<HostCalibration>) {
-        if self.backend.kind() == BackendKind::Host {
-            self.backend = Arc::new(HostBackend::new(self.policy, Some(calibration)));
+        self.calibrated = Some(CalibratedPolicy::new(calibration, self.policy));
+    }
+
+    /// Picks the host primitive for one (sub-)product, also reporting
+    /// whether a calibrated decision fell back to the Table IV regions on a
+    /// degenerate fit.  An empty shape or a non-positive (or `NaN`) density
+    /// is [`HostPrimitive::Skip`] (the caller zero-fills the block rows).
+    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> (HostPrimitive, bool) {
+        match &self.calibrated {
+            Some(calibrated) => calibrated.decide_with_fallback(shape, alpha_x, alpha_y),
+            None if shape.is_empty() => (HostPrimitive::Skip, false),
+            None => (self.policy.decide(alpha_x, alpha_y), false),
         }
     }
 
-    /// Picks the host primitive for one (sub-)product through the active
-    /// backend, also reporting whether a calibrated decision fell back to
-    /// the Table IV regions on a degenerate fit (always `false` for a backend
-    /// that never predicts).
-    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> (HostPrimitive, bool) {
-        self.backend.decide(shape, alpha_x, alpha_y)
-    }
-
-    /// The active backend's predicted milliseconds for executing `prim` on
-    /// this product, or `NaN` when the backend has no wall-clock model
-    /// (drift tracking skips non-finite predictions).
+    /// The calibrated milliseconds of executing `prim` on this product, or
+    /// `NaN` without a calibration (the Table IV regions price nothing in
+    /// wall-clock terms; drift tracking skips non-finite predictions).
     pub fn predict_ms(
         &self,
         prim: HostPrimitive,
@@ -203,7 +195,9 @@ impl KernelDispatcher {
         alpha_x: f64,
         alpha_y: f64,
     ) -> f64 {
-        self.backend.predict_ms(prim, shape, alpha_x, alpha_y)
+        self.calibrated
+            .as_ref()
+            .map_or(f64::NAN, |c| c.predict(prim, shape, alpha_x, alpha_y))
     }
 
     /// Whether row blocks fan out over the global thread pool.
@@ -462,7 +456,7 @@ struct Product {
 }
 
 impl Product {
-    /// The backend's prediction for the product executed whole.
+    /// The dispatcher's prediction for the product executed whole.
     fn predicted_ms(&self, dispatcher: &KernelDispatcher) -> f64 {
         dispatcher.predict_ms(self.executed, self.shape, self.alpha_x, self.alpha_y)
     }
@@ -531,7 +525,7 @@ enum BlockBody<'a> {
     /// CSR × dense.  The block's density is an O(1) row-pointer difference;
     /// an empty block is skipped, and when the right operand also exists in
     /// CSR form (`y_csr`: sparse features, a cached pruned weight) the
-    /// backend picks per block between SpDMM against `y` and Gustavson rows
+    /// dispatcher picks per block between SpDMM against `y` and Gustavson rows
     /// accumulated straight into the dense block.
     CsrLeft {
         x: &'a CsrMatrix,
@@ -624,7 +618,7 @@ impl BlockBody<'_> {
 
 /// The one kernel runner: executes a kernel through `exec` — which resolves
 /// its routing, runs it and returns the whole-product view plus the
-/// backend-predicted milliseconds — and, when a probe is attached, times it
+/// predicted milliseconds — and, when a probe is attached, times it
 /// and records the kernel span (counters and the kernel-time histogram
 /// always, the flight-recorder ring at `trace` level) and a region fallback:
 /// exactly one counter bump, histogram observation and drift fold per call.
@@ -688,7 +682,7 @@ impl Pass<'_> {
         // The operands as stored: the CSR left operand, the right operand in
         // whichever of its dense / CSR forms exist, the density the route
         // charges for it, and whether the route is forced whatever the
-        // backend would say.
+        // dispatcher would decide.
         let (shape, block_rows, x, y_dense, y_csr, alpha_y, forced) = match spec.op {
             KernelOp::Aggregate { aggregator } => {
                 let adj = self
@@ -795,9 +789,9 @@ impl Pass<'_> {
     }
 
     /// Runs one kernel into `out_slot` through [`run_kernel`], returning the
-    /// backend-predicted milliseconds: the sum of per-block predictions for
-    /// a *rows* route, the whole-product prediction otherwise (`NaN` when the
-    /// backend prices nothing).
+    /// predicted milliseconds: the sum of per-block predictions for a *rows*
+    /// route, the whole-product prediction otherwise (`NaN` when the
+    /// dispatcher prices nothing).
     fn run(
         &self,
         spec: &KernelSpec,
@@ -952,7 +946,7 @@ impl ReferenceExecutor {
     /// kernel's route is resolved once from its runtime operands, and every
     /// dense-output kernel executes over the row blocks of the compiler's
     /// `partition` with a per-block density and primitive decision through
-    /// the dispatcher's [`ExecBackend`].  The final embeddings are left in
+    /// [`KernelDispatcher::decide`].  The final embeddings are left in
     /// [`KernelArena::output`]; in steady state (an arena reused across
     /// requests of one topology) the pass performs no heap allocation.
     ///
@@ -966,9 +960,9 @@ impl ReferenceExecutor {
     /// `input.density_profile_into(&partition.subfiber_grid(..), ..)` — and
     /// `None` when the caller must refit it (CSR inputs, Aggregates).
     ///
-    /// Returns the backend-predicted milliseconds summed over every executed
-    /// kernel (finite predictions only; `0.0` when the backend prices
-    /// nothing) — the serve runtime prices modeled device dwell with it.
+    /// Returns the predicted milliseconds summed over every executed kernel
+    /// (finite predictions only; `0.0` when the dispatcher prices nothing) —
+    /// the serve runtime prices modeled device dwell with it.
     pub fn forward_dispatch<F>(
         &self,
         input: &FeatureMatrix,
@@ -1063,18 +1057,6 @@ mod tests {
         )
     }
 
-    /// A host-backend dispatcher: the Table IV regions of `policy`, or the
-    /// argmin over `calibration` when one is supplied.
-    fn host_dispatcher(
-        model: &GnnModel,
-        policy: DispatchPolicy,
-        calibration: Option<Arc<HostCalibration>>,
-        parallel: bool,
-    ) -> KernelDispatcher {
-        let backend = Arc::new(HostBackend::new(policy, calibration));
-        KernelDispatcher::new(model, policy, backend, parallel)
-    }
-
     fn sparse(features: &FeatureMatrix) -> FeatureMatrix {
         FeatureMatrix::Sparse(CsrMatrix::from_dense(&features.to_dense()))
     }
@@ -1113,7 +1095,7 @@ mod tests {
                 partition.n2,
                 calibration.is_some()
             );
-            let dispatcher = host_dispatcher(exec.model(), policy, calibration, parallel);
+            let dispatcher = KernelDispatcher::new(exec.model(), policy, calibration, parallel);
             // One arena serves every request: reuse across requests of
             // different densities and representations is part of the check.
             let mut arena = exec.arena(VERTICES);
@@ -1262,7 +1244,8 @@ mod tests {
         partition: &PartitionSpec,
         blocks: bool,
     ) -> Vec<(u16, u16, SpanPrimitive)> {
-        let dispatcher = host_dispatcher(exec.model(), DispatchPolicy::default(), None, false);
+        let dispatcher =
+            KernelDispatcher::new(exec.model(), DispatchPolicy::default(), None, false);
         let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
         let mut telemetry = SessionTelemetry::with_capacity(registry, 4096);
         let mut arena = exec.arena(VERTICES);
@@ -1395,7 +1378,7 @@ mod tests {
     fn a_request_that_does_not_fit_the_model_is_a_shape_error() {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = host_dispatcher(&model, DispatchPolicy::default(), None, false);
+        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None, false);
         let mut arena = exec.arena(VERTICES);
         for request in [
             dense_features(VERTICES, 23, 0.3, 1),
@@ -1428,7 +1411,7 @@ mod tests {
         let exec = ReferenceExecutor::new(&model, &small_graph());
         let calibration = Arc::new(HostCalibration::reference());
         let policy = DispatchPolicy::from_regions(16);
-        let dispatcher = host_dispatcher(&model, policy, Some(calibration), false);
+        let dispatcher = KernelDispatcher::new(&model, policy, Some(calibration), false);
         let partition = PartitionSpec::new(13, 7).unwrap();
         let mut arena = exec.arena(VERTICES);
         let predicted = exec
@@ -1443,8 +1426,116 @@ mod tests {
             .unwrap();
         assert!(
             predicted.is_finite() && predicted > 0.0,
-            "calibrated backend must price the blocked pass, got {predicted}"
+            "a calibrated dispatcher must price the blocked pass, got {predicted}"
         );
+    }
+
+    const PRIMITIVES: [HostPrimitive; 4] = [
+        HostPrimitive::Gemm,
+        HostPrimitive::SpDmm,
+        HostPrimitive::SpDmmRight,
+        HostPrimitive::Spmm,
+    ];
+
+    #[test]
+    fn without_a_calibration_the_dispatcher_decides_by_the_regions() {
+        let model = GnnModel::gcn(24, 8, 5, 13);
+        let policy = DispatchPolicy::from_regions(16);
+        let dispatcher = KernelDispatcher::new(&model, policy, None, false);
+        assert!(dispatcher.calibration().is_none());
+        let shape = ProductShape::new(32, 32, 8);
+        for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
+            assert_eq!(
+                dispatcher.decide(shape, ax, ay),
+                (policy.decide(ax, ay), false)
+            );
+            for prim in PRIMITIVES {
+                assert!(dispatcher.predict_ms(prim, shape, ax, ay).is_nan());
+            }
+        }
+        assert_eq!(dispatcher.decide(shape, 0.9, 0.8).0, HostPrimitive::Gemm);
+    }
+
+    #[test]
+    fn a_calibrated_dispatcher_predicts_finite_costs() {
+        let model = GnnModel::gcn(24, 8, 5, 13);
+        let calibration = Arc::new(HostCalibration::reference());
+        let mut dispatcher = KernelDispatcher::new(
+            &model,
+            DispatchPolicy::from_regions(16),
+            Some(Arc::clone(&calibration)),
+            false,
+        );
+        assert!(Arc::ptr_eq(dispatcher.calibration().unwrap(), &calibration));
+        let shape = ProductShape::new(64, 64, 16);
+        for prim in PRIMITIVES {
+            let predicted = dispatcher.predict_ms(prim, shape, 0.3, 0.3);
+            assert!(predicted.is_finite() && predicted > 0.0, "{prim:?}");
+        }
+        // Recalibration swaps the fit in, and prices follow it.
+        let mut doubled = (*calibration).clone();
+        doubled.gemm.work *= 2.0;
+        doubled.gemm.output *= 2.0;
+        doubled.gemm.per_row *= 2.0;
+        let before = dispatcher.predict_ms(HostPrimitive::Gemm, shape, 0.3, 0.3);
+        dispatcher.recalibrate(Arc::new(doubled));
+        let after = dispatcher.predict_ms(HostPrimitive::Gemm, shape, 0.3, 0.3);
+        assert!(
+            (after - 2.0 * before).abs() <= 1e-12 * after,
+            "{before} → {after}"
+        );
+    }
+
+    #[test]
+    fn empty_shapes_and_dead_densities_skip_with_and_without_a_calibration() {
+        let model = GnnModel::gcn(24, 8, 5, 13);
+        let policy = DispatchPolicy::from_regions(16);
+        for calibration in [None, Some(Arc::new(HostCalibration::reference()))] {
+            let dispatcher = KernelDispatcher::new(&model, policy, calibration, false);
+            let calibrated = dispatcher.calibration().is_some();
+            for shape in [
+                ProductShape::new(0, 16, 16),
+                ProductShape::new(16, 0, 16),
+                ProductShape::new(16, 16, 0),
+            ] {
+                let decision = dispatcher.decide(shape, 0.9, 0.9);
+                assert_eq!(decision, (HostPrimitive::Skip, false), "{shape:?}");
+            }
+            let shape = ProductShape::new(64, 64, 16);
+            for dead in [0.0, f64::NAN, f64::NEG_INFINITY] {
+                for (ax, ay) in [(dead, 0.5), (0.5, dead)] {
+                    assert_eq!(
+                        dispatcher.decide(shape, ax, ay),
+                        (HostPrimitive::Skip, false),
+                        "α = {ax} × {ay}, calibrated {calibrated}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_fit_prediction_falls_back_to_the_regions() {
+        let model = GnnModel::gcn(24, 8, 5, 13);
+        let policy = DispatchPolicy::from_regions(16);
+        let mut broken = HostCalibration::reference();
+        broken.spmm.work = f64::NAN;
+        let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::new(broken)), false);
+        let shape = ProductShape::new(64, 64, 16);
+        for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
+            assert_eq!(
+                dispatcher.decide(shape, ax, ay),
+                (policy.decide(ax, ay), true)
+            );
+        }
+        // A sound fit never reports a fallback.
+        let sound = KernelDispatcher::new(
+            &model,
+            policy,
+            Some(Arc::new(HostCalibration::reference())),
+            false,
+        );
+        assert!(!sound.decide(shape, 0.05, 0.1).1);
     }
 
     #[test]
@@ -1460,7 +1551,7 @@ mod tests {
     fn callback_sees_every_kernel_in_order() {
         let model = GnnModel::gin(16, 8, 4, 29);
         let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = host_dispatcher(&model, DispatchPolicy::default(), None, false);
+        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None, false);
         let mut arena = exec.arena(VERTICES);
         let h0 = dense_features(VERTICES, 16, 0.4, 5);
         let partition = PartitionSpec::new(16, 8).unwrap();
@@ -1510,9 +1601,9 @@ mod tests {
         let model = GnnModel::gcn(24, 8, 5, 17);
         let calibration = Some(Arc::new(HostCalibration::reference()));
         let policy = DispatchPolicy::from_regions(16);
-        let calibrated = host_dispatcher(&model, policy, calibration, false);
+        let calibrated = KernelDispatcher::new(&model, policy, calibration, false);
         assert!(calibrated.calibration().is_some());
-        assert!(host_dispatcher(&model, policy, None, false)
+        assert!(KernelDispatcher::new(&model, policy, None, false)
             .calibration()
             .is_none());
         // `check_against_reference` runs every case under both cost models.
@@ -1542,7 +1633,7 @@ mod tests {
             // request classes (0.0052 and 0.0208), so the slot flips.
             sparse_output_threshold: 0.015,
         };
-        let dispatcher = host_dispatcher(&model, policy, None, false);
+        let dispatcher = KernelDispatcher::new(&model, policy, None, false);
         let mut arena = exec.arena(VERTICES);
         let sparse_req = sparse(&dense_features(VERTICES, 24, 0.01, 3));
         let dense_req = sparse(&dense_features(VERTICES, 24, 0.06, 4));
@@ -1581,7 +1672,7 @@ mod tests {
     fn spmm_eligible_weights_are_cached_as_csr() {
         let policy = DispatchPolicy::from_regions(16);
         let model = prune_model(&GnnModel::gcn(24, 16, 5, 41), 0.95);
-        let dispatcher = host_dispatcher(&model, policy, None, false);
+        let dispatcher = KernelDispatcher::new(&model, policy, None, false);
         assert!(
             dispatcher.weight_csr.iter().any(|w| w.is_some()),
             "a 95%-pruned weight is SPMM-eligible"
@@ -1592,7 +1683,7 @@ mod tests {
             assert_eq!(cached.transposed.to_dense(), w.transpose());
         }
         let dense_model = GnnModel::gcn(24, 16, 5, 41);
-        let dense_dispatcher = host_dispatcher(&dense_model, policy, None, false);
+        let dense_dispatcher = KernelDispatcher::new(&dense_model, policy, None, false);
         assert!(dense_dispatcher.weight_csr.iter().all(|w| w.is_none()));
     }
 }

@@ -25,7 +25,6 @@
 
 pub mod activation;
 pub mod arena;
-pub mod backend;
 pub mod error;
 pub mod kernel;
 pub mod models;
@@ -34,7 +33,6 @@ pub mod reference;
 
 pub use activation::Activation;
 pub use arena::{KernelArena, KernelDispatcher};
-pub use backend::{BackendKind, ExecBackend, HostBackend, BACKEND_ENV};
 pub use error::{LayerError, ModelError};
 pub use kernel::{KernelInput, KernelOp, KernelSpec, LayerSpec};
 pub use models::{GnnModel, GnnModelKind};

@@ -28,8 +28,6 @@ pub mod strategy;
 
 pub use analyzer::{Analyzer, KernelAnalysis, OperandProfiles, PrimitiveMix};
 pub use overhead::RuntimeOverhead;
-pub use pricing::{
-    PricingCache, PricingCacheMode, PricingCounters, PricingKey, PricingStage, PRICING_CACHE_ENV,
-};
+pub use pricing::{PricingCache, PricingCacheMode, PricingCounters, PricingKey, PricingStage};
 pub use scheduler::{KernelSchedule, Scheduler};
 pub use strategy::{MappingStrategy, PairDecision};

@@ -39,13 +39,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Environment variable shadowing the configured pricing-cache mode where
-/// engine options enter a planner or template: `off` disables the cache,
-/// `exact` keys on exact per-block nnz (always bit-identical to uncached
-/// pricing), `on` forces bucketing, anything else keeps the configured mode
-/// (bucketed by default).
-pub const PRICING_CACHE_ENV: &str = "DYNASPARSE_PRICING_CACHE";
-
 /// How `Session::infer` caches Analyzer results.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PricingCacheMode {
@@ -63,19 +56,6 @@ pub enum PricingCacheMode {
     /// [`BUCKET_MAX_RATIO`]).
     #[default]
     Bucketed,
-}
-
-impl PricingCacheMode {
-    /// Applies a [`PRICING_CACHE_ENV`] value (`None` = unset) to a
-    /// configured mode.  Pure: the caller reads the environment.
-    pub fn resolve(configured: PricingCacheMode, value: Option<&str>) -> PricingCacheMode {
-        match value {
-            Some("off") | Some("0") | Some("false") => PricingCacheMode::Off,
-            Some("exact") => PricingCacheMode::Exact,
-            Some("on") | Some("bucket") | Some("bucketed") => PricingCacheMode::Bucketed,
-            _ => configured,
-        }
-    }
 }
 
 /// Bucket index reserved for empty blocks.  Exact zeros are preserved by
@@ -1014,28 +994,5 @@ mod tests {
             statics_fingerprint(&adj, std::slice::from_ref(&w1)),
             statics_fingerprint(&w1, &[adj])
         );
-    }
-
-    #[test]
-    fn env_override_resolves_all_spellings() {
-        assert_eq!(
-            PricingCacheMode::resolve(PricingCacheMode::Bucketed, None),
-            PricingCacheMode::Bucketed
-        );
-        for (val, want) in [
-            ("off", PricingCacheMode::Off),
-            ("0", PricingCacheMode::Off),
-            ("false", PricingCacheMode::Off),
-            ("exact", PricingCacheMode::Exact),
-            ("on", PricingCacheMode::Bucketed),
-            ("bucketed", PricingCacheMode::Bucketed),
-            ("garbage", PricingCacheMode::Exact),
-        ] {
-            assert_eq!(
-                PricingCacheMode::resolve(PricingCacheMode::Exact, Some(val)),
-                want,
-                "{val}"
-            );
-        }
     }
 }

@@ -142,7 +142,7 @@ impl PlanCache {
         model: &GnnModel,
         dataset: &GraphDataset,
     ) -> Result<Arc<CompiledPlan>, DynasparseError> {
-        let key = PlanFingerprint::for_backend(model, dataset, self.planner.options().host.backend);
+        let key = PlanFingerprint::of(model, dataset);
         self.clock += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.clock;
@@ -185,11 +185,8 @@ impl PlanCache {
     /// Whether a plan for `(model, dataset)` is cached, without touching
     /// recency or stats.
     pub fn contains(&self, model: &GnnModel, dataset: &GraphDataset) -> bool {
-        self.entries.contains_key(&PlanFingerprint::for_backend(
-            model,
-            dataset,
-            self.planner.options().host.backend,
-        ))
+        self.entries
+            .contains_key(&PlanFingerprint::of(model, dataset))
     }
 
     /// Number of cached plans.
@@ -356,7 +353,7 @@ impl TemplateCache {
         &mut self,
         model: &GnnModel,
     ) -> Result<Arc<ModelTemplate>, DynasparseError> {
-        let key = ModelFingerprint::for_backend(model, self.options.host.backend);
+        let key = ModelFingerprint::of(model);
         self.clock += 1;
         if let Some(entry) = self.entries.get_mut(&key) {
             entry.last_used = self.clock;
@@ -409,10 +406,7 @@ impl TemplateCache {
     /// Whether a template for `model` is cached, without touching recency
     /// or stats.
     pub fn contains(&self, model: &GnnModel) -> bool {
-        self.entries.contains_key(&ModelFingerprint::for_backend(
-            model,
-            self.options.host.backend,
-        ))
+        self.entries.contains_key(&ModelFingerprint::of(model))
     }
 
     /// Number of cached templates.

@@ -7,7 +7,7 @@
 //! a fingerprint module composes sections, it never re-implements digesting.
 
 use dynasparse_graph::Graph;
-use dynasparse_model::{BackendKind, GnnModel};
+use dynasparse_model::GnnModel;
 
 /// Two independent FNV-1a 64-bit lanes with distinct offset bases; the
 /// second lane additionally mixes a running byte counter so lane collisions
@@ -93,14 +93,4 @@ pub(crate) fn write_graph(h: &mut Fnv128, graph: &Graph) {
     }
     h.write_bytes(adj.col_idx().iter().flat_map(|v| v.to_le_bytes()));
     h.write_f32s(adj.values());
-}
-
-/// Digests the execution backend a plan or template was compiled for.
-/// Backends route and price kernels differently (calibration state, drift
-/// recalibration, predicted dwell), so artifacts compiled for different
-/// backends must never share a cache key even though their outputs are
-/// bit-identical.
-pub(crate) fn write_backend(h: &mut Fnv128, backend: BackendKind) {
-    h.write_str("backend");
-    h.write_bytes([backend.code()]);
 }

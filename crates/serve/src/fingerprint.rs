@@ -4,8 +4,8 @@
 //! situation before?" without holding on to the model and graph themselves.
 //! A [`PlanFingerprint`] digests everything a [`CompiledPlan`] depends on —
 //! the model architecture and weight values, the adjacency structure of the
-//! graph, the request feature *shape*, and the execution backend the plan
-//! was compiled for — into 128 bits.  Two datasets with the same topology
+//! graph and the request feature *shape* — into 128 bits.  Two datasets with
+//! the same topology
 //! but different feature values map to the same fingerprint on purpose: a
 //! plan serves any feature matrix of the planned shape, and per-request
 //! sparsity is measured at runtime, so feature *content* must not fragment
@@ -14,20 +14,13 @@
 //!
 //! [`CompiledPlan`]: dynasparse::CompiledPlan
 
-use crate::digest::{write_backend, write_graph, write_model, Fnv128};
-use dynasparse::HostExecutionOptions;
+use crate::digest::{write_graph, write_model, Fnv128};
 use dynasparse_graph::GraphDataset;
-use dynasparse_model::{BackendKind, GnnModel};
+use dynasparse_model::GnnModel;
 use serde::Serialize;
 
-/// The backend default options resolve to under `DYNASPARSE_BACKEND` — the
-/// one a `Planner::default()` compiles for.
-fn env_backend() -> BackendKind {
-    HostExecutionOptions::default().shadowed_by_env().backend
-}
-
-/// 128-bit structural digest of a (model, graph topology, feature shape,
-/// backend) tuple, used as the [`PlanCache`](crate::PlanCache) key.
+/// 128-bit structural digest of a (model, graph topology, feature shape)
+/// tuple, used as the [`PlanCache`](crate::PlanCache) key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PlanFingerprint {
     lo: u64,
@@ -35,24 +28,14 @@ pub struct PlanFingerprint {
 }
 
 impl PlanFingerprint {
-    /// Digests `model` and `dataset` into a cache key for the
-    /// environment-default execution backend (`DYNASPARSE_BACKEND`) — the
-    /// backend a `Planner::default()` compiles for.
+    /// Digests `model` and `dataset` into a cache key.
     ///
     /// Covered: the model architecture (layer/kernel structure, dimensions,
     /// activations) and weight values, the graph adjacency structure
-    /// (row pointers, column indices, edge values), the feature-matrix
-    /// shape, and the backend kind.  Not covered: feature-matrix *values*,
-    /// which are per-request inputs as far as a compiled plan is concerned.
+    /// (row pointers, column indices, edge values) and the feature-matrix
+    /// shape.  Not covered: feature-matrix *values*, which are per-request
+    /// inputs as far as a compiled plan is concerned.
     pub fn of(model: &GnnModel, dataset: &GraphDataset) -> Self {
-        Self::for_backend(model, dataset, env_backend())
-    }
-
-    /// [`PlanFingerprint::of`] for an explicit execution backend.  Plans
-    /// compiled for different backends route and price differently, so they
-    /// must never collide in a cache; [`PlanCache`](crate::PlanCache) passes
-    /// its planner's configured backend here.
-    pub fn for_backend(model: &GnnModel, dataset: &GraphDataset, backend: BackendKind) -> Self {
         let mut h = Fnv128::new();
         write_model(&mut h, model);
         write_graph(&mut h, &dataset.graph);
@@ -61,8 +44,6 @@ impl PlanFingerprint {
         h.write_str("features");
         h.write_usize(dataset.features.num_vertices());
         h.write_usize(dataset.features.dim());
-
-        write_backend(&mut h, backend);
         let (lo, hi) = h.finish();
         PlanFingerprint { lo, hi }
     }
@@ -73,11 +54,11 @@ impl PlanFingerprint {
     }
 }
 
-/// 128-bit structural digest of a model alone — architecture, weight values
-/// and execution backend, no topology — used as the
-/// [`TemplateCache`](crate::TemplateCache) key.
+/// 128-bit structural digest of a model alone — architecture and weight
+/// values, no topology — used as the [`TemplateCache`](crate::TemplateCache)
+/// key.
 ///
-/// This is the model-plus-backend prefix of [`PlanFingerprint`]: a resident
+/// This is the model prefix of [`PlanFingerprint`]: a resident
 /// [`ModelTemplate`](dynasparse::ModelTemplate) serves *every* topology, so
 /// its cache key must not fragment by graph or feature shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
@@ -87,18 +68,10 @@ pub struct ModelFingerprint {
 }
 
 impl ModelFingerprint {
-    /// Digests `model` (architecture + weight values) into a cache key for
-    /// the environment-default execution backend.
+    /// Digests `model` (architecture + weight values) into a cache key.
     pub fn of(model: &GnnModel) -> Self {
-        Self::for_backend(model, env_backend())
-    }
-
-    /// [`ModelFingerprint::of`] for an explicit execution backend (see
-    /// [`PlanFingerprint::for_backend`]).
-    pub fn for_backend(model: &GnnModel, backend: BackendKind) -> Self {
         let mut h = Fnv128::new();
         write_model(&mut h, model);
-        write_backend(&mut h, backend);
         let (lo, hi) = h.finish();
         ModelFingerprint { lo, hi }
     }
@@ -174,31 +147,6 @@ mod tests {
         assert_ne!(
             PlanFingerprint::of(&model, &ds),
             PlanFingerprint::of(&reseeded, &ds)
-        );
-    }
-
-    #[test]
-    fn differing_backends_do_not_collide() {
-        // A plan compiled for the modeled-accelerator backend carries
-        // different routing/pricing state than a host-backend plan over the
-        // same (model, topology); the cache must treat them as distinct.
-        let (model, ds) = fixture(7, 0.1);
-        let host = PlanFingerprint::for_backend(&model, &ds, BackendKind::Host);
-        let accel = PlanFingerprint::for_backend(&model, &ds, BackendKind::ModeledAccel);
-        assert_ne!(host, accel);
-        // Same split for template keys.
-        assert_ne!(
-            ModelFingerprint::for_backend(&model, BackendKind::Host),
-            ModelFingerprint::for_backend(&model, BackendKind::ModeledAccel)
-        );
-        // The env-default constructors agree with the explicit form.
-        assert_eq!(
-            PlanFingerprint::of(&model, &ds),
-            PlanFingerprint::for_backend(&model, &ds, env_backend())
-        );
-        assert_eq!(
-            ModelFingerprint::of(&model),
-            ModelFingerprint::for_backend(&model, env_backend())
         );
     }
 

@@ -47,11 +47,11 @@ use std::time::{Duration, Instant};
 pub enum DeviceDwell {
     /// No dwell: workers run as fast as the host simulates (unit tests).
     None,
-    /// Sleep for the execution backend's predicted per-request milliseconds
+    /// Sleep for the host calibration's predicted per-request milliseconds
     /// ([`InferenceReport::predicted_kernel_ms`] plus the feature transfer),
-    /// times `scale`; requests the backend did not price fall back to the
-    /// modeled per-request milliseconds of `strategy` (then to the first
-    /// priced strategy).
+    /// times `scale`; unpriced requests (`DYNASPARSE_CALIBRATION=off`) fall
+    /// back to the modeled per-request milliseconds of `strategy` (then to
+    /// the first priced strategy).
     Modeled {
         /// Strategy whose modeled latency prices unpriced requests.
         strategy: MappingStrategy,
@@ -767,12 +767,11 @@ fn arm_fault(session: &mut Session<'_>, fault: Option<(u64, usize)>) {
 /// one).
 ///
 /// A successful request occupies the lane for its feature transfer plus
-/// the **execution backend's** predicted kernel milliseconds
-/// ([`InferenceReport::predicted_kernel_ms`]) — host-calibrated or
-/// accelerator-modeled, whichever backend routed the request.  A request the
-/// backend did not price (regions policy) falls back to `strategy`'s modeled
-/// accelerator latency, then to the first priced strategy, so the lane
-/// never idles through an unpriced request.
+/// the host calibration's predicted kernel milliseconds
+/// ([`InferenceReport::predicted_kernel_ms`]).  An unpriced request (the
+/// Table IV regions under `DYNASPARSE_CALIBRATION=off`) falls back to
+/// `strategy`'s modeled accelerator latency, then to the first priced
+/// strategy, so the lane never idles through an unpriced request.
 fn modeled_dwell(result: &Outcome, dwell: DeviceDwell) -> Duration {
     let (DeviceDwell::Modeled { strategy, scale }, Ok(report)) = (dwell, result) else {
         return Duration::ZERO;

@@ -17,24 +17,56 @@ use dynasparse_accel::ComputationCore;
 use dynasparse_compiler::KernelKind;
 use dynasparse_graph::FeatureMatrix;
 use dynasparse_matrix::{DensityProfile, DispatchPolicy};
-use dynasparse_model::{
-    GnnModel, HostBackend, KernelDispatcher, ReferenceExecutor, StageDensity, StageOp,
-};
+use dynasparse_model::{GnnModel, KernelDispatcher, ReferenceExecutor, StageDensity, StageOp};
 use dynasparse_runtime::{pricing, Analyzer, OperandProfiles, PrimitiveMix, Scheduler};
-use std::sync::Arc;
 
-/// A region-model host dispatcher for executor-level tests.
+/// Set in a child run of a test binary under `DYNASPARSE_CALIBRATION=off`.
+const REGIONS_CHILD: &str = "REGIONS_FALLBACK_CHILD";
+
+/// Whether this process is a child run on the Table IV regions fallback
+/// (see [`rerun_on_the_regions_fallback`]).
+pub fn is_regions_child() -> bool {
+    std::env::var_os(REGIONS_CHILD).is_some()
+}
+
+/// Runs test `test` of this test binary again in a child process with `env`
+/// set, and fails unless it ran and passed (the child's output is shown only
+/// then).
+pub fn rerun(test: &str, env: &[(&str, &str)]) {
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", test])
+        .envs(env.iter().copied())
+        .output()
+        .expect("re-run this test binary");
+    let ran = String::from_utf8_lossy(&child.stdout).contains("test result: ok. 1 passed");
+    assert!(
+        child.status.success() && ran,
+        "{test} failed in a child run under {env:?}:\n{}{}",
+        String::from_utf8_lossy(&child.stdout),
+        String::from_utf8_lossy(&child.stderr)
+    );
+}
+
+/// Runs `test` again under `DYNASPARSE_CALIBRATION=off`, so its sessions
+/// decide by the Table IV regions: the calibration is read once per process,
+/// so the fallback needs a process of its own.  A no-op inside such a child.
+pub fn rerun_on_the_regions_fallback(test: &str) {
+    if !is_regions_child() {
+        rerun(
+            test,
+            &[(REGIONS_CHILD, "1"), ("DYNASPARSE_CALIBRATION", "off")],
+        );
+    }
+}
+
+/// A dispatcher deciding by the Table IV regions (no calibration), for
+/// executor-level tests.
 pub fn regions_dispatcher(
     model: &GnnModel,
     policy: DispatchPolicy,
     parallel: bool,
 ) -> KernelDispatcher {
-    KernelDispatcher::new(
-        model,
-        policy,
-        Arc::new(HostBackend::new(policy, None)),
-        parallel,
-    )
+    KernelDispatcher::new(model, policy, None, parallel)
 }
 
 /// What the fixed-kernel oracle observes, kernel by kernel in execution

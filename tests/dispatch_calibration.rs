@@ -7,16 +7,19 @@
 //! in the density band GCN aggregations live in.  The calibrated policy must
 //! pick SpDMM there, and plans must share one process-wide fit by `Arc`.
 
-use dynasparse::{CostModelKind, EngineOptions, HostExecutionOptions, MappingStrategy, Planner};
+mod common;
+
+use common::{is_regions_child, rerun_on_the_regions_fallback};
+use dynasparse::{MappingStrategy, Planner};
 use dynasparse_graph::Dataset;
 use dynasparse_matrix::ops::right_sparse_rows_into;
 use dynasparse_matrix::random::random_dense;
 use dynasparse_matrix::CsrMatrix;
 use dynasparse_matrix::{
-    CalibratedPolicy, CalibrationConfig, CostModel, DispatchPolicy, HostCalibration, HostPrimitive,
+    CalibratedPolicy, CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive,
     ProductShape,
 };
-use dynasparse_model::GnnModel;
+use dynasparse_model::{GnnModel, ReferenceExecutor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -112,43 +115,41 @@ fn plans_share_one_process_wide_calibration() {
 
 #[test]
 fn regions_cost_model_disables_calibration() {
+    // `DYNASPARSE_CALIBRATION=off` is the one route onto the regions: no
+    // fit is measured, no plan carries one, and nothing is priced.
+    if !is_regions_child() {
+        return rerun_on_the_regions_fallback("regions_cost_model_disables_calibration");
+    }
+    assert!(HostCalibration::shared().is_none());
     let ds = Dataset::Cora.spec().generate_scaled(5, 0.1);
     let model = GnnModel::gcn(ds.features.dim(), 8, ds.spec.num_classes, 1);
-    let options = EngineOptions::builder()
-        .host(HostExecutionOptions {
-            cost_model: CostModelKind::Regions,
-            ..Default::default()
-        })
-        .build();
-    let plan = Planner::new(options).plan(&model, &ds).unwrap();
+    let plan = Planner::default().plan(&model, &ds).unwrap();
     assert!(plan.calibration().is_none());
-    // The regions plan still serves correctly (it is the A/B oracle).
+    // The regions plan still serves (it is the oracle and fallback).
     let mut session = plan.session(&[MappingStrategy::Dynamic]);
-    session.infer(&ds.features).unwrap();
+    let report = session.infer(&ds.features).unwrap();
+    assert_eq!(report.predicted_kernel_ms, 0.0);
 }
 
 #[test]
 fn calibrated_and_regions_sessions_are_bit_identical() {
     // The cost model only picks *which* host kernel runs; every route
-    // accumulates in the same k-order, so embeddings cannot differ.
+    // accumulates in the same k-order, so embeddings cannot differ.  Both
+    // the calibrated parent and the regions child equal the fixed-kernel
+    // oracle bit for bit.
     let ds = Dataset::Cora.spec().generate_scaled(7, 0.15);
     let model = GnnModel::gcn(ds.features.dim(), 16, ds.spec.num_classes, 3);
-    let mut outputs = Vec::new();
-    for cost_model in [CostModelKind::Calibrated, CostModelKind::Regions] {
-        let options = EngineOptions::builder()
-            .host(HostExecutionOptions {
-                cost_model,
-                ..Default::default()
-            })
-            .build();
-        let plan = Planner::new(options).plan(&model, &ds).unwrap();
-        let mut session = plan.session(&[MappingStrategy::Dynamic]);
-        outputs.push(session.infer(&ds.features).unwrap().output_embeddings);
+    let want = ReferenceExecutor::new(&model, &ds.graph)
+        .forward(&ds.features)
+        .unwrap();
+    let plan = Planner::default().plan(&model, &ds).unwrap();
+    if is_regions_child() {
+        assert!(plan.calibration().is_none());
     }
-    assert_eq!(
-        outputs[0].to_dense().as_slice(),
-        outputs[1].to_dense().as_slice()
-    );
+    let mut session = plan.session(&[MappingStrategy::Dynamic]);
+    let got = session.infer(&ds.features).unwrap().output_embeddings;
+    assert_eq!(got.to_dense().as_slice(), want.to_dense().as_slice());
+    rerun_on_the_regions_fallback("calibrated_and_regions_sessions_are_bit_identical");
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! Equivalence of block-granular dispatch and the execution backends.
+//! Equivalence of block-granular dispatch, calibrated and on the regions
+//! fallback.
 //!
 //! The executor runs every dense-output kernel as a loop over the compiler's
 //! partition row blocks, with a per-block density refit and a per-block
-//! primitive decision through the session's
-//! [`ExecBackend`](dynasparse::ExecBackend).  Because row blocks never
-//! split the `k` dimension and every route accumulates each output element
-//! in `k`-increasing order, none of that may change a single bit of any
+//! primitive decision through the session's `KernelDispatcher`: the argmin
+//! over the measured host calibration, or the Table IV regions under
+//! `DYNASPARSE_CALIBRATION=off`.  Because row blocks never split the `k`
+//! dimension and every route accumulates each output element in
+//! `k`-increasing order, none of that may change a single bit of any
 //! observable: this suite pins
 //!
 //! * block-granular execution against the single oracle of `tests/common` —
@@ -13,12 +15,12 @@
 //!   kernel per kernel kind, with `Analyzer`/`Scheduler` over the density
 //!   profiles of its kernel inputs — embeddings, density traces and strategy
 //!   pricing bit-identical across all four model kinds, batch sizes 1 and 8,
-//!   and requests whose row blocks have wildly mixed densities (a dense hub
-//!   block over a sparse tail);
-//! * the modeled-accelerator backend against the host backend — the
-//!   backend may re-route and re-price every block product, but outputs
-//!   and pricing stay bit-identical; only `predicted_kernel_ms` (the
-//!   backend's own cost estimate) is allowed to differ;
+//!   the compiler's partition and small ragged blocks, and requests whose
+//!   row blocks have wildly mixed densities (a dense hub block over a sparse
+//!   tail);
+//! * the regions fallback against the same oracle, in a child run of this
+//!   binary under `DYNASPARSE_CALIBRATION=off` (the calibration is read once
+//!   per process);
 //! * the one-scan dense ingest — a profile filled by the Update GEMM's own
 //!   pass against the oracle's separate refit of the same operand, with the
 //!   kernel pool at one and at two threads;
@@ -29,10 +31,12 @@
 
 mod common;
 
-use common::{assert_matches_oracle, run_oracle};
+use common::{
+    assert_matches_oracle, is_regions_child, rerun, rerun_on_the_regions_fallback, run_oracle,
+};
 use dynasparse::{
-    BackendKind, CompiledPlan, EngineOptions, HostExecutionOptions, InferenceReport,
-    MappingStrategy, Planner, Registry, TelemetryLevel,
+    CompiledPlan, CompilerConfig, EngineOptions, InferenceReport, MappingStrategy, Planner,
+    Registry, TelemetryLevel,
 };
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
 use dynasparse_matrix::{CsrMatrix, Layout};
@@ -46,14 +50,23 @@ fn fixture(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
     (model, ds)
 }
 
-fn plan_with(model: &GnnModel, ds: &GraphDataset, backend: BackendKind) -> CompiledPlan {
-    let options = EngineOptions::builder()
-        .host(HostExecutionOptions {
-            backend,
-            ..Default::default()
-        })
-        .build();
-    Planner::new(options).plan(model, ds).unwrap()
+/// Plans `model` over `ds` with the compiler's partition.
+fn plan(model: &GnnModel, ds: &GraphDataset) -> CompiledPlan {
+    plan_with(model, ds, CompilerConfig::default())
+}
+
+/// Plans `model` over `ds` under `compiler`.  A regions-fallback child must
+/// get a plan without a calibration, so it cannot silently run calibrated.
+fn plan_with(model: &GnnModel, ds: &GraphDataset, compiler: CompilerConfig) -> CompiledPlan {
+    let options = EngineOptions::builder().compiler(compiler).build();
+    let plan = Planner::new(options).plan(model, ds).unwrap();
+    if is_regions_child() {
+        assert!(
+            plan.calibration().is_none(),
+            "the child must run uncalibrated"
+        );
+    }
+    plan
 }
 
 /// A request with mixed block densities: the first `hub_rows` vertices are
@@ -91,72 +104,6 @@ fn request_batch(ds: &GraphDataset, n: usize) -> Vec<FeatureMatrix> {
             )),
         })
         .collect()
-}
-
-/// Exact equality of everything a report exposes except
-/// `predicted_kernel_ms`: that field is the backend's own cost estimate
-/// (host and modeled-accelerator prices legitimately differ), while
-/// everything the paper's pipeline observes — embeddings, density traces,
-/// strategy pricing — must match bit for bit.
-fn assert_reports_equal(want: &InferenceReport, got: &InferenceReport, ctx: &str) {
-    assert_eq!(
-        want.request_index, got.request_index,
-        "{ctx}: request_index"
-    );
-    assert_eq!(
-        want.data_movement_ms.to_bits(),
-        got.data_movement_ms.to_bits(),
-        "{ctx}: data_movement_ms"
-    );
-    assert_eq!(
-        want.feature_movement_ms.to_bits(),
-        got.feature_movement_ms.to_bits(),
-        "{ctx}: feature_movement_ms"
-    );
-    assert_eq!(
-        want.density_trace, got.density_trace,
-        "{ctx}: density_trace"
-    );
-    assert_eq!(
-        want.output_embeddings.to_dense().as_slice(),
-        got.output_embeddings.to_dense().as_slice(),
-        "{ctx}: embeddings"
-    );
-    assert_eq!(want.runs.len(), got.runs.len(), "{ctx}: run count");
-    for (rw, rg) in want.runs.iter().zip(got.runs.iter()) {
-        assert_eq!(rw.strategy, rg.strategy, "{ctx}: strategy");
-        assert_eq!(rw.total_cycles, rg.total_cycles, "{ctx}: cycles");
-        assert_eq!(
-            rw.latency_ms.to_bits(),
-            rg.latency_ms.to_bits(),
-            "{ctx}: latency"
-        );
-        assert_eq!(
-            rw.average_utilization.to_bits(),
-            rg.average_utilization.to_bits(),
-            "{ctx}: utilization"
-        );
-        assert_eq!(rw.overhead, rg.overhead, "{ctx}: overhead");
-        assert_eq!(rw.kernels.len(), rg.kernels.len(), "{ctx}: kernel count");
-        for (kw, kg) in rw.kernels.iter().zip(rg.kernels.iter()) {
-            assert_eq!(
-                (kw.kernel_id, kw.layer_id, kw.kind, kw.cycles, kw.decisions),
-                (kg.kernel_id, kg.layer_id, kg.kind, kg.cycles, kg.decisions),
-                "{ctx}: kernel identity/cost"
-            );
-            assert_eq!(kw.mix, kg.mix, "{ctx}: mix");
-            assert_eq!(
-                kw.input_density.to_bits(),
-                kg.input_density.to_bits(),
-                "{ctx}: input density"
-            );
-            assert_eq!(
-                kw.output_density.to_bits(),
-                kg.output_density.to_bits(),
-                "{ctx}: output density"
-            );
-        }
-    }
 }
 
 /// The batch-1 and batch-8 request stream of the suite, in serving order.
@@ -204,48 +151,43 @@ fn assert_served_stream_matches_oracle(
 /// "Whole kernel" is the oracle: one fixed whole-matrix kernel per kernel
 /// kind.  The executor itself has no whole-kernel dense path.
 #[test]
-fn block_granular_dispatch_is_bit_identical_to_whole_kernel_on_both_backends() {
+fn block_granular_dispatch_is_bit_identical_with_and_without_calibration() {
+    // Beside the compiler's own partition: eleven-row blocks, small and
+    // ragged against the fixture's vertex count.
+    let ragged = CompilerConfig {
+        min_partition: 11,
+        max_partition: 11,
+        ..CompilerConfig::default()
+    };
     for kind in GnnModelKind::all() {
         let (model, ds) = fixture(kind);
+        assert_ne!(ds.graph.num_vertices() % 11, 0);
         let requests = request_stream(&ds);
-        for backend in [BackendKind::Host, BackendKind::ModeledAccel] {
+        for compiler in [CompilerConfig::default(), ragged] {
+            let plan = plan_with(&model, &ds, compiler);
+            let partition = plan.partition();
+            if compiler == ragged {
+                assert_eq!((partition.n1, partition.n2), (11, 11));
+            }
             assert_served_stream_matches_oracle(
                 &model,
                 &ds,
-                &plan_with(&model, &ds, backend),
+                &plan,
                 &requests,
                 &[MappingStrategy::Dynamic],
-                &format!("{} on {}", kind.name(), backend.label()),
+                &format!(
+                    "{} at ({}, {}), regions {}",
+                    kind.name(),
+                    partition.n1,
+                    partition.n2,
+                    is_regions_child()
+                ),
             );
         }
     }
-}
-
-#[test]
-fn backends_agree_bitwise_and_the_modeled_backend_prices_every_request() {
-    let (model, ds) = fixture(GnnModelKind::Gcn);
-    let host_plan = plan_with(&model, &ds, BackendKind::Host);
-    let accel_plan = plan_with(&model, &ds, BackendKind::ModeledAccel);
-    let strategies = MappingStrategy::paper_strategies();
-    let requests = request_stream(&ds);
-    let want = serve(&host_plan, &requests, &strategies);
-    let got = serve(&accel_plan, &requests, &strategies);
-    assert_eq!(want.len(), got.len());
-    for (w, g) in want.iter().zip(got.iter()) {
-        assert_reports_equal(
-            w,
-            g,
-            &format!("host vs modeled-accel request {}", w.request_index),
-        );
-        // The modeled backend prices every kernel from the accelerator cost
-        // model — a request can never come back unpriced.
-        assert!(
-            g.predicted_kernel_ms > 0.0,
-            "modeled-accel request {} must carry a positive predicted cost",
-            g.request_index
-        );
-        assert!(g.predicted_kernel_ms.is_finite());
-    }
+    rerun_on_the_regions_fallback(
+        "block_granular_dispatch_is_bit_identical_with_and_without_calibration",
+    );
 }
 
 #[test]
@@ -257,7 +199,7 @@ fn whole_model_pricing_is_unchanged_across_paper_strategies() {
     assert_served_stream_matches_oracle(
         &model,
         &ds,
-        &plan_with(&model, &ds, BackendKind::Host),
+        &plan(&model, &ds),
         &request_stream(&ds),
         &MappingStrategy::paper_strategies(),
         "paper strategies",
@@ -268,8 +210,8 @@ fn whole_model_pricing_is_unchanged_across_paper_strategies() {
 /// pass fills the kernel's input profile and the session prices from it,
 /// while the oracle refits the same operand in a separate scan.  Everything
 /// a report exposes — decisions, mix, cycles, density trace, embeddings —
-/// must be identical, on both backends, for uniform, skewed and hostile
-/// (`-0.0`, denormal, all-zero) inputs, each served solo.
+/// must be identical for uniform, skewed and hostile (`-0.0`, denormal,
+/// all-zero) inputs, each served solo.
 fn assert_scanned_profiles_equal_separate_refits() {
     let (model, ds) = fixture(GnnModelKind::Gcn);
     let v = ds.graph.num_vertices();
@@ -286,18 +228,16 @@ fn assert_scanned_profiles_equal_separate_refits() {
     ];
     let strategies = MappingStrategy::paper_strategies();
     let oracle = ReferenceExecutor::new(&model, &ds.graph);
-    for backend in [BackendKind::Host, BackendKind::ModeledAccel] {
-        let plan = plan_with(&model, &ds, backend);
-        let mut session = plan.session(&strategies);
-        for (i, request) in requests.iter().enumerate() {
-            assert_matches_oracle(
-                &session.infer(request).unwrap(),
-                &plan,
-                &run_oracle(&oracle, request, &plan),
-                session.pricing_mode(),
-                &format!("one-scan profile on {} request {i}", backend.label()),
-            );
-        }
+    let plan = plan(&model, &ds);
+    let mut session = plan.session(&strategies);
+    for (i, request) in requests.iter().enumerate() {
+        assert_matches_oracle(
+            &session.infer(request).unwrap(),
+            &plan,
+            &run_oracle(&oracle, request, &plan),
+            session.pricing_mode(),
+            &format!("one-scan profile, request {i}"),
+        );
     }
 }
 
@@ -306,24 +246,18 @@ fn kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads()
     // The kernel pool is sized once per process from `DYNASPARSE_THREADS`,
     // so each pool size (inline, and two threads — where row blocks and
     // their profile counter rows are claimed by different threads) is a
-    // child run of this very test.
+    // child run of this very test, calibrated and on the regions fallback.
     const CHILD: &str = "ONE_SCAN_EQUIVALENCE_CHILD";
     if std::env::var_os(CHILD).is_some() {
-        return assert_scanned_profiles_equal_separate_refits();
+        assert_scanned_profiles_equal_separate_refits();
+        return rerun_on_the_regions_fallback(
+            "kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads",
+        );
     }
     for threads in ["1", "2"] {
-        let status = std::process::Command::new(std::env::current_exe().unwrap())
-            .args([
-                "--exact",
-                "kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads",
-            ])
-            .env(CHILD, "1")
-            .env("DYNASPARSE_THREADS", threads)
-            .status()
-            .expect("re-run this test binary");
-        assert!(
-            status.success(),
-            "DYNASPARSE_THREADS={threads} child failed"
+        rerun(
+            "kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads",
+            &[(CHILD, "1"), ("DYNASPARSE_THREADS", threads)],
         );
     }
 }
@@ -354,7 +288,7 @@ fn column_major_operands_are_served_bit_identically_solo_and_batched() {
         assert_served_stream_matches_oracle(
             &model,
             &ds,
-            &plan_with(&model, &ds, BackendKind::Host),
+            &plan(&model, &ds),
             &requests,
             &MappingStrategy::paper_strategies(),
             &format!("column-major {}", kind.name()),
@@ -365,8 +299,8 @@ fn column_major_operands_are_served_bit_identically_solo_and_batched() {
 #[test]
 fn pruned_weights_run_updates_by_the_sparser_operand_solo_and_batched() {
     // Dense-stored requests on both sides of the pruned weights' densities:
-    // one served alone, then a batch of three, against the oracle, on both
-    // backends.
+    // one served alone, then a batch of three, against the oracle,
+    // calibrated and on the regions fallback.
     for sparsity in [0.9, 0.99] {
         for kind in GnnModelKind::all() {
             let (model, ds) = fixture(kind);
@@ -377,16 +311,14 @@ fn pruned_weights_run_updates_by_the_sparser_operand_solo_and_batched() {
                 .zip(900..)
                 .map(|(&density, seed)| dense_features(v, dim, density, seed))
                 .collect();
-            for backend in [BackendKind::Host, BackendKind::ModeledAccel] {
-                assert_served_stream_matches_oracle(
-                    &model,
-                    &ds,
-                    &plan_with(&model, &ds, backend),
-                    &requests,
-                    &[MappingStrategy::Dynamic],
-                    &format!("{sparsity} pruned {} on {}", kind.name(), backend.label()),
-                );
-            }
+            assert_served_stream_matches_oracle(
+                &model,
+                &ds,
+                &plan(&model, &ds),
+                &requests,
+                &[MappingStrategy::Dynamic],
+                &format!("{sparsity} pruned {}", kind.name()),
+            );
         }
     }
 
@@ -395,7 +327,7 @@ fn pruned_weights_run_updates_by_the_sparser_operand_solo_and_batched() {
     // Updates as SpDMM; a batch of three is three such passes.
     let (model, ds) = fixture(GnnModelKind::Gin);
     let model = prune_model(&model, 0.9);
-    let plan = plan_with(&model, &ds, BackendKind::Host);
+    let plan = plan(&model, &ds);
     let half_dense = |seed| dense_features(ds.graph.num_vertices(), ds.features.dim(), 0.5, seed);
     let dispatched = |batch: &[FeatureMatrix]| {
         let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
@@ -411,5 +343,8 @@ fn pruned_weights_run_updates_by_the_sparser_operand_solo_and_batched() {
     assert_eq!(
         dispatched(&[half_dense(911), half_dense(912), half_dense(913)]),
         (0, 3 * 6)
+    );
+    rerun_on_the_regions_fallback(
+        "pruned_weights_run_updates_by_the_sparser_operand_solo_and_batched",
     );
 }
