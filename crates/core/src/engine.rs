@@ -26,16 +26,16 @@ use serde::{Deserialize, Serialize};
 /// by the argmin over the process-wide measured host calibration (the Table
 /// IV regions under `DYNASPARSE_CALIBRATION=off`), and executes into a
 /// reusable [`KernelArena`](dynasparse_model::KernelArena), performing zero
-/// heap allocations per kernel in steady state.  The fixed-kernel
+/// heap allocations per kernel in steady state.  A kernel's row blocks run
+/// on the process-wide kernel thread pool
+/// ([`ThreadPool::global`](dynasparse_matrix::ThreadPool::global)), sized
+/// by `DYNASPARSE_THREADS` or else `available_parallelism` and inline at one
+/// thread; no option here changes that.  The fixed-kernel
 /// [`ReferenceExecutor::forward`](dynasparse_model::ReferenceExecutor::forward)
 /// is the equivalence oracle the tests compare this engine against; it is
 /// not a serving path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HostExecutionOptions {
-    /// Fan row-parallel kernels out over the persistent thread pool
-    /// (`DYNASPARSE_THREADS` / `available_parallelism`-sized; inline on a
-    /// single-core host).
-    pub parallel: bool,
     /// Rescale the host calibration online when a per-primitive
     /// measured/predicted drift EWMA leaves the accepted band (see
     /// [`Session`] docs).
@@ -52,7 +52,6 @@ pub struct HostExecutionOptions {
 impl Default for HostExecutionOptions {
     fn default() -> Self {
         HostExecutionOptions {
-            parallel: true,
             recalibrate: true,
             pricing_cache: PricingCacheMode::default(),
         }

@@ -319,7 +319,6 @@ mod tests {
     fn plans_and_templates_keep_the_options_they_were_given() {
         let options = EngineOptions::builder()
             .host(HostExecutionOptions {
-                parallel: false,
                 recalibrate: false,
                 pricing_cache: PricingCacheMode::Exact,
             })

@@ -295,12 +295,8 @@ impl<'p> Session<'p> {
         // plan carries no measured host fit).  Decisions change routing
         // only: results stay bit-identical.
         let policy = DispatchPolicy::from_regions(accelerator.psys);
-        let dispatcher = KernelDispatcher::new(
-            executor.model(),
-            policy,
-            compiled.calibration.clone(),
-            host.parallel,
-        );
+        let dispatcher =
+            KernelDispatcher::new(executor.model(), policy, compiled.calibration.clone());
         let statics = &compiled.program().static_sparsity;
         let pricing = PricingStage::new(
             host.pricing_cache,
@@ -963,10 +959,10 @@ mod tests {
             );
         }
         assert!(report.predicted_kernel_ms.is_finite());
-        // Every request of a batch reports its own prediction: equal
-        // requests agree up to the order the pooled block loop summed in,
-        // as long as no drift recalibration falls between them (a private
-        // registry that records nothing keeps other tests' drift out).
+        // Every request of a batch reports its own prediction, summed in
+        // block order: equal requests agree bit for bit, as long as no drift
+        // recalibration falls between them (a private registry that records
+        // nothing keeps other tests' drift out).
         session.set_telemetry(Arc::new(Registry::new(TelemetryLevel::Off)));
         let reports = session
             .infer_batch(&[features.clone(), features.clone()])
@@ -975,7 +971,7 @@ mod tests {
             reports[0].predicted_kernel_ms,
             reports[1].predicted_kernel_ms,
         );
-        assert!((a - b).abs() <= 1e-9 * a.abs(), "{a} vs {b}");
+        assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl FeatureMatrix {
     /// sparse inputs (NELL) never materialise densely.
     pub fn update(&self, weight: &DenseMatrix) -> dynasparse_matrix::Result<FeatureMatrix> {
         let dense = match self {
-            FeatureMatrix::Dense(d) => dynasparse_matrix::ops::gemm_parallel(d, weight)?,
+            FeatureMatrix::Dense(d) => dynasparse_matrix::ops::gemm_reference(d, weight)?,
             FeatureMatrix::Sparse(s) => s.spmm_dense(weight)?,
         };
         Ok(FeatureMatrix::Dense(dense))

@@ -12,10 +12,8 @@
 //! All three produce the same mathematical result; they differ only in which
 //! zero-operations they skip (and therefore in execution time on the
 //! accelerator).  The functions here are the software oracles used by the
-//! accelerator simulator's self-checks, by the functional executor and by the
-//! host baselines.  `gemm_parallel` is the same product written over rayon's
-//! `par_chunks_mut` (the vendored rayon runs it sequentially); the functional
-//! executor's dense Update calls it.
+//! accelerator simulator's self-checks, by the functional executor (its dense
+//! Update is [`gemm_reference`]) and by the host baselines.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -23,7 +21,6 @@ use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::layout::Layout;
 use crate::profile::{compact_group, scan_row};
-use rayon::prelude::*;
 
 fn check_shapes(op: &'static str, x: (usize, usize), y: (usize, usize)) -> Result<()> {
     if x.1 != y.0 {
@@ -54,29 +51,6 @@ pub fn gemm_reference(x: &DenseMatrix, y: &DenseMatrix) -> Result<DenseMatrix> {
             }
         }
     }
-    DenseMatrix::from_row_major(m, d, out)
-}
-
-/// Dense × dense product parallelised over output rows with rayon.
-pub fn gemm_parallel(x: &DenseMatrix, y: &DenseMatrix) -> Result<DenseMatrix> {
-    check_shapes("gemm_parallel", x.shape(), y.shape())?;
-    let (m, n) = x.shape();
-    let d = y.cols();
-    let xr = x.to_layout(Layout::RowMajor);
-    let yr = y.to_layout(Layout::RowMajor);
-    let mut out = vec![0.0f32; m * d];
-    out.par_chunks_mut(d).enumerate().for_each(|(i, orow)| {
-        let xrow = xr.row_slice(i).expect("row-major");
-        for (k, &xv) in xrow.iter().enumerate().take(n) {
-            if xv == 0.0 {
-                continue;
-            }
-            let yrow = yr.row_slice(k).expect("row-major");
-            for (o, &yv) in orow.iter_mut().zip(yrow.iter()) {
-                *o += xv * yv;
-            }
-        }
-    });
     DenseMatrix::from_row_major(m, d, out)
 }
 
@@ -636,14 +610,6 @@ mod tests {
         let x = DenseMatrix::zeros(3, 4);
         let y = DenseMatrix::zeros(5, 2);
         assert!(gemm_into(&x, &y, &mut DenseMatrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn gemm_parallel_matches_reference() {
-        let (x, y) = dense_pair(2, 0.9, 0.8);
-        let a = gemm_reference(&x, &y).unwrap();
-        let b = gemm_parallel(&x, &y).unwrap();
-        assert!(a.approx_eq(&b, 1e-4));
     }
 
     #[test]

@@ -1,31 +1,35 @@
-//! A small persistent thread pool for row-parallel host kernels.
+//! A small persistent thread pool for the executor's row-block loop.
 //!
 //! The vendored offline `rayon` stand-in is sequential, so data parallelism
 //! inside one kernel needs its own mechanism.  [`ThreadPool`] hand-rolls the
 //! same pattern the serving runtime (`dynasparse-serve`) uses for
 //! request-level parallelism — plain `std::thread` workers parked on a
-//! condvar — but at the *kernel* level: a [`ThreadPool::run`] call fans a
-//! closure out over a range of task indices (typically contiguous chunks of
-//! output rows), the caller participates in the work, and the call returns
-//! only when every index has been executed.
+//! condvar — but at the *kernel* level: a [`ThreadPool::for_each_item`] call
+//! hands the items of an iterator (a kernel's row blocks, each with its own
+//! output rows and bookkeeping) to whichever participating thread claims
+//! them next, the caller participates in the work, and the call returns only
+//! when every item has been processed.
 //!
 //! Design points:
 //!
+//! * **One loop** — the dispatching executor runs every dense-output
+//!   kernel's row blocks through `for_each_item` on [`ThreadPool::global`];
+//!   the thread count is the only thing that varies.
 //! * **Persistent** — workers are spawned once and reused across kernel
 //!   invocations, so the steady-state hot path performs no thread spawns and
-//!   no heap allocation beyond one `Arc` per `run` call.
-//! * **Borrow-friendly** — the closure may borrow the caller's stack (the
-//!   output buffer of an `_into` kernel); `run` does not return while any
-//!   worker can still observe the closure, which is what makes the internal
-//!   lifetime transmute sound.
-//! * **Degenerate-safe** — a pool of size 1 (or a `run` over 0 or 1 tasks)
-//!   executes inline on the caller's thread with no synchronization at all,
-//!   so single-core containers pay nothing for the abstraction.
+//!   no heap allocation beyond one `Arc` per fan-out.
+//! * **Borrow-friendly** — the items and the closure may borrow the caller's
+//!   stack (the output buffer of an `_into` kernel); a fan-out does not
+//!   return while any worker can still observe the closure, which is what
+//!   makes the internal lifetime transmute sound.
+//! * **Degenerate-safe** — a pool of one thread (or a fan-out over 0 or 1
+//!   items) runs inline on the caller's thread with no synchronization and
+//!   no allocation, so single-core hosts pay nothing for the abstraction.
 //!
-//! The process-wide pool used by the dispatching kernels is
-//! [`ThreadPool::global`], sized from `std::thread::available_parallelism`
-//! and overridable with the `DYNASPARSE_THREADS` environment variable
-//! (useful to exercise the pooled code paths deterministically in tests).
+//! [`ThreadPool::global`] is sized once per process from the
+//! `DYNASPARSE_THREADS` environment variable, else from
+//! `std::thread::available_parallelism`; a test that needs a particular size
+//! runs in a child process.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -179,21 +183,16 @@ impl ThreadPool {
         })
     }
 
-    /// Number of threads that participate in a `run` (workers + caller).
+    /// Number of threads that participate in a fan-out (workers + caller).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// True when `run` executes everything inline on the caller.
-    pub fn is_inline(&self) -> bool {
-        self.workers.is_empty()
     }
 
     /// Executes `f(0..tasks)` across the pool, returning when every index
     /// has been executed.  The closure may borrow the caller's stack; it is
     /// never observed after `run` returns.  Panics in `f` are surfaced as a
     /// panic on the caller once all indices finish.
-    pub fn run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
+    fn run(&self, tasks: usize, f: &(dyn Fn(usize) + Sync)) {
         if tasks == 0 {
             return;
         }
@@ -248,14 +247,6 @@ impl ThreadPool {
         }
     }
 
-    /// Rows per parallel chunk for a row-parallel kernel over `rows` output
-    /// rows: small enough to balance skewed rows across workers, large
-    /// enough to amortize dispatch.  Shared by every pooled `_into` kernel
-    /// so the chunking heuristic lives in one place.
-    pub fn chunk_rows(&self, rows: usize) -> usize {
-        rows.div_ceil(self.threads.max(1) * 4).max(8)
-    }
-
     /// Runs `f(item)` once for every item of `items` across the pool.  The
     /// items are claimed one at a time under a lock, so an iterator of
     /// disjoint `&mut` borrows (`chunks_mut`, or several of them zipped — an
@@ -303,7 +294,8 @@ mod tests {
     #[test]
     fn inline_pool_runs_everything_on_the_caller() {
         let pool = ThreadPool::new(1);
-        assert!(pool.is_inline());
+        assert_eq!(pool.threads(), 1);
+        assert!(pool.workers.is_empty());
         let hits = AtomicUsize::new(0);
         pool.run(17, &|_| {
             hits.fetch_add(1, Ordering::Relaxed);

@@ -9,17 +9,8 @@ use dynasparse_matrix::ops::{
 };
 use dynasparse_matrix::{
     row_blocks, BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout, MatrixError,
-    ThreadPool,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-/// A shared multi-threaded pool so the pooled kernel routes are exercised
-/// even on single-core hosts.
-fn test_pool() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| ThreadPool::new(3))
-}
 
 /// Strategy: a random dense matrix with the given maximum dimensions and a
 /// random per-element zero probability (so we cover very sparse and very
@@ -251,7 +242,6 @@ proptest! {
         let want = gemm_reference(&x, &y).unwrap();
         let xs = CsrMatrix::from_dense(&x);
         let ys = CsrMatrix::from_dense(&y);
-        let pool = test_pool();
 
         // Dense route (zero-skipping GEMM).
         let mut out = DenseMatrix::zeros(0, 0);
@@ -262,9 +252,8 @@ proptest! {
         xs.spmm_dense_into(&y, &mut out).unwrap();
         prop_assert!(same_bits(out.as_slice(), want.as_slice()));
 
-        // Sparse-sparse route (Gustavson SPMM), serial + pooled.
+        // Sparse-sparse route (Gustavson SPMM).
         prop_assert!(xs.spgemm(&ys).unwrap().to_dense().approx_eq(&want, 1e-4));
-        prop_assert!(xs.spgemm_pooled(pool, &ys).unwrap().to_dense().approx_eq(&want, 1e-4));
 
         // The CSR-left routes as the executor's row-block kernels, over a
         // row partition that does not divide `m`: bit for bit the

@@ -40,10 +40,13 @@
 //!   buffers, activations apply in place, layer outputs become the next
 //!   layer's input by pointer swap, and a slot that flips between CSR and
 //!   dense across requests reuses its retained counterpart buffer.
-//! * Row blocks are the parallel shards over the persistent [`ThreadPool`]
-//!   when the dispatcher is built with `parallel = true` (the vendored rayon
-//!   stand-in is sequential, so this is the only intra-request parallelism
-//!   available).
+//! * **One block loop.**  Row blocks are claimed by the threads of the
+//!   persistent [`ThreadPool::global`], which runs them inline when it has
+//!   one thread (the vendored rayon stand-in is sequential, so this is the
+//!   only intra-request parallelism available).  Each block writes what it
+//!   ran into its own slot; the kernel's prediction and its block spans are
+//!   read back from the slots in block order, so neither depends on the
+//!   thread count.
 //!
 //! The dispatched pass is bit-identical to the fixed-kernel path whatever
 //! each block decides: row blocks never split the `k` dimension, and every
@@ -65,7 +68,6 @@ use dynasparse_matrix::{
 };
 use dynasparse_telemetry::{SessionTelemetry, SpanPrimitive};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,7 +103,6 @@ fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
 pub struct KernelDispatcher {
     policy: DispatchPolicy,
     calibrated: Option<CalibratedPolicy>,
-    parallel: bool,
     /// CSR forms of the sparse-eligible weights, indexed like
     /// `model.weights`.
     weight_csr: Vec<Option<WeightCsr>>,
@@ -121,13 +122,11 @@ impl KernelDispatcher {
     /// Builds the dispatcher for `model`, deciding by the argmin over
     /// `calibration` when one is supplied and by the Table IV regions of
     /// `policy` otherwise.  `policy` also owns the sparse-output retention
-    /// threshold and the CSR weight-cache gate; `parallel` shards row blocks
-    /// over the global [`ThreadPool`].
+    /// threshold and the CSR weight-cache gate.
     pub fn new(
         model: &GnnModel,
         policy: DispatchPolicy,
         calibration: Option<Arc<HostCalibration>>,
-        parallel: bool,
     ) -> Self {
         // Cache the CSR forms of any weight either cost model could route
         // by its zeros (sparse-sparse, or SpDMM by the right operand): the
@@ -150,7 +149,6 @@ impl KernelDispatcher {
         KernelDispatcher {
             policy,
             calibrated: calibration.map(|c| CalibratedPolicy::new(c, policy)),
-            parallel,
             weight_csr,
         }
     }
@@ -198,21 +196,6 @@ impl KernelDispatcher {
         self.calibrated
             .as_ref()
             .map_or(f64::NAN, |c| c.predict(prim, shape, alpha_x, alpha_y))
-    }
-
-    /// Whether row blocks fan out over the global thread pool.
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
-    fn pool(&self) -> Option<&'static ThreadPool> {
-        if self.parallel {
-            let pool = ThreadPool::global();
-            if !pool.is_inline() {
-                return Some(pool);
-            }
-        }
-        None
     }
 }
 
@@ -263,6 +246,31 @@ struct KernelScratch {
     profile: DensityProfile,
     /// Whether the kernel that just ran filled `profile`.
     profiled: bool,
+    /// One slot per row block of the current kernel, written by whichever
+    /// thread ran the block and read back in block order (grown to the
+    /// largest block count once, then reused).
+    blocks: Vec<BlockRun>,
+}
+
+/// What one row block ran, as its slot records it: the primitive, the
+/// block's product shape, its left-operand density, and its wall time in
+/// milliseconds (`0.0` unless the pass traces).
+#[derive(Debug, Clone, Copy)]
+struct BlockRun {
+    prim: HostPrimitive,
+    shape: ProductShape,
+    alpha_x: f64,
+    measured_ms: f64,
+}
+
+impl BlockRun {
+    /// A slot no block has written yet.
+    const UNSET: BlockRun = BlockRun {
+        prim: HostPrimitive::Skip,
+        shape: ProductShape { m: 0, n: 0, d: 0 },
+        alpha_x: 0.0,
+        measured_ms: 0.0,
+    };
 }
 
 /// Plan-sized reusable buffers for the dispatched forward pass.
@@ -319,6 +327,7 @@ impl KernelArena {
                 spgemm: SpGemmScratch::new(),
                 profile: DensityProfile::default(),
                 profiled: false,
+                blocks: Vec::new(),
             },
         }
     }
@@ -805,6 +814,7 @@ impl Pass<'_> {
             spgemm,
             profile,
             profiled,
+            blocks,
         } = scratch;
         *profiled = false;
         run_kernel(probe, |probe| {
@@ -816,10 +826,7 @@ impl Pass<'_> {
                     product.predicted_ms(self.dispatcher)
                 }
                 Exec::SparseProduct(x, y) => {
-                    let sparse = match self.dispatcher.pool() {
-                        Some(pool) => x.spgemm_pooled(pool, y)?,
-                        None => x.spgemm_with(y, spgemm)?,
-                    };
+                    let sparse = x.spgemm_with(y, spgemm)?;
                     if self.dispatcher.policy.keep_sparse_output(sparse.density()) {
                         slot_set_sparse(out_slot, sparse, spgemm);
                     } else {
@@ -844,24 +851,24 @@ impl Pass<'_> {
                         BlockBody::CsrLeft { .. } => <&mut [usize]>::default().chunks_mut(1),
                     };
                     let out = out.as_mut_slice();
-                    self.run_rows(&product, block_rows, &body, out, count_rows, probe)
+                    self.run_rows(&product, block_rows, &body, out, count_rows, blocks, probe)
                 }
             };
             Ok((product, predicted_ms))
         })
     }
 
-    /// Walks the row blocks of a dense-output route: block `k` gets its own
-    /// density, decision and prediction through [`BlockBody::run_block`] and
-    /// the `k`-th counter row of `count_rows` (exhausted for a body that
-    /// profiles nothing).  Returns the summed finite positive per-block
-    /// predictions.
-    ///
-    /// With a thread pool the blocks are the parallel shards — each worker
-    /// claims disjoint output rows together with their counter row — and
-    /// per-block spans are not recorded (the telemetry ring is
-    /// single-writer); on the serial path each block lands in the trace ring
-    /// through `probe` at `trace` level.
+    /// Runs the row blocks of a dense-output route through the global
+    /// [`ThreadPool`] (inline when it has one thread).  Block `k` is claimed
+    /// together with its output rows, slot `k` of `runs` and the `k`-th
+    /// counter row of `count_rows` (exhausted for a body that profiles
+    /// nothing), and gets its own density and decision through
+    /// [`BlockBody::run_block`].  Once every block ran, the slots are read
+    /// back in block order: each block is priced, the finite positive
+    /// predictions are summed — so the sum does not depend on which thread
+    /// ran which block — and, at `trace` level, each block lands in the
+    /// trace ring through `probe`.
+    #[allow(clippy::too_many_arguments)]
     fn run_rows(
         &self,
         product: &Product,
@@ -869,70 +876,61 @@ impl Pass<'_> {
         body: &BlockBody<'_>,
         out: &mut [f32],
         mut count_rows: std::slice::ChunksMut<'_, usize>,
+        runs: &mut Vec<BlockRun>,
         probe: Option<&mut ProbeCtx<'_>>,
     ) -> f64 {
         if out.is_empty() {
             return 0.0;
         }
         let dispatcher = self.dispatcher;
-        let alpha_y = product.alpha_y;
-        let blocks = out
-            .chunks_mut(block_rows * product.shape.d)
+        let chunk = block_rows * product.shape.d;
+        let blocks = out.len().div_ceil(chunk);
+        if runs.len() < blocks {
+            runs.resize(blocks, BlockRun::UNSET);
+        }
+        let runs = &mut runs[..blocks];
+        let mut probe = probe.filter(|probe| probe.telemetry.tracing());
+        let tracing = probe.is_some();
+        let items = out
+            .chunks_mut(chunk)
+            .zip(runs.iter_mut())
             .enumerate()
-            .map(move |(bi, chunk)| (bi, chunk, count_rows.next().unwrap_or_default()));
-        let run_block = |bi: usize, chunk: &mut [f32], counts: &mut [usize]| {
-            body.run_block(
-                dispatcher,
-                product,
-                block_rows,
-                bi * block_rows,
-                chunk,
-                counts,
-            )
-        };
-        let priced = |p: f64| if p.is_finite() && p > 0.0 { p } else { 0.0 };
-        match dispatcher.pool() {
-            Some(pool) => {
-                let predicted_bits = AtomicU64::new(0.0f64.to_bits());
-                pool.for_each_item(blocks, |(bi, chunk, counts)| {
-                    let (prim, shape, alpha_x) = run_block(bi, chunk, counts);
-                    let p = priced(dispatcher.predict_ms(prim, shape, alpha_x, alpha_y));
-                    if p > 0.0 {
-                        let _ = predicted_bits.fetch_update(
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                            |b| Some((f64::from_bits(b) + p).to_bits()),
-                        );
-                    }
-                });
-                f64::from_bits(predicted_bits.load(Ordering::Relaxed))
+            .map(move |(bi, (rows, run))| (bi, rows, run, count_rows.next().unwrap_or_default()));
+        ThreadPool::global().for_each_item(items, |(bi, rows, run, counts)| {
+            let started = tracing.then(Instant::now);
+            let r0 = bi * block_rows;
+            let (prim, shape, alpha_x) =
+                body.run_block(dispatcher, product, block_rows, r0, rows, counts);
+            let measured_ms = started.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3);
+            *run = BlockRun {
+                prim,
+                shape,
+                alpha_x,
+                measured_ms,
+            };
+        });
+        let alpha_y = product.alpha_y;
+        let mut predicted = 0.0f64;
+        for (bi, run) in runs.iter().enumerate() {
+            let p = dispatcher.predict_ms(run.prim, run.shape, run.alpha_x, alpha_y);
+            if p.is_finite() && p > 0.0 {
+                predicted += p;
             }
-            None => {
-                let mut probe = probe.filter(|probe| probe.telemetry.tracing());
-                let mut predicted = 0.0f64;
-                for (bi, chunk, counts) in blocks {
-                    let started = probe.as_ref().map(|_| Instant::now());
-                    let (prim, shape, alpha_x) = run_block(bi, chunk, counts);
-                    let measured_ms = started.map(|s| s.elapsed().as_secs_f64() * 1e3);
-                    let p = dispatcher.predict_ms(prim, shape, alpha_x, alpha_y);
-                    predicted += priced(p);
-                    if let (Some(probe), Some(measured_ms)) = (probe.as_deref_mut(), measured_ms) {
-                        probe.telemetry.record_block_span(
-                            probe.layer,
-                            probe.kernel,
-                            bi.min(u16::MAX as usize - 1) as u16,
-                            span_primitive(prim),
-                            (shape.m, shape.n, shape.d),
-                            alpha_x,
-                            alpha_y,
-                            p,
-                            measured_ms,
-                        );
-                    }
-                }
-                predicted
+            if let Some(probe) = probe.as_deref_mut() {
+                probe.telemetry.record_block_span(
+                    probe.layer,
+                    probe.kernel,
+                    bi.min(u16::MAX as usize - 1) as u16,
+                    span_primitive(run.prim),
+                    (run.shape.m, run.shape.n, run.shape.d),
+                    run.alpha_x,
+                    alpha_y,
+                    p,
+                    run.measured_ms,
+                );
             }
         }
+        predicted
     }
 }
 
@@ -1069,10 +1067,9 @@ mod tests {
         model: &GnnModel,
         requests: &[FeatureMatrix],
         partition: &PartitionSpec,
-        parallel: bool,
     ) {
         let exec = ReferenceExecutor::new(model, &small_graph());
-        check_executor_against_reference(&exec, requests, partition, parallel);
+        check_executor_against_reference(&exec, requests, partition);
     }
 
     /// [`check_against_reference`] over a caller-built executor (hand-made
@@ -1081,7 +1078,6 @@ mod tests {
         exec: &ReferenceExecutor,
         requests: &[FeatureMatrix],
         partition: &PartitionSpec,
-        parallel: bool,
     ) {
         let policy = DispatchPolicy::from_regions(16);
         let want: Vec<DenseMatrix> = requests
@@ -1090,12 +1086,12 @@ mod tests {
             .collect();
         for calibration in [None, Some(Arc::new(HostCalibration::reference()))] {
             let ctx = format!(
-                "partition ({}, {}), parallel {parallel}, calibrated {}",
+                "partition ({}, {}), calibrated {}",
                 partition.n1,
                 partition.n2,
                 calibration.is_some()
             );
-            let dispatcher = KernelDispatcher::new(exec.model(), policy, calibration, parallel);
+            let dispatcher = KernelDispatcher::new(exec.model(), policy, calibration);
             // One arena serves every request: reuse across requests of
             // different densities and representations is part of the check.
             let mut arena = exec.arena(VERTICES);
@@ -1124,12 +1120,7 @@ mod tests {
         let h0 = dense_features(VERTICES, 24, 0.3, 9);
         for kind in GnnModelKind::all() {
             let model = GnnModel::standard(kind, 24, 8, 5, 13);
-            check_against_reference(
-                &model,
-                std::slice::from_ref(&h0),
-                &PartitionSpec::default(),
-                false,
-            );
+            check_against_reference(&model, std::slice::from_ref(&h0), &PartitionSpec::default());
         }
     }
 
@@ -1138,12 +1129,7 @@ mod tests {
         let h0 = sparse(&dense_features(VERTICES, 24, 0.04, 10));
         for sparsity in [0.0, 0.95] {
             let model = prune_model(&GnnModel::gcn(24, 8, 5, 17), sparsity);
-            check_against_reference(
-                &model,
-                std::slice::from_ref(&h0),
-                &PartitionSpec::default(),
-                false,
-            );
+            check_against_reference(&model, std::slice::from_ref(&h0), &PartitionSpec::default());
         }
     }
 
@@ -1151,7 +1137,7 @@ mod tests {
     fn dense_full_density_features_take_the_gemm_route() {
         let h0 = dense_features(VERTICES, 24, 1.0, 11);
         let model = GnnModel::gcn(24, 8, 5, 19);
-        check_against_reference(&model, &[h0], &PartitionSpec::default(), false);
+        check_against_reference(&model, &[h0], &PartitionSpec::default());
     }
 
     /// "Whole kernel" is the oracle's fixed whole-matrix kernel per kernel
@@ -1163,8 +1149,7 @@ mod tests {
         let partition = PartitionSpec::new(13, 7).unwrap();
         for kind in GnnModelKind::all() {
             let model = GnnModel::standard(kind, 24, 8, 5, 13);
-            check_against_reference(&model, std::slice::from_ref(&h0), &partition, false);
-            check_against_reference(&model, std::slice::from_ref(&h0), &partition, true);
+            check_against_reference(&model, std::slice::from_ref(&h0), &partition);
         }
     }
 
@@ -1174,7 +1159,7 @@ mod tests {
         let partition = PartitionSpec::new(48, 5).unwrap();
         for sparsity in [0.0, 0.95] {
             let model = prune_model(&GnnModel::gcn(24, 8, 5, 17), sparsity);
-            check_against_reference(&model, std::slice::from_ref(&h0), &partition, false);
+            check_against_reference(&model, std::slice::from_ref(&h0), &partition);
         }
     }
 
@@ -1204,10 +1189,10 @@ mod tests {
             let partition = PartitionSpec::new(n1, n2).unwrap();
             for kind in GnnModelKind::all() {
                 let model = prune_model(&GnnModel::standard(kind, 24, 8, 5, 13), 0.9);
-                check_against_reference(&model, &requests, &partition, false);
+                check_against_reference(&model, &requests, &partition);
             }
             let model = GnnModel::gcn(24, 8, 5, 13);
-            check_against_reference(&model, &requests, &partition, true);
+            check_against_reference(&model, &requests, &partition);
         }
     }
 
@@ -1217,7 +1202,7 @@ mod tests {
         // densities (and of Table IV's SpDMM boundary), so Updates take the
         // right-sparse body, the counting GEMM, and both within one pass —
         // over the hostile partitions (ragged and one-row tiles of the
-        // right-sparse kernel) and with the pool on.
+        // right-sparse kernel).
         let requests: Vec<FeatureMatrix> = [0.02, 0.5, 1.0]
             .iter()
             .map(|&density| dense_features(VERTICES, 24, density, 51))
@@ -1225,12 +1210,18 @@ mod tests {
         for sparsity in [0.9, 0.99] {
             for kind in GnnModelKind::all() {
                 let model = prune_model(&GnnModel::standard(kind, 24, 8, 5, 13), sparsity);
-                for (n1, n2) in [(1, 1), (VERTICES, VERTICES), (1000, 64), (13, 7), (5, 3)] {
+                let partitions = [
+                    (1, 1),
+                    (VERTICES, VERTICES),
+                    (1000, 64),
+                    (13, 7),
+                    (5, 3),
+                    (17, 16),
+                ];
+                for (n1, n2) in partitions {
                     let partition = PartitionSpec::new(n1, n2).unwrap();
-                    check_against_reference(&model, &requests, &partition, false);
+                    check_against_reference(&model, &requests, &partition);
                 }
-                let partition = PartitionSpec::new(17, 16).unwrap();
-                check_against_reference(&model, &requests, &partition, true);
             }
         }
     }
@@ -1244,8 +1235,7 @@ mod tests {
         partition: &PartitionSpec,
         blocks: bool,
     ) -> Vec<(u16, u16, SpanPrimitive)> {
-        let dispatcher =
-            KernelDispatcher::new(exec.model(), DispatchPolicy::default(), None, false);
+        let dispatcher = KernelDispatcher::new(exec.model(), DispatchPolicy::default(), None);
         let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
         let mut telemetry = SessionTelemetry::with_capacity(registry, 4096);
         let mut arena = exec.arena(VERTICES);
@@ -1331,8 +1321,7 @@ mod tests {
         let exec = ReferenceExecutor::from_prepared(Arc::new(model), Arc::new(adjacencies));
         let requests = requests_with_an_all_zero_row_block(24);
         let partition = PartitionSpec::new(4, 4).unwrap();
-        check_executor_against_reference(&exec, &requests, &partition, false);
-        check_executor_against_reference(&exec, &requests, &partition, true);
+        check_executor_against_reference(&exec, &requests, &partition);
 
         // The empty blocks really are decided per block: the Aggregate
         // kernels skip exactly their empty adjacency blocks, and the CSR
@@ -1369,8 +1358,7 @@ mod tests {
         for kind in GnnModelKind::all() {
             let mut model = GnnModel::standard(kind, 24, 8, 5, 13);
             model.weights[0] = model.weights[0].to_layout(Layout::ColMajor);
-            check_against_reference(&model, &requests, &partition, false);
-            check_against_reference(&model, &requests[..1], &partition, true);
+            check_against_reference(&model, &requests, &partition);
         }
     }
 
@@ -1378,7 +1366,7 @@ mod tests {
     fn a_request_that_does_not_fit_the_model_is_a_shape_error() {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None, false);
+        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None);
         let mut arena = exec.arena(VERTICES);
         for request in [
             dense_features(VERTICES, 23, 0.3, 1),
@@ -1411,7 +1399,7 @@ mod tests {
         let exec = ReferenceExecutor::new(&model, &small_graph());
         let calibration = Arc::new(HostCalibration::reference());
         let policy = DispatchPolicy::from_regions(16);
-        let dispatcher = KernelDispatcher::new(&model, policy, Some(calibration), false);
+        let dispatcher = KernelDispatcher::new(&model, policy, Some(calibration));
         let partition = PartitionSpec::new(13, 7).unwrap();
         let mut arena = exec.arena(VERTICES);
         let predicted = exec
@@ -1441,7 +1429,7 @@ mod tests {
     fn without_a_calibration_the_dispatcher_decides_by_the_regions() {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let policy = DispatchPolicy::from_regions(16);
-        let dispatcher = KernelDispatcher::new(&model, policy, None, false);
+        let dispatcher = KernelDispatcher::new(&model, policy, None);
         assert!(dispatcher.calibration().is_none());
         let shape = ProductShape::new(32, 32, 8);
         for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
@@ -1464,7 +1452,6 @@ mod tests {
             &model,
             DispatchPolicy::from_regions(16),
             Some(Arc::clone(&calibration)),
-            false,
         );
         assert!(Arc::ptr_eq(dispatcher.calibration().unwrap(), &calibration));
         let shape = ProductShape::new(64, 64, 16);
@@ -1491,7 +1478,7 @@ mod tests {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let policy = DispatchPolicy::from_regions(16);
         for calibration in [None, Some(Arc::new(HostCalibration::reference()))] {
-            let dispatcher = KernelDispatcher::new(&model, policy, calibration, false);
+            let dispatcher = KernelDispatcher::new(&model, policy, calibration);
             let calibrated = dispatcher.calibration().is_some();
             for shape in [
                 ProductShape::new(0, 16, 16),
@@ -1520,7 +1507,7 @@ mod tests {
         let policy = DispatchPolicy::from_regions(16);
         let mut broken = HostCalibration::reference();
         broken.spmm.work = f64::NAN;
-        let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::new(broken)), false);
+        let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::new(broken)));
         let shape = ProductShape::new(64, 64, 16);
         for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
             assert_eq!(
@@ -1529,12 +1516,8 @@ mod tests {
             );
         }
         // A sound fit never reports a fallback.
-        let sound = KernelDispatcher::new(
-            &model,
-            policy,
-            Some(Arc::new(HostCalibration::reference())),
-            false,
-        );
+        let sound =
+            KernelDispatcher::new(&model, policy, Some(Arc::new(HostCalibration::reference())));
         assert!(!sound.decide(shape, 0.05, 0.1).1);
     }
 
@@ -1544,14 +1527,14 @@ mod tests {
         let a = dense_features(VERTICES, 16, 0.5, 1);
         let b = dense_features(VERTICES, 16, 0.9, 2);
         let requests = [a.clone(), b.clone(), a.clone(), b.clone(), a, b];
-        check_against_reference(&model, &requests, &PartitionSpec::default(), false);
+        check_against_reference(&model, &requests, &PartitionSpec::default());
     }
 
     #[test]
     fn callback_sees_every_kernel_in_order() {
         let model = GnnModel::gin(16, 8, 4, 29);
         let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None, false);
+        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None);
         let mut arena = exec.arena(VERTICES);
         let h0 = dense_features(VERTICES, 16, 0.4, 5);
         let partition = PartitionSpec::new(16, 8).unwrap();
@@ -1587,35 +1570,20 @@ mod tests {
     }
 
     #[test]
-    fn pooled_dispatch_matches_serial_dispatch() {
-        // Forcing a real pool through the environment is not possible per
-        // test; a parallel dispatcher still runs the pool selection (and
-        // falls back inline on a 1-core host).
-        let h0 = dense_features(VERTICES, 24, 0.6, 31);
-        let model = GnnModel::gcn(24, 8, 5, 37);
-        check_against_reference(&model, &[h0], &PartitionSpec::default(), true);
-    }
-
-    #[test]
     fn calibrated_dispatcher_matches_the_reference_executor() {
         let model = GnnModel::gcn(24, 8, 5, 17);
         let calibration = Some(Arc::new(HostCalibration::reference()));
         let policy = DispatchPolicy::from_regions(16);
-        let calibrated = KernelDispatcher::new(&model, policy, calibration, false);
+        let calibrated = KernelDispatcher::new(&model, policy, calibration);
         assert!(calibrated.calibration().is_some());
-        assert!(KernelDispatcher::new(&model, policy, None, false)
+        assert!(KernelDispatcher::new(&model, policy, None)
             .calibration()
             .is_none());
         // `check_against_reference` runs every case under both cost models.
         let h0 = sparse(&dense_features(VERTICES, 24, 0.04, 10));
         for sparsity in [0.0, 0.95] {
             let model = prune_model(&model, sparsity);
-            check_against_reference(
-                &model,
-                std::slice::from_ref(&h0),
-                &PartitionSpec::default(),
-                false,
-            );
+            check_against_reference(&model, std::slice::from_ref(&h0), &PartitionSpec::default());
         }
     }
 
@@ -1633,7 +1601,7 @@ mod tests {
             // request classes (0.0052 and 0.0208), so the slot flips.
             sparse_output_threshold: 0.015,
         };
-        let dispatcher = KernelDispatcher::new(&model, policy, None, false);
+        let dispatcher = KernelDispatcher::new(&model, policy, None);
         let mut arena = exec.arena(VERTICES);
         let sparse_req = sparse(&dense_features(VERTICES, 24, 0.01, 3));
         let dense_req = sparse(&dense_features(VERTICES, 24, 0.06, 4));
@@ -1672,7 +1640,7 @@ mod tests {
     fn spmm_eligible_weights_are_cached_as_csr() {
         let policy = DispatchPolicy::from_regions(16);
         let model = prune_model(&GnnModel::gcn(24, 16, 5, 41), 0.95);
-        let dispatcher = KernelDispatcher::new(&model, policy, None, false);
+        let dispatcher = KernelDispatcher::new(&model, policy, None);
         assert!(
             dispatcher.weight_csr.iter().any(|w| w.is_some()),
             "a 95%-pruned weight is SPMM-eligible"
@@ -1683,7 +1651,7 @@ mod tests {
             assert_eq!(cached.transposed.to_dense(), w.transpose());
         }
         let dense_model = GnnModel::gcn(24, 16, 5, 41);
-        let dense_dispatcher = KernelDispatcher::new(&dense_model, policy, None, false);
+        let dense_dispatcher = KernelDispatcher::new(&dense_model, policy, None);
         assert!(dense_dispatcher.weight_csr.iter().all(|w| w.is_none()));
     }
 }

@@ -59,14 +59,30 @@ pub fn rerun_on_the_regions_fallback(test: &str) {
     }
 }
 
+/// Set in a child run of a test binary at a pinned kernel thread count.
+const THREADS_CHILD: &str = "KERNEL_THREADS_CHILD";
+
+/// Runs `body` in two child runs of test `test`, with the kernel thread pool
+/// at one thread (row blocks inline on the caller) and at two (row blocks
+/// claimed by different threads): the pool is sized once per process from
+/// `DYNASPARSE_THREADS`, so each size needs a process of its own.  Inside
+/// such a child it just runs `body`.
+pub fn at_one_and_two_kernel_threads(test: &str, body: impl FnOnce()) {
+    if std::env::var_os(THREADS_CHILD).is_some() {
+        return body();
+    }
+    for threads in ["1", "2"] {
+        rerun(
+            test,
+            &[(THREADS_CHILD, "1"), ("DYNASPARSE_THREADS", threads)],
+        );
+    }
+}
+
 /// A dispatcher deciding by the Table IV regions (no calibration), for
 /// executor-level tests.
-pub fn regions_dispatcher(
-    model: &GnnModel,
-    policy: DispatchPolicy,
-    parallel: bool,
-) -> KernelDispatcher {
-    KernelDispatcher::new(model, policy, None, parallel)
+pub fn regions_dispatcher(model: &GnnModel, policy: DispatchPolicy) -> KernelDispatcher {
+    KernelDispatcher::new(model, policy, None)
 }
 
 /// What the fixed-kernel oracle observes, kernel by kernel in execution

@@ -32,7 +32,8 @@
 mod common;
 
 use common::{
-    assert_matches_oracle, is_regions_child, rerun, rerun_on_the_regions_fallback, run_oracle,
+    assert_matches_oracle, at_one_and_two_kernel_threads, is_regions_child,
+    rerun_on_the_regions_fallback, run_oracle,
 };
 use dynasparse::{
     CompiledPlan, CompilerConfig, EngineOptions, InferenceReport, MappingStrategy, Planner,
@@ -243,23 +244,15 @@ fn assert_scanned_profiles_equal_separate_refits() {
 
 #[test]
 fn kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads() {
-    // The kernel pool is sized once per process from `DYNASPARSE_THREADS`,
-    // so each pool size (inline, and two threads — where row blocks and
-    // their profile counter rows are claimed by different threads) is a
-    // child run of this very test, calibrated and on the regions fallback.
-    const CHILD: &str = "ONE_SCAN_EQUIVALENCE_CHILD";
-    if std::env::var_os(CHILD).is_some() {
+    // At two threads, row blocks and their profile counter rows are claimed
+    // by different threads.  Each pool size runs calibrated and on the
+    // regions fallback.
+    const TEST: &str =
+        "kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads";
+    at_one_and_two_kernel_threads(TEST, || {
         assert_scanned_profiles_equal_separate_refits();
-        return rerun_on_the_regions_fallback(
-            "kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads",
-        );
-    }
-    for threads in ["1", "2"] {
-        rerun(
-            "kernel_scanned_profiles_match_separate_refits_at_one_and_two_kernel_threads",
-            &[(CHILD, "1"), ("DYNASPARSE_THREADS", threads)],
-        );
-    }
+        rerun_on_the_regions_fallback(TEST);
+    });
 }
 
 #[test]

@@ -8,10 +8,15 @@
 //! reports, primitive mixes) matches, `request_index` numbering is unchanged,
 //! and a request's predicted kernel time and telemetry spans are its own —
 //! across batch sizes 0/1/2/3/8, all four model kinds, and batches of dense,
-//! CSR and mixed requests of differing densities.
+//! CSR and mixed requests of differing densities.  The prediction and the
+//! trace are also checked at one and at two kernel threads.
 
+mod common;
+
+use common::at_one_and_two_kernel_threads;
 use dynasparse::{
-    CompiledPlan, EngineOptions, HostExecutionOptions, InferenceReport, MappingStrategy, Planner,
+    CompiledPlan, CompilerConfig, EngineOptions, HostExecutionOptions, InferenceReport,
+    MappingStrategy, Planner, Session,
 };
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
 use dynasparse_matrix::{CsrMatrix, DenseMatrix};
@@ -247,44 +252,126 @@ fn an_empty_batch_serves_nothing() {
     assert!(recorder.spans().all(|span| span.request == 3));
 }
 
+/// A plan whose sessions keep the plan's calibration: with recalibration
+/// off, predictions are comparable across sessions whatever the measured
+/// times drift to.
+fn unrecalibrated_plan(
+    model: &GnnModel,
+    ds: &GraphDataset,
+    compiler: CompilerConfig,
+) -> CompiledPlan {
+    let options = EngineOptions::builder()
+        .compiler(compiler)
+        .host(HostExecutionOptions {
+            recalibrate: false,
+            ..Default::default()
+        })
+        .build();
+    Planner::new(options).plan(model, ds).unwrap()
+}
+
+/// A session over `plan` recording into a private trace-level registry.
+fn traced_session(plan: &CompiledPlan) -> Session<'_> {
+    let mut session = plan.session(&[MappingStrategy::Dynamic]);
+    session.set_telemetry(Arc::new(Registry::new(TelemetryLevel::Trace)));
+    session
+}
+
 /// A batched request's predicted kernel time and kernel spans are its own:
 /// what serving it alone reports, not a share of a batch-wide sum.
 #[test]
 fn a_batched_request_predicts_and_traces_as_it_does_alone() {
-    let (model, ds) = fixture(GnnModelKind::Gin);
-    // Recalibration off: both sessions keep the plan's calibration, so their
-    // predictions are comparable whatever the measured times drift to.  And
-    // the serial block loop: the pooled one sums a kernel's block predictions
-    // in completion order, which moves the last bit from run to run.
-    let options = EngineOptions::builder()
-        .host(HostExecutionOptions {
-            recalibrate: false,
-            parallel: false,
-            ..Default::default()
-        })
-        .build();
-    let plan = Planner::new(options).plan(&model, &ds).unwrap();
-    let traced_session = || {
-        let mut session = plan.session(&[MappingStrategy::Dynamic]);
-        let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
-        session.set_telemetry(registry);
-        session
-    };
-    let batch = request_batch(&ds, 3, Repr::Mixed);
-    let mut batched = traced_session();
-    let got = batched.infer_batch(&batch).unwrap();
-    let mut alone_spans = 0u64;
-    for (features, got) in batch.iter().zip(&got) {
-        let mut alone = traced_session();
-        let want = alone.infer(features).unwrap();
-        assert_eq!(
-            want.predicted_kernel_ms.to_bits(),
-            got.predicted_kernel_ms.to_bits(),
-            "request {}",
-            got.request_index
-        );
-        alone_spans += alone.telemetry().recorder().recorded();
-    }
-    assert!(alone_spans >= (batch.len() * model.num_kernels()) as u64);
-    assert_eq!(batched.telemetry().recorder().recorded(), alone_spans);
+    at_one_and_two_kernel_threads(
+        "a_batched_request_predicts_and_traces_as_it_does_alone",
+        || {
+            let (model, ds) = fixture(GnnModelKind::Gin);
+            let plan = unrecalibrated_plan(&model, &ds, CompilerConfig::default());
+            let batch = request_batch(&ds, 3, Repr::Mixed);
+            let mut batched = traced_session(&plan);
+            let got = batched.infer_batch(&batch).unwrap();
+            let mut alone_spans = 0u64;
+            for (features, got) in batch.iter().zip(&got) {
+                let mut alone = traced_session(&plan);
+                let want = alone.infer(features).unwrap();
+                assert_eq!(
+                    want.predicted_kernel_ms.to_bits(),
+                    got.predicted_kernel_ms.to_bits(),
+                    "request {}",
+                    got.request_index
+                );
+                alone_spans += alone.telemetry().recorder().recorded();
+            }
+            assert!(alone_spans >= (batch.len() * model.num_kernels()) as u64);
+            assert_eq!(batched.telemetry().recorder().recorded(), alone_spans);
+        },
+    );
+}
+
+/// Whatever the kernel thread count, a traced pass records one block span
+/// per row block of every dense-output kernel, in block order, and its
+/// predicted kernel time is the block-order sum of those blocks'
+/// predictions — bit for bit the same on every fresh session.
+#[test]
+fn every_row_block_is_traced_and_predicted_in_block_order() {
+    at_one_and_two_kernel_threads(
+        "every_row_block_is_traced_and_predicted_in_block_order",
+        || {
+            // A GCN over a dense-stored request runs every kernel over row
+            // blocks; 16-row blocks give each kernel a few dozen of them, so two
+            // threads interleave their claims.
+            let (model, ds) = fixture(GnnModelKind::Gcn);
+            let compiler = CompilerConfig {
+                min_partition: 16,
+                max_partition: 16,
+                ..CompilerConfig::default()
+            };
+            let plan = unrecalibrated_plan(&model, &ds, compiler);
+            let partition = plan.partition();
+            let request = request_batch(&ds, 2, Repr::Dense).pop().unwrap();
+            let mut first_ms = None;
+            for _ in 0..20 {
+                let mut session = traced_session(&plan);
+                let report = session.infer(&request).unwrap();
+                let recorder = session.telemetry().recorder();
+                assert_eq!(
+                    recorder.recorded(),
+                    recorder.len() as u64,
+                    "the ring overflowed"
+                );
+                let mut block_sum = 0.0f64;
+                for (l, layer) in model.layers.iter().enumerate() {
+                    for (k, spec) in layer.kernels.iter().enumerate() {
+                        let block_rows = if spec.op.is_aggregate() {
+                            partition.aggregate_block_rows()
+                        } else {
+                            partition.update_block_rows()
+                        };
+                        let blocks: Vec<_> = recorder
+                            .spans()
+                            .filter(|s| s.is_block() && (s.layer, s.kernel) == (l as u16, k as u16))
+                            .collect();
+                        let order: Vec<usize> = blocks.iter().map(|s| s.block as usize).collect();
+                        let want: Vec<usize> =
+                            (0..plan.num_vertices().div_ceil(block_rows)).collect();
+                        assert_eq!(order, want, "block spans of kernel ({l}, {k})");
+                        block_sum += blocks
+                            .iter()
+                            .map(|s| f64::from(s.predicted_ms))
+                            .filter(|&p| p.is_finite() && p > 0.0)
+                            .sum::<f64>();
+                    }
+                }
+                // A span stores its prediction as `f32`, so the sum of the spans
+                // matches to `f32` precision.
+                let predicted = report.predicted_kernel_ms;
+                assert!(
+                    (predicted - block_sum).abs() <= 1e-6 * predicted,
+                    "predicted {predicted} ms vs block spans {block_sum} ms"
+                );
+                assert_eq!(predicted > 0.0, plan.calibration().is_some());
+                let first = *first_ms.get_or_insert(predicted.to_bits());
+                assert_eq!(predicted.to_bits(), first, "{predicted} ms");
+            }
+        },
+    );
 }

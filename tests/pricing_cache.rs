@@ -37,7 +37,6 @@ fn options(mode: PricingCacheMode) -> EngineOptions {
         .host(HostExecutionOptions {
             recalibrate: false,
             pricing_cache: mode,
-            ..Default::default()
         })
         .build()
 }
