@@ -34,12 +34,8 @@ use serde::{Deserialize, Serialize};
 /// [`ReferenceExecutor::forward`](dynasparse_model::ReferenceExecutor::forward)
 /// is the equivalence oracle the tests compare this engine against; it is
 /// not a serving path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct HostExecutionOptions {
-    /// Rescale the host calibration online when a per-primitive
-    /// measured/predicted drift EWMA leaves the accepted band (see
-    /// [`Session`] docs).
-    pub recalibrate: bool,
     /// Cache Analyzer results keyed on quantized sparsity profiles (see
     /// [`PricingCacheMode`]).  `Bucketed` (default) shares one pricing pass
     /// across profiles that quantize into the same half-octave density
@@ -47,15 +43,6 @@ pub struct HostExecutionOptions {
     /// uncached pricing.  Embeddings are unaffected in every mode — the
     /// cache only touches the strategy pricing pass.
     pub pricing_cache: PricingCacheMode,
-}
-
-impl Default for HostExecutionOptions {
-    fn default() -> Self {
-        HostExecutionOptions {
-            recalibrate: true,
-            pricing_cache: PricingCacheMode::default(),
-        }
-    }
 }
 
 /// Engine configuration: the hardware and compiler parameters.

@@ -201,7 +201,7 @@ pub use engine::{Engine, EngineOptions, EngineOptionsBuilder, HostExecutionOptio
 pub use error::{CompileError, DynasparseError, EngineError};
 pub use planner::{CompiledPlan, Planner};
 pub use report::{Evaluation, InferenceReport, KernelReport, StrategyRun};
-pub use session::{FaultHook, OwnedSession, Session, DRIFT_BAND};
+pub use session::{FaultHook, OwnedSession, Session};
 pub use template::{ModelTemplate, TemplateInstance};
 
 // Re-export the pieces a downstream user needs to drive the engine without

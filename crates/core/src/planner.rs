@@ -241,8 +241,9 @@ impl CompiledPlan {
     /// Approximate resident bytes of the plan: the compiled static data
     /// (graph adjacency, weights, IR), the normalized per-aggregator
     /// adjacency matrices, and the static density-profile records.  This is
-    /// an accounting estimate for cache byte budgets (the inputs that scale
-    /// with topology and model size), not an allocator-exact measurement.
+    /// an accounting estimate for the plan cache's resident-bytes gauge (the
+    /// inputs that scale with topology and model size), not an
+    /// allocator-exact measurement.
     pub fn approx_bytes(&self) -> usize {
         let program = &self.report.program;
         let adjacencies: usize = self.adjacencies.values().map(|m| m.size_bytes()).sum();
@@ -319,7 +320,6 @@ mod tests {
     fn plans_and_templates_keep_the_options_they_were_given() {
         let options = EngineOptions::builder()
             .host(HostExecutionOptions {
-                recalibrate: false,
                 pricing_cache: PricingCacheMode::Exact,
             })
             .build();

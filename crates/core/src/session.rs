@@ -32,18 +32,9 @@ use dynasparse_runtime::{
     Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCacheMode, PricingStage,
     RuntimeOverhead, Scheduler,
 };
-use dynasparse_telemetry::{CounterId, GaugeId, Registry, SessionTelemetry};
+use dynasparse_telemetry::{CounterId, Registry, SessionTelemetry};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Accepted band of the per-primitive measured/predicted drift EWMA
-/// (`measured_ms / predicted_ms`, see
-/// [`DriftTracker`](dynasparse_telemetry::DriftTracker)).  A finite gauge
-/// outside the band after a served request triggers one online
-/// recalibration: the session rescales that primitive's calibration fit by
-/// the observed ratio, swaps the rescaled fit into its dispatcher and
-/// resets the gauge.
-pub const DRIFT_BAND: (f64, f64) = (0.5, 2.0);
 
 /// How a session holds its plan: borrowed from the caller (the classic
 /// single-threaded shape) or co-owned through an [`Arc`] (the serving
@@ -578,9 +569,7 @@ impl<'p> Session<'p> {
                 counters.miss_ns,
             );
         }
-        let report = self.assemble(features, predicted_kernel_ms);
-        self.maybe_recalibrate();
-        Ok(report)
+        Ok(self.assemble(features, predicted_kernel_ms))
     }
 
     /// Assembles the served request's report from its record: each
@@ -660,63 +649,6 @@ impl<'p> Session<'p> {
             predicted_kernel_ms,
             output_embeddings: self.arena.output().clone(),
         }
-    }
-
-    /// Online drift-triggered recalibration (calibrated sessions only): after
-    /// a served request, any per-primitive drift gauge
-    /// (measured/predicted EWMA, see
-    /// [`DriftTracker`](dynasparse_telemetry::DriftTracker)) that is finite
-    /// but outside [`DRIFT_BAND`] rescales that primitive's calibration fit
-    /// by the observed ratio (the SpDMM gauge folds both orientations of the
-    /// primitive, so it rescales both of their curves); the rescaled
-    /// calibration is swapped into the dispatcher in one step and the
-    /// tripped gauges reset to `1.0`.
-    /// Decisions and predictions change, results never do (the calibration
-    /// only picks among bit-identical routes).
-    fn maybe_recalibrate(&mut self) {
-        if !self.plan.get().options().host.recalibrate {
-            return;
-        }
-        let Some(calibration) = self.dispatcher.calibration().cloned() else {
-            return;
-        };
-        const GAUGES: [GaugeId; 3] = [GaugeId::DriftGemm, GaugeId::DriftSpdmm, GaugeId::DriftSpmm];
-        let mut ratios = [1.0f64; 3];
-        let mut drifted = false;
-        let registry = Arc::clone(self.telemetry.registry());
-        for (ratio, gauge) in ratios.iter_mut().zip(GAUGES) {
-            let r = registry.gauge(gauge);
-            if r.is_finite() && r > 0.0 && !(DRIFT_BAND.0..=DRIFT_BAND.1).contains(&r) {
-                *ratio = r;
-                drifted = true;
-            }
-        }
-        if !drifted {
-            return;
-        }
-        let mut rescaled = (*calibration).clone();
-        let [gemm, spdmm, spmm] = ratios;
-        for (fit, ratio) in [
-            (&mut rescaled.gemm, gemm),
-            (&mut rescaled.spdmm, spdmm),
-            (&mut rescaled.spdmm_right, spdmm),
-            (&mut rescaled.spmm, spmm),
-        ] {
-            if ratio != 1.0 {
-                fit.work *= ratio;
-                fit.output *= ratio;
-                fit.per_row *= ratio;
-            }
-        }
-        // The rescaled fit invalidates every cached pricing decision.
-        self.pricing.recalibrated(&rescaled);
-        self.dispatcher.recalibrate(Arc::new(rescaled));
-        for (gauge, ratio) in GAUGES.into_iter().zip(ratios) {
-            if ratio != 1.0 {
-                registry.gauge_set(gauge, 1.0);
-            }
-        }
-        self.telemetry.record_recalibration();
     }
 
     /// Serves a batch of requests over the same plan, returning one report
@@ -948,7 +880,6 @@ mod tests {
 
     #[test]
     fn dispatch_reports_backend_predicted_kernel_cost() {
-        use dynasparse_telemetry::TelemetryLevel;
         let (plan, features) = plan_fixture();
         let mut session = plan.session(&[MappingStrategy::Dynamic]);
         let report = session.infer(&features).unwrap();
@@ -960,10 +891,7 @@ mod tests {
         }
         assert!(report.predicted_kernel_ms.is_finite());
         // Every request of a batch reports its own prediction, summed in
-        // block order: equal requests agree bit for bit, as long as no drift
-        // recalibration falls between them (a private registry that records
-        // nothing keeps other tests' drift out).
-        session.set_telemetry(Arc::new(Registry::new(TelemetryLevel::Off)));
+        // block order: equal requests agree bit for bit.
         let reports = session
             .infer_batch(&[features.clone(), features.clone()])
             .unwrap();
@@ -975,60 +903,36 @@ mod tests {
     }
 
     #[test]
-    fn drift_outside_band_triggers_one_recalibration() {
-        use dynasparse_telemetry::TelemetryLevel;
+    fn drift_left_on_the_registry_changes_no_prediction_and_flushes_no_pricing() {
+        use dynasparse_telemetry::{GaugeId, TelemetryLevel};
         let (plan, features) = plan_fixture();
-        if plan.calibration().is_none() {
-            return; // calibration disabled via the environment
-        }
         let mut session = plan.session(&[MappingStrategy::Dynamic]);
         let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
         session.set_telemetry(registry.clone());
-        // Seed the gemm drift gauge far outside the accepted band, as if the
-        // measured kernels had been running 16x over their predictions.
+        // What a sibling session on the same registry leaves behind: drift
+        // gauges far outside 0.5–2.0, as if its GEMMs had run 16x and its
+        // SpDMMs 4x over their predictions.  The gauges only observe, so the
+        // fit, the predictions and the cached prices all stay as they were.
         registry.gauge_set(GaugeId::DriftGemm, 16.0);
-        session.infer(&features).unwrap();
-        assert_eq!(
-            registry.counter(CounterId::Recalibrations),
-            1,
-            "one request with a tripped gauge must recalibrate once"
-        );
-        // The tripped gauge was reset after the swap.
-        assert!((registry.gauge(GaugeId::DriftGemm) - 1.0).abs() < 1e-12);
-
-        // The SpDMM gauge folds both orientations of the primitive, so it
-        // rescales both of their curves.
-        let before = session.dispatcher.calibration().unwrap().clone();
         registry.gauge_set(GaugeId::DriftSpdmm, 4.0);
-        session.infer(&features).unwrap();
-        let after = session.dispatcher.calibration().unwrap();
-        for (was, is) in [
-            (&before.spdmm, &after.spdmm),
-            (&before.spdmm_right, &after.spdmm_right),
-        ] {
-            assert!(is.work > 2.0 * was.work, "{was:?} -> {is:?}");
+        let first = session.infer(&features).unwrap();
+        let misses = registry.counter(CounterId::PricingMiss);
+        assert!(misses > 0, "the first request prices from a cold cache");
+        for _ in 0..2 {
+            let again = session.infer(&features).unwrap();
+            assert_eq!(
+                again.predicted_kernel_ms.to_bits(),
+                first.predicted_kernel_ms.to_bits(),
+                "{} vs {}",
+                again.predicted_kernel_ms,
+                first.predicted_kernel_ms
+            );
         }
-    }
-
-    #[test]
-    fn recalibration_can_be_disabled_by_options() {
-        use dynasparse_telemetry::TelemetryLevel;
-        let ds = Dataset::Cora.spec().generate_scaled(21, 0.15);
-        let model = GnnModel::standard(
-            GnnModelKind::Gcn,
-            ds.features.dim(),
-            16,
-            ds.spec.num_classes,
-            3,
+        assert_eq!(
+            registry.counter(CounterId::PricingMiss),
+            misses,
+            "repeated requests must hit the pricing cache"
         );
-        let mut options = EngineOptions::default();
-        options.host.recalibrate = false;
-        let plan = Planner::new(options).plan(&model, &ds).unwrap();
-        let mut session = plan.session(&[MappingStrategy::Dynamic]);
-        let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
-        session.set_telemetry(registry.clone());
-        registry.gauge_set(GaugeId::DriftGemm, 16.0);
-        session.infer(&ds.features).unwrap();
         assert_eq!(registry.counter(CounterId::Recalibrations), 0);
     }
 

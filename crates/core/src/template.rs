@@ -135,7 +135,7 @@ impl ModelTemplate {
 
     /// Approximate resident bytes of the template: the model weights plus
     /// the cached weight density-profile records (16 bytes each).  The
-    /// byte-budget counterpart of [`CompiledPlan::approx_bytes`].
+    /// template-cache counterpart of [`CompiledPlan::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
         let weights: usize = self.model.weights.iter().map(|w| w.size_bytes()).sum();
         let profiles: usize = self

@@ -24,11 +24,10 @@
 //!   paper's closed-form regions ([`DispatchPolicy::decide`]) stay the
 //!   accelerator-side oracle and the fallback whenever a prediction
 //!   degenerates.
-//! * The fit is serde-able and env-overridable: `DYNASPARSE_CALIBRATION=off`
-//!   disables calibration (regions only), `DYNASPARSE_CALIBRATION=<path>`
-//!   loads a persisted fit instead of measuring, so CI stays deterministic.
-//!   [`HostCalibration::shared`] measures at most once per process and hands
-//!   out `Arc` clones, which compiled plans share across worker sessions.
+//! * [`HostCalibration::shared`] measures the fit once per process and hands
+//!   out `Arc` clones, which compiled plans share across worker sessions;
+//!   nothing changes the fit afterwards.  `DYNASPARSE_CALIBRATION=off`
+//!   disables calibration (regions only).
 
 use crate::csr::{CsrMatrix, SpGemmScratch};
 use crate::dense::DenseMatrix;
@@ -37,7 +36,6 @@ use crate::ops::{gemm_into, right_sparse_rows_into};
 use crate::random::random_dense;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -127,7 +125,7 @@ fn features(prim: HostPrimitive, shape: ProductShape, ax: f64, ay: f64) -> [f64;
 
 /// Fitted cost curve of one primitive: milliseconds per unit of each
 /// cost feature, all non-negative.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrimitiveFit {
     /// Milliseconds per unit of skipped-zero MAC work.
     pub work: f64,
@@ -208,7 +206,7 @@ impl Default for CalibrationConfig {
 }
 
 /// One measured grid point (kept for provenance and for the smoke check).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CalibrationSample {
     /// Output rows.
     pub m: usize,
@@ -232,16 +230,10 @@ pub struct CalibrationSample {
     pub spmm_ms: f64,
 }
 
-/// The persisted result of a host micro-calibration: one fitted cost curve
-/// per primitive plus the provenance of the measurement.
-///
-/// Serializes to JSON via serde; [`HostCalibration::from_json`] reads that
-/// JSON back (the loader is hand-rolled against the fixed schema so the
-/// offline vendored serde, which only serializes, stays sufficient).
-#[derive(Debug, Clone, Serialize)]
+/// The result of a host micro-calibration: one fitted cost curve per
+/// primitive plus the provenance of the measurement.
+#[derive(Debug, Clone)]
 pub struct HostCalibration {
-    /// Schema version of the persisted fit.
-    pub version: u32,
     /// Fitted GEMM cost curve.
     pub gemm: PrimitiveFit,
     /// Fitted SpDMM cost curve (CSR left operand).
@@ -251,7 +243,7 @@ pub struct HostCalibration {
     pub spdmm_right: PrimitiveFit,
     /// Fitted SPMM (Gustavson) cost curve.
     pub spmm: PrimitiveFit,
-    /// Number of grid points measured (0 for loaded/synthetic fits).
+    /// Number of grid points measured (0 for synthetic fits).
     pub samples: usize,
     /// Wall-clock milliseconds the calibration pass spent measuring.
     pub measure_ms: f64,
@@ -263,12 +255,8 @@ pub struct HostCalibration {
 /// instead of a fifth.
 const RIGHT_SPARSE_TIMED_ROWS: usize = 32;
 
-/// Current schema version of the persisted calibration JSON.
-pub const CALIBRATION_VERSION: u32 = 2;
-
-/// Environment variable overriding [`HostCalibration::shared`]: `off` (or
-/// `regions`) disables calibration entirely, any other value is a path to a
-/// persisted calibration JSON loaded instead of measuring.
+/// Environment variable read by [`HostCalibration::shared`]: `off` (or
+/// `regions`) disables calibration entirely.
 pub const CALIBRATION_ENV: &str = "DYNASPARSE_CALIBRATION";
 
 impl HostCalibration {
@@ -295,7 +283,6 @@ impl HostCalibration {
             fit_nonnegative(&rows)
         };
         HostCalibration {
-            version: CALIBRATION_VERSION,
             gemm: fit_for(HostPrimitive::Gemm),
             spdmm: fit_for(HostPrimitive::SpDmm),
             spdmm_right: fit_for(HostPrimitive::SpDmmRight),
@@ -356,12 +343,10 @@ impl HostCalibration {
     }
 
     /// A deterministic, machine-independent stand-in fit with the canonical
-    /// cost ordering (per-MAC: GEMM < SpDMM < Gustavson).  Used by tests and
-    /// as a documented `DYNASPARSE_CALIBRATION` fixture; any real host
-    /// measurement supersedes it.
+    /// cost ordering (per-MAC: GEMM < SpDMM < Gustavson), for tests that
+    /// need a fit independent of the host they run on.
     pub fn reference() -> HostCalibration {
         HostCalibration {
-            version: CALIBRATION_VERSION,
             gemm: PrimitiveFit {
                 work: 1.0e-6,
                 output: 1.0e-7,
@@ -412,85 +397,30 @@ impl HostCalibration {
             .all(|fit| fit.is_valid())
     }
 
-    /// Serializes the calibration to its persisted JSON form.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("calibration serializes")
-    }
-
-    /// Parses a calibration previously produced by
-    /// [`HostCalibration::to_json`] (hand-rolled fixed-schema reader; the
-    /// vendored serde has no deserializer).
-    pub fn from_json(json: &str) -> Result<HostCalibration, String> {
-        // The version first: an older file lacks the curves added since, and
-        // should be refused for what it is.
-        let version = json_number(json, "version")? as u32;
-        if version != CALIBRATION_VERSION {
-            return Err(format!(
-                "calibration version {version} unsupported (expected {CALIBRATION_VERSION})"
-            ));
-        }
-        let fit = |name: &str| -> Result<PrimitiveFit, String> {
-            let obj = json_object(json, name)?;
-            Ok(PrimitiveFit {
-                work: json_number(&obj, "work")?,
-                output: json_number(&obj, "output")?,
-                per_row: json_number(&obj, "per_row")?,
-            })
-        };
-        let calibration = HostCalibration {
-            version,
-            gemm: fit("gemm")?,
-            spdmm: fit("spdmm")?,
-            spdmm_right: fit("spdmm_right")?,
-            spmm: fit("spmm")?,
-            samples: json_number(json, "samples").unwrap_or(0.0) as usize,
-            measure_ms: json_number(json, "measure_ms").unwrap_or(0.0),
-        };
-        if !calibration.is_valid() {
-            return Err("calibration coefficients are not finite non-negative".into());
-        }
-        Ok(calibration)
-    }
-
-    /// Persists the calibration as JSON at `path`.
-    pub fn save(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Loads a persisted calibration from `path`.
-    pub fn load(path: &str) -> Result<HostCalibration, String> {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        Self::from_json(&json)
-    }
-
     /// The process-wide shared calibration, honoring [`CALIBRATION_ENV`]:
     ///
     /// * `DYNASPARSE_CALIBRATION=off` (or `regions`) → `None`; dispatchers
     ///   fall back to the Table IV regions ([`DispatchPolicy::decide`]).
-    /// * `DYNASPARSE_CALIBRATION=<path>` → the persisted fit at `path`
-    ///   (measured afresh, with a warning, if the file does not parse).
-    /// * unset → measured once per process over the default grid; every
-    ///   later call (and every plan) shares the same `Arc`.
+    /// * otherwise → measured once per process over the default grid; every
+    ///   later call (and every plan) shares the same `Arc`.  Any other
+    ///   non-empty value is reported on stderr and ignored.
     pub fn shared() -> Option<Arc<HostCalibration>> {
         static SHARED: OnceLock<Option<Arc<HostCalibration>>> = OnceLock::new();
         SHARED
-            .get_or_init(|| match std::env::var(CALIBRATION_ENV) {
-                Ok(v) if v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("regions") => None,
-                Ok(path) if !path.is_empty() => match HostCalibration::load(&path) {
-                    Ok(c) => Some(Arc::new(c)),
-                    Err(e) => {
-                        eprintln!(
-                            "dynasparse: ignoring {CALIBRATION_ENV}={path} ({e}); \
-                             measuring the host instead"
-                        );
-                        Some(Arc::new(HostCalibration::measure(
-                            &CalibrationConfig::default(),
-                        )))
-                    }
-                },
-                _ => Some(Arc::new(HostCalibration::measure(
+            .get_or_init(|| {
+                let value = std::env::var(CALIBRATION_ENV).unwrap_or_default();
+                if value.eq_ignore_ascii_case("off") || value.eq_ignore_ascii_case("regions") {
+                    return None;
+                }
+                if !value.is_empty() {
+                    eprintln!(
+                        "dynasparse: ignoring {CALIBRATION_ENV}={value} (only `off` or \
+                         `regions` are read); measuring the host"
+                    );
+                }
+                Some(Arc::new(HostCalibration::measure(
                     &CalibrationConfig::default(),
-                ))),
+                )))
             })
             .clone()
     }
@@ -702,57 +632,6 @@ impl CalibratedPolicy {
     }
 }
 
-// ---- minimal fixed-schema JSON readers -------------------------------------
-
-/// Extracts the balanced `{...}` object value of `"key"` from `json`.
-fn json_object(json: &str, key: &str) -> Result<String, String> {
-    let needle = format!("\"{key}\"");
-    let at = json
-        .find(&needle)
-        .ok_or_else(|| format!("missing key {key:?}"))?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest
-        .find(':')
-        .ok_or_else(|| format!("malformed key {key:?}"))?;
-    let rest = rest[colon + 1..].trim_start();
-    if !rest.starts_with('{') {
-        return Err(format!("key {key:?} is not an object"));
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Ok(rest[..=i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    Err(format!("unbalanced object for key {key:?}"))
-}
-
-/// Extracts the numeric value of `"key"` from `json`.
-fn json_number(json: &str, key: &str) -> Result<f64, String> {
-    let needle = format!("\"{key}\"");
-    let at = json
-        .find(&needle)
-        .ok_or_else(|| format!("missing key {key:?}"))?;
-    let rest = &json[at + needle.len()..];
-    let colon = rest
-        .find(':')
-        .ok_or_else(|| format!("malformed key {key:?}"))?;
-    let rest = rest[colon + 1..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("key {key:?}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -805,31 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_the_fit() {
-        let calibration = HostCalibration::reference();
-        let json = calibration.to_json();
-        let back = HostCalibration::from_json(&json).unwrap();
-        assert_eq!(back.gemm, calibration.gemm);
-        assert_eq!(back.spdmm, calibration.spdmm);
-        assert_eq!(back.spdmm_right, calibration.spdmm_right);
-        assert_eq!(back.spmm, calibration.spmm);
-        assert_eq!(back.version, CALIBRATION_VERSION);
-    }
-
-    #[test]
-    fn a_version_1_file_is_refused_for_its_version() {
-        // What the three-curve schema wrote: no `spdmm_right`.  The refusal
-        // names the version, not the key the file could not have.
-        let fit = r#"{ "work": 1e-6, "output": 1e-7, "per_row": 0 }"#;
-        let v1 = format!(
-            r#"{{ "version": 1, "gemm": {fit}, "spdmm": {fit}, "spmm": {fit},
-                 "samples": 20, "measure_ms": 21.5 }}"#
-        );
-        let err = HostCalibration::from_json(&v1).unwrap_err();
-        assert!(err.contains("version 1 unsupported"), "{err}");
-    }
-
-    #[test]
     fn the_default_grid_resolves_every_right_sparse_coefficient() {
         // Both default shapes have `n + d = 160`: features that are not
         // independent on the grid (such as `m·(n + d)` beside `m`) make the
@@ -855,15 +709,6 @@ mod tests {
         for (got, want) in fit.coefficients().iter().zip(truth) {
             assert!((got - want).abs() / want < 1e-6, "{fit:?}");
         }
-    }
-
-    #[test]
-    fn malformed_json_is_rejected() {
-        assert!(HostCalibration::from_json("{}").is_err());
-        assert!(HostCalibration::from_json("not json").is_err());
-        let mut bad = HostCalibration::reference();
-        bad.gemm.work = f64::NAN;
-        assert!(HostCalibration::from_json(&bad.to_json()).is_err());
     }
 
     #[test]
@@ -921,16 +766,5 @@ mod tests {
             .collect();
         let fit = fit_nonnegative(&rows);
         assert!(fit.is_valid(), "{fit:?}");
-    }
-
-    #[test]
-    fn save_and_load_roundtrip_through_a_file() {
-        let calibration = HostCalibration::reference();
-        let path = std::env::temp_dir().join("dynasparse_calibration_test.json");
-        let path = path.to_str().unwrap();
-        calibration.save(path).unwrap();
-        let back = HostCalibration::load(path).unwrap();
-        assert_eq!(back.gemm, calibration.gemm);
-        let _ = std::fs::remove_file(path);
     }
 }

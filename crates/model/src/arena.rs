@@ -165,12 +165,6 @@ impl KernelDispatcher {
         self.calibrated.as_ref().map(CalibratedPolicy::calibration)
     }
 
-    /// Swaps in a freshly rescaled host calibration — the online
-    /// recalibration hook.
-    pub fn recalibrate(&mut self, calibration: Arc<HostCalibration>) {
-        self.calibrated = Some(CalibratedPolicy::new(calibration, self.policy));
-    }
-
     /// Picks the host primitive for one (sub-)product, also reporting
     /// whether a calibrated decision fell back to the Table IV regions on a
     /// degenerate fit.  An empty shape or a non-positive (or `NaN`) density
@@ -1448,25 +1442,22 @@ mod tests {
     fn a_calibrated_dispatcher_predicts_finite_costs() {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let calibration = Arc::new(HostCalibration::reference());
-        let mut dispatcher = KernelDispatcher::new(
-            &model,
-            DispatchPolicy::from_regions(16),
-            Some(Arc::clone(&calibration)),
-        );
+        let policy = DispatchPolicy::from_regions(16);
+        let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::clone(&calibration)));
         assert!(Arc::ptr_eq(dispatcher.calibration().unwrap(), &calibration));
         let shape = ProductShape::new(64, 64, 16);
         for prim in PRIMITIVES {
             let predicted = dispatcher.predict_ms(prim, shape, 0.3, 0.3);
             assert!(predicted.is_finite() && predicted > 0.0, "{prim:?}");
         }
-        // Recalibration swaps the fit in, and prices follow it.
+        // Prices follow the fit the dispatcher was built over.
         let mut doubled = (*calibration).clone();
         doubled.gemm.work *= 2.0;
         doubled.gemm.output *= 2.0;
         doubled.gemm.per_row *= 2.0;
+        let rescaled = KernelDispatcher::new(&model, policy, Some(Arc::new(doubled)));
         let before = dispatcher.predict_ms(HostPrimitive::Gemm, shape, 0.3, 0.3);
-        dispatcher.recalibrate(Arc::new(doubled));
-        let after = dispatcher.predict_ms(HostPrimitive::Gemm, shape, 0.3, 0.3);
+        let after = rescaled.predict_ms(HostPrimitive::Gemm, shape, 0.3, 0.3);
         assert!(
             (after - 2.0 * before).abs() <= 1e-12 * after,
             "{before} → {after}"

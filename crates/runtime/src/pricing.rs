@@ -325,16 +325,13 @@ fn hash_bucketed(h: &mut Fnv2, profile: &DensityProfile, buckets: &mut BucketTab
     }
 }
 
-/// Content fingerprint of a calibration: the twelve fit coefficients plus the
-/// version, hashed bit-exactly.  `None` (region cost model) fingerprints to
-/// a fixed constant.  Recalibration swaps the fit, which changes the
-/// fingerprint — every key minted under the old fit becomes unreachable.
+/// Content fingerprint of a calibration: the twelve fit coefficients, hashed
+/// bit-exactly.  `None` (region cost model) fingerprints to a fixed constant.
 pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
     let Some(c) = calibration else {
         return 0x7f4a_7c15_9e37_79b9;
     };
     let mut h = Fnv2::new();
-    h.word(u64::from(c.version));
     for fit in [&c.gemm, &c.spdmm, &c.spdmm_right, &c.spmm] {
         h.word(fit.work.to_bits());
         h.word(fit.output.to_bits());
@@ -403,16 +400,6 @@ impl PricingCache {
     /// True when no entry is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops every entry (capacity is kept).  Used on recalibration: the
-    /// fingerprint change already makes old keys unreachable, clearing just
-    /// returns the slots to the fresh-fit working set immediately.
-    pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = None;
-        }
-        self.tick = 0;
     }
 
     #[inline]
@@ -508,9 +495,7 @@ pub struct PricingStage {
     mode: PricingCacheMode,
     /// `None` when the mode is `Off` or nothing is priced (no strategies).
     cache: Option<PricingCache>,
-    /// Fingerprint of the calibration decisions are priced under; a
-    /// recalibration changes it, which makes every key minted under the old
-    /// fit unreachable.
+    /// Fingerprint of the calibration decisions are priced under.
     calibration_fingerprint: u64,
     /// Fingerprint of the bound plan's static operands, so template
     /// instances of the same subgraph class share pricing while different
@@ -568,16 +553,6 @@ impl PricingStage {
     /// one can only miss.
     pub fn rebind_statics(&mut self, adjacency: &DensityProfile, weights: &[DensityProfile]) {
         self.statics_fingerprint = statics_fingerprint(adjacency, weights);
-    }
-
-    /// Re-keys the stage for a swapped-in calibration.  The fingerprint
-    /// change alone invalidates every cached decision; clearing returns the
-    /// slots to the fresh fit's working set immediately.
-    pub fn recalibrated(&mut self, calibration: &HostCalibration) {
-        self.calibration_fingerprint = calibration_fingerprint(Some(calibration));
-        if let Some(cache) = &mut self.cache {
-            cache.clear();
-        }
     }
 
     /// Returns and zeroes the counters.
@@ -950,9 +925,6 @@ mod tests {
             "64 inserts into 8 slots must evict, got {evictions}"
         );
         assert!(cache.len() <= cache.capacity());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert!(cache.get(&keys[63]).is_none());
     }
 
     #[test]

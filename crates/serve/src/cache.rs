@@ -34,8 +34,7 @@ pub struct CacheStats {
     pub clears: u64,
     /// Approximate bytes currently resident in the cache (a gauge, not a
     /// counter): the sum of [`CompiledPlan::approx_bytes`] over cached
-    /// entries, maintained across inserts, evictions and clears.  The
-    /// measurement a byte-budget eviction policy will act on.
+    /// entries, maintained across inserts, evictions and clears.
     pub resident_bytes: u64,
 }
 
@@ -88,9 +87,6 @@ struct CacheEntry {
 pub struct PlanCache {
     planner: Planner,
     capacity: usize,
-    /// Byte budget over the sum of cached plans' `approx_bytes`; `None`
-    /// bounds by entry count only.
-    max_resident_bytes: Option<u64>,
     entries: HashMap<PlanFingerprint, CacheEntry>,
     clock: u64,
     stats: CacheStats,
@@ -114,23 +110,11 @@ impl PlanCache {
         PlanCache {
             planner,
             capacity: capacity.max(1),
-            max_resident_bytes: None,
             entries: HashMap::new(),
             clock: 0,
             stats: CacheStats::default(),
             telemetry,
         }
-    }
-
-    /// Bounds the cache by resident bytes as well as entry count: after
-    /// every insert, least-recently-used plans are evicted until
-    /// [`CacheStats::resident_bytes`] is back under `budget`.  The
-    /// most-recently-inserted plan is never evicted (a budget smaller than
-    /// any single plan degrades to caching exactly one), so a hot plan
-    /// always stays servable.
-    pub fn max_resident_bytes(mut self, budget: u64) -> Self {
-        self.max_resident_bytes = Some(budget);
-        self
     }
 
     /// The plan for `(model, dataset)`, compiled at most once: a hit
@@ -167,19 +151,7 @@ impl PlanCache {
                 bytes,
             },
         );
-        self.enforce_byte_budget();
         Ok(plan)
-    }
-
-    /// Evicts LRU entries until the byte budget holds, always keeping at
-    /// least one entry (the just-inserted plan is the most recent, so it is
-    /// the last possible victim and the loop's `len() > 1` guard spares it).
-    fn enforce_byte_budget(&mut self) {
-        if let Some(budget) = self.max_resident_bytes {
-            while self.stats.resident_bytes > budget && self.entries.len() > 1 {
-                self.evict_lru();
-            }
-        }
     }
 
     /// Whether a plan for `(model, dataset)` is cached, without touching
@@ -290,9 +262,6 @@ impl PlanCache {
 pub struct TemplateCache {
     options: EngineOptions,
     capacity: usize,
-    /// Byte budget over the cached templates' last observed `approx_bytes`;
-    /// `None` bounds by entry count only.
-    max_resident_bytes: Option<u64>,
     entries: HashMap<ModelFingerprint, TemplateEntry>,
     clock: u64,
     stats: CacheStats,
@@ -327,22 +296,11 @@ impl TemplateCache {
         TemplateCache {
             options,
             capacity: capacity.max(1),
-            max_resident_bytes: None,
             entries: HashMap::new(),
             clock: 0,
             stats: CacheStats::default(),
             telemetry,
         }
-    }
-
-    /// Bounds the cache by resident bytes as well as entry count, evicting
-    /// LRU templates until under `budget` after every insert *and* after
-    /// every hit (a template's footprint grows as its weight-profile cache
-    /// fills, so a hit can push residency over budget without any insert).
-    /// The entry just touched is never evicted.
-    pub fn max_resident_bytes(mut self, budget: u64) -> Self {
-        self.max_resident_bytes = Some(budget);
-        self
     }
 
     /// The template for `model`, compiled at most once: a hit returns the
@@ -368,7 +326,6 @@ impl TemplateCache {
             entry.bytes = bytes;
             let template = Arc::clone(&entry.template);
             self.telemetry.incr(0, CounterId::TemplateCacheHits);
-            self.enforce_byte_budget();
             self.publish_resident_bytes();
             return Ok(template);
         }
@@ -389,18 +346,7 @@ impl TemplateCache {
                 bytes,
             },
         );
-        self.enforce_byte_budget();
         Ok(template)
-    }
-
-    /// Evicts LRU entries until the byte budget holds, sparing the
-    /// most-recently-touched entry (see [`PlanCache::enforce_byte_budget`]).
-    fn enforce_byte_budget(&mut self) {
-        if let Some(budget) = self.max_resident_bytes {
-            while self.stats.resident_bytes > budget && self.entries.len() > 1 {
-                self.evict_lru();
-            }
-        }
     }
 
     /// Whether a template for `model` is cached, without touching recency
@@ -646,60 +592,5 @@ mod tests {
         bad.weights.clear();
         assert!(cache.get_or_compile(&bad).is_err());
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn plan_cache_byte_budget_evicts_lru_until_under_budget() {
-        let (d1, d2, d3) = (dataset(1), dataset(2), dataset(3));
-        let model = model_for(&d1, 1);
-        // Measure one plan to size a budget that fits ~2 of them.
-        let probe = Planner::default().plan_shared(&model, &d1).unwrap();
-        let one = probe.approx_bytes() as u64;
-        let mut cache =
-            PlanCache::new(Planner::default(), 16).max_resident_bytes(one * 2 + one / 2);
-        cache.get_or_plan(&model, &d1).unwrap();
-        cache.get_or_plan(&model, &d2).unwrap();
-        assert_eq!(cache.stats().evictions, 0, "two plans fit the budget");
-        // Touch d1, then a third plan must push residency over budget and
-        // evict the LRU entry (d2), not the hot one.
-        cache.get_or_plan(&model, &d1).unwrap();
-        cache.get_or_plan(&model, &d3).unwrap();
-        assert!(cache.stats().evictions >= 1);
-        assert!(cache.contains(&model, &d1), "hot entry survives");
-        assert!(!cache.contains(&model, &d2), "LRU entry evicted for bytes");
-        assert!(cache.contains(&model, &d3), "new entry resident");
-        assert!(cache.stats().resident_bytes <= one * 2 + one / 2);
-    }
-
-    #[test]
-    fn byte_budget_smaller_than_one_plan_degrades_to_a_single_entry() {
-        let (d1, d2) = (dataset(1), dataset(2));
-        let model = model_for(&d1, 1);
-        let mut cache = PlanCache::new(Planner::default(), 16).max_resident_bytes(1);
-        cache.get_or_plan(&model, &d1).unwrap();
-        assert_eq!(cache.len(), 1, "the sole entry is never evicted");
-        cache.get_or_plan(&model, &d2).unwrap();
-        // Inserting d2 pushes over budget: d1 is evicted, d2 stays.
-        assert_eq!(cache.len(), 1);
-        assert!(cache.contains(&model, &d2));
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn template_cache_byte_budget_evicts_lru() {
-        let ds = dataset(1);
-        let m1 = model_for(&ds, 1);
-        let m2 = model_for(&ds, 2);
-        let probe = ModelTemplate::compile_shared(&m1, EngineOptions::default()).unwrap();
-        let one = probe.approx_bytes() as u64;
-        let mut cache =
-            TemplateCache::new(EngineOptions::default(), 16).max_resident_bytes(one + one / 2);
-        cache.get_or_compile(&m1).unwrap();
-        cache.get_or_compile(&m2).unwrap();
-        // ~1.5 templates of budget: the second insert evicts the first.
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(!cache.contains(&m1));
-        assert!(cache.contains(&m2));
-        assert!(cache.stats().resident_bytes <= one + one / 2);
     }
 }

@@ -51,7 +51,9 @@ pub enum CounterId {
     ServeWorkerPanics,
     /// Worker sessions rebuilt after a caught panic.
     ServeWorkerRespawns,
-    /// Online recalibrations triggered by drift leaving the accepted band.
+    /// Host-fit recalibrations.  The fit is measured once per process and
+    /// never rescaled, so this always reads 0; the slot stays for the
+    /// exposition format.
     Recalibrations,
     /// Pricing-cache lookups that reused a cached `KernelAnalysis`.
     PricingHit,
@@ -154,7 +156,7 @@ impl CounterId {
             CounterId::ServeWorkerPanics => "Worker executions that panicked (caught)",
             CounterId::ServeWorkerRespawns => "Worker sessions rebuilt after a caught panic",
             CounterId::Recalibrations => {
-                "Online recalibrations triggered by drift leaving the accepted band"
+                "Host-fit recalibrations (always 0: the fit is measured once per process)"
             }
             CounterId::PricingHit => "Pricing-cache lookups that reused a cached analysis",
             CounterId::PricingMiss => "Pricing-cache lookups that ran a fresh Analyzer pass",

@@ -18,8 +18,9 @@
 //!   by the kernel dispatcher on every dispatch: `(layer, primitive picked,
 //!   product shape, α_X, α_Y, predicted_ms, measured_ms)`.
 //! * [`DriftTracker`] — folds measured-vs-predicted kernel ratios into
-//!   per-primitive EWMA gauges, the signal a future online-recalibration
-//!   loop will read.
+//!   per-primitive EWMA gauges.  They are observability only: they show how
+//!   far the host fit, measured once per process, is from what runs; nothing
+//!   acts on them.
 //! * [`SessionTelemetry`] — the per-session bundle (registry handle + cached
 //!   level + shard + recorder + drift tracker) the engine threads through the
 //!   hot path.

@@ -177,8 +177,8 @@ impl FlightRecorder {
 }
 
 /// Folds measured-vs-predicted kernel cost ratios into per-primitive EWMA
-/// gauges — the sensor a future online-recalibration loop reads to detect a
-/// stale fit on a shared host.
+/// gauges, so an operator can see how far the host fit is from what runs.
+/// The gauges only observe: no code path reads them to change the fit.
 #[derive(Debug, Clone, Copy)]
 pub struct DriftTracker {
     alpha: f64,

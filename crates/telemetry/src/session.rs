@@ -211,12 +211,6 @@ impl SessionTelemetry {
         self.registry.incr(self.shard, CounterId::DispatchFallbacks);
     }
 
-    /// Records one online recalibration (a drift gauge left the accepted
-    /// band and the session rescaled its calibration fit).
-    pub fn record_recalibration(&self) {
-        self.registry.incr(self.shard, CounterId::Recalibrations);
-    }
-
     /// Records the non-kernel phases of one completed request:
     /// density-profile refit and Analyzer/Scheduler pricing, in nanoseconds.
     /// `profile_ns` covers stand-alone refits only: a dense-input Update

@@ -17,7 +17,7 @@
 mod common;
 
 use common::{at_one_and_two_kernel_threads, regions_dispatcher};
-use dynasparse::{EngineOptions, HostExecutionOptions, MappingStrategy, Planner};
+use dynasparse::{MappingStrategy, Planner};
 use dynasparse_graph::generators::{dense_features, power_law_graph, PowerLawConfig};
 use dynasparse_graph::{Dataset, FeatureMatrix};
 use dynasparse_matrix::{CsrMatrix, DispatchPolicy, PartitionSpec, ThreadPool};
@@ -289,11 +289,7 @@ fn check_allocations() {
     // --- The session-level budget: constant per request. ---
     //
     // This constant budget covers the hot path end to end (route
-    // resolution, per-block refits and decisions included).  Online
-    // recalibration is pinned off: a
-    // drift-triggered fit rescale is a deliberate, rare allocation event
-    // (clone + swap of the calibration) whose timing depends on host noise,
-    // which would make the per-request count non-constant.
+    // resolution, per-block refits and decisions included).
     let model = GnnModel::standard(
         GnnModelKind::Gcn,
         dataset.features.dim(),
@@ -303,16 +299,7 @@ fn check_allocations() {
     );
     let strategies = [MappingStrategy::Dynamic];
 
-    let plan = Planner::new(
-        EngineOptions::builder()
-            .host(HostExecutionOptions {
-                recalibrate: false,
-                ..Default::default()
-            })
-            .build(),
-    )
-    .plan(&model, &dataset)
-    .unwrap();
+    let plan = Planner::default().plan(&model, &dataset).unwrap();
     let mut session = plan.session(&strategies);
     for _ in 0..2 {
         session.infer(&features).unwrap();
@@ -353,16 +340,7 @@ fn check_allocations() {
             dataset.spec.num_classes,
             3,
         );
-        let plan = Planner::new(
-            EngineOptions::builder()
-                .host(HostExecutionOptions {
-                    recalibrate: false,
-                    ..Default::default()
-                })
-                .build(),
-        )
-        .plan(&model, &dataset)
-        .unwrap();
+        let plan = Planner::default().plan(&model, &dataset).unwrap();
         let mut session = plan.session(&strategies);
         for _ in 0..2 {
             session.infer(&features).unwrap();
@@ -387,16 +365,7 @@ fn check_allocations() {
         dataset.spec.num_classes,
         3,
     );
-    let plan = Planner::new(
-        EngineOptions::builder()
-            .host(HostExecutionOptions {
-                recalibrate: false,
-                ..Default::default()
-            })
-            .build(),
-    )
-    .plan(&model, &dataset)
-    .unwrap();
+    let plan = Planner::default().plan(&model, &dataset).unwrap();
     let mut session = plan.session(&strategies);
     // 8 slots against 5 request classes x several kernels: every request
     // misses and evicts, forever.

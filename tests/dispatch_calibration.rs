@@ -199,8 +199,8 @@ fn the_right_sparse_curve_prices_the_pruned_wide_updates_it_runs() {
     // what runs — the sum a request's `predicted_kernel_ms` carries and the
     // ratio the SpDMM drift gauge folds.  On the four Update products of the
     // ledger's `pruned_wide` request (GIN 128→64→16 over 2048 vertices,
-    // 90 %-pruned weights), a measured fit must price the kernel inside the
-    // drift band, per product within a wider one (the small ones run tens of
+    // 90 %-pruned weights), a measured fit must price the kernel within 2x
+    // in sum, per product within 3x (the small ones run tens of
     // microseconds).
     if HostCalibration::shared().is_none() {
         return; // DYNASPARSE_CALIBRATION=off
@@ -241,8 +241,7 @@ fn the_right_sparse_curve_prices_the_pruned_wide_updates_it_runs() {
             measured_sum += measured;
             predicted_sum += predicted;
         }
-        let band = dynasparse::DRIFT_BAND.0..=dynasparse::DRIFT_BAND.1;
-        if !band.contains(&(measured_sum / predicted_sum)) {
+        if !(0.5..=2.0).contains(&(measured_sum / predicted_sum)) {
             return Err(format!(
                 "the four products measure {measured_sum:.4} ms and are priced \
                  {predicted_sum:.4} ms"

@@ -15,8 +15,7 @@ mod common;
 
 use common::at_one_and_two_kernel_threads;
 use dynasparse::{
-    CompiledPlan, CompilerConfig, EngineOptions, HostExecutionOptions, InferenceReport,
-    MappingStrategy, Planner, Session,
+    CompiledPlan, CompilerConfig, EngineOptions, InferenceReport, MappingStrategy, Planner, Session,
 };
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
 use dynasparse_matrix::{CsrMatrix, DenseMatrix};
@@ -252,24 +251,6 @@ fn an_empty_batch_serves_nothing() {
     assert!(recorder.spans().all(|span| span.request == 3));
 }
 
-/// A plan whose sessions keep the plan's calibration: with recalibration
-/// off, predictions are comparable across sessions whatever the measured
-/// times drift to.
-fn unrecalibrated_plan(
-    model: &GnnModel,
-    ds: &GraphDataset,
-    compiler: CompilerConfig,
-) -> CompiledPlan {
-    let options = EngineOptions::builder()
-        .compiler(compiler)
-        .host(HostExecutionOptions {
-            recalibrate: false,
-            ..Default::default()
-        })
-        .build();
-    Planner::new(options).plan(model, ds).unwrap()
-}
-
 /// A session over `plan` recording into a private trace-level registry.
 fn traced_session(plan: &CompiledPlan) -> Session<'_> {
     let mut session = plan.session(&[MappingStrategy::Dynamic]);
@@ -285,7 +266,7 @@ fn a_batched_request_predicts_and_traces_as_it_does_alone() {
         "a_batched_request_predicts_and_traces_as_it_does_alone",
         || {
             let (model, ds) = fixture(GnnModelKind::Gin);
-            let plan = unrecalibrated_plan(&model, &ds, CompilerConfig::default());
+            let plan = plan(&model, &ds);
             let batch = request_batch(&ds, 3, Repr::Mixed);
             let mut batched = traced_session(&plan);
             let got = batched.infer_batch(&batch).unwrap();
@@ -325,7 +306,8 @@ fn every_row_block_is_traced_and_predicted_in_block_order() {
                 max_partition: 16,
                 ..CompilerConfig::default()
             };
-            let plan = unrecalibrated_plan(&model, &ds, compiler);
+            let options = EngineOptions::builder().compiler(compiler).build();
+            let plan = Planner::new(options).plan(&model, &ds).unwrap();
             let partition = plan.partition();
             let request = request_batch(&ds, 2, Repr::Dense).pop().unwrap();
             let mut first_ms = None;

@@ -16,9 +16,7 @@
 //!    uncached pricing.
 //!
 //! Invalidation (rebind across topologies, content-addressed re-hits) and
-//! batch amortization ride on the same counters.  Drift-recalibration
-//! invalidation lives in `tests/pricing_invalidation.rs` (own binary — it
-//! pins `DYNASPARSE_CALIBRATION`).
+//! batch amortization ride on the same counters.
 
 use dynasparse::{
     EngineOptions, HostExecutionOptions, InferenceReport, MappingStrategy, ModelTemplate, Planner,
@@ -30,12 +28,10 @@ use dynasparse_model::{GnnModel, GnnModelKind};
 use dynasparse_telemetry::CounterId;
 use std::sync::Arc;
 
-/// Engine options with the given cache mode and online recalibration pinned
-/// off (a drift-triggered flush would make hit/miss counts timing-dependent).
+/// Engine options with the given cache mode.
 fn options(mode: PricingCacheMode) -> EngineOptions {
     EngineOptions::builder()
         .host(HostExecutionOptions {
-            recalibrate: false,
             pricing_cache: mode,
         })
         .build()
