@@ -95,9 +95,7 @@ pub struct InferenceReport {
     /// The host calibration's predicted wall-clock milliseconds summed over
     /// every kernel dispatched for this request (`0.0` when nothing is
     /// priced: the Table IV regions under `DYNASPARSE_CALIBRATION=off`) —
-    /// the request's own sum,
-    /// served alone or in a batch.  Serving runtimes price modeled device
-    /// dwell with this instead of a hard-coded host-time multiplier.
+    /// the request's own sum, served alone or in a batch.
     pub predicted_kernel_ms: f64,
     /// One run per session strategy, in session order.
     pub runs: Vec<StrategyRun>,

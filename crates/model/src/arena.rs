@@ -953,8 +953,8 @@ impl ReferenceExecutor {
     /// `None` when the caller must refit it (CSR inputs, Aggregates).
     ///
     /// Returns the predicted milliseconds summed over every executed kernel
-    /// (finite predictions only; `0.0` when the dispatcher prices nothing) —
-    /// the serve runtime prices modeled device dwell with it.
+    /// (finite predictions only; `0.0` when the dispatcher prices nothing),
+    /// which becomes the report's `predicted_kernel_ms`.
     pub fn forward_dispatch<F>(
         &self,
         input: &FeatureMatrix,

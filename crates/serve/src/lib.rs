@@ -101,6 +101,4 @@ pub use error::ServeError;
 pub use fingerprint::{ModelFingerprint, PlanFingerprint};
 pub use metrics::{BatchBar, LatencySummary, MetricsCollector, ServeReport, WorkerLoad};
 pub use queue::{BoundedQueue, DrainedBatch, PushError};
-pub use runtime::{
-    DeviceDwell, Payload, Priority, ServeConfig, ServeRuntime, SubmitOptions, Ticket,
-};
+pub use runtime::{Payload, Priority, ServeConfig, ServeRuntime, SubmitOptions, Ticket};

@@ -83,10 +83,10 @@ pub struct ServeReport {
     /// the drain-mates served before it).
     pub queue_wait: LatencySummary,
     /// Each request's own host time, from its turn to its final result
-    /// (plan acquire and `infer`; excludes modeled device dwell).
+    /// (plan acquire and `infer`).
     pub service: LatencySummary,
-    /// End-to-end request latency (enqueue → reply ready), including any
-    /// modeled device dwell.
+    /// End-to-end request latency (enqueue → reply ready): queue wait plus
+    /// service.
     pub turnaround: LatencySummary,
     /// Distribution of drain sizes, ascending by size.
     pub batch_histogram: Vec<BatchBar>,

@@ -11,8 +11,8 @@
 //! a time: it takes up to `max_batch` of the requests already queued under
 //! one lock acquisition (it never waits for more), then gives each, in
 //! order, its own turn — deadline check, plan acquire, one supervised
-//! [`Session::infer`], id stamp, modeled dwell, metrics — and replies as
-//! soon as that request is done.
+//! [`Session::infer`], id stamp, metrics — and replies as soon as that
+//! request is done.
 //!
 //! Because every request is profiled and priced from a freshly reset
 //! analyzer/scheduler, a report does not depend on which worker served the
@@ -23,7 +23,9 @@
 use crate::error::ServeError;
 use crate::metrics::{MetricsCollector, ServeReport};
 use crate::queue::{BoundedQueue, PushError};
-use dynasparse::{CompiledPlan, InferenceReport, MappingStrategy, ModelTemplate, Session};
+use dynasparse::{
+    CompiledPlan, FaultHook, InferenceReport, MappingStrategy, ModelTemplate, Session,
+};
 use dynasparse_graph::{FeatureMatrix, Graph};
 use dynasparse_telemetry::{CounterId, GaugeId, HistogramId, Registry};
 use std::any::Any;
@@ -33,37 +35,10 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How a worker models the accelerator's occupancy after computing a batch.
-///
-/// The cycle-level simulator prices a request's accelerator execution but
-/// runs on the host in microseconds of real time.  For wall-clock serving
-/// experiments, `Modeled` makes each worker *occupy* its (virtual)
-/// accelerator lane for the request's modeled steady-state latency — the
-/// feature-transfer plus execution milliseconds the hardware would be busy —
-/// so that measured throughput reflects the deployment the simulator
-/// describes: one accelerator per worker, host-side profiling overlapped
-/// with device occupancy of other lanes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeviceDwell {
-    /// No dwell: workers run as fast as the host simulates (unit tests).
-    None,
-    /// Sleep for the host calibration's predicted per-request milliseconds
-    /// ([`InferenceReport::predicted_kernel_ms`] plus the feature transfer),
-    /// times `scale`; unpriced requests (`DYNASPARSE_CALIBRATION=off`) fall
-    /// back to the modeled per-request milliseconds of `strategy` (then to
-    /// the first priced strategy).
-    Modeled {
-        /// Strategy whose modeled latency prices unpriced requests.
-        strategy: MappingStrategy,
-        /// Multiplier on the modeled milliseconds (1.0 = faithful).
-        scale: f64,
-    },
-}
-
 /// Configuration of a [`ServeRuntime`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads (each with its own session and virtual device lane).
+    /// Worker threads (each with its own session).
     pub workers: usize,
     /// Requests one drain may take from the queue; never waited for.
     pub max_batch: usize,
@@ -71,8 +46,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Mapping strategies every request is priced under.
     pub strategies: Vec<MappingStrategy>,
-    /// Device-occupancy emulation (see [`DeviceDwell`]).
-    pub device_dwell: DeviceDwell,
     /// Telemetry registry every worker session and queue gauge publishes
     /// into; `None` resolves to the process-global
     /// [`Registry::global`] (leveled by `DYNASPARSE_TELEMETRY`).
@@ -101,7 +74,6 @@ impl PartialEq for ServeConfig {
             && self.max_batch == other.max_batch
             && self.queue_capacity == other.queue_capacity
             && self.strategies == other.strategies
-            && self.device_dwell == other.device_dwell
             && self.shed_watermarks == other.shed_watermarks
             && self.max_worker_respawns == other.max_worker_respawns
     }
@@ -114,7 +86,6 @@ impl Default for ServeConfig {
             max_batch: 8,
             queue_capacity: 64,
             strategies: vec![MappingStrategy::Dynamic],
-            device_dwell: DeviceDwell::None,
             telemetry: None,
             shed_watermarks: None,
             max_worker_respawns: 32,
@@ -144,12 +115,6 @@ impl ServeConfig {
     /// Sets the strategies priced on every request.
     pub fn strategies(mut self, strategies: &[MappingStrategy]) -> Self {
         self.strategies = strategies.to_vec();
-        self
-    }
-
-    /// Sets the device-occupancy emulation mode.
-    pub fn device_dwell(mut self, dwell: DeviceDwell) -> Self {
-        self.device_dwell = dwell;
         self
     }
 
@@ -224,11 +189,6 @@ pub struct SubmitOptions {
     pub deadline: Option<Duration>,
     /// Priority class (default [`Priority::Normal`]).
     pub priority: Priority,
-    /// Fault injection: make this request panic inside the kernel path when
-    /// the given kernel execution index runs (`None` = healthy).  This is
-    /// the test hook proving supervision isolates a poisoned request; it
-    /// has no production use.
-    pub panic_at_kernel: Option<usize>,
 }
 
 impl SubmitOptions {
@@ -241,13 +201,6 @@ impl SubmitOptions {
     /// Sets the priority class.
     pub fn priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Arms the fault-injection hook: the request panics when kernel
-    /// execution index `kernel` runs.
-    pub fn panic_at_kernel(mut self, kernel: usize) -> Self {
-        self.panic_at_kernel = Some(kernel);
         self
     }
 }
@@ -294,16 +247,10 @@ struct Envelope {
     /// blocked on a full queue counts against it; a request still queued
     /// past it is shed by the draining worker without executing.
     deadline: Option<Instant>,
-    /// Armed fault injection: panic at this kernel execution index.
-    fault: Option<usize>,
+    /// The hook the worker installs around this request's one
+    /// [`Session::infer`] (see [`ServeRuntime::try_submit_with_fault`]).
+    fault: Option<FaultHook>,
     reply: mpsc::Sender<Outcome>,
-}
-
-impl Envelope {
-    /// The request's fault-injection arming, if any.
-    fn armed(&self) -> Option<(u64, usize)> {
-        self.fault.map(|kernel| (self.id, kernel))
-    }
 }
 
 struct QueuedRequest {
@@ -544,23 +491,23 @@ impl ServeRuntime {
     /// validated up front with the same typed errors [`Session::infer`] /
     /// [`ModelTemplate::instantiate`] would produce.
     pub fn submit(&self, request: impl Into<Payload>) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), SubmitOptions::default(), false)
+        self.enqueue(request.into(), SubmitOptions::default(), false, None)
     }
 
     /// Submits a request without blocking; a full queue returns
     /// [`ServeError::QueueFull`] instead of waiting.
     pub fn try_submit(&self, request: impl Into<Payload>) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), SubmitOptions::default(), true)
+        self.enqueue(request.into(), SubmitOptions::default(), true, None)
     }
 
     /// [`ServeRuntime::submit`] with per-request admission options
-    /// (deadline, priority class, fault injection).
+    /// (deadline, priority class).
     pub fn submit_with(
         &self,
         request: impl Into<Payload>,
         options: SubmitOptions,
     ) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), options, false)
+        self.enqueue(request.into(), options, false, None)
     }
 
     /// [`ServeRuntime::try_submit`] with per-request admission options.
@@ -569,7 +516,22 @@ impl ServeRuntime {
         request: impl Into<Payload>,
         options: SubmitOptions,
     ) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), options, true)
+        self.enqueue(request.into(), options, true, None)
+    }
+
+    /// [`ServeRuntime::try_submit_with`], with `fault` installed as the
+    /// session's [`FaultHook`] for this request's one [`Session::infer`]: a
+    /// hook that panics poisons the request, one that blocks parks its
+    /// worker (holding no queue lock).  The seam supervision and queue-race
+    /// tests drive; it has no production use.
+    #[doc(hidden)]
+    pub fn try_submit_with_fault(
+        &self,
+        request: impl Into<Payload>,
+        options: SubmitOptions,
+        fault: FaultHook,
+    ) -> Result<Ticket, ServeError> {
+        self.enqueue(request.into(), options, true, Some(fault))
     }
 
     /// The admission gate of the load-shedding policy: reject when depth
@@ -611,6 +573,7 @@ impl ServeRuntime {
         payload: Payload,
         options: SubmitOptions,
         bounce: bool,
+        fault: Option<FaultHook>,
     ) -> Result<Ticket, ServeError> {
         // The deadline budget runs from here, not from queue acceptance: a
         // blocking submission's backpressure wait is time the caller spent.
@@ -627,7 +590,7 @@ impl ServeRuntime {
                 id,
                 enqueued: Instant::now(),
                 deadline: options.deadline.map(|d| submitted + d),
-                fault: options.panic_at_kernel,
+                fault,
                 reply: tx,
             },
             payload,
@@ -751,51 +714,10 @@ fn abandon_queued(queue: &BoundedQueue<QueuedRequest>, reason: &'static str) {
     }
 }
 
-/// Installs (or clears) the fault-injection hook for one request: panic
-/// when the armed kernel execution index runs.
-fn arm_fault(session: &mut Session<'_>, fault: Option<(u64, usize)>) {
-    session.set_fault_hook(fault.map(|(id, kernel)| {
-        Arc::new(move |k: usize| {
-            if k == kernel {
-                panic!("injected fault: request {id} panicked at kernel {kernel}");
-            }
-        }) as dynasparse::FaultHook
-    }));
-}
-
-/// Modeled device-lane occupancy of one served request (zero for a failed
-/// one).
-///
-/// A successful request occupies the lane for its feature transfer plus
-/// the host calibration's predicted kernel milliseconds
-/// ([`InferenceReport::predicted_kernel_ms`]).  An unpriced request (the
-/// Table IV regions under `DYNASPARSE_CALIBRATION=off`) falls back to
-/// `strategy`'s modeled accelerator latency, then to the first priced
-/// strategy, so the lane never idles through an unpriced request.
-fn modeled_dwell(result: &Outcome, dwell: DeviceDwell) -> Duration {
-    let (DeviceDwell::Modeled { strategy, scale }, Ok(report)) = (dwell, result) else {
-        return Duration::ZERO;
-    };
-    let ms = if report.predicted_kernel_ms > 0.0 {
-        report.feature_movement_ms + report.predicted_kernel_ms
-    } else {
-        report
-            .amortized_ms(strategy)
-            .or_else(|| {
-                report
-                    .runs
-                    .first()
-                    .map(|run| report.feature_movement_ms + run.latency_ms)
-            })
-            .unwrap_or(0.0)
-    };
-    Duration::from_secs_f64((ms * scale.max(0.0)) / 1e3)
-}
-
 /// One worker thread's state.  Each drained request crosses, in order and
 /// on its own: deadline shed (at pop, and again when its turn comes) → plan
-/// acquire ([`Backend::resolve`]) → session bind → fault arming → one
-/// [`Session::infer`] → id stamp → modeled dwell → metrics → reply.  Plan
+/// acquire ([`Backend::resolve`]) → session bind → fault-hook install → one
+/// [`Session::infer`] → id stamp → metrics → reply.  Plan
 /// acquire and serving are one step under [`Worker::supervised`].
 struct Worker {
     index: usize,
@@ -934,7 +856,6 @@ impl Worker {
             return self.shed_expired(request);
         }
         let QueuedRequest { envelope, payload } = request;
-        self.telemetry.incr(self.index, CounterId::ServeRequests);
         let (graph, features) = match payload {
             Payload::Features(features) => (None, features),
             Payload::Subgraph { graph, features } => (Some(graph), features),
@@ -944,9 +865,9 @@ impl Worker {
         let mut result = self.supervised(|w| {
             let plan = w.backend.resolve(graph.as_ref(), &features)?;
             let session = w.bind(&plan);
-            arm_fault(session, envelope.armed());
+            session.set_fault_hook(envelope.fault);
             let served = session.infer(&features);
-            arm_fault(session, None);
+            session.set_fault_hook(None);
             Ok(served?)
         });
         let service = turn.elapsed();
@@ -957,20 +878,9 @@ impl Worker {
             report.request_index = envelope.id as usize;
         }
 
-        let dwell = modeled_dwell(&result, self.config.device_dwell);
-        if dwell > Duration::ZERO {
-            // The worker's virtual accelerator lane is busy executing the
-            // request; the host thread parks with no locks held, so sibling
-            // lanes keep draining the queue.
-            thread::sleep(dwell);
-        }
-
-        // Service records host time only; the modeled device dwell shows
-        // up in the turnaround (enqueue → reply ready), as it would in a
-        // real deployment where the reply follows device completion.
-        // Panicked and abandoned tickets never executed to completion,
-        // so they stay out of the served-request count and latency
-        // summaries — they are tallied by the supervision counters.
+        // Panicked and abandoned tickets never executed to completion, so
+        // they stay out of the served-request counts and latency summaries —
+        // they are tallied by the supervision counters.
         if !matches!(
             result,
             Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
@@ -982,6 +892,7 @@ impl Worker {
                 service,
                 envelope.enqueued.elapsed(),
             );
+            self.telemetry.incr(self.index, CounterId::ServeRequests);
             self.telemetry.observe(
                 self.index,
                 HistogramId::QueueWaitMicros,
@@ -1005,6 +916,7 @@ mod tests {
     use dynasparse_graph::Dataset;
     use dynasparse_matrix::DenseMatrix;
     use dynasparse_model::{GnnModel, GnnModelKind};
+    use std::sync::{Condvar, Mutex};
 
     fn plan_fixture() -> (Arc<CompiledPlan>, FeatureMatrix) {
         let ds = Dataset::Cora.spec().generate_scaled(5, 0.08);
@@ -1019,6 +931,67 @@ mod tests {
             .plan_shared(&model, &ds)
             .unwrap();
         (plan, ds.features)
+    }
+
+    /// A hook that poisons its request: it panics mid-forward when kernel
+    /// execution index `kernel` runs.
+    fn poison(kernel: usize) -> FaultHook {
+        Arc::new(move |k| {
+            if k == kernel {
+                panic!("injected fault at kernel {kernel}");
+            }
+        })
+    }
+
+    #[derive(Default)]
+    struct ParkState {
+        entered: bool,
+        released: bool,
+    }
+
+    /// Parks a worker in its request's first kernel until the test releases
+    /// it.  The parked worker holds no queue lock, so whatever is submitted
+    /// meanwhile stays queued behind it, however the threads are timed.
+    #[derive(Default)]
+    struct Park {
+        state: Mutex<ParkState>,
+        changed: Condvar,
+    }
+
+    impl Park {
+        fn new() -> Arc<Self> {
+            Arc::default()
+        }
+
+        fn hook(self: &Arc<Self>) -> FaultHook {
+            let park = Arc::clone(self);
+            Arc::new(move |k| {
+                if k == 0 {
+                    let mut state = park.state.lock().unwrap();
+                    state.entered = true;
+                    park.changed.notify_all();
+                    drop(park.changed.wait_while(state, |s| !s.released).unwrap());
+                }
+            })
+        }
+
+        /// Submits `features` to `runtime` to park its next free worker here.
+        fn submit(self: &Arc<Self>, runtime: &ServeRuntime, features: &FeatureMatrix) -> Ticket {
+            runtime
+                .try_submit_with_fault(features.clone(), SubmitOptions::default(), self.hook())
+                .unwrap()
+        }
+
+        /// Blocks until a worker is parked in the hook.
+        fn entered(&self) {
+            let state = self.state.lock().unwrap();
+            drop(self.changed.wait_while(state, |s| !s.entered).unwrap());
+        }
+
+        fn release(&self) {
+            self.state.lock().unwrap().released = true;
+            self.changed.notify_all();
+        }
     }
 
     #[test]
@@ -1070,36 +1043,26 @@ mod tests {
     #[test]
     fn try_submit_bounces_when_the_queue_is_full() {
         let (plan, features) = plan_fixture();
-        // Zero workers is clamped to one; a tiny queue plus a dwell long
-        // enough to park the worker makes the bounce deterministic once the
-        // queue reports full.
         let runtime = ServeRuntime::start(
             plan,
             ServeConfig::default()
                 .workers(1)
                 .max_batch(1)
-                .queue_capacity(1)
-                .device_dwell(DeviceDwell::Modeled {
-                    strategy: MappingStrategy::Dynamic,
-                    scale: 100.0,
-                }),
+                .queue_capacity(1),
         );
-        // Fill: the worker takes one request onto its lane, then the queue
-        // itself can hold one more; keep pushing until it reports full.
-        let mut tickets = Vec::new();
-        let mut bounced = false;
-        for _ in 0..64 {
-            match runtime.try_submit(features.clone()) {
-                Ok(t) => tickets.push(t),
-                Err(ServeError::QueueFull { capacity }) => {
-                    assert_eq!(capacity, 1);
-                    bounced = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
+        // The parked worker holds one request and the queue one more, so
+        // the next submission bounces.
+        let park = Park::new();
+        let parked = park.submit(&runtime, &features);
+        park.entered();
+        let queued = runtime.try_submit(features.clone()).unwrap();
+        match runtime.try_submit(features) {
+            Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 1),
+            other => panic!("a full capacity-1 queue must bounce, got {other:?}"),
         }
-        assert!(bounced, "a capacity-1 queue must eventually bounce");
+        park.release();
+        assert!(parked.wait().is_ok());
+        assert!(queued.wait().is_ok());
         runtime.shutdown();
     }
 
@@ -1192,26 +1155,19 @@ mod tests {
     #[test]
     fn expired_deadline_requests_are_shed_with_typed_error() {
         let (plan, features) = plan_fixture();
-        // A long dwell parks the single worker on its first request, so the
-        // deadline of the queued second request expires before pickup.
-        let runtime = ServeRuntime::start(
-            plan,
-            ServeConfig::default()
-                .workers(1)
-                .max_batch(1)
-                .device_dwell(DeviceDwell::Modeled {
-                    strategy: MappingStrategy::Dynamic,
-                    scale: 50.0,
-                }),
-        );
-        let healthy = runtime.submit(features.clone()).unwrap();
-        thread::sleep(Duration::from_millis(10));
+        // The first request parks the single worker, so the deadline of the
+        // queued second request expires before pickup.
+        let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(1).max_batch(1));
+        let park = Park::new();
+        let healthy = park.submit(&runtime, &features);
+        park.entered();
         let doomed = runtime
             .submit_with(
                 features,
                 SubmitOptions::default().deadline(Duration::from_nanos(1)),
             )
             .unwrap();
+        park.release();
         assert!(healthy.wait().is_ok());
         match doomed.wait() {
             Err(ServeError::DeadlineExceeded { late }) => assert!(late > Duration::ZERO),
@@ -1225,41 +1181,34 @@ mod tests {
     #[test]
     fn blocking_submit_deadline_counts_time_blocked_on_a_full_queue() {
         let (plan, features) = plan_fixture();
-        let strategy = MappingStrategy::Dynamic;
-        // Scale the modeled dwell so one healthy request parks the worker
-        // for ~3x the deadline under test.
         let deadline = Duration::from_millis(100);
-        let report = plan.session(&[strategy]).infer(&features).unwrap();
-        let unit = modeled_dwell(
-            &Ok(report),
-            DeviceDwell::Modeled {
-                strategy,
-                scale: 1.0,
-            },
-        );
-        let scale = 3.0 * deadline.as_secs_f64() / unit.as_secs_f64();
         let runtime = ServeRuntime::start(
             plan,
             ServeConfig::default()
                 .workers(1)
                 .max_batch(1)
-                .queue_capacity(1)
-                .device_dwell(DeviceDwell::Modeled { strategy, scale }),
+                .queue_capacity(1),
         );
-        // The worker takes the first request and dwells on it; a second
-        // request fills the one queue slot, so a third, blocking submission
-        // waits out the dwell — longer than its deadline.  The queued
-        // request is poisoned: it fails fast and dwells for nothing, so the
-        // worker drains the third right after admitting it.
-        let parked = runtime.submit(features.clone()).unwrap();
+        // The worker holds the first request in its first kernel for 3x the
+        // deadline under test (the test thread itself blocks below, so the
+        // hold is timed rather than released); a second request fills the
+        // one queue slot, so a third, blocking submission waits out the hold
+        // — longer than its deadline.  The queued request is poisoned: it
+        // fails fast, so the worker drains the third right after admitting
+        // it.
+        let hold: FaultHook = Arc::new(move |k| {
+            if k == 0 {
+                thread::sleep(3 * deadline);
+            }
+        });
+        let parked = runtime
+            .try_submit_with_fault(features.clone(), SubmitOptions::default(), hold)
+            .unwrap();
         while runtime.queue_depth() > 0 {
             thread::sleep(Duration::from_micros(200));
         }
         let filler = runtime
-            .submit_with(
-                features.clone(),
-                SubmitOptions::default().panic_at_kernel(0),
-            )
+            .try_submit_with_fault(features.clone(), SubmitOptions::default(), poison(0))
             .unwrap();
         let started = Instant::now();
         let late = runtime
@@ -1290,22 +1239,20 @@ mod tests {
     #[test]
     fn load_shedding_trips_at_high_watermark_with_hysteresis() {
         let (plan, features) = plan_fixture();
-        // Long dwell parks the worker so queue depth only grows while we
-        // submit; watermark (2, 0) means depth 2 trips shedding and only a
-        // fully drained queue resumes.
+        // The parked worker lets depth only grow while we submit; watermark
+        // (2, 0) means depth 2 trips shedding and only a fully drained queue
+        // resumes.
         let runtime = ServeRuntime::start(
             plan,
             ServeConfig::default()
                 .workers(1)
                 .max_batch(1)
                 .queue_capacity(16)
-                .shed_watermarks(2, 0)
-                .device_dwell(DeviceDwell::Modeled {
-                    strategy: MappingStrategy::Dynamic,
-                    scale: 50.0,
-                }),
+                .shed_watermarks(2, 0),
         );
-        let mut tickets = Vec::new();
+        let park = Park::new();
+        let mut tickets = vec![park.submit(&runtime, &features)];
+        park.entered();
         let mut shed = 0;
         for _ in 0..8 {
             match runtime.try_submit(features.clone()) {
@@ -1317,12 +1264,14 @@ mod tests {
                 }
                 Err(e) => panic!("unexpected error: {e}"),
             }
-            thread::sleep(Duration::from_millis(2));
         }
-        assert!(shed > 0, "depth must reach the high watermark and shed");
+        assert_eq!(shed, 6, "depth must reach the high watermark and shed");
+        park.release();
         for t in tickets {
             t.wait().unwrap();
         }
+        // Drained to the low watermark, the gate re-admits.
+        assert!(runtime.try_submit(features).unwrap().wait().is_ok());
         let report = runtime.shutdown();
         assert_eq!(report.shed, shed);
     }
@@ -1337,10 +1286,7 @@ mod tests {
         // One poisoned request sandwiched between healthy ones.
         let healthy_before = runtime.submit(features.clone()).unwrap();
         let poisoned = runtime
-            .submit_with(
-                features.clone(),
-                SubmitOptions::default().panic_at_kernel(0),
-            )
+            .try_submit_with_fault(features.clone(), SubmitOptions::default(), poison(0))
             .unwrap();
         let healthy_after = runtime.submit(features.clone()).unwrap();
 
@@ -1370,48 +1316,29 @@ mod tests {
         );
     }
 
-    /// A device dwell that holds a worker for about 300 ms per served
-    /// `features` request, sized from the plan's own modeled milliseconds so
-    /// it lasts that long whatever this host's calibration predicts.  A
-    /// worker replies only after its dwell, and serves its queue in order: a
-    /// warm request submitted first parks a lone worker while a test enqueues
-    /// the backlog it wants served (or abandoned) behind it.
-    fn parking_dwell(plan: &Arc<CompiledPlan>, features: &FeatureMatrix) -> DeviceDwell {
-        let strategy = MappingStrategy::Dynamic;
-        let report = plan.session(&[strategy]).infer(features).unwrap();
-        let unit = DeviceDwell::Modeled {
-            strategy,
-            scale: 1.0,
-        };
-        let scale = 0.3 / modeled_dwell(&Ok(report), unit).as_secs_f64();
-        DeviceDwell::Modeled { strategy, scale }
-    }
-
     #[test]
     fn circuit_breaker_drains_residual_tickets_instead_of_hanging() {
         let (plan, features) = plan_fixture();
         // Budget 0: the first panic opens the breaker; the lone worker must
         // retire AND fail everything still queued.
-        let dwell = parking_dwell(&plan, &features);
         let runtime = ServeRuntime::start(
             plan,
             ServeConfig::default()
                 .workers(1)
                 .max_batch(1)
-                .max_worker_respawns(0)
-                .device_dwell(dwell),
+                .max_worker_respawns(0),
         );
-        // The open breaker closes the queue, so every residual must be
-        // enqueued before the poisoned request runs: the payloads are cloned
-        // up front and submitted back to back behind a warm request whose
-        // dwell parks the worker meanwhile.
-        let mut payloads = vec![features; 5].into_iter();
-        let mut next = || payloads.next().unwrap();
-        let warm = runtime.submit(next()).unwrap();
+        // The open breaker closes the queue, so every residual is enqueued
+        // behind a parked warm request before the poisoned one runs.
+        let park = Park::new();
+        let warm = park.submit(&runtime, &features);
         let poisoned = runtime
-            .submit_with(next(), SubmitOptions::default().panic_at_kernel(0))
+            .try_submit_with_fault(features.clone(), SubmitOptions::default(), poison(0))
             .unwrap();
-        let queued: Vec<Ticket> = (0..3).map(|_| runtime.submit(next()).unwrap()).collect();
+        let queued: Vec<Ticket> = (0..3)
+            .map(|_| runtime.submit(features.clone()).unwrap())
+            .collect();
+        park.release();
         assert!(warm.wait().is_ok());
         // The poisoned ticket names its own panic; only the never-executed
         // residuals are abandoned.
@@ -1431,38 +1358,38 @@ mod tests {
     }
 
     /// A one-worker runtime taking up to four requests per drain, its worker
-    /// parked on a warm request's [`parking_dwell`]: whatever a test submits
-    /// next is drained together once the dwell ends.
-    fn parked_runtime(respawns: usize) -> (ServeRuntime, FeatureMatrix, Ticket) {
+    /// parked on a warm request: whatever a test submits next is drained
+    /// together once the test releases the returned park.
+    fn parked_runtime(respawns: usize) -> (ServeRuntime, FeatureMatrix, Ticket, Arc<Park>) {
         let (plan, features) = plan_fixture();
-        let dwell = parking_dwell(&plan, &features);
         let runtime = ServeRuntime::start(
             plan,
             ServeConfig::default()
                 .workers(1)
                 .max_batch(4)
-                .max_worker_respawns(respawns)
-                .device_dwell(dwell),
+                .max_worker_respawns(respawns),
         );
-        let warm = runtime.submit(features.clone()).unwrap();
-        while runtime.queue_depth() > 0 {
-            thread::sleep(Duration::from_micros(200));
-        }
-        (runtime, features, warm)
+        let park = Park::new();
+        let warm = park.submit(&runtime, &features);
+        park.entered();
+        (runtime, features, warm, park)
     }
 
     #[test]
     fn a_deadline_that_passes_behind_drain_mates_is_shed_at_its_turn() {
-        let (runtime, features, warm) = parked_runtime(32);
-        // Both are drained ~300 ms in, `late` still inside its budget; its
-        // turn comes a dwell later, ~600 ms in.
-        let ahead = runtime.submit(features.clone()).unwrap();
+        let (runtime, features, warm, park) = parked_runtime(32);
+        // `late` is drained with `ahead` well inside its budget; `ahead` then
+        // holds the worker until that budget has run out.
+        let budget = Duration::from_millis(200);
+        let ahead_park = Park::new();
+        let ahead = ahead_park.submit(&runtime, &features);
         let late = runtime
-            .submit_with(
-                features,
-                SubmitOptions::default().deadline(Duration::from_millis(450)),
-            )
+            .submit_with(features, SubmitOptions::default().deadline(budget))
             .unwrap();
+        park.release();
+        ahead_park.entered();
+        thread::sleep(budget);
+        ahead_park.release();
         assert!(warm.wait().is_ok());
         assert!(ahead.wait().is_ok());
         match late.wait() {
@@ -1473,6 +1400,11 @@ mod tests {
             ),
         }
         let report = runtime.shutdown();
+        assert_eq!(
+            report.batch_histogram.last().map(|bar| bar.size),
+            Some(2),
+            "fixture: `late` must be drained with `ahead`, not shed at pop"
+        );
         assert_eq!(report.deadline_expired, 1);
         assert_eq!(report.requests, 2, "the shed request never executed");
     }
@@ -1481,15 +1413,13 @@ mod tests {
     fn a_poisoned_drain_mate_costs_one_panic_and_one_respawn() {
         // A budget of one respawn: a second charge for the same poisoned
         // request would open the breaker and abandon everything behind it.
-        let (runtime, features, warm) = parked_runtime(1);
+        let (runtime, features, warm, park) = parked_runtime(1);
         let before = runtime.submit(features.clone()).unwrap();
         let poisoned = runtime
-            .submit_with(
-                features.clone(),
-                SubmitOptions::default().panic_at_kernel(0),
-            )
+            .try_submit_with_fault(features.clone(), SubmitOptions::default(), poison(0))
             .unwrap();
         let after = runtime.submit(features.clone()).unwrap();
+        park.release();
         assert!(warm.wait().is_ok());
         assert!(before.wait().is_ok());
         assert!(matches!(
@@ -1506,60 +1436,73 @@ mod tests {
 
     #[test]
     fn each_request_is_answered_when_it_finishes_not_when_its_drain_does() {
-        let (runtime, features, warm) = parked_runtime(32);
-        let tickets: Vec<Ticket> = (0..3)
-            .map(|_| runtime.submit(features.clone()).unwrap())
-            .collect();
+        let (runtime, features, warm, park) = parked_runtime(32);
+        // The middle of three drain-mates holds the worker in its turn.
+        let middle_park = Park::new();
+        let first = runtime.submit(features.clone()).unwrap();
+        let middle = middle_park.submit(&runtime, &features);
+        let last = runtime.submit(features).unwrap();
+        park.release();
         assert!(warm.wait().is_ok());
-        let mut answered = tickets.into_iter().map(|ticket| {
-            ticket.wait().unwrap();
-            Instant::now()
+        middle_park.entered();
+        // A reply held until the whole drain finishes would never come while
+        // `middle` is parked, so the wait for `first` is bounded.
+        let hold = Duration::from_millis(100);
+        let first_ok = thread::scope(|scope| {
+            let (answered, first_reply) = mpsc::channel();
+            scope.spawn(move || answered.send(first.wait().is_ok()));
+            let first_ok = first_reply.recv_timeout(Duration::from_secs(5));
+            thread::sleep(hold);
+            middle_park.release();
+            first_ok
         });
-        let first = answered.next().unwrap();
-        let last = answered.last().unwrap();
-        // Two dwells (~600 ms) separate the first reply from the third.
-        assert!(
-            last.duration_since(first) >= Duration::from_millis(100),
-            "drain-mates resolved together, {:?} apart",
-            last.duration_since(first)
+        assert_eq!(
+            first_ok,
+            Ok(true),
+            "a drain-mate must be answered while a later one is still served"
         );
+        assert!(middle.wait().is_ok());
+        assert!(last.wait().is_ok());
         let report = runtime.shutdown();
         assert_eq!(report.batch_histogram.last().map(|bar| bar.size), Some(3));
-        // Queue wait runs to a request's own turn: the third waited out the
-        // warm dwell and both drain-mates' (~900 ms), not just the former.
-        assert!(report.queue_wait.max_ms >= 500.0, "{:?}", report.queue_wait);
+        // Queue wait runs to a request's own turn: the last one waited out
+        // the middle one's hold, not just the warm request.
+        assert!(
+            report.queue_wait.max_ms >= hold.as_secs_f64() * 1e3,
+            "{:?}",
+            report.queue_wait
+        );
     }
 
     #[test]
     fn priorities_reorder_service_of_a_parked_backlog() {
         let (plan, features) = plan_fixture();
-        // Park the worker with a dwell, then queue low-priority before
-        // high-priority: the high one must serve first.
-        let runtime = ServeRuntime::start(
-            plan,
-            ServeConfig::default()
-                .workers(1)
-                .max_batch(1)
-                .device_dwell(DeviceDwell::Modeled {
-                    strategy: MappingStrategy::Dynamic,
-                    scale: 30.0,
-                }),
-        );
-        let _warm = runtime.submit(features.clone()).unwrap();
-        thread::sleep(Duration::from_millis(10));
-        let low = runtime
-            .submit_with(
-                features.clone(),
-                SubmitOptions::default().priority(Priority::Low),
-            )
-            .unwrap();
-        let high = runtime
-            .submit_with(features, SubmitOptions::default().priority(Priority::High))
-            .unwrap();
-        // Both serve; the turnaround ordering is asserted structurally via
-        // worker pickup order: high finished no later than low's reply.
+        let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(1).max_batch(1));
+        // Park the worker, queue low-priority before high-priority, and
+        // record which of the two enters its first kernel first.
+        let park = Park::new();
+        let warm = park.submit(&runtime, &features);
+        park.entered();
+        let entered = Arc::new(Mutex::new(Vec::new()));
+        let submit = |priority: Priority| {
+            let entered = Arc::clone(&entered);
+            let record: FaultHook = Arc::new(move |k| {
+                if k == 0 {
+                    entered.lock().unwrap().push(priority);
+                }
+            });
+            let options = SubmitOptions::default().priority(priority);
+            runtime
+                .try_submit_with_fault(features.clone(), options, record)
+                .unwrap()
+        };
+        let low = submit(Priority::Low);
+        let high = submit(Priority::High);
+        park.release();
+        assert!(warm.wait().is_ok());
         let high_report = high.wait().unwrap();
         let low_report = low.wait().unwrap();
+        assert_eq!(*entered.lock().unwrap(), [Priority::High, Priority::Low]);
         // Submission ids stay submission-ordered even though service
         // reordered.
         assert!(high_report.request_index > low_report.request_index);
@@ -1569,32 +1512,37 @@ mod tests {
     #[test]
     fn shutdown_with_deadline_fails_residual_tickets() {
         let (plan, features) = plan_fixture();
-        let runtime = ServeRuntime::start(
-            plan,
-            ServeConfig::default()
-                .workers(1)
-                .max_batch(1)
-                .device_dwell(DeviceDwell::Modeled {
-                    strategy: MappingStrategy::Dynamic,
-                    scale: 200.0,
-                }),
-        );
-        // First request parks the worker on a long dwell; the rest stay
-        // queued past the tiny drain budget.
-        let tickets: Vec<Ticket> = (0..4)
+        let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(1).max_batch(1));
+        // The first request parks the worker; the rest stay queued past the
+        // tiny drain budget.  The park is released once the last residual
+        // resolves, i.e. once shutdown has abandoned the queue.
+        let park = Park::new();
+        let parked = park.submit(&runtime, &features);
+        park.entered();
+        let mut residuals: Vec<Ticket> = (0..3)
             .map(|_| runtime.submit(features.clone()).unwrap())
             .collect();
-        thread::sleep(Duration::from_millis(10));
+        let releaser = {
+            let (last, park) = (residuals.pop().unwrap(), Arc::clone(&park));
+            thread::spawn(move || {
+                let outcome = last.wait();
+                park.release();
+                outcome
+            })
+        };
         let report = runtime.shutdown_with_deadline(Duration::from_millis(1));
-        let mut outcomes: Vec<Result<InferenceReport, ServeError>> =
-            tickets.into_iter().map(Ticket::wait).collect();
+        let mut outcomes: Vec<Outcome> = std::iter::once(parked)
+            .chain(residuals)
+            .map(Ticket::wait)
+            .collect();
+        outcomes.push(releaser.join().unwrap());
         // The in-flight request completes; residual queued ones are
         // abandoned — and none hang (wait() returned for all).
         let abandoned = outcomes
             .iter()
             .filter(|r| matches!(r, Err(ServeError::Abandoned { .. })))
             .count();
-        assert!(abandoned >= 1, "budget too small to drain 4 dwells");
+        assert!(abandoned >= 1, "budget too small to drain 4 requests");
         let served = outcomes.iter().filter(|r| r.is_ok()).count();
         assert_eq!(served as u64, report.requests);
         // No ticket may resolve to a hang-proxy (WorkerLost).

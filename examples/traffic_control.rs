@@ -1,29 +1,21 @@
 //! Production traffic control on the serve runtime: deadlines, priority
-//! classes, load-shedding watermarks, and worker supervision.
+//! classes and load-shedding watermarks.
 //!
-//! A slow "accelerator" (modeled device dwell) is deliberately offered
-//! more traffic than it can serve, plus one poisoned request that panics
-//! mid-kernel.  Every submission resolves to a typed outcome — served,
-//! rejected at admission, shed past its deadline, or failed by its own
-//! panic — and the shutdown report tallies the supervision activity.
+//! One worker is offered a burst faster than it can serve.  Every
+//! submission resolves to a typed outcome — served, rejected at admission,
+//! or shed past its deadline — and the shutdown report tallies them.
 //!
 //! ```text
 //! cargo run --release --example traffic_control
 //! ```
 
-use dynasparse::{EngineOptions, MappingStrategy, Planner};
+use dynasparse::{EngineOptions, Planner};
 use dynasparse_graph::Dataset;
 use dynasparse_model::{GnnModel, GnnModelKind};
-use dynasparse_serve::{
-    DeviceDwell, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions,
-};
+use dynasparse_serve::{Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions};
 use std::time::Duration;
 
 fn main() {
-    // The injected panic below is caught and supervised by the runtime;
-    // silence the default hook so its backtrace doesn't drown the demo.
-    std::panic::set_hook(Box::new(|_| {}));
-
     let dataset = Dataset::Cora.spec().generate_scaled(42, 0.1);
     let model = GnnModel::standard(
         GnnModelKind::Gcn,
@@ -36,37 +28,32 @@ fn main() {
         .plan_shared(&model, &dataset)
         .unwrap();
 
-    // One worker fronting a slow lane, a short queue, and admission
-    // control: shed at depth 6, re-admit below 3 (hysteresis).
+    // One worker, a short queue, and admission control: shed at depth 6,
+    // re-admit below 3 (hysteresis).
     let runtime = ServeRuntime::start(
         plan,
         ServeConfig::default()
             .workers(1)
             .max_batch(2)
             .queue_capacity(8)
-            .shed_watermarks(6, 3)
-            .device_dwell(DeviceDwell::Modeled {
-                strategy: MappingStrategy::Dynamic,
-                scale: 60.0,
-            }),
+            .shed_watermarks(6, 3),
     );
 
-    // Offer a burst the lane cannot absorb.  Odd requests get a tight
-    // deadline; request 4 is poisoned and will panic inside a kernel;
-    // request 9 jumps the line with high priority.
+    // Offer a burst the worker cannot absorb: the payloads are built up
+    // front, so the submissions arrive far faster than one worker serves
+    // them.  Odd requests get a tight deadline; request 4 jumps the line
+    // with high priority.
+    let burst = vec![dataset.features.clone(); 24];
     let mut tickets = Vec::new();
-    for i in 0..16usize {
+    for (i, features) in burst.into_iter().enumerate() {
         let mut options = SubmitOptions::default();
         if i % 2 == 1 {
-            options = options.deadline(Duration::from_millis(40));
+            options = options.deadline(Duration::from_millis(2));
         }
         if i == 4 {
-            options = options.panic_at_kernel(0);
-        }
-        if i == 9 {
             options = options.priority(Priority::High);
         }
-        match runtime.try_submit_with(dataset.features.clone(), options) {
+        match runtime.try_submit_with(features, options) {
             Ok(t) => tickets.push((i, Some(t))),
             Err(e) => {
                 println!("request {i:>2}: rejected at admission — {e}");
@@ -86,24 +73,13 @@ fn main() {
                 "request {i:>2}: shed {:.1} ms past its deadline",
                 late.as_secs_f64() * 1e3
             ),
-            Err(ServeError::WorkerPanicked { message }) => {
-                println!("request {i:>2}: panicked — {message}")
-            }
             Err(e) => println!("request {i:>2}: {e}"),
         }
     }
 
     let report = runtime.shutdown_with_deadline(Duration::from_secs(5));
     println!(
-        "\nreport: {} served, {} shed at admission, {} expired, \
-         {} panics, {} respawns",
-        report.requests,
-        report.shed,
-        report.deadline_expired,
-        report.worker_panics,
-        report.worker_respawns,
+        "\nreport: {} served, {} shed at admission, {} expired",
+        report.requests, report.shed, report.deadline_expired,
     );
-    for failure in &report.worker_failures {
-        println!("  worker failure: {failure}");
-    }
 }

@@ -4,18 +4,24 @@
 //! queue-full rejection, load shedding, circuit-breaker drain, and
 //! deadline-bounded shutdown.
 //!
-//! The panics are injected through `SubmitOptions::panic_at_kernel`, which
-//! arms the session's kernel-path fault hook for exactly one request: the
-//! unwind happens *inside* the forward pass, with arena and scratch state
-//! partially written, which is precisely the state the supervisor's
-//! `rebuild_after_panic` respawn must recover from.
+//! Faults are hooks installed on one request through
+//! `ServeRuntime::try_submit_with_fault`.  A poisoning hook panics *inside*
+//! the forward pass, with arena and scratch state partially written, which
+//! is precisely the state the supervisor's `rebuild_after_panic` respawn
+//! must recover from.  A parking hook holds a worker in its first kernel
+//! until the test releases it, so a backlog queues behind it whatever the
+//! timing.
+
+mod hooks;
 
 use dynasparse::{CompiledPlan, MappingStrategy, Planner};
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
 use dynasparse_serve::{
-    DeviceDwell, Payload, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions, Ticket,
+    Payload, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions, Ticket,
 };
+use dynasparse_telemetry::{CounterId, Registry, TelemetryLevel};
+use hooks::{poison, Park};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -49,12 +55,12 @@ fn poisoned_request_fails_alone_and_worker_respawns() {
 
     let mut tickets = Vec::new();
     for i in 0..6 {
-        let options = if i == 3 {
-            SubmitOptions::default().panic_at_kernel(1)
+        let ticket = if i == 3 {
+            runtime.try_submit_with_fault(features.clone(), SubmitOptions::default(), poison(1))
         } else {
-            SubmitOptions::default()
+            runtime.submit(features.clone())
         };
-        tickets.push(runtime.submit_with(features.clone(), options).unwrap());
+        tickets.push(ticket.unwrap());
     }
     let mut panicked = 0;
     for (i, ticket) in tickets.into_iter().enumerate() {
@@ -101,10 +107,7 @@ fn worker_survives_repeated_panics_within_budget() {
     let mut outcomes = Vec::new();
     for round in 0..4 {
         let poisoned = runtime
-            .submit_with(
-                features.clone(),
-                SubmitOptions::default().panic_at_kernel(0),
-            )
+            .try_submit_with_fault(features.clone(), SubmitOptions::default(), poison(0))
             .unwrap();
         let healthy = runtime.submit(features.clone()).unwrap();
         outcomes.push((round, poisoned.wait(), healthy.wait()));
@@ -127,20 +130,12 @@ fn worker_survives_repeated_panics_within_budget() {
 #[test]
 fn expired_requests_resolve_with_deadline_exceeded() {
     let (plan, features) = plan_fixture();
-    let runtime = ServeRuntime::start(
-        plan,
-        ServeConfig::default()
-            .workers(1)
-            .max_batch(1)
-            .device_dwell(DeviceDwell::Modeled {
-                strategy: MappingStrategy::Dynamic,
-                scale: 50.0,
-            }),
-    );
+    let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(1).max_batch(1));
     // Park the worker, then queue one request that expires immediately and
     // one with no deadline.
-    let parked = runtime.submit(features.clone()).unwrap();
-    std::thread::sleep(Duration::from_millis(10));
+    let park = Park::new();
+    let parked = park.submit(&runtime, &features);
+    park.entered();
     let doomed = runtime
         .submit_with(
             features.clone(),
@@ -150,6 +145,7 @@ fn expired_requests_resolve_with_deadline_exceeded() {
         )
         .unwrap();
     let patient = runtime.submit(features).unwrap();
+    park.release();
 
     assert!(parked.wait().is_ok());
     assert!(matches!(
@@ -163,7 +159,8 @@ fn expired_requests_resolve_with_deadline_exceeded() {
 }
 
 /// Queue-full rejection and load shedding both resolve at submission with
-/// typed errors; accepted tickets all still resolve.
+/// typed errors; accepted tickets all still resolve, and none of them waited
+/// in the queue past the deadline every submission carries.
 #[test]
 fn overload_resolves_every_submission_with_typed_outcomes() {
     let (plan, features) = plan_fixture();
@@ -173,24 +170,30 @@ fn overload_resolves_every_submission_with_typed_outcomes() {
             .workers(1)
             .max_batch(1)
             .queue_capacity(4)
-            .shed_watermarks(3, 1)
-            .device_dwell(DeviceDwell::Modeled {
-                strategy: MappingStrategy::Dynamic,
-                scale: 20.0,
-            }),
+            .shed_watermarks(3, 1),
     );
-    let mut accepted: Vec<Ticket> = Vec::new();
+    // Every submission carries the same deadline `d`.  A request is served
+    // only if its turn comes by `submitted + d`, which is no later than
+    // `enqueued + d`, so no served request can have queued longer than `d`.
+    let deadline = Duration::from_secs(2);
+    let options = SubmitOptions::default().deadline(deadline);
+    // The parked worker holds the first submission while the rest arrive.
+    let park = Park::new();
+    let mut accepted: Vec<Ticket> = vec![runtime
+        .try_submit_with_fault(features.clone(), options, park.hook())
+        .unwrap()];
+    park.entered();
     let (mut shed, mut full) = (0u64, 0u64);
-    for _ in 0..32 {
-        match runtime.try_submit(features.clone()) {
+    for _ in 1..32 {
+        match runtime.try_submit_with(features.clone(), options) {
             Ok(t) => accepted.push(t),
             Err(ServeError::Overloaded { .. }) => shed += 1,
             Err(ServeError::QueueFull { .. }) => full += 1,
             Err(e) => panic!("unexpected submission outcome: {e}"),
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
     assert!(shed > 0, "watermark 3 must trip before capacity 4");
+    park.release();
     let accepted_count = accepted.len() as u64;
     for t in accepted {
         t.wait().expect("accepted tickets must serve");
@@ -198,9 +201,13 @@ fn overload_resolves_every_submission_with_typed_outcomes() {
     let report = runtime.shutdown();
     assert_eq!(report.shed, shed);
     assert_eq!(report.requests, accepted_count);
-    // Hysteresis note: with low watermark 1 the gate may reopen and close
-    // repeatedly; all that matters is that every outcome was typed.
+    // Every submission resolved to exactly one typed outcome.
     assert_eq!(accepted_count + shed + full, 32);
+    assert!(
+        report.queue_wait.max_ms <= deadline.as_secs_f64() * 1e3,
+        "served queue wait {:?} exceeds the {deadline:?} deadline",
+        report.queue_wait
+    );
 }
 
 /// Circuit breaker: with the respawn budget exhausted, the last live
@@ -208,41 +215,29 @@ fn overload_resolves_every_submission_with_typed_outcomes() {
 #[test]
 fn exhausted_respawn_budget_drains_residual_tickets() {
     let (plan, features) = plan_fixture();
-    // A dwell of about 300 ms per request, sized from the plan's own modeled
-    // milliseconds so it lasts that long whatever this host's calibration
-    // predicts.  A worker replies only after its dwell and serves its queue
-    // in order, so a warm request submitted first parks the lone worker
-    // while the whole backlog is enqueued behind it.
-    let strategy = MappingStrategy::Dynamic;
-    let probe = plan.session(&[strategy]).infer(&features).unwrap();
-    let modeled_ms = if probe.predicted_kernel_ms > 0.0 {
-        probe.feature_movement_ms + probe.predicted_kernel_ms
-    } else {
-        probe.amortized_ms(strategy).unwrap()
-    };
     let runtime = ServeRuntime::start(
         plan,
         ServeConfig::default()
             .workers(1)
             .max_batch(1)
-            .max_worker_respawns(1)
-            .device_dwell(DeviceDwell::Modeled {
-                strategy,
-                scale: 300.0 / modeled_ms,
-            }),
+            .max_worker_respawns(1),
     );
     // First poison: caught, respawned (budget now 0).  Second poison: caught,
     // breaker opens — which closes the queue, so every residual must already
-    // be enqueued: the payloads are cloned up front and submitted back to
-    // back while the warm request's dwell holds the worker.  Residuals:
-    // drained as Abandoned.
-    let mut payloads = vec![features; 7].into_iter();
-    let mut next = || payloads.next().unwrap();
-    let warm = runtime.submit(next()).unwrap();
-    let poison = SubmitOptions::default().panic_at_kernel(0);
-    let p1 = runtime.submit_with(next(), poison).unwrap();
-    let p2 = runtime.submit_with(next(), poison).unwrap();
-    let residuals: Vec<Ticket> = (0..4).map(|_| runtime.submit(next()).unwrap()).collect();
+    // be enqueued: a parked warm request holds the lone worker while the
+    // whole backlog is submitted.  Residuals: drained as Abandoned.
+    let park = Park::new();
+    let warm = park.submit(&runtime, &features);
+    let poisoned = || {
+        runtime
+            .try_submit_with_fault(features.clone(), SubmitOptions::default(), poison(0))
+            .unwrap()
+    };
+    let (p1, p2) = (poisoned(), poisoned());
+    let residuals: Vec<Ticket> = (0..4)
+        .map(|_| runtime.submit(features.clone()).unwrap())
+        .collect();
+    park.release();
 
     assert!(warm.wait().is_ok());
     assert!(matches!(p1.wait(), Err(ServeError::WorkerPanicked { .. })));
@@ -280,16 +275,13 @@ fn template_runtime_supervises_poisoned_subgraph_requests() {
     for i in 0..4 {
         let sub = NeighborSampler::new([5, 3], 7 + i as u64).sample(&full.graph, &[i as u32 * 3]);
         let features = sub.extract_features(&full.features);
-        let options = if i == 1 {
-            SubmitOptions::default().panic_at_kernel(0)
+        let request = (sub.into_graph(), features);
+        let ticket = if i == 1 {
+            runtime.try_submit_with_fault(request, SubmitOptions::default(), poison(0))
         } else {
-            SubmitOptions::default()
+            runtime.submit(request)
         };
-        tickets.push(
-            runtime
-                .submit_with((sub.into_graph(), features), options)
-                .unwrap(),
-        );
+        tickets.push(ticket.unwrap());
     }
     for (i, t) in tickets.into_iter().enumerate() {
         match t.wait() {
@@ -312,25 +304,33 @@ fn template_runtime_supervises_poisoned_subgraph_requests() {
 #[test]
 fn shutdown_with_deadline_resolves_every_outstanding_ticket() {
     let (plan, features) = plan_fixture();
-    let runtime = ServeRuntime::start(
-        plan,
-        ServeConfig::default()
-            .workers(1)
-            .max_batch(1)
-            .device_dwell(DeviceDwell::Modeled {
-                strategy: MappingStrategy::Dynamic,
-                scale: 100.0,
-            }),
-    );
-    let tickets: Vec<Ticket> = (0..6)
+    let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(1).max_batch(1));
+    // The first request parks the worker; the rest stay queued past the tiny
+    // drain budget.  The park is released once the last residual resolves,
+    // i.e. once shutdown has abandoned the queue.
+    let park = Park::new();
+    let parked = park.submit(&runtime, &features);
+    park.entered();
+    let mut residuals: Vec<Ticket> = (0..5)
         .map(|_| runtime.submit(features.clone()).unwrap())
         .collect();
-    std::thread::sleep(Duration::from_millis(5));
+    let releaser = {
+        let (last, park) = (residuals.pop().unwrap(), Arc::clone(&park));
+        std::thread::spawn(move || {
+            let outcome = last.wait();
+            park.release();
+            outcome
+        })
+    };
     let report = runtime.shutdown_with_deadline(Duration::from_millis(1));
 
+    let outcomes = std::iter::once(parked)
+        .chain(residuals)
+        .map(Ticket::wait)
+        .chain(std::iter::once(releaser.join().unwrap()));
     let (mut served, mut abandoned) = (0u64, 0u64);
-    for t in tickets {
-        match t.wait() {
+    for outcome in outcomes {
+        match outcome {
             Ok(_) => served += 1,
             Err(ServeError::Abandoned { .. }) => abandoned += 1,
             Err(e) => panic!("unexpected outcome: {e}"),
@@ -359,6 +359,7 @@ fn mixed_fault_storm_loses_no_ticket() {
             .queue_capacity(8)
             .shed_watermarks(6, 2)
             .max_worker_respawns(8)
+            .telemetry(Arc::new(Registry::new(TelemetryLevel::Counters)))
     };
 
     let (plan, plan_features) = plan_fixture();
@@ -383,23 +384,27 @@ fn mixed_fault_storm_loses_no_ticket() {
     });
 }
 
-/// Drives one fault storm through `runtime` and closes its accounting.
+/// Drives one fault storm through `runtime` and closes its accounting, from
+/// the runtime's report and from its telemetry counters alike.
 fn storm(runtime: ServeRuntime, request: impl Fn(usize) -> Payload) {
     const TOTAL: usize = 48;
+    let telemetry = Arc::clone(runtime.telemetry());
     let mut tickets = Vec::new();
     let (mut overloaded, mut queue_full) = (0u64, 0u64);
     for i in 0..TOTAL {
         let mut options = SubmitOptions::default();
-        if i % 11 == 3 {
-            options = options.panic_at_kernel(i % 3);
-        }
         if i % 7 == 5 {
             options = options.deadline(Duration::from_micros(50));
         }
         if i % 5 == 0 {
             options = options.priority(Priority::High);
         }
-        match runtime.try_submit_with(request(i), options) {
+        let submitted = if i % 11 == 3 {
+            runtime.try_submit_with_fault(request(i), options, poison(i % 3))
+        } else {
+            runtime.try_submit_with(request(i), options)
+        };
+        match submitted {
             Ok(t) => tickets.push(t),
             Err(ServeError::Overloaded { .. }) => overloaded += 1,
             Err(ServeError::QueueFull { .. }) => queue_full += 1,
@@ -428,11 +433,22 @@ fn storm(runtime: ServeRuntime, request: impl Fn(usize) -> Payload) {
     // rebuilt after a catch or opened its breaker, never silently died.
     assert!(report.worker_respawns <= report.worker_panics);
     // Ticket conservation, outcome by outcome: what the callers saw is what
-    // the runtime counted.  (A poisoned request in a batch of several
-    // panics twice — in the batch call and in its isolating retry — so
-    // panics bound the panicked tickets from above.)
+    // the runtime counted, in its report and in its telemetry counters.
+    // (Every panicked ticket was charged a caught panic, so panics bound
+    // the panicked tickets from above.)
     assert_eq!(report.requests, ok, "served");
     assert_eq!(report.shed, overloaded, "shed");
     assert_eq!(report.deadline_expired, expired, "expired");
     assert!(report.worker_panics >= panicked, "panicked");
+    assert_eq!(telemetry.counter(CounterId::ServeRequests), ok, "served");
+    assert_eq!(telemetry.counter(CounterId::ServeShed), overloaded, "shed");
+    assert_eq!(
+        telemetry.counter(CounterId::ServeDeadlineExpired),
+        expired,
+        "expired"
+    );
+    assert!(
+        telemetry.counter(CounterId::ServeWorkerPanics) >= panicked,
+        "panicked"
+    );
 }

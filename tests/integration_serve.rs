@@ -8,10 +8,13 @@
 //! is profiled and priced from freshly reset analyzer/scheduler state, and
 //! the plan itself is immutable.
 
+mod hooks;
+
 use dynasparse::{CompiledPlan, InferenceReport, MappingStrategy, Planner, Session};
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
-use dynasparse_serve::{DeviceDwell, PlanCache, ServeConfig, ServeRuntime};
+use dynasparse_serve::{PlanCache, ServeConfig, ServeRuntime};
+use hooks::Park;
 use std::sync::Arc;
 use std::thread;
 
@@ -186,19 +189,25 @@ fn multi_request_drains_behind_a_parked_worker_change_no_report() {
     let stream = request_stream(&plan, 8);
     let want = serial_reports(&plan, &[MappingStrategy::Dynamic], &stream);
 
-    // One worker parked on a long first dwell lets the remaining requests
-    // pile up, so at least one drain takes several of them.
+    // One worker parked in the first request's first kernel lets the
+    // remaining requests pile up, so at least one drain takes several of
+    // them.  Parking blocks the worker and changes nothing it computes.
     let runtime = ServeRuntime::start(
         Arc::clone(&plan),
-        ServeConfig::default()
-            .workers(1)
-            .max_batch(4)
-            .device_dwell(DeviceDwell::Modeled {
-                strategy: MappingStrategy::Dynamic,
-                scale: 10.0,
-            }),
+        ServeConfig::default().workers(1).max_batch(4),
     );
-    let results = runtime.serve_all(stream.iter().cloned());
+    let park = Park::new();
+    let first = park.submit(&runtime, &stream[0]);
+    park.entered();
+    let rest: Vec<_> = stream[1..]
+        .iter()
+        .map(|features| runtime.submit(features.clone()).unwrap())
+        .collect();
+    park.release();
+    let results: Vec<_> = std::iter::once(first)
+        .chain(rest)
+        .map(|t| t.wait())
+        .collect();
     let report = runtime.shutdown();
     for (i, result) in results.into_iter().enumerate() {
         assert_reports_identical(&want[i], &result.unwrap(), &format!("request {i}"));
