@@ -12,7 +12,7 @@ use crate::error::{MatrixError, Result};
 use crate::is_nonzero;
 use crate::layout::Layout;
 use crate::ops::accumulate_row;
-use crate::profile::{compact_group, scan_row, SCAN_LANES};
+use crate::profile::{compact_group, scan_row, ColumnBlocks, SCAN_LANES};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -136,8 +136,8 @@ impl CsrMatrix {
     }
 
     /// Extracts the non-zero pattern of a dense matrix: one `scan_row`
-    /// pass per row (all-zero lane groups are skipped with a single test),
-    /// compacting exactly the [`is_nonzero`] elements of the other groups
+    /// per row (which visits only the lane groups that are not all `±0.0`),
+    /// compacting exactly the [`is_nonzero`] elements of those groups
     /// branch-free.
     pub fn from_dense(dense: &DenseMatrix) -> Self {
         let row_major = dense.row_major();
@@ -146,8 +146,9 @@ impl CsrMatrix {
         row_ptr.push(0);
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
+        let one_block = ColumnBlocks::new(cols);
         for row in row_major.as_slice().chunks(cols.max(1)) {
-            scan_row(row, cols.max(1), &mut [0], |k, group| {
+            scan_row(row, one_block, &mut [0], |k, group| {
                 let (mut cs, mut vs) = ([0u32; SCAN_LANES], [0.0f32; SCAN_LANES]);
                 let len = compact_group(k, group, is_nonzero, &mut cs, &mut vs, 0);
                 col_idx.extend_from_slice(&cs[..len]);

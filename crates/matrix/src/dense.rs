@@ -162,26 +162,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Counts the non-zero elements inside rows `[r0, r1)` — the per-block
-    /// density refit of the block-granular dispatcher for dense left
-    /// operands (one pass over the block, no extraction copy).
-    pub fn nnz_rows(&self, r0: usize, r1: usize) -> usize {
-        debug_assert!(r0 <= r1 && r1 <= self.rows);
-        match self.layout {
-            Layout::RowMajor => self.data[r0 * self.cols..r1 * self.cols]
-                .iter()
-                .filter(|&&v| is_nonzero(v))
-                .count(),
-            Layout::ColMajor => (r0..r1)
-                .map(|r| {
-                    (0..self.cols)
-                        .filter(|&c| is_nonzero(self.get(r, c)))
-                        .count()
-                })
-                .sum(),
-        }
-    }
-
     /// Overwrites this matrix with the contents of `other`, reusing the
     /// backing allocation when possible (a shape-preserving `clone_from`).
     pub fn copy_from(&mut self, other: &DenseMatrix) {

@@ -20,7 +20,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::layout::Layout;
-use crate::profile::{compact_group, scan_row};
+use crate::profile::{compact_group, scan_row, ColumnBlocks};
 
 fn check_shapes(op: &'static str, x: (usize, usize), y: (usize, usize)) -> Result<()> {
     if x.1 != y.0 {
@@ -123,15 +123,15 @@ pub(crate) fn accumulate_row(ks: &[u32], vs: &[f32], y: &[f32], orow: &mut [f32]
     tiles!(GEMM_TILE, 16, 8, 4, 2, 1);
 }
 
-/// The GEMM row kernel: `orow = xrow × Y` for one row-major `X` row, in a
-/// **single pass** over `xrow` that also profiles it.
+/// The GEMM row kernel: `orow = xrow × Y` for one row-major `X` row, in
+/// **one scan** of `xrow` that also profiles it.
 ///
-/// [`scan_row`] skips every all-zero 16-lane group with one test, counts the
-/// non-zeros of the others into `counts` (one counter per `block_cols`-wide
-/// block column — the caller's row of a [`crate::DensityProfile`]) and hands
-/// them here, where the survivors of `xv != 0.0` are compacted branch-free
-/// into `survivors`.  This is the workspace's one zero-skip site; its
-/// predicate is the oracle's, so a `NaN` multiplies through (while
+/// [`scan_row`] lists the row's live 16-lane groups in one branch-free pass,
+/// counts the non-zeros of those alone into `counts` (one counter per block
+/// column of `blocks` — the caller's row of a [`crate::DensityProfile`]) and
+/// hands them here, where the survivors of `xv != 0.0` are compacted
+/// branch-free into `survivors`.  This is the workspace's one zero-skip
+/// site; its predicate is the oracle's, so a `NaN` multiplies through (while
 /// `is_nonzero`, the counting predicate, does not count it).  The compacted
 /// list then feeds every output tile in increasing `k`, so each output
 /// element sees exactly the additions [`gemm_reference`] performs, in the
@@ -141,12 +141,12 @@ fn gemm_row(
     xrow: &[f32],
     y: &[f32],
     orow: &mut [f32],
-    block_cols: usize,
+    blocks: ColumnBlocks,
     counts: &mut [usize],
     survivors: &mut Survivors,
 ) {
     orow.fill(0.0);
-    scan_row(xrow, block_cols, counts, |k0, group| {
+    scan_row(xrow, blocks, counts, |k0, group| {
         if survivors.len + group.len() > SURVIVOR_CAP {
             survivors.flush_into(y, orow);
         }
@@ -180,10 +180,11 @@ fn gemm_rows_rm(
     } else {
         (block_cols, counts)
     };
+    let blocks = ColumnBlocks::new(block_cols);
     let mut survivors = Survivors::new();
     let xrows = x[row0 * n..].chunks_exact(n);
     for (xrow, orow) in xrows.zip(out_rows.chunks_mut(d)) {
-        gemm_row(xrow, y, orow, block_cols, counts, &mut survivors);
+        gemm_row(xrow, y, orow, blocks, counts, &mut survivors);
     }
 }
 
@@ -330,12 +331,13 @@ fn right_sparse_rows_rm(
     }
     // Lanes past a short last tile keep an earlier tile's values: they are
     // accumulated and never written.
+    let blocks = ColumnBlocks::new(block_cols);
     let mut xt: TransposedTile = [[0.0; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
     for (t, otile) in out_rows.chunks_mut(RIGHT_TILE_ROWS * d).enumerate() {
         let rows = otile.len() / d;
         let xtile = &x[(row0 + t * RIGHT_TILE_ROWS) * n..][..rows * n];
         for xrow in xtile.chunks_exact(n) {
-            scan_row(xrow, block_cols, counts, |_, _| {});
+            scan_row(xrow, blocks, counts, |_, _| {});
         }
         for k0 in (0..n).step_by(RIGHT_TILE_K) {
             let k1 = n.min(k0 + RIGHT_TILE_K);
@@ -599,9 +601,14 @@ mod tests {
             let mut counts = vec![0usize; len];
             assert!(gemm_rows_into(&x, &y, 0, &mut out, block_cols, &mut counts).is_err());
         }
+        // The scanned counter row holds each block column's non-zeros.
         let mut counts = vec![0usize; 3];
         gemm_rows_into(&x, &y, 0, &mut out, 8, &mut counts).unwrap();
-        assert_eq!(counts.iter().sum::<usize>(), x.nnz_rows(0, 2));
+        let mut want = [0usize; 3];
+        for (r, c) in (0..2).flat_map(|r| (0..23).map(move |c| (r, c))) {
+            want[c / 8] += crate::is_nonzero(x.get(r, c)) as usize;
+        }
+        assert_eq!(counts, want);
         gemm_rows_into(&x, &y, 0, &mut out, 0, &mut []).unwrap();
     }
 

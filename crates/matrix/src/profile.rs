@@ -27,40 +27,151 @@ pub fn density(values: &[f32]) -> f64 {
 /// Lane-group width of [`scan_row`]'s all-zero test.
 pub(crate) const SCAN_LANES: usize = 16;
 
+/// Capacity, in lane groups, of [`scan_row`]'s live-group list.  A longer
+/// row is scanned in chunks of this many groups (2048 columns), so the list
+/// is a fixed stack array whatever the row length.
+const LIVE_GROUPS: usize = 128;
+const _: () = assert!(
+    LIVE_GROUPS <= 1 << u8::BITS,
+    "the list stores group indices as u8"
+);
+
+/// The block column of a column index, found without a divide: one
+/// reciprocal per block width, then a multiply per lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnBlocks {
+    width: usize,
+    /// `⌊(2^64 − 1) / w⌋` for the block width `w`, clamped to `[1, 2^32]`.
+    recip: u64,
+}
+
+impl ColumnBlocks {
+    /// Block columns `width` wide.  Every width past `2^32` puts every
+    /// column below `2^32` into block 0, as `2^32` does.
+    pub(crate) fn new(width: usize) -> Self {
+        let width = width.max(1);
+        ColumnBlocks {
+            width,
+            recip: u64::MAX / width.min(1 << 32) as u64,
+        }
+    }
+
+    /// `k / w` for any column `k < 2^32`.  Write `2^64 − 1 = recip · w + e − 1`
+    /// with `1 ≤ e ≤ w`, and `k + 1 = q · w + s` with `1 ≤ s ≤ w`; then
+    /// `recip · (k + 1) / 2^64 = q + (s − t) / w` with
+    /// `t = e · (k + 1) / 2^64 ∈ (0, 1]`, so `0 ≤ s − t < w` and the floor
+    /// is exactly `q`.
+    #[inline(always)]
+    pub(crate) fn of(self, k: usize) -> usize {
+        ((u128::from(self.recip) * (k + 1) as u128) >> 64) as usize
+    }
+}
+
+/// Whether any lane of `group` is not `±0.0`: one OR of the magnitude bits.
+#[inline(always)]
+fn is_live(group: &[f32]) -> bool {
+    group.iter().fold(0, |bits, v| bits | v.to_bits()) << 1 != 0
+}
+
 /// The one dense-row scan every dense ingest path shares (the GEMM row
-/// kernel, the stand-alone profile refits, `CsrMatrix::from_dense`): the
-/// host rendering of the paper's profile-while-you-stream hardware.
+/// kernel, the right-sparse row kernel, the stand-alone profile refit,
+/// `CsrMatrix::from_dense`): the host rendering of the paper's
+/// profile-while-you-stream hardware.
 ///
-/// Walks `row` in `block_cols`-wide segments, one counter of `counts` each.
-/// Every [`SCAN_LANES`]-lane group of a segment is tested with a single OR
-/// of its magnitude bits; a group that is not all `±0.0` adds its
-/// [`is_nonzero`] count to the segment's counter and is handed to
-/// `visit(k, group)`, `k` being the group's first column.  An all-zero group
-/// costs no per-element work, so the scan is monotone in density.
+/// Two passes per chunk of [`LIVE_GROUPS`] lane groups.  **Pass 1** tests
+/// every [`SCAN_LANES`]-lane group of the chunk with [`is_live`] and writes
+/// its index into a stack list whose length advances only past the live
+/// ones — no data-dependent branch, whatever the density.
+/// **Pass 2** visits only the listed groups, in increasing `k`: each adds
+/// its [`is_nonzero`] count to the counter of its block column in `counts`
+/// (a group straddling a block boundary splits its count lane by lane) and
+/// is handed to `visit(k, group)`, `k` being the group's first column.  An
+/// all-zero group costs pass 1's test and nothing else, so the scan is
+/// monotone in density.
 #[inline(always)]
 pub(crate) fn scan_row(
     row: &[f32],
-    block_cols: usize,
+    blocks: ColumnBlocks,
     counts: &mut [usize],
     mut visit: impl FnMut(usize, &[f32]),
 ) {
-    let mut k = 0;
-    let mut scan_group = |group: &[f32], count: &mut usize| {
-        if group.iter().fold(0, |bits, v| bits | v.to_bits()) << 1 != 0 {
-            *count += group.iter().filter(|&&v| is_nonzero(v)).count();
-            visit(k, group);
+    debug_assert!(row.len() <= 1 << 32, "column indices are 32-bit");
+    let mut live = [0u8; LIVE_GROUPS];
+    let mut open = OpenBlock::new(blocks);
+    for (chunk, k_chunk) in row
+        .chunks(LIVE_GROUPS * SCAN_LANES)
+        .zip((0..).step_by(LIVE_GROUPS * SCAN_LANES))
+    {
+        let (groups, tail) = chunk.as_chunks::<SCAN_LANES>();
+        let mut len = 0;
+        for (g, group) in groups.iter().enumerate() {
+            // `len <= g < LIVE_GROUPS`, so the modulo changes nothing; it
+            // spares the bounds check.
+            live[len % LIVE_GROUPS] = g as u8;
+            len += is_live(group) as usize;
         }
-        k += group.len();
-    };
-    for (segment, count) in row.chunks(block_cols).zip(counts) {
-        // Whole groups have a compile-time width (straight-line vector
-        // code); only a segment's ragged tail pays for a counted loop.
-        let (groups, tail) = segment.as_chunks::<SCAN_LANES>();
-        for group in groups {
-            scan_group(group, count);
+        for &g in &live[..len] {
+            let (k0, group) = (k_chunk + usize::from(g) * SCAN_LANES, &groups[g as usize]);
+            open.count(counts, k0, group);
+            visit(k0, group);
         }
-        if !tail.is_empty() {
-            scan_group(tail, count);
+        if is_live(tail) {
+            let k0 = k_chunk + groups.len() * SCAN_LANES;
+            open.count(counts, k0, tail);
+            visit(k0, tail);
+        }
+    }
+    open.close(counts);
+}
+
+/// [`scan_row`]'s pass-2 counter: the count of the block column the last
+/// group fell into is gathered in a register, and the column is looked up
+/// again only when a group starts past its end.
+struct OpenBlock {
+    blocks: ColumnBlocks,
+    /// The open block column, its first column past the end, and the
+    /// non-zeros gathered for it but not yet added to its counter.
+    b: usize,
+    end: usize,
+    nnz: usize,
+}
+
+impl OpenBlock {
+    #[inline(always)]
+    fn new(blocks: ColumnBlocks) -> Self {
+        OpenBlock {
+            blocks,
+            b: 0,
+            end: blocks.width,
+            nnz: 0,
+        }
+    }
+
+    /// Counts the [`is_nonzero`] lanes of the group at columns
+    /// `k0..k0 + group.len()`, lane by lane when it straddles a boundary.
+    #[inline(always)]
+    fn count(&mut self, counts: &mut [usize], k0: usize, group: &[f32]) {
+        if k0 >= self.end {
+            counts[self.b] += self.nnz;
+            self.b = self.blocks.of(k0);
+            self.end = (self.b + 1) * self.blocks.width;
+            self.nnz = 0;
+        }
+        if k0 + group.len() <= self.end {
+            self.nnz += group.iter().filter(|&&v| is_nonzero(v)).count();
+        } else {
+            for (k, &v) in (k0..).zip(group) {
+                counts[self.blocks.of(k)] += usize::from(is_nonzero(v));
+            }
+        }
+    }
+
+    /// Adds what the open block gathered to its counter.  A row with no
+    /// live group touches no counter (a row of no columns has none).
+    #[inline(always)]
+    fn close(self, counts: &mut [usize]) {
+        if self.nnz > 0 {
+            counts[self.b] += self.nnz;
         }
     }
 }
@@ -140,17 +251,15 @@ impl DensityProfile {
     pub fn refit_dense(&mut self, m: &DenseMatrix, grid: &BlockGrid) {
         self.refit_header(m.shape(), grid);
         let gc = self.grid_cols;
-        let bc = self.block_cols.max(1);
+        let blocks = ColumnBlocks::new(self.block_cols);
         let br = self.block_rows.max(1);
         for r in 0..m.rows() {
             let counts = &mut self.block_nnz[(r / br) * gc..][..gc];
             match m.row_slice(r) {
-                Some(row) => scan_row(row, bc, counts, |_, _| {}),
+                Some(row) => scan_row(row, blocks, counts, |_, _| {}),
                 None => {
                     for c in 0..m.cols() {
-                        if is_nonzero(m.get(r, c)) {
-                            counts[c / bc] += 1;
-                        }
+                        counts[blocks.of(c)] += is_nonzero(m.get(r, c)) as usize;
                     }
                 }
             }
@@ -159,17 +268,17 @@ impl DensityProfile {
 
     /// Recomputes this profile in place for a CSR matrix (see
     /// [`DensityProfile::refit_dense`]); one pass over the stored entries,
-    /// identical to [`DensityProfile::of_csr`].
+    /// each placed by a multiply with the block width's reciprocal rather
+    /// than a divide, identical to [`DensityProfile::of_csr`].
     pub fn refit_csr(&mut self, m: &CsrMatrix, grid: &BlockGrid) {
         self.refit_header(m.shape(), grid);
         let gc = self.grid_cols;
-        let bc = self.block_cols.max(1);
+        let blocks = ColumnBlocks::new(self.block_cols);
         let br = self.block_rows.max(1);
         for r in 0..m.rows() {
-            let base = (r / br) * gc;
-            let (cols, _) = m.row(r);
-            for &c in cols {
-                self.block_nnz[base + c as usize / bc] += 1;
+            let counts = &mut self.block_nnz[(r / br) * gc..][..gc];
+            for &c in m.row(r).0 {
+                counts[blocks.of(c as usize)] += 1;
             }
         }
     }
@@ -358,6 +467,43 @@ mod tests {
     use crate::random::random_dense;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn column_blocks_divide_exactly() {
+        let top = (1usize << 32) - 1;
+        for width in [
+            1usize,
+            2,
+            3,
+            7,
+            16,
+            17,
+            24,
+            1433,
+            65_537,
+            (1 << 31) + 1,
+            top,
+            1 << 32,
+            (1 << 32) + 5,
+            usize::MAX,
+        ] {
+            let blocks = ColumnBlocks::new(width);
+            let last = top / width * width;
+            for k in [0, 1, 15, 16, 1432, 1433, 65_536, 1 << 31, top - 1, top]
+                .into_iter()
+                .chain([
+                    width - 1,
+                    width,
+                    width.saturating_add(1),
+                    last.max(1) - 1,
+                    last,
+                ])
+                .filter(|&k| k <= top)
+            {
+                assert_eq!(blocks.of(k), k / width, "{k} / {width}");
+            }
+        }
+    }
 
     #[test]
     fn scalar_density() {

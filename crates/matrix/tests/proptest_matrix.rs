@@ -8,7 +8,8 @@ use dynasparse_matrix::ops::{
     spmm_reference,
 };
 use dynasparse_matrix::{
-    row_blocks, BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout, MatrixError,
+    is_nonzero, row_blocks, BlockGrid, CooMatrix, CsrMatrix, DenseMatrix, DensityProfile, Layout,
+    MatrixError,
 };
 use proptest::prelude::*;
 
@@ -29,6 +30,53 @@ fn dense_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Dense
     })
 }
 
+/// Row widths around the scan's 16-lane group, and past its 2048-column
+/// live-group list: one lane into a second list, and two full lists, a group
+/// and a lane.
+fn scan_widths() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(15),
+        Just(16),
+        Just(17),
+        Just(1433),
+        Just(2049),
+        Just(4113)
+    ]
+}
+
+/// Block-column widths that do and do not divide the rows, narrower than a
+/// lane group, one or several groups wide, and straddling group and list
+/// boundaries (an odd width puts a boundary at every lane of some group).
+fn block_widths() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(4),
+        Just(16),
+        Just(17),
+        Just(24),
+        Just(32),
+        Just(48),
+        Just(2000)
+    ]
+}
+
+/// The profile of `x` on a `block_rows × block_cols` tiling, counted one
+/// element at a time: the oracle of the scanned profiles, sharing no code
+/// with the scan.
+fn profile_oracle(x: &DenseMatrix, (block_rows, block_cols): (usize, usize)) -> DensityProfile {
+    let (m, n) = x.shape();
+    let grid = BlockGrid::new(m, n, block_rows, block_cols);
+    let mut counts = vec![0usize; grid.grid_rows() * grid.grid_cols()];
+    for r in 0..m {
+        for c in 0..n {
+            counts[r / block_rows * grid.grid_cols() + c / block_cols] +=
+                usize::from(is_nonzero(x.get(r, c)));
+        }
+    }
+    DensityProfile::from_block_nnz(m, n, &grid, counts)
+}
+
 /// Strategy: the left operand of the GEMM row-kernel property — `rows × n`
 /// at one of the kernel's regime densities, its stored values drawn from
 /// ordinary numbers and the hostile ones a zero-skip can get wrong (`-0.0`
@@ -36,7 +84,7 @@ fn dense_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Dense
 /// through, and `NaN` must not be counted as a non-zero).
 fn hostile_operand() -> impl Strategy<Value = DenseMatrix> {
     let density = prop_oneof![Just(0.0f64), Just(1e-3), Just(0.5), Just(1.0)];
-    let n = prop_oneof![Just(1usize), Just(15), Just(16), Just(17), Just(1433)];
+    let n = scan_widths();
     (1usize..=5, n, density).prop_flat_map(|(rows, n, density)| {
         let value = prop_oneof![
             12 => -5.0f32..5.0,
@@ -73,7 +121,7 @@ proptest! {
         x in hostile_operand(),
         d in prop_oneof![Just(1usize), Just(7), Just(16), Just(33), Just(64)],
         block_rows in 1usize..=5,
-        block_cols in prop_oneof![Just(1usize), Just(4), Just(16), Just(24), Just(2000)],
+        block_cols in block_widths(),
         y_seed in -2.0f32..2.0,
     ) {
         let (m, n) = x.shape();
@@ -82,7 +130,7 @@ proptest! {
 
         // Any row partition, block widths that do and do not divide `n`:
         // the output is the oracle's, bit for bit, and the counter rows the
-        // kernel filled on the way are the stand-alone refit's.
+        // kernel filled on the way hold the per-element count.
         let mut out = vec![f32::NAN; m * d];
         let mut profile = DensityProfile::default();
         let counts = profile.refit_tiled((m, n), (block_rows, block_cols));
@@ -90,11 +138,17 @@ proptest! {
             gemm_rows_into(&x, &y, r0, &mut out[r0 * d..r1 * d], block_cols, row).unwrap();
         }
         prop_assert!(same_bits(&out, want.as_slice()), "blocked rows differ from the oracle");
+        let oracle = profile_oracle(&x, (block_rows, block_cols));
+        prop_assert_eq!(&profile, &oracle);
+
+        // The stand-alone refit runs the same scan, row-major or through the
+        // column-major element walk.
         let grid = BlockGrid::new(m, n, block_rows, block_cols);
         let mut refit = DensityProfile::default();
         refit.refit_dense(&x, &grid);
-        prop_assert_eq!(&profile, &refit);
-        prop_assert_eq!(profile.total_nnz(), x.nnz());
+        prop_assert_eq!(&refit, &oracle);
+        refit.refit_dense(&x.to_layout(Layout::ColMajor), &grid);
+        prop_assert_eq!(&refit, &oracle);
 
         // The whole-kernel entry point runs the same row kernel unprofiled.
         let mut whole = DenseMatrix::zeros(0, 0);
@@ -134,6 +188,46 @@ proptest! {
         let mut whole = DenseMatrix::from_fn(m, d, |_, _| f32::NAN);
         xs.spmm_dense_into(&y, &mut whole).unwrap();
         prop_assert!(same_bits(whole.as_slice(), want.as_slice()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn csr_from_dense_stores_exactly_the_counted_elements(x in hostile_operand()) {
+        // The scan's compaction against an element walk: every `is_nonzero`
+        // element, in row-major order — `±0.0` and `NaN` are not stored.
+        let (m, n) = x.shape();
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+        for r in 0..m {
+            for c in 0..n {
+                let v = x.get(r, c);
+                if is_nonzero(v) {
+                    col_idx.push(c as u32);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let csr = CsrMatrix::from_dense(&x);
+        prop_assert_eq!(csr, CsrMatrix::from_parts(m, n, row_ptr, col_idx, values));
+    }
+
+    #[test]
+    fn csr_refit_counts_what_the_coo_profile_counts(
+        x in hostile_operand(),
+        block_rows in 1usize..=5,
+        block_cols in block_widths(),
+    ) {
+        // `refit_csr` places each stored column without a divide; the COO
+        // profile asks every block for its entries.
+        let (m, n) = x.shape();
+        let grid = BlockGrid::new(m, n, block_rows, block_cols);
+        let mut refit = DensityProfile::default();
+        refit.refit_csr(&CsrMatrix::from_dense(&x), &grid);
+        prop_assert_eq!(&refit, &DensityProfile::of_coo(&CooMatrix::from_dense(&x), &grid));
+        prop_assert_eq!(&refit, &profile_oracle(&x, (block_rows, block_cols)));
     }
 }
 
@@ -397,14 +491,7 @@ fn hostile_weight() -> impl Strategy<Value = f32> {
 /// densities are the kernel's regimes, and about a fifth of the weight's
 /// rows and columns are all zero.
 fn right_sparse_case() -> impl Strategy<Value = (DenseMatrix, DenseMatrix, usize, usize)> {
-    let n = prop_oneof![
-        Just(1usize),
-        Just(15),
-        Just(16),
-        Just(17),
-        Just(513),
-        Just(1433)
-    ];
+    let n = prop_oneof![scan_widths(), Just(513)];
     let d = prop_oneof![Just(1usize), Just(3), Just(4), Just(5), Just(64)];
     let block_rows = prop_oneof![Just(1usize), Just(15), Just(16), Just(17), Just(50)];
     let tail = prop_oneof![Just(0usize), Just(1), Just(9)];
@@ -443,7 +530,7 @@ proptest! {
     #[test]
     fn right_sparse_row_kernel_matches_the_oracle_and_profiles_as_it_goes(
         case in right_sparse_case(),
-        block_cols in prop_oneof![Just(1usize), Just(4), Just(16), Just(24), Just(2000)],
+        block_cols in block_widths(),
         poison in proptest::collection::vec((0usize..1 << 20, prop_oneof![
             Just(f32::INFINITY), Just(f32::NEG_INFINITY), Just(f32::NAN),
         ]), 1..6),
@@ -455,7 +542,7 @@ proptest! {
 
         // Rows `[r0, m)` in `block_rows`-row calls, block widths that do and
         // do not divide `n`: the oracle's output bit for bit, and the counter
-        // rows filled on the way are the stand-alone refit's over those rows.
+        // rows filled on the way hold the per-element count of those rows.
         let run = |x: &DenseMatrix, profile: &mut DensityProfile| {
             let mut out = vec![f32::NAN; (m - r0) * d];
             let counts = profile.refit_tiled((m - r0, n), (block_rows, block_cols));
@@ -466,10 +553,7 @@ proptest! {
             out
         };
         let refit = |x: &DenseMatrix| {
-            let grid = BlockGrid::new(m - r0, n, block_rows, block_cols);
-            let mut refit = DensityProfile::default();
-            refit.refit_dense(&x.submatrix_padded(r0, m, 0, n), &grid);
-            refit
+            profile_oracle(&x.submatrix_padded(r0, m, 0, n), (block_rows, block_cols))
         };
         let mut profile = DensityProfile::default();
         let out = run(&x, &mut profile);
