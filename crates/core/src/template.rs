@@ -135,7 +135,7 @@ impl ModelTemplate {
 
     /// Approximate resident bytes of the template: the model weights plus
     /// the cached weight density-profile records (16 bytes each).  The
-    /// template-cache counterpart of [`CompiledPlan::approx_bytes`].
+    /// template counterpart of [`CompiledPlan::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
         let weights: usize = self.model.weights.iter().map(|w| w.size_bytes()).sum();
         let profiles: usize = self
@@ -150,8 +150,8 @@ impl ModelTemplate {
 
     /// Checks one request's `(subgraph, features)` pair against the model —
     /// the same up-front validation [`Planner::plan`](crate::Planner::plan)
-    /// performs, shared with the serving runtime's submission path.
-    pub fn validate_request(
+    /// performs.
+    fn validate_request(
         &self,
         graph: &Graph,
         features: &FeatureMatrix,

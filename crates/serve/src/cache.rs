@@ -8,8 +8,8 @@
 //! [`Planner::plan`] behind the structural [`PlanFingerprint`], with LRU
 //! eviction and hit/miss accounting.
 
-use crate::fingerprint::{ModelFingerprint, PlanFingerprint};
-use dynasparse::{CompiledPlan, DynasparseError, EngineOptions, ModelTemplate, Planner};
+use crate::fingerprint::PlanFingerprint;
+use dynasparse::{CompiledPlan, DynasparseError, Planner};
 use dynasparse_graph::GraphDataset;
 use dynasparse_model::GnnModel;
 use dynasparse_telemetry::{CounterId, GaugeId, Registry};
@@ -17,8 +17,8 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Hit/miss/eviction counters of a [`PlanCache`] or
-/// [`TemplateCache`], plus a resident-bytes gauge.
+/// Hit/miss/eviction counters of a [`PlanCache`], plus a resident-bytes
+/// gauge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache (no compilation).
@@ -224,198 +224,6 @@ impl PlanCache {
     }
 }
 
-/// An LRU cache of resident [`ModelTemplate`]s keyed by
-/// [`ModelFingerprint`], sitting beside [`PlanCache`] in a subgraph-serving
-/// deployment.
-///
-/// Where [`PlanCache`] memoizes full `(model, topology)` compilations, a
-/// template cache memoizes the *model-only* half: each cached
-/// [`ModelTemplate`] serves every per-request subgraph through
-/// [`ModelTemplate::instantiate`], so the key deliberately ignores topology
-/// and feature shape.  Hit/miss/eviction/clear accounting matches
-/// [`PlanCache`], with [`ModelTemplate::approx_bytes`] feeding the
-/// resident-bytes gauge (re-measured on every hit: a template's footprint
-/// grows as its weight-profile cache fills).
-///
-/// ```
-/// use dynasparse::EngineOptions;
-/// use dynasparse_graph::{Dataset, NeighborSampler};
-/// use dynasparse_model::GnnModel;
-/// use dynasparse_serve::TemplateCache;
-/// use std::sync::Arc;
-///
-/// let full = Dataset::Cora.spec().generate_scaled(42, 0.08);
-/// let model = GnnModel::gcn(full.features.dim(), 8, full.spec.num_classes, 7);
-///
-/// let mut cache = TemplateCache::new(EngineOptions::default(), 4);
-/// let first = cache.get_or_compile(&model).unwrap();   // compiles
-/// let second = cache.get_or_compile(&model).unwrap();  // cache hit
-/// assert!(Arc::ptr_eq(&first, &second));
-/// assert_eq!(cache.stats().misses, 1);
-/// assert_eq!(cache.stats().hits, 1);
-///
-/// // The resident template instantiates any sampled subgraph.
-/// let sub = NeighborSampler::new([6, 3], 5).sample(&full.graph, &[1]);
-/// let features = sub.extract_features(&full.features);
-/// assert!(first.instantiate(sub.graph(), &features).is_ok());
-/// ```
-pub struct TemplateCache {
-    options: EngineOptions,
-    capacity: usize,
-    entries: HashMap<ModelFingerprint, TemplateEntry>,
-    clock: u64,
-    stats: CacheStats,
-    telemetry: Arc<Registry>,
-}
-
-struct TemplateEntry {
-    template: Arc<ModelTemplate>,
-    last_used: u64,
-    /// Last observed `template.approx_bytes()` (refreshed on every hit —
-    /// the weight-profile cache inside the template grows over time).
-    bytes: u64,
-}
-
-impl TemplateCache {
-    /// Creates a cache holding at most `capacity` templates, compiling
-    /// misses with `options`.  A zero capacity is clamped to one.
-    /// Telemetry publishes into the process-global registry; use
-    /// [`TemplateCache::with_telemetry`] to redirect it.
-    pub fn new(options: EngineOptions, capacity: usize) -> Self {
-        Self::with_telemetry(options, capacity, Registry::global())
-    }
-
-    /// Like [`TemplateCache::new`], publishing hit/miss/eviction counters
-    /// and the resident-bytes gauge into `telemetry` instead of the global
-    /// registry.
-    pub fn with_telemetry(
-        options: EngineOptions,
-        capacity: usize,
-        telemetry: Arc<Registry>,
-    ) -> Self {
-        TemplateCache {
-            options,
-            capacity: capacity.max(1),
-            entries: HashMap::new(),
-            clock: 0,
-            stats: CacheStats::default(),
-            telemetry,
-        }
-    }
-
-    /// The template for `model`, compiled at most once: a hit returns the
-    /// cached `Arc` (bumping its recency and refreshing its byte gauge), a
-    /// miss runs [`ModelTemplate::compile`] and caches the result, evicting
-    /// the least-recently-used template if the cache is full.
-    pub fn get_or_compile(
-        &mut self,
-        model: &GnnModel,
-    ) -> Result<Arc<ModelTemplate>, DynasparseError> {
-        let key = ModelFingerprint::of(model);
-        self.clock += 1;
-        if let Some(entry) = self.entries.get_mut(&key) {
-            entry.last_used = self.clock;
-            self.stats.hits += 1;
-            let bytes = entry.template.approx_bytes() as u64;
-            debug_assert!(
-                self.stats.resident_bytes >= entry.bytes,
-                "resident-bytes gauge under-counts cached templates"
-            );
-            self.stats.resident_bytes =
-                self.stats.resident_bytes.saturating_sub(entry.bytes) + bytes;
-            entry.bytes = bytes;
-            let template = Arc::clone(&entry.template);
-            self.telemetry.incr(0, CounterId::TemplateCacheHits);
-            self.publish_resident_bytes();
-            return Ok(template);
-        }
-        self.stats.misses += 1;
-        self.telemetry.incr(0, CounterId::TemplateCacheMisses);
-        let template = ModelTemplate::compile_shared(model, self.options.clone())?;
-        if self.entries.len() >= self.capacity {
-            self.evict_lru();
-        }
-        let bytes = template.approx_bytes() as u64;
-        self.stats.resident_bytes += bytes;
-        self.publish_resident_bytes();
-        self.entries.insert(
-            key,
-            TemplateEntry {
-                template: Arc::clone(&template),
-                last_used: self.clock,
-                bytes,
-            },
-        );
-        Ok(template)
-    }
-
-    /// Whether a template for `model` is cached, without touching recency
-    /// or stats.
-    pub fn contains(&self, model: &GnnModel) -> bool {
-        self.entries.contains_key(&ModelFingerprint::of(model))
-    }
-
-    /// Number of cached templates.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Maximum number of templates retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Hit/miss/eviction counters since construction.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Drops every cached template, recording the dropped entries in
-    /// [`CacheStats::clears`].  Outstanding `Arc`s handed out earlier
-    /// remain valid.
-    pub fn clear(&mut self) {
-        self.stats.clears += self.entries.len() as u64;
-        self.stats.resident_bytes = 0;
-        self.entries.clear();
-        self.publish_resident_bytes();
-    }
-
-    fn evict_lru(&mut self) {
-        if let Some(&key) = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k)
-        {
-            if let Some(entry) = self.entries.remove(&key) {
-                self.stats.evictions += 1;
-                self.telemetry.incr(0, CounterId::TemplateCacheEvictions);
-                // As with `PlanCache::evict_lru`: the invariant makes this
-                // subtraction exact, and saturation keeps a broken invariant
-                // from wrapping the gauge.
-                debug_assert!(
-                    self.stats.resident_bytes >= entry.bytes,
-                    "resident-bytes gauge under-counts cached templates"
-                );
-                self.stats.resident_bytes = self.stats.resident_bytes.saturating_sub(entry.bytes);
-                self.publish_resident_bytes();
-            }
-        }
-    }
-
-    fn publish_resident_bytes(&self) {
-        self.telemetry.gauge_set(
-            GaugeId::TemplateCacheResidentBytes,
-            self.stats.resident_bytes as f64,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,64 +341,5 @@ mod tests {
         cache.get_or_plan(&model, &d1).unwrap();
         cache.clear();
         assert_eq!(cache.stats().clears, 2);
-    }
-
-    #[test]
-    fn template_cache_hits_share_one_template_across_topologies() {
-        let ds = dataset(1);
-        let model = model_for(&ds, 1);
-        let mut cache = TemplateCache::new(dynasparse::EngineOptions::default(), 2);
-        let a = cache.get_or_compile(&model).unwrap();
-        let b = cache.get_or_compile(&model).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "hit must return the cached Arc");
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.contains(&model));
-        assert!(!cache.is_empty());
-        assert_eq!(cache.capacity(), 2);
-
-        // One resident template instantiates differently-sized subgraphs —
-        // no per-topology cache entries appear.
-        let sub = dynasparse_graph::NeighborSampler::new([6, 3], 5).sample(&ds.graph, &[0, 9]);
-        let features = sub.extract_features(&ds.features);
-        a.instantiate(sub.graph(), &features).unwrap();
-        assert_eq!(cache.len(), 1);
-
-        // The byte gauge refreshes on hits as the weight-profile cache
-        // inside the template fills.
-        let before = cache.stats().resident_bytes;
-        let after_hit = {
-            cache.get_or_compile(&model).unwrap();
-            cache.stats().resident_bytes
-        };
-        assert!(after_hit >= before);
-        assert_eq!(after_hit, a.approx_bytes() as u64);
-    }
-
-    #[test]
-    fn template_cache_evicts_lru_and_counts_clears() {
-        let ds = dataset(1);
-        let m1 = model_for(&ds, 1);
-        let m2 = model_for(&ds, 2);
-        let m3 = model_for(&ds, 3);
-        let mut cache = TemplateCache::new(dynasparse::EngineOptions::default(), 2);
-        cache.get_or_compile(&m1).unwrap();
-        cache.get_or_compile(&m2).unwrap();
-        cache.get_or_compile(&m1).unwrap(); // m2 becomes the LRU victim
-        cache.get_or_compile(&m3).unwrap();
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.contains(&m1) && cache.contains(&m3));
-        assert!(!cache.contains(&m2));
-        cache.clear();
-        assert_eq!(cache.stats().clears, 2);
-        assert_eq!(cache.stats().resident_bytes, 0);
-        assert!(cache.is_empty());
-
-        // Compile errors propagate and cache nothing.
-        let mut bad = model_for(&ds, 1);
-        bad.weights.clear();
-        assert!(cache.get_or_compile(&bad).is_err());
-        assert!(cache.is_empty());
     }
 }

@@ -52,22 +52,6 @@ pub enum ServeError {
     /// The request was accepted but inference failed; carries the session's
     /// typed error.
     Inference(DynasparseError),
-    /// The submission does not match the runtime's serving mode: a
-    /// fixed-topology runtime ([`ServeRuntime::start`]) only accepts a
-    /// [`Payload::Features`] (a `FeatureMatrix`), a template runtime
-    /// ([`ServeRuntime::start_template`]) only a [`Payload::Subgraph`] (a
-    /// `(Graph, FeatureMatrix)` pair).
-    ///
-    /// [`ServeRuntime::start`]: crate::ServeRuntime::start
-    /// [`ServeRuntime::start_template`]: crate::ServeRuntime::start_template
-    /// [`Payload::Features`]: crate::Payload::Features
-    /// [`Payload::Subgraph`]: crate::Payload::Subgraph
-    ModeMismatch {
-        /// The submission entry point that was called.
-        op: &'static str,
-        /// What the runtime was started with.
-        expected: &'static str,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -98,9 +82,6 @@ impl fmt::Display for ServeError {
             }
             ServeError::WorkerLost => write!(f, "worker thread terminated without replying"),
             ServeError::Inference(e) => write!(f, "inference failed: {e}"),
-            ServeError::ModeMismatch { op, expected } => {
-                write!(f, "{op} rejected: this runtime serves {expected}")
-            }
         }
     }
 }

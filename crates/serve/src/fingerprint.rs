@@ -9,13 +9,11 @@
 //! but different feature values map to the same fingerprint on purpose: a
 //! plan serves any feature matrix of the planned shape, and per-request
 //! sparsity is measured at runtime, so feature *content* must not fragment
-//! the cache.  The byte-level digest writer is shared with
-//! [`ModelFingerprint`] through the private `digest` module.
+//! the cache.
 //!
 //! [`CompiledPlan`]: dynasparse::CompiledPlan
 
-use crate::digest::{write_graph, write_model, Fnv128};
-use dynasparse_graph::GraphDataset;
+use dynasparse_graph::{Graph, GraphDataset};
 use dynasparse_model::GnnModel;
 use serde::Serialize;
 
@@ -54,32 +52,90 @@ impl PlanFingerprint {
     }
 }
 
-/// 128-bit structural digest of a model alone — architecture and weight
-/// values, no topology — used as the [`TemplateCache`](crate::TemplateCache)
-/// key.
-///
-/// This is the model prefix of [`PlanFingerprint`]: a resident
-/// [`ModelTemplate`](dynasparse::ModelTemplate) serves *every* topology, so
-/// its cache key must not fragment by graph or feature shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub struct ModelFingerprint {
+/// Two independent FNV-1a 64-bit lanes with distinct offset bases; the
+/// second lane additionally mixes a running byte counter so lane collisions
+/// are uncorrelated.  Not cryptographic — the cache key only needs to
+/// separate non-adversarial workloads.
+struct Fnv128 {
     lo: u64,
     hi: u64,
+    count: u64,
 }
 
-impl ModelFingerprint {
-    /// Digests `model` (architecture + weight values) into a cache key.
-    pub fn of(model: &GnnModel) -> Self {
-        let mut h = Fnv128::new();
-        write_model(&mut h, model);
-        let (lo, hi) = h.finish();
-        ModelFingerprint { lo, hi }
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Fnv128 {
+    fn new() -> Self {
+        Fnv128 {
+            lo: 0xcbf2_9ce4_8422_2325,
+            hi: 0x6c62_272e_07bb_0142,
+            count: 0,
+        }
     }
 
-    /// The digest as a fixed-width hex string (for logs and JSON reports).
-    pub fn to_hex(self) -> String {
-        format!("{:016x}{:016x}", self.hi, self.lo)
+    fn write_bytes(&mut self, bytes: impl IntoIterator<Item = u8>) {
+        for b in bytes {
+            self.count = self.count.wrapping_add(1);
+            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            self.hi = (self.hi ^ u64::from(b) ^ (self.count << 8)).wrapping_mul(FNV_PRIME);
+        }
     }
+
+    fn write_str(&mut self, s: &str) {
+        self.write_usize(s.len());
+        self.write_bytes(s.bytes());
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_bytes((v as u64).to_le_bytes());
+    }
+
+    fn write_f32s(&mut self, vs: &[f32]) {
+        self.write_usize(vs.len());
+        for v in vs {
+            self.write_bytes(v.to_bits().to_le_bytes());
+        }
+    }
+
+    fn finish(self) -> (u64, u64) {
+        (self.lo, self.hi)
+    }
+}
+
+/// Digests the model architecture and weight values.  The Debug rendering of
+/// the layer specs is a faithful, allocation-light serialization of the
+/// kernel DAG (operators, aggregators, weight indices, activations, wiring).
+fn write_model(h: &mut Fnv128, model: &GnnModel) {
+    h.write_str("model");
+    h.write_usize(model.input_dim);
+    h.write_usize(model.output_dim);
+    h.write_str(&format!("{:?}", model.kind));
+    h.write_usize(model.layers.len());
+    for layer in &model.layers {
+        h.write_str(&format!("{layer:?}"));
+    }
+    // Weight values: two models with identical shape but different
+    // parameters compile to different plans (the static weight-sparsity
+    // profile and the served outputs both depend on them).
+    h.write_usize(model.weights.len());
+    for w in &model.weights {
+        h.write_usize(w.rows());
+        h.write_usize(w.cols());
+        h.write_f32s(w.as_slice());
+    }
+}
+
+/// Digests the exact CSR structure of the graph's adjacency matrix.
+fn write_graph(h: &mut Fnv128, graph: &Graph) {
+    let adj = graph.adjacency();
+    h.write_str("graph");
+    h.write_usize(adj.rows());
+    h.write_usize(adj.cols());
+    for &p in adj.row_ptr() {
+        h.write_usize(p);
+    }
+    h.write_bytes(adj.col_idx().iter().flat_map(|v| v.to_le_bytes()));
+    h.write_f32s(adj.values());
 }
 
 #[cfg(test)]
@@ -217,28 +273,6 @@ mod tests {
         assert_ne!(
             PlanFingerprint::of(&model, &make(3)),
             PlanFingerprint::of(&model, &make(4))
-        );
-    }
-
-    #[test]
-    fn model_fingerprint_ignores_topology_but_not_weights() {
-        let (model, a) = fixture(7, 0.1);
-        let b = fixture(8, 0.1).1;
-        assert_ne!(a.graph.adjacency(), b.graph.adjacency());
-        // One model, two topologies: one template key.
-        assert_eq!(ModelFingerprint::of(&model), ModelFingerprint::of(&model));
-        assert_eq!(ModelFingerprint::of(&model).to_hex().len(), 32);
-        // Re-seeded weights: a different template.
-        let reseeded = GnnModel::standard(
-            GnnModelKind::Gcn,
-            a.features.dim(),
-            16,
-            a.spec.num_classes,
-            4,
-        );
-        assert_ne!(
-            ModelFingerprint::of(&model),
-            ModelFingerprint::of(&reseeded)
         );
     }
 }

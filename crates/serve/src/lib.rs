@@ -14,11 +14,13 @@
 //!   behind a structural [`PlanFingerprint`] of (model, topology), with LRU
 //!   eviction and hit/miss stats — repeated traffic against known
 //!   topologies never recompiles.
-//! - [`ServeRuntime`] spawns worker threads that each open a
-//!   [`Session`](dynasparse::Session) over the same `Arc<CompiledPlan>`
-//!   (no deep copy of weights or adjacencies — they are reference-counted),
-//!   take up to `max_batch` already-queued requests per drain of a bounded
-//!   queue, and serve each with its own `infer`, replying as it finishes.
+//! - [`ServeRuntime`] spawns worker threads that each open one
+//!   [`Session`](dynasparse::Session) over the same `Arc<CompiledPlan>` at
+//!   thread start (no deep copy of weights or adjacencies — they are
+//!   reference-counted), take up to `max_batch` already-queued requests per
+//!   drain of a bounded queue, and serve each with its own `infer` on that
+//!   session, replying as it finishes.  Nothing is planned or bound per
+//!   request.
 //! - Production traffic control keeps behavior bounded under overload and
 //!   faults: per-request deadlines and priority classes
 //!   ([`SubmitOptions`]), a load-shedding watermark with hysteresis
@@ -89,16 +91,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod cache;
-mod digest;
 pub mod error;
 pub mod fingerprint;
 pub mod metrics;
 pub mod queue;
 pub mod runtime;
 
-pub use cache::{CacheStats, PlanCache, TemplateCache};
+pub use cache::{CacheStats, PlanCache};
 pub use error::ServeError;
-pub use fingerprint::{ModelFingerprint, PlanFingerprint};
+pub use fingerprint::PlanFingerprint;
 pub use metrics::{BatchBar, LatencySummary, MetricsCollector, ServeReport, WorkerLoad};
 pub use queue::{BoundedQueue, DrainedBatch, PushError};
-pub use runtime::{Payload, Priority, ServeConfig, ServeRuntime, SubmitOptions, Ticket};
+pub use runtime::{Priority, ServeConfig, ServeRuntime, SubmitOptions, Ticket};

@@ -83,7 +83,7 @@ pub struct ServeReport {
     /// the drain-mates served before it).
     pub queue_wait: LatencySummary,
     /// Each request's own host time, from its turn to its final result
-    /// (plan acquire and `infer`).
+    /// (its one `Session::infer`).
     pub service: LatencySummary,
     /// End-to-end request latency (enqueue → reply ready): queue wait plus
     /// service.

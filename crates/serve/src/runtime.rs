@@ -10,9 +10,9 @@
 //! matrices and get a [`Ticket`] to wait on.  A worker serves one request at
 //! a time: it takes up to `max_batch` of the requests already queued under
 //! one lock acquisition (it never waits for more), then gives each, in
-//! order, its own turn — deadline check, plan acquire, one supervised
-//! [`Session::infer`], id stamp, metrics — and replies as soon as that
-//! request is done.
+//! order, its own turn — deadline check, one supervised [`Session::infer`]
+//! on the session it opened at thread start, id stamp, metrics — and
+//! replies as soon as that request is done.
 //!
 //! Because every request is profiled and priced from a freshly reset
 //! analyzer/scheduler, a report does not depend on which worker served the
@@ -23,10 +23,8 @@
 use crate::error::ServeError;
 use crate::metrics::{MetricsCollector, ServeReport};
 use crate::queue::{BoundedQueue, PushError};
-use dynasparse::{
-    CompiledPlan, FaultHook, InferenceReport, MappingStrategy, ModelTemplate, Session,
-};
-use dynasparse_graph::{FeatureMatrix, Graph};
+use dynasparse::{CompiledPlan, FaultHook, InferenceReport, MappingStrategy, Session};
+use dynasparse_graph::FeatureMatrix;
 use dynasparse_telemetry::{CounterId, GaugeId, HistogramId, Registry};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,6 +52,7 @@ pub struct ServeConfig {
     /// hysteresis: once depth reaches `high`, submissions are rejected with
     /// [`ServeError::Overloaded`] until depth recedes to `low`; `None`
     /// disables shedding (pure backpressure, the previous behavior).
+    /// [`ServeRuntime::start`] clamps the pair as the builder does.
     pub shed_watermarks: Option<(usize, usize)>,
     /// Per-worker budget of session rebuilds after caught panics.  A worker
     /// that exhausts it opens its circuit breaker and retires; the last
@@ -126,8 +125,8 @@ impl ServeConfig {
     }
 
     /// Enables load shedding with hysteresis: reject submissions once queue
-    /// depth reaches `high`, resume once it recedes to `low` (clamped to
-    /// `high`).
+    /// depth reaches `high` (clamped to at least 1, so an empty queue always
+    /// admits), resume once it recedes to `low` (clamped to `high`).
     pub fn shed_watermarks(mut self, high: usize, low: usize) -> Self {
         let high = high.max(1);
         self.shed_watermarks = Some((high, low.min(high)));
@@ -208,37 +207,7 @@ impl SubmitOptions {
 /// How one request ends: its report, or the typed error it resolved to.
 type Outcome = Result<InferenceReport, ServeError>;
 
-/// What one submission carries.  Every `submit*` entry point takes
-/// `impl Into<Payload>`: pass a [`FeatureMatrix`] to a fixed-topology
-/// runtime, a `(Graph, FeatureMatrix)` pair to a template runtime.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// A feature matrix against the fixed topology of a runtime started
-    /// with [`ServeRuntime::start`].
-    Features(FeatureMatrix),
-    /// A request that brings its own sampled topology, against the resident
-    /// template of a runtime started with [`ServeRuntime::start_template`].
-    Subgraph {
-        /// The request's subgraph.
-        graph: Graph,
-        /// One feature row per subgraph vertex.
-        features: FeatureMatrix,
-    },
-}
-
-impl From<FeatureMatrix> for Payload {
-    fn from(features: FeatureMatrix) -> Self {
-        Payload::Features(features)
-    }
-}
-
-impl From<(Graph, FeatureMatrix)> for Payload {
-    fn from((graph, features): (Graph, FeatureMatrix)) -> Self {
-        Payload::Subgraph { graph, features }
-    }
-}
-
-/// The reply side of one accepted request: everything but its payload.
+/// The reply side of one accepted request: everything but its features.
 struct Envelope {
     id: u64,
     /// When the queue accepted the request (queue wait counts from here).
@@ -255,61 +224,12 @@ struct Envelope {
 
 struct QueuedRequest {
     envelope: Envelope,
-    payload: Payload,
+    features: FeatureMatrix,
 }
 
 impl QueuedRequest {
     fn expired_at(&self, now: Instant) -> bool {
         self.envelope.deadline.is_some_and(|d| now > d)
-    }
-}
-
-/// Where a request's plan comes from: one compiled plan every request
-/// shares, or one resident model template instantiated on each request's
-/// own sampled subgraph.  Nothing else distinguishes the two serving modes.
-#[derive(Clone)]
-enum Backend {
-    Plan(Arc<CompiledPlan>),
-    Template(Arc<ModelTemplate>),
-}
-
-impl Backend {
-    /// Admission check: the payload must be the kind this backend serves,
-    /// and is validated up front with the same typed errors
-    /// [`Session::infer`] / [`ModelTemplate::instantiate`] would produce.
-    fn validate(&self, payload: &Payload) -> Result<(), ServeError> {
-        match (self, payload) {
-            (Backend::Plan(plan), Payload::Features(features)) => {
-                Ok(plan.validate_request(features, "serve submit")?)
-            }
-            (Backend::Template(template), Payload::Subgraph { graph, features }) => {
-                Ok(template.validate_request(graph, features)?)
-            }
-            (Backend::Plan(_), Payload::Subgraph { .. }) => Err(ServeError::ModeMismatch {
-                op: "serve submit",
-                expected: "a fixed topology (submit a FeatureMatrix)",
-            }),
-            (Backend::Template(_), Payload::Features(_)) => Err(ServeError::ModeMismatch {
-                op: "serve submit",
-                expected: "per-request subgraphs (submit a (Graph, FeatureMatrix) pair)",
-            }),
-        }
-    }
-
-    /// The plan one admitted request runs on: the constant plan, or the
-    /// template instantiated on the request's subgraph.
-    fn resolve(
-        &self,
-        graph: Option<&Graph>,
-        features: &FeatureMatrix,
-    ) -> Result<Arc<CompiledPlan>, ServeError> {
-        match (self, graph) {
-            (Backend::Plan(plan), None) => Ok(Arc::clone(plan)),
-            (Backend::Template(template), Some(graph)) => {
-                Ok(template.instantiate(graph, features)?.into_plan())
-            }
-            _ => unreachable!("Backend::validate admits only the backend's own payload kind"),
-        }
     }
 }
 
@@ -357,7 +277,7 @@ impl Ticket {
 /// assert_eq!(metrics.requests, 1);
 /// ```
 pub struct ServeRuntime {
-    backend: Backend,
+    plan: Arc<CompiledPlan>,
     config: ServeConfig,
     queue: Arc<BoundedQueue<QueuedRequest>>,
     metrics: Arc<MetricsCollector>,
@@ -371,41 +291,12 @@ pub struct ServeRuntime {
 
 impl ServeRuntime {
     /// Spawns the worker pool and starts accepting requests.
-    pub fn start(plan: Arc<CompiledPlan>, config: ServeConfig) -> Self {
-        Self::start_backend(Backend::Plan(plan), config)
-    }
-
-    /// Spawns a worker pool serving per-request **subgraphs** against one
-    /// resident [`ModelTemplate`]: submissions carry their own sampled
-    /// topology (a `(Graph, FeatureMatrix)` pair), each worker instantiates
-    /// the template per request and serves it through a single reusable
-    /// session (the session is *rebound* to each instantiated plan, so its
-    /// dispatcher and arenas are re-shaped across varying subgraph sizes,
-    /// never re-allocated).
-    ///
-    /// ```
-    /// use dynasparse::{EngineOptions, ModelTemplate};
-    /// use dynasparse_graph::{Dataset, NeighborSampler};
-    /// use dynasparse_model::GnnModel;
-    /// use dynasparse_serve::{ServeConfig, ServeRuntime};
-    ///
-    /// let full = Dataset::Cora.spec().generate_scaled(42, 0.08);
-    /// let model = GnnModel::gcn(full.features.dim(), 8, full.spec.num_classes, 7);
-    /// let template = ModelTemplate::compile_shared(&model, EngineOptions::default()).unwrap();
-    ///
-    /// let runtime = ServeRuntime::start_template(template, ServeConfig::default());
-    /// let sub = NeighborSampler::new([6, 3], 5).sample(&full.graph, &[1]);
-    /// let features = sub.extract_features(&full.features);
-    /// let ticket = runtime.submit((sub.into_graph(), features)).unwrap();
-    /// let report = ticket.wait().unwrap();
-    /// assert_eq!(report.request_index, 0);
-    /// runtime.shutdown();
-    /// ```
-    pub fn start_template(template: Arc<ModelTemplate>, config: ServeConfig) -> Self {
-        Self::start_backend(Backend::Template(template), config)
-    }
-
-    fn start_backend(backend: Backend, config: ServeConfig) -> Self {
+    pub fn start(plan: Arc<CompiledPlan>, mut config: ServeConfig) -> Self {
+        // The watermarks are a public field, so clamp them as the builder
+        // does: a zero high watermark would trip on an empty queue.
+        if let Some((high, low)) = config.shed_watermarks {
+            config = config.shed_watermarks(high, low);
+        }
         let queue = Arc::new(BoundedQueue::with_lanes(
             config.queue_capacity,
             Priority::LANES,
@@ -418,26 +309,41 @@ impl ServeRuntime {
         let live_workers = Arc::new(AtomicUsize::new(config.workers.max(1)));
         let workers = (0..config.workers.max(1))
             .map(|index| {
-                let worker = Worker {
-                    index,
-                    backend: backend.clone(),
-                    config: config.clone(),
-                    queue: Arc::clone(&queue),
-                    metrics: Arc::clone(&metrics),
-                    telemetry: Arc::clone(&telemetry),
-                    live_workers: Arc::clone(&live_workers),
-                    session: None,
-                    respawns_left: config.max_worker_respawns,
-                    breaker_open: false,
-                };
+                let plan = Arc::clone(&plan);
+                let config = config.clone();
+                let queue = Arc::clone(&queue);
+                let metrics = Arc::clone(&metrics);
+                let telemetry = Arc::clone(&telemetry);
+                let live_workers = Arc::clone(&live_workers);
                 thread::Builder::new()
                     .name(format!("dynasparse-serve-{index}"))
-                    .spawn(move || worker.run())
+                    .spawn(move || {
+                        // The session is opened here, before the first
+                        // request arrives.  It publishes into the runtime's
+                        // registry through the worker's own shard, so
+                        // per-shard counter breakdowns read as per-worker
+                        // ones; post-panic rebuilds keep that telemetry.
+                        let mut session = Session::shared(plan, &config.strategies);
+                        session.set_telemetry(Arc::clone(&telemetry));
+                        session.set_telemetry_shard(index);
+                        Worker {
+                            index,
+                            max_batch: config.max_batch,
+                            queue,
+                            metrics,
+                            telemetry,
+                            live_workers,
+                            session,
+                            respawns_left: config.max_worker_respawns,
+                            breaker_open: false,
+                        }
+                        .run()
+                    })
                     .expect("failed to spawn serve worker")
             })
             .collect();
         ServeRuntime {
-            backend,
+            plan,
             config,
             queue,
             metrics,
@@ -448,22 +354,9 @@ impl ServeRuntime {
         }
     }
 
-    /// The plan every worker of a fixed-topology runtime serves from,
-    /// `None` for a template runtime (whose plans are per request).
-    pub fn plan(&self) -> Option<&Arc<CompiledPlan>> {
-        match &self.backend {
-            Backend::Plan(plan) => Some(plan),
-            Backend::Template(_) => None,
-        }
-    }
-
-    /// The resident template of a subgraph-serving runtime, `None` for a
-    /// fixed-topology runtime.
-    pub fn template(&self) -> Option<&Arc<ModelTemplate>> {
-        match &self.backend {
-            Backend::Plan(_) => None,
-            Backend::Template(template) => Some(template),
-        }
+    /// The plan every worker serves from.
+    pub fn plan(&self) -> &Arc<CompiledPlan> {
+        &self.plan
     }
 
     /// The runtime's configuration.
@@ -485,38 +378,35 @@ impl ServeRuntime {
     }
 
     /// Submits a request, blocking while the queue is at capacity
-    /// (backpressure).  A fixed-topology runtime takes a [`FeatureMatrix`],
-    /// a template runtime a `(Graph, FeatureMatrix)` pair; the other kind
-    /// is rejected with [`ServeError::ModeMismatch`].  The request is
-    /// validated up front with the same typed errors [`Session::infer`] /
-    /// [`ModelTemplate::instantiate`] would produce.
-    pub fn submit(&self, request: impl Into<Payload>) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), SubmitOptions::default(), false, None)
+    /// (backpressure).  The request is validated up front with the same
+    /// typed errors [`Session::infer`] would produce.
+    pub fn submit(&self, features: FeatureMatrix) -> Result<Ticket, ServeError> {
+        self.enqueue(features, SubmitOptions::default(), false, None)
     }
 
     /// Submits a request without blocking; a full queue returns
     /// [`ServeError::QueueFull`] instead of waiting.
-    pub fn try_submit(&self, request: impl Into<Payload>) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), SubmitOptions::default(), true, None)
+    pub fn try_submit(&self, features: FeatureMatrix) -> Result<Ticket, ServeError> {
+        self.enqueue(features, SubmitOptions::default(), true, None)
     }
 
     /// [`ServeRuntime::submit`] with per-request admission options
     /// (deadline, priority class).
     pub fn submit_with(
         &self,
-        request: impl Into<Payload>,
+        features: FeatureMatrix,
         options: SubmitOptions,
     ) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), options, false, None)
+        self.enqueue(features, options, false, None)
     }
 
     /// [`ServeRuntime::try_submit`] with per-request admission options.
     pub fn try_submit_with(
         &self,
-        request: impl Into<Payload>,
+        features: FeatureMatrix,
         options: SubmitOptions,
     ) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), options, true, None)
+        self.enqueue(features, options, true, None)
     }
 
     /// [`ServeRuntime::try_submit_with`], with `fault` installed as the
@@ -527,11 +417,11 @@ impl ServeRuntime {
     #[doc(hidden)]
     pub fn try_submit_with_fault(
         &self,
-        request: impl Into<Payload>,
+        features: FeatureMatrix,
         options: SubmitOptions,
         fault: FaultHook,
     ) -> Result<Ticket, ServeError> {
-        self.enqueue(request.into(), options, true, Some(fault))
+        self.enqueue(features, options, true, Some(fault))
     }
 
     /// The admission gate of the load-shedding policy: reject when depth
@@ -570,7 +460,7 @@ impl ServeRuntime {
 
     fn enqueue(
         &self,
-        payload: Payload,
+        features: FeatureMatrix,
         options: SubmitOptions,
         bounce: bool,
         fault: Option<FaultHook>,
@@ -578,7 +468,7 @@ impl ServeRuntime {
         // The deadline budget runs from here, not from queue acceptance: a
         // blocking submission's backpressure wait is time the caller spent.
         let submitted = Instant::now();
-        self.backend.validate(&payload)?;
+        self.plan.validate_request(&features, "serve submit")?;
         self.admit()?;
         let (tx, rx) = mpsc::channel();
         // The queue assigns the request id under its own lock, so accepted
@@ -593,7 +483,7 @@ impl ServeRuntime {
                 fault,
                 reply: tx,
             },
-            payload,
+            features,
         };
         let lane = options.priority.lane();
         let pushed = if bounce {
@@ -612,10 +502,7 @@ impl ServeRuntime {
 
     /// Convenience driver: submits every request (blocking on backpressure)
     /// and waits for all replies, returned in submission order.
-    pub fn serve_all<R: Into<Payload>>(
-        &self,
-        requests: impl IntoIterator<Item = R>,
-    ) -> Vec<Outcome> {
+    pub fn serve_all(&self, requests: impl IntoIterator<Item = FeatureMatrix>) -> Vec<Outcome> {
         // Tickets buffer replies through their per-request channels, so
         // collecting them first cannot deadlock against the bounded queue:
         // workers never block on a reply send.
@@ -715,23 +602,22 @@ fn abandon_queued(queue: &BoundedQueue<QueuedRequest>, reason: &'static str) {
 }
 
 /// One worker thread's state.  Each drained request crosses, in order and
-/// on its own: deadline shed (at pop, and again when its turn comes) → plan
-/// acquire ([`Backend::resolve`]) → session bind → fault-hook install → one
-/// [`Session::infer`] → id stamp → metrics → reply.  Plan
-/// acquire and serving are one step under [`Worker::supervised`].
+/// on its own: deadline shed (at pop, and again when its turn comes) →
+/// fault-hook install → one supervised [`Session::infer`] on the session
+/// the worker opened on the plan at thread start → id stamp → metrics →
+/// reply.
 struct Worker {
     index: usize,
-    backend: Backend,
-    config: ServeConfig,
+    max_batch: usize,
     queue: Arc<BoundedQueue<QueuedRequest>>,
     metrics: Arc<MetricsCollector>,
     telemetry: Arc<Registry>,
     /// Workers still serving; the last one to retire on an open circuit
     /// breaker closes the queue and fails residual tickets.
     live_workers: Arc<AtomicUsize>,
-    /// The worker's one session, opened on the first plan it binds and
-    /// rebound (never reopened) to every later one.
-    session: Option<Session<'static>>,
+    /// The worker's one session over the runtime's plan, opened at thread
+    /// start and rebuilt in place after a caught panic.
+    session: Session<'static>,
     /// Post-panic session rebuilds left before the circuit breaker opens.
     respawns_left: usize,
     breaker_open: bool,
@@ -739,17 +625,9 @@ struct Worker {
 
 impl Worker {
     fn run(mut self) {
-        // A constant plan is known before the first request arrives: open
-        // its session now, off the request path.
-        if let Backend::Plan(plan) = &self.backend {
-            let plan = Arc::clone(plan);
-            self.bind(&plan);
-        }
         while let Some(drained) = self
             .queue
-            .pop_batch_where(self.config.max_batch, |request| {
-                request.expired_at(Instant::now())
-            })
+            .pop_batch_where(self.max_batch, |request| request.expired_at(Instant::now()))
         {
             for request in drained.expired {
                 self.shed_expired(request);
@@ -794,58 +672,44 @@ impl Worker {
             .send(Err(ServeError::DeadlineExceeded { late }));
     }
 
-    /// The worker's session bound to `plan`: opened on first use, rebound
-    /// afterwards (free when `plan` is the plan already bound).
-    fn bind(&mut self, plan: &Arc<CompiledPlan>) -> &mut Session<'static> {
-        if let Some(session) = &mut self.session {
-            session.rebind(Arc::clone(plan));
-        } else {
-            let mut session = Session::shared(Arc::clone(plan), &self.config.strategies);
-            // The session publishes into the runtime's registry through the
-            // worker's own shard, so per-shard counter breakdowns read as
-            // per-worker ones.  The telemetry bundle survives post-panic
-            // rebuilds (`rebuild_after_panic` carries it).
-            session.set_telemetry(Arc::clone(&self.telemetry));
-            session.set_telemetry_shard(self.index);
-            self.session = Some(session);
-        }
-        self.session.as_mut().expect("bound above")
-    }
-
-    /// Runs one step under the supervisor's catch.  A panic is recorded and
-    /// costs one respawn from the worker's budget: budget permitting, the
-    /// session is rebuilt (the unwound pass left its arena and scratch
-    /// partially written) and the step fails with
-    /// [`ServeError::WorkerPanicked`]; an exhausted budget opens the circuit
-    /// breaker instead, after which every step fails with
-    /// [`ServeError::Abandoned`] without running.
-    fn supervised<T>(
-        &mut self,
-        step: impl FnOnce(&mut Self) -> Result<T, ServeError>,
-    ) -> Result<T, ServeError> {
+    /// Runs one request's [`Session::infer`], with `fault` installed, under
+    /// the supervisor's catch.  A panic is recorded and costs one respawn
+    /// from the worker's budget: budget permitting, the session is rebuilt
+    /// (the unwound pass left its arena and scratch partially written) and
+    /// the request fails with [`ServeError::WorkerPanicked`]; an exhausted
+    /// budget opens the circuit breaker instead, after which every request
+    /// fails with [`ServeError::Abandoned`] without running.
+    fn infer_supervised(&mut self, features: &FeatureMatrix, fault: Option<FaultHook>) -> Outcome {
         if self.breaker_open {
             return Err(ServeError::Abandoned {
                 reason: RESPAWN_EXHAUSTED,
             });
         }
-        catch_unwind(AssertUnwindSafe(|| step(self))).unwrap_or_else(|payload| {
-            let message = panic_message(payload.as_ref());
-            self.metrics.record_worker_panic(message.clone());
+        let session = &mut self.session;
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            session.set_fault_hook(fault);
+            let served = session.infer(features);
+            session.set_fault_hook(None);
+            served
+        }));
+        let payload = match served {
+            Ok(served) => return Ok(served?),
+            Err(payload) => payload,
+        };
+        let message = panic_message(payload.as_ref());
+        self.metrics.record_worker_panic(message.clone());
+        self.telemetry
+            .incr(self.index, CounterId::ServeWorkerPanics);
+        if self.respawns_left == 0 {
+            self.breaker_open = true;
+        } else {
+            self.respawns_left -= 1;
+            self.metrics.record_worker_respawn();
             self.telemetry
-                .incr(self.index, CounterId::ServeWorkerPanics);
-            if self.respawns_left == 0 {
-                self.breaker_open = true;
-            } else {
-                self.respawns_left -= 1;
-                self.metrics.record_worker_respawn();
-                self.telemetry
-                    .incr(self.index, CounterId::ServeWorkerRespawns);
-                if let Some(session) = &mut self.session {
-                    session.rebuild_after_panic();
-                }
-            }
-            Err(ServeError::WorkerPanicked { message })
-        })
+                .incr(self.index, CounterId::ServeWorkerRespawns);
+            self.session.rebuild_after_panic();
+        }
+        Err(ServeError::WorkerPanicked { message })
     }
 
     /// Serves one drained request on its own turn and replies to its ticket.
@@ -855,25 +719,12 @@ impl Worker {
         if request.expired_at(turn) {
             return self.shed_expired(request);
         }
-        let QueuedRequest { envelope, payload } = request;
-        let (graph, features) = match payload {
-            Payload::Features(features) => (None, features),
-            Payload::Subgraph { graph, features } => (Some(graph), features),
-        };
-        // Plan acquire is supervised too: instantiating a template compiles
-        // a caller-supplied topology.
-        let mut result = self.supervised(|w| {
-            let plan = w.backend.resolve(graph.as_ref(), &features)?;
-            let session = w.bind(&plan);
-            session.set_fault_hook(envelope.fault);
-            let served = session.infer(&features);
-            session.set_fault_hook(None);
-            Ok(served?)
-        });
+        let QueuedRequest { envelope, features } = request;
+        let mut result = self.infer_supervised(&features, envelope.fault);
         let service = turn.elapsed();
-        // Session-local indices are meaningless across a pool (and restart
-        // per rebind epoch); stamp the global submission id instead, which
-        // is what a serial session would have assigned.
+        // Session-local indices are meaningless across a pool; stamp the
+        // global submission id instead, which is what a serial session would
+        // have assigned.
         if let Ok(report) = &mut result {
             report.request_index = envelope.id as usize;
         }
@@ -1066,80 +917,6 @@ mod tests {
         runtime.shutdown();
     }
 
-    fn template_fixture() -> (Arc<ModelTemplate>, dynasparse_graph::GraphDataset) {
-        let ds = Dataset::Cora.spec().generate_scaled(5, 0.08);
-        let model = GnnModel::standard(
-            GnnModelKind::Gcn,
-            ds.features.dim(),
-            8,
-            ds.spec.num_classes,
-            2,
-        );
-        let template = ModelTemplate::compile_shared(&model, EngineOptions::default()).unwrap();
-        (template, ds)
-    }
-
-    #[test]
-    fn template_runtime_serves_varying_subgraphs_through_one_session() {
-        use dynasparse_graph::NeighborSampler;
-        let (template, ds) = template_fixture();
-        let runtime = ServeRuntime::start_template(
-            Arc::clone(&template),
-            ServeConfig::default().workers(1).max_batch(3),
-        );
-        assert!(runtime.template().is_some());
-
-        // Different roots and fanouts → subgraphs of different sizes flow
-        // through the same worker session via rebind.
-        let requests: Vec<(Graph, FeatureMatrix)> = (0..5)
-            .map(|i| {
-                let sampler = NeighborSampler::new([4 + i, 2], 11 + i as u64);
-                let sub = sampler.sample(&ds.graph, &[i as u32 * 7]);
-                let features = sub.extract_features(&ds.features);
-                (sub.into_graph(), features)
-            })
-            .collect();
-        let sizes: Vec<usize> = requests.iter().map(|(g, _)| g.num_vertices()).collect();
-        assert!(
-            sizes.windows(2).any(|w| w[0] != w[1]),
-            "fixture should produce varying subgraph sizes, got {sizes:?}"
-        );
-
-        let results = runtime.serve_all(requests);
-        assert_eq!(results.len(), 5);
-        for (i, r) in results.iter().enumerate() {
-            let report = r.as_ref().expect("subgraph request should serve");
-            assert_eq!(report.request_index, i);
-            assert_eq!(report.output_embeddings.shape().0, sizes[i]);
-        }
-        let report = runtime.shutdown();
-        assert_eq!(report.requests, 5);
-    }
-
-    #[test]
-    fn submission_mode_is_enforced_in_both_directions() {
-        let (plan, _) = plan_fixture();
-        let (template, ds) = template_fixture();
-
-        let fixed = ServeRuntime::start(plan, ServeConfig::default());
-        assert!(fixed.template().is_none());
-        let err = fixed
-            .submit((ds.graph.clone(), ds.features.clone()))
-            .unwrap_err();
-        assert!(matches!(err, ServeError::ModeMismatch { .. }));
-        fixed.shutdown();
-
-        let templated = ServeRuntime::start_template(template, ServeConfig::default());
-        let err = templated.submit(ds.features.clone()).unwrap_err();
-        assert!(matches!(err, ServeError::ModeMismatch { .. }));
-        // Invalid pairs bounce at submission with the instantiate error.
-        let wrong = FeatureMatrix::Dense(DenseMatrix::zeros(ds.graph.num_vertices(), 3));
-        let err = templated.submit((ds.graph.clone(), wrong)).unwrap_err();
-        assert!(matches!(err, ServeError::Inference(_)));
-        let report = templated.shutdown();
-        assert_eq!(report.requests, 0);
-    }
-
     #[test]
     fn shutdown_rejects_new_submissions() {
         let (plan, features) = plan_fixture();
@@ -1274,6 +1051,29 @@ mod tests {
         assert!(runtime.try_submit(features).unwrap().wait().is_ok());
         let report = runtime.shutdown();
         assert_eq!(report.shed, shed);
+    }
+
+    #[test]
+    fn a_zero_high_watermark_never_sheds_an_idle_runtime() {
+        let (plan, features) = plan_fixture();
+        // Through the builder and through the public field alike: a high
+        // watermark of 0 clamps to 1, so an empty queue always admits.
+        let built = ServeConfig::default().shed_watermarks(0, 0);
+        let raw = ServeConfig {
+            shed_watermarks: Some((0, 0)),
+            ..ServeConfig::default()
+        };
+        for config in [built, raw] {
+            let runtime = ServeRuntime::start(Arc::clone(&plan), config);
+            for i in 0..4 {
+                match runtime.submit(features.clone()) {
+                    Ok(ticket) => assert!(ticket.wait().is_ok()),
+                    Err(e) => panic!("submission {i} to an idle runtime: {e}"),
+                }
+            }
+            let report = runtime.shutdown();
+            assert_eq!((report.requests, report.shed), (4, 0));
+        }
     }
 
     #[test]

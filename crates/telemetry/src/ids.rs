@@ -35,12 +35,6 @@ pub enum CounterId {
     PlanCacheMisses,
     /// Plans evicted from the plan cache.
     PlanCacheEvictions,
-    /// Template-cache lookups that hit.
-    TemplateCacheHits,
-    /// Template-cache lookups that compiled a new template.
-    TemplateCacheMisses,
-    /// Templates evicted from the template cache.
-    TemplateCacheEvictions,
     /// Submissions rejected by the serve runtime's load-shedding watermark.
     ServeShed,
     /// Requests dropped by workers because their deadline had already
@@ -65,7 +59,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in exposition order.
-    pub const ALL: [CounterId; 25] = [
+    pub const ALL: [CounterId; 22] = [
         CounterId::SessionRequests,
         CounterId::KernelSpans,
         CounterId::DispatchGemm,
@@ -80,9 +74,6 @@ impl CounterId {
         CounterId::PlanCacheHits,
         CounterId::PlanCacheMisses,
         CounterId::PlanCacheEvictions,
-        CounterId::TemplateCacheHits,
-        CounterId::TemplateCacheMisses,
-        CounterId::TemplateCacheEvictions,
         CounterId::ServeShed,
         CounterId::ServeDeadlineExpired,
         CounterId::ServeWorkerPanics,
@@ -115,9 +106,6 @@ impl CounterId {
             CounterId::PlanCacheHits => "dynasparse_plan_cache_hits_total",
             CounterId::PlanCacheMisses => "dynasparse_plan_cache_misses_total",
             CounterId::PlanCacheEvictions => "dynasparse_plan_cache_evictions_total",
-            CounterId::TemplateCacheHits => "dynasparse_template_cache_hits_total",
-            CounterId::TemplateCacheMisses => "dynasparse_template_cache_misses_total",
-            CounterId::TemplateCacheEvictions => "dynasparse_template_cache_evictions_total",
             CounterId::ServeShed => "dynasparse_serve_shed_total",
             CounterId::ServeDeadlineExpired => "dynasparse_serve_deadline_expired_total",
             CounterId::ServeWorkerPanics => "dynasparse_serve_worker_panics_total",
@@ -148,9 +136,6 @@ impl CounterId {
             CounterId::PlanCacheHits => "Plan cache hits",
             CounterId::PlanCacheMisses => "Plan cache misses (cold compiles)",
             CounterId::PlanCacheEvictions => "Plan cache LRU evictions",
-            CounterId::TemplateCacheHits => "Template cache hits",
-            CounterId::TemplateCacheMisses => "Template cache misses (cold compiles)",
-            CounterId::TemplateCacheEvictions => "Template cache LRU evictions",
             CounterId::ServeShed => "Submissions rejected by the load-shedding watermark",
             CounterId::ServeDeadlineExpired => "Requests shed because their deadline expired",
             CounterId::ServeWorkerPanics => "Worker executions that panicked (caught)",
@@ -173,8 +158,6 @@ pub enum GaugeId {
     QueueDepth,
     /// Bytes resident in the plan cache.
     PlanCacheResidentBytes,
-    /// Bytes resident in the template cache.
-    TemplateCacheResidentBytes,
     /// EWMA of measured/predicted ms for dispatched GEMM kernels.
     DriftGemm,
     /// EWMA of measured/predicted ms for dispatched SpDMM kernels.
@@ -188,10 +171,9 @@ pub enum GaugeId {
 
 impl GaugeId {
     /// Every gauge, in exposition order.
-    pub const ALL: [GaugeId; 7] = [
+    pub const ALL: [GaugeId; 6] = [
         GaugeId::QueueDepth,
         GaugeId::PlanCacheResidentBytes,
-        GaugeId::TemplateCacheResidentBytes,
         GaugeId::DriftGemm,
         GaugeId::DriftSpdmm,
         GaugeId::DriftSpmm,
@@ -208,7 +190,6 @@ impl GaugeId {
         match self {
             GaugeId::QueueDepth => "dynasparse_serve_queue_depth",
             GaugeId::PlanCacheResidentBytes => "dynasparse_plan_cache_resident_bytes",
-            GaugeId::TemplateCacheResidentBytes => "dynasparse_template_cache_resident_bytes",
             GaugeId::DriftGemm => "dynasparse_drift_gemm_ratio",
             GaugeId::DriftSpdmm => "dynasparse_drift_spdmm_ratio",
             GaugeId::DriftSpmm => "dynasparse_drift_spmm_ratio",
@@ -221,7 +202,6 @@ impl GaugeId {
         match self {
             GaugeId::QueueDepth => "Serve queue depth at batch pickup",
             GaugeId::PlanCacheResidentBytes => "Bytes resident in the plan cache",
-            GaugeId::TemplateCacheResidentBytes => "Bytes resident in the template cache",
             GaugeId::DriftGemm => "EWMA of measured/predicted ms for GEMM dispatches",
             GaugeId::DriftSpdmm => "EWMA of measured/predicted ms for SpDMM dispatches",
             GaugeId::DriftSpmm => "EWMA of measured/predicted ms for SpGEMM dispatches",
@@ -297,5 +277,32 @@ impl HistogramId {
             HistogramId::PricingHitMicros => "Per-request pricing time on cache hits (us)",
             HistogramId::PricingMissMicros => "Per-request pricing time on cache misses (us)",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    /// Asserts that `ALL` lists every slot in slot order and that no two
+    /// slots share an exposition name.
+    fn assert_slot_layout<T: Copy + std::fmt::Debug>(
+        all: &[T],
+        idx: impl Fn(T) -> usize,
+        name: impl Fn(T) -> &'static str,
+    ) {
+        for (i, &id) in all.iter().enumerate() {
+            assert_eq!(idx(id), i, "ALL[{i}] is {id:?}");
+        }
+        let names: HashSet<&str> = all.iter().map(|&id| name(id)).collect();
+        assert_eq!(names.len(), all.len(), "duplicate metric names");
+    }
+
+    #[test]
+    fn every_id_sits_at_its_slot_under_a_unique_name() {
+        assert_slot_layout(&CounterId::ALL, CounterId::idx, CounterId::name);
+        assert_slot_layout(&GaugeId::ALL, GaugeId::idx, GaugeId::name);
+        assert_slot_layout(&HistogramId::ALL, HistogramId::idx, HistogramId::name);
     }
 }

@@ -17,9 +17,7 @@ mod hooks;
 use dynasparse::{CompiledPlan, MappingStrategy, Planner};
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
-use dynasparse_serve::{
-    Payload, Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions, Ticket,
-};
+use dynasparse_serve::{Priority, ServeConfig, ServeError, ServeRuntime, SubmitOptions, Ticket};
 use dynasparse_telemetry::{CounterId, Registry, TelemetryLevel};
 use hooks::{poison, Park};
 use std::sync::Arc;
@@ -253,52 +251,6 @@ fn exhausted_respawn_budget_drains_residual_tickets() {
     assert_eq!(report.worker_respawns, 1);
 }
 
-/// Template (per-request subgraph) runtimes isolate a poisoned request the
-/// same way: its ticket fails typed, batch-mates and later requests serve.
-#[test]
-fn template_runtime_supervises_poisoned_subgraph_requests() {
-    use dynasparse::{EngineOptions, ModelTemplate};
-    use dynasparse_graph::NeighborSampler;
-
-    let full = Dataset::Cora.spec().generate_scaled(23, 0.08);
-    let model = GnnModel::standard(
-        GnnModelKind::Gcn,
-        full.features.dim(),
-        8,
-        full.spec.num_classes,
-        5,
-    );
-    let template = ModelTemplate::compile_shared(&model, EngineOptions::default()).unwrap();
-    let runtime = ServeRuntime::start_template(template, ServeConfig::default().workers(1));
-
-    let mut tickets = Vec::new();
-    for i in 0..4 {
-        let sub = NeighborSampler::new([5, 3], 7 + i as u64).sample(&full.graph, &[i as u32 * 3]);
-        let features = sub.extract_features(&full.features);
-        let request = (sub.into_graph(), features);
-        let ticket = if i == 1 {
-            runtime.try_submit_with_fault(request, SubmitOptions::default(), poison(0))
-        } else {
-            runtime.submit(request)
-        };
-        tickets.push(ticket.unwrap());
-    }
-    for (i, t) in tickets.into_iter().enumerate() {
-        match t.wait() {
-            Ok(report) => assert_eq!(report.request_index, i),
-            Err(ServeError::WorkerPanicked { message }) => {
-                assert_eq!(i, 1);
-                assert!(message.contains("injected fault"));
-            }
-            Err(e) => panic!("request {i}: unexpected error {e}"),
-        }
-    }
-    let report = runtime.shutdown();
-    assert_eq!(report.requests, 3);
-    assert_eq!(report.worker_panics, 1);
-    assert_eq!(report.worker_respawns, 1);
-}
-
 /// Deadline-bounded shutdown: a too-small drain budget fails residual
 /// queued tickets with `Abandoned`; nothing hangs, nothing is lost.
 #[test]
@@ -345,48 +297,22 @@ fn shutdown_with_deadline_resolves_every_outstanding_ticket() {
 /// tightly-deadlined requests against a small sheddable queue, ending in a
 /// deadline-bounded shutdown.  Accounting closes exactly: submissions =
 /// typed rejections + resolved tickets, outcome by outcome, and the
-/// runtime's own counters agree — for a fixed-plan and a template runtime
-/// alike (they share one worker loop).
+/// runtime's own counters agree.
 #[test]
 fn mixed_fault_storm_loses_no_ticket() {
-    use dynasparse::{EngineOptions, ModelTemplate};
-    use dynasparse_graph::NeighborSampler;
+    let config = ServeConfig::default()
+        .workers(2)
+        .max_batch(4)
+        .queue_capacity(8)
+        .shed_watermarks(6, 2)
+        .max_worker_respawns(8)
+        .telemetry(Arc::new(Registry::new(TelemetryLevel::Counters)));
+    let (plan, features) = plan_fixture();
+    let (rows, dim) = features.shape();
+    let request =
+        |i: usize| dense_features(rows, dim, 0.05 + 0.015 * (i % 50) as f64, 300 + i as u64);
+    let runtime = ServeRuntime::start(plan, config);
 
-    let config = || {
-        ServeConfig::default()
-            .workers(2)
-            .max_batch(4)
-            .queue_capacity(8)
-            .shed_watermarks(6, 2)
-            .max_worker_respawns(8)
-            .telemetry(Arc::new(Registry::new(TelemetryLevel::Counters)))
-    };
-
-    let (plan, plan_features) = plan_fixture();
-    let (rows, dim) = plan_features.shape();
-    storm(ServeRuntime::start(plan, config()), |i| {
-        dense_features(rows, dim, 0.05 + 0.015 * (i % 50) as f64, 300 + i as u64).into()
-    });
-
-    let full = Dataset::Cora.spec().generate_scaled(23, 0.08);
-    let model = GnnModel::standard(
-        GnnModelKind::Gcn,
-        full.features.dim(),
-        8,
-        full.spec.num_classes,
-        5,
-    );
-    let template = ModelTemplate::compile_shared(&model, EngineOptions::default()).unwrap();
-    storm(ServeRuntime::start_template(template, config()), |i| {
-        let sub = NeighborSampler::new([5, 3], 300 + i as u64).sample(&full.graph, &[i as u32 * 3]);
-        let features = sub.extract_features(&full.features);
-        (sub.into_graph(), features).into()
-    });
-}
-
-/// Drives one fault storm through `runtime` and closes its accounting, from
-/// the runtime's report and from its telemetry counters alike.
-fn storm(runtime: ServeRuntime, request: impl Fn(usize) -> Payload) {
     const TOTAL: usize = 48;
     let telemetry = Arc::clone(runtime.telemetry());
     let mut tickets = Vec::new();

@@ -4,12 +4,14 @@
 //! *free* of numerical consequences: N worker threads serving one shared
 //! `Arc<CompiledPlan>` produce bit-identical `InferenceReport`s to a single
 //! serial session over the same request stream, regardless of worker count,
-//! batching, or scheduling interleavings.  That holds because every request
-//! is profiled and priced from freshly reset analyzer/scheduler state, and
-//! the plan itself is immutable.
+//! kernel thread count, batching, or scheduling interleavings.  That holds
+//! because every request is profiled and priced from freshly reset
+//! analyzer/scheduler state, and the plan itself is immutable.
 
+mod common;
 mod hooks;
 
+use common::at_one_and_two_kernel_threads;
 use dynasparse::{CompiledPlan, InferenceReport, MappingStrategy, Planner, Session};
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix};
 use dynasparse_model::{GnnModel, GnnModelKind};
@@ -156,31 +158,33 @@ fn raw_threads_over_one_shared_plan_match_serial_bit_for_bit() {
 
 #[test]
 fn serve_runtime_is_bit_identical_to_serial_serving() {
-    let (plan, _) = plan_fixture();
-    let strategies = [MappingStrategy::Dynamic, MappingStrategy::Static1];
-    let stream = request_stream(&plan, 16);
-    let want = serial_reports(&plan, &strategies, &stream);
+    at_one_and_two_kernel_threads("serve_runtime_is_bit_identical_to_serial_serving", || {
+        let (plan, _) = plan_fixture();
+        let strategies = [MappingStrategy::Dynamic, MappingStrategy::Static1];
+        let stream = request_stream(&plan, 16);
+        let want = serial_reports(&plan, &strategies, &stream);
 
-    for (workers, max_batch) in [(1usize, 1usize), (4, 1), (4, 4)] {
-        let runtime = ServeRuntime::start(
-            Arc::clone(&plan),
-            ServeConfig::default()
-                .workers(workers)
-                .max_batch(max_batch)
-                .strategies(&strategies),
-        );
-        let results = runtime.serve_all(stream.iter().cloned());
-        let report = runtime.shutdown();
-        assert_eq!(report.requests as usize, stream.len());
-        for (i, result) in results.into_iter().enumerate() {
-            let got = result.expect("request failed");
-            assert_reports_identical(
-                &want[i],
-                &got,
-                &format!("workers={workers} max_batch={max_batch} request {i}"),
+        for (workers, max_batch) in [(1usize, 1usize), (4, 1), (4, 4)] {
+            let runtime = ServeRuntime::start(
+                Arc::clone(&plan),
+                ServeConfig::default()
+                    .workers(workers)
+                    .max_batch(max_batch)
+                    .strategies(&strategies),
             );
+            let results = runtime.serve_all(stream.iter().cloned());
+            let report = runtime.shutdown();
+            assert_eq!(report.requests as usize, stream.len());
+            for (i, result) in results.into_iter().enumerate() {
+                let got = result.expect("request failed");
+                assert_reports_identical(
+                    &want[i],
+                    &got,
+                    &format!("workers={workers} max_batch={max_batch} request {i}"),
+                );
+            }
         }
-    }
+    });
 }
 
 #[test]
