@@ -1,16 +1,26 @@
-//! Criterion benchmark of the end-to-end engine (compile + functional
-//! execution + analysis of all three mapping strategies) on a small and a
-//! medium dataset.
+//! Criterion benchmark of one cold request end to end — `Planner::plan`
+//! (compilation) plus one `Session::infer` (functional execution + analysis
+//! of the priced mapping strategies) — on a small and a medium dataset.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dynasparse::{Engine, EngineOptions, MappingStrategy};
-use dynasparse_graph::Dataset;
+use dynasparse::{InferenceReport, MappingStrategy, Planner};
+use dynasparse_graph::{Dataset, GraphDataset};
 use dynasparse_model::{GnnModel, GnnModelKind};
 
+/// Plans `model` over `dataset` and serves the dataset's own features once.
+fn plan_and_infer(
+    model: &GnnModel,
+    dataset: &GraphDataset,
+    strategies: &[MappingStrategy],
+) -> InferenceReport {
+    let plan = Planner::default().plan(model, dataset).unwrap();
+    let report = plan.session(strategies).infer(&dataset.features).unwrap();
+    report
+}
+
 fn bench_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_evaluate");
+    let mut group = c.benchmark_group("plan_and_infer");
     group.sample_size(10);
-    let engine = Engine::new(EngineOptions::default());
 
     let cora = Dataset::Cora.spec().generate_scaled(3, 0.25);
     let cora_model = GnnModel::standard(
@@ -21,11 +31,7 @@ fn bench_engine(c: &mut Criterion) {
         1,
     );
     group.bench_function("gcn_cora_quarter_scale", |b| {
-        b.iter(|| {
-            engine
-                .evaluate(&cora_model, &cora, &MappingStrategy::paper_strategies())
-                .unwrap()
-        })
+        b.iter(|| plan_and_infer(&cora_model, &cora, &MappingStrategy::paper_strategies()))
     });
 
     let pubmed = Dataset::PubMed.spec().generate_scaled(3, 0.1);
@@ -37,11 +43,7 @@ fn bench_engine(c: &mut Criterion) {
         1,
     );
     group.bench_function("graphsage_pubmed_tenth_scale", |b| {
-        b.iter(|| {
-            engine
-                .evaluate(&pubmed_model, &pubmed, &[MappingStrategy::Dynamic])
-                .unwrap()
-        })
+        b.iter(|| plan_and_infer(&pubmed_model, &pubmed, &[MappingStrategy::Dynamic]))
     });
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! One-shot vs compile-once/serve-many throughput.
 //!
 //! Measures the same GCN/Cora workload two ways over N = 100 inference
-//! requests: re-running the full `Engine::evaluate` pipeline per request
+//! requests: planning afresh and serving one `Session::infer` per request
 //! (recompiling the plan every time), and serving all requests from one
 //! `Session` over a single `CompiledPlan`.  The per-request numbers are
 //! identical (see `tests/integration_session.rs`); the difference is pure
@@ -9,12 +9,22 @@
 //! serving API.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dynasparse::{Engine, EngineOptions, MappingStrategy, Planner};
-use dynasparse_graph::Dataset;
+use dynasparse::{EngineOptions, MappingStrategy, Planner};
+use dynasparse_graph::{Dataset, GraphDataset};
 use dynasparse_model::{GnnModel, GnnModelKind};
 use std::time::Instant;
 
 const REQUESTS: usize = 100;
+
+/// One request served the one-shot way: plan, open a session, infer once.
+fn one_shot(model: &GnnModel, dataset: &GraphDataset, strategies: &[MappingStrategy]) {
+    let plan = Planner::new(EngineOptions::default())
+        .plan(model, dataset)
+        .expect("planning failed");
+    plan.session(strategies)
+        .infer(&dataset.features)
+        .expect("inference failed");
+}
 
 fn bench_session_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_reuse");
@@ -31,12 +41,9 @@ fn bench_session_reuse(c: &mut Criterion) {
     let strategies = [MappingStrategy::Dynamic];
 
     group.bench_function(format!("one_shot_{REQUESTS}_requests"), |b| {
-        let engine = Engine::new(EngineOptions::default());
         b.iter(|| {
             for _ in 0..REQUESTS {
-                engine
-                    .evaluate(&model, &dataset, &strategies)
-                    .expect("evaluation failed");
+                one_shot(&model, &dataset, &strategies);
             }
         })
     });
@@ -55,10 +62,9 @@ fn bench_session_reuse(c: &mut Criterion) {
     group.finish();
 
     // Headline number: requests/sec both ways, printed once per run.
-    let engine = Engine::new(EngineOptions::default());
     let t = Instant::now();
     for _ in 0..REQUESTS {
-        engine.evaluate(&model, &dataset, &strategies).unwrap();
+        one_shot(&model, &dataset, &strategies);
     }
     let one_shot = REQUESTS as f64 / t.elapsed().as_secs_f64();
 

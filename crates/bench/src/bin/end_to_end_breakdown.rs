@@ -28,10 +28,13 @@ fn main() {
     let mut e2e_speedups: std::collections::HashMap<&'static str, Vec<f64>> = Default::default();
     for dataset in all_datasets() {
         let rec = run_eval(GnnModelKind::Gcn, dataset, 0.0);
-        let run = rec.eval.run(MappingStrategy::Dynamic).expect("dynamic run");
+        let run = rec
+            .report
+            .run(MappingStrategy::Dynamic)
+            .expect("dynamic run");
         let dynasparse = EndToEndBreakdown {
-            preprocessing_ms: rec.eval.compile_ms * rec.factor,
-            data_movement_ms: rec.eval.data_movement_ms * rec.factor,
+            preprocessing_ms: rec.compile_ms * rec.factor,
+            data_movement_ms: rec.report.data_movement_ms * rec.factor,
             execution_ms: run.latency_ms * rec.factor,
         };
         let (fp, fm, fe) = dynasparse.fractions();

@@ -23,7 +23,10 @@ fn main() {
         let mut rows = Vec::new();
         for dataset in all_datasets() {
             let rec = run_eval(model, dataset, 0.0);
-            let run = rec.eval.run(MappingStrategy::Dynamic).expect("dynamic run");
+            let run = rec
+                .report
+                .run(MappingStrategy::Dynamic)
+                .expect("dynamic run");
             let frac = run.overhead.fraction_of_execution();
             fractions.push(frac);
             rows.push(vec![

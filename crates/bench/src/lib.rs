@@ -18,7 +18,7 @@
 
 #![warn(missing_docs)]
 
-use dynasparse::{Engine, EngineOptions, MappingStrategy, Planner};
+use dynasparse::{EngineOptions, InferenceReport, MappingStrategy, Planner};
 use dynasparse_graph::{Dataset, GraphDataset};
 use dynasparse_model::{GnnModel, GnnModelKind};
 use serde::Serialize;
@@ -65,13 +65,8 @@ pub fn build_model(kind: GnnModelKind, ds: &GraphDataset) -> GnnModel {
     )
 }
 
-/// The engine used by every harness (paper-default hardware configuration).
-pub fn engine() -> Engine {
-    Engine::new(EngineOptions::default())
-}
-
-/// The planner used by harnesses on the compile-once / serve-many path
-/// (paper-default hardware configuration).
+/// The planner used by every harness (paper-default hardware
+/// configuration).
 pub fn planner() -> Planner {
     Planner::new(EngineOptions::default())
 }
@@ -151,8 +146,10 @@ pub struct EvalRecord {
     pub dataset: Dataset,
     /// Which model was evaluated.
     pub model: GnnModelKind,
-    /// The engine evaluation (all paper strategies priced).
-    pub eval: dynasparse::Evaluation,
+    /// The served request's report (all paper strategies priced).
+    pub report: InferenceReport,
+    /// One-time preprocessing milliseconds of the plan that served it.
+    pub compile_ms: f64,
     /// Multiply simulated latencies by this to report published-scale
     /// numbers.
     pub factor: f64,
@@ -161,7 +158,7 @@ pub struct EvalRecord {
 impl EvalRecord {
     /// Extrapolated accelerator latency (ms) of one strategy.
     pub fn latency_ms(&self, strategy: MappingStrategy) -> f64 {
-        self.eval
+        self.report
             .run(strategy)
             .map(|r| r.latency_ms * self.factor)
             .unwrap_or(f64::NAN)
@@ -169,7 +166,7 @@ impl EvalRecord {
 
     /// Speedup of Dynamic over `other`.
     pub fn speedup_over(&self, other: MappingStrategy) -> f64 {
-        self.eval
+        self.report
             .speedup(other, MappingStrategy::Dynamic)
             .unwrap_or(f64::NAN)
     }
@@ -183,17 +180,16 @@ pub fn run_eval(kind: GnnModelKind, dataset: Dataset, weight_sparsity: f64) -> E
     if weight_sparsity > 0.0 {
         model = dynasparse_model::prune_model(&model, weight_sparsity);
     }
-    // Compile once, serve the (single) harness request from a session; this
-    // is numerically identical to the one-shot Engine::evaluate path.
+    // Compile once, serve the (single) harness request from a session.
     let plan = planner().plan(&model, &ds).expect("planning failed");
     let mut session = plan.session(&paper_strategies());
     let report = session.infer(&ds.features).expect("inference failed");
-    let eval = report.into_evaluation(&plan);
     EvalRecord {
         dataset,
         model: kind,
         factor: extrapolation_factor(&ds),
-        eval,
+        report,
+        compile_ms: plan.compile_ms(),
     }
 }
 

@@ -1,7 +1,7 @@
 //! The unified typed error hierarchy of the engine.
 //!
-//! Every fallible public entry point — [`Planner::plan`], [`Session::infer`]
-//! and the compatibility wrapper [`Engine::evaluate`] — returns
+//! Every fallible public entry point — [`Planner::plan`],
+//! [`ModelTemplate::instantiate`] and [`Session::infer`] — returns
 //! [`DynasparseError`], which wraps the stage-specific error types:
 //! [`ModelError`] for structural model validation, [`CompileError`] for
 //! plan-time model/graph incompatibilities, and
@@ -9,8 +9,8 @@
 //! failures.
 //!
 //! [`Planner::plan`]: crate::Planner::plan
+//! [`ModelTemplate::instantiate`]: crate::ModelTemplate::instantiate
 //! [`Session::infer`]: crate::Session::infer
-//! [`Engine::evaluate`]: crate::Engine::evaluate
 
 use dynasparse_matrix::MatrixError;
 use dynasparse_model::ModelError;
@@ -96,12 +96,6 @@ impl From<MatrixError> for DynasparseError {
         DynasparseError::Execution(e)
     }
 }
-
-/// Pre-0.2 name of [`DynasparseError`], kept so existing `Result` type
-/// annotations keep compiling.  The stringly `InvalidModel(String)` variant
-/// is gone: match on [`DynasparseError::Model`] /
-/// [`ModelError`] instead.
-pub type EngineError = DynasparseError;
 
 #[cfg(test)]
 mod tests {

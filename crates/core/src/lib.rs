@@ -49,7 +49,7 @@
 //! );
 //!
 //! // Compile once...
-//! let planner = Planner::new(EngineOptions::builder().build());
+//! let planner = Planner::new(EngineOptions::default());
 //! let plan = planner.plan(&model, &dataset).unwrap();
 //!
 //! // ...serve many.  Every request reuses the compiled program, the
@@ -134,36 +134,16 @@
 //! the repository root, together with the knobs documented in `README.md`
 //! (`DYNASPARSE_CALIBRATION`, `DYNASPARSE_THREADS`, …).
 //!
-//! Whatever [`HostExecutionOptions`] (`EngineOptions::builder().host(...)`)
-//! or the calibration select — calibrated or regions decisions,
-//! pricing-cache mode, kernel threads — embeddings stay bit-identical to the
-//! fixed-kernel
+//! Whether the calibration or the regions decide, and at any kernel thread
+//! count, embeddings stay bit-identical to the fixed-kernel
 //! `ReferenceExecutor::forward`, the test oracle
 //! (`tests/integration_dispatch.rs`, `tests/integration_backend.rs`), and a
 //! batched request reports exactly what it reports served alone
-//! (`tests/integration_batch.rs`).
-//!
-//! One-shot evaluation (compile + single request) remains available through
-//! the [`Engine`] wrapper, which produces cycle-for-cycle the same numbers:
-//!
-//! ```
-//! use dynasparse::{Engine, EngineOptions, MappingStrategy};
-//! use dynasparse_graph::Dataset;
-//! use dynasparse_model::{GnnModel, GnnModelKind};
-//!
-//! let dataset = Dataset::Cora.spec().generate_scaled(42, 0.2);
-//! let model = GnnModel::standard(
-//!     GnnModelKind::Gcn,
-//!     dataset.features.dim(),
-//!     16,
-//!     dataset.spec.num_classes,
-//!     7,
-//! );
-//! let eval = Engine::new(EngineOptions::default())
-//!     .evaluate(&model, &dataset, &[MappingStrategy::Dynamic])
-//!     .unwrap();
-//! assert!(eval.run(MappingStrategy::Dynamic).unwrap().latency_ms > 0.0);
-//! ```
+//! (`tests/integration_batch.rs`).  Every session prices its strategies
+//! through one bucketed pricing cache (`dynasparse_runtime::PricingStage`):
+//! a miss runs the Analyzer on the profile's density-bucket representative,
+//! so what a request reports never depends on what the session served
+//! before.
 //!
 //! ## Errors
 //!
@@ -184,7 +164,7 @@
 //! | `dynasparse-compiler` | IR, data partitioning (Alg. 9), execution schemes (Alg. 2/3) |
 //! | `dynasparse-accel` | cycle-level accelerator model (ACM, AHM, memory, soft processor) |
 //! | `dynasparse-runtime` | Analyzer (Alg. 7), Scheduler (Alg. 8), S1/S2 baselines |
-//! | `dynasparse` (this crate) | Planner → CompiledPlan → Session, one-shot Engine wrapper |
+//! | `dynasparse` (this crate) | Planner → CompiledPlan → Session |
 //! | `dynasparse-serve` | plan cache, worker pool, bounded queue, serving metrics |
 
 #![warn(missing_docs)]
@@ -197,10 +177,10 @@ pub mod report;
 pub mod session;
 pub mod template;
 
-pub use engine::{Engine, EngineOptions, EngineOptionsBuilder, HostExecutionOptions};
-pub use error::{CompileError, DynasparseError, EngineError};
+pub use engine::EngineOptions;
+pub use error::{CompileError, DynasparseError};
 pub use planner::{CompiledPlan, Planner};
-pub use report::{Evaluation, InferenceReport, KernelReport, StrategyRun};
+pub use report::{InferenceReport, KernelReport, StrategyRun};
 pub use session::{FaultHook, OwnedSession, Session};
 pub use template::{ModelTemplate, TemplateInstance};
 

@@ -14,9 +14,9 @@
 
 use crate::engine::EngineOptions;
 use crate::error::{CompileError, DynasparseError};
-use crate::session::Session;
+use crate::session::{PlanHandle, Session};
 use dynasparse_compiler::{compile, CompileReport, CompiledProgram};
-use dynasparse_graph::{AggregatorKind, FeatureMatrix, GraphDataset};
+use dynasparse_graph::{AggregatorKind, FeatureMatrix, Graph, GraphDataset};
 use dynasparse_matrix::{CsrMatrix, HostCalibration, MatrixError, PartitionSpec};
 use dynasparse_model::{prepare_adjacencies, GnnModel};
 use dynasparse_runtime::MappingStrategy;
@@ -50,9 +50,9 @@ impl Planner {
     /// compiles the input-independent artifacts into a [`CompiledPlan`].
     ///
     /// The dataset's feature matrix participates only in the *static*
-    /// sparsity profile (`H⁰` densities of Table IX) and in the default
-    /// request of [`Engine::evaluate`](crate::Engine::evaluate); the plan
-    /// itself serves any feature matrix with the same shape.
+    /// sparsity profile (`H⁰` densities of Table IX); it must hold one row
+    /// per graph vertex, and the plan itself serves any feature matrix with
+    /// that shape.
     ///
     /// ```
     /// use dynasparse::{EngineOptions, MappingStrategy, Planner};
@@ -80,16 +80,7 @@ impl Planner {
         dataset: &GraphDataset,
     ) -> Result<CompiledPlan, DynasparseError> {
         model.validate()?;
-        if dataset.graph.num_vertices() == 0 {
-            return Err(CompileError::EmptyGraph.into());
-        }
-        if dataset.features.dim() != model.input_dim {
-            return Err(CompileError::FeatureDimensionMismatch {
-                model_input_dim: model.input_dim,
-                feature_dim: dataset.features.dim(),
-            }
-            .into());
-        }
+        check_topology(model, &dataset.graph, &dataset.features, "plan")?;
 
         // One-time compilation: computation graph, partition sizes
         // (Algorithm 9), execution schemes (Algorithms 2/3) and static
@@ -119,6 +110,37 @@ impl Planner {
     ) -> Result<Arc<CompiledPlan>, DynasparseError> {
         self.plan(model, dataset).map(Arc::new)
     }
+}
+
+/// Checks a `(graph, features)` pair against `model` before any topology
+/// work, in this order: the graph has vertices, the features have the
+/// model's input width, and they have one row per vertex.  `op` names the
+/// rejecting entry point in the typed [`MatrixError::ShapeMismatch`].
+pub(crate) fn check_topology(
+    model: &GnnModel,
+    graph: &Graph,
+    features: &FeatureMatrix,
+    op: &'static str,
+) -> Result<(), DynasparseError> {
+    if graph.num_vertices() == 0 {
+        return Err(CompileError::EmptyGraph.into());
+    }
+    if features.dim() != model.input_dim {
+        return Err(CompileError::FeatureDimensionMismatch {
+            model_input_dim: model.input_dim,
+            feature_dim: features.dim(),
+        }
+        .into());
+    }
+    if features.num_vertices() != graph.num_vertices() {
+        return Err(MatrixError::ShapeMismatch {
+            op,
+            lhs: features.shape(),
+            rhs: (graph.num_vertices(), model.input_dim),
+        }
+        .into());
+    }
+    Ok(())
 }
 
 /// The immutable result of planning: everything inference requests share.
@@ -157,15 +179,15 @@ impl CompiledPlan {
     /// Opens a session that serves inference requests from this plan,
     /// pricing every strategy in `strategies` on each request.
     pub fn session(&self, strategies: &[MappingStrategy]) -> Session<'_> {
-        Session::new(self, strategies)
+        Session::build(PlanHandle::Borrowed(self), strategies)
     }
 
     /// Opens a session that co-owns this plan through the [`Arc`], so the
     /// session has no borrowed lifetime and can be moved onto another
     /// thread.  This is the entry point concurrent serving runtimes use:
-    /// every worker gets `Session::shared(Arc::clone(&plan), …)`.
+    /// every worker opens its own `plan.session_shared(…)`.
     pub fn session_shared(self: &Arc<Self>, strategies: &[MappingStrategy]) -> Session<'static> {
-        Session::shared(Arc::clone(self), strategies)
+        Session::build(PlanHandle::Shared(Arc::clone(self)), strategies)
     }
 
     /// Checks one request's shape against the plan topology: `features`
@@ -285,10 +307,9 @@ impl CompiledPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HostExecutionOptions;
+    use dynasparse_compiler::CompilerConfig;
     use dynasparse_graph::Dataset;
     use dynasparse_model::{GnnModelKind, ModelError};
-    use dynasparse_runtime::PricingCacheMode;
 
     fn setup() -> (GnnModel, GraphDataset) {
         let ds = Dataset::Cora.spec().generate_scaled(9, 0.15);
@@ -318,14 +339,16 @@ mod tests {
 
     #[test]
     fn plans_and_templates_keep_the_options_they_were_given() {
-        let options = EngineOptions::builder()
-            .host(HostExecutionOptions {
-                pricing_cache: PricingCacheMode::Exact,
-            })
-            .build();
-        assert_ne!(options.host, HostExecutionOptions::default());
+        let options = EngineOptions {
+            compiler: CompilerConfig {
+                min_partition: 32,
+                ..CompilerConfig::default()
+            },
+            ..EngineOptions::default()
+        };
+        assert_ne!(options, EngineOptions::default());
         let planner = Planner::new(options.clone());
-        assert_eq!(planner.options().host, options.host);
+        assert_eq!(planner.options(), &options);
         let (model, ds) = setup();
         assert_eq!(planner.plan(&model, &ds).unwrap().options(), &options);
         let template = crate::ModelTemplate::compile(&model, options.clone()).unwrap();
@@ -351,6 +374,40 @@ mod tests {
         assert!(matches!(
             err,
             DynasparseError::Compile(CompileError::FeatureDimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn feature_rows_must_match_the_graph_at_plan_time() {
+        // Features with fewer rows than the graph has vertices are rejected
+        // when planning, not on the plan's first request.
+        let (model, mut ds) = setup();
+        let (v, f) = ds.features.shape();
+        let short = dynasparse_graph::generators::dense_features(v - 3, f, 0.5, 1);
+        ds.features = short.clone();
+        let err = Planner::default().plan(&model, &ds).unwrap_err();
+        assert_eq!(
+            err,
+            DynasparseError::Execution(MatrixError::ShapeMismatch {
+                op: "plan",
+                lhs: (v - 3, f),
+                rhs: (v, f),
+            })
+        );
+        // The input width is checked before the row count.
+        let narrow = GnnModel::gcn(f + 1, 8, ds.spec.num_classes, 1);
+        assert!(matches!(
+            Planner::default().plan(&narrow, &ds).unwrap_err(),
+            DynasparseError::Compile(CompileError::FeatureDimensionMismatch { .. })
+        ));
+        // The template's entry point rejects the same pair under its own name.
+        let template = crate::ModelTemplate::compile(&model, EngineOptions::default()).unwrap();
+        assert!(matches!(
+            template.instantiate(&ds.graph, &short).unwrap_err(),
+            DynasparseError::Execution(MatrixError::ShapeMismatch {
+                op: "template instantiate",
+                ..
+            })
         ));
     }
 }

@@ -1,11 +1,8 @@
 //! Result types produced by the engine: the per-request [`InferenceReport`]
-//! of the Planner → Session pipeline and the one-shot [`Evaluation`] the
-//! compatibility wrapper assembles from it.
+//! of the Planner → Session pipeline and the per-strategy runs it holds.
 
-use crate::planner::CompiledPlan;
 use dynasparse_compiler::KernelKind;
 use dynasparse_graph::FeatureMatrix;
-use dynasparse_matrix::PartitionSpec;
 use dynasparse_model::DensityTrace;
 use dynasparse_runtime::{MappingStrategy, PrimitiveMix, RuntimeOverhead};
 use serde::Serialize;
@@ -76,9 +73,9 @@ impl StrategyRun {
 /// Result of one inference request served by a
 /// [`Session`](crate::Session).
 ///
-/// Unlike [`Evaluation`], a report carries only per-request quantities;
-/// the amortized artifacts (compile report, partition, static sparsity)
-/// live on the [`CompiledPlan`] the session serves from.
+/// A report carries only per-request quantities; the amortized artifacts
+/// (compile report, partition, static sparsity) live on the
+/// [`CompiledPlan`](crate::CompiledPlan) the session serves from.
 #[derive(Debug, Clone, Serialize)]
 pub struct InferenceReport {
     /// Zero-based index of this request within its session.
@@ -110,7 +107,8 @@ impl InferenceReport {
         self.runs.iter().find(|r| r.strategy == strategy)
     }
 
-    /// Speedup of `fast` over `slow` in accelerator latency.
+    /// Speedup of `fast` over `slow` in accelerator latency
+    /// (the SO-S1 / SO-S2 columns of Table VII).
     pub fn speedup(&self, slow: MappingStrategy, fast: MappingStrategy) -> Option<f64> {
         let s = self.run(slow)?;
         let f = self.run(fast)?;
@@ -129,55 +127,6 @@ impl InferenceReport {
     pub fn amortized_ms(&self, strategy: MappingStrategy) -> Option<f64> {
         self.run(strategy)
             .map(|r| self.feature_movement_ms + r.latency_ms)
-    }
-
-    /// Assembles the legacy one-shot [`Evaluation`] from this report and the
-    /// plan it was served from.
-    pub fn into_evaluation(self, plan: &CompiledPlan) -> Evaluation {
-        Evaluation {
-            compile_ms: plan.compile_ms(),
-            partition: plan.partition(),
-            data_movement_ms: self.data_movement_ms,
-            density_trace: self.density_trace,
-            runs: self.runs,
-            output_embeddings: self.output_embeddings,
-        }
-    }
-}
-
-/// Full evaluation of one (model, dataset) pair under several strategies.
-#[derive(Debug, Clone, Serialize)]
-pub struct Evaluation {
-    /// Compilation/preprocessing wall-clock time in milliseconds (Table IX).
-    pub compile_ms: f64,
-    /// Partition sizes chosen by the compiler.
-    pub partition: PartitionSpec,
-    /// CPU→FPGA data-movement time in milliseconds (PCIe model).
-    pub data_movement_ms: f64,
-    /// Densities of the input and of every kernel output (Fig. 2).
-    pub density_trace: DensityTrace,
-    /// One run per requested strategy, in request order.
-    pub runs: Vec<StrategyRun>,
-    /// Final output embeddings of the functional execution.
-    #[serde(skip)]
-    pub output_embeddings: FeatureMatrix,
-}
-
-impl Evaluation {
-    /// The run for `strategy`, if it was requested.
-    pub fn run(&self, strategy: MappingStrategy) -> Option<&StrategyRun> {
-        self.runs.iter().find(|r| r.strategy == strategy)
-    }
-
-    /// Speedup of `fast` over `slow` in accelerator latency
-    /// (the SO-S1 / SO-S2 columns of Table VII).
-    pub fn speedup(&self, slow: MappingStrategy, fast: MappingStrategy) -> Option<f64> {
-        let s = self.run(slow)?;
-        let f = self.run(fast)?;
-        if f.latency_ms <= 0.0 {
-            return None;
-        }
-        Some(s.latency_ms / f.latency_ms)
     }
 }
 
@@ -217,15 +166,16 @@ mod tests {
         }
     }
 
-    fn dummy_eval() -> Evaluation {
-        Evaluation {
-            compile_ms: 0.5,
-            partition: PartitionSpec::new(256, 16).unwrap(),
+    fn dummy_report() -> InferenceReport {
+        InferenceReport {
+            request_index: 0,
             data_movement_ms: 0.5,
+            feature_movement_ms: 0.1,
             density_trace: DensityTrace {
                 input_density: 0.1,
                 stages: vec![],
             },
+            predicted_kernel_ms: 0.0,
             runs: vec![
                 dummy_run(MappingStrategy::Static1, 10.0),
                 dummy_run(MappingStrategy::Dynamic, 2.0),
@@ -236,7 +186,7 @@ mod tests {
 
     #[test]
     fn run_lookup_and_speedup() {
-        let e = dummy_eval();
+        let e = dummy_report();
         assert!(e.run(MappingStrategy::Dynamic).is_some());
         assert!(e.run(MappingStrategy::Static2).is_none());
         let s = e
@@ -250,7 +200,7 @@ mod tests {
 
     #[test]
     fn mix_and_decision_aggregation() {
-        let e = dummy_eval();
+        let e = dummy_report();
         let run = e.run(MappingStrategy::Dynamic).unwrap();
         assert_eq!(run.total_decisions(), 4);
         let mix = run.total_mix();

@@ -29,8 +29,8 @@ use dynasparse_model::{
     StageOp,
 };
 use dynasparse_runtime::{
-    Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingCacheMode, PricingStage,
-    RuntimeOverhead, Scheduler,
+    Analyzer, KernelAnalysis, MappingStrategy, OperandProfiles, PricingStage, RuntimeOverhead,
+    Scheduler,
 };
 use dynasparse_telemetry::{CounterId, Registry, SessionTelemetry};
 use std::sync::Arc;
@@ -40,7 +40,7 @@ use std::time::Instant;
 /// single-threaded shape) or co-owned through an [`Arc`] (the serving
 /// shape, where a `Session<'static>` is moved onto a worker thread while
 /// sibling sessions share the same plan).
-enum PlanHandle<'p> {
+pub(crate) enum PlanHandle<'p> {
     Borrowed(&'p CompiledPlan),
     Shared(Arc<CompiledPlan>),
 }
@@ -249,7 +249,7 @@ fn executor_over(plan: &CompiledPlan) -> ReferenceExecutor {
 
 /// A session that co-owns its plan and therefore has no borrowed lifetime;
 /// this is what worker threads of a serving runtime hold.  Produced by
-/// [`Session::shared`] / [`CompiledPlan::session_shared`].
+/// [`CompiledPlan::session_shared`].
 pub type OwnedSession = Session<'static>;
 
 // Worker threads move owned sessions across thread boundaries.
@@ -260,24 +260,12 @@ const _: () = {
 
 impl<'p> Session<'p> {
     /// Opens a session over `plan`, pricing every strategy in `strategies`
-    /// on each request.  Equivalent to
-    /// [`CompiledPlan::session`](crate::CompiledPlan::session).
-    pub fn new(plan: &'p CompiledPlan, strategies: &[MappingStrategy]) -> Self {
-        Self::build(PlanHandle::Borrowed(plan), strategies)
-    }
-
-    /// Opens a session that co-owns `plan`, so the session can outlive the
-    /// caller's borrow and be moved onto another thread.  Equivalent to
-    /// [`CompiledPlan::session_shared`](crate::CompiledPlan::session_shared).
-    pub fn shared(plan: Arc<CompiledPlan>, strategies: &[MappingStrategy]) -> OwnedSession {
-        Session::<'static>::build(PlanHandle::Shared(plan), strategies)
-    }
-
-    fn build(plan: PlanHandle<'p>, strategies: &[MappingStrategy]) -> Session<'p> {
+    /// on each request: the one builder behind [`CompiledPlan::session`]
+    /// and [`CompiledPlan::session_shared`].
+    pub(crate) fn build(plan: PlanHandle<'p>, strategies: &[MappingStrategy]) -> Session<'p> {
         let compiled = plan.get();
         let executor = executor_over(compiled);
         let accelerator = compiled.options().accelerator;
-        let host = compiled.options().host;
         let core = ComputationCore::new(accelerator);
         let num_kernels = compiled.program().kernels.len();
         // The accelerator's Table IV regions own the sparse-output threshold
@@ -290,7 +278,6 @@ impl<'p> Session<'p> {
             KernelDispatcher::new(executor.model(), policy, compiled.calibration.clone());
         let statics = &compiled.program().static_sparsity;
         let pricing = PricingStage::new(
-            host.pricing_cache,
             default_pricing_capacity(num_kernels, strategies.len()),
             compiled.calibration.as_deref(),
             &statics.adjacency,
@@ -429,15 +416,10 @@ impl<'p> Session<'p> {
         &self.strategies
     }
 
-    /// The pricing-cache mode the session prices in: the plan's effective
-    /// [`HostExecutionOptions::pricing_cache`](crate::HostExecutionOptions).
-    pub fn pricing_mode(&self) -> PricingCacheMode {
-        self.pricing.mode()
-    }
-
     /// Replaces the session pricing cache with a fresh one of (at least)
-    /// `capacity` slots.  A no-op when the cache is disabled.  Mainly a
-    /// test/tuning knob: a tiny capacity forces steady-state eviction.
+    /// `capacity` slots.  A no-op for a session that prices no strategy.
+    /// Mainly a test/tuning knob: a tiny capacity forces steady-state
+    /// eviction.
     pub fn set_pricing_capacity(&mut self, capacity: usize) {
         self.pricing.set_capacity(capacity);
     }

@@ -25,12 +25,12 @@
 //! profiles nothing but the request's adjacency and features.
 
 use crate::engine::EngineOptions;
-use crate::error::{CompileError, DynasparseError};
-use crate::planner::CompiledPlan;
+use crate::error::DynasparseError;
+use crate::planner::{check_topology, CompiledPlan};
 use crate::session::OwnedSession;
 use dynasparse_compiler::{compile_topology_with_weights, StaticSparsity};
 use dynasparse_graph::{FeatureMatrix, Graph};
-use dynasparse_matrix::{DensityProfile, HostCalibration, MatrixError, PartitionSpec};
+use dynasparse_matrix::{DensityProfile, HostCalibration, PartitionSpec};
 use dynasparse_model::{prepare_adjacencies, GnnModel};
 use dynasparse_runtime::MappingStrategy;
 use std::collections::HashMap;
@@ -148,41 +148,13 @@ impl ModelTemplate {
         weights + profiles
     }
 
-    /// Checks one request's `(subgraph, features)` pair against the model —
-    /// the same up-front validation [`Planner::plan`](crate::Planner::plan)
-    /// performs.
-    fn validate_request(
-        &self,
-        graph: &Graph,
-        features: &FeatureMatrix,
-    ) -> Result<(), DynasparseError> {
-        if graph.num_vertices() == 0 {
-            return Err(CompileError::EmptyGraph.into());
-        }
-        if features.dim() != self.model.input_dim {
-            return Err(CompileError::FeatureDimensionMismatch {
-                model_input_dim: self.model.input_dim,
-                feature_dim: features.dim(),
-            }
-            .into());
-        }
-        if features.num_vertices() != graph.num_vertices() {
-            return Err(MatrixError::ShapeMismatch {
-                op: "template instantiate",
-                lhs: features.shape(),
-                rhs: (graph.num_vertices(), self.model.input_dim),
-            }
-            .into());
-        }
-        Ok(())
-    }
-
     /// Instantiates the template against one request's topology: builds the
     /// IR, chooses partition sizes, generates execution schemes, profiles
     /// the adjacency and input features, and normalizes the adjacency per
     /// aggregator — but re-profiles no weights and re-measures no
-    /// calibration.  The resulting plan is bit-identical to a cold
-    /// [`Planner::plan`](crate::Planner::plan) over the same `(model,
+    /// calibration.  It validates the pair exactly as
+    /// [`Planner::plan`](crate::Planner::plan) does, and the resulting plan
+    /// is bit-identical to a cold `Planner::plan` over the same `(model,
     /// subgraph, features)`.
     pub fn instantiate(
         &self,
@@ -190,7 +162,7 @@ impl ModelTemplate {
         features: &FeatureMatrix,
     ) -> Result<TemplateInstance, DynasparseError> {
         let start = Instant::now();
-        self.validate_request(graph, features)?;
+        check_topology(&self.model, graph, features, "template instantiate")?;
         let report = compile_topology_with_weights(
             &self.model,
             graph,
@@ -275,7 +247,9 @@ impl std::ops::Deref for TemplateInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CompileError;
     use dynasparse_graph::{Dataset, NeighborSampler};
+    use dynasparse_matrix::MatrixError;
 
     fn fixture() -> (GnnModel, dynasparse_graph::GraphDataset) {
         let ds = Dataset::Cora.spec().generate_scaled(13, 0.15);

@@ -12,9 +12,8 @@
 //! * [`PricingKey`] — a 128-bit content hash over everything that feeds a
 //!   pricing decision: the calibration fingerprint, the static-operand
 //!   fingerprint (adjacency + weight profiles), the kernel's execution
-//!   index, the cache mode, the feature profile's shape/grid, the per-block
-//!   densities (bucketed on a half-octave log2 grid, or exact nnz in
-//!   [`PricingCacheMode::Exact`]), and the mapping strategy.
+//!   index, the feature profile's shape/grid, the per-block densities
+//!   (bucketed on a half-octave log2 grid), and the mapping strategy.
 //! * [`PricingCache`] — a fixed-capacity, open-addressed per-session cache
 //!   with zero-allocation steady state (like `KernelArena`): hits clone an
 //!   `Arc`, misses evict in place.
@@ -23,10 +22,10 @@
 //!   cache → miss sequence for every execution path.
 //!
 //! **Determinism invariant**: a cached [`KernelAnalysis`] must be a pure
-//! function of its key.  In bucketed mode the analysis is therefore computed
-//! from the bucket's canonical *representative* profile (every block's nnz
-//! snapped to its bucket's representative density), never from the
-//! first-seen exact profile — so pricing is independent of request order,
+//! function of its key.  The analysis is therefore computed from the
+//! bucket's canonical *representative* profile (every block's nnz snapped
+//! to its bucket's representative density), never from the first-seen
+//! exact profile — so pricing is independent of request order,
 //! worker count and cache state, and every cross-path bit-identity
 //! guarantee (serial vs. multi-worker, batched vs. one by one) holds by
 //! construction.
@@ -35,21 +34,13 @@ use crate::analyzer::{Analyzer, KernelAnalysis, OperandProfiles};
 use crate::strategy::MappingStrategy;
 use dynasparse_compiler::CompiledKernel;
 use dynasparse_matrix::{DensityProfile, HostCalibration};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How `Session::infer` caches Analyzer results.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// How `Session::infer` caches Analyzer results.  There is one mode; the
+/// type remains only as the `mode` argument of [`PricingKey::base`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PricingCacheMode {
-    /// No caching: every kernel is priced from its exact profile on every
-    /// request (pre-cache behavior).
-    Off,
-    /// Cache keyed on exact per-block nnz.  Bit-identical to [`Off`]
-    /// pricing; only amortizes requests whose profiles repeat exactly.
-    ///
-    /// [`Off`]: PricingCacheMode::Off
-    Exact,
     /// Cache keyed on half-octave density buckets; a miss prices the
     /// bucket's canonical representative profile, so nearby densities share
     /// one Analyzer pass (bounded pricing distortion, see
@@ -166,8 +157,7 @@ impl BucketTable {
 }
 
 /// Snaps every block of a profile to its bucket's representative occupancy,
-/// in place over `dst`'s reusable counter allocation.  In exact mode this
-/// is the identity and the caller should skip it.
+/// in place over `dst`'s reusable counter allocation.
 pub fn quantize_profile_into(src: &DensityProfile, dst: &mut DensityProfile) {
     BucketTable::default().quantize_into(src, dst);
 }
@@ -226,35 +216,33 @@ pub struct PricingKey {
 
 impl PricingKey {
     /// Builds the strategy-independent part of a kernel's key: calibration
-    /// and static-operand fingerprints, kernel execution index, cache mode,
-    /// and the feature profile's shape, grid and per-block occupancies
-    /// (bucketed or exact depending on `mode`).  Fold the strategy in with
+    /// and static-operand fingerprints, kernel execution index, and the
+    /// feature profile's shape, grid and per-block density buckets (`_mode`
+    /// is the one [`PricingCacheMode`]).  Fold the strategy in with
     /// [`PricingKey::with_strategy`] — the profile is hashed once per
     /// kernel, not once per strategy.
     pub fn base(
         calibration_fingerprint: u64,
         statics_fingerprint: u64,
         kernel_index: usize,
-        mode: PricingCacheMode,
+        _mode: PricingCacheMode,
         features: &DensityProfile,
     ) -> PricingKey {
         PricingKey::base_with(
             calibration_fingerprint,
             statics_fingerprint,
             kernel_index,
-            mode,
             features,
             &mut BucketTable::default(),
         )
     }
 
-    /// [`PricingKey::base`] over a caller-kept bucket table (only bucketed
-    /// mode uses it, and points it at the profile's block area).
+    /// [`PricingKey::base`] over a caller-kept bucket table, which it points
+    /// at the profile's block area.
     fn base_with(
         calibration_fingerprint: u64,
         statics_fingerprint: u64,
         kernel_index: usize,
-        mode: PricingCacheMode,
         features: &DensityProfile,
         buckets: &mut BucketTable,
     ) -> PricingKey {
@@ -262,15 +250,7 @@ impl PricingKey {
         h.word(calibration_fingerprint);
         h.word(statics_fingerprint);
         h.usize(kernel_index);
-        h.word(match mode {
-            PricingCacheMode::Off => 0,
-            PricingCacheMode::Exact => 1,
-            PricingCacheMode::Bucketed => 2,
-        });
-        match mode {
-            PricingCacheMode::Bucketed => hash_bucketed(&mut h, features, buckets),
-            _ => hash_exact(&mut h, features),
-        }
+        hash_bucketed(&mut h, features, buckets);
         PricingKey { hi: h.a, lo: h.b }
     }
 
@@ -480,7 +460,7 @@ pub struct PricingCounters {
     /// Entries displaced from the session cache.
     pub evictions: u64,
     /// Time spent on lookups that hit.  A kernel's key hash is on its first
-    /// lookup, so `hit_ns + miss_ns` is `pricing_ns` whenever a cache is on.
+    /// lookup, so `hit_ns + miss_ns` is `pricing_ns`.
     pub hit_ns: u64,
     /// Time spent on lookups that missed (Analyzer pass included).
     pub miss_ns: u64,
@@ -492,8 +472,7 @@ pub struct PricingCounters {
 /// served alone or in a batch, is priced by this one call.
 #[derive(Debug)]
 pub struct PricingStage {
-    mode: PricingCacheMode,
-    /// `None` when the mode is `Off` or nothing is priced (no strategies).
+    /// `None` when nothing is priced (no strategies).
     cache: Option<PricingCache>,
     /// Fingerprint of the calibration decisions are priced under.
     calibration_fingerprint: u64,
@@ -502,30 +481,27 @@ pub struct PricingStage {
     /// topologies never do.
     statics_fingerprint: u64,
     /// Occupancy → bucket → representative tables of the block area being
-    /// priced (bucketed mode): the key and a miss's quantization read the
-    /// same entries.
+    /// priced: the key and a miss's quantization read the same entries.
     buckets: BucketTable,
     /// Bucket-representative quantization of the profile being priced
-    /// (bucketed-mode misses only), shared by every strategy's miss.
+    /// (misses only), shared by every strategy's miss.
     quant_scratch: DensityProfile,
     counters: PricingCounters,
 }
 
 impl PricingStage {
-    /// A stage caching in `mode` with (at least) `capacity` slots
-    /// (`capacity == 0`: no cache), keyed under `calibration` and the
-    /// plan's static operand profiles.
+    /// A stage caching in (at least) `capacity` slots, keyed under
+    /// `calibration` and the plan's static operand profiles.
+    /// `capacity == 0` builds no cache, for a session that prices no
+    /// strategy: such a stage must be given no analyzers.
     pub fn new(
-        mode: PricingCacheMode,
         capacity: usize,
         calibration: Option<&HostCalibration>,
         adjacency: &DensityProfile,
         weights: &[DensityProfile],
     ) -> PricingStage {
         PricingStage {
-            mode,
-            cache: (mode != PricingCacheMode::Off && capacity > 0)
-                .then(|| PricingCache::with_capacity(capacity)),
+            cache: (capacity > 0).then(|| PricingCache::with_capacity(capacity)),
             calibration_fingerprint: calibration_fingerprint(calibration),
             statics_fingerprint: statics_fingerprint(adjacency, weights),
             buckets: BucketTable::default(),
@@ -534,13 +510,8 @@ impl PricingStage {
         }
     }
 
-    /// The cache mode the stage prices in.
-    pub fn mode(&self) -> PricingCacheMode {
-        self.mode
-    }
-
     /// Replaces the cache with a fresh one of (at least) `capacity` slots;
-    /// a no-op when caching is disabled.
+    /// a no-op for a stage built without one.
     pub fn set_capacity(&mut self, capacity: usize) {
         if self.cache.is_some() {
             self.cache = Some(PricingCache::with_capacity(capacity));
@@ -576,59 +547,52 @@ impl PricingStage {
         probe: bool,
         out: &mut Vec<Arc<KernelAnalysis>>,
     ) {
+        let Some(cache) = self.cache.as_mut() else {
+            assert!(
+                analyzers.is_empty(),
+                "a stage without a cache prices nothing"
+            );
+            return;
+        };
         // One running stopwatch, read after every lookup: the key below is
         // on the first lookup's lap, so the hit and miss times add up to
         // the stage's own.
         let mut lap_start = probe.then(Instant::now);
         // The strategy-free part of the key hashes the profile once per
         // kernel; strategies fold in below.
-        let base = self.cache.is_some().then(|| {
-            PricingKey::base_with(
-                self.calibration_fingerprint,
-                self.statics_fingerprint,
-                kernel_index,
-                self.mode,
-                profiles.features,
-                &mut self.buckets,
-            )
-        });
+        let base = PricingKey::base_with(
+            self.calibration_fingerprint,
+            self.statics_fingerprint,
+            kernel_index,
+            profiles.features,
+            &mut self.buckets,
+        );
         let mut quantized = false;
         for analyzer in analyzers {
-            let mut hit = false;
-            let analysis = match (&mut self.cache, base) {
-                (Some(cache), Some(base)) => {
-                    let key = base.with_strategy(analyzer.strategy());
-                    let cached = cache.get(&key);
-                    hit = cached.is_some();
-                    match cached {
-                        Some(analysis) => analysis,
-                        None => {
-                            // Determinism invariant: a bucketed-mode miss
-                            // prices the bucket's canonical representative
-                            // profile, never the first-seen exact one, so the
-                            // cached value is a pure function of the key
-                            // (order-, worker- and cache-state-free).
-                            let fresh = Arc::new(if self.mode == PricingCacheMode::Bucketed {
-                                if !quantized {
-                                    self.buckets
-                                        .quantize_into(profiles.features, &mut self.quant_scratch);
-                                    quantized = true;
-                                }
-                                let representative = OperandProfiles {
-                                    features: &self.quant_scratch,
-                                    ..*profiles
-                                };
-                                analyzer.analyze_kernel(kernel, &representative)
-                            } else {
-                                analyzer.analyze_kernel(kernel, profiles)
-                            });
-                            self.counters.evictions +=
-                                u64::from(cache.insert(key, Arc::clone(&fresh)));
-                            fresh
-                        }
+            let key = base.with_strategy(analyzer.strategy());
+            let cached = cache.get(&key);
+            let hit = cached.is_some();
+            let analysis = match cached {
+                Some(analysis) => analysis,
+                None => {
+                    // Determinism invariant: a miss prices the bucket's
+                    // canonical representative profile, never the
+                    // first-seen exact one, so the cached value is a pure
+                    // function of the key (order-, worker- and
+                    // cache-state-free).
+                    if !quantized {
+                        self.buckets
+                            .quantize_into(profiles.features, &mut self.quant_scratch);
+                        quantized = true;
                     }
+                    let representative = OperandProfiles {
+                        features: &self.quant_scratch,
+                        ..*profiles
+                    };
+                    let fresh = Arc::new(analyzer.analyze_kernel(kernel, &representative));
+                    self.counters.evictions += u64::from(cache.insert(key, Arc::clone(&fresh)));
+                    fresh
                 }
-                _ => Arc::new(analyzer.analyze_kernel(kernel, profiles)),
             };
             out.push(analysis);
             let lap_ns = lap_start.as_mut().map_or(0, |lap_start| {
@@ -638,14 +602,12 @@ impl PricingStage {
                 ns
             });
             self.counters.pricing_ns += lap_ns;
-            if base.is_some() {
-                if hit {
-                    self.counters.hits += 1;
-                    self.counters.hit_ns += lap_ns;
-                } else {
-                    self.counters.misses += 1;
-                    self.counters.miss_ns += lap_ns;
-                }
+            if hit {
+                self.counters.hits += 1;
+                self.counters.hit_ns += lap_ns;
+            } else {
+                self.counters.misses += 1;
+                self.counters.miss_ns += lap_ns;
             }
         }
     }
@@ -765,21 +727,25 @@ mod tests {
         // full words of eight buckets and a tail of four.
         let blocks = 170 * 90;
         assert_eq!(blocks % 8, 4);
-        let key = |counts: Vec<usize>, mode| {
-            PricingKey::base(1, 2, 0, mode, &grid_profile(170, 90, 16, counts))
+        let key = |counts: Vec<usize>| {
+            PricingKey::base(
+                1,
+                2,
+                0,
+                PricingCacheMode::Bucketed,
+                &grid_profile(170, 90, 16, counts),
+            )
         };
         let positions = (0..8) // every lane of the first word
             .chain([8, 4_001, 7_650, 15_295]) // later words
             .chain(blocks - 4..blocks); // the tail
-        for mode in [PricingCacheMode::Bucketed, PricingCacheMode::Exact] {
-            let base = key(vec![4; blocks], mode);
-            for at in positions.clone() {
-                let mut counts = vec![4; blocks];
-                counts[at] = 64;
-                let changed = key(counts, mode);
-                assert_ne!(changed.hi, base.hi, "{mode:?}: block {at}, high half");
-                assert_ne!(changed.lo, base.lo, "{mode:?}: block {at}, low half");
-            }
+        let base = key(vec![4; blocks]);
+        for at in positions {
+            let mut counts = vec![4; blocks];
+            counts[at] = 64;
+            let changed = key(counts);
+            assert_ne!(changed.hi, base.hi, "block {at}, high half");
+            assert_ne!(changed.lo, base.lo, "block {at}, low half");
         }
     }
 
@@ -803,25 +769,15 @@ mod tests {
             "kernel index must be keyed"
         );
         assert_ne!(
-            base,
-            PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &p),
-            "cache mode must be keyed"
-        );
-        assert_ne!(
             base.with_strategy(MappingStrategy::Dynamic),
             base.with_strategy(MappingStrategy::Static1),
             "strategy must be keyed"
         );
-        // Same bucket, different exact counts: equal in bucketed mode,
-        // distinct in exact mode.
+        // Same bucket, different exact counts: equal keys.
         let q = profile(vec![4, 0, 15, 2]);
         assert_eq!(
             base,
             PricingKey::base(1, 2, 0, PricingCacheMode::Bucketed, &q)
-        );
-        assert_ne!(
-            PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &p),
-            PricingKey::base(1, 2, 0, PricingCacheMode::Exact, &q)
         );
         // The same over a grid that fills one word of buckets and leaves a
         // tail of seven: the differing block sits in the tail.
@@ -832,10 +788,8 @@ mod tests {
         };
         let bucketed =
             |p: &DensityProfile| PricingKey::base(1, 2, 0, PricingCacheMode::Bucketed, p);
-        let exact = |p: &DensityProfile| PricingKey::base(1, 2, 0, PricingCacheMode::Exact, p);
         assert_eq!(density_bucket(16, 16), density_bucket(15, 16));
         assert_eq!(bucketed(&wide(16)), bucketed(&wide(15)));
-        assert_ne!(exact(&wide(16)), exact(&wide(15)));
         assert_ne!(bucketed(&wide(16)), bucketed(&wide(2)));
         assert_ne!(bucketed(&wide(1)), bucketed(&wide(0)), "Skip is a bucket");
     }
@@ -862,13 +816,7 @@ mod tests {
         };
         let core = ComputationCore::new(AcceleratorConfig::default());
         let analyzers = MappingStrategy::paper_strategies().map(|s| Analyzer::new(core, s));
-        let mut stage = PricingStage::new(
-            PricingCacheMode::Bucketed,
-            64,
-            None,
-            &statics.adjacency,
-            &statics.weights,
-        );
+        let mut stage = PricingStage::new(64, None, &statics.adjacency, &statics.weights);
         let mut out = Vec::new();
         // The first call misses every strategy, the second hits them all;
         // either way the key hash is part of the stage's time, so it must be
@@ -908,7 +856,7 @@ mod tests {
         assert_eq!(cache.capacity(), 8);
         let p = profile(vec![1, 2, 3, 4]);
         let keys: Vec<PricingKey> = (0..64)
-            .map(|k| PricingKey::base(7, 7, k, PricingCacheMode::Exact, &p))
+            .map(|k| PricingKey::base(7, 7, k, PricingCacheMode::Bucketed, &p))
             .collect();
         assert!(cache.is_empty());
         let mut evictions = 0usize;

@@ -36,10 +36,10 @@ fn dense_matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Dense
     })
 }
 
-fn keys_for(profile: &DensityProfile, mode: PricingCacheMode) -> Vec<PricingKey> {
+fn keys_for(profile: &DensityProfile) -> Vec<PricingKey> {
     MappingStrategy::paper_strategies()
         .iter()
-        .map(|&s| PricingKey::base(7, 11, 2, mode, profile).with_strategy(s))
+        .map(|&s| PricingKey::base(7, 11, 2, PricingCacheMode::Bucketed, profile).with_strategy(s))
         .collect()
 }
 
@@ -257,13 +257,11 @@ proptest! {
         let mut scratch = DensityProfile::of_dense(&decoy, &decoy_grid);
         scratch.refit_dense(&m, &grid);
 
-        for mode in [PricingCacheMode::Exact, PricingCacheMode::Bucketed] {
-            prop_assert_eq!(keys_for(&fresh, mode), keys_for(&scratch, mode));
-        }
+        prop_assert_eq!(keys_for(&fresh), keys_for(&scratch));
         // Strategies must stay separated (total order of distinct tags).
-        let dynamic = PricingKey::base(7, 11, 2, PricingCacheMode::Exact, &fresh)
+        let dynamic = PricingKey::base(7, 11, 2, PricingCacheMode::Bucketed, &fresh)
             .with_strategy(MappingStrategy::Dynamic);
-        let s1 = PricingKey::base(7, 11, 2, PricingCacheMode::Exact, &fresh)
+        let s1 = PricingKey::base(7, 11, 2, PricingCacheMode::Bucketed, &fresh)
             .with_strategy(MappingStrategy::Static1);
         prop_assert_ne!(dynamic, s1);
     }

@@ -323,7 +323,7 @@ impl ServeRuntime {
                         // registry through the worker's own shard, so
                         // per-shard counter breakdowns read as per-worker
                         // ones; post-panic rebuilds keep that telemetry.
-                        let mut session = Session::shared(plan, &config.strategies);
+                        let mut session = plan.session_shared(&config.strategies);
                         session.set_telemetry(Arc::clone(&telemetry));
                         session.set_telemetry_shard(index);
                         Worker {

@@ -38,7 +38,7 @@ fn main() {
 
     // 3. Compile once: computation graph, partition sizes (Algorithm 9),
     //    execution schemes, static sparsity profiles.
-    let planner = Planner::new(EngineOptions::builder().build());
+    let planner = Planner::new(EngineOptions::default());
     let plan = planner.plan(&model, &dataset).expect("planning failed");
     println!(
         "\nCompiler chose partition sizes N1 = {}, N2 = {} ({:.2} ms preprocessing, paid once)",

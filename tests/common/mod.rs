@@ -3,7 +3,8 @@
 //! [`run_oracle`] runs the fixed-kernel `ReferenceExecutor::forward_with`
 //! and records what it observes kernel by kernel; [`price_oracle`] prices the
 //! density profiles of the oracle's kernel inputs with a fresh
-//! `Analyzer`/`Scheduler`; [`assert_matches_oracle`] holds a served
+//! `Analyzer`/`Scheduler` — uncached pricing is exactly that Analyzer run on
+//! the exact profiles; [`assert_matches_oracle`] holds a served
 //! [`InferenceReport`] to both.  Nothing here touches the dispatching
 //! executor, so "the session equals the oracle" is a statement about the one
 //! production path — including that a profile filled by a kernel's own scan
@@ -12,7 +13,7 @@
 // Every test binary that mounts this module uses a subset of it.
 #![allow(dead_code)]
 
-use dynasparse::{CompiledPlan, InferenceReport, MappingStrategy, PricingCacheMode};
+use dynasparse::{CompiledPlan, InferenceReport, MappingStrategy};
 use dynasparse_accel::ComputationCore;
 use dynasparse_compiler::KernelKind;
 use dynasparse_graph::FeatureMatrix;
@@ -141,15 +142,24 @@ pub struct PricedKernel {
     pub mix: PrimitiveMix,
 }
 
+/// Which feature profile of a kernel input [`price_oracle`] prices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Profiles {
+    /// The exact profile: uncached pricing.
+    Exact,
+    /// Each block snapped to its density bucket's representative: what a
+    /// session's pricing cache prices.
+    BucketRepresentatives,
+}
+
 /// Prices the oracle's kernel inputs under `strategy` with a fresh
 /// `Analyzer`/`Scheduler`: total cycles and every kernel's schedule and
-/// primitive mix.  In bucketed cache mode a session prices each profile's
-/// bucket representative, so the expectation does too.
+/// primitive mix.
 pub fn price_oracle(
     plan: &CompiledPlan,
     oracle: &Oracle,
     strategy: MappingStrategy,
-    mode: PricingCacheMode,
+    profiles: Profiles,
 ) -> (u64, Vec<PricedKernel>) {
     let program = plan.program();
     let accelerator = plan.options().accelerator;
@@ -161,7 +171,7 @@ pub fn price_oracle(
         .iter()
         .zip(&oracle.input_profiles)
         .map(|(compiled, exact)| {
-            let features = if mode == PricingCacheMode::Bucketed {
+            let features = if profiles == Profiles::BucketRepresentatives {
                 pricing::quantize_profile_into(exact, &mut quantized);
                 &quantized
             } else {
@@ -189,14 +199,8 @@ pub fn price_oracle(
 
 /// Holds a served report to the oracle: embeddings and density trace bit for
 /// bit, and every strategy run priced exactly as [`price_oracle`] prices the
-/// oracle's kernel inputs (`mode` is the session's pricing-cache mode).
-pub fn assert_matches_oracle(
-    got: &InferenceReport,
-    plan: &CompiledPlan,
-    want: &Oracle,
-    mode: PricingCacheMode,
-    ctx: &str,
-) {
+/// bucket representatives of the oracle's kernel inputs.
+pub fn assert_matches_oracle(got: &InferenceReport, plan: &CompiledPlan, want: &Oracle, ctx: &str) {
     assert_eq!(
         got.output_embeddings.to_dense().as_slice(),
         want.embeddings.to_dense().as_slice(),
@@ -214,7 +218,8 @@ pub fn assert_matches_oracle(
     );
     for run in &got.runs {
         let ctx = format!("{ctx}, {}", run.strategy.label());
-        let (total_cycles, kernels) = price_oracle(plan, want, run.strategy, mode);
+        let (total_cycles, kernels) =
+            price_oracle(plan, want, run.strategy, Profiles::BucketRepresentatives);
         assert_eq!(run.total_cycles, total_cycles, "{ctx}: modeled cycles");
         assert_eq!(run.kernels.len(), kernels.len(), "{ctx}: kernel count");
         for ((gk, wk), (input_density, output_density)) in

@@ -59,7 +59,10 @@ fn plan(model: &GnnModel, ds: &GraphDataset) -> CompiledPlan {
 /// Plans `model` over `ds` under `compiler`.  A regions-fallback child must
 /// get a plan without a calibration, so it cannot silently run calibrated.
 fn plan_with(model: &GnnModel, ds: &GraphDataset, compiler: CompilerConfig) -> CompiledPlan {
-    let options = EngineOptions::builder().compiler(compiler).build();
+    let options = EngineOptions {
+        compiler,
+        ..EngineOptions::default()
+    };
     let plan = Planner::new(options).plan(model, ds).unwrap();
     if is_regions_child() {
         assert!(
@@ -140,12 +143,11 @@ fn assert_served_stream_matches_oracle(
     ctx: &str,
 ) {
     let oracle = ReferenceExecutor::new(model, &ds.graph);
-    let mode = plan.options().host.pricing_cache;
     let reports = serve(plan, requests, strategies);
     assert_eq!(reports.len(), requests.len());
     for (i, (request, got)) in requests.iter().zip(&reports).enumerate() {
         let want = run_oracle(&oracle, request, plan);
-        assert_matches_oracle(got, plan, &want, mode, &format!("{ctx} request {i}"));
+        assert_matches_oracle(got, plan, &want, &format!("{ctx} request {i}"));
     }
 }
 
@@ -236,7 +238,6 @@ fn assert_scanned_profiles_equal_separate_refits() {
             &session.infer(request).unwrap(),
             &plan,
             &run_oracle(&oracle, request, &plan),
-            session.pricing_mode(),
             &format!("one-scan profile, request {i}"),
         );
     }

@@ -306,7 +306,10 @@ fn every_row_block_is_traced_and_predicted_in_block_order() {
                 max_partition: 16,
                 ..CompilerConfig::default()
             };
-            let options = EngineOptions::builder().compiler(compiler).build();
+            let options = EngineOptions {
+                compiler,
+                ..EngineOptions::default()
+            };
             let plan = Planner::new(options).plan(&model, &ds).unwrap();
             let partition = plan.partition();
             let request = request_batch(&ds, 2, Repr::Dense).pop().unwrap();

@@ -26,7 +26,7 @@ fn assert_equivalent(model: &GnnModel, dataset: &GraphDataset, label: &str) {
     // Two requests: the second exercises steady-state arena reuse.
     let _first = session.infer(&dataset.features).unwrap();
     let got = session.infer(&dataset.features).unwrap();
-    assert_matches_oracle(&got, &plan, &want, session.pricing_mode(), label);
+    assert_matches_oracle(&got, &plan, &want, label);
 }
 
 #[test]
@@ -90,15 +90,19 @@ fn fully_dense_features_take_the_gemm_route_and_match() {
 }
 
 #[test]
-fn dispatch_strategies_price_identically_to_engine_wrapper() {
-    // The one-shot Engine wrapper rides the same session machinery; its
-    // dynamic strategy must still beat or match the static mappings.
+fn one_shot_dynamic_pricing_matches_or_beats_s1() {
+    // A fresh plan serving one request rides the same session machinery;
+    // its dynamic strategy must still beat or match the static mappings.
     let dataset = Dataset::Cora.spec().generate_scaled(23, 0.12);
     let model = GnnModel::gcn(dataset.features.dim(), 16, dataset.spec.num_classes, 2);
-    let eval = dynasparse::Engine::new(EngineOptions::default())
-        .evaluate(&model, &dataset, &MappingStrategy::paper_strategies())
+    let plan = Planner::new(EngineOptions::default())
+        .plan(&model, &dataset)
         .unwrap();
-    let dynamic = eval.run(Strategy::Dynamic).unwrap();
-    let s1 = eval.run(Strategy::Static1).unwrap();
+    let report = plan
+        .session(&MappingStrategy::paper_strategies())
+        .infer(&dataset.features)
+        .unwrap();
+    let dynamic = report.run(Strategy::Dynamic).unwrap();
+    let s1 = report.run(Strategy::Static1).unwrap();
     assert!(dynamic.total_cycles <= s1.total_cycles);
 }

@@ -2,7 +2,7 @@
 //! baseline models must agree on the quantities they share (task counts,
 //! workload sizes, latency bookkeeping).
 
-use dynasparse::{Engine, EngineOptions, MappingStrategy};
+use dynasparse::{CompiledPlan, EngineOptions, InferenceReport, MappingStrategy, Planner};
 use dynasparse_baselines::{EndToEndBreakdown, FrameworkBaseline, FrameworkKind, WorkloadSummary};
 use dynasparse_compiler::{compile, CompilerConfig, ComputationGraph};
 use dynasparse_graph::Dataset;
@@ -20,19 +20,31 @@ fn setup() -> (GnnModel, dynasparse_graph::GraphDataset) {
     (model, ds)
 }
 
+/// Plans `model` over `ds` and serves the dataset's own features once.
+fn serve_once(
+    model: &GnnModel,
+    ds: &dynasparse_graph::GraphDataset,
+    strategies: &[MappingStrategy],
+) -> (CompiledPlan, InferenceReport) {
+    let plan = Planner::new(EngineOptions::default())
+        .plan(model, ds)
+        .unwrap();
+    let report = plan.session(strategies).infer(&ds.features).unwrap();
+    (plan, report)
+}
+
 #[test]
 fn engine_kernel_cycles_sum_to_the_reported_total() {
     let (model, ds) = setup();
-    let eval = Engine::new(EngineOptions::default())
-        .evaluate(&model, &ds, &MappingStrategy::paper_strategies())
-        .unwrap();
-    for run in &eval.runs {
+    let (plan, report) = serve_once(&model, &ds, &MappingStrategy::paper_strategies());
+    for run in &report.runs {
         let sum: u64 = run.kernels.iter().map(|k| k.cycles).sum();
         assert_eq!(sum, run.total_cycles, "{}", run.strategy.label());
         let expect_ms = run.total_cycles as f64 / 250e3;
         assert!((run.latency_ms - expect_ms).abs() < 1e-9);
         assert!(
-            (run.end_to_end_ms - (eval.compile_ms + eval.data_movement_ms + run.latency_ms)).abs()
+            (run.end_to_end_ms - (plan.compile_ms() + report.data_movement_ms + run.latency_ms))
+                .abs()
                 < 1e-9
         );
     }
@@ -41,15 +53,13 @@ fn engine_kernel_cycles_sum_to_the_reported_total() {
 #[test]
 fn compiled_task_counts_match_what_the_scheduler_dispatched() {
     let (model, ds) = setup();
-    let report = compile(&model, &ds, &CompilerConfig::default());
-    let eval = Engine::new(EngineOptions::default())
-        .evaluate(&model, &ds, &[MappingStrategy::Dynamic])
-        .unwrap();
-    let run = eval.run(MappingStrategy::Dynamic).unwrap();
+    let compiled = compile(&model, &ds, &CompilerConfig::default());
+    let (_, report) = serve_once(&model, &ds, &[MappingStrategy::Dynamic]);
+    let run = report.run(MappingStrategy::Dynamic).unwrap();
     // The engine analyzed exactly the kernels the compiler produced, and the
     // per-kernel decision count equals the number of block products.
-    assert_eq!(run.kernels.len(), report.program.kernels.len());
-    for (kr, ck) in run.kernels.iter().zip(report.program.kernels.iter()) {
+    assert_eq!(run.kernels.len(), compiled.program.kernels.len());
+    for (kr, ck) in run.kernels.iter().zip(compiled.program.kernels.iter()) {
         assert_eq!(kr.kernel_id, ck.ir.id);
         assert_eq!(kr.mix.total(), ck.total_pairs());
     }
@@ -79,10 +89,8 @@ fn baseline_workload_uses_the_same_kernel_structure_as_the_compiler() {
 #[test]
 fn dynasparse_is_faster_than_the_software_baselines_on_the_same_workload() {
     let (model, ds) = setup();
-    let eval = Engine::new(EngineOptions::default())
-        .evaluate(&model, &ds, &[MappingStrategy::Dynamic])
-        .unwrap();
-    let dynamic_ms = eval.run(MappingStrategy::Dynamic).unwrap().latency_ms;
+    let (_, report) = serve_once(&model, &ds, &[MappingStrategy::Dynamic]);
+    let dynamic_ms = report.run(MappingStrategy::Dynamic).unwrap().latency_ms;
     let graph = ComputationGraph::from_model(&model, ds.graph.num_vertices(), ds.graph.num_edges());
     let workload = WorkloadSummary::from_graph(
         &graph,
@@ -107,13 +115,11 @@ fn dynasparse_is_faster_than_the_software_baselines_on_the_same_workload() {
 #[test]
 fn end_to_end_breakdown_components_are_consistent() {
     let (model, ds) = setup();
-    let eval = Engine::new(EngineOptions::default())
-        .evaluate(&model, &ds, &[MappingStrategy::Dynamic])
-        .unwrap();
-    let run = eval.run(MappingStrategy::Dynamic).unwrap();
+    let (plan, report) = serve_once(&model, &ds, &[MappingStrategy::Dynamic]);
+    let run = report.run(MappingStrategy::Dynamic).unwrap();
     let breakdown = EndToEndBreakdown {
-        preprocessing_ms: eval.compile_ms,
-        data_movement_ms: eval.data_movement_ms,
+        preprocessing_ms: plan.compile_ms(),
+        data_movement_ms: report.data_movement_ms,
         execution_ms: run.latency_ms,
     };
     assert!((breakdown.total_ms() - run.end_to_end_ms).abs() < 1e-9);
@@ -124,10 +130,8 @@ fn end_to_end_breakdown_components_are_consistent() {
 #[test]
 fn strategy_runs_serialize_to_json_for_the_harness_reports() {
     let (model, ds) = setup();
-    let eval = Engine::new(EngineOptions::default())
-        .evaluate(&model, &ds, &[MappingStrategy::Dynamic])
-        .unwrap();
-    let json = serde_json::to_string(&eval.runs).expect("runs serialize");
+    let (_, report) = serve_once(&model, &ds, &[MappingStrategy::Dynamic]);
+    let json = serde_json::to_string(&report.runs).expect("runs serialize");
     assert!(json.contains("\"Dynamic\""));
     assert!(json.contains("latency_ms"));
 }

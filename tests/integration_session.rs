@@ -1,13 +1,11 @@
-//! Session reuse is lossless: serving a request from a reused
-//! Planner/Session must produce bit-for-bit the numbers the one-shot
-//! `Engine::evaluate` path produces for the same inputs — identical
-//! latencies, primitive mixes, densities, overhead accounting and output
-//! embeddings — for both the original features and mutated features over the
-//! same graph topology.
+//! Session reuse is lossless: serving a request from a reused, warmed
+//! Planner/Session must produce bit-for-bit the numbers a one-shot request
+//! (a fresh `Planner::plan` plus one `Session::infer`) produces for the same
+//! inputs — identical latencies, primitive mixes, densities, overhead
+//! accounting and output embeddings — for both the original features and
+//! mutated features over the same graph topology.
 
-use dynasparse::{
-    DynasparseError, Engine, EngineOptions, Evaluation, InferenceReport, MappingStrategy, Planner,
-};
+use dynasparse::{DynasparseError, EngineOptions, InferenceReport, MappingStrategy, Planner};
 use dynasparse_graph::{Dataset, FeatureMatrix, GraphDataset};
 use dynasparse_matrix::DenseMatrix;
 use dynasparse_model::{GnnModel, GnnModelKind};
@@ -18,19 +16,32 @@ fn setup(kind: GnnModelKind) -> (GnnModel, GraphDataset) {
     (model, ds)
 }
 
+/// Serves `ds`'s own features once from a freshly planned session.
+fn one_shot(
+    model: &GnnModel,
+    ds: &GraphDataset,
+    strategies: &[MappingStrategy],
+) -> InferenceReport {
+    let plan = Planner::new(EngineOptions::default())
+        .plan(model, ds)
+        .unwrap();
+    let report = plan.session(strategies).infer(&ds.features).unwrap();
+    report
+}
+
 /// Compares every number the two paths share (everything except the
-/// wall-clock compile time, which cannot be bit-stable across runs).
-fn assert_reports_match(eval: &Evaluation, report: &InferenceReport) {
-    assert_eq!(eval.data_movement_ms, report.data_movement_ms);
+/// request index, which counts the reused session's requests).
+fn assert_reports_match(cold: &InferenceReport, report: &InferenceReport) {
+    assert_eq!(cold.data_movement_ms, report.data_movement_ms);
     assert_eq!(
-        eval.density_trace.input_density,
+        cold.density_trace.input_density,
         report.density_trace.input_density
     );
     assert_eq!(
-        eval.density_trace.stages.len(),
+        cold.density_trace.stages.len(),
         report.density_trace.stages.len()
     );
-    for (a, b) in eval
+    for (a, b) in cold
         .density_trace
         .stages
         .iter()
@@ -41,8 +52,8 @@ fn assert_reports_match(eval: &Evaluation, report: &InferenceReport) {
         assert_eq!(a.op, b.op);
         assert_eq!(a.density, b.density);
     }
-    assert_eq!(eval.runs.len(), report.runs.len());
-    for (a, b) in eval.runs.iter().zip(report.runs.iter()) {
+    assert_eq!(cold.runs.len(), report.runs.len());
+    for (a, b) in cold.runs.iter().zip(report.runs.iter()) {
         assert_eq!(a.strategy, b.strategy);
         assert_eq!(a.total_cycles, b.total_cycles);
         assert_eq!(a.latency_ms, b.latency_ms);
@@ -63,7 +74,7 @@ fn assert_reports_match(eval: &Evaluation, report: &InferenceReport) {
         }
     }
     assert_eq!(
-        eval.output_embeddings.to_dense().as_slice(),
+        cold.output_embeddings.to_dense().as_slice(),
         report.output_embeddings.to_dense().as_slice()
     );
 }
@@ -102,10 +113,8 @@ fn session_reuse_matches_one_shot_on_identical_features() {
         session.infer(&mutate_features(&ds.features)).unwrap();
         let report = session.infer(&ds.features).unwrap();
 
-        let eval = Engine::new(EngineOptions::default())
-            .evaluate(&model, &ds, &strategies)
-            .unwrap();
-        assert_reports_match(&eval, &report);
+        let cold = one_shot(&model, &ds, &strategies);
+        assert_reports_match(&cold, &report);
     }
 }
 
@@ -127,10 +136,8 @@ fn session_reuse_matches_one_shot_on_mutated_features() {
     // One-shot path: a fresh dataset carrying the mutated features.
     let mut fresh = ds.clone();
     fresh.features = mutated;
-    let eval = Engine::new(EngineOptions::default())
-        .evaluate(&model, &fresh, &strategies)
-        .unwrap();
-    assert_reports_match(&eval, &report);
+    let cold = one_shot(&model, &fresh, &strategies);
+    assert_reports_match(&cold, &report);
 }
 
 #[test]

@@ -1,41 +1,34 @@
 //! Pricing-equivalence harness for the profile-keyed pricing cache.
 //!
-//! The cache memoizes `KernelAnalysis` values keyed on quantized sparsity
-//! profiles, so its correctness contract has three parts, each proven here:
+//! Every session prices through one bucketed cache: it memoizes
+//! `KernelAnalysis` values keyed on density-bucket profiles, and a miss runs
+//! the Analyzer on the bucket's representative profile.  Its correctness
+//! contract has two parts, each proven here against the oracle of
+//! `tests/common`, which runs the Analyzer directly:
 //!
-//! 1. **Embeddings are never touched.**  The cache sits on the strategy
-//!    pricing pass only; functional outputs are bit-identical across
-//!    `Off`/`Exact`/`Bucketed` for any request stream.
-//! 2. **Exact mode is bit-identical pricing.**  A hit replays precisely the
-//!    analysis an uncached session would recompute.
-//! 3. **Bucketed mode is deterministic and bounded.**  Cached pricing is a
-//!    pure function of the request (independent of cache state and request
-//!    order — the property that keeps serial vs. multi-worker serving
-//!    bit-identical), and the bucket grid's quarter-octave density
-//!    distortion translates into a bounded predicted-cost ratio against
-//!    uncached pricing.
+//! 1. **Cached pricing is the Analyzer on bucket representatives.**  Cached
+//!    pricing is a pure function of the request — independent of cache
+//!    state, request order and evictions (the property that keeps serial
+//!    vs. multi-worker serving bit-identical).
+//! 2. **The distortion is bounded.**  The bucket grid's quarter-octave
+//!    density distortion translates into a bounded predicted-cost ratio
+//!    against uncached pricing (the Analyzer on the exact profiles).
 //!
 //! Invalidation (rebind across topologies, content-addressed re-hits) and
 //! batch amortization ride on the same counters.
 
+mod common;
+
+use common::{assert_matches_oracle, price_oracle, run_oracle, Profiles};
 use dynasparse::{
-    EngineOptions, HostExecutionOptions, InferenceReport, MappingStrategy, ModelTemplate, Planner,
-    PricingCacheMode, Registry, TelemetryLevel,
+    EngineOptions, InferenceReport, MappingStrategy, ModelTemplate, Planner, Registry,
+    TelemetryLevel,
 };
 use dynasparse_graph::generators::dense_features;
 use dynasparse_graph::{Dataset, FeatureMatrix, NeighborSampler};
-use dynasparse_model::{GnnModel, GnnModelKind};
+use dynasparse_model::{GnnModel, GnnModelKind, ReferenceExecutor};
 use dynasparse_telemetry::CounterId;
 use std::sync::Arc;
-
-/// Engine options with the given cache mode.
-fn options(mode: PricingCacheMode) -> EngineOptions {
-    EngineOptions::builder()
-        .host(HostExecutionOptions {
-            pricing_cache: mode,
-        })
-        .build()
-}
 
 /// Asserts two reports priced the request identically: same strategies, same
 /// accelerator cycles, same decisions and primitive mixes, same densities.
@@ -97,94 +90,6 @@ fn cache_counters(registry: &Registry) -> (u64, u64, u64) {
 }
 
 #[test]
-fn embeddings_are_bit_identical_across_cache_modes() {
-    let ds = Dataset::Cora.spec().generate_scaled(5, 0.2);
-    let model = GnnModel::standard(
-        GnnModelKind::Gcn,
-        ds.features.dim(),
-        16,
-        ds.spec.num_classes,
-        3,
-    );
-    let (v, f) = (ds.features.num_vertices(), ds.features.dim());
-    // A density sweep, served twice so the second pass replays cache hits.
-    let mut requests = vec![
-        ds.features.clone(),
-        dense_features(v, f, 0.05, 1),
-        dense_features(v, f, 0.4, 2),
-        dense_features(v, f, 0.95, 3),
-    ];
-    requests.extend(requests.clone());
-
-    let strategies = MappingStrategy::paper_strategies();
-    let mut reports: Vec<Vec<InferenceReport>> = Vec::new();
-    for mode in [
-        PricingCacheMode::Off,
-        PricingCacheMode::Exact,
-        PricingCacheMode::Bucketed,
-    ] {
-        let plan = Planner::new(options(mode)).plan(&model, &ds).unwrap();
-        let mut session = plan.session(&strategies);
-        assert_eq!(session.pricing_mode(), mode);
-        reports.push(requests.iter().map(|r| session.infer(r).unwrap()).collect());
-    }
-    let (off, rest) = reports.split_first().unwrap();
-    for (mode_idx, cached) in rest.iter().enumerate() {
-        for (i, (o, c)) in off.iter().zip(cached).enumerate() {
-            assert_eq!(
-                o.output_embeddings, c.output_embeddings,
-                "request {i} embeddings must not depend on cache mode {mode_idx}"
-            );
-        }
-    }
-}
-
-#[test]
-fn exact_mode_hits_replay_bit_identical_pricing() {
-    let ds = Dataset::Cora.spec().generate_scaled(7, 0.2);
-    let model = GnnModel::standard(
-        GnnModelKind::Gcn,
-        ds.features.dim(),
-        16,
-        ds.spec.num_classes,
-        3,
-    );
-    let strategies = MappingStrategy::paper_strategies();
-
-    let off_plan = Planner::new(options(PricingCacheMode::Off))
-        .plan(&model, &ds)
-        .unwrap();
-    let mut off_session = off_plan.session(&strategies);
-    let fresh = off_session.infer(&ds.features).unwrap();
-
-    let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
-    let exact_plan = Planner::new(options(PricingCacheMode::Exact))
-        .plan(&model, &ds)
-        .unwrap();
-    let mut session = exact_plan.session(&strategies);
-    session.set_telemetry(Arc::clone(&registry));
-
-    let cold = session.infer(&ds.features).unwrap();
-    let (h1, m1, _) = cache_counters(&registry);
-    assert_eq!(h1, 0, "a cold cache cannot hit");
-    assert!(m1 > 0, "a cold request must record misses");
-
-    let warm = session.infer(&ds.features).unwrap();
-    let (h2, m2, _) = cache_counters(&registry);
-    assert_eq!(m2, m1, "an exact repeat must add no misses");
-    assert_eq!(
-        h2, m1,
-        "every kernel-strategy lookup must hit on the repeat"
-    );
-
-    // Off-mode, cold exact-mode and warm (all-hit) exact-mode pricing must
-    // agree to the bit.
-    assert_same_pricing(&fresh, &cold, "off vs exact-cold");
-    assert_same_pricing(&fresh, &warm, "off vs exact-warm");
-    assert_eq!(fresh.output_embeddings, warm.output_embeddings);
-}
-
-#[test]
 fn bucketed_pricing_is_independent_of_cache_state() {
     // The determinism invariant behind multi-worker bit-identity: what a
     // bucketed session reports for a request must not depend on what it
@@ -200,9 +105,7 @@ fn bucketed_pricing_is_independent_of_cache_state() {
     let (v, f) = (ds.features.num_vertices(), ds.features.dim());
     let probe = dense_features(v, f, 0.3, 42);
     let strategies = [MappingStrategy::Dynamic, MappingStrategy::Static1];
-    let plan = Planner::new(options(PricingCacheMode::Bucketed))
-        .plan(&model, &ds)
-        .unwrap();
+    let plan = Planner::default().plan(&model, &ds).unwrap();
 
     // Session A serves the probe cold; session B first wanders through a
     // density sweep (warming unrelated and *nearby* buckets), then serves
@@ -226,11 +129,12 @@ fn bucketed_pricing_is_independent_of_cache_state() {
 
 #[test]
 fn bucketed_cost_distortion_is_bounded_at_bucket_edges() {
-    // A bucketed hit prices the bucket's representative profile, whose
+    // A session prices the bucket's representative profile, whose
     // per-block density is within 2^(1/4) ≈ 1.19x of the true one.  The
     // priced accelerator cycles must stay within a generous multiple of
-    // uncached pricing across the density range — including awkward
-    // densities that land right at bucket edges.
+    // uncached pricing — the Analyzer on the exact profiles — across the
+    // density range, including awkward densities that land right at bucket
+    // edges.
     const BOUND: f64 = 1.6;
     let ds = Dataset::Cora.spec().generate_scaled(11, 0.2);
     let model = GnnModel::standard(
@@ -243,31 +147,30 @@ fn bucketed_cost_distortion_is_bounded_at_bucket_edges() {
     let (v, f) = (ds.features.num_vertices(), ds.features.dim());
     let strategies = [MappingStrategy::Dynamic, MappingStrategy::Static2];
 
-    let off_plan = Planner::new(options(PricingCacheMode::Off))
-        .plan(&model, &ds)
-        .unwrap();
-    let bucketed_plan = Planner::new(options(PricingCacheMode::Bucketed))
-        .plan(&model, &ds)
-        .unwrap();
-    let mut off = off_plan.session(&strategies);
-    let mut bucketed = bucketed_plan.session(&strategies);
+    let plan = Planner::default().plan(&model, &ds).unwrap();
+    let oracle = ReferenceExecutor::new(&model, &ds.graph);
+    let mut bucketed = plan.session(&strategies);
 
     for (i, d) in [0.01, 0.07, 0.21, 0.35, 0.5, 0.71, 0.84, 1.0]
         .iter()
         .enumerate()
     {
         let request = dense_features(v, f, *d, 100 + i as u64);
-        let fresh = off.infer(&request).unwrap();
+        let want = run_oracle(&oracle, &request, &plan);
         let cached = bucketed.infer(&request).unwrap();
-        assert_eq!(fresh.output_embeddings, cached.output_embeddings);
-        for (rf, rc) in fresh.runs.iter().zip(&cached.runs) {
-            let ratio = rc.total_cycles as f64 / rf.total_cycles.max(1) as f64;
+        assert_eq!(
+            cached.output_embeddings.to_dense().as_slice(),
+            want.embeddings.to_dense().as_slice()
+        );
+        for rc in &cached.runs {
+            let (fresh_cycles, _) = price_oracle(&plan, &want, rc.strategy, Profiles::Exact);
+            let ratio = rc.total_cycles as f64 / fresh_cycles.max(1) as f64;
             assert!(
                 (1.0 / BOUND..=BOUND).contains(&ratio),
                 "density {d} {:?}: bucketed {} vs fresh {} cycles (ratio {ratio:.3})",
-                rf.strategy,
+                rc.strategy,
                 rc.total_cycles,
-                rf.total_cycles
+                fresh_cycles
             );
         }
     }
@@ -281,8 +184,7 @@ fn rebind_across_topologies_separates_and_content_rehits() {
     // an identical subgraph hits the warm ones again — across the rebind.
     let full = Dataset::Cora.spec().generate_scaled(13, 0.15);
     let model = GnnModel::gcn(full.features.dim(), 8, full.spec.num_classes, 2);
-    let template =
-        ModelTemplate::compile_shared(&model, options(PricingCacheMode::Bucketed)).unwrap();
+    let template = ModelTemplate::compile_shared(&model, EngineOptions::default()).unwrap();
 
     let sample = |roots: &[u32]| {
         let sub = NeighborSampler::new([8, 4], 5).sample(&full.graph, roots);
@@ -349,36 +251,41 @@ fn tiny_capacity_evicts_and_still_prices_correctly() {
     );
     let (v, f) = (ds.features.num_vertices(), ds.features.dim());
     let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
-    let plan = Planner::new(options(PricingCacheMode::Bucketed))
-        .plan(&model, &ds)
-        .unwrap();
+    let plan = Planner::default().plan(&model, &ds).unwrap();
     let mut session = plan.session(&[MappingStrategy::Dynamic]);
     session.set_telemetry(Arc::clone(&registry));
     // 8 slots against ~6 kernels x 5 request classes: steady thrash.
     session.set_pricing_capacity(8);
-
-    let off_plan = Planner::new(options(PricingCacheMode::Off))
-        .plan(&model, &ds)
-        .unwrap();
-    let mut off = off_plan.session(&[MappingStrategy::Dynamic]);
+    let oracle = ReferenceExecutor::new(&model, &ds.graph);
 
     let classes: Vec<FeatureMatrix> = [0.02f64, 0.1, 0.3, 0.6, 0.9]
         .iter()
         .enumerate()
         .map(|(i, d)| dense_features(v, f, *d, 200 + i as u64))
         .collect();
-    for _ in 0..3 {
-        for request in &classes {
-            let cached = session.infer(request).unwrap();
-            let fresh = off.infer(request).unwrap();
-            assert_eq!(cached.output_embeddings, fresh.output_embeddings);
+    let wants: Vec<_> = classes
+        .iter()
+        .map(|request| run_oracle(&oracle, request, &plan))
+        .collect();
+    // Every thrashed report must price exactly the bucket representatives
+    // of its own request: an eviction may cost a miss, never a wrong entry.
+    // Each class is served twice in a row, so the repeat hits the entries
+    // its first serve wrote over evicted slots.
+    for round in 0..3 {
+        for (i, (request, want)) in classes.iter().zip(&wants).enumerate() {
+            for serve in 0..2 {
+                let cached = session.infer(request).unwrap();
+                let ctx = format!("round {round}, class {i}, serve {serve}");
+                assert_matches_oracle(&cached, &plan, want, &ctx);
+            }
         }
     }
-    let (_, _, evictions) = cache_counters(&registry);
+    let (hits, _, evictions) = cache_counters(&registry);
     assert!(
         evictions > 0,
         "cycling distinct request classes through 8 slots must evict"
     );
+    assert!(hits > 0, "a repeated class must hit its fresh entries");
 }
 
 #[test]
@@ -392,9 +299,7 @@ fn batches_amortize_pricing_across_same_key_requests() {
         3,
     );
     let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
-    let plan = Planner::new(options(PricingCacheMode::Bucketed))
-        .plan(&model, &ds)
-        .unwrap();
+    let plan = Planner::default().plan(&model, &ds).unwrap();
     let mut session = plan.session(&[MappingStrategy::Dynamic]);
     session.set_telemetry(Arc::clone(&registry));
 
