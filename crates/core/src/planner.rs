@@ -190,10 +190,13 @@ impl CompiledPlan {
         Session::build(PlanHandle::Shared(Arc::clone(self)), strategies)
     }
 
-    /// Checks one request's shape against the plan topology: `features`
-    /// needs [`CompiledPlan::num_vertices`] rows and
-    /// [`CompiledPlan::input_dim`] columns.  `op` names the rejecting entry
-    /// point in the typed [`MatrixError::ShapeMismatch`].
+    /// Checks one request against the plan: `features` needs
+    /// [`CompiledPlan::num_vertices`] rows and [`CompiledPlan::input_dim`]
+    /// columns, and CSR-stored features must be finite.  `op` names the
+    /// rejecting entry point in the typed [`MatrixError::ShapeMismatch`] or
+    /// [`MatrixError::NonFinite`].  Dense-stored features are checked for
+    /// non-finite values by the first kernel's scan, which reads every
+    /// element anyway (see [`crate::Session::infer`]).
     pub fn validate_request(
         &self,
         features: &FeatureMatrix,
@@ -207,6 +210,11 @@ impl CompiledPlan {
                 rhs: expected,
             }
             .into());
+        }
+        if let FeatureMatrix::Sparse(m) = features {
+            if !m.values().iter().all(|v| v.is_finite()) {
+                return Err(MatrixError::NonFinite { op }.into());
+            }
         }
         Ok(())
     }

@@ -23,7 +23,7 @@ use crate::report::{InferenceReport, KernelReport, StrategyRun};
 use dynasparse_accel::{cycles_to_ms, ComputationCore, SoftProcessorModel};
 use dynasparse_compiler::{CompiledProgram, KernelKind};
 use dynasparse_graph::FeatureMatrix;
-use dynasparse_matrix::{BlockGrid, DensityProfile, DispatchPolicy};
+use dynasparse_matrix::{BlockGrid, DensityProfile, DispatchPolicy, MatrixError};
 use dynasparse_model::{
     DensityTrace, KernelArena, KernelDispatcher, KernelSpec, ReferenceExecutor, StageDensity,
     StageOp,
@@ -460,21 +460,29 @@ impl<'p> Session<'p> {
     ///
     /// The request must match the plan's topology: `features` needs
     /// [`CompiledPlan::num_vertices`] rows and [`CompiledPlan::input_dim`]
-    /// columns.
+    /// columns.  Every feature must be finite: a `NaN` or `±Inf` is refused
+    /// with [`MatrixError::NonFinite`] — up front for CSR-stored features
+    /// ([`CompiledPlan::validate_request`]), by the first kernel's scan of
+    /// dense-stored ones, after which the session serves the next request as
+    /// if the refused one had never come.
     pub fn infer(&mut self, features: &FeatureMatrix) -> Result<InferenceReport, DynasparseError> {
-        self.plan
-            .get()
-            .validate_request(features, "session infer")?;
-        self.serve(features)
+        const OP: &str = "session infer";
+        self.plan.get().validate_request(features, OP)?;
+        self.serve(features, OP)
     }
 
-    /// Serves one already-validated request through the one executor pass.
+    /// Serves one already-validated request through the one executor pass;
+    /// `op` names the entry point in a [`MatrixError::NonFinite`] refusal.
     /// The executor calls back after every kernel; the callback profiles the
     /// kernel's input and hands the profile to [`KernelObserver::record`],
     /// which prices it.  The report is assembled afterwards by replay — the
     /// analyzer is stateless and the scheduler replays the same kernel order
     /// with the same analyses.
-    fn serve(&mut self, features: &FeatureMatrix) -> Result<InferenceReport, DynasparseError> {
+    fn serve(
+        &mut self,
+        features: &FeatureMatrix,
+        op: &'static str,
+    ) -> Result<InferenceReport, DynasparseError> {
         let plan = self.plan.get();
         let program = plan.program();
         let num_vertices = plan.num_vertices();
@@ -514,28 +522,40 @@ impl<'p> Session<'p> {
                 // A kernel that streamed its dense input anyway (the Update
                 // GEMM) hands its profile over: one scan, not two.  Every
                 // other route refits the kernel's reusable profile.
-                let profile: &DensityProfile = match scanned {
-                    Some(scanned) => {
+                let (profile, finite): (&DensityProfile, bool) = match scanned {
+                    Some((scanned, finite)) => {
                         let grid = observer.grid(kidx);
                         debug_assert_eq!(scanned.shape(), grid.shape());
                         debug_assert_eq!(
                             scanned.block_shape(),
                             (grid.block_rows(), grid.block_cols())
                         );
-                        scanned
+                        (scanned, finite)
                     }
                     None => {
                         let slot = &mut profile_scratch[kidx];
-                        observer.profile(kidx, |grid| input.density_profile_into(grid, slot));
-                        slot
+                        let mut finite = true;
+                        observer.profile(kidx, |grid| match input {
+                            FeatureMatrix::Dense(m) => finite = slot.refit_dense(m, grid),
+                            FeatureMatrix::Sparse(m) => slot.refit_csr(m, grid),
+                        });
+                        (slot, finite)
                     }
                 };
+                // Kernel 0 reads the request, so its scan is the request's
+                // finiteness check (CSR-stored requests were checked at
+                // validation); the scans of later kernels' inputs are not
+                // consulted.
+                if kidx == 0 && !finite {
+                    return Err(MatrixError::NonFinite { op });
+                }
                 // The profile already holds the input's non-zero count:
                 // asking `input` for its density would scan a request the
                 // cache has not seen a second time.
                 let input_total = num_vertices * input.dim();
                 let input_density = density_of(profile.total_nnz(), input_total);
                 observer.record(kidx, profile, input_density, out.density());
+                Ok(())
             },
         )?;
         let profile_ns = observer.profile_ns;
@@ -644,10 +664,12 @@ impl<'p> Session<'p> {
     /// own fault arming, timing and reply.
     ///
     /// **Every** request's shape is validated before **any** request runs:
-    /// a shape-mismatched matrix anywhere in the batch fails the whole call
-    /// up front ([`CompiledPlan::validate_request`] with `op = "session
-    /// infer_batch"`) instead of erroring midway with earlier requests
-    /// already served.
+    /// a shape-mismatched or non-finite CSR-stored matrix anywhere in the
+    /// batch fails the whole call up front ([`CompiledPlan::validate_request`]
+    /// with `op = "session infer_batch"`) instead of erroring midway with
+    /// earlier requests already served.  A dense-stored request is checked
+    /// for non-finite values by the scan that serves it, so it fails the
+    /// call when its turn comes.
     ///
     /// ```
     /// use dynasparse::{MappingStrategy, Planner};
@@ -676,7 +698,10 @@ impl<'p> Session<'p> {
                 .get()
                 .validate_request(features, "session infer_batch")?;
         }
-        batch.iter().map(|features| self.serve(features)).collect()
+        batch
+            .iter()
+            .map(|features| self.serve(features, "session infer_batch"))
+            .collect()
     }
 
     /// A no-op — a batch runs through the session's one plan-sized arena —

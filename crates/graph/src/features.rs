@@ -183,7 +183,9 @@ impl FeatureMatrix {
     /// kernel in steady state.
     pub fn density_profile_into(&self, grid: &BlockGrid, profile: &mut DensityProfile) {
         match self {
-            FeatureMatrix::Dense(d) => profile.refit_dense(d, grid),
+            FeatureMatrix::Dense(d) => {
+                profile.refit_dense(d, grid);
+            }
             FeatureMatrix::Sparse(s) => profile.refit_csr(s, grid),
         }
     }

@@ -10,6 +10,7 @@ use crate::coo::{CooEntry, CooMatrix};
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::is_nonzero;
+use crate::isa::dispatched;
 use crate::layout::Layout;
 use crate::ops::accumulate_row;
 use crate::profile::{compact_group, scan_row, ColumnBlocks, SCAN_LANES};
@@ -360,24 +361,8 @@ impl CsrMatrix {
             rhs_rm = rhs.to_layout(Layout::RowMajor);
             rhs_rm.as_slice()
         };
-        self.spmm_dense_rows_rm(ys, d, 0, out.as_mut_slice());
+        spmm_dense_rows_rm(self, ys, d, 0, out.as_mut_slice());
         Ok(())
-    }
-
-    /// The SpDMM row loop shared by the whole-kernel `_into` kernels and the
-    /// block-granular [`CsrMatrix::spmm_dense_rows_into`]: each output row is
-    /// zeroed, then the GEMM row kernel's register-tile ladder streams the
-    /// CSR row's `(col, val)` pairs through it — the paper's Reduce Unit,
-    /// which keeps a partial output row on chip while the edges stream by.
-    /// Stored columns increase, so every output element receives
-    /// [`gemm_reference`](crate::ops::gemm_reference)'s additions in its
-    /// order from the same `+0.0`, whatever the row partition.
-    fn spmm_dense_rows_rm(&self, ys: &[f32], d: usize, row0: usize, out_rows: &mut [f32]) {
-        for (i, out_row) in out_rows.chunks_exact_mut(d).enumerate() {
-            let (cols, vals) = self.row(row0 + i);
-            out_row.fill(0.0);
-            accumulate_row(cols, vals, ys, out_row);
-        }
     }
 
     /// Number of stored non-zeros in rows `[r0, r1)`: an O(1) row-pointer
@@ -394,7 +379,7 @@ impl CsrMatrix {
     /// per-partition-block SpDMM kernel of the block-granular dispatcher.
     ///
     /// The row loop is the same one [`CsrMatrix::spmm_dense_into`] runs
-    /// (`CsrMatrix::spmm_dense_rows_rm`), so any row partition of the
+    /// (`spmm_dense_rows_rm`), so any row partition of the
     /// output is bit-identical to the whole-kernel call.  `rhs` must be
     /// row-major: the block loop is allocation-free, so a column-major
     /// operand is a shape error rather than a silent layout copy.
@@ -417,7 +402,7 @@ impl CsrMatrix {
         }
         debug_assert_eq!(out_rows.len() % d, 0);
         debug_assert!(r0 + out_rows.len() / d <= self.rows);
-        self.spmm_dense_rows_rm(rhs.as_slice(), d, r0, out_rows);
+        spmm_dense_rows_rm(self, rhs.as_slice(), d, r0, out_rows);
         Ok(())
     }
 
@@ -700,6 +685,25 @@ impl CsrMatrix {
     /// accelerator's COO stream is accounted separately in `CooMatrix`).
     pub fn size_bytes(&self) -> usize {
         self.col_idx.len() * 4 + self.values.len() * 4 + self.row_ptr.len() * 8
+    }
+}
+
+dispatched! {
+    /// The SpDMM row loop shared by the whole-kernel `_into` kernels and the
+    /// block-granular [`CsrMatrix::spmm_dense_rows_into`]: each output row of
+    /// `x × Y` (`Y` row-major in `ys`, `d` wide) from row `row0` on is
+    /// zeroed, then the GEMM row kernel's register-tile ladder streams the
+    /// CSR row's `(col, val)` pairs through it — the paper's Reduce Unit,
+    /// which keeps a partial output row on chip while the edges stream by.
+    /// Stored columns increase, so every output element receives
+    /// [`gemm_reference`](crate::ops::gemm_reference)'s additions in its
+    /// order from the same `+0.0`, whatever the row partition.
+    fn spmm_dense_rows_rm(x: &CsrMatrix, ys: &[f32], d: usize, row0: usize, out_rows: &mut [f32]) {
+        for (i, out_row) in out_rows.chunks_exact_mut(d).enumerate() {
+            let (cols, vals) = x.row(row0 + i);
+            out_row.fill(0.0);
+            accumulate_row(cols, vals, ys, out_row);
+        }
     }
 }
 

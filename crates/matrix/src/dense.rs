@@ -2,6 +2,7 @@
 
 use crate::error::{MatrixError, Result};
 use crate::is_nonzero;
+use crate::isa::dispatched;
 use crate::layout::Layout;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -300,7 +301,7 @@ impl DenseMatrix {
         if cached != NNZ_UNKNOWN {
             return cached - 1;
         }
-        let nnz = self.data.iter().filter(|&&v| is_nonzero(v)).count();
+        let nnz = count_nonzero(&self.data);
         // A racing writer may store NNZ_UNKNOWN concurrently; both outcomes
         // are valid (either the fresh count or a re-scan on the next call).
         self.nnz_cache.store(encode_nnz(nnz), Ordering::Relaxed);
@@ -473,6 +474,17 @@ impl DenseMatrix {
     /// Size of the matrix payload in bytes (4 bytes per element, dense).
     pub fn size_bytes(&self) -> usize {
         self.len() * std::mem::size_of::<f32>()
+    }
+}
+
+dispatched! {
+    /// The number of [`is_nonzero`] elements of `values`, counted per chunk
+    /// in 32-bit lanes as [`DenseMatrix::map_inplace`] counts.
+    fn count_nonzero(values: &[f32]) -> usize {
+        values
+            .chunks(1 << 12)
+            .map(|chunk| chunk.iter().fold(0u32, |n, &v| n + is_nonzero(v) as u32) as usize)
+            .sum()
     }
 }
 

@@ -50,6 +50,12 @@ pub enum MatrixError {
         /// Description of the inconsistency.
         reason: String,
     },
+    /// An operand holds a `NaN` or `±Inf`, which the zero-skipping kernels
+    /// cannot carry the way the dense oracle does.
+    NonFinite {
+        /// Human-readable description of the operation that refused it.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for MatrixError {
@@ -80,6 +86,9 @@ impl fmt::Display for MatrixError {
             ),
             MatrixError::InvalidPartition { reason } => {
                 write!(f, "invalid partition: {reason}")
+            }
+            MatrixError::NonFinite { op } => {
+                write!(f, "non-finite value (NaN or Inf) in {op}")
             }
         }
     }
@@ -129,6 +138,11 @@ mod tests {
             reason: "N1 must divide |V|".into(),
         };
         assert!(e.to_string().contains("N1"));
+
+        let e = MatrixError::NonFinite {
+            op: "session infer",
+        };
+        assert!(e.to_string().contains("session infer"));
     }
 
     #[test]

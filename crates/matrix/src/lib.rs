@@ -38,6 +38,7 @@ pub mod dense;
 pub mod dispatch;
 pub mod error;
 pub mod format;
+mod isa;
 pub mod layout;
 pub mod ops;
 pub mod partition;
@@ -53,6 +54,7 @@ pub use csr::{CsrMatrix, SpGemmScratch};
 pub use dense::DenseMatrix;
 pub use dispatch::{sanitize_density, DispatchPolicy, HostPrimitive};
 pub use error::{MatrixError, Result};
+pub use isa::kernel_isa;
 pub use layout::Layout;
 pub use partition::{row_blocks, BlockGrid, BlockIndex, PartitionSpec};
 pub use pool::ThreadPool;

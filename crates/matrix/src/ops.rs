@@ -19,6 +19,7 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
+use crate::isa::dispatched;
 use crate::layout::Layout;
 use crate::profile::{compact_group, scan_row, ColumnBlocks};
 
@@ -107,8 +108,9 @@ fn accumulate_tile<const W: usize>(ks: &[u32], vs: &[f32], y: &[f32], d: usize, 
 /// `Y` of width `orow.len()`: the inner loop of the GEMM row kernel (over its
 /// survivors) and of the CSR × dense gather (over a CSR row).  Each
 /// [`GEMM_TILE`]-, 16-, 8-, 4-, 2- or 1-wide tile of the row is accumulated
-/// in an array while the whole list streams by in order.
-#[inline(never)]
+/// in an array while the whole list streams by in order.  Inlined, so every
+/// instruction-set copy of a kernel carries its own ladder.
+#[inline(always)]
 pub(crate) fn accumulate_row(ks: &[u32], vs: &[f32], y: &[f32], orow: &mut [f32]) {
     let d = orow.len();
     let mut j0 = 0;
@@ -136,6 +138,7 @@ pub(crate) fn accumulate_row(ks: &[u32], vs: &[f32], y: &[f32], orow: &mut [f32]
 /// list then feeds every output tile in increasing `k`, so each output
 /// element sees exactly the additions [`gemm_reference`] performs, in the
 /// same order, starting from the same `+0.0`: bit-identity is structural.
+/// Returns whether every element of `xrow` is finite.
 #[inline(always)]
 fn gemm_row(
     xrow: &[f32],
@@ -144,9 +147,9 @@ fn gemm_row(
     blocks: ColumnBlocks,
     counts: &mut [usize],
     survivors: &mut Survivors,
-) {
+) -> bool {
     orow.fill(0.0);
-    scan_row(xrow, blocks, counts, |k0, group| {
+    let finite = scan_row(xrow, blocks, counts, |k0, group| {
         if survivors.len + group.len() > SURVIVOR_CAP {
             survivors.flush_into(y, orow);
         }
@@ -154,37 +157,44 @@ fn gemm_row(
         *len = compact_group(k0, group, |xv| xv != 0.0, k, xv, *len);
     });
     survivors.flush_into(y, orow);
+    finite
 }
 
-/// Runs [`gemm_row`] over the output rows in `out_rows`, which start at row
-/// `row0` of `x`: `x` rows are `n` floats, `Y` is `n × d`, output rows `d`
-/// floats.  Every row's block-column counts are added into the one
-/// counter row `counts` (the rows of a call belong to one profile grid row);
-/// an empty `counts` runs the kernel unprofiled.
-fn gemm_rows_rm(
-    x: &[f32],
-    y: &[f32],
-    out_rows: &mut [f32],
-    row0: usize,
-    (n, d): (usize, usize),
-    block_cols: usize,
-    counts: &mut [usize],
-) {
-    if n == 0 {
-        out_rows.fill(0.0);
-        return;
-    }
-    let mut unprofiled = [0usize];
-    let (block_cols, counts) = if counts.is_empty() {
-        (n, &mut unprofiled[..])
-    } else {
-        (block_cols, counts)
-    };
-    let blocks = ColumnBlocks::new(block_cols);
-    let mut survivors = Survivors::new();
-    let xrows = x[row0 * n..].chunks_exact(n);
-    for (xrow, orow) in xrows.zip(out_rows.chunks_mut(d)) {
-        gemm_row(xrow, y, orow, blocks, counts, &mut survivors);
+dispatched! {
+    /// Runs [`gemm_row`] over the output rows in `out_rows`, one per row of
+    /// `x` from its first: with `(n, d) = shape`, `x` rows are `n` floats, `Y`
+    /// is `n × d`, output rows `d` floats.  Every row's block-column counts
+    /// are added into the one counter row `counts` (the rows of a call belong
+    /// to one profile grid row); an empty `counts` runs the kernel
+    /// unprofiled.  Returns whether every element of the rows read is
+    /// finite.
+    fn gemm_rows_rm(
+        x: &[f32],
+        y: &[f32],
+        out_rows: &mut [f32],
+        shape: (usize, usize),
+        block_cols: usize,
+        counts: &mut [usize],
+    ) -> bool {
+        let (n, d) = shape;
+        if n == 0 {
+            out_rows.fill(0.0);
+            return true;
+        }
+        let mut unprofiled = [0usize];
+        let (block_cols, counts) = if counts.is_empty() {
+            (n, &mut unprofiled[..])
+        } else {
+            (block_cols, counts)
+        };
+        let blocks = ColumnBlocks::new(block_cols);
+        let mut survivors = Survivors::new();
+        let mut finite = true;
+        let xrows = x.chunks_exact(n);
+        for (xrow, orow) in xrows.zip(out_rows.chunks_mut(d)) {
+            finite &= gemm_row(xrow, y, orow, blocks, counts, &mut survivors);
+        }
+        finite
     }
 }
 
@@ -205,7 +215,7 @@ pub fn gemm_into(x: &DenseMatrix, y: &DenseMatrix, out: &mut DenseMatrix) -> Res
     if m > 0 && d > 0 {
         let (x, y) = (x.row_major(), y.row_major());
         let out = out.as_mut_slice();
-        gemm_rows_rm(x.as_slice(), y.as_slice(), out, 0, (n, d), 0, &mut []);
+        gemm_rows_rm(x.as_slice(), y.as_slice(), out, (n, d), 0, &mut []);
     }
     Ok(())
 }
@@ -229,6 +239,9 @@ pub fn gemm_into(x: &DenseMatrix, y: &DenseMatrix, out: &mut DenseMatrix) -> Res
 /// input's whole profile, without a second scan of a dense-stored operand.
 /// An empty `counts` skips the profile, any other wrong length is a shape
 /// error; nothing is scanned when `d == 0`.
+///
+/// Returns whether every element of the scanned `X` rows is finite (neither
+/// `NaN` nor `±Inf`); `true` when nothing is scanned.
 pub fn gemm_rows_into(
     x: &DenseMatrix,
     y: &DenseMatrix,
@@ -236,7 +249,7 @@ pub fn gemm_rows_into(
     out_rows: &mut [f32],
     block_cols: usize,
     counts: &mut [usize],
-) -> Result<()> {
+) -> Result<bool> {
     check_shapes("gemm_rows", x.shape(), y.shape())?;
     if x.layout() != Layout::RowMajor || y.layout() != Layout::RowMajor {
         return Err(MatrixError::ShapeMismatch {
@@ -254,20 +267,18 @@ pub fn gemm_rows_into(
         counts,
     )?;
     if d == 0 {
-        return Ok(());
+        return Ok(true);
     }
     debug_assert_eq!(out_rows.len() % d, 0);
     debug_assert!(r0 + out_rows.len() / d <= x.rows());
-    gemm_rows_rm(
-        x.as_slice(),
+    Ok(gemm_rows_rm(
+        &x.as_slice()[r0 * n..],
         y.as_slice(),
         out_rows,
-        r0,
         (n, d),
         block_cols,
         counts,
-    );
-    Ok(())
+    ))
 }
 
 /// Checks the profile counter row a block kernel was lent for `x`: empty (no
@@ -302,76 +313,81 @@ const RIGHT_TILE_K: usize = 256;
 /// One tile of `X`, transposed: `[k - k0][row]`.
 type TransposedTile = [[f32; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
 
-/// The right-sparse row kernel: output rows of `X × W` for row-major `x`
-/// rows of width `n` and the weight as `wt`, the CSR of `Wᵀ` (row `j` holds
-/// column `j` of `W`, its stored `k` increasing).
-///
-/// Per tile of [`RIGHT_TILE_ROWS`] rows: [`scan_row`] counts the rows'
-/// non-zeros into `counts`, the tile is transposed `k`-major into stack
-/// scratch, and every output column walks its stored weights in increasing
-/// `k` with one tile-high accumulator.  An output element therefore receives
-/// [`gemm_reference`]'s additions in its order from the same `+0.0`, minus
-/// the `x · 0` terms of the weights that are not stored — each a `±0.0`
-/// added to a sum that is never `-0.0` — so the result is the oracle's bit
-/// for bit on finite operands.  The product of a zero `x` is masked out, as
-/// the oracle skips it.
-fn right_sparse_rows_rm(
-    x: &[f32],
-    n: usize,
-    wt: &CsrMatrix,
-    out_rows: &mut [f32],
-    row0: usize,
-    block_cols: usize,
-    counts: &mut [usize],
-) {
-    let d = wt.rows();
-    if n == 0 {
-        out_rows.fill(0.0);
-        return;
-    }
-    // Lanes past a short last tile keep an earlier tile's values: they are
-    // accumulated and never written.
-    let blocks = ColumnBlocks::new(block_cols);
-    let mut xt: TransposedTile = [[0.0; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
-    for (t, otile) in out_rows.chunks_mut(RIGHT_TILE_ROWS * d).enumerate() {
-        let rows = otile.len() / d;
-        let xtile = &x[(row0 + t * RIGHT_TILE_ROWS) * n..][..rows * n];
-        for xrow in xtile.chunks_exact(n) {
-            scan_row(xrow, blocks, counts, |_, _| {});
+dispatched! {
+    /// The right-sparse row kernel: the output rows in `out_rows` of `X × W`,
+    /// one per row-major row of `x` (`n` wide) from its first, with the
+    /// weight as `wt`, the CSR of `Wᵀ` (row `j`
+    /// holds column `j` of `W`, its stored `k` increasing).
+    ///
+    /// Per tile of [`RIGHT_TILE_ROWS`] rows: [`scan_row`] counts the rows'
+    /// non-zeros into `counts`, the tile is transposed `k`-major into stack
+    /// scratch, and every output column walks its stored weights in
+    /// increasing `k` with one tile-high accumulator.  An output element
+    /// therefore receives [`gemm_reference`]'s additions in its order from the
+    /// same `+0.0`, minus the `x · 0` terms of the weights that are not stored
+    /// — each a `±0.0` added to a sum that is never `-0.0` — so the result is
+    /// the oracle's bit for bit on finite operands.  The product of a zero `x`
+    /// is masked out, as the oracle skips it.  Returns whether every element
+    /// of the rows read is finite.
+    fn right_sparse_rows_rm(
+        x: &[f32],
+        n: usize,
+        wt: &CsrMatrix,
+        out_rows: &mut [f32],
+        block_cols: usize,
+        counts: &mut [usize],
+    ) -> bool {
+        let d = wt.rows();
+        if n == 0 {
+            out_rows.fill(0.0);
+            return true;
         }
-        for k0 in (0..n).step_by(RIGHT_TILE_K) {
-            let k1 = n.min(k0 + RIGHT_TILE_K);
-            transpose_tile(xtile, n, k0, k1, &mut xt);
-            for j in 0..d {
-                let (ks, ws) = wt.row(j);
-                // The column's stored weights inside this chunk: all of
-                // them when `X` fits one chunk (no search per tile).
-                let (lo, hi) = if n <= RIGHT_TILE_K {
-                    (0, ks.len())
-                } else {
-                    let before = |end: usize| ks.partition_point(|&k| (k as usize) < end);
-                    (before(k0), before(k1))
-                };
-                let mut acc = [0.0f32; RIGHT_TILE_ROWS];
-                if k0 > 0 {
-                    for (a, orow) in acc.iter_mut().zip(otile.chunks_exact(d)) {
-                        *a = orow[j];
+        // Lanes past a short last tile keep an earlier tile's values: they
+        // are accumulated and never written.
+        let blocks = ColumnBlocks::new(block_cols);
+        let mut finite = true;
+        let mut xt: TransposedTile = [[0.0; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
+        for (t, otile) in out_rows.chunks_mut(RIGHT_TILE_ROWS * d).enumerate() {
+            let rows = otile.len() / d;
+            let xtile = &x[t * RIGHT_TILE_ROWS * n..][..rows * n];
+            for xrow in xtile.chunks_exact(n) {
+                finite &= scan_row(xrow, blocks, counts, |_, _| {});
+            }
+            for k0 in (0..n).step_by(RIGHT_TILE_K) {
+                let k1 = n.min(k0 + RIGHT_TILE_K);
+                transpose_tile(xtile, n, k0, k1, &mut xt);
+                for j in 0..d {
+                    let (ks, ws) = wt.row(j);
+                    // The column's stored weights inside this chunk: all of
+                    // them when `X` fits one chunk (no search per tile).
+                    let (lo, hi) = if n <= RIGHT_TILE_K {
+                        (0, ks.len())
+                    } else {
+                        let before = |end: usize| ks.partition_point(|&k| (k as usize) < end);
+                        (before(k0), before(k1))
+                    };
+                    let mut acc = [0.0f32; RIGHT_TILE_ROWS];
+                    if k0 > 0 {
+                        for (a, orow) in acc.iter_mut().zip(otile.chunks_exact(d)) {
+                            *a = orow[j];
+                        }
                     }
-                }
-                for (&k, &w) in ks[lo..hi].iter().zip(&ws[lo..hi]) {
-                    // `k0 <= k < k1`, so the modulo changes nothing; it
-                    // spares the bounds check, whose panic path would spill
-                    // the accumulator every step.
-                    let lanes = &xt[(k as usize - k0) % RIGHT_TILE_K];
-                    for (a, &xv) in acc.iter_mut().zip(lanes) {
-                        *a += if xv != 0.0 { xv * w } else { 0.0 };
+                    for (&k, &w) in ks[lo..hi].iter().zip(&ws[lo..hi]) {
+                        // `k0 <= k < k1`, so the modulo changes nothing; it
+                        // spares the bounds check, whose panic path would
+                        // spill the accumulator every step.
+                        let lanes = &xt[(k as usize - k0) % RIGHT_TILE_K];
+                        for (a, &xv) in acc.iter_mut().zip(lanes) {
+                            *a += if xv != 0.0 { xv * w } else { 0.0 };
+                        }
                     }
-                }
-                for (&a, orow) in acc.iter().zip(otile.chunks_exact_mut(d)) {
-                    orow[j] = a;
+                    for (&a, orow) in acc.iter().zip(otile.chunks_exact_mut(d)) {
+                        orow[j] = a;
+                    }
                 }
             }
         }
+        finite
     }
 }
 
@@ -419,7 +435,8 @@ fn transpose_tile(xtile: &[f32], n: usize, k0: usize, k1: usize, xt: &mut Transp
 /// error), every output element written, and — on finite operands — the
 /// result bit-identical to [`gemm_reference`] for any row partition.  A
 /// non-finite feature reaches only the output columns whose weight is
-/// stored, as in [`CsrMatrix::spgemm_rows_dense_into`].
+/// stored, as in [`CsrMatrix::spgemm_rows_dense_into`]; the returned flag,
+/// as [`gemm_rows_into`]'s, says whether every scanned element was finite.
 pub fn right_sparse_rows_into(
     x: &DenseMatrix,
     wt: &CsrMatrix,
@@ -427,7 +444,7 @@ pub fn right_sparse_rows_into(
     out_rows: &mut [f32],
     block_cols: usize,
     counts: &mut [usize],
-) -> Result<()> {
+) -> Result<bool> {
     let n = x.cols();
     let d = wt.rows();
     if n != wt.cols() || x.layout() != Layout::RowMajor {
@@ -444,7 +461,7 @@ pub fn right_sparse_rows_into(
         counts,
     )?;
     if d == 0 {
-        return Ok(());
+        return Ok(true);
     }
     debug_assert_eq!(out_rows.len() % d, 0);
     debug_assert!(r0 + out_rows.len() / d <= x.rows());
@@ -454,8 +471,14 @@ pub fn right_sparse_rows_into(
     } else {
         (block_cols, counts)
     };
-    right_sparse_rows_rm(x.as_slice(), n, wt, out_rows, r0, block_cols, counts);
-    Ok(())
+    Ok(right_sparse_rows_rm(
+        &x.as_slice()[r0 * n..],
+        n,
+        wt,
+        out_rows,
+        block_cols,
+        counts,
+    ))
 }
 
 /// Sparse × dense product with the scatter-gather paradigm of Algorithm 5.

@@ -238,8 +238,9 @@ struct KernelScratch {
     /// operand again (the counters grow to the largest grid once, then are
     /// reused).
     profile: DensityProfile,
-    /// Whether the kernel that just ran filled `profile`.
-    profiled: bool,
+    /// Whether the kernel that just ran filled `profile` (`Some`), and if so
+    /// whether every element its scan read was finite.
+    scanned: Option<bool>,
     /// One slot per row block of the current kernel, written by whichever
     /// thread ran the block and read back in block order (grown to the
     /// largest block count once, then reused).
@@ -247,13 +248,16 @@ struct KernelScratch {
 }
 
 /// What one row block ran, as its slot records it: the primitive, the
-/// block's product shape, its left-operand density, and its wall time in
-/// milliseconds (`0.0` unless the pass traces).
+/// block's product shape, its left-operand density, whether every element of
+/// the left operand its scan read was finite (`true` for a body that scans
+/// nothing), and its wall time in milliseconds (`0.0` unless the pass
+/// traces).
 #[derive(Debug, Clone, Copy)]
 struct BlockRun {
     prim: HostPrimitive,
     shape: ProductShape,
     alpha_x: f64,
+    finite: bool,
     measured_ms: f64,
 }
 
@@ -263,8 +267,21 @@ impl BlockRun {
         prim: HostPrimitive::Skip,
         shape: ProductShape { m: 0, n: 0, d: 0 },
         alpha_x: 0.0,
+        finite: true,
         measured_ms: 0.0,
     };
+
+    /// The slot of a block that ran `prim` over `shape` at density
+    /// `alpha_x`, before its time is stamped.
+    fn ran(prim: HostPrimitive, shape: ProductShape, alpha_x: f64, finite: bool) -> BlockRun {
+        BlockRun {
+            prim,
+            shape,
+            alpha_x,
+            finite,
+            measured_ms: 0.0,
+        }
+    }
 }
 
 /// Plan-sized reusable buffers for the dispatched forward pass.
@@ -320,7 +337,7 @@ impl KernelArena {
                 densify: empty_dense(num_vertices, max_dim),
                 spgemm: SpGemmScratch::new(),
                 profile: DensityProfile::default(),
-                profiled: false,
+                scanned: None,
                 blocks: Vec::new(),
             },
         }
@@ -551,10 +568,9 @@ fn block_density(nnz: usize, rows: usize, n: usize) -> f64 {
 
 impl BlockBody<'_> {
     /// Decides and computes the output rows starting at `r0` into `out_rows`
-    /// (every element is written), returning the primitive that ran, the
-    /// block's product shape and its left-operand density.  `counts` is the
-    /// block's counter row of the kernel input's profile (empty for a body
-    /// that profiles nothing).
+    /// (every element is written), returning the block's slot.  `counts` is
+    /// the block's counter row of the kernel input's profile (empty for a
+    /// body that profiles nothing).
     fn run_block(
         &self,
         dispatcher: &KernelDispatcher,
@@ -563,7 +579,7 @@ impl BlockBody<'_> {
         r0: usize,
         out_rows: &mut [f32],
         counts: &mut [usize],
-    ) -> (HostPrimitive, ProductShape, f64) {
+    ) -> BlockRun {
         let ProductShape { n, d, .. } = product.shape;
         let rows = out_rows.len() / d;
         let shape = ProductShape::new(rows, n, d);
@@ -573,20 +589,18 @@ impl BlockBody<'_> {
                 // subfiber tiling of `x`, so block columns are `block_rows`
                 // wide.  An all-zero block computed as GEMM writes the same
                 // exact `+0.0` a skip fill would.
-                gemm_rows_into(x, y, r0, out_rows, block_rows, counts)
+                let finite = gemm_rows_into(x, y, r0, out_rows, block_rows, counts)
                     .expect("shapes and layouts were settled at route resolution");
                 let nnz = counts.iter().sum();
-                (HostPrimitive::Gemm, shape, block_density(nnz, rows, n))
+                let alpha_x = block_density(nnz, rows, n);
+                BlockRun::ran(HostPrimitive::Gemm, shape, alpha_x, finite)
             }
             BlockBody::RightSparse { x, wt } => {
-                right_sparse_rows_into(x, wt, r0, out_rows, block_rows, counts)
+                let finite = right_sparse_rows_into(x, wt, r0, out_rows, block_rows, counts)
                     .expect("shapes and layouts were settled at route resolution");
                 let nnz = counts.iter().sum();
-                (
-                    HostPrimitive::SpDmmRight,
-                    shape,
-                    block_density(nnz, rows, n),
-                )
+                let alpha_x = block_density(nnz, rows, n);
+                BlockRun::ran(HostPrimitive::SpDmmRight, shape, alpha_x, finite)
             }
             BlockBody::CsrLeft { x, y, y_csr } => {
                 let alpha_x = block_density(x.rows_nnz(r0, r0 + rows), rows, n);
@@ -613,7 +627,7 @@ impl BlockBody<'_> {
                         .spmm_dense_rows_into(y, r0, out_rows)
                         .expect("shapes and layouts were settled at route resolution"),
                 }
-                (prim, shape, alpha_x)
+                BlockRun::ran(prim, shape, alpha_x, true)
             }
         }
     }
@@ -807,10 +821,10 @@ impl Pass<'_> {
             densify,
             spgemm,
             profile,
-            profiled,
+            scanned,
             blocks,
         } = scratch;
-        *profiled = false;
+        *scanned = None;
         run_kernel(probe, |probe| {
             let Route { product, exec } = self.resolve(spec, kin, densify)?;
             let ProductShape { m, n, d } = product.shape;
@@ -837,15 +851,19 @@ impl Pass<'_> {
                     // Block `k` of a dense-left body owns counter row `k` of
                     // the profile handed to `on_kernel` (with `d == 0` no row is
                     // scanned and nothing is handed over).
-                    let count_rows = match body {
+                    let (scans, count_rows) = match body {
                         BlockBody::Gemm { .. } | BlockBody::RightSparse { .. } => {
-                            *profiled = d > 0;
-                            profile.refit_tiled((m, n), (block_rows, block_rows))
+                            (d > 0, profile.refit_tiled((m, n), (block_rows, block_rows)))
                         }
-                        BlockBody::CsrLeft { .. } => <&mut [usize]>::default().chunks_mut(1),
+                        BlockBody::CsrLeft { .. } => {
+                            (false, <&mut [usize]>::default().chunks_mut(1))
+                        }
                     };
                     let out = out.as_mut_slice();
-                    self.run_rows(&product, block_rows, &body, out, count_rows, blocks, probe)
+                    let (predicted_ms, finite) =
+                        self.run_rows(&product, block_rows, &body, out, count_rows, blocks, probe);
+                    *scanned = scans.then_some(finite);
+                    predicted_ms
                 }
             };
             Ok((product, predicted_ms))
@@ -861,7 +879,8 @@ impl Pass<'_> {
     /// back in block order: each block is priced, the finite positive
     /// predictions are summed — so the sum does not depend on which thread
     /// ran which block — and, at `trace` level, each block lands in the
-    /// trace ring through `probe`.
+    /// trace ring through `probe`.  Returns the summed prediction and whether
+    /// every block's scan found its rows finite.
     #[allow(clippy::too_many_arguments)]
     fn run_rows(
         &self,
@@ -872,9 +891,9 @@ impl Pass<'_> {
         mut count_rows: std::slice::ChunksMut<'_, usize>,
         runs: &mut Vec<BlockRun>,
         probe: Option<&mut ProbeCtx<'_>>,
-    ) -> f64 {
+    ) -> (f64, bool) {
         if out.is_empty() {
-            return 0.0;
+            return (0.0, true);
         }
         let dispatcher = self.dispatcher;
         let chunk = block_rows * product.shape.d;
@@ -893,19 +912,14 @@ impl Pass<'_> {
         ThreadPool::global().for_each_item(items, |(bi, rows, run, counts)| {
             let started = tracing.then(Instant::now);
             let r0 = bi * block_rows;
-            let (prim, shape, alpha_x) =
-                body.run_block(dispatcher, product, block_rows, r0, rows, counts);
-            let measured_ms = started.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3);
-            *run = BlockRun {
-                prim,
-                shape,
-                alpha_x,
-                measured_ms,
-            };
+            *run = body.run_block(dispatcher, product, block_rows, r0, rows, counts);
+            run.measured_ms = started.map_or(0.0, |s| s.elapsed().as_secs_f64() * 1e3);
         });
         let alpha_y = product.alpha_y;
         let mut predicted = 0.0f64;
+        let mut finite = true;
         for (bi, run) in runs.iter().enumerate() {
+            finite &= run.finite;
             let p = dispatcher.predict_ms(run.prim, run.shape, run.alpha_x, alpha_y);
             if p.is_finite() && p > 0.0 {
                 predicted += p;
@@ -924,7 +938,7 @@ impl Pass<'_> {
                 );
             }
         }
-        predicted
+        (predicted, finite)
     }
 }
 
@@ -945,12 +959,14 @@ impl ReferenceExecutor {
     /// When `telemetry` is supplied (and enabled) every kernel is timed and
     /// recorded as one kernel span.
     ///
-    /// `on_kernel(layer, kernel, spec, input, output, input_profile)` runs
-    /// after every kernel.  `input_profile` is `Some` when the kernel's own
-    /// scan already profiled `input` — the dense-input Update GEMM, whose
-    /// profile over the `N2 × N2` subfiber tiling equals
-    /// `input.density_profile_into(&partition.subfiber_grid(..), ..)` — and
-    /// `None` when the caller must refit it (CSR inputs, Aggregates).
+    /// `on_kernel(layer, kernel, spec, input, output, scanned)` runs after
+    /// every kernel; an error it returns ends the pass with that error.
+    /// `scanned` is `Some((profile, finite))` when the kernel's own scan
+    /// already profiled `input` — the dense-input Update GEMM, whose profile
+    /// over the `N2 × N2` subfiber tiling equals
+    /// `input.density_profile_into(&partition.subfiber_grid(..), ..)`, and
+    /// `finite` says whether every element of `input` is finite — and `None`
+    /// when the caller must refit it (CSR inputs, Aggregates).
     ///
     /// Returns the predicted milliseconds summed over every executed kernel
     /// (finite predictions only; `0.0` when the dispatcher prices nothing),
@@ -971,8 +987,8 @@ impl ReferenceExecutor {
             &KernelSpec,
             &FeatureMatrix,
             &FeatureMatrix,
-            Option<&DensityProfile>,
-        ),
+            Option<(&DensityProfile, bool)>,
+        ) -> Result<()>,
     {
         let mut telemetry = telemetry.filter(|t| t.enabled());
         let mut predicted_total = 0.0f64;
@@ -1010,8 +1026,8 @@ impl ReferenceExecutor {
                 if let Some(act) = spec.activation {
                     apply_activation_inplace(&mut out_slot.value, act);
                 }
-                let input_profile = scratch.profiled.then_some(&scratch.profile);
-                on_kernel(l, ki, spec, kin, &out_slot.value, input_profile);
+                let scanned = scratch.scanned.map(|finite| (&scratch.profile, finite));
+                on_kernel(l, ki, spec, kin, &out_slot.value, scanned)?;
             }
             combine_layer_outputs(layer, slots, acc, &mut scratch.spgemm)?;
             if let Some(act) = layer.output_activation {
@@ -1096,7 +1112,7 @@ mod tests {
                     &mut arena,
                     partition,
                     None,
-                    |_, _, _, _, _, _| {},
+                    |_, _, _, _, _, _| Ok(()),
                 )
                 .unwrap();
                 assert_eq!(arena.output().shape(), want.shape());
@@ -1239,7 +1255,7 @@ mod tests {
             &mut arena,
             partition,
             Some(&mut telemetry),
-            |_, _, _, _, _, _| {},
+            |_, _, _, _, _, _| Ok(()),
         )
         .unwrap();
         let spans = telemetry.recorder().spans();
@@ -1373,7 +1389,7 @@ mod tests {
                     &mut arena,
                     &PartitionSpec::default(),
                     None,
-                    |_, _, _, _, _, _| {},
+                    |_, _, _, _, _, _| Ok(()),
                 )
                 .unwrap_err();
             assert!(matches!(
@@ -1403,7 +1419,7 @@ mod tests {
                 &mut arena,
                 &partition,
                 None,
-                |_, _, _, _, _, _| {},
+                |_, _, _, _, _, _| Ok(()),
             )
             .unwrap();
         assert!(
@@ -1542,11 +1558,13 @@ mod tests {
                 // Exactly the dense-input Updates hand over a scanned
                 // profile, and it is the separate refit's.
                 assert_eq!(scanned.is_some(), !spec.op.is_aggregate());
-                if let Some(scanned) = scanned {
+                if let Some((scanned, finite)) = scanned {
                     let grid = partition.subfiber_grid(VERTICES, input.dim());
                     assert_eq!(scanned, &input.density_profile(&grid));
+                    assert!(finite);
                 }
                 seen.push((l, k, spec.op.is_aggregate()));
+                Ok(())
             },
         )
         .unwrap();
@@ -1608,7 +1626,10 @@ mod tests {
                     &mut arena,
                     &PartitionSpec::default(),
                     None,
-                    |_, _, _, _, out, _| pass.push(out.is_sparse()),
+                    |_, _, _, _, out, _| {
+                        pass.push(out.is_sparse());
+                        Ok(())
+                    },
                 )
                 .unwrap();
                 assert_eq!(arena.output().to_dense().as_slice(), want.as_slice());

@@ -32,6 +32,10 @@ fn main() {
     // and histograms; the registry is what a scraper would export.
     let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
 
+    // The instruction set the host kernels were picked for, once per
+    // process: a latency read on another machine may not be comparable.
+    println!("kernel isa: {}", dynasparse_matrix::kernel_isa());
+
     // Serve a stream of ego-net requests through one rebindable session.
     let sampler = NeighborSampler::new([8, 4], 1);
     let mut session = None;

@@ -118,7 +118,7 @@ fn check_allocations() {
                 &mut arena,
                 &spec,
                 None,
-                |_, _, _, _, _, _| {},
+                |_, _, _, _, _, _| Ok(()),
             )
             .unwrap();
         };
@@ -154,7 +154,7 @@ fn check_allocations() {
                 &mut arena,
                 &spec,
                 Some(&mut telemetry),
-                |_, _, _, _, _, _| {},
+                |_, _, _, _, _, _| Ok(()),
             )
             .unwrap();
         };
@@ -199,7 +199,7 @@ fn check_allocations() {
                 &mut arena,
                 &spec,
                 Some(&mut telemetry),
-                |_, _, _, _, _, _| {},
+                |_, _, _, _, _, _| Ok(()),
             )
             .unwrap();
         };
@@ -260,7 +260,10 @@ fn check_allocations() {
                 &mut arena,
                 &spec,
                 None,
-                |_, _, _, _, out, _| pass.push(out.is_sparse()),
+                |_, _, _, _, out, _| {
+                    pass.push(out.is_sparse());
+                    Ok(())
+                },
             )
             .unwrap();
             kinds.push(pass);
@@ -279,7 +282,7 @@ fn check_allocations() {
                     &mut arena,
                     &spec,
                     None,
-                    |_, _, _, _, _, _| {},
+                    |_, _, _, _, _, _| Ok(()),
                 )
                 .unwrap();
             }

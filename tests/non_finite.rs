@@ -1,0 +1,125 @@
+//! The non-finite contract: a request holding a `NaN` or `±Inf` feature is
+//! refused with the typed `MatrixError::NonFinite`, whatever the model, the
+//! features' storage or the weights' sparsity.  Without it each route gave
+//! such a request an answer of its own: the zero-skip dropped a dense `NaN`,
+//! and pruned weights put `±Inf` into only some of the outputs the oracle
+//! poisons.  A refused request leaves nothing behind — the session's next
+//! clean request is served exactly as a fresh session serves it — and a
+//! served ticket resolves to the error without costing its worker a respawn.
+
+use dynasparse::{DynasparseError, EngineOptions, InferenceReport, MappingStrategy, Planner};
+use dynasparse_graph::{Dataset, FeatureMatrix};
+use dynasparse_matrix::{CsrMatrix, DenseMatrix, MatrixError};
+use dynasparse_model::{prune_model, GnnModel, GnnModelKind};
+use dynasparse_serve::{ServeConfig, ServeError, ServeRuntime};
+use std::sync::Arc;
+
+/// The two poisoned feature entries: a `NaN` and a `+Inf`.
+const POISON: [(usize, usize, f32); 2] = [(3, 7, f32::NAN), (41, 200, f32::INFINITY)];
+
+fn poisoned(clean: &DenseMatrix) -> DenseMatrix {
+    let mut m = clean.clone();
+    for (r, c, v) in POISON {
+        m.set(r, c, v);
+    }
+    m
+}
+
+/// `m` in CSR with every element that is not `±0.0` stored, the non-finite
+/// ones included (`CsrMatrix::from_dense` would drop the `NaN`).
+fn stored_csr(m: &DenseMatrix) -> CsrMatrix {
+    let (rows, cols) = m.shape();
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for r in 0..rows {
+        for c in 0..cols {
+            let v = m.get(r, c);
+            if v != 0.0 {
+                col_idx.push(c as u32);
+                values.push(v);
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_parts(rows, cols, row_ptr, col_idx, values)
+}
+
+/// Everything a report says, embeddings bit for bit.
+fn fingerprint(report: &InferenceReport) -> (String, Vec<u32>) {
+    let embeddings = report.output_embeddings.to_dense();
+    let bits = embeddings.as_slice().iter().map(|v| v.to_bits()).collect();
+    (serde_json::to_string(report).unwrap(), bits)
+}
+
+fn is_non_finite(err: &DynasparseError, op: &str) -> bool {
+    matches!(err, DynasparseError::Execution(MatrixError::NonFinite { op: o }) if *o == op)
+}
+
+#[test]
+fn every_route_refuses_non_finite_features_and_serves_on() {
+    let ds = Dataset::Cora.spec().generate_scaled(5, 0.12);
+    let clean = ds.features.to_dense();
+    let bad = poisoned(&clean);
+    let strategies = MappingStrategy::paper_strategies();
+    for kind in GnnModelKind::all() {
+        let dense_weights = GnnModel::standard(kind, clean.cols(), 16, ds.spec.num_classes, 2);
+        for (weights, model) in [
+            ("dense", dense_weights.clone()),
+            ("95%-pruned", prune_model(&dense_weights, 0.95)),
+        ] {
+            let plan = Planner::new(EngineOptions::default())
+                .plan(&model, &ds)
+                .unwrap();
+            let want = fingerprint(&plan.session(&strategies).infer(&ds.features).unwrap());
+            for (storage, request) in [
+                ("dense", FeatureMatrix::Dense(bad.clone())),
+                ("CSR", FeatureMatrix::Sparse(stored_csr(&bad))),
+            ] {
+                let ctx = format!("{kind:?}, {weights} weights, {storage}-stored features");
+                let mut session = plan.session(&strategies);
+                let err = session.infer(&request).unwrap_err();
+                assert!(is_non_finite(&err, "session infer"), "{ctx}: {err:?}");
+                let err = session.infer_batch(&[request]).unwrap_err();
+                assert!(is_non_finite(&err, "session infer_batch"), "{ctx}: {err:?}");
+                let served = session.infer(&ds.features).unwrap();
+                assert!(
+                    fingerprint(&served) == want,
+                    "{ctx}: the next request differs"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_serve_ticket_resolves_to_the_refusal_without_a_respawn() {
+    let ds = Dataset::Cora.spec().generate_scaled(5, 0.12);
+    let clean = ds.features.to_dense();
+    let model = GnnModel::standard(GnnModelKind::Gcn, clean.cols(), 16, ds.spec.num_classes, 2);
+    let plan = Planner::new(EngineOptions::default())
+        .plan_shared(&model, &ds)
+        .unwrap();
+    let want = fingerprint(
+        &plan
+            .session(&[MappingStrategy::Dynamic])
+            .infer(&ds.features)
+            .unwrap(),
+    );
+    let runtime = ServeRuntime::start(Arc::clone(&plan), ServeConfig::default().workers(1));
+    // Dense-stored: the first kernel's scan refuses it on the worker.
+    let ticket = runtime
+        .submit(FeatureMatrix::Dense(poisoned(&clean)))
+        .unwrap();
+    match ticket.wait() {
+        Err(ServeError::Inference(err)) => assert!(is_non_finite(&err, "session infer"), "{err:?}"),
+        other => panic!("expected the non-finite refusal, got {other:?}"),
+    }
+    // CSR-stored: refused at submission.
+    match runtime.submit(FeatureMatrix::Sparse(stored_csr(&poisoned(&clean)))) {
+        Err(ServeError::Inference(err)) => assert!(is_non_finite(&err, "serve submit"), "{err:?}"),
+        other => panic!("expected the non-finite refusal, got {other:?}"),
+    }
+    let served = runtime.submit(ds.features.clone()).unwrap().wait().unwrap();
+    assert_eq!(fingerprint(&served).1, want.1);
+    let report = runtime.shutdown();
+    assert_eq!((report.worker_panics, report.worker_respawns), (0, 0));
+}

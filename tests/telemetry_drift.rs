@@ -46,7 +46,10 @@ fn dispatch_over(exec: &ReferenceExecutor, features: &FeatureMatrix, fit: HostCa
         &mut arena,
         &PartitionSpec::new(64, 16).unwrap(),
         Some(&mut telemetry),
-        |_, _, _, _, _, _| dispatches.push(DISPATCHES.map(|id| registry.counter(id))),
+        |_, _, _, _, _, _| {
+            dispatches.push(DISPATCHES.map(|id| registry.counter(id)));
+            Ok(())
+        },
     )
     .unwrap();
     Pass {
