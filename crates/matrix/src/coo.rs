@@ -150,11 +150,6 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Consumes the matrix and returns its entries.
-    pub fn into_entries(self) -> Vec<CooEntry> {
-        self.entries
-    }
-
     /// Re-sorts the entries into the requested order.  This mirrors the
     /// Layout Transformation Unit operating on a sparse operand.
     pub fn to_order(&self, order: Layout) -> CooMatrix {

@@ -107,23 +107,6 @@ impl DenseMatrix {
         })
     }
 
-    /// Builds a matrix from a buffer in the given layout.
-    pub fn from_buffer(rows: usize, cols: usize, layout: Layout, data: Vec<f32>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(MatrixError::BufferLength {
-                expected: rows * cols,
-                actual: data.len(),
-            });
-        }
-        Ok(DenseMatrix {
-            rows,
-            cols,
-            layout,
-            data,
-            nnz_cache: AtomicUsize::new(NNZ_UNKNOWN),
-        })
-    }
-
     /// Marks the cached non-zero count stale; every mutating accessor calls
     /// this.
     #[inline]

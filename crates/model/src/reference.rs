@@ -15,7 +15,6 @@
 //!    for Aggregate, dense GEMM for Update) is what PyG/DGL do on a CPU,
 //!    which the baseline latency models build on.
 
-use crate::activation::Activation;
 use crate::kernel::{KernelInput, KernelOp, KernelSpec};
 use crate::models::GnnModel;
 use dynasparse_graph::{normalized_adjacency, AggregatorKind, FeatureMatrix, Graph};
@@ -230,11 +229,6 @@ impl ReferenceExecutor {
             },
         ))
     }
-}
-
-/// Convenience helper: ReLU applied as the paper's default activation.
-pub fn default_activation() -> Activation {
-    Activation::ReLU
 }
 
 /// Normalizes every adjacency matrix the model's Aggregate kernels need —

@@ -43,11 +43,6 @@ pub struct HistogramSample {
 }
 
 impl HistogramSample {
-    /// The inclusive upper bound of bucket `b` (`u64::MAX` = `+Inf`).
-    pub fn upper_bound(&self, b: usize) -> u64 {
-        bucket_upper_bound(b)
-    }
-
     /// The mean observed value (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

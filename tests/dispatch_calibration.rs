@@ -1,11 +1,11 @@
 //! Regression tests of the measured host cost model (the PR that replaced
 //! the modeled Table IV regions in the host dispatcher).
 //!
-//! The recorded `BENCH_kernels.json` shows the bug this guards against: at
-//! α = 0.1 × 0.1 over the 512 × 512 × 64 bench shape the region policy picks
-//! SPMM (1.195 ms measured) while SpDMM measures 0.249 ms — a ~4.8x mispick
-//! in the density band GCN aggregations live in.  The calibrated policy must
-//! pick SpDMM there, and plans must share one process-wide fit by `Arc`.
+//! The bug this guards against: at α = 0.1 × 0.1 over a 512 × 512 × 64
+//! product the region policy picks SPMM (1.195 ms measured) while SpDMM
+//! measures 0.249 ms — a ~4.8x mispick in the density band GCN aggregations
+//! live in.  The calibrated policy must pick SpDMM there, and plans must
+//! share one process-wide fit by `Arc`.
 
 mod common;
 
@@ -30,7 +30,8 @@ fn bench_point() -> (ProductShape, f64, f64) {
 }
 
 /// Measures `[gemm, spdmm, spmm]` milliseconds at one grid point through
-/// the calibration's own grid walk (same fixed seed as the sweep bench).
+/// the calibration's own grid walk (same fixed seed as
+/// `tests/timing_budgets.rs`).
 fn measure_point(shape: ProductShape, ax: f64, ay: f64) -> [f64; 3] {
     let config = CalibrationConfig {
         shapes: vec![(shape.m, shape.n, shape.d)],
