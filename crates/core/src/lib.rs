@@ -121,8 +121,8 @@
 //! session's zero-allocation
 //! [`KernelArena`](dynasparse_model::KernelArena).  Decisions are the
 //! argmin over the **measured host calibration**; under
-//! `DYNASPARSE_CALIBRATION=off` they fall back to the accelerator's Table IV
-//! regions, which also stay the oracle and the degenerate-fit fallback.
+//! `DYNASPARSE_CALIBRATION=off` they are the accelerator's Table IV regions,
+//! which also stay the oracle.
 //! [`Session::infer_batch`] serves a micro-batch as a loop of the same pass,
 //! one request at a time.
 //!

@@ -268,11 +268,10 @@ impl<'p> Session<'p> {
         let accelerator = compiled.options().accelerator;
         let core = ComputationCore::new(accelerator);
         let num_kernels = compiled.program().kernels.len();
-        // The accelerator's Table IV regions own the sparse-output threshold
-        // and the CSR weight-cache gate, and remain the calibrated argmin's
-        // degenerate-prediction fallback (or the whole decision when the
-        // plan carries no measured host fit).  Decisions change routing
-        // only: results stay bit-identical.
+        // The accelerator's Table IV regions own the sparse-output threshold,
+        // the right-sparse Update rule and the CSR weight-cache gate, and are
+        // the whole decision when the plan carries no measured host fit.
+        // Decisions change routing only: results stay bit-identical.
         let policy = DispatchPolicy::from_regions(accelerator.psys);
         let dispatcher =
             KernelDispatcher::new(executor.model(), policy, compiled.calibration.clone());

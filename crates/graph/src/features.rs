@@ -70,23 +70,11 @@ impl FeatureMatrix {
     /// the dispatch threshold — very sparse features (NELL-like inputs) no
     /// longer densify unconditionally on the first Aggregate.
     pub fn aggregate(&self, adjacency: &CsrMatrix) -> dynasparse_matrix::Result<FeatureMatrix> {
-        self.aggregate_with_policy(adjacency, &DispatchPolicy::default())
-    }
-
-    /// [`FeatureMatrix::aggregate`] with an explicit dispatch policy, so a
-    /// caller that tunes `sparse_output_threshold` (the dispatching engine
-    /// derives its policy from the planned accelerator) keeps this path's
-    /// keep-sparse decision consistent with its own.
-    pub fn aggregate_with_policy(
-        &self,
-        adjacency: &CsrMatrix,
-        policy: &DispatchPolicy,
-    ) -> dynasparse_matrix::Result<FeatureMatrix> {
         match self {
             FeatureMatrix::Dense(d) => Ok(FeatureMatrix::Dense(adjacency.spmm_dense(d)?)),
             FeatureMatrix::Sparse(s) => {
                 let product = adjacency.spgemm(s)?;
-                if policy.keep_sparse_output(product.density()) {
+                if DispatchPolicy::default().keep_sparse_output(product.density()) {
                     Ok(FeatureMatrix::Sparse(product))
                 } else {
                     Ok(FeatureMatrix::Dense(product.to_dense()))

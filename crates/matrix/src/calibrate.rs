@@ -20,18 +20,24 @@
 //!   so the primitive is priced by whichever operand the kernel that runs it
 //!   skips; Gustavson SPMM ∝ its flop-proportional nnz work plus the expected
 //!   touched-output and per-row scatter terms.
-//! * [`CalibratedPolicy`] decides by **argmin over predicted costs**; the
-//!   paper's closed-form regions ([`DispatchPolicy::decide`]) stay the
-//!   accelerator-side oracle and the fallback whenever a prediction
-//!   degenerates.
+//! * [`HostCalibration::cheapest`] is the **argmin over predicted costs**
+//!   of GEMM, SpDMM and SPMM.  It is the whole calibrated decision:
+//!   `dynasparse-model`'s `KernelDispatcher` checks a fit once with
+//!   [`HostCalibration::is_valid`] when it is built, and decides by the
+//!   paper's closed-form regions ([`DispatchPolicy::decide`]), the
+//!   accelerator-side oracle, when there is no valid fit.  A measured fit
+//!   is always valid ([`HostCalibration::measure`]).
 //! * [`HostCalibration::shared`] measures the fit once per process and hands
 //!   out `Arc` clones, which compiled plans share across worker sessions;
 //!   nothing changes the fit afterwards.  `DYNASPARSE_CALIBRATION=off`
 //!   disables calibration (regions only).
+//!
+//! [`DispatchPolicy`]: crate::DispatchPolicy
+//! [`DispatchPolicy::decide`]: crate::DispatchPolicy::decide
 
 use crate::csr::{CsrMatrix, SpGemmScratch};
 use crate::dense::DenseMatrix;
-use crate::dispatch::{sanitize_density, DispatchPolicy, HostPrimitive};
+use crate::dispatch::{sanitize_density, HostPrimitive};
 use crate::ops::{gemm_into, right_sparse_rows_into};
 use crate::random::random_dense;
 use rand::rngs::StdRng;
@@ -261,7 +267,10 @@ pub const CALIBRATION_ENV: &str = "DYNASPARSE_CALIBRATION";
 
 impl HostCalibration {
     /// Times the four host kernels over `config`'s grid and fits one cost
-    /// curve per kernel.
+    /// curve per kernel.  The fit is always [valid](Self::is_valid), even
+    /// on a degenerate grid (no points, one point, all-zero operands): a
+    /// curve the least squares cannot resolve falls back to a positive,
+    /// finite work term.
     pub fn measure(config: &CalibrationConfig) -> HostCalibration {
         let started = Instant::now();
         let samples = Self::measure_grid(config);
@@ -372,7 +381,10 @@ impl HostCalibration {
         }
     }
 
-    /// Predicted milliseconds of executing the product with `prim`.
+    /// Predicted milliseconds of executing `X × Y` with `prim`.  `alpha_x`
+    /// is the density of the left operand (the one the host kernels consume
+    /// in CSR form), `alpha_y` the right operand's; both go through
+    /// [`sanitize_density`] first.
     pub fn predict(
         &self,
         prim: HostPrimitive,
@@ -387,7 +399,30 @@ impl HostCalibration {
             HostPrimitive::Spmm => &self.spmm,
             HostPrimitive::Skip => return 0.0,
         };
-        fit.predict(features(prim, shape, alpha_x, alpha_y))
+        let (ax, ay) = (sanitize_density(alpha_x), sanitize_density(alpha_y));
+        fit.predict(features(prim, shape, ax, ay))
+    }
+
+    /// The primitive with the smallest predicted cost among GEMM, SpDMM and
+    /// SPMM; a tie keeps the earlier one in that order.  An empty shape, or
+    /// a density that sanitises to zero (non-positive, `-∞`, or the `NaN` of
+    /// a degenerate empty-dimension operand's `0/0`), is
+    /// [`HostPrimitive::Skip`].
+    pub fn cheapest(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
+        let (ax, ay) = (sanitize_density(alpha_x), sanitize_density(alpha_y));
+        if ax <= 0.0 || ay <= 0.0 || shape.is_empty() {
+            return HostPrimitive::Skip;
+        }
+        let mut best = HostPrimitive::Gemm;
+        let mut best_cost = self.predict(best, shape, ax, ay);
+        for prim in [HostPrimitive::SpDmm, HostPrimitive::Spmm] {
+            let cost = self.predict(prim, shape, ax, ay);
+            if cost < best_cost {
+                best = prim;
+                best_cost = cost;
+            }
+        }
+        best
     }
 
     /// Whether every fitted curve is finite, non-negative and non-trivial.
@@ -400,7 +435,8 @@ impl HostCalibration {
     /// The process-wide shared calibration, honoring [`CALIBRATION_ENV`]:
     ///
     /// * `DYNASPARSE_CALIBRATION=off` (or `regions`) → `None`; dispatchers
-    ///   fall back to the Table IV regions ([`DispatchPolicy::decide`]).
+    ///   decide by the Table IV regions
+    ///   ([`DispatchPolicy::decide`](crate::DispatchPolicy::decide)).
     /// * otherwise → measured once per process over the default grid; every
     ///   later call (and every plan) shares the same `Arc`.  Any other
     ///   non-empty value is reported on stderr and ignored.
@@ -546,92 +582,6 @@ fn solve_normal(rows: &[([f64; 3], f64)], active: [bool; 3]) -> Option<[f64; 3]>
     Some(out)
 }
 
-/// The measured host cost model: picks the primitive with the smallest
-/// predicted milliseconds, falling back to the Table IV regions whenever a
-/// prediction degenerates (non-finite fit output).
-#[derive(Debug, Clone)]
-pub struct CalibratedPolicy {
-    calibration: Arc<HostCalibration>,
-    fallback: DispatchPolicy,
-}
-
-impl CalibratedPolicy {
-    /// Builds the calibrated policy over a shared fit, with `fallback`
-    /// supplying the region decision when a prediction is unusable.
-    pub fn new(calibration: Arc<HostCalibration>, fallback: DispatchPolicy) -> Self {
-        CalibratedPolicy {
-            calibration,
-            fallback,
-        }
-    }
-
-    /// The shared fit this policy predicts from.
-    pub fn calibration(&self) -> &Arc<HostCalibration> {
-        &self.calibration
-    }
-
-    /// Predicted milliseconds of executing `X × Y` with primitive `prim`.
-    /// `alpha_x` is the density of the left operand (the one the host
-    /// kernels consume in CSR form), `alpha_y` the right operand's.
-    pub fn predict(
-        &self,
-        prim: HostPrimitive,
-        shape: ProductShape,
-        alpha_x: f64,
-        alpha_y: f64,
-    ) -> f64 {
-        self.calibration.predict(
-            prim,
-            shape,
-            sanitize_density(alpha_x),
-            sanitize_density(alpha_y),
-        )
-    }
-
-    /// Picks the primitive with the smallest predicted cost; non-finite
-    /// densities (the 0/0 of a degenerate empty-dimension operand) and empty
-    /// operands or shapes are [`HostPrimitive::Skip`].
-    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
-        self.decide_with_fallback(shape, alpha_x, alpha_y).0
-    }
-
-    /// [`CalibratedPolicy::decide`], additionally reporting whether the
-    /// decision fell back to the Table IV regions because a fitted prediction
-    /// degenerated (non-finite cost). Telemetry counts these fallbacks so a
-    /// silently diverging fit is visible.
-    pub fn decide_with_fallback(
-        &self,
-        shape: ProductShape,
-        alpha_x: f64,
-        alpha_y: f64,
-    ) -> (HostPrimitive, bool) {
-        let ax = sanitize_density(alpha_x);
-        let ay = sanitize_density(alpha_y);
-        if ax <= 0.0 || ay <= 0.0 || shape.is_empty() {
-            return (HostPrimitive::Skip, false);
-        }
-        let costs = [
-            self.predict(HostPrimitive::Gemm, shape, ax, ay),
-            self.predict(HostPrimitive::SpDmm, shape, ax, ay),
-            self.predict(HostPrimitive::Spmm, shape, ax, ay),
-        ];
-        if costs.iter().any(|c| !c.is_finite()) {
-            return (self.fallback.decide(ax, ay), true);
-        }
-        let (mut best, mut best_cost) = (HostPrimitive::Gemm, costs[0]);
-        for (prim, &cost) in [HostPrimitive::SpDmm, HostPrimitive::Spmm]
-            .iter()
-            .zip(&costs[1..])
-        {
-            if cost < best_cost {
-                best = *prim;
-                best_cost = cost;
-            }
-        }
-        (best, false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,44 +592,39 @@ mod tests {
 
     #[test]
     fn reference_fit_picks_each_primitive_in_its_band() {
-        let policy = CalibratedPolicy::new(
-            Arc::new(HostCalibration::reference()),
-            DispatchPolicy::from_regions(16),
-        );
-        assert_eq!(policy.decide(shape(), 1.0, 1.0), HostPrimitive::Gemm);
-        assert_eq!(policy.decide(shape(), 0.1, 1.0), HostPrimitive::SpDmm);
-        assert_eq!(policy.decide(shape(), 0.005, 0.005), HostPrimitive::Spmm);
-        assert_eq!(policy.decide(shape(), 0.0, 0.5), HostPrimitive::Skip);
+        let fit = HostCalibration::reference();
+        assert_eq!(fit.cheapest(shape(), 1.0, 1.0), HostPrimitive::Gemm);
+        assert_eq!(fit.cheapest(shape(), 0.1, 1.0), HostPrimitive::SpDmm);
+        assert_eq!(fit.cheapest(shape(), 0.005, 0.005), HostPrimitive::Spmm);
+        assert_eq!(fit.cheapest(shape(), 0.0, 0.5), HostPrimitive::Skip);
     }
 
     #[test]
     fn non_finite_densities_are_skipped_by_every_model() {
-        let calibrated = CalibratedPolicy::new(
-            Arc::new(HostCalibration::reference()),
-            DispatchPolicy::from_regions(16),
-        );
-        let regions = DispatchPolicy::from_regions(16);
+        let fit = HostCalibration::reference();
+        let regions = crate::DispatchPolicy::from_regions(16);
         for bad in [f64::NAN, f64::NEG_INFINITY] {
-            assert_eq!(calibrated.decide(shape(), bad, 0.5), HostPrimitive::Skip);
-            assert_eq!(calibrated.decide(shape(), 0.5, bad), HostPrimitive::Skip);
+            assert_eq!(fit.cheapest(shape(), bad, 0.5), HostPrimitive::Skip);
+            assert_eq!(fit.cheapest(shape(), 0.5, bad), HostPrimitive::Skip);
             assert_eq!(regions.decide(bad, 0.5), HostPrimitive::Skip);
         }
         // +inf sanitizes to full density, which must not Skip.
+        assert_eq!(
+            fit.cheapest(shape(), f64::INFINITY, 1.0),
+            HostPrimitive::Gemm
+        );
         assert_eq!(regions.decide(f64::INFINITY, 1.0), HostPrimitive::Gemm);
     }
 
     #[test]
     fn empty_shapes_are_skipped() {
-        let policy = CalibratedPolicy::new(
-            Arc::new(HostCalibration::reference()),
-            DispatchPolicy::from_regions(16),
-        );
+        let fit = HostCalibration::reference();
         for shape in [
             ProductShape::new(0, 16, 16),
             ProductShape::new(16, 0, 16),
             ProductShape::new(16, 16, 0),
         ] {
-            assert_eq!(policy.decide(shape, 0.5, 0.5), HostPrimitive::Skip);
+            assert_eq!(fit.cheapest(shape, 0.5, 0.5), HostPrimitive::Skip);
         }
     }
 

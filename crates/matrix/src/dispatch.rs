@@ -40,8 +40,9 @@ pub enum HostPrimitive {
     /// Dense × sparse: SpDMM run by the *right* operand's non-zeros (the
     /// right-sparse row kernel over the CSR of `Wᵀ`).  No `decide` returns
     /// it — only an Update over dense-stored features with a cached pruned
-    /// weight can run it, and the executor settles that by rule — so it
-    /// exists to name the kernel's own cost curve where it is priced.
+    /// weight can run it, and [`DispatchPolicy::prefers_right_sparse`]
+    /// settles that by rule — so it exists to name the kernel's own cost
+    /// curve where it is priced.
     SpDmmRight,
     /// Sparse × sparse: Gustavson row-wise product.
     Spmm,
@@ -111,6 +112,17 @@ impl DispatchPolicy {
         }
     }
 
+    /// Whether a product over a dense-stored left operand of density
+    /// `alpha_x` runs SpDMM by the *right* operand
+    /// ([`HostPrimitive::SpDmmRight`]) instead of the counting GEMM: it lies
+    /// in the SpDMM region and the right operand is the sparser one.  In
+    /// the GEMM region both operands are dense enough for GEMM; below the
+    /// SpDMM region both are nearly empty, and the GEMM's group skip of the
+    /// left operand beats transposing it.
+    pub fn prefers_right_sparse(&self, alpha_x: f64, alpha_y: f64) -> bool {
+        self.decide(alpha_x, alpha_y) == HostPrimitive::SpDmm && alpha_y < alpha_x
+    }
+
     /// Whether a sparse-sparse output of the given density should stay in
     /// CSR form.
     pub fn keep_sparse_output(&self, output_density: f64) -> bool {
@@ -147,6 +159,22 @@ mod tests {
         assert_eq!(wide.decide(0.02, 0.04), HostPrimitive::SpDmm);
         let narrow = DispatchPolicy::from_regions(4); // 2/4 = 0.5
         assert_eq!(narrow.decide(0.02, 0.04), HostPrimitive::Spmm);
+    }
+
+    #[test]
+    fn right_sparse_runs_only_in_the_spdmm_region_by_the_sparser_weight() {
+        let p = DispatchPolicy::from_regions(16);
+        assert!(p.prefers_right_sparse(0.9, 0.1));
+        // The GEMM region: both operands are dense enough for GEMM.
+        assert_eq!(p.decide(0.9, 0.6), HostPrimitive::Gemm);
+        assert!(!p.prefers_right_sparse(0.9, 0.6));
+        // Below the SpDMM region (SPMM): the GEMM's group skip wins.
+        assert_eq!(p.decide(0.1, 0.05), HostPrimitive::Spmm);
+        assert!(!p.prefers_right_sparse(0.1, 0.05));
+        // In the SpDMM region, but the weight is not the sparser operand.
+        assert_eq!(p.decide(0.2, 0.4), HostPrimitive::SpDmm);
+        assert!(!p.prefers_right_sparse(0.2, 0.4));
+        assert!(!p.prefers_right_sparse(0.3, 0.3));
     }
 
     #[test]

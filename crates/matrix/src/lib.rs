@@ -46,9 +46,7 @@ pub mod pool;
 pub mod profile;
 pub mod random;
 
-pub use calibrate::{
-    CalibratedPolicy, CalibrationConfig, HostCalibration, PrimitiveFit, ProductShape,
-};
+pub use calibrate::{CalibrationConfig, HostCalibration, PrimitiveFit, ProductShape};
 pub use coo::{CooEntry, CooMatrix};
 pub use csr::{CsrMatrix, SpGemmScratch};
 pub use dense::DenseMatrix;

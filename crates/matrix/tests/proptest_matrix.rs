@@ -413,16 +413,12 @@ proptest! {
 /// machine.
 mod cost_model_extremes {
     use super::*;
-    use dynasparse_matrix::{
-        CalibratedPolicy, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
-    };
-    use std::sync::Arc;
+    use dynasparse_matrix::{DispatchPolicy, HostCalibration, HostPrimitive, ProductShape};
 
-    fn policies() -> (CalibratedPolicy, DispatchPolicy) {
-        let regions = DispatchPolicy::from_regions(16);
+    fn policies() -> (HostCalibration, DispatchPolicy) {
         (
-            CalibratedPolicy::new(Arc::new(HostCalibration::reference()), regions),
-            regions,
+            HostCalibration::reference(),
+            DispatchPolicy::from_regions(16),
         )
     }
 
@@ -440,7 +436,7 @@ mod cost_model_extremes {
             let (calibrated, regions) = policies();
             let shape = ProductShape::new(m, n, d);
             prop_assert_eq!(regions.decide(ax, ay), HostPrimitive::Gemm);
-            prop_assert_eq!(calibrated.decide(shape, ax, ay), HostPrimitive::Gemm);
+            prop_assert_eq!(calibrated.cheapest(shape, ax, ay), HostPrimitive::Gemm);
         }
 
         #[test]
@@ -457,7 +453,7 @@ mod cost_model_extremes {
             let dead = if not_a_number == 1 { f64::NAN } else { 0.0 };
             let (ax, ay) = if zero_side == 1 { (dead, alive) } else { (alive, dead) };
             prop_assert_eq!(regions.decide(ax, ay), HostPrimitive::Skip);
-            prop_assert_eq!(calibrated.decide(shape, ax, ay), HostPrimitive::Skip);
+            prop_assert_eq!(calibrated.cheapest(shape, ax, ay), HostPrimitive::Skip);
         }
     }
 }

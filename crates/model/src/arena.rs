@@ -23,16 +23,16 @@
 //!   bodies (`BlockBody`).  A dense-stored left operand (an Update over
 //!   dense `H`) runs the counting GEMM, whose zero-skip doubles as the host
 //!   SpDMM by the *left* operand — or, when the product lies in Table IV's
-//!   SpDMM region and the model's pruned weight is its sparser operand, the
-//!   right-sparse kernel over the cached CSR of `Wᵀ`, the host SpDMM by the
-//!   *right* operand; either one's single pass over the operand also fills
-//!   the kernel input's sparsity profile.  A CSR left operand refits every
+//!   SpDMM region and the model's pruned weight is its sparser operand
+//!   ([`DispatchPolicy::prefers_right_sparse`]), the right-sparse kernel over
+//!   the cached CSR of `Wᵀ`, the host SpDMM by the *right* operand; either
+//!   one's single pass over the operand also fills the kernel input's
+//!   sparsity profile.  A CSR left operand refits every
 //!   block's density from the row pointers and picks Skip / SpDMM /
 //!   Gustavson-into-dense through [`KernelDispatcher::decide`].  The
 //!   kernel's predicted cost is the sum of its blocks' predictions.
-//! * **One runner.**  `run_kernel` wraps whichever shape executes with the
-//!   timing, the kernel span and the region-fallback count behind a single
-//!   `Option` probe.
+//! * **One runner.**  `Pass::run` wraps whichever shape executes with the
+//!   timing and the kernel span behind a single `Option` probe.
 //! * [`KernelArena`] owns plan-sized ping-pong feature buffers (one
 //!   dual-representation slot per kernel of the widest layer, plus the layer
 //!   input/output pair and the kernel scratch), so the steady-state forward
@@ -63,8 +63,8 @@ use crate::reference::ReferenceExecutor;
 use dynasparse_graph::FeatureMatrix;
 use dynasparse_matrix::ops::{gemm_rows_into, right_sparse_rows_into};
 use dynasparse_matrix::{
-    CalibratedPolicy, CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration,
-    HostPrimitive, MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool,
+    CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration, HostPrimitive,
+    MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool,
 };
 use dynasparse_telemetry::{SessionTelemetry, SpanPrimitive};
 use std::borrow::Cow;
@@ -92,17 +92,19 @@ fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
 /// Runtime kernel-to-host-primitive dispatcher for one model: the one host
 /// decider.
 ///
-/// With a measured host calibration every product runs the argmin over the
-/// calibrated costs; without one (`DYNASPARSE_CALIBRATION=off`) it runs the
-/// Table IV regions of `policy`, which are also the calibrated argmin's
-/// fallback on a degenerate fit.  The dispatcher also holds the per-model
+/// With a valid host calibration every product runs the argmin over the
+/// calibrated costs ([`HostCalibration::cheapest`]); without one
+/// (`DYNASPARSE_CALIBRATION=off`, or a fit [`KernelDispatcher::new`]
+/// refused) it runs the Table IV regions of `policy`.  `policy` also owns
+/// the Table IV rules every route shares: the right-sparse Update rule and
+/// the sparse-output threshold.  The dispatcher also holds the per-model
 /// caches the routes need: the CSR forms of every weight matrix sparse
 /// enough that a route skipping its zeros can ever be chosen for it, built
 /// once when the dispatcher is created.
 #[derive(Debug)]
 pub struct KernelDispatcher {
     policy: DispatchPolicy,
-    calibrated: Option<CalibratedPolicy>,
+    calibration: Option<Arc<HostCalibration>>,
     /// CSR forms of the sparse-eligible weights, indexed like
     /// `model.weights`.
     weight_csr: Vec<Option<WeightCsr>>,
@@ -123,6 +125,12 @@ impl KernelDispatcher {
     /// `calibration` when one is supplied and by the Table IV regions of
     /// `policy` otherwise.  `policy` also owns the sparse-output retention
     /// threshold and the CSR weight-cache gate.
+    ///
+    /// The fit is checked here, once: one that is not
+    /// [valid](HostCalibration::is_valid) (a non-finite, negative or zero
+    /// work term — only a hand-built fit can be one) is dropped, so the
+    /// dispatcher decides by the regions, prices nothing, and
+    /// [`KernelDispatcher::calibration`] returns `None`.
     pub fn new(
         model: &GnnModel,
         policy: DispatchPolicy,
@@ -148,32 +156,25 @@ impl KernelDispatcher {
             .collect();
         KernelDispatcher {
             policy,
-            calibrated: calibration.map(|c| CalibratedPolicy::new(c, policy)),
+            calibration: calibration.filter(|c| c.is_valid()),
             weight_csr,
         }
-    }
-
-    /// The dispatch thresholds in use (sparse-output retention + region
-    /// fallback).
-    pub fn policy(&self) -> &DispatchPolicy {
-        &self.policy
     }
 
     /// The shared host calibration the dispatcher decides with, if any
     /// (`None` under the Table IV regions).
     pub fn calibration(&self) -> Option<&Arc<HostCalibration>> {
-        self.calibrated.as_ref().map(CalibratedPolicy::calibration)
+        self.calibration.as_ref()
     }
 
-    /// Picks the host primitive for one (sub-)product, also reporting
-    /// whether a calibrated decision fell back to the Table IV regions on a
-    /// degenerate fit.  An empty shape or a non-positive (or `NaN`) density
-    /// is [`HostPrimitive::Skip`] (the caller zero-fills the block rows).
-    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> (HostPrimitive, bool) {
-        match &self.calibrated {
-            Some(calibrated) => calibrated.decide_with_fallback(shape, alpha_x, alpha_y),
-            None if shape.is_empty() => (HostPrimitive::Skip, false),
-            None => (self.policy.decide(alpha_x, alpha_y), false),
+    /// Picks the host primitive for one (sub-)product.  An empty shape or a
+    /// non-positive (or `NaN`) density is [`HostPrimitive::Skip`] (the
+    /// caller zero-fills the block rows).
+    pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
+        match &self.calibration {
+            Some(calibration) => calibration.cheapest(shape, alpha_x, alpha_y),
+            None if shape.is_empty() => HostPrimitive::Skip,
+            None => self.policy.decide(alpha_x, alpha_y),
         }
     }
 
@@ -187,9 +188,32 @@ impl KernelDispatcher {
         alpha_x: f64,
         alpha_y: f64,
     ) -> f64 {
-        self.calibrated
+        self.calibration
             .as_ref()
             .map_or(f64::NAN, |c| c.predict(prim, shape, alpha_x, alpha_y))
+    }
+
+    /// The cached CSR of `Wᵀ`, with `h`'s density, when an Update of the
+    /// dense-stored features `h` by weight `weight` (of density `alpha_w`)
+    /// runs SpDMM by the right operand
+    /// ([`DispatchPolicy::prefers_right_sparse`]); `None` runs the counting
+    /// GEMM.  `h` is scanned only when `Wᵀ` is cached.
+    fn right_sparse_weight(
+        &self,
+        weight: usize,
+        h: &DenseMatrix,
+        alpha_w: f64,
+    ) -> Option<(&CsrMatrix, f64)> {
+        let wt = &self.weight_csr[weight].as_ref()?.transposed;
+        let alpha_h = h.density();
+        self.policy
+            .prefers_right_sparse(alpha_h, alpha_w)
+            .then_some((wt, alpha_h))
+    }
+
+    /// Whether a sparse-sparse kernel output of this density stays CSR.
+    fn keep_sparse_output(&self, output_density: f64) -> bool {
+        self.policy.keep_sparse_output(output_density)
     }
 }
 
@@ -471,8 +495,6 @@ struct Product {
     shape: ProductShape,
     alpha_x: f64,
     alpha_y: f64,
-    /// Whether a calibrated decision fell back to the Table IV regions.
-    fell_back: bool,
 }
 
 impl Product {
@@ -486,25 +508,6 @@ impl Product {
 struct Route<'a> {
     product: Product,
     exec: Exec<'a>,
-}
-
-impl<'a> Route<'a> {
-    fn new(
-        executed: HostPrimitive,
-        shape: ProductShape,
-        (alpha_x, alpha_y): (f64, f64),
-        fell_back: bool,
-        exec: Exec<'a>,
-    ) -> Self {
-        let product = Product {
-            executed,
-            shape,
-            alpha_x,
-            alpha_y,
-            fell_back,
-        };
-        Route { product, exec }
-    }
 }
 
 /// How a resolved kernel executes.
@@ -605,7 +608,7 @@ impl BlockBody<'_> {
             BlockBody::CsrLeft { x, y, y_csr } => {
                 let alpha_x = block_density(x.rows_nnz(r0, r0 + rows), rows, n);
                 let prim = match y_csr {
-                    Some(_) => match dispatcher.decide(shape, alpha_x, product.alpha_y).0 {
+                    Some(_) => match dispatcher.decide(shape, alpha_x, product.alpha_y) {
                         HostPrimitive::Skip => HostPrimitive::Skip,
                         HostPrimitive::Spmm => HostPrimitive::Spmm,
                         HostPrimitive::Gemm | HostPrimitive::SpDmm | HostPrimitive::SpDmmRight => {
@@ -631,37 +634,6 @@ impl BlockBody<'_> {
             }
         }
     }
-}
-
-/// The one kernel runner: executes a kernel through `exec` — which resolves
-/// its routing, runs it and returns the whole-product view plus the
-/// predicted milliseconds — and, when a probe is attached, times it
-/// and records the kernel span (counters and the kernel-time histogram
-/// always, the flight-recorder ring at `trace` level) and a region fallback:
-/// exactly one counter bump, histogram observation and drift fold per call.
-/// The probe itself allocates nothing.
-fn run_kernel(
-    mut probe: Option<&mut ProbeCtx<'_>>,
-    exec: impl FnOnce(Option<&mut ProbeCtx<'_>>) -> Result<(Product, f64)>,
-) -> Result<f64> {
-    let started = probe.as_ref().map(|_| Instant::now());
-    let (product, predicted_ms) = exec(probe.as_deref_mut())?;
-    if let (Some(probe), Some(started)) = (probe, started) {
-        if product.fell_back {
-            probe.telemetry.record_fallback();
-        }
-        probe.telemetry.record_span(
-            probe.layer,
-            probe.kernel,
-            span_primitive(product.executed),
-            (product.shape.m, product.shape.n, product.shape.d),
-            product.alpha_x,
-            product.alpha_y,
-            predicted_ms,
-            started.elapsed().as_secs_f64() * 1e3,
-        );
-    }
-    Ok(predicted_ms)
 }
 
 /// The shape of `left × right`, or the mismatch error of a request that
@@ -722,56 +694,53 @@ impl Pass<'_> {
                 let w = &self.executor.model().weights[weight];
                 let shape = product_shape(kin.shape(), w.shape())?;
                 let block_rows = self.partition.update_block_rows().max(1);
-                let w_csr = self.dispatcher.weight_csr[weight].as_ref();
                 match kin {
                     // Dense-stored `H`: SpDMM by whichever operand is
                     // sparser.  The counting GEMM skips the zeros of `H`; the
-                    // right-sparse body skips the weight's, and runs when
-                    // `Wᵀ` is cached, the product lies in Table IV's SpDMM
-                    // region at `H`'s measured density, and the weight is its
-                    // sparser operand.  Below that region both operands are
-                    // nearly empty, and the GEMM's group skip of `H` beats
-                    // transposing it.  No price is asked: the GEMM is priced
-                    // by its dense envelope, which does not see `α_H`.
+                    // right-sparse body skips the weight's, and runs by the
+                    // dispatcher's right-sparse rule.  No price is asked: the
+                    // GEMM is priced by its dense envelope, which does not
+                    // see `α_H`.
                     FeatureMatrix::Dense(h) => {
                         let alpha_w = w.density();
                         let x = h.row_major();
-                        let right = w_csr.map(|w_csr| (&w_csr.transposed, h.density())).filter(
-                            |&(_, alpha_h)| {
-                                let region = self.dispatcher.policy.decide(alpha_h, alpha_w);
-                                region == HostPrimitive::SpDmm && alpha_w < alpha_h
-                            },
-                        );
-                        let (executed, alphas, body) = match right {
-                            Some((wt, alpha_h)) => (
-                                HostPrimitive::SpDmmRight,
-                                (alpha_h, alpha_w),
-                                BlockBody::RightSparse { x, wt },
-                            ),
-                            // The GEMM streams every stored element of `H`:
-                            // α_X is the dense 1.0.
-                            None => (
-                                HostPrimitive::Gemm,
-                                (1.0, alpha_w),
-                                BlockBody::Gemm {
-                                    x,
-                                    y: w.row_major(),
-                                },
-                            ),
+                        let (executed, alpha_x, body) =
+                            match self.dispatcher.right_sparse_weight(weight, h, alpha_w) {
+                                Some((wt, alpha_h)) => (
+                                    HostPrimitive::SpDmmRight,
+                                    alpha_h,
+                                    BlockBody::RightSparse { x, wt },
+                                ),
+                                // The GEMM streams every stored element of
+                                // `H`: α_X is the dense 1.0.
+                                None => (
+                                    HostPrimitive::Gemm,
+                                    1.0,
+                                    BlockBody::Gemm {
+                                        x,
+                                        y: w.row_major(),
+                                    },
+                                ),
+                            };
+                        let product = Product {
+                            executed,
+                            shape,
+                            alpha_x,
+                            alpha_y: alpha_w,
                         };
                         let exec = Exec::Rows { block_rows, body };
-                        return Ok(Route::new(executed, shape, alphas, false, exec));
+                        return Ok(Route { product, exec });
                     }
                     FeatureMatrix::Sparse(h) => {
-                        let w_csr = w_csr.map(|w_csr| &w_csr.csr);
+                        let w_csr = self.dispatcher.weight_csr[weight].as_ref().map(|w| &w.csr);
                         (shape, block_rows, h, Some(w), w_csr, w.density(), false)
                     }
                 }
             }
         };
         let alpha_x = x.density();
-        let (decision, fell_back) = if forced {
-            (HostPrimitive::SpDmm, false)
+        let decision = if forced {
+            HostPrimitive::SpDmm
         } else {
             self.dispatcher.decide(shape, alpha_x, alpha_y)
         };
@@ -796,27 +765,32 @@ impl Pass<'_> {
                 (HostPrimitive::SpDmm, Exec::Rows { block_rows, body })
             }
         };
-        Ok(Route::new(
+        let product = Product {
             executed,
             shape,
-            (alpha_x, alpha_y),
-            fell_back,
-            exec,
-        ))
+            alpha_x,
+            alpha_y,
+        };
+        Ok(Route { product, exec })
     }
 
-    /// Runs one kernel into `out_slot` through [`run_kernel`], returning the
-    /// predicted milliseconds: the sum of per-block predictions for a *rows*
-    /// route, the whole-product prediction otherwise (`NaN` when the
-    /// dispatcher prices nothing).
+    /// The one kernel runner: resolves `spec`'s route, runs it into
+    /// `out_slot` and returns the predicted milliseconds — the sum of
+    /// per-block predictions for a *rows* route, the whole-product prediction
+    /// otherwise (`NaN` when the dispatcher prices nothing).  When a probe is
+    /// attached it times the kernel and records its span (counters and the
+    /// kernel-time histogram always, the flight-recorder ring at `trace`
+    /// level): exactly one counter bump, histogram observation and drift
+    /// fold per call.  The probe itself allocates nothing.
     fn run(
         &self,
         spec: &KernelSpec,
         kin: &FeatureMatrix,
         out_slot: &mut ArenaSlot,
         scratch: &mut KernelScratch,
-        probe: Option<&mut ProbeCtx<'_>>,
+        mut probe: Option<&mut ProbeCtx<'_>>,
     ) -> Result<f64> {
+        let started = probe.as_ref().map(|_| Instant::now());
         let KernelScratch {
             densify,
             spgemm,
@@ -825,49 +799,58 @@ impl Pass<'_> {
             blocks,
         } = scratch;
         *scanned = None;
-        run_kernel(probe, |probe| {
-            let Route { product, exec } = self.resolve(spec, kin, densify)?;
-            let ProductShape { m, n, d } = product.shape;
-            let predicted_ms = match exec {
-                Exec::Skip => {
-                    slot_as_dense(out_slot, spgemm).reset(m, d);
-                    product.predicted_ms(self.dispatcher)
+        let Route { product, exec } = self.resolve(spec, kin, densify)?;
+        let ProductShape { m, n, d } = product.shape;
+        let predicted_ms = match exec {
+            Exec::Skip => {
+                slot_as_dense(out_slot, spgemm).reset(m, d);
+                product.predicted_ms(self.dispatcher)
+            }
+            Exec::SparseProduct(x, y) => {
+                let sparse = x.spgemm_with(y, spgemm)?;
+                if self.dispatcher.keep_sparse_output(sparse.density()) {
+                    slot_set_sparse(out_slot, sparse, spgemm);
+                } else {
+                    sparse.to_dense_into(slot_as_dense(out_slot, spgemm));
+                    spgemm.reclaim(sparse.into_parts());
                 }
-                Exec::SparseProduct(x, y) => {
-                    let sparse = x.spgemm_with(y, spgemm)?;
-                    if self.dispatcher.policy.keep_sparse_output(sparse.density()) {
-                        slot_set_sparse(out_slot, sparse, spgemm);
-                    } else {
-                        sparse.to_dense_into(slot_as_dense(out_slot, spgemm));
-                        spgemm.reclaim(sparse.into_parts());
+                product.predicted_ms(self.dispatcher)
+            }
+            Exec::Rows { block_rows, body } => {
+                // Every block kernel writes its whole chunk, so the reshape
+                // skips the zero-fill.
+                let out = slot_as_dense(out_slot, spgemm);
+                out.reset_for_overwrite(m, d);
+                // Block `k` of a dense-left body owns counter row `k` of the
+                // profile handed to `on_kernel` (with `d == 0` no row is
+                // scanned and nothing is handed over).
+                let (scans, count_rows) = match body {
+                    BlockBody::Gemm { .. } | BlockBody::RightSparse { .. } => {
+                        (d > 0, profile.refit_tiled((m, n), (block_rows, block_rows)))
                     }
-                    product.predicted_ms(self.dispatcher)
-                }
-                Exec::Rows { block_rows, body } => {
-                    // Every block kernel writes its whole chunk, so the
-                    // reshape skips the zero-fill.
-                    let out = slot_as_dense(out_slot, spgemm);
-                    out.reset_for_overwrite(m, d);
-                    // Block `k` of a dense-left body owns counter row `k` of
-                    // the profile handed to `on_kernel` (with `d == 0` no row is
-                    // scanned and nothing is handed over).
-                    let (scans, count_rows) = match body {
-                        BlockBody::Gemm { .. } | BlockBody::RightSparse { .. } => {
-                            (d > 0, profile.refit_tiled((m, n), (block_rows, block_rows)))
-                        }
-                        BlockBody::CsrLeft { .. } => {
-                            (false, <&mut [usize]>::default().chunks_mut(1))
-                        }
-                    };
-                    let out = out.as_mut_slice();
-                    let (predicted_ms, finite) =
-                        self.run_rows(&product, block_rows, &body, out, count_rows, blocks, probe);
-                    *scanned = scans.then_some(finite);
-                    predicted_ms
-                }
-            };
-            Ok((product, predicted_ms))
-        })
+                    BlockBody::CsrLeft { .. } => (false, <&mut [usize]>::default().chunks_mut(1)),
+                };
+                let out = out.as_mut_slice();
+                let probe = probe.as_deref_mut();
+                let (predicted_ms, finite) =
+                    self.run_rows(&product, block_rows, &body, out, count_rows, blocks, probe);
+                *scanned = scans.then_some(finite);
+                predicted_ms
+            }
+        };
+        if let (Some(probe), Some(started)) = (probe, started) {
+            probe.telemetry.record_span(
+                probe.layer,
+                probe.kernel,
+                span_primitive(product.executed),
+                (product.shape.m, product.shape.n, product.shape.d),
+                product.alpha_x,
+                product.alpha_y,
+                predicted_ms,
+                started.elapsed().as_secs_f64() * 1e3,
+            );
+        }
+        Ok(predicted_ms)
     }
 
     /// Runs the row blocks of a dense-output route through the global
@@ -1048,7 +1031,7 @@ mod tests {
     use crate::reference::prepare_adjacencies;
     use dynasparse_graph::generators::{dense_features, power_law_graph, PowerLawConfig};
     use dynasparse_graph::Graph;
-    use dynasparse_matrix::Layout;
+    use dynasparse_matrix::{CalibrationConfig, Layout};
     use dynasparse_telemetry::{Registry, TelemetryLevel};
 
     const VERTICES: usize = 48;
@@ -1299,6 +1282,23 @@ mod tests {
         let sparse_request = dense_features(VERTICES, 24, 0.01, 62);
         assert_eq!(updates(&gcn, &sparse_request)[0], SpanPrimitive::Gemm);
         assert_eq!(updates(&gcn, &half_dense)[0], SpanPrimitive::SpDmm);
+        // The rule's other two boundaries (a cached weight is never in the
+        // GEMM region of the 16×16 regions): below the SpDMM region a
+        // sparser weight still runs the counting GEMM, and inside it a
+        // weight denser than the request does.
+        let regions = DispatchPolicy::default();
+        for (pruned, alpha_h, seed, region) in [
+            (0.97, 0.08, 63, HostPrimitive::Spmm),
+            (0.6, 0.2, 64, HostPrimitive::SpDmm),
+        ] {
+            let gcn = prune_model(&GnnModel::gcn(24, 16, 8, 13), pruned);
+            let request = dense_features(VERTICES, 24, alpha_h, seed);
+            let (alpha_h, alpha_w) = (request.density(), gcn.weights[0].density());
+            assert_eq!(regions.decide(alpha_h, alpha_w), region);
+            assert_eq!(alpha_w < alpha_h, region == HostPrimitive::Spmm);
+            let ran = updates(&gcn, &request);
+            assert_eq!(ran[0], SpanPrimitive::Gemm, "{region:?}");
+        }
         // An unpruned weight caches no CSR: every Update is GEMM.
         for kind in GnnModelKind::all() {
             let model = GnnModel::standard(kind, 24, 16, 8, 13);
@@ -1443,15 +1443,12 @@ mod tests {
         assert!(dispatcher.calibration().is_none());
         let shape = ProductShape::new(32, 32, 8);
         for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
-            assert_eq!(
-                dispatcher.decide(shape, ax, ay),
-                (policy.decide(ax, ay), false)
-            );
+            assert_eq!(dispatcher.decide(shape, ax, ay), policy.decide(ax, ay));
             for prim in PRIMITIVES {
                 assert!(dispatcher.predict_ms(prim, shape, ax, ay).is_nan());
             }
         }
-        assert_eq!(dispatcher.decide(shape, 0.9, 0.8).0, HostPrimitive::Gemm);
+        assert_eq!(dispatcher.decide(shape, 0.9, 0.8), HostPrimitive::Gemm);
     }
 
     #[test]
@@ -1493,14 +1490,14 @@ mod tests {
                 ProductShape::new(16, 16, 0),
             ] {
                 let decision = dispatcher.decide(shape, 0.9, 0.9);
-                assert_eq!(decision, (HostPrimitive::Skip, false), "{shape:?}");
+                assert_eq!(decision, HostPrimitive::Skip, "{shape:?}");
             }
             let shape = ProductShape::new(64, 64, 16);
             for dead in [0.0, f64::NAN, f64::NEG_INFINITY] {
                 for (ax, ay) in [(dead, 0.5), (0.5, dead)] {
                     assert_eq!(
                         dispatcher.decide(shape, ax, ay),
-                        (HostPrimitive::Skip, false),
+                        HostPrimitive::Skip,
                         "α = {ax} × {ay}, calibrated {calibrated}"
                     );
                 }
@@ -1510,22 +1507,63 @@ mod tests {
 
     #[test]
     fn a_non_finite_fit_prediction_falls_back_to_the_regions() {
+        // The fit is checked once, when the dispatcher is built: an invalid
+        // one is dropped, so every decision is the regions' and nothing is
+        // priced.
         let model = GnnModel::gcn(24, 8, 5, 13);
         let policy = DispatchPolicy::from_regions(16);
-        let mut broken = HostCalibration::reference();
-        broken.spmm.work = f64::NAN;
-        let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::new(broken)));
         let shape = ProductShape::new(64, 64, 16);
-        for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
-            assert_eq!(
-                dispatcher.decide(shape, ax, ay),
-                (policy.decide(ax, ay), true)
-            );
+        for broken in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            let mut fit = HostCalibration::reference();
+            fit.spmm.work = broken;
+            let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::new(fit)));
+            assert!(dispatcher.calibration().is_none(), "spmm.work = {broken}");
+            for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
+                assert_eq!(dispatcher.decide(shape, ax, ay), policy.decide(ax, ay));
+                assert!(dispatcher
+                    .predict_ms(HostPrimitive::Gemm, shape, ax, ay)
+                    .is_nan());
+            }
         }
-        // A sound fit never reports a fallback.
+        // A sound fit is kept.
         let sound =
             KernelDispatcher::new(&model, policy, Some(Arc::new(HostCalibration::reference())));
-        assert!(!sound.decide(shape, 0.05, 0.1).1);
+        assert!(sound.calibration().is_some());
+    }
+
+    #[test]
+    fn a_measured_fit_is_kept_even_on_a_degenerate_grid() {
+        // Dropping the per-decision fallback rests on this: whatever grid
+        // `measure` walks, its fit passes the dispatcher's one check.
+        let model = GnnModel::gcn(24, 8, 5, 13);
+        let policy = DispatchPolicy::from_regions(16);
+        let grid =
+            |shapes: Vec<(usize, usize, usize)>, densities: Vec<(f64, f64)>| CalibrationConfig {
+                shapes,
+                densities,
+                reps: 1,
+                seed: 11,
+            };
+        let pairs = vec![(1.0, 1.0), (0.1, 0.1)];
+        for (what, config) in [
+            ("no shapes", grid(vec![], pairs.clone())),
+            ("no density pairs", grid(vec![(16, 16, 8)], vec![])),
+            ("a single point", grid(vec![(16, 16, 8)], vec![(0.5, 0.5)])),
+            (
+                "all-zero operands",
+                grid(
+                    vec![(16, 16, 8), (24, 8, 16)],
+                    vec![(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)],
+                ),
+            ),
+        ] {
+            let fit = Arc::new(HostCalibration::measure(&config));
+            let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::clone(&fit)));
+            assert!(
+                dispatcher.calibration().is_some(),
+                "{what}: the dispatcher refused the measured fit {fit:?}"
+            );
+        }
     }
 
     #[test]

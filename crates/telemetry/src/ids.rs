@@ -18,9 +18,6 @@ pub enum CounterId {
     DispatchSpmm,
     /// Kernel dispatches skipped (empty product).
     DispatchSkip,
-    /// Calibrated decisions that fell back to the Table IV regions because a
-    /// fitted prediction degenerated (non-finite cost).
-    DispatchFallbacks,
     /// `Session::rebind` calls that reused the bound session state.
     RebindReuse,
     /// `Session::rebind` calls that rebuilt the session from scratch.
@@ -59,14 +56,13 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in exposition order.
-    pub const ALL: [CounterId; 22] = [
+    pub const ALL: [CounterId; 21] = [
         CounterId::SessionRequests,
         CounterId::KernelSpans,
         CounterId::DispatchGemm,
         CounterId::DispatchSpdmm,
         CounterId::DispatchSpmm,
         CounterId::DispatchSkip,
-        CounterId::DispatchFallbacks,
         CounterId::RebindReuse,
         CounterId::RebindRebuild,
         CounterId::ServeRequests,
@@ -98,7 +94,6 @@ impl CounterId {
             CounterId::DispatchSpdmm => "dynasparse_dispatch_spdmm_total",
             CounterId::DispatchSpmm => "dynasparse_dispatch_spmm_total",
             CounterId::DispatchSkip => "dynasparse_dispatch_skip_total",
-            CounterId::DispatchFallbacks => "dynasparse_dispatch_fallbacks_total",
             CounterId::RebindReuse => "dynasparse_rebind_reuse_total",
             CounterId::RebindRebuild => "dynasparse_rebind_rebuild_total",
             CounterId::ServeRequests => "dynasparse_serve_requests_total",
@@ -126,9 +121,6 @@ impl CounterId {
             CounterId::DispatchSpdmm => "Kernel dispatches executed as SpDMM",
             CounterId::DispatchSpmm => "Kernel dispatches executed as Gustavson SpGEMM",
             CounterId::DispatchSkip => "Kernel dispatches skipped (empty product)",
-            CounterId::DispatchFallbacks => {
-                "Calibrated decisions that fell back to the Table IV regions"
-            }
             CounterId::RebindReuse => "Session rebinds that reused bound state",
             CounterId::RebindRebuild => "Session rebinds that rebuilt from scratch",
             CounterId::ServeRequests => "Requests completed by the serve runtime",

@@ -205,12 +205,6 @@ impl SessionTelemetry {
         });
     }
 
-    /// Records a calibrated decision that fell back to the Table IV regions
-    /// on a degenerate (non-finite) fit prediction.
-    pub fn record_fallback(&self) {
-        self.registry.incr(self.shard, CounterId::DispatchFallbacks);
-    }
-
     /// Records the non-kernel phases of one completed request:
     /// density-profile refit and Analyzer/Scheduler pricing, in nanoseconds.
     /// `profile_ns` covers stand-alone refits only: a dense-input Update
@@ -320,9 +314,7 @@ mod tests {
         let mut t = SessionTelemetry::new(registry.clone());
         t.record_span(0, 0, SpanPrimitive::Gemm, (4, 4, 4), 1.0, 1.0, 1.0, 1.0);
         t.record_request_phases(1, 1);
-        t.record_fallback();
         assert_eq!(registry.counter(CounterId::KernelSpans), 0);
-        assert_eq!(registry.counter(CounterId::DispatchFallbacks), 0);
         assert!(!t.enabled());
     }
 }

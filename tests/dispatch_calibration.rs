@@ -16,8 +16,7 @@ use dynasparse_matrix::ops::right_sparse_rows_into;
 use dynasparse_matrix::random::random_dense;
 use dynasparse_matrix::CsrMatrix;
 use dynasparse_matrix::{
-    CalibratedPolicy, CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive,
-    ProductShape,
+    CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
 };
 use dynasparse_model::{GnnModel, ReferenceExecutor};
 use rand::rngs::StdRng;
@@ -55,8 +54,7 @@ fn calibrated_policy_fixes_the_recorded_spmm_mispick() {
     // below 2/16) — on optimized host builds that is the recorded ~4.8x
     // mispick.
     assert_eq!(regions.decide(ax, ay), HostPrimitive::Spmm);
-    let calibrated = CalibratedPolicy::new(calibration, regions);
-    let pick = calibrated.decide(shape, ax, ay);
+    let pick = calibration.cheapest(shape, ax, ay);
     // The calibrated pick must be (within measurement noise of) the
     // measured-fastest primitive on the binary actually running — this
     // holds in debug builds too, where the kernel cost ratios differ.
@@ -84,9 +82,9 @@ fn calibrated_policy_fixes_the_recorded_spmm_mispick() {
             HostPrimitive::SpDmm,
             "optimized host must pick SpDMM at α = 0.1 × 0.1 \
              (gemm {:.4} ms, spdmm {:.4} ms, spmm {:.4} ms predicted)",
-            calibrated.predict(HostPrimitive::Gemm, shape, ax, ay),
-            calibrated.predict(HostPrimitive::SpDmm, shape, ax, ay),
-            calibrated.predict(HostPrimitive::Spmm, shape, ax, ay),
+            calibration.predict(HostPrimitive::Gemm, shape, ax, ay),
+            calibration.predict(HostPrimitive::SpDmm, shape, ax, ay),
+            calibration.predict(HostPrimitive::Spmm, shape, ax, ay),
         );
     }
 }
@@ -167,7 +165,6 @@ fn a_faster_gemm_does_not_reach_the_sparse_sparse_region() {
     let Some(calibration) = HostCalibration::shared() else {
         return; // DYNASPARSE_CALIBRATION=off
     };
-    let policy = CalibratedPolicy::new(calibration, DispatchPolicy::from_regions(16));
     let densities: Vec<f64> = (0..=16)
         .map(|i| 10f64.powf(-4.0 + i as f64 / 4.0))
         .collect();
@@ -180,7 +177,7 @@ fn a_faster_gemm_does_not_reach_the_sparse_sparse_region() {
                     HostPrimitive::SpDmm,
                     HostPrimitive::Spmm,
                 ]
-                .map(|prim| policy.predict(prim, shape, ax, ay));
+                .map(|prim| calibration.predict(prim, shape, ax, ay));
                 assert!(
                     !(spmm < 0.5 * spdmm && gemm < spmm),
                     "{m}x{n}x{d} at α = {ax:.4} × {ay:.4}: GEMM takes a product from \

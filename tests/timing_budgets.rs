@@ -27,8 +27,7 @@ use dynasparse::{
 };
 use dynasparse_graph::{Dataset, FeatureMatrix, Graph, GraphDataset, NeighborSampler};
 use dynasparse_matrix::{
-    CalibratedPolicy, CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive,
-    ProductShape,
+    CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
 };
 use dynasparse_model::{GnnModel, GnnModelKind};
 use std::hint::black_box;
@@ -61,7 +60,6 @@ fn calibrated_pick_is_within_2x_of_the_measured_best() {
         return;
     };
     let regions = DispatchPolicy::from_regions(16);
-    let policy = CalibratedPolicy::new(calibration, regions);
     // Ground truth measured by the calibration's own grid walk.
     let config = CalibrationConfig {
         shapes: vec![(512, 512, 64)],
@@ -84,18 +82,13 @@ fn calibrated_pick_is_within_2x_of_the_measured_best() {
         .zip(&config.densities)
     {
         let (m, n, d) = (sample.m, sample.n, sample.d);
-        // A copy of the right-sparse density rule of `Pass::resolve`
-        // (`crates/model/src/arena.rs`) for an Update over a dense-stored
-        // left operand: in Table IV's SpDMM region, SpDMM runs by the right
-        // operand when that is the sparser one.  Everything else is the
-        // policy's decision.  ROADMAP item 5 deletes the rule; this copy
-        // goes with it.
-        let picked = if regions.decide(sample.alpha_x, sample.alpha_y) == HostPrimitive::SpDmm
-            && sample.alpha_y < sample.alpha_x
-        {
+        // SpDMM by the right operand where the executor's right-sparse rule
+        // for an Update over a dense-stored left operand fires; the
+        // calibrated argmin everywhere else.
+        let picked = if regions.prefers_right_sparse(sample.alpha_x, sample.alpha_y) {
             HostPrimitive::SpDmmRight
         } else {
-            policy.decide(ProductShape::new(m, n, d), sample.alpha_x, sample.alpha_y)
+            calibration.cheapest(ProductShape::new(m, n, d), sample.alpha_x, sample.alpha_y)
         };
         let measured = [
             sample.gemm_ms,
