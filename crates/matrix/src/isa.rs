@@ -1,10 +1,12 @@
 //! One source, two instruction sets.
 //!
-//! Every per-element loop of the request path (the GEMM, right-sparse and
-//! CSR-gather block kernels, the dense profile refit and the dense non-zero
-//! count) is written once, as an `#[inline(always)]` body, and compiled twice
-//! by [`dispatched!`]: a baseline copy for the target's default instruction
-//! set, and on `x86_64` a copy with `avx2` and `popcnt` enabled.  The wrapper
+//! Every per-element loop of the request path is written once, as an
+//! `#[inline(always)]` body, and compiled twice: the GEMM block kernel with
+//! the two-pass `scan_row` it inlines, the right-sparse block kernel and the
+//! dense profile refit with the one-pass `count_rows` they inline, the CSR
+//! gather and the dense non-zero count.  [`dispatched!`] compiles each into
+//! a baseline copy for the target's default instruction set and, on
+//! `x86_64`, a copy with `avx2` and `popcnt` enabled.  The wrapper
 //! picks the copy [`Isa::detected`] names, detected once per process; there
 //! is no option.
 //!
@@ -112,12 +114,11 @@ pub(crate) use dispatched;
 mod tests {
     //! The both-copies property: for every dispatched loop, the baseline copy
     //! and the AVX2 copy each give the oracle's bits — the products against
-    //! [`gemm_reference`], the counts against a count made one element at a
-    //! time.
+    //! [`gemm_reference`], the counts and the finiteness flag against a count
+    //! made one element at a time.
 
     use super::Isa;
-    use crate::ops::gemm_reference;
-    use crate::profile::ColumnBlocks;
+    use crate::ops::{gemm_reference, Scratch};
     use crate::{is_nonzero, CsrMatrix, DenseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -126,9 +127,15 @@ mod tests {
     /// 16-wide tile, a 32-wide tile and a lane, two 32-wide tiles, and three
     /// with a 4.
     const WIDTHS: [usize; 6] = [1, 7, 16, 33, 64, 100];
-    /// Row lengths around the scan's 16-lane group, the right-sparse
-    /// kernel's 256-column chunk and the scan's 2048-column list.
-    const ROW_LENGTHS: [usize; 5] = [1, 17, 48, 300, 2049];
+    /// Row lengths around the 16-lane group (15, 17, 31, 32), the
+    /// right-sparse kernel's 256-column chunk, and the scan's 2048-column
+    /// list and the count's 2048-column chunk.
+    const ROW_LENGTHS: [usize; 8] = [1, 15, 17, 31, 32, 48, 300, 2049];
+    /// Block widths: one column, whole groups (16, 32, 48), a group and a
+    /// half, and wider than most rows (one block column spans the row).
+    /// 48 does not divide the count's 2048-column chunk, so past it a
+    /// 2049-wide row's columns are summed block by block.
+    const BLOCK_COLS: [usize; 6] = [1, 16, 24, 32, 48, 2000];
     const DENSITIES: [f64; 4] = [0.0, 0.01, 0.5, 1.0];
     /// Rows per call: none divides [`ROWS`] but 1, so the last call is
     /// ragged.
@@ -222,16 +229,16 @@ mod tests {
         (counts, finite)
     }
 
-    /// Every case: `(x, block_rows, block_cols)` over the row lengths,
-    /// densities and row partitions, `x` holding non-finite values when
-    /// `non_finite`.
+    /// Every case: `(x, block_rows, block_cols)` for every row length and
+    /// block width, the densities and row partitions taking turns, `x`
+    /// holding non-finite values when `non_finite`.
     fn cases(seed: u64, non_finite: bool) -> Vec<(DenseMatrix, usize, usize)> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut out = Vec::new();
         for (i, &n) in ROW_LENGTHS.iter().enumerate() {
-            for (j, &alpha) in DENSITIES.iter().enumerate() {
-                let block_rows = BLOCK_ROWS[(i + j) % BLOCK_ROWS.len()];
-                let block_cols = [1, 16, 24, 2000][(i + 2 * j) % 4];
+            for (j, &block_cols) in BLOCK_COLS.iter().enumerate() {
+                let alpha = DENSITIES[(i + j) % DENSITIES.len()];
+                let block_rows = BLOCK_ROWS[(i + 2 * j) % BLOCK_ROWS.len()];
                 out.push((
                     matrix(&mut rng, (ROWS, n), alpha, non_finite),
                     block_rows,
@@ -252,6 +259,15 @@ mod tests {
             }
         }
         y
+    }
+
+    /// Kernel scratch as an earlier call might leave it: the transposed tile
+    /// all `NaN`, every column counter at its maximum.
+    fn stale_scratch() -> Box<Scratch> {
+        let mut scratch = Box::new(Scratch::new());
+        scratch.xt.iter_mut().for_each(|lanes| lanes.fill(f32::NAN));
+        scratch.columns.fill(u32::MAX);
+        scratch
     }
 
     fn row_calls(block_rows: usize) -> impl Iterator<Item = (usize, usize)> {
@@ -311,16 +327,17 @@ mod tests {
                 let want = gemm_reference(&x, &w).unwrap();
                 for isa in copies() {
                     let mut out = vec![f32::NAN; ROWS * d];
+                    let mut scratch = stale_scratch();
                     for (r0, r1) in row_calls(block_rows) {
                         let mut counts = vec![0; n.div_ceil(block_cols)];
                         let finite = crate::ops::right_sparse_rows_rm::on(
                             isa,
                             &x.as_slice()[r0 * n..],
-                            n,
                             &wt,
                             &mut out[r0 * d..r1 * d],
                             block_cols,
                             &mut counts,
+                            &mut scratch,
                         );
                         let ctx = format!("{isa:?}: n {n}, d {d}, rows {r0}..{r1}");
                         assert_eq!(
@@ -375,10 +392,10 @@ mod tests {
                     isa,
                     x.as_slice(),
                     n,
-                    gc,
                     block_rows,
-                    ColumnBlocks::new(block_cols),
+                    block_cols,
                     &mut counts,
+                    &mut stale_scratch().columns,
                 );
                 assert_eq!((&counts, finite), (&want, want_finite), "{isa:?}: n {n}");
                 let nnz = crate::dense::count_nonzero::on(isa, x.as_slice());

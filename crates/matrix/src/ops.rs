@@ -21,7 +21,10 @@ use crate::dense::DenseMatrix;
 use crate::error::{MatrixError, Result};
 use crate::isa::dispatched;
 use crate::layout::Layout;
-use crate::profile::{compact_group, scan_row, ColumnBlocks};
+use crate::profile::{
+    compact_group, count_rows, scan_row, ColumnBlocks, ColumnCounts, FiniteProbe, COUNT_COLUMNS,
+};
+use std::cell::RefCell;
 
 fn check_shapes(op: &'static str, x: (usize, usize), y: (usize, usize)) -> Result<()> {
     if x.1 != y.0 {
@@ -306,22 +309,48 @@ fn check_counter_row(
 const RIGHT_TILE_ROWS: usize = 16;
 
 /// Columns of `X` a tile is transposed at a time.  Like [`SURVIVOR_CAP`] it
-/// bounds the stack scratch (16 KB) whatever `n` is; a wider `X` is walked in
+/// bounds the scratch (16 KB) whatever `n` is; a wider `X` is walked in
 /// chunks and the partial sums round-trip through the output exactly.
 const RIGHT_TILE_K: usize = 256;
 
 /// One tile of `X`, transposed: `[k - k0][row]`.
 type TransposedTile = [[f32; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
 
+/// The scratch of the right-sparse block kernel and the dense profile
+/// refit: the transposed tile and [`count_rows`]'s column counters.  Each
+/// call overwrites what it reads, so what an earlier call left does not
+/// matter.
+pub(crate) struct Scratch {
+    pub(crate) xt: TransposedTile,
+    pub(crate) columns: ColumnCounts,
+}
+
+impl Scratch {
+    pub(crate) const fn new() -> Self {
+        Scratch {
+            xt: [[0.0; RIGHT_TILE_ROWS]; RIGHT_TILE_K],
+            columns: [0; COUNT_COLUMNS],
+        }
+    }
+}
+
+thread_local! {
+    /// Each thread's [`Scratch`], zeroed once per thread rather than once per
+    /// block call.
+    pub(crate) static SCRATCH: RefCell<Scratch> = const { RefCell::new(Scratch::new()) };
+}
+
 dispatched! {
     /// The right-sparse row kernel: the output rows in `out_rows` of `X × W`,
-    /// one per row-major row of `x` (`n` wide) from its first, with the
-    /// weight as `wt`, the CSR of `Wᵀ` (row `j`
-    /// holds column `j` of `W`, its stored `k` increasing).
+    /// one per row-major row of `x` from its first, with the weight as `wt`,
+    /// the CSR of `Wᵀ` (row `j` holds column `j` of `W`, its stored `k`
+    /// increasing; `X` rows are `wt.cols()` wide).
     ///
-    /// Per tile of [`RIGHT_TILE_ROWS`] rows: [`scan_row`] counts the rows'
-    /// non-zeros into `counts`, the tile is transposed `k`-major into stack
-    /// scratch, and every output column walks its stored weights in
+    /// Per tile of [`RIGHT_TILE_ROWS`] rows: [`count_rows`] counts the rows'
+    /// non-zeros into `counts` in `block_cols`-wide block columns, in one
+    /// pass (the tile is one contiguous slice when a block column spans the
+    /// row); the tile is transposed `k`-major into `scratch`; and every
+    /// output column walks its stored weights in
     /// increasing `k` with one tile-high accumulator.  An output element
     /// therefore receives [`gemm_reference`]'s additions in its order from the
     /// same `+0.0`, minus the `x · 0` terms of the weights that are not stored
@@ -331,31 +360,27 @@ dispatched! {
     /// of the rows read is finite.
     fn right_sparse_rows_rm(
         x: &[f32],
-        n: usize,
         wt: &CsrMatrix,
         out_rows: &mut [f32],
         block_cols: usize,
         counts: &mut [usize],
+        scratch: &mut Scratch,
     ) -> bool {
-        let d = wt.rows();
+        let (d, n) = wt.shape();
         if n == 0 {
             out_rows.fill(0.0);
             return true;
         }
-        // Lanes past a short last tile keep an earlier tile's values: they
-        // are accumulated and never written.
-        let blocks = ColumnBlocks::new(block_cols);
-        let mut finite = true;
-        let mut xt: TransposedTile = [[0.0; RIGHT_TILE_ROWS]; RIGHT_TILE_K];
+        // Lanes past a short last tile keep an earlier tile's (or call's)
+        // values: they are accumulated and never written.
+        let mut probe = FiniteProbe::new();
         for (t, otile) in out_rows.chunks_mut(RIGHT_TILE_ROWS * d).enumerate() {
             let rows = otile.len() / d;
             let xtile = &x[t * RIGHT_TILE_ROWS * n..][..rows * n];
-            for xrow in xtile.chunks_exact(n) {
-                finite &= scan_row(xrow, blocks, counts, |_, _| {});
-            }
+            count_rows(xtile, n, block_cols, counts, &mut probe, &mut scratch.columns);
             for k0 in (0..n).step_by(RIGHT_TILE_K) {
                 let k1 = n.min(k0 + RIGHT_TILE_K);
-                transpose_tile(xtile, n, k0, k1, &mut xt);
+                transpose_tile(xtile, n, k0, k1, &mut scratch.xt);
                 for j in 0..d {
                     let (ks, ws) = wt.row(j);
                     // The column's stored weights inside this chunk: all of
@@ -376,7 +401,7 @@ dispatched! {
                         // `k0 <= k < k1`, so the modulo changes nothing; it
                         // spares the bounds check, whose panic path would
                         // spill the accumulator every step.
-                        let lanes = &xt[(k as usize - k0) % RIGHT_TILE_K];
+                        let lanes = &scratch.xt[(k as usize - k0) % RIGHT_TILE_K];
                         for (a, &xv) in acc.iter_mut().zip(lanes) {
                             *a += if xv != 0.0 { xv * w } else { 0.0 };
                         }
@@ -387,7 +412,7 @@ dispatched! {
                 }
             }
         }
-        finite
+        probe.finite()
     }
 }
 
@@ -471,14 +496,16 @@ pub fn right_sparse_rows_into(
     } else {
         (block_cols, counts)
     };
-    Ok(right_sparse_rows_rm(
-        &x.as_slice()[r0 * n..],
-        n,
-        wt,
-        out_rows,
-        block_cols,
-        counts,
-    ))
+    Ok(SCRATCH.with_borrow_mut(|scratch| {
+        right_sparse_rows_rm(
+            &x.as_slice()[r0 * n..],
+            wt,
+            out_rows,
+            block_cols,
+            counts,
+            scratch,
+        )
+    }))
 }
 
 /// Sparse × dense product with the scatter-gather paradigm of Algorithm 5.

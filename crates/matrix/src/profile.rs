@@ -14,6 +14,7 @@ use crate::dense::DenseMatrix;
 use crate::is_nonzero;
 use crate::isa::dispatched;
 use crate::layout::Layout;
+use crate::ops::SCRATCH;
 use crate::partition::BlockGrid;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -78,18 +79,18 @@ fn is_live(group: &[f32]) -> bool {
 /// Lanes of [`scan_row`]'s finiteness probe: half a group.
 const PROBE_LANES: usize = SCAN_LANES / 2;
 
-/// [`scan_row`]'s finiteness probe: each lane the sum of `v * 0.0` over the
-/// lanes it saw, a group's two halves folded into the same lanes.  A finite
-/// `v` adds a `±0.0` and `±Inf` or `NaN` a `NaN`, which sticks, so the row
-/// was finite exactly when every lane still equals `0.0` — multiplies and
-/// adds, no compare.  Half a group wide because the probe stays live across
-/// the whole scan: a full-group probe, one register more held throughout,
-/// read about 4 % slower on sparse 1433-column GEMM scans.
-struct FiniteProbe([f32; PROBE_LANES]);
+/// The finiteness probe of [`scan_row`] and [`count_rows`]: each lane the sum
+/// of `v * 0.0` over the lanes it saw, a group's two halves folded into the
+/// same lanes.  A finite `v` adds a `±0.0` and `±Inf` or `NaN` a `NaN`, which
+/// sticks, so the row was finite exactly when every lane still equals `0.0`
+/// — multiplies and adds, no compare.  Half a group wide because the probe
+/// stays live across the whole scan: a full-group probe, one register more
+/// held throughout, read about 4 % slower on sparse 1433-column GEMM scans.
+pub(crate) struct FiniteProbe([f32; PROBE_LANES]);
 
 impl FiniteProbe {
     #[inline(always)]
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FiniteProbe([0.0; PROBE_LANES])
     }
 
@@ -102,16 +103,26 @@ impl FiniteProbe {
         }
     }
 
+    /// [`FiniteProbe::add`] for a whole group, whose halves are both full:
+    /// two multiplies and two adds a register wide, no lane shuffled.
     #[inline(always)]
-    fn finite(&self) -> bool {
+    fn add_group(&mut self, group: &[f32; SCAN_LANES]) {
+        let (lo, hi) = group.split_at(PROBE_LANES);
+        for ((p, &l), &h) in self.0.iter_mut().zip(lo).zip(hi) {
+            *p += l * 0.0 + h * 0.0;
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn finite(&self) -> bool {
         self.0.iter().all(|&p| p == 0.0)
     }
 }
 
-/// The one dense-row scan every dense ingest path shares (the GEMM row
-/// kernel, the right-sparse row kernel, the stand-alone profile refit,
-/// `CsrMatrix::from_dense`): the host rendering of the paper's
-/// profile-while-you-stream hardware.
+/// The dense-row scan of the two ingest paths that visit a row's non-zeros
+/// (the GEMM row kernel and `CsrMatrix::from_dense`): the host rendering of
+/// the paper's profile-while-you-stream hardware.  A scan that only counts
+/// is [`count_rows`].
 ///
 /// Two passes per chunk of [`LIVE_GROUPS`] lane groups.  **Pass 1** tests
 /// every [`SCAN_LANES`]-lane group of the chunk with [`is_live`] and writes
@@ -219,6 +230,153 @@ impl OpenBlock {
     }
 }
 
+/// Columns [`count_rows`] counts at a time: a wider row is counted in
+/// chunks of this many columns.
+pub(crate) const COUNT_COLUMNS: usize = 2048;
+
+/// [`count_rows`]'s scratch: one 32-bit non-zero counter per column of a
+/// chunk.  It zeroes the prefix it uses, so what an earlier call left does
+/// not matter.
+pub(crate) type ColumnCounts = [u32; COUNT_COLUMNS];
+
+/// Adds each element of `values` that [`is_nonzero`] to its lane's counter
+/// in `lanes` (as long as `values`) and folds every element into `probe`:
+/// per [`SCAN_LANES`]-lane group, a compare and an add per lane, no lane
+/// shuffled across.  The probe's float sum, which no compiler may reorder,
+/// also keeps the groups in order, each group compiled as one unit.
+#[inline(always)]
+fn count_lanes(values: &[f32], lanes: &mut [u32], probe: &mut FiniteProbe) {
+    let (groups, tail) = values.as_chunks::<SCAN_LANES>();
+    let (lane_groups, lane_tail) = lanes.as_chunks_mut::<SCAN_LANES>();
+    for (counters, group) in lane_groups.iter_mut().zip(groups) {
+        for (n, &v) in counters.iter_mut().zip(group) {
+            *n += u32::from(is_nonzero(v));
+        }
+        probe.add_group(group);
+    }
+    for (n, &v) in lane_tail.iter_mut().zip(tail) {
+        *n += u32::from(is_nonzero(v));
+    }
+    if !tail.is_empty() {
+        probe.add(tail);
+    }
+}
+
+/// The [`is_nonzero`] elements of the contiguous `values`, each group's
+/// lanes added into one group's 32-bit counters held in registers, and every
+/// element folded into `probe`.  (Written out rather than calling
+/// [`count_lanes`] per group: that read 10–15 % slower on 2708 × 16 and
+/// 2708 × 7 refits.)
+#[inline(always)]
+fn count_slice(values: &[f32], probe: &mut FiniteProbe) -> usize {
+    debug_assert!(
+        values.len() / SCAN_LANES < 1 << 32,
+        "a lane counter is 32-bit"
+    );
+    let (groups, tail) = values.as_chunks::<SCAN_LANES>();
+    let mut lanes = [0u32; SCAN_LANES];
+    for group in groups {
+        for (n, &v) in lanes.iter_mut().zip(group) {
+            *n += u32::from(is_nonzero(v));
+        }
+        probe.add_group(group);
+    }
+    if !tail.is_empty() {
+        probe.add(tail);
+    }
+    let tail_nnz = tail.iter().filter(|&&v| is_nonzero(v)).count();
+    lanes.iter().map(|&c| c as usize).sum::<usize>() + tail_nnz
+}
+
+/// The scan that only counts, of the profile refit and the right-sparse row
+/// kernel: over the row-major `rows` (each `n > 0` floats), adds the
+/// [`is_nonzero`] elements of each `width`-wide block column to its counter
+/// in `counts` (`n.div_ceil(width)` of them) and folds every element into
+/// `probe`.
+///
+/// One branch-free pass with no live-group list.  Every column has a 32-bit
+/// counter in `columns`, and each row adds its lanes into them
+/// ([`count_lanes`]); the columns are summed into their block columns once
+/// per call, not once per row, so no group straddles a block boundary and no
+/// column is looked up.  When one block column spans the row (`width >= n`),
+/// the rows are one contiguous slice, counted whole by [`count_slice`].
+/// Unlike [`scan_row`], an all-zero group costs as much as any other: a count
+/// reads every element anyway, and the probe must see every one.
+#[inline(always)]
+pub(crate) fn count_rows(
+    rows: &[f32],
+    n: usize,
+    width: usize,
+    counts: &mut [usize],
+    probe: &mut FiniteProbe,
+    columns: &mut ColumnCounts,
+) {
+    debug_assert!(n > 0 && width > 0 && counts.len() == n.div_ceil(width));
+    debug_assert!(
+        rows.len() / n < 1 << 28,
+        "a column counter, and the sum of a group of them, is 32-bit"
+    );
+    if width >= n {
+        counts[0] += count_slice(rows, probe);
+        return;
+    }
+    for c0 in (0..n).step_by(COUNT_COLUMNS) {
+        let c1 = n.min(c0 + COUNT_COLUMNS);
+        let lanes = &mut columns[..c1 - c0];
+        lanes.fill(0);
+        for row in rows.chunks_exact(n) {
+            count_lanes(&row[c0..c1], lanes, probe);
+        }
+        add_block_sums(lanes, c0, width, counts);
+    }
+}
+
+/// Adds the column counters `lanes` of columns `c0..` into the counters of
+/// their `width`-wide block columns.
+///
+/// When blocks are whole groups and the first starts at `c0` (every
+/// power-of-two `N2` of 16 or more), each group's lanes are summed first,
+/// in one fixed-width loop, and then each block's group sums.  Summing block
+/// by block costs a loop per block: on 1433-wide rows at `N2` 16 that read
+/// 0.2 µs a call, more than counting a one-row call and a sixth of a
+/// ten-row one (the calls of a sampled subgraph's feature refit).
+#[inline(always)]
+fn add_block_sums(lanes: &[u32], c0: usize, width: usize, counts: &mut [usize]) {
+    if width.is_multiple_of(SCAN_LANES) && c0.is_multiple_of(width) {
+        let counts = &mut counts[c0 / width..];
+        let (groups, tail) = lanes.as_chunks::<SCAN_LANES>();
+        let mut sums = [0u32; COUNT_COLUMNS / SCAN_LANES];
+        for (sum, group) in sums.iter_mut().zip(groups) {
+            *sum = group.iter().sum();
+        }
+        if !tail.is_empty() {
+            sums[groups.len()] = tail.iter().sum();
+        }
+        let sums = &sums[..lanes.len().div_ceil(SCAN_LANES)];
+        let per_block = width / SCAN_LANES;
+        if per_block == 1 {
+            for (count, &sum) in counts.iter_mut().zip(sums) {
+                *count += sum as usize;
+            }
+        } else {
+            for (count, block) in counts.iter_mut().zip(sums.chunks(per_block)) {
+                *count += block.iter().map(|&sum| sum as usize).sum::<usize>();
+            }
+        }
+        return;
+    }
+    let c1 = c0 + lanes.len();
+    let (mut b, mut k) = (c0 / width, c0);
+    while k < c1 {
+        let end = c1.min((b + 1) * width);
+        counts[b] += lanes[k - c0..end - c0]
+            .iter()
+            .map(|&c| c as usize)
+            .sum::<usize>();
+        (b, k) = (b + 1, end);
+    }
+}
+
 /// Branch-free compaction of one group [`scan_row`] handed out: stores
 /// `(k0 + lane, v)` of every lane at `ks[len]` / `vs[len]` and advances `len`
 /// only past the lanes `keep` accepts, so the survivors end up contiguous, in
@@ -286,22 +444,35 @@ impl DensityProfile {
 
     /// Recomputes this profile in place for a dense matrix, reusing the
     /// per-block counter allocation (zero-allocation once the counters have
-    /// grown to the largest grid seen): a single `scan_row` pass over the
-    /// rows through the row-major fast path.  This is the stand-alone
-    /// runtime Sparsity Profiler of the serving hot path, for kernels whose
-    /// own scan does not fill the profile (see
-    /// [`DensityProfile::refit_tiled`]).
+    /// grown to the largest grid seen).  A row-major `m` is counted in one
+    /// branch-free pass with no live-group list, a grid row's rows at a time
+    /// (`count_rows`; one contiguous slice per grid row when a block column
+    /// spans the row).  This is the stand-alone runtime Sparsity Profiler of
+    /// the serving hot path, for kernels whose own scan does not fill the
+    /// profile (see [`DensityProfile::refit_tiled`]).
     ///
     /// Returns whether every element of `m` is finite (neither `NaN` nor
-    /// `±Inf`), which the scan finds out on the way.
+    /// `±Inf`), which the same pass finds out on the way: kernel 0's refit
+    /// is where a dense-stored request to a model whose first kernel is an
+    /// Aggregate is refused.
     pub fn refit_dense(&mut self, m: &DenseMatrix, grid: &BlockGrid) -> bool {
         self.refit_header(m.shape(), grid);
         let gc = self.grid_cols;
-        let blocks = ColumnBlocks::new(self.block_cols);
         let br = self.block_rows.max(1);
         if m.layout() == Layout::RowMajor {
-            return refit_dense_rows(m.as_slice(), m.cols(), gc, br, blocks, &mut self.block_nnz);
+            let (data, n, width) = (m.as_slice(), m.cols(), self.block_cols.max(1));
+            return SCRATCH.with_borrow_mut(|scratch| {
+                refit_dense_rows(
+                    data,
+                    n,
+                    br,
+                    width,
+                    &mut self.block_nnz,
+                    &mut scratch.columns,
+                )
+            });
         }
+        let blocks = ColumnBlocks::new(self.block_cols);
         let mut finite = true;
         for r in 0..m.rows() {
             let counts = &mut self.block_nnz[(r / br) * gc..][..gc];
@@ -510,25 +681,27 @@ impl DensityProfile {
 
 dispatched! {
     /// [`DensityProfile::refit_dense`]'s row loop over the row-major `data`:
-    /// row `r` (`n` floats) is scanned into counter row `r / br` (`gc`
-    /// counters) of `block_nnz`.  Returns whether every element is finite.
+    /// each grid row's `br` rows (`n` floats each) are counted by
+    /// [`count_rows`] into their counters of `block_nnz`, one per
+    /// `width`-wide block column, with `columns` as its scratch.  Returns
+    /// whether every element is finite.
     fn refit_dense_rows(
         data: &[f32],
         n: usize,
-        gc: usize,
         br: usize,
-        blocks: ColumnBlocks,
+        width: usize,
         block_nnz: &mut [usize],
+        columns: &mut ColumnCounts,
     ) -> bool {
         if n == 0 {
             return true;
         }
-        let mut finite = true;
-        for (r, row) in data.chunks_exact(n).enumerate() {
-            let counts = &mut block_nnz[(r / br) * gc..][..gc];
-            finite &= scan_row(row, blocks, counts, |_, _| {});
+        let gc = n.div_ceil(width);
+        let mut probe = FiniteProbe::new();
+        for (rows, counts) in data.chunks(br * n).zip(block_nnz.chunks_exact_mut(gc)) {
+            count_rows(rows, n, width, counts, &mut probe, columns);
         }
-        finite
+        probe.finite()
     }
 }
 

@@ -8,6 +8,7 @@
 //! served ticket resolves to the error without costing its worker a respawn.
 
 use dynasparse::{DynasparseError, EngineOptions, InferenceReport, MappingStrategy, Planner};
+use dynasparse_compiler::KernelKind;
 use dynasparse_graph::{Dataset, FeatureMatrix};
 use dynasparse_matrix::{CsrMatrix, DenseMatrix, MatrixError};
 use dynasparse_model::{prune_model, GnnModel, GnnModelKind};
@@ -80,6 +81,57 @@ fn every_route_refuses_non_finite_features_and_serves_on() {
                 assert!(is_non_finite(&err, "session infer"), "{ctx}: {err:?}");
                 let err = session.infer_batch(&[request]).unwrap_err();
                 assert!(is_non_finite(&err, "session infer_batch"), "{ctx}: {err:?}");
+                let served = session.infer(&ds.features).unwrap();
+                assert!(
+                    fingerprint(&served) == want,
+                    "{ctx}: the next request differs"
+                );
+            }
+        }
+    }
+}
+
+/// Requests narrower than a block column: kernel 0 of GraphSAGE, GIN and SGC
+/// is an Aggregate, so the refit of its dense-stored input is the refusal
+/// point, and with the width under the partition's `N2` one block column
+/// spans every row, so that refit counts each row block as one contiguous
+/// slice.  Each non-finite value is planted alone, at the first element and
+/// at the last (the tail of the last row block's slice when it is not a
+/// whole number of 16-lane groups).
+#[test]
+fn requests_narrower_than_a_block_column_are_refused_too() {
+    const WIDTH: usize = 8;
+    let mut spec = Dataset::Cora.spec();
+    spec.feature_dim = WIDTH;
+    let ds = spec.generate_scaled(5, 0.12);
+    let clean = ds.features.to_dense();
+    let (rows, cols) = clean.shape();
+    assert_eq!(cols, WIDTH);
+    let strategies = MappingStrategy::paper_strategies();
+    for kind in [
+        GnnModelKind::GraphSage,
+        GnnModelKind::Gin,
+        GnnModelKind::Sgc,
+    ] {
+        let model = GnnModel::standard(kind, WIDTH, 16, ds.spec.num_classes, 2);
+        let plan = Planner::new(EngineOptions::default())
+            .plan(&model, &ds)
+            .unwrap();
+        assert_eq!(plan.program().kernels[0].ir.kind, KernelKind::Aggregate);
+        assert!(
+            plan.partition().n2 > WIDTH,
+            "{kind:?}: {:?}",
+            plan.partition()
+        );
+        let want = fingerprint(&plan.session(&strategies).infer(&ds.features).unwrap());
+        for (r, c) in [(0, 0), (rows - 1, WIDTH - 1)] {
+            for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let ctx = format!("{kind:?}, {v} at ({r}, {c})");
+                let mut session = plan.session(&strategies);
+                let mut bad = clean.clone();
+                bad.set(r, c, v);
+                let err = session.infer(&FeatureMatrix::Dense(bad)).unwrap_err();
+                assert!(is_non_finite(&err, "session infer"), "{ctx}: {err:?}");
                 let served = session.infer(&ds.features).unwrap();
                 assert!(
                     fingerprint(&served) == want,

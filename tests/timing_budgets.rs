@@ -152,13 +152,14 @@ fn template_instantiation_is_5x_faster_than_cold_planning() {
     const ROUNDS: usize = 4;
     const REQUESTS: usize = 8;
     let parent = Dataset::Cora.spec().generate_scaled(3, 0.25);
-    // Hidden width 128: wide enough that the model-side profiling a cold plan
-    // repeats per request (a 1433 × 128 weight grid) dwarfs the per-request
-    // topology profiling.
+    // Hidden width 256: wide enough that the model-side profiling a cold plan
+    // repeats per request (a 1433 × 256 weight grid) dwarfs the per-request
+    // topology profiling.  At 128 the one-pass weight count leaves a cold
+    // plan only about 5x an instantiation, the bound itself.
     let model = GnnModel::standard(
         GnnModelKind::Gcn,
         parent.features.dim(),
-        128,
+        256,
         parent.spec.num_classes,
         1,
     );
