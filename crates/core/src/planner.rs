@@ -17,8 +17,8 @@ use crate::error::{CompileError, DynasparseError};
 use crate::session::{PlanHandle, Session};
 use dynasparse_compiler::{compile, CompileReport, CompiledProgram};
 use dynasparse_graph::{AggregatorKind, FeatureMatrix, Graph, GraphDataset};
-use dynasparse_matrix::{CsrMatrix, HostCalibration, MatrixError, PartitionSpec};
-use dynasparse_model::{prepare_adjacencies, GnnModel};
+use dynasparse_matrix::{CsrMatrix, HostCalibration, MatrixError, PartitionSpec, UpdateFit};
+use dynasparse_model::{prepare_adjacencies, price_update_widths, GnnModel};
 use dynasparse_runtime::MappingStrategy;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -89,14 +89,17 @@ impl Planner {
         // One-time graph preprocessing: normalized adjacency per aggregator.
         let adjacencies = Arc::new(prepare_adjacencies(model, &dataset.graph));
         // One-time host micro-calibration: every session of this plan —
-        // including all serving workers — shares the fit by `Arc`.
+        // including all serving workers — shares the fit by `Arc`, and the
+        // dense Update's two bodies are priced at the model's widths.
         let calibration = HostCalibration::shared();
+        let update_fits = update_fits_for(model, calibration.as_deref());
 
         Ok(CompiledPlan {
             options: self.options.clone(),
             model: Arc::new(model.clone()),
             adjacencies,
             calibration,
+            update_fits,
             report,
         })
     }
@@ -109,6 +112,19 @@ impl Planner {
         dataset: &GraphDataset,
     ) -> Result<Arc<CompiledPlan>, DynasparseError> {
         self.plan(model, dataset).map(Arc::new)
+    }
+}
+
+/// The dense-left Update prices of `model` at its widths
+/// ([`price_update_widths`]), measured only when the host is calibrated:
+/// under the Table IV regions nothing is priced.
+pub(crate) fn update_fits_for(
+    model: &GnnModel,
+    calibration: Option<&HostCalibration>,
+) -> Arc<[UpdateFit]> {
+    match calibration {
+        Some(_) => price_update_widths(model).into(),
+        None => Arc::new([]),
     }
 }
 
@@ -164,6 +180,9 @@ pub struct CompiledPlan {
     /// `None` under `DYNASPARSE_CALIBRATION=off`, where sessions decide by
     /// the Table IV regions.
     pub(crate) calibration: Option<Arc<HostCalibration>>,
+    /// The prices of the dense Update's two bodies at the model's widths,
+    /// one per weight; empty under the Table IV regions.
+    pub(crate) update_fits: Arc<[UpdateFit]>,
     pub(crate) report: CompileReport,
 }
 
@@ -235,6 +254,25 @@ impl CompiledPlan {
     /// Table IV regions).
     pub fn calibration(&self) -> Option<&Arc<HostCalibration>> {
         self.calibration.as_ref()
+    }
+
+    /// The prices of the two bodies a dense-stored Update can run (the
+    /// counting GEMM and the right-sparse body), one [`UpdateFit`] per model
+    /// weight, measured at the model's widths when the plan was made (or
+    /// its template compiled); empty under `DYNASPARSE_CALIBRATION=off`.
+    pub fn update_fits(&self) -> &[UpdateFit] {
+        &self.update_fits
+    }
+
+    /// The overall density of the features the plan was compiled over: the
+    /// density a dense-stored request is priced at before anything counts
+    /// it.
+    pub(crate) fn input_density(&self) -> f64 {
+        self.report
+            .program
+            .static_sparsity
+            .input_features_subfiber
+            .overall_density()
     }
 
     /// The compiled program (optimized IR).

@@ -268,13 +268,20 @@ impl<'p> Session<'p> {
         let accelerator = compiled.options().accelerator;
         let core = ComputationCore::new(accelerator);
         let num_kernels = compiled.program().kernels.len();
-        // The accelerator's Table IV regions own the sparse-output threshold,
-        // the right-sparse Update rule and the CSR weight-cache gate, and are
-        // the whole decision when the plan carries no measured host fit.
+        // The accelerator's Table IV regions own the sparse-output threshold
+        // and the CSR weight-cache gate, and are the whole decision when the
+        // plan carries no measured host fit.  With one, the dense Update is
+        // priced by the plan's width fits, and a fresh dense request is
+        // priced at the plan's input density until something counts it.
         // Decisions change routing only: results stay bit-identical.
         let policy = DispatchPolicy::from_regions(accelerator.psys);
-        let dispatcher =
-            KernelDispatcher::new(executor.model(), policy, compiled.calibration.clone());
+        let mut dispatcher = KernelDispatcher::priced(
+            executor.model(),
+            policy,
+            compiled.calibration.clone(),
+            &compiled.update_fits,
+        );
+        dispatcher.set_input_density(compiled.input_density());
         let statics = &compiled.program().static_sparsity;
         let pricing = PricingStage::new(
             default_pricing_capacity(num_kernels, strategies.len()),
@@ -364,6 +371,7 @@ impl<'p> Session<'p> {
         // and the dispatcher inputs.
         let counter = if same_model && same_calibration {
             self.executor = executor_over(&plan);
+            self.dispatcher.set_input_density(plan.input_density());
             // The topology changed under the same model/calibration: re-key
             // pricing so the new subgraph separates from the old.
             let statics = &plan.program().static_sparsity;

@@ -6,8 +6,9 @@
 //! traffic where every request carries its own sampled ego-net):
 //!
 //! * **Model-only work** — validating the model, profiling the *weight*
-//!   matrices' block densities, and measuring the host calibration.  None of
-//!   it depends on the request's topology, yet a cold plan repeats it per
+//!   matrices' block densities, measuring the host calibration and pricing
+//!   the dense Update's two bodies at the model's widths.  None of it
+//!   depends on the request's topology, yet a cold plan repeats it per
 //!   request.
 //! * **Topology work** — building the computation graph IR, choosing
 //!   partition sizes (Algorithm 9), generating execution schemes, profiling
@@ -26,11 +27,11 @@
 
 use crate::engine::EngineOptions;
 use crate::error::DynasparseError;
-use crate::planner::{check_topology, CompiledPlan};
+use crate::planner::{check_topology, update_fits_for, CompiledPlan};
 use crate::session::OwnedSession;
 use dynasparse_compiler::{compile_topology_with_weights, StaticSparsity};
 use dynasparse_graph::{FeatureMatrix, Graph};
-use dynasparse_matrix::{DensityProfile, HostCalibration, PartitionSpec};
+use dynasparse_matrix::{DensityProfile, HostCalibration, PartitionSpec, UpdateFit};
 use dynasparse_model::{prepare_adjacencies, GnnModel};
 use dynasparse_runtime::MappingStrategy;
 use std::collections::HashMap;
@@ -73,6 +74,9 @@ pub struct ModelTemplate {
     options: EngineOptions,
     model: Arc<GnnModel>,
     calibration: Option<Arc<HostCalibration>>,
+    /// The dense Update's prices at the model's widths, shared by every
+    /// instance.
+    update_fits: Arc<[UpdateFit]>,
     /// Weight density profiles per distinct partition width `N2`.  The
     /// weight grid is `BlockGrid::new(rows, cols, n2, n2)` — independent of
     /// `N1` and of the topology — so every instantiation that lands on the
@@ -91,14 +95,18 @@ const _: () = {
 impl ModelTemplate {
     /// Validates `model` and performs every input-independent preparation:
     /// the process-wide host calibration a [`Planner`](crate::Planner)
-    /// shares, and the (lazily filled) weight-profile cache.
+    /// shares, the dense Update's prices at the model's widths, and the
+    /// (lazily filled) weight-profile cache.
     pub fn compile(model: &GnnModel, options: EngineOptions) -> Result<Self, DynasparseError> {
         let start = Instant::now();
         model.validate()?;
+        let calibration = HostCalibration::shared();
+        let update_fits = update_fits_for(model, calibration.as_deref());
         Ok(ModelTemplate {
             options,
             model: Arc::new(model.clone()),
-            calibration: HostCalibration::shared(),
+            calibration,
+            update_fits,
             weight_profiles: Mutex::new(HashMap::new()),
             compile_ms: start.elapsed().as_secs_f64() * 1e3,
         })
@@ -176,6 +184,7 @@ impl ModelTemplate {
             model: Arc::clone(&self.model),
             adjacencies,
             calibration: self.calibration.clone(),
+            update_fits: Arc::clone(&self.update_fits),
             report,
         };
         Ok(TemplateInstance {

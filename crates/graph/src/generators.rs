@@ -94,6 +94,9 @@ pub fn power_law_graph(name: impl Into<String>, config: &PowerLawConfig) -> Grap
             }
         }
     }
+    // The set iterates in a per-process hash order, which the graph does not
+    // see: the edges are distinct and all weigh 1.0, and `from_triples`
+    // orders them by position.
     let edge_vec: Vec<(u32, u32)> = edges.into_iter().collect();
     Graph::from_edges(name, n, &edge_vec)
 }
@@ -144,6 +147,11 @@ pub fn sparse_features(num_vertices: usize, dim: usize, density: f64, seed: u64)
             while cols.len() < count {
                 cols.insert(rng.gen_range(0..dim) as u32);
             }
+            // Values are drawn in column order: the set iterates in an order
+            // its per-process hash keys decide, which must not reach the
+            // values a seed gives.
+            let mut cols: Vec<u32> = cols.into_iter().collect();
+            cols.sort_unstable();
             cols.into_iter()
                 .map(|c| (c, rng.gen_range(0.0f32..1.0) + f32::EPSILON))
                 .collect()
@@ -249,12 +257,43 @@ mod tests {
 
     #[test]
     fn feature_generation_is_deterministic() {
+        let bits = |f: &FeatureMatrix| -> Vec<u32> {
+            f.to_dense()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
         let a = dense_features(40, 16, 0.5, 99);
         let b = dense_features(40, 16, 0.5, 99);
-        assert_eq!(a.to_dense(), b.to_dense());
+        assert_eq!(bits(&a), bits(&b));
         let s1 = sparse_features(40, 64, 0.1, 99);
         let s2 = sparse_features(40, 64, 0.1, 99);
-        assert_eq!(s1.nnz(), s2.nnz());
+        assert_eq!(bits(&s1), bits(&s2));
+    }
+
+    /// `checksum` of `sparse_features(12, 40, 0.2, 7)` and of
+    /// `dense_features(12, 40, 0.2, 7)`.
+    const SPARSE_CHECKSUM: u64 = 0x97d6_c98d_3afc_f5d2;
+    const DENSE_CHECKSUM: u64 = 0xdd48_7587_46d1_7aa1;
+
+    /// FNV-1a over the bits of `f`'s dense form.
+    fn checksum(f: &FeatureMatrix) -> u64 {
+        f.to_dense()
+            .as_slice()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn seeded_features_are_a_pure_function_of_the_seed() {
+        // Pinned values: two calls in one process agree whatever the hash
+        // order, so only a constant catches a value that depends on the
+        // process (a `HashSet`'s iteration order is keyed per process).
+        assert_eq!(checksum(&sparse_features(12, 40, 0.2, 7)), SPARSE_CHECKSUM);
+        assert_eq!(checksum(&dense_features(12, 40, 0.2, 7)), DENSE_CHECKSUM);
     }
 
     #[test]

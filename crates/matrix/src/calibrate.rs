@@ -31,6 +31,14 @@
 //!   out `Arc` clones, which compiled plans share across worker sessions;
 //!   nothing changes the fit afterwards.  `DYNASPARSE_CALIBRATION=off`
 //!   disables calibration (regions only).
+//! * [`UpdateFit`] prices the one choice the generic fit cannot make: which
+//!   of its two bodies an Update over dense-stored features runs, the
+//!   counting GEMM or the right-sparse kernel over `Wᵀ`.  A model fixes each
+//!   Update's widths `(n, d)` and weight density, so the two bodies are
+//!   timed at exactly those, per output row at a few densities of `H`
+//!   ([`UpdateFit::shared`]: once per width pair and weight density per
+//!   process), instead of extrapolated from the generic grid, whose GEMM
+//!   curve is the dense envelope and blind to `α_H`.
 //!
 //! [`DispatchPolicy`]: crate::DispatchPolicy
 //! [`DispatchPolicy::decide`]: crate::DispatchPolicy::decide
@@ -38,11 +46,12 @@
 use crate::csr::{CsrMatrix, SpGemmScratch};
 use crate::dense::DenseMatrix;
 use crate::dispatch::{sanitize_density, HostPrimitive};
-use crate::ops::{gemm_into, right_sparse_rows_into};
+use crate::ops::{gemm_into, gemm_rows_into, right_sparse_rows_into};
 use crate::random::random_dense;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::{Arc, OnceLock};
+use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// The shape of one kernel-level product `X (m×n) × Y (n×d)`.
@@ -100,8 +109,8 @@ impl ProductShape {
 ///   `right_sparse_rows_into` ([`HostPrimitive::SpDmmRight`]), which walks
 ///   the stored entries of the *right* operand for every row of a dense
 ///   left one.  Together they are the accelerator's `α_min` — where a kernel
-///   exists: only an Update over dense-stored features with a cached pruned
-///   weight can run the second, so `decide` never weighs it.  SPMM: the
+///   exists: only an Update over dense-stored features can run the second,
+///   and [`UpdateFit`] prices that choice, so `decide` never weighs it.  SPMM: the
 ///   Gustavson flop count `α_X·α_Y·m·n·d`.
 /// * `output` — elements the primitive writes (dense `m·d` for GEMM and
 ///   both SpDMM kernels — the right-sparse one also starts one column walk
@@ -462,6 +471,209 @@ impl HostCalibration {
     }
 }
 
+/// Densities of the dense left operand `H` at which [`UpdateFit`] times the
+/// two dense-left Update bodies: both ends of `[0, 1]`, and knots that halve
+/// toward zero, where the counting GEMM's curve bends most (the share of its
+/// 16-lane groups holding a non-zero, `1 − (1 − α)¹⁶`, rises steeply there).
+pub const UPDATE_FIT_ALPHAS: [f64; 7] = [0.0, 0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0];
+
+/// Rows of the synthetic tile [`UpdateFit::measure`] times: one tile of the
+/// right-sparse body, which transposes `H` sixteen rows at a time (a shorter
+/// tile would charge one row a whole tile's column walk).
+const UPDATE_TIMED_ROWS: usize = 16;
+
+/// Repetitions per knot and body; the fastest run of each is kept.
+const UPDATE_TIMED_REPS: usize = 5;
+
+/// Multiply-adds of the dense product one timed run of
+/// [`UpdateFit::measure`] covers, up to [`UPDATE_TIMED_TILES`] tiles: a
+/// narrow Update's tile takes about a microsecond, where reading the clock
+/// would weigh as much as the kernel, so a run covers several tiles.
+const UPDATE_TIMED_MACS: usize = 1 << 16;
+
+/// Tiles one timed run covers at most.  Every run of every repetition reads
+/// tiles of its own: the GEMM's group tests branch on the data, and a tile
+/// timed again would have taught the branch predictor its pattern, timing a
+/// sparse `H` below what a request's ever-new rows cost.
+const UPDATE_TIMED_TILES: usize = 16;
+
+/// The per-row cost of the two bodies a dense-stored Update can run, at one
+/// width pair `(n, d)` and weight density `α_W`: the counting GEMM
+/// ([`gemm_rows_into`]) and the right-sparse body
+/// ([`right_sparse_rows_into`] over the CSR of `Wᵀ`).
+///
+/// A model fixes each Update's `n`, `d` and `α_W`; only the row count and the
+/// density `α_H` of the features vary per request.  So each body is priced
+/// by its milliseconds per output row measured at each density of
+/// [`UPDATE_FIT_ALPHAS`], interpolated linearly in `α_H` between them.  Both
+/// curves share their knots, so which body is cheaper changes sign only at
+/// the knots' crossings, and [`UpdateFit::settled`] reads from the knots
+/// alone whether a density is needed at all.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpdateFit {
+    /// Milliseconds per output row of the counting GEMM at each knot.
+    pub gemm: [f64; UPDATE_FIT_ALPHAS.len()],
+    /// Milliseconds per output row of the right-sparse body at each knot.
+    pub right_sparse: [f64; UPDATE_FIT_ALPHAS.len()],
+}
+
+/// The priced choice between the two bodies of one dense-stored Update: the
+/// pick, the density it was priced at and both candidates' predicted
+/// milliseconds (a fixed-size value; nothing is allocated).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UpdateChoice {
+    /// [`HostPrimitive::Gemm`] or [`HostPrimitive::SpDmmRight`], whichever
+    /// is priced lower (a tie keeps GEMM).
+    pub pick: HostPrimitive,
+    /// The density of `H` both prices were read at.
+    pub alpha_h: f64,
+    /// Predicted milliseconds of the counting GEMM.
+    pub gemm_ms: f64,
+    /// Predicted milliseconds of the right-sparse body.
+    pub right_sparse_ms: f64,
+}
+
+/// `knots` (one value per [`UPDATE_FIT_ALPHAS`] entry) read at `alpha`,
+/// linearly between the knots around it.
+fn interpolate(knots: &[f64; UPDATE_FIT_ALPHAS.len()], alpha: f64) -> f64 {
+    let alpha = sanitize_density(alpha);
+    let hi = UPDATE_FIT_ALPHAS
+        .iter()
+        .position(|&knot| knot >= alpha)
+        .unwrap_or(UPDATE_FIT_ALPHAS.len() - 1)
+        .max(1);
+    let (a0, a1) = (UPDATE_FIT_ALPHAS[hi - 1], UPDATE_FIT_ALPHAS[hi]);
+    let t = (alpha - a0) / (a1 - a0);
+    knots[hi - 1] + t * (knots[hi] - knots[hi - 1])
+}
+
+impl UpdateFit {
+    /// Times both bodies for the weight `w` (`n × d`, any layout): for each
+    /// density of [`UPDATE_FIT_ALPHAS`], fixed-seed `16 × n` tiles of `H` at
+    /// that density, the GEMM over `w` and the right-sparse body over the
+    /// CSR of `wᵀ`, each profiling its rows as the executor's blocks do.
+    pub fn measure(w: &DenseMatrix) -> UpdateFit {
+        let (n, d) = w.shape();
+        let y = w.row_major();
+        let wt = CsrMatrix::from_dense(&w.transpose());
+        let rows = UPDATE_TIMED_ROWS;
+        let mut rng = StdRng::seed_from_u64(0x5eed_ca1b ^ ((n as u64) << 20) ^ d as u64);
+        let mut out = vec![0.0f32; rows * d];
+        let mut counts = vec![0usize; n.div_ceil(rows)];
+        let tiles = (UPDATE_TIMED_MACS / (rows * n * d).max(1)).clamp(1, UPDATE_TIMED_TILES);
+        // Milliseconds per row of one run of `body` over repetition `rep`'s
+        // tiles of `x`.
+        let mut per_row = |body: HostPrimitive, x: &DenseMatrix, rep: usize| {
+            counts.fill(0);
+            let started = Instant::now();
+            for tile in rep * tiles..(rep + 1) * tiles {
+                let r0 = tile * rows;
+                let finite = match body {
+                    HostPrimitive::Gemm => gemm_rows_into(x, &y, r0, &mut out, rows, &mut counts),
+                    _ => right_sparse_rows_into(x, &wt, r0, &mut out, rows, &mut counts),
+                };
+                finite.expect("the tile matches the weight");
+            }
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            std::hint::black_box(&out);
+            ms / (tiles * rows) as f64
+        };
+        let mut fit = UpdateFit {
+            gemm: [f64::INFINITY; UPDATE_FIT_ALPHAS.len()],
+            right_sparse: [f64::INFINITY; UPDATE_FIT_ALPHAS.len()],
+        };
+        // One uniform draw per element serves every knot: an element is
+        // non-zero at density `α` when its draw falls below `α` (so each
+        // knot's non-zeros are the next one's minus some), which costs one
+        // draw where a matrix per knot would cost seven to fourteen.
+        let total_rows = UPDATE_TIMED_REPS * tiles * rows;
+        let draws: Vec<f32> = (0..total_rows * n)
+            .map(|_| rng.gen_range(0.0f32..1.0))
+            .collect();
+        let knots = UPDATE_FIT_ALPHAS.map(|alpha| {
+            let data = draws
+                .iter()
+                .map(|&u| if f64::from(u) < alpha { 1.0 + u } else { 0.0 })
+                .collect();
+            DenseMatrix::from_row_major(total_rows, n, data).expect("the tiles are total_rows × n")
+        });
+        // The bodies alternate, and each repetition sweeps every knot on
+        // tiles of its own, so the runs of one knot are spread over the
+        // whole measurement and a slow moment of the box reaches one of
+        // them, not all.
+        for rep in 0..UPDATE_TIMED_REPS {
+            for (i, x) in knots.iter().enumerate() {
+                let gemm = per_row(HostPrimitive::Gemm, x, rep);
+                fit.gemm[i] = fit.gemm[i].min(gemm);
+                let right_sparse = per_row(HostPrimitive::SpDmmRight, x, rep);
+                fit.right_sparse[i] = fit.right_sparse[i].min(right_sparse);
+            }
+        }
+        fit
+    }
+
+    /// The fit for `w`, measured once per process per `(n, d, α_W)`: later
+    /// calls for any weight of the same shape and density return the same
+    /// fit without timing anything.
+    pub fn shared(w: &DenseMatrix) -> UpdateFit {
+        type Key = (usize, usize, u64);
+        static FITS: OnceLock<Mutex<HashMap<Key, UpdateFit>>> = OnceLock::new();
+        let key = (w.rows(), w.cols(), w.density().to_bits());
+        // The lock is held while a miss is timed, so two threads never time
+        // at once (each would measure the other).
+        let mut fits = FITS
+            .get_or_init(Default::default)
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        *fits.entry(key).or_insert_with(|| UpdateFit::measure(w))
+    }
+
+    /// Predicted milliseconds of running `prim` over `rows` rows of density
+    /// `alpha_h`: the GEMM or right-sparse curve, `NaN` for any other
+    /// primitive (this fit does not price it).
+    pub fn predict(&self, prim: HostPrimitive, rows: usize, alpha_h: f64) -> f64 {
+        let knots = match prim {
+            HostPrimitive::Gemm => &self.gemm,
+            HostPrimitive::SpDmmRight => &self.right_sparse,
+            _ => return f64::NAN,
+        };
+        rows as f64 * interpolate(knots, alpha_h)
+    }
+
+    /// Prices both bodies over `rows` rows of density `alpha_h` and picks
+    /// the cheaper one; a tie, or a price that is not a number, keeps GEMM.
+    pub fn choose(&self, rows: usize, alpha_h: f64) -> UpdateChoice {
+        let alpha_h = sanitize_density(alpha_h);
+        let gemm_ms = self.predict(HostPrimitive::Gemm, rows, alpha_h);
+        let right_sparse_ms = self.predict(HostPrimitive::SpDmmRight, rows, alpha_h);
+        let pick = if right_sparse_ms < gemm_ms {
+            HostPrimitive::SpDmmRight
+        } else {
+            HostPrimitive::Gemm
+        };
+        UpdateChoice {
+            pick,
+            alpha_h,
+            gemm_ms,
+            right_sparse_ms,
+        }
+    }
+
+    /// The body that is cheaper at every density in `[0, 1]`, when the
+    /// curves do not cross there (no density can change the pick), or
+    /// `None` when the pick depends on `α_H`.
+    pub fn settled(&self) -> Option<HostPrimitive> {
+        let knots = self.gemm.iter().zip(&self.right_sparse);
+        if knots.clone().all(|(g, r)| g <= r) {
+            Some(HostPrimitive::Gemm)
+        } else if knots.clone().all(|(g, r)| r < g) {
+            Some(HostPrimitive::SpDmmRight)
+        } else {
+            None
+        }
+    }
+}
+
 /// Milliseconds of the fastest of `reps` runs of `f`.
 fn time_min_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -697,6 +909,110 @@ mod tests {
         assert!((fit.work - truth[0]).abs() / truth[0] < 1e-6, "{fit:?}");
         assert!((fit.output - truth[1]).abs() / truth[1] < 1e-6, "{fit:?}");
         assert!((fit.per_row - truth[2]).abs() / truth[2] < 1e-6, "{fit:?}");
+    }
+
+    /// A hand-built width fit: GEMM's per-row price rises from 0.1 to 1.1
+    /// µs over `[0, 1]`, the right-sparse body's is flat at `flat` µs.
+    fn linear_fit(flat: f64) -> UpdateFit {
+        UpdateFit {
+            gemm: UPDATE_FIT_ALPHAS.map(|alpha| 1e-3 * (0.1 + alpha)),
+            right_sparse: [1e-3 * flat; UPDATE_FIT_ALPHAS.len()],
+        }
+    }
+
+    #[test]
+    fn a_width_fit_interpolates_between_its_knots() {
+        let fit = UpdateFit {
+            gemm: [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+            right_sparse: [3.0; UPDATE_FIT_ALPHAS.len()],
+        };
+        for (alpha, per_row) in [
+            (0.0, 1.0),
+            (0.015625, 1.5),
+            (0.03125, 2.0),
+            (0.1875, 12.0),
+            (0.375, 24.0),
+            (0.75, 48.0),
+            (1.0, 64.0),
+            // Out of range and non-finite densities are sanitised.
+            (1.5, 64.0),
+            (-0.5, 1.0),
+            (f64::NAN, 1.0),
+        ] {
+            assert_eq!(fit.predict(HostPrimitive::Gemm, 10, alpha), 10.0 * per_row);
+            assert_eq!(fit.predict(HostPrimitive::SpDmmRight, 10, alpha), 30.0);
+        }
+        for prim in [
+            HostPrimitive::SpDmm,
+            HostPrimitive::Spmm,
+            HostPrimitive::Skip,
+        ] {
+            assert!(fit.predict(prim, 10, 0.5).is_nan());
+        }
+    }
+
+    #[test]
+    fn a_width_fit_picks_each_body_in_its_band() {
+        // Prices cross at α_H = 0.5.
+        let fit = linear_fit(0.6);
+        assert_eq!(fit.settled(), None);
+        for (alpha, want) in [
+            (0.0, HostPrimitive::Gemm),
+            (0.0127, HostPrimitive::Gemm),
+            (0.45, HostPrimitive::Gemm),
+            (0.55, HostPrimitive::SpDmmRight),
+            (1.0, HostPrimitive::SpDmmRight),
+        ] {
+            let choice = fit.choose(2708, alpha);
+            assert_eq!(choice.pick, want, "α_H {alpha}");
+            assert_eq!(choice.alpha_h, alpha);
+            assert_eq!(
+                choice.gemm_ms,
+                fit.predict(HostPrimitive::Gemm, 2708, alpha)
+            );
+            assert_eq!(choice.right_sparse_ms, 2708.0 * 6e-4);
+        }
+        // A tie keeps GEMM, and so does a price that is not a number.
+        assert_eq!(fit.choose(10, 0.5).pick, HostPrimitive::Gemm);
+        let mut broken = fit;
+        broken.right_sparse = [f64::NAN; UPDATE_FIT_ALPHAS.len()];
+        assert_eq!(broken.choose(10, 1.0).pick, HostPrimitive::Gemm);
+        assert_eq!(broken.settled(), None);
+    }
+
+    #[test]
+    fn prices_that_do_not_cross_settle_the_pick_without_a_density() {
+        assert_eq!(linear_fit(1.2).settled(), Some(HostPrimitive::Gemm));
+        assert_eq!(linear_fit(0.05).settled(), Some(HostPrimitive::SpDmmRight));
+        // A tie at one end is not a crossing: GEMM holds there.
+        assert_eq!(linear_fit(1.1).settled(), Some(HostPrimitive::Gemm));
+        assert_eq!(linear_fit(0.1).settled(), None);
+        for flat in [1.2, 1.1, 0.05] {
+            let fit = linear_fit(flat);
+            let settled = fit.settled().unwrap();
+            for alpha in [0.0, 0.01, 0.3, 0.99, 1.0] {
+                assert_eq!(
+                    fit.choose(64, alpha).pick,
+                    settled,
+                    "flat {flat}, α_H {alpha}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_measured_width_fit_is_positive_and_shared_per_width() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let w = random_dense(&mut rng, 40, 6, 0.5);
+        let fit = UpdateFit::shared(&w);
+        for per_row in fit.gemm.iter().chain(&fit.right_sparse) {
+            assert!(per_row.is_finite() && *per_row > 0.0, "{fit:?}");
+        }
+        // Another weight of the same shape and density reuses the fit.
+        let mut other = w.transpose().transpose();
+        other.as_mut_slice().reverse();
+        assert_eq!(other.density(), w.density());
+        assert_eq!(UpdateFit::shared(&other), fit);
     }
 
     #[test]

@@ -291,6 +291,14 @@ impl DenseMatrix {
         nnz
     }
 
+    /// The non-zero count if it is already known (cached by an earlier
+    /// [`DenseMatrix::nnz`] or left by [`DenseMatrix::map_inplace`]), without
+    /// scanning: `None` when the cache is cold.
+    pub fn cached_nnz(&self) -> Option<usize> {
+        let cached = self.nnz_cache.load(Ordering::Relaxed);
+        (cached != NNZ_UNKNOWN).then(|| cached - 1)
+    }
+
     /// Density = nnz / (rows * cols); an empty matrix has density 0.
     pub fn density(&self) -> f64 {
         if self.is_empty() {
@@ -617,9 +625,9 @@ mod tests {
         // (`-0.0` and `NaN` are not non-zeros, a denormal is).
         let hostile = vec![-0.0, 1.0e-40, f32::NAN, f32::INFINITY, 0.0, -2.5];
         let mut m = DenseMatrix::from_row_major(2, 3, hostile).unwrap();
-        assert_eq!(m.nnz_cache.load(Ordering::Relaxed), NNZ_UNKNOWN);
+        assert_eq!(m.cached_nnz(), None);
         m.map_inplace(|v| v);
-        assert_eq!(m.nnz_cache.load(Ordering::Relaxed), encode_nnz(3));
+        assert_eq!(m.cached_nnz(), Some(3));
         assert_eq!(m.clone().nnz(), 3);
         m.invalidate_nnz();
         assert_eq!(m.nnz(), 3);

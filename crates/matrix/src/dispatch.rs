@@ -39,10 +39,10 @@ pub enum HostPrimitive {
     SpDmm,
     /// Dense × sparse: SpDMM run by the *right* operand's non-zeros (the
     /// right-sparse row kernel over the CSR of `Wᵀ`).  No `decide` returns
-    /// it — only an Update over dense-stored features with a cached pruned
-    /// weight can run it, and [`DispatchPolicy::prefers_right_sparse`]
-    /// settles that by rule — so it exists to name the kernel's own cost
-    /// curve where it is priced.
+    /// it: only an Update over dense-stored features can run it, and there
+    /// the choice against the counting GEMM is priced at the model's widths
+    /// ([`UpdateFit`](crate::UpdateFit)), or, under the Table IV regions,
+    /// made by [`DispatchPolicy::prefers_right_sparse`].
     SpDmmRight,
     /// Sparse × sparse: Gustavson row-wise product.
     Spmm,
@@ -119,6 +119,10 @@ impl DispatchPolicy {
     /// the GEMM region both operands are dense enough for GEMM; below the
     /// SpDMM region both are nearly empty, and the GEMM's group skip of the
     /// left operand beats transposing it.
+    ///
+    /// This density rule is the Table IV regions' fallback only
+    /// (`DYNASPARSE_CALIBRATION=off`); a calibrated host prices the two
+    /// bodies at the widths that run ([`UpdateFit`](crate::UpdateFit)).
     pub fn prefers_right_sparse(&self, alpha_x: f64, alpha_y: f64) -> bool {
         self.decide(alpha_x, alpha_y) == HostPrimitive::SpDmm && alpha_y < alpha_x
     }
@@ -161,6 +165,8 @@ mod tests {
         assert_eq!(narrow.decide(0.02, 0.04), HostPrimitive::Spmm);
     }
 
+    /// The regions fallback's dense-Update rule (a calibrated host prices
+    /// the two bodies instead).
     #[test]
     fn right_sparse_runs_only_in_the_spdmm_region_by_the_sparser_weight() {
         let p = DispatchPolicy::from_regions(16);

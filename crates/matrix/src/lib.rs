@@ -46,7 +46,10 @@ pub mod pool;
 pub mod profile;
 pub mod random;
 
-pub use calibrate::{CalibrationConfig, HostCalibration, PrimitiveFit, ProductShape};
+pub use calibrate::{
+    CalibrationConfig, HostCalibration, PrimitiveFit, ProductShape, UpdateChoice, UpdateFit,
+    UPDATE_FIT_ALPHAS,
+};
 pub use coo::{CooEntry, CooMatrix};
 pub use csr::{CsrMatrix, SpGemmScratch};
 pub use dense::DenseMatrix;

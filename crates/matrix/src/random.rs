@@ -46,6 +46,10 @@ pub fn random_coo_exact_nnz(rng: &mut impl Rng, rows: usize, cols: usize, nnz: u
         let c = rng.gen_range(0..cols);
         positions.insert((r, c));
     }
+    // Values are drawn in position order, not in the set's per-process hash
+    // order, so a seed fixes them.
+    let mut positions: Vec<(usize, usize)> = positions.into_iter().collect();
+    positions.sort_unstable();
     let entries = positions
         .into_iter()
         .map(|(r, c)| CooEntry::new(r as u32, c as u32, nonzero_value(rng)))
@@ -123,5 +127,7 @@ mod tests {
         let a = random_dense(&mut StdRng::seed_from_u64(42), 10, 10, 0.5);
         let b = random_dense(&mut StdRng::seed_from_u64(42), 10, 10, 0.5);
         assert_eq!(a, b);
+        let exact = || random_coo_exact_nnz(&mut StdRng::seed_from_u64(42), 30, 30, 200);
+        assert_eq!(exact().to_dense(), exact().to_dense());
     }
 }

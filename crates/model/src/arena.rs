@@ -22,10 +22,11 @@
 //! * **One decision per block.**  A *rows* route has one of three block
 //!   bodies (`BlockBody`).  A dense-stored left operand (an Update over
 //!   dense `H`) runs the counting GEMM, whose zero-skip doubles as the host
-//!   SpDMM by the *left* operand — or, when the product lies in Table IV's
-//!   SpDMM region and the model's pruned weight is its sparser operand
-//!   ([`DispatchPolicy::prefers_right_sparse`]), the right-sparse kernel over
-//!   the cached CSR of `Wᵀ`, the host SpDMM by the *right* operand; either
+//!   SpDMM by the *left* operand, or the right-sparse kernel over the cached
+//!   CSR of `Wᵀ`, the host SpDMM by the *right* operand — whichever the
+//!   model's width fit prices lower at `H`'s known density
+//!   ([`KernelDispatcher::choose_dense_update`]; under the Table IV regions,
+//!   the density rule [`DispatchPolicy::prefers_right_sparse`]).  Either
 //!   one's single pass over the operand also fills the kernel input's
 //!   sparsity profile.  A CSR left operand refits every
 //!   block's density from the row pointers and picks Skip / SpDMM /
@@ -64,7 +65,8 @@ use dynasparse_graph::FeatureMatrix;
 use dynasparse_matrix::ops::{gemm_rows_into, right_sparse_rows_into};
 use dynasparse_matrix::{
     CsrMatrix, DenseMatrix, DensityProfile, DispatchPolicy, HostCalibration, HostPrimitive,
-    MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool,
+    MatrixError, PartitionSpec, ProductShape, Result, SpGemmScratch, ThreadPool, UpdateChoice,
+    UpdateFit,
 };
 use dynasparse_telemetry::{SessionTelemetry, SpanPrimitive};
 use std::borrow::Cow;
@@ -89,42 +91,58 @@ fn span_primitive(prim: HostPrimitive) -> SpanPrimitive {
     }
 }
 
+/// Prices the two bodies a dense-stored Update can run at `model`'s widths:
+/// one [`UpdateFit`] per weight, indexed like `model.weights`, each timed once
+/// per process per `(n, d, α_W)` ([`UpdateFit::shared`]).  Planning and
+/// template compilation call it, so a session, an instantiation or a later
+/// plan of the same widths times nothing.
+pub fn price_update_widths(model: &GnnModel) -> Vec<UpdateFit> {
+    model.weights.iter().map(UpdateFit::shared).collect()
+}
+
 /// Runtime kernel-to-host-primitive dispatcher for one model: the one host
 /// decider.
 ///
-/// With a valid host calibration every product runs the argmin over the
-/// calibrated costs ([`HostCalibration::cheapest`]); without one
+/// With a valid host calibration every product over a CSR-stored left
+/// operand runs the argmin over the calibrated costs
+/// ([`HostCalibration::cheapest`]), and an Update over dense-stored features
+/// runs whichever of its two bodies — the counting GEMM or the right-sparse
+/// body over `Wᵀ` — its [`UpdateFit`] prices lower at the model's widths
+/// ([`KernelDispatcher::choose_dense_update`]).  Without one
 /// (`DYNASPARSE_CALIBRATION=off`, or a fit [`KernelDispatcher::new`]
-/// refused) it runs the Table IV regions of `policy`.  `policy` also owns
-/// the Table IV rules every route shares: the right-sparse Update rule and
-/// the sparse-output threshold.  The dispatcher also holds the per-model
-/// caches the routes need: the CSR forms of every weight matrix sparse
-/// enough that a route skipping its zeros can ever be chosen for it, built
-/// once when the dispatcher is created.
+/// refused) it runs the Table IV regions of `policy`, with the density rule
+/// [`DispatchPolicy::prefers_right_sparse`] for the dense Update.  `policy`
+/// also owns the sparse-output threshold and the Gustavson weight-cache
+/// gate.  The dispatcher also holds the per-model caches the routes need,
+/// built once when it is created: `W` in CSR for every weight sparse enough
+/// that a sparse-sparse route can be chosen for it, and `Wᵀ` in CSR for
+/// every weight the right-sparse body can run — under a fit, every weight
+/// whose prices cross or favour that body somewhere in `[0, 1]`, dense
+/// weights included.
 #[derive(Debug)]
 pub struct KernelDispatcher {
     policy: DispatchPolicy,
     calibration: Option<Arc<HostCalibration>>,
-    /// CSR forms of the sparse-eligible weights, indexed like
-    /// `model.weights`.
-    weight_csr: Vec<Option<WeightCsr>>,
-}
-
-/// A pruned weight as the routes that skip its zeros read it.
-#[derive(Debug)]
-struct WeightCsr {
-    /// `W` in CSR: the right operand of the sparse-sparse (Gustavson) routes.
-    csr: CsrMatrix,
-    /// `Wᵀ` in CSR — column `j` of `W` as row `j`: the right operand of the
-    /// right-sparse Update body.
-    transposed: CsrMatrix,
+    /// The dense-left Update prices, indexed like `model.weights`; empty
+    /// under the regions.
+    update_fits: Vec<UpdateFit>,
+    /// The density a dense-stored Update input is priced at when its
+    /// non-zero count is not known: the plan's compile-time input density
+    /// (`1.0`, dense, until [`KernelDispatcher::set_input_density`]).
+    input_density: f64,
+    /// `W` in CSR for the sparse-eligible weights (the right operand of the
+    /// sparse-sparse routes), indexed like `model.weights`.
+    weight_csr: Vec<Option<CsrMatrix>>,
+    /// `Wᵀ` in CSR — column `j` of `W` as row `j` — for every weight the
+    /// right-sparse Update body can run, indexed like `model.weights`.
+    weight_t: Vec<Option<CsrMatrix>>,
 }
 
 impl KernelDispatcher {
-    /// Builds the dispatcher for `model`, deciding by the argmin over
-    /// `calibration` when one is supplied and by the Table IV regions of
-    /// `policy` otherwise.  `policy` also owns the sparse-output retention
-    /// threshold and the CSR weight-cache gate.
+    /// Builds the dispatcher for `model`, deciding by `calibration` when one
+    /// is supplied (the dense Update priced by [`price_update_widths`]) and
+    /// by the Table IV regions of `policy` otherwise.  `policy` also owns the
+    /// sparse-output retention threshold and the CSR weight-cache gate.
     ///
     /// The fit is checked here, once: one that is not
     /// [valid](HostCalibration::is_valid) (a non-finite, negative or zero
@@ -136,29 +154,76 @@ impl KernelDispatcher {
         policy: DispatchPolicy,
         calibration: Option<Arc<HostCalibration>>,
     ) -> Self {
-        // Cache the CSR forms of any weight either cost model could route
-        // by its zeros (sparse-sparse, or SpDMM by the right operand): the
-        // calibrated argmin is not bounded by the accelerator's SpDMM
-        // threshold, so the gate is the (wider) GEMM boundary.  An uncached
-        // weight simply forces the routes that read it dense, so widening
-        // the gate never changes results.
+        let update_fits = match &calibration {
+            Some(c) if c.is_valid() => price_update_widths(model),
+            _ => Vec::new(),
+        };
+        Self::priced(model, policy, calibration, &update_fits)
+    }
+
+    /// Like [`KernelDispatcher::new`], with the dense-left Update prices
+    /// given: `update_fits` holds one [`UpdateFit`] per weight, indexed like
+    /// `model.weights` (a plan's, or hand-built ones).  They are read only
+    /// with a valid `calibration`; a weight without a fit runs the GEMM.
+    pub fn priced(
+        model: &GnnModel,
+        policy: DispatchPolicy,
+        calibration: Option<Arc<HostCalibration>>,
+        update_fits: &[UpdateFit],
+    ) -> Self {
+        let calibration = calibration.filter(|c| c.is_valid());
+        let update_fits = match calibration {
+            Some(_) => update_fits.to_vec(),
+            None => Vec::new(),
+        };
+        // Cache `W` in CSR for any weight the sparse-sparse routes could
+        // read: the calibrated argmin is not bounded by the accelerator's
+        // SpDMM threshold, so the gate is the (wider) GEMM boundary.  An
+        // uncached weight simply forces the routes that read it dense, so
+        // widening the gate never changes results.
         let csr_bound = policy.gemm_min_density.max(policy.spdmm_max_density);
-        let weight_csr = model
+        let weight_csr: Vec<Option<CsrMatrix>> = model
             .weights
             .iter()
-            .map(|w| {
-                (w.density() < csr_bound).then(|| {
-                    let csr = CsrMatrix::from_dense(w);
-                    let transposed = csr.transpose();
-                    WeightCsr { csr, transposed }
+            .map(|w| (w.density() < csr_bound).then(|| CsrMatrix::from_dense(w)))
+            .collect();
+        // `Wᵀ` wherever the right-sparse body can be picked: under a fit,
+        // unless GEMM is priced lower at every density; under the regions,
+        // where the density rule can fire (a weight below the GEMM region).
+        let weight_t = model
+            .weights
+            .iter()
+            .zip(&weight_csr)
+            .enumerate()
+            .map(|(i, (w, csr))| {
+                let runs = match calibration {
+                    Some(_) => update_fits
+                        .get(i)
+                        .is_some_and(|fit| fit.settled() != Some(HostPrimitive::Gemm)),
+                    None => csr.is_some(),
+                };
+                runs.then(|| match csr {
+                    Some(csr) => csr.transpose(),
+                    None => CsrMatrix::from_dense(&w.transpose()),
                 })
             })
             .collect();
         KernelDispatcher {
             policy,
-            calibration: calibration.filter(|c| c.is_valid()),
+            calibration,
+            update_fits,
+            input_density: 1.0,
             weight_csr,
+            weight_t,
         }
+    }
+
+    /// Sets the density a dense-stored Update input is priced at when its
+    /// non-zero count is not already known — the compile-time density of
+    /// the plan's input features, so a fresh request is never scanned just
+    /// to pick a body.
+    pub fn set_input_density(&mut self, alpha: f64) {
+        self.input_density = alpha;
     }
 
     /// The shared host calibration the dispatcher decides with, if any
@@ -167,15 +232,35 @@ impl KernelDispatcher {
         self.calibration.as_ref()
     }
 
-    /// Picks the host primitive for one (sub-)product.  An empty shape or a
-    /// non-positive (or `NaN`) density is [`HostPrimitive::Skip`] (the
-    /// caller zero-fills the block rows).
+    /// Picks the host primitive for one (sub-)product over a CSR-stored left
+    /// operand.  An empty shape or a non-positive (or `NaN`) density is
+    /// [`HostPrimitive::Skip`] (the caller zero-fills the block rows).
     pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
         match &self.calibration {
             Some(calibration) => calibration.cheapest(shape, alpha_x, alpha_y),
             None if shape.is_empty() => HostPrimitive::Skip,
             None => self.policy.decide(alpha_x, alpha_y),
         }
+    }
+
+    /// The priced choice between the two bodies of an Update of the
+    /// dense-stored features `h` by weight `weight`: both candidates'
+    /// predicted milliseconds over `h`'s rows and the cheaper one, or `None`
+    /// when nothing is priced (the Table IV regions, or no fit for the
+    /// weight).
+    ///
+    /// `h` is never scanned: its density is the count it already caches (an
+    /// activation or an earlier density query left it), else the plan's
+    /// compile-time input density ([`KernelDispatcher::set_input_density`]).
+    /// Where the prices do not cross in `[0, 1]`
+    /// ([`UpdateFit::settled`]) that density cannot change the pick.
+    pub fn choose_dense_update(&self, weight: usize, h: &DenseMatrix) -> Option<UpdateChoice> {
+        let fit = self.update_fits.get(weight)?;
+        let alpha_h = match h.cached_nnz() {
+            Some(nnz) => block_density(nnz, h.rows(), h.cols()),
+            None => self.input_density,
+        };
+        Some(fit.choose(h.rows(), alpha_h))
     }
 
     /// The calibrated milliseconds of executing `prim` on this product, or
@@ -193,22 +278,28 @@ impl KernelDispatcher {
             .map_or(f64::NAN, |c| c.predict(prim, shape, alpha_x, alpha_y))
     }
 
-    /// The cached CSR of `Wᵀ`, with `h`'s density, when an Update of the
-    /// dense-stored features `h` by weight `weight` (of density `alpha_w`)
-    /// runs SpDMM by the right operand
-    /// ([`DispatchPolicy::prefers_right_sparse`]); `None` runs the counting
-    /// GEMM.  `h` is scanned only when `Wᵀ` is cached.
+    /// The cached CSR of `Wᵀ`, with the density of `h` it was picked at,
+    /// when an Update of the dense-stored features `h` by weight `weight`
+    /// (of density `alpha_w`) runs SpDMM by the right operand; `None` runs
+    /// the counting GEMM.  Under a fit the pick is
+    /// [`KernelDispatcher::choose_dense_update`]'s, which scans nothing;
+    /// under the regions it is the density rule, over `h`'s counted density
+    /// (`h` is scanned only when `Wᵀ` is cached).
     fn right_sparse_weight(
         &self,
         weight: usize,
         h: &DenseMatrix,
         alpha_w: f64,
     ) -> Option<(&CsrMatrix, f64)> {
-        let wt = &self.weight_csr[weight].as_ref()?.transposed;
-        let alpha_h = h.density();
-        self.policy
-            .prefers_right_sparse(alpha_h, alpha_w)
-            .then_some((wt, alpha_h))
+        let wt = self.weight_t[weight].as_ref()?;
+        let (runs, alpha_h) = match self.choose_dense_update(weight, h) {
+            Some(choice) => (choice.pick == HostPrimitive::SpDmmRight, choice.alpha_h),
+            None => {
+                let alpha_h = h.density();
+                (self.policy.prefers_right_sparse(alpha_h, alpha_w), alpha_h)
+            }
+        };
+        runs.then_some((wt, alpha_h))
     }
 
     /// Whether a sparse-sparse kernel output of this density stays CSR.
@@ -495,12 +586,26 @@ struct Product {
     shape: ProductShape,
     alpha_x: f64,
     alpha_y: f64,
+    /// The width fit that prices the blocks of a dense-stored Update (its
+    /// GEMM or right-sparse body); `None` for every other route, and under
+    /// the regions.
+    update: Option<UpdateFit>,
 }
 
 impl Product {
     /// The dispatcher's prediction for the product executed whole.
     fn predicted_ms(&self, dispatcher: &KernelDispatcher) -> f64 {
         dispatcher.predict_ms(self.executed, self.shape, self.alpha_x, self.alpha_y)
+    }
+
+    /// The prediction for one row block that ran `run`: the width fit's
+    /// price for a dense-stored Update's body, at the block's counted
+    /// density; the dispatcher's otherwise.
+    fn block_predicted_ms(&self, dispatcher: &KernelDispatcher, run: &BlockRun) -> f64 {
+        match self.update {
+            Some(fit) => fit.predict(run.prim, run.shape.m, run.alpha_x),
+            None => dispatcher.predict_ms(run.prim, run.shape, run.alpha_x, self.alpha_y),
+        }
     }
 }
 
@@ -695,12 +800,10 @@ impl Pass<'_> {
                 let shape = product_shape(kin.shape(), w.shape())?;
                 let block_rows = self.partition.update_block_rows().max(1);
                 match kin {
-                    // Dense-stored `H`: SpDMM by whichever operand is
-                    // sparser.  The counting GEMM skips the zeros of `H`; the
-                    // right-sparse body skips the weight's, and runs by the
-                    // dispatcher's right-sparse rule.  No price is asked: the
-                    // GEMM is priced by its dense envelope, which does not
-                    // see `α_H`.
+                    // Dense-stored `H`: the counting GEMM, which skips the
+                    // zeros of `H`, or the right-sparse body, which skips the
+                    // weight's, whichever the dispatcher prices lower at
+                    // these widths (the density rule under the regions).
                     FeatureMatrix::Dense(h) => {
                         let alpha_w = w.density();
                         let x = h.row_major();
@@ -727,12 +830,13 @@ impl Pass<'_> {
                             shape,
                             alpha_x,
                             alpha_y: alpha_w,
+                            update: self.dispatcher.update_fits.get(weight).copied(),
                         };
                         let exec = Exec::Rows { block_rows, body };
                         return Ok(Route { product, exec });
                     }
                     FeatureMatrix::Sparse(h) => {
-                        let w_csr = self.dispatcher.weight_csr[weight].as_ref().map(|w| &w.csr);
+                        let w_csr = self.dispatcher.weight_csr[weight].as_ref();
                         (shape, block_rows, h, Some(w), w_csr, w.density(), false)
                     }
                 }
@@ -770,6 +874,7 @@ impl Pass<'_> {
             shape,
             alpha_x,
             alpha_y,
+            update: None,
         };
         Ok(Route { product, exec })
     }
@@ -903,7 +1008,7 @@ impl Pass<'_> {
         let mut finite = true;
         for (bi, run) in runs.iter().enumerate() {
             finite &= run.finite;
-            let p = dispatcher.predict_ms(run.prim, run.shape, run.alpha_x, alpha_y);
+            let p = product.block_predicted_ms(dispatcher, run);
             if p.is_finite() && p > 0.0 {
                 predicted += p;
             }
@@ -1031,7 +1136,7 @@ mod tests {
     use crate::reference::prepare_adjacencies;
     use dynasparse_graph::generators::{dense_features, power_law_graph, PowerLawConfig};
     use dynasparse_graph::Graph;
-    use dynasparse_matrix::{CalibrationConfig, Layout};
+    use dynasparse_matrix::{CalibrationConfig, Layout, UPDATE_FIT_ALPHAS};
     use dynasparse_telemetry::{Registry, TelemetryLevel};
 
     const VERTICES: usize = 48;
@@ -1229,12 +1334,23 @@ mod tests {
         blocks: bool,
     ) -> Vec<(u16, u16, SpanPrimitive)> {
         let dispatcher = KernelDispatcher::new(exec.model(), DispatchPolicy::default(), None);
+        spans_under(&dispatcher, exec, request, partition, blocks)
+    }
+
+    /// [`span_primitives`] under a caller-built dispatcher.
+    fn spans_under(
+        dispatcher: &KernelDispatcher,
+        exec: &ReferenceExecutor,
+        request: &FeatureMatrix,
+        partition: &PartitionSpec,
+        blocks: bool,
+    ) -> Vec<(u16, u16, SpanPrimitive)> {
         let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
         let mut telemetry = SessionTelemetry::with_capacity(registry, 4096);
         let mut arena = exec.arena(VERTICES);
         exec.forward_dispatch(
             request,
-            &dispatcher,
+            dispatcher,
             &mut arena,
             partition,
             Some(&mut telemetry),
@@ -1248,6 +1364,8 @@ mod tests {
             .collect()
     }
 
+    /// Under the Table IV regions fallback the dense Update's body is the
+    /// density rule's ([`DispatchPolicy::prefers_right_sparse`]).
     #[test]
     fn a_pruned_weight_runs_a_dense_update_as_spdmm_where_it_is_the_sparser_operand() {
         let partition = PartitionSpec::new(16, 16).unwrap();
@@ -1307,6 +1425,166 @@ mod tests {
                 ran.iter().all(|&prim| prim == SpanPrimitive::Gemm),
                 "{kind:?}: {ran:?}"
             );
+        }
+    }
+
+    /// A hand-built width fit shaped like the measured ones, with no
+    /// timing: the GEMM pays a scan of the row plus two units per surviving
+    /// multiply-add, the right-sparse body a transposition of the row plus
+    /// one unit per stored weight, whatever `α_H` (1 ns a unit).  So the
+    /// right-sparse body wins above `α_H = (1 + α_W·d) / (2·d)`.
+    fn modeled_fit(n: usize, d: usize, alpha_w: f64) -> UpdateFit {
+        let (n, d) = (n as f64, d as f64);
+        let at = |price: &dyn Fn(f64) -> f64| UPDATE_FIT_ALPHAS.map(price);
+        UpdateFit {
+            gemm: at(&|alpha| 1e-6 * (n + 2.0 * alpha * n * d)),
+            right_sparse: at(&|_| 1e-6 * (2.0 * n + alpha_w * n * d)),
+        }
+    }
+
+    /// A hand-built fit whose right-sparse body is priced lower above
+    /// `alpha_h = cross` and GEMM below.
+    fn crossing_fit(cross: f64) -> UpdateFit {
+        UpdateFit {
+            gemm: UPDATE_FIT_ALPHAS.map(|alpha| 1e-4 * (0.1 + alpha)),
+            right_sparse: [1e-4 * (0.1 + cross); UPDATE_FIT_ALPHAS.len()],
+        }
+    }
+
+    /// A hand-built fit whose GEMM is priced lower at every density.
+    fn gemm_everywhere_fit() -> UpdateFit {
+        UpdateFit {
+            gemm: UPDATE_FIT_ALPHAS.map(|alpha| 1e-4 * (0.1 + alpha)),
+            right_sparse: [1e-4 * 1.2; UPDATE_FIT_ALPHAS.len()],
+        }
+    }
+
+    /// A dispatcher over `model` that prices every weight's dense Update by
+    /// `fit(n, d, α_W)`, with a plan input density of `input_density`.
+    fn dispatcher_with_fits(
+        model: &GnnModel,
+        fit: impl Fn(usize, usize, f64) -> UpdateFit,
+        input_density: f64,
+    ) -> KernelDispatcher {
+        let fits: Vec<UpdateFit> = model
+            .weights
+            .iter()
+            .map(|w| fit(w.rows(), w.cols(), w.density()))
+            .collect();
+        let calibration = Some(Arc::new(HostCalibration::reference()));
+        let policy = DispatchPolicy::from_regions(16);
+        let mut dispatcher = KernelDispatcher::priced(model, policy, calibration, &fits);
+        dispatcher.set_input_density(input_density);
+        dispatcher
+    }
+
+    /// A fresh dense `rows × cols` request at `density`: nothing has counted
+    /// it.
+    fn fresh_dense(rows: usize, cols: usize, density: f64, seed: u64) -> DenseMatrix {
+        let fresh = dense_features(rows, cols, density, seed).to_dense();
+        assert_eq!(fresh.cached_nnz(), None);
+        fresh
+    }
+
+    #[test]
+    fn each_dense_update_body_is_picked_in_its_band_with_both_prices() {
+        let model = GnnModel::gcn(24, 16, 5, 13);
+        let dispatcher = dispatcher_with_fits(&model, |_, _, _| crossing_fit(0.5), 1.0);
+        for (alpha_h, seed, want) in [
+            (0.05, 71, HostPrimitive::Gemm),
+            (0.3, 72, HostPrimitive::Gemm),
+            (0.7, 73, HostPrimitive::SpDmmRight),
+            (1.0, 74, HostPrimitive::SpDmmRight),
+        ] {
+            let h = fresh_dense(VERTICES, 24, alpha_h, seed);
+            let counted = h.density();
+            let choice = dispatcher.choose_dense_update(0, &h).unwrap();
+            assert_eq!(choice.pick, want, "α_H {counted}");
+            assert_eq!(choice.alpha_h, counted);
+            // Both candidates are priced over every row, and the pick is
+            // the cheaper one.
+            let fit = crossing_fit(0.5);
+            let gemm = fit.predict(HostPrimitive::Gemm, VERTICES, counted);
+            let right = fit.predict(HostPrimitive::SpDmmRight, VERTICES, counted);
+            assert_eq!((choice.gemm_ms, choice.right_sparse_ms), (gemm, right));
+            assert!(gemm > 0.0 && right > 0.0);
+            assert_eq!(want == HostPrimitive::SpDmmRight, right < gemm);
+        }
+        // Under the regions nothing is priced.
+        let regions = KernelDispatcher::new(&model, DispatchPolicy::default(), None);
+        let h = fresh_dense(VERTICES, 24, 0.5, 75);
+        assert_eq!(regions.choose_dense_update(0, &h), None);
+    }
+
+    #[test]
+    fn a_sparse_wide_request_keeps_gemm_and_is_not_scanned_to_pick_it() {
+        // Cora's shapes: a 1.27 %-dense 2708 × 1433 request under an
+        // unpruned 1433 × 16 weight, whose prices cross at α_H ≈ 0.53.
+        let model = GnnModel::gcn(1433, 16, 7, 13);
+        let fit = modeled_fit(1433, 16, 1.0);
+        assert_eq!(fit.settled(), None, "the price depends on α_H");
+        let dispatcher = dispatcher_with_fits(&model, modeled_fit, 0.0127);
+        let exec = ReferenceExecutor::from_prepared(Arc::new(model), Arc::default());
+        let pass = Pass {
+            executor: &exec,
+            dispatcher: &dispatcher,
+            partition: &PartitionSpec::default(),
+        };
+        let spec = &exec.model().layers[0].kernels[0];
+        let resolved = |h: &DenseMatrix| {
+            let h = FeatureMatrix::Dense(h.clone());
+            let mut densify = DenseMatrix::zeros(0, 0);
+            let route = pass.resolve(spec, &h, &mut densify).unwrap();
+            route.product.executed
+        };
+        let fresh = fresh_dense(2708, 1433, 0.0127, 76);
+        assert_eq!(resolved(&fresh), HostPrimitive::Gemm);
+        assert_eq!(fresh.cached_nnz(), None, "resolving kernel 0 scanned it");
+        let choice = dispatcher.choose_dense_update(0, &fresh).unwrap();
+        assert_eq!(choice.alpha_h, 0.0127, "priced at the plan's density");
+        assert!(choice.gemm_ms < choice.right_sparse_ms);
+        assert_eq!(fresh.cached_nnz(), None);
+        // Counted, it is still GEMM; a dense request runs right-sparse once
+        // its count is known, and GEMM (the plan's density) until then.
+        fresh.nnz();
+        assert_eq!(resolved(&fresh), HostPrimitive::Gemm);
+        let dense = fresh_dense(2708, 1433, 0.9, 77);
+        assert_eq!(resolved(&dense), HostPrimitive::Gemm);
+        assert_eq!(dense.cached_nnz(), None);
+        dense.nnz();
+        assert_eq!(resolved(&dense), HostPrimitive::SpDmmRight);
+    }
+
+    #[test]
+    fn a_priced_dense_update_runs_the_cheaper_body_bit_identically() {
+        // A counted request is priced at its own α_H, so the pick follows
+        // each request through the pass, and the embeddings stay the
+        // oracle's either way.
+        let partition = PartitionSpec::new(16, 16).unwrap();
+        let model = GnnModel::gcn(24, 16, 8, 13);
+        let exec = ReferenceExecutor::new(&model, &small_graph());
+        let dispatcher = dispatcher_with_fits(&model, |_, _, _| crossing_fit(0.5), 0.5);
+        let first_update = |request: &FeatureMatrix| -> SpanPrimitive {
+            request.density();
+            spans_under(&dispatcher, &exec, request, &partition, false)[0].2
+        };
+        let sparse_request = dense_features(VERTICES, 24, 0.01, 78);
+        assert_eq!(first_update(&sparse_request), SpanPrimitive::Gemm);
+        let dense_request = dense_features(VERTICES, 24, 1.0, 79);
+        assert_eq!(first_update(&dense_request), SpanPrimitive::SpDmm);
+        let mut arena = exec.arena(VERTICES);
+        for request in [&sparse_request, &dense_request] {
+            exec.forward_dispatch(
+                request,
+                &dispatcher,
+                &mut arena,
+                &partition,
+                None,
+                |_, _, _, _, _, _| Ok(()),
+            )
+            .unwrap();
+            let want = exec.forward(request).unwrap().to_dense();
+            assert_eq!(arena.output().to_dense().as_slice(), want.as_slice());
         }
     }
 
@@ -1695,13 +1973,32 @@ mod tests {
             dispatcher.weight_csr.iter().any(|w| w.is_some()),
             "a 95%-pruned weight is SPMM-eligible"
         );
-        for (w, cached) in model.weights.iter().zip(&dispatcher.weight_csr) {
-            let cached = cached.as_ref().expect("every weight is 95 % pruned");
-            assert_eq!(cached.csr.to_dense(), *w);
-            assert_eq!(cached.transposed.to_dense(), w.transpose());
+        let cached = dispatcher.weight_csr.iter().zip(&dispatcher.weight_t);
+        for (w, (csr, transposed)) in model.weights.iter().zip(cached) {
+            let csr = csr.as_ref().expect("every weight is 95 % pruned");
+            assert_eq!(csr.to_dense(), *w);
+            let transposed = transposed.as_ref().expect("the rule can fire");
+            assert_eq!(transposed.to_dense(), w.transpose());
         }
         let dense_model = GnnModel::gcn(24, 16, 5, 41);
         let dense_dispatcher = KernelDispatcher::new(&dense_model, policy, None);
         assert!(dense_dispatcher.weight_csr.iter().all(|w| w.is_none()));
+        assert!(dense_dispatcher.weight_t.iter().all(|w| w.is_none()));
+    }
+
+    #[test]
+    fn a_price_caches_the_transpose_of_every_weight_it_can_send_right_sparse() {
+        // Under a fit, `Wᵀ` is cached wherever the right-sparse body is
+        // priced lower somewhere in [0, 1] — a dense weight included — and
+        // nowhere GEMM wins at every density; `W` keeps the sparse gate.
+        let policy = DispatchPolicy::from_regions(16);
+        let calibration = Some(Arc::new(HostCalibration::reference()));
+        let model = GnnModel::gcn(24, 16, 5, 41);
+        let fits = [crossing_fit(0.5), gemm_everywhere_fit()];
+        let dispatcher = KernelDispatcher::priced(&model, policy, calibration, &fits);
+        assert!(dispatcher.weight_csr.iter().all(|w| w.is_none()));
+        let transposed = dispatcher.weight_t[0].as_ref().expect("a price crosses");
+        assert_eq!(transposed.to_dense(), model.weights[0].transpose());
+        assert!(dispatcher.weight_t[1].is_none());
     }
 }

@@ -32,7 +32,7 @@ pub mod pruning;
 pub mod reference;
 
 pub use activation::Activation;
-pub use arena::{KernelArena, KernelDispatcher};
+pub use arena::{price_update_widths, KernelArena, KernelDispatcher};
 pub use error::{LayerError, ModelError};
 pub use kernel::{KernelInput, KernelOp, KernelSpec, LayerSpec};
 pub use models::{GnnModel, GnnModelKind};

@@ -11,13 +11,13 @@ mod common;
 
 use common::{is_regions_child, rerun_on_the_regions_fallback};
 use dynasparse::{MappingStrategy, Planner};
-use dynasparse_graph::Dataset;
+use dynasparse_graph::{Dataset, FeatureMatrix};
 use dynasparse_matrix::ops::right_sparse_rows_into;
 use dynasparse_matrix::random::random_dense;
-use dynasparse_matrix::CsrMatrix;
 use dynasparse_matrix::{
     CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
 };
+use dynasparse_matrix::{CsrMatrix, DenseMatrix};
 use dynasparse_model::{GnnModel, ReferenceExecutor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,6 +113,33 @@ fn plans_share_one_process_wide_calibration() {
 }
 
 #[test]
+fn a_fresh_dense_request_is_not_counted_to_pick_an_update_body() {
+    // The dense Update's pick reads `H`'s density from a count that already
+    // exists, or, for a fresh request, from the plan's compile-time input
+    // density: serving a fresh dense request never counts it (the kernels'
+    // own pass profiles it without touching its cached count).
+    let ds = Dataset::Cora.spec().generate_scaled(5, 0.1);
+    let model = GnnModel::gcn(ds.features.dim(), 16, ds.spec.num_classes, 1);
+    let plan = Planner::default().plan(&model, &ds).unwrap();
+    let calibrated = plan.calibration().is_some();
+    let priced = if calibrated { model.weights.len() } else { 0 };
+    assert_eq!(plan.update_fits().len(), priced);
+    let mut session = plan.session(&[MappingStrategy::Dynamic]);
+    let dense = ds.features.to_dense();
+    let fresh =
+        DenseMatrix::from_row_major(dense.rows(), dense.cols(), dense.as_slice().to_vec()).unwrap();
+    assert_eq!(fresh.cached_nnz(), None);
+    let fresh = FeatureMatrix::Dense(fresh);
+    let report = session.infer(&fresh).unwrap();
+    match &fresh {
+        FeatureMatrix::Dense(fresh) => assert_eq!(fresh.cached_nnz(), None),
+        FeatureMatrix::Sparse(_) => unreachable!(),
+    }
+    assert_eq!(report.predicted_kernel_ms > 0.0, calibrated);
+    rerun_on_the_regions_fallback("a_fresh_dense_request_is_not_counted_to_pick_an_update_body");
+}
+
+#[test]
 fn regions_cost_model_disables_calibration() {
     // `DYNASPARSE_CALIBRATION=off` is the one route onto the regions: no
     // fit is measured, no plan carries one, and nothing is priced.
@@ -191,11 +218,11 @@ fn a_faster_gemm_does_not_reach_the_sparse_sparse_region() {
 
 #[test]
 fn the_right_sparse_curve_prices_the_pruned_wide_updates_it_runs() {
-    // The executor takes the right-sparse SpDMM by operand densities, not by
-    // price (the GEMM's dense envelope cannot arbitrate: it does not see
-    // `α_H`), so what the fourth curve owes the system is an honest price for
-    // what runs — the sum a request's `predicted_kernel_ms` carries and the
-    // ratio the SpDMM drift gauge folds.  On the four Update products of the
+    // A session picks and prices the dense Update's two bodies by the
+    // plan's width fits (`UpdateFit`); the generic fit's fourth curve prices
+    // the right-sparse body wherever a dispatcher has no width fit, so what
+    // it owes the system is an honest price for what runs.  On the four
+    // Update products of the
     // ledger's `pruned_wide` request (GIN 128→64→16 over 2048 vertices,
     // 90 %-pruned weights), a measured fit must price the kernel within 2x
     // in sum, per product within 3x (the small ones run tens of

@@ -1,8 +1,9 @@
 //! The drift gauges observe a stale host fit, and nothing acts on them.
 //!
 //! A fit that no longer describes the host it runs on is manufactured here:
-//! the reference fit inflated by six orders of magnitude, so every prediction
-//! claims the host is a million times slower than it is.  The per-primitive
+//! the reference fit and the model's measured width fits inflated by six
+//! orders of magnitude, so every prediction claims the host is a million
+//! times slower than it is.  The per-primitive
 //! measured/predicted EWMA gauges must expose it, and it must change nothing
 //! else: embeddings stay bit-identical to the fixed-kernel oracle, and every
 //! kernel runs the primitive the uninflated fit picks (uniform inflation
@@ -10,7 +11,9 @@
 
 use dynasparse_graph::{Dataset, FeatureMatrix};
 use dynasparse_matrix::{DispatchPolicy, HostCalibration, PartitionSpec};
-use dynasparse_model::{GnnModel, GnnModelKind, KernelDispatcher, ReferenceExecutor};
+use dynasparse_model::{
+    price_update_widths, GnnModel, GnnModelKind, KernelDispatcher, ReferenceExecutor,
+};
 use dynasparse_telemetry::{CounterId, GaugeId, Registry, SessionTelemetry, TelemetryLevel};
 use std::sync::Arc;
 
@@ -30,13 +33,26 @@ struct Pass {
     embeddings: Vec<f32>,
 }
 
-fn dispatch_over(exec: &ReferenceExecutor, features: &FeatureMatrix, fit: HostCalibration) -> Pass {
+/// One pass over `fit`, with the model's width fits scaled by `scale`.
+fn dispatch_over(
+    exec: &ReferenceExecutor,
+    features: &FeatureMatrix,
+    fit: HostCalibration,
+    scale: f64,
+) -> Pass {
     let registry = Arc::new(Registry::new(TelemetryLevel::Counters));
     let mut telemetry = SessionTelemetry::new(Arc::clone(&registry));
-    let dispatcher = KernelDispatcher::new(
+    let mut widths = price_update_widths(exec.model());
+    for width in &mut widths {
+        for price in width.gemm.iter_mut().chain(&mut width.right_sparse) {
+            *price *= scale;
+        }
+    }
+    let dispatcher = KernelDispatcher::priced(
         exec.model(),
         DispatchPolicy::from_regions(16),
         Some(Arc::new(fit)),
+        &widths,
     );
     let mut arena = exec.arena(features.num_vertices());
     let mut dispatches = Vec::new();
@@ -82,7 +98,7 @@ fn stale_calibration_moves_the_drift_gauges() {
         fit.per_row *= 1e6;
     }
     assert!(stale.is_valid());
-    let got = dispatch_over(&exec, &ds.features, stale);
+    let got = dispatch_over(&exec, &ds.features, stale, 1e6);
 
     let drifts = [
         ("gemm", got.registry.gauge(GaugeId::DriftGemm)),
@@ -111,7 +127,7 @@ fn stale_calibration_moves_the_drift_gauges() {
         oracle.to_dense().as_slice(),
         "a stale fit must not change the embeddings"
     );
-    let fresh = dispatch_over(&exec, &ds.features, HostCalibration::reference());
+    let fresh = dispatch_over(&exec, &ds.features, HostCalibration::reference(), 1.0);
     assert_eq!(got.dispatches.len(), model.num_kernels());
     assert_eq!(
         got.dispatches, fresh.dispatches,
