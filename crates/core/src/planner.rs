@@ -209,13 +209,13 @@ impl CompiledPlan {
         Session::build(PlanHandle::Shared(Arc::clone(self)), strategies)
     }
 
-    /// Checks one request against the plan: `features` needs
+    /// Checks one request's shape against the plan: `features` needs
     /// [`CompiledPlan::num_vertices`] rows and [`CompiledPlan::input_dim`]
-    /// columns, and CSR-stored features must be finite.  `op` names the
-    /// rejecting entry point in the typed [`MatrixError::ShapeMismatch`] or
-    /// [`MatrixError::NonFinite`].  Dense-stored features are checked for
-    /// non-finite values by the first kernel's scan, which reads every
-    /// element anyway (see [`crate::Session::infer`]).
+    /// columns.  `op` names the rejecting entry point in the typed
+    /// [`MatrixError::ShapeMismatch`].  Nothing here reads the values:
+    /// non-finite features, dense- or CSR-stored, are refused by the pass
+    /// that serves the request, which reads every stored value anyway (see
+    /// [`crate::Session::infer`]).
     pub fn validate_request(
         &self,
         features: &FeatureMatrix,
@@ -229,11 +229,6 @@ impl CompiledPlan {
                 rhs: expected,
             }
             .into());
-        }
-        if let FeatureMatrix::Sparse(m) = features {
-            if !m.values().iter().all(|v| v.is_finite()) {
-                return Err(MatrixError::NonFinite { op }.into());
-            }
         }
         Ok(())
     }

@@ -467,11 +467,12 @@ impl<'p> Session<'p> {
     ///
     /// The request must match the plan's topology: `features` needs
     /// [`CompiledPlan::num_vertices`] rows and [`CompiledPlan::input_dim`]
-    /// columns.  Every feature must be finite: a `NaN` or `±Inf` is refused
-    /// with [`MatrixError::NonFinite`] — up front for CSR-stored features
-    /// ([`CompiledPlan::validate_request`]), by the first kernel's scan of
-    /// dense-stored ones, after which the session serves the next request as
-    /// if the refused one had never come.
+    /// columns ([`CompiledPlan::validate_request`]).  Every feature must be
+    /// finite: a `NaN` or `±Inf`, dense- or CSR-stored, is refused with
+    /// [`MatrixError::NonFinite`] by the pass that reads the request once —
+    /// the first kernel's own scan when it is an Update over row blocks,
+    /// else the refit of its input profile — after which the session serves
+    /// the next request as if the refused one had never come.
     pub fn infer(&mut self, features: &FeatureMatrix) -> Result<InferenceReport, DynasparseError> {
         const OP: &str = "session infer";
         self.plan.get().validate_request(features, OP)?;
@@ -526,9 +527,10 @@ impl<'p> Session<'p> {
             Some(&mut self.telemetry),
             |_layer, _ki, spec_kernel, input, out, scanned| {
                 let kidx = observer.enter(spec_kernel, input.dim());
-                // A kernel that streamed its dense input anyway (the Update
-                // GEMM) hands its profile over: one scan, not two.  Every
-                // other route refits the kernel's reusable profile.
+                // A kernel that streamed its input anyway (an Update over
+                // row blocks, dense- or CSR-stored) hands its profile over:
+                // one pass, not two.  Every other route refits the kernel's
+                // reusable profile.
                 let (profile, finite): (&DensityProfile, bool) = match scanned {
                     Some((scanned, finite)) => {
                         let grid = observer.grid(kidx);
@@ -544,15 +546,14 @@ impl<'p> Session<'p> {
                         let mut finite = true;
                         observer.profile(kidx, |grid| match input {
                             FeatureMatrix::Dense(m) => finite = slot.refit_dense(m, grid),
-                            FeatureMatrix::Sparse(m) => slot.refit_csr(m, grid),
+                            FeatureMatrix::Sparse(m) => finite = slot.refit_csr(m, grid),
                         });
                         (slot, finite)
                     }
                 };
                 // Kernel 0 reads the request, so its scan is the request's
-                // finiteness check (CSR-stored requests were checked at
-                // validation); the scans of later kernels' inputs are not
-                // consulted.
+                // finiteness check, whatever the storage; the scans of later
+                // kernels' inputs are not consulted.
                 if kidx == 0 && !finite {
                     return Err(MatrixError::NonFinite { op });
                 }
@@ -671,12 +672,12 @@ impl<'p> Session<'p> {
     /// own fault arming, timing and reply.
     ///
     /// **Every** request's shape is validated before **any** request runs:
-    /// a shape-mismatched or non-finite CSR-stored matrix anywhere in the
-    /// batch fails the whole call up front ([`CompiledPlan::validate_request`]
-    /// with `op = "session infer_batch"`) instead of erroring midway with
-    /// earlier requests already served.  A dense-stored request is checked
-    /// for non-finite values by the scan that serves it, so it fails the
-    /// call when its turn comes.
+    /// a shape-mismatched matrix anywhere in the batch fails the whole call
+    /// up front ([`CompiledPlan::validate_request`] with
+    /// `op = "session infer_batch"`) instead of erroring midway with earlier
+    /// requests already served.  A request is checked for non-finite values,
+    /// dense- or CSR-stored, by the pass that serves it (see
+    /// [`Session::infer`]), so it fails the call when its turn comes.
     ///
     /// ```
     /// use dynasparse::{MappingStrategy, Planner};

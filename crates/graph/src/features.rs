@@ -174,7 +174,9 @@ impl FeatureMatrix {
             FeatureMatrix::Dense(d) => {
                 profile.refit_dense(d, grid);
             }
-            FeatureMatrix::Sparse(s) => profile.refit_csr(s, grid),
+            FeatureMatrix::Sparse(s) => {
+                profile.refit_csr(s, grid);
+            }
         }
     }
 

@@ -12,8 +12,10 @@ use crate::error::{MatrixError, Result};
 use crate::is_nonzero;
 use crate::isa::dispatched;
 use crate::layout::Layout;
-use crate::ops::accumulate_row;
-use crate::profile::{compact_group, scan_row, ColumnBlocks, SCAN_LANES};
+use crate::ops::{accumulate_row, accumulate_row_counted, check_counter_row};
+use crate::profile::{
+    compact_group, count_stored, probe_values, scan_row, ColumnBlocks, FiniteProbe, SCAN_LANES,
+};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -316,6 +318,13 @@ impl CsrMatrix {
         (&self.col_idx[lo..hi], &self.values[lo..hi])
     }
 
+    /// Column indices and values of rows `[r0, r1)`, contiguous.
+    #[inline]
+    pub(crate) fn stored_rows(&self, r0: usize, r1: usize) -> (&[u32], &[f32]) {
+        let (lo, hi) = (self.row_ptr[r0], self.row_ptr[r1]);
+        (&self.col_idx[lo..hi], &self.values[lo..hi])
+    }
+
     /// Number of non-zeros in row `r` (the out-degree when the matrix is a
     /// graph adjacency matrix).
     #[inline]
@@ -383,12 +392,28 @@ impl CsrMatrix {
     /// output is bit-identical to the whole-kernel call.  `rhs` must be
     /// row-major: the block loop is allocation-free, so a column-major
     /// operand is a shape error rather than a silent layout copy.
+    ///
+    /// The gather also profiles the rows it streams, as
+    /// [`gemm_rows_into`](crate::ops::gemm_rows_into) does for a dense left
+    /// operand: every stored column is **added** into the counter of its
+    /// `block_cols`-wide block column in `counts`
+    /// (`self.cols().div_ceil(block_cols)` counters — the row block's grid row
+    /// of a [`crate::DensityProfile::refit_tiled`] profile, identical to
+    /// [`crate::DensityProfile::refit_csr`]'s), and every stored value is
+    /// folded into a finiteness probe.  An empty `counts` skips both, any
+    /// other wrong length is a shape error; nothing is read when
+    /// `rhs.cols() == 0`.
+    ///
+    /// Returns whether every stored value of the profiled rows is finite;
+    /// `true` when nothing is profiled.
     pub fn spmm_dense_rows_into(
         &self,
         rhs: &DenseMatrix,
         r0: usize,
         out_rows: &mut [f32],
-    ) -> Result<()> {
+        block_cols: usize,
+        counts: &mut [usize],
+    ) -> Result<bool> {
         if self.cols != rhs.rows() || rhs.layout() != Layout::RowMajor {
             return Err(MatrixError::ShapeMismatch {
                 op: "spmm_dense_rows (row-major rhs required)",
@@ -396,14 +421,27 @@ impl CsrMatrix {
                 rhs: rhs.shape(),
             });
         }
+        check_counter_row(
+            "spmm_dense_rows (one counter per block column required)",
+            self.shape(),
+            block_cols,
+            counts,
+        )?;
         let d = rhs.cols();
         if d == 0 {
-            return Ok(());
+            return Ok(true);
         }
         debug_assert_eq!(out_rows.len() % d, 0);
         debug_assert!(r0 + out_rows.len() / d <= self.rows);
-        spmm_dense_rows_rm(self, rhs.as_slice(), d, r0, out_rows);
-        Ok(())
+        let ys = rhs.as_slice();
+        if counts.is_empty() {
+            spmm_dense_rows_rm(self, ys, d, r0, out_rows);
+            return Ok(true);
+        }
+        let counter = (ColumnBlocks::new(block_cols), counts);
+        Ok(spmm_dense_rows_counted_rm(
+            self, ys, d, r0, out_rows, counter,
+        ))
     }
 
     /// Computes output rows `[r0, r0 + out_rows.len() / rhs.cols())` of the
@@ -419,12 +457,19 @@ impl CsrMatrix {
     /// bit-identical to `spgemm` followed by [`CsrMatrix::to_dense_into`].
     /// Accumulated exact zeros are normalised to `+0.0` afterwards, matching
     /// the entries the sparse emission filter drops.
+    ///
+    /// `block_cols` and `counts` profile the rows, as in
+    /// [`CsrMatrix::spmm_dense_rows_into`], whose contract (and returned
+    /// flag) this shares: once the block's rows are computed, its stored
+    /// entries, contiguous and still in cache, are counted and probed.
     pub fn spgemm_rows_dense_into(
         &self,
         rhs: &CsrMatrix,
         r0: usize,
         out_rows: &mut [f32],
-    ) -> Result<()> {
+        block_cols: usize,
+        counts: &mut [usize],
+    ) -> Result<bool> {
         if self.cols != rhs.rows() {
             return Err(MatrixError::ShapeMismatch {
                 op: "spgemm_rows_dense",
@@ -432,15 +477,20 @@ impl CsrMatrix {
                 rhs: rhs.shape(),
             });
         }
+        check_counter_row(
+            "spgemm_rows_dense (one counter per block column required)",
+            self.shape(),
+            block_cols,
+            counts,
+        )?;
         let d = rhs.cols();
         if d == 0 {
-            return Ok(());
+            return Ok(true);
         }
         debug_assert_eq!(out_rows.len() % d, 0);
         debug_assert!(r0 + out_rows.len() / d <= self.rows);
         let rows = out_rows.len() / d;
-        for i in 0..rows {
-            let out_row = &mut out_rows[i * d..(i + 1) * d];
+        for (i, out_row) in out_rows.chunks_exact_mut(d).enumerate() {
             out_row.fill(0.0);
             let (cols, vals) = self.row(r0 + i);
             for (&c, &v) in cols.iter().zip(vals.iter()) {
@@ -455,7 +505,16 @@ impl CsrMatrix {
                 }
             }
         }
-        Ok(())
+        if counts.is_empty() {
+            return Ok(true);
+        }
+        let (cols, vals) = self.stored_rows(r0, r0 + rows);
+        Ok(count_stored(
+            cols,
+            vals,
+            ColumnBlocks::new(block_cols),
+            counts,
+        ))
     }
 
     /// Sparse × sparse product returning a CSR matrix.
@@ -707,6 +766,35 @@ dispatched! {
     }
 }
 
+dispatched! {
+    /// [`spmm_dense_rows_rm`] counting the rows' stored columns into the one
+    /// counter row of `counter`, one counter per block column of its
+    /// `ColumnBlocks` (the rows of a call belong to one profile grid row),
+    /// as the first register tile
+    /// streams them ([`accumulate_row_counted`]), then probing the rows'
+    /// stored values, contiguous and still in cache, in one pass: the Update
+    /// gather over a CSR-stored kernel input.  Returns whether every stored
+    /// value of the rows is finite.
+    fn spmm_dense_rows_counted_rm(
+        x: &CsrMatrix,
+        ys: &[f32],
+        d: usize,
+        row0: usize,
+        out_rows: &mut [f32],
+        counter: (ColumnBlocks, &mut [usize]),
+    ) -> bool {
+        let (blocks, counts) = counter;
+        for (i, out_row) in out_rows.chunks_exact_mut(d).enumerate() {
+            let (cols, vals) = x.row(row0 + i);
+            out_row.fill(0.0);
+            accumulate_row_counted(cols, vals, ys, out_row, blocks, counts);
+        }
+        let mut probe = FiniteProbe::new();
+        probe_values(x.stored_rows(row0, row0 + out_rows.len() / d).1, &mut probe);
+        probe.finite()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,6 +883,31 @@ mod tests {
         // Second product into the same buffer overwrites cleanly.
         csr.spmm_dense_into(&b, &mut out).unwrap();
         assert_eq!(out.as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn row_kernels_count_into_a_counter_row_of_the_right_length_only() {
+        let x = CsrMatrix::from_dense(&sample_dense());
+        let y = DenseMatrix::from_fn(4, 2, |r, c| (r + c) as f32 + 1.0);
+        let ys = CsrMatrix::from_dense(&y);
+        let mut out = vec![0.0; 3 * 2];
+        // Four columns in 2-wide block columns: two counters.
+        assert!(x
+            .spmm_dense_rows_into(&y, 0, &mut out, 2, &mut [0; 3])
+            .is_err());
+        assert!(x
+            .spgemm_rows_dense_into(&ys, 0, &mut out, 2, &mut [0; 1])
+            .is_err());
+        for gustavson in [false, true] {
+            let mut counts = [0; 2];
+            let finite = if gustavson {
+                x.spgemm_rows_dense_into(&ys, 0, &mut out, 2, &mut counts)
+            } else {
+                x.spmm_dense_rows_into(&y, 0, &mut out, 2, &mut counts)
+            };
+            assert!(finite.unwrap());
+            assert_eq!(counts, [2, 3], "Gustavson {gustavson}");
+        }
     }
 
     #[test]

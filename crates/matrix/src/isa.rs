@@ -4,7 +4,8 @@
 //! `#[inline(always)]` body, and compiled twice: the GEMM block kernel with
 //! the two-pass `scan_row` it inlines, the right-sparse block kernel and the
 //! dense profile refit with the one-pass `count_rows` they inline, the CSR
-//! gather and the dense non-zero count.  [`dispatched!`] compiles each into
+//! gather, plain and counting its stored columns, and the dense non-zero
+//! count.  [`dispatched!`] compiles each into
 //! a baseline copy for the target's default instruction set and, on
 //! `x86_64`, a copy with `avx2` and `popcnt` enabled.  The wrapper
 //! picks the copy [`Isa::detected`] names, detected once per process; there
@@ -119,6 +120,7 @@ mod tests {
 
     use super::Isa;
     use crate::ops::{gemm_reference, Scratch};
+    use crate::profile::ColumnBlocks;
     use crate::{is_nonzero, CsrMatrix, DenseMatrix};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -195,11 +197,16 @@ mod tests {
     /// `x` in CSR with every element that is not `±0.0` stored, `NaN`s
     /// included (the oracle multiplies them through).
     fn stored_csr(x: &DenseMatrix) -> CsrMatrix {
+        csr_storing(x, |v| v != 0.0)
+    }
+
+    /// `x` in CSR with the elements `keep` accepts stored.
+    fn csr_storing(x: &DenseMatrix, keep: impl Fn(f32) -> bool) -> CsrMatrix {
         let (m, n) = x.shape();
         let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
         for r in 0..m {
             for (k, &v) in x.row_slice(r).unwrap().iter().enumerate() {
-                if v != 0.0 {
+                if keep(v) {
                     col_idx.push(k as u32);
                     values.push(v);
                 }
@@ -207,6 +214,27 @@ mod tests {
             row_ptr.push(col_idx.len());
         }
         CsrMatrix::from_parts(m, n, row_ptr, col_idx, values)
+    }
+
+    /// The counter row of the stored entries of rows `[r0, r1)` of `xs` in
+    /// `block_cols`-wide block columns, one entry at a time (an entry counts
+    /// because it is stored, whatever its value), and whether their values
+    /// are finite.
+    fn stored_count_oracle(
+        xs: &CsrMatrix,
+        (r0, r1): (usize, usize),
+        block_cols: usize,
+    ) -> (Vec<usize>, bool) {
+        let mut counts = vec![0; xs.cols().div_ceil(block_cols)];
+        let mut finite = true;
+        for r in r0..r1 {
+            let (cols, vals) = xs.row(r);
+            for (&c, &v) in cols.iter().zip(vals) {
+                counts[c as usize / block_cols] += 1;
+                finite &= v.is_finite();
+            }
+        }
+        (counts, finite)
     }
 
     /// The counter row of rows `[r0, r1)` of `x` in `block_cols`-wide block
@@ -352,10 +380,42 @@ mod tests {
         }
     }
 
+    /// The counted gather of `isa` over the row calls of `block_rows`, each
+    /// call's counter row and flag held to [`stored_count_oracle`]; returns
+    /// the output.
+    fn counted_gather(
+        isa: Isa,
+        xs: &CsrMatrix,
+        y: &DenseMatrix,
+        block_rows: usize,
+        block_cols: usize,
+    ) -> Vec<f32> {
+        let (n, d) = y.shape();
+        let mut out = vec![f32::NAN; ROWS * d];
+        for (r0, r1) in row_calls(block_rows) {
+            let mut counts = vec![0; n.div_ceil(block_cols)];
+            let finite = crate::csr::spmm_dense_rows_counted_rm::on(
+                isa,
+                xs,
+                y.as_slice(),
+                d,
+                r0,
+                &mut out[r0 * d..r1 * d],
+                (ColumnBlocks::new(block_cols), &mut counts),
+            );
+            assert_eq!(
+                (counts, finite),
+                stored_count_oracle(xs, (r0, r1), block_cols),
+                "{isa:?}: n {n}, d {d}, block columns {block_cols}, rows {r0}..{r1}"
+            );
+        }
+        out
+    }
+
     #[test]
     fn csr_gather_copies_give_the_oracle_bits() {
         let mut rng = StdRng::seed_from_u64(9);
-        for (x, block_rows, _) in cases(3, true) {
+        for (x, block_rows, block_cols) in cases(3, true) {
             let n = x.cols();
             let xs = stored_csr(&x);
             for &d in &WIDTHS {
@@ -368,6 +428,45 @@ mod tests {
                         crate::csr::spmm_dense_rows_rm::on(isa, &xs, y.as_slice(), d, r0, rows);
                     }
                     assert!(same_bits(&out, want.as_slice()), "{isa:?}: n {n}, d {d}");
+                    let counted = counted_gather(isa, &xs, &y, block_rows, block_cols);
+                    assert!(
+                        same_bits(&counted, want.as_slice()),
+                        "{isa:?} counted: n {n}, d {d}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn csr_gather_copies_flag_a_poison_at_either_end_of_a_block() {
+        // Finite operands with `-0.0` entries stored (they count), then each
+        // non-finite value alone at the first and at the last stored entry of
+        // each row call's block.
+        let mut rng = StdRng::seed_from_u64(10);
+        for (i, (x, block_rows, block_cols)) in cases(5, false).into_iter().enumerate() {
+            let n = x.cols();
+            let clean = csr_storing(&x, |v| v.to_bits() != 0);
+            let d = WIDTHS[i % 3];
+            let y = right_operand(&mut rng, n, d, false);
+            for (r0, r1) in row_calls(block_rows) {
+                let (lo, hi) = (clean.row_ptr()[r0], clean.row_ptr()[r1]);
+                for at in [lo, hi.max(lo + 1) - 1].into_iter().filter(|&at| at < hi) {
+                    for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                        let mut values = clean.values().to_vec();
+                        values[at] = v;
+                        let (row_ptr, col_idx) =
+                            (clean.row_ptr().to_vec(), clean.col_idx().to_vec());
+                        let xs = CsrMatrix::from_parts(ROWS, n, row_ptr, col_idx, values);
+                        let want = gemm_reference(&xs.to_dense(), &y).unwrap();
+                        for isa in copies() {
+                            let out = counted_gather(isa, &xs, &y, block_rows, block_cols);
+                            assert!(
+                                same_bits(&out, want.as_slice()),
+                                "{isa:?}: n {n}, d {d}, {v} at entry {at}"
+                            );
+                        }
+                    }
                 }
             }
         }

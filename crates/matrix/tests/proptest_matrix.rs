@@ -179,7 +179,7 @@ proptest! {
         let xs = stored_csr(&x);
         let mut out = vec![f32::NAN; m * d];
         for (r0, r1) in row_blocks(m, block_rows) {
-            xs.spmm_dense_rows_into(&y, r0, &mut out[r0 * d..r1 * d]).unwrap();
+            xs.spmm_dense_rows_into(&y, r0, &mut out[r0 * d..r1 * d], 1, &mut []).unwrap();
         }
         prop_assert!(same_bits(&out, want.as_slice()), "blocked rows differ from the oracle");
 
@@ -357,8 +357,10 @@ proptest! {
         let spgemm = xs.spgemm(&ys).unwrap().to_dense();
         let (mut spdmm_rows, mut spgemm_rows) = (vec![f32::NAN; m * d], vec![f32::NAN; m * d]);
         for (r0, r1) in row_blocks(m, 5) {
-            xs.spmm_dense_rows_into(&y, r0, &mut spdmm_rows[r0 * d..r1 * d]).unwrap();
-            xs.spgemm_rows_dense_into(&ys, r0, &mut spgemm_rows[r0 * d..r1 * d]).unwrap();
+            xs.spmm_dense_rows_into(&y, r0, &mut spdmm_rows[r0 * d..r1 * d], 1, &mut [])
+                .unwrap();
+            xs.spgemm_rows_dense_into(&ys, r0, &mut spgemm_rows[r0 * d..r1 * d], 1, &mut [])
+                .unwrap();
         }
         prop_assert!(same_bits(&spdmm_rows, out.as_slice()), "SpDMM row blocks");
         prop_assert!(same_bits(&spgemm_rows, spgemm.as_slice()), "Gustavson row blocks");
@@ -584,7 +586,7 @@ proptest! {
         prop_assert_eq!(&profile, &refit(&poisoned));
         let mut gustavson = vec![f32::NAN; (m - r0) * d];
         stored_csr(&poisoned)
-            .spgemm_rows_dense_into(&CsrMatrix::from_dense(&w), r0, &mut gustavson)
+            .spgemm_rows_dense_into(&CsrMatrix::from_dense(&w), r0, &mut gustavson, 1, &mut [])
             .unwrap();
         for (g, s) in got.iter().zip(&gustavson) {
             prop_assert!(

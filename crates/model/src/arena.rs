@@ -30,8 +30,11 @@
 //!   one's single pass over the operand also fills the kernel input's
 //!   sparsity profile.  A CSR left operand refits every
 //!   block's density from the row pointers and picks Skip / SpDMM /
-//!   Gustavson-into-dense through [`KernelDispatcher::decide`].  The
-//!   kernel's predicted cost is the sum of its blocks' predictions.
+//!   Gustavson-into-dense through [`KernelDispatcher::decide`]; when it is
+//!   the kernel input (a CSR-stored Update, not an Aggregate's adjacency),
+//!   the SpDMM and Gustavson rows count its stored columns into the same
+//!   profile as they stream them.  The kernel's predicted cost is the sum
+//!   of its blocks' predictions.
 //! * **One runner.**  `Pass::run` wraps whichever shape executes with the
 //!   timing and the kernel span behind a single `Option` probe.
 //! * [`KernelArena`] owns plan-sized ping-pong feature buffers (one
@@ -347,11 +350,11 @@ struct KernelScratch {
     /// CSR buffers of sparse slot outputs.
     spgemm: SpGemmScratch,
     /// The current kernel's input profile over its `N2 × N2` subfiber
-    /// tiling, when the kernel's own scan fills one: the dense-input Update
-    /// GEMM streams every `X` row exactly once and counts as it goes, so the
-    /// session prices the kernel from this profile instead of scanning the
-    /// operand again (the counters grow to the largest grid once, then are
-    /// reused).
+    /// tiling, when the kernel's own scan fills one: an Update's row blocks
+    /// stream every `X` row exactly once — dense-stored or CSR-stored — and
+    /// count as they go, so the session prices the kernel from this profile
+    /// instead of reading the operand again (the counters grow to the
+    /// largest grid once, then are reused).
     profile: DensityProfile,
     /// Whether the kernel that just ran filled `profile` (`Some`), and if so
     /// whether every element its scan read was finite.
@@ -654,11 +657,16 @@ enum BlockBody<'a> {
     /// an empty block is skipped, and when the right operand also exists in
     /// CSR form (`y_csr`: sparse features, a cached pruned weight) the
     /// dispatcher picks per block between SpDMM against `y` and Gustavson rows
-    /// accumulated straight into the dense block.
+    /// accumulated straight into the dense block.  With `profiles` (an
+    /// Update, whose `x` is the kernel input) either kernel counts the
+    /// block's stored columns as it streams its rows, and probes their
+    /// values, as the dense-left bodies do; an Aggregate's `x` is its static
+    /// adjacency, which is not the kernel input and is not counted.
     CsrLeft {
         x: &'a CsrMatrix,
         y: Cow<'a, DenseMatrix>,
         y_csr: Option<&'a CsrMatrix>,
+        profiles: bool,
     },
 }
 
@@ -710,7 +718,7 @@ impl BlockBody<'_> {
                 let alpha_x = block_density(nnz, rows, n);
                 BlockRun::ran(HostPrimitive::SpDmmRight, shape, alpha_x, finite)
             }
-            BlockBody::CsrLeft { x, y, y_csr } => {
+            BlockBody::CsrLeft { x, y, y_csr, .. } => {
                 let alpha_x = block_density(x.rows_nnz(r0, r0 + rows), rows, n);
                 let prim = match y_csr {
                     Some(_) => match dispatcher.decide(shape, alpha_x, product.alpha_y) {
@@ -726,16 +734,22 @@ impl BlockBody<'_> {
                     None if alpha_x > 0.0 => HostPrimitive::SpDmm,
                     None => HostPrimitive::Skip,
                 };
-                match (prim, y_csr) {
-                    (HostPrimitive::Skip, _) => out_rows.fill(0.0),
+                // A Skip block stores nothing (the route is a whole-product
+                // Skip when `y` is empty), so its counters stay at zero.
+                let finite = match (prim, y_csr) {
+                    (HostPrimitive::Skip, _) => {
+                        debug_assert_eq!(alpha_x, 0.0, "a skipped block stores nothing");
+                        out_rows.fill(0.0);
+                        true
+                    }
                     (HostPrimitive::Spmm, Some(y_csr)) => x
-                        .spgemm_rows_dense_into(y_csr, r0, out_rows)
+                        .spgemm_rows_dense_into(y_csr, r0, out_rows, block_rows, counts)
                         .expect("shapes were settled at route resolution"),
                     _ => x
-                        .spmm_dense_rows_into(y, r0, out_rows)
+                        .spmm_dense_rows_into(y, r0, out_rows, block_rows, counts)
                         .expect("shapes and layouts were settled at route resolution"),
-                }
-                BlockRun::ran(prim, shape, alpha_x, true)
+                };
+                BlockRun::ran(prim, shape, alpha_x, finite)
             }
         }
     }
@@ -865,7 +879,15 @@ impl Pass<'_> {
                     }
                     (None, None) => unreachable!("every right operand has a stored form"),
                 };
-                let body = BlockBody::CsrLeft { x, y, y_csr };
+                // An Update's left operand is the kernel input; an
+                // Aggregate's is the static adjacency.
+                let profiles = matches!(spec.op, KernelOp::Update { .. });
+                let body = BlockBody::CsrLeft {
+                    x,
+                    y,
+                    y_csr,
+                    profiles,
+                };
                 (HostPrimitive::SpDmm, Exec::Rows { block_rows, body })
             }
         };
@@ -926,11 +948,13 @@ impl Pass<'_> {
                 // skips the zero-fill.
                 let out = slot_as_dense(out_slot, spgemm);
                 out.reset_for_overwrite(m, d);
-                // Block `k` of a dense-left body owns counter row `k` of the
-                // profile handed to `on_kernel` (with `d == 0` no row is
-                // scanned and nothing is handed over).
+                // Block `k` of a body that profiles the kernel input owns
+                // counter row `k` of the profile handed to `on_kernel` (with
+                // `d == 0` no row is read and nothing is handed over).
                 let (scans, count_rows) = match body {
-                    BlockBody::Gemm { .. } | BlockBody::RightSparse { .. } => {
+                    BlockBody::Gemm { .. }
+                    | BlockBody::RightSparse { .. }
+                    | BlockBody::CsrLeft { profiles: true, .. } => {
                         (d > 0, profile.refit_tiled((m, n), (block_rows, block_rows)))
                     }
                     BlockBody::CsrLeft { .. } => (false, <&mut [usize]>::default().chunks_mut(1)),
@@ -1049,12 +1073,14 @@ impl ReferenceExecutor {
     ///
     /// `on_kernel(layer, kernel, spec, input, output, scanned)` runs after
     /// every kernel; an error it returns ends the pass with that error.
-    /// `scanned` is `Some((profile, finite))` when the kernel's own scan
-    /// already profiled `input` — the dense-input Update GEMM, whose profile
-    /// over the `N2 × N2` subfiber tiling equals
-    /// `input.density_profile_into(&partition.subfiber_grid(..), ..)`, and
-    /// `finite` says whether every element of `input` is finite — and `None`
-    /// when the caller must refit it (CSR inputs, Aggregates).
+    /// `scanned` is `Some((profile, finite))` when the kernel's own pass
+    /// already profiled `input` — an Update run over row blocks, whatever
+    /// `input`'s storage, whose profile over the `N2 × N2` subfiber tiling
+    /// equals `input.density_profile_into(&partition.subfiber_grid(..), ..)`,
+    /// and `finite` says whether every element (stored value, for a CSR
+    /// `input`) is finite — and `None` when the caller must refit it
+    /// (Aggregates, and an Update that ran whole: an empty product or a
+    /// sparse-sparse product into CSR).
     ///
     /// Returns the predicted milliseconds summed over every executed kernel
     /// (finite predictions only; `0.0` when the dispatcher prices nothing),
@@ -1851,6 +1877,54 @@ mod tests {
         let b = dense_features(VERTICES, 16, 0.9, 2);
         let requests = [a.clone(), b.clone(), a.clone(), b.clone(), a, b];
         check_against_reference(&model, &requests, &PartitionSpec::default());
+    }
+
+    #[test]
+    fn a_csr_update_input_is_counted_by_its_gather_and_an_adjacency_is_not() {
+        // Kernel 0 of GCN is an Update over the CSR-stored request, which its
+        // gather counts and probes; kernel 0 of GraphSAGE is an Aggregate
+        // whose CSR left operand is the adjacency, never counted.  Regions
+        // decisions at α 0.3 run both as CSR-left row blocks.
+        let partition = PartitionSpec::new(16, 8).unwrap();
+        let clean = CsrMatrix::from_dense(&dense_features(VERTICES, 24, 0.3, 7).to_dense());
+        let mut poisoned = clean.values().to_vec();
+        *poisoned.last_mut().unwrap() = f32::NAN;
+        let poisoned = CsrMatrix::from_parts(
+            VERTICES,
+            24,
+            clean.row_ptr().to_vec(),
+            clean.col_idx().to_vec(),
+            poisoned,
+        );
+        for kind in [GnnModelKind::Gcn, GnnModelKind::GraphSage] {
+            let model = GnnModel::standard(kind, 24, 8, 5, 13);
+            let exec = ReferenceExecutor::new(&model, &small_graph());
+            let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::from_regions(16), None);
+            let mut arena = exec.arena(VERTICES);
+            for (request, finite) in [(&clean, true), (&poisoned, false)] {
+                let request = FeatureMatrix::Sparse(request.clone());
+                let mut kernel0 = None;
+                exec.forward_dispatch(
+                    &request,
+                    &dispatcher,
+                    &mut arena,
+                    &partition,
+                    None,
+                    |l, k, _, input, _, scanned| {
+                        if (l, k) == (0, 0) {
+                            let grid = partition.subfiber_grid(VERTICES, input.dim());
+                            kernel0 = Some(scanned.map(|(profile, finite)| {
+                                (profile == &input.density_profile(&grid), finite)
+                            }));
+                        }
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let want = (kind == GnnModelKind::Gcn).then_some((true, finite));
+                assert_eq!(kernel0, Some(want), "{kind:?}, finite {finite}");
+            }
+        }
     }
 
     #[test]

@@ -378,14 +378,19 @@ impl ServeRuntime {
     }
 
     /// Submits a request, blocking while the queue is at capacity
-    /// (backpressure).  The request is validated up front with the same
-    /// typed errors [`Session::infer`] would produce.
+    /// (backpressure).  The request's shape is checked up front, with the
+    /// typed error [`Session::infer`] would produce; its values are not
+    /// read here.  A request holding a `NaN` or `±Inf` feature, dense- or
+    /// CSR-stored, is accepted and its ticket resolves to the worker's
+    /// [`MatrixError::NonFinite`](dynasparse_matrix::MatrixError::NonFinite)
+    /// refusal (`op: "session infer"`), which costs the worker no respawn.
     pub fn submit(&self, features: FeatureMatrix) -> Result<Ticket, ServeError> {
         self.enqueue(features, SubmitOptions::default(), false, None)
     }
 
     /// Submits a request without blocking; a full queue returns
-    /// [`ServeError::QueueFull`] instead of waiting.
+    /// [`ServeError::QueueFull`] instead of waiting.  The request is checked
+    /// as [`ServeRuntime::submit`] checks it.
     pub fn try_submit(&self, features: FeatureMatrix) -> Result<Ticket, ServeError> {
         self.enqueue(features, SubmitOptions::default(), true, None)
     }

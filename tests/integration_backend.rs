@@ -21,9 +21,11 @@
 //! * the regions fallback against the same oracle, in a child run of this
 //!   binary under `DYNASPARSE_CALIBRATION=off` (the calibration is read once
 //!   per process);
-//! * the one-scan dense ingest — a profile filled by the Update GEMM's own
-//!   pass against the oracle's separate refit of the same operand, with the
-//!   kernel pool at one and at two threads;
+//! * the one-pass ingest — a profile filled by the layer-0 Update's own pass
+//!   (the GEMM or right-sparse scan of a dense-stored request, the CSR
+//!   gather's or Gustavson rows' count of a CSR-stored one) against the
+//!   oracle's separate refit of the same operand, over dense and pruned
+//!   weights, with the kernel pool at one and at two threads;
 //! * column-major operands, which take one row-major copy at route
 //!   resolution and then the ordinary block loop;
 //! * pruned weights under dense-stored requests, whose Updates run by the
@@ -37,10 +39,10 @@ use common::{
 };
 use dynasparse::{
     CompiledPlan, CompilerConfig, EngineOptions, InferenceReport, MappingStrategy, Planner,
-    Registry, TelemetryLevel,
+    Registry, SessionTelemetry, SpanPrimitive, TelemetryLevel,
 };
 use dynasparse_graph::{generators::dense_features, Dataset, FeatureMatrix, GraphDataset};
-use dynasparse_matrix::{CsrMatrix, Layout};
+use dynasparse_matrix::{CsrMatrix, DenseMatrix, Layout};
 use dynasparse_model::{prune_model, GnnModel, GnnModelKind, ReferenceExecutor};
 use dynasparse_telemetry::CounterId;
 use std::sync::Arc;
@@ -209,37 +211,125 @@ fn whole_model_pricing_is_unchanged_across_paper_strategies() {
     );
 }
 
-/// Dense-stored requests whose layer-0 Update streams them: that GEMM's own
-/// pass fills the kernel's input profile and the session prices from it,
-/// while the oracle refits the same operand in a separate scan.  Everything
-/// a report exposes — decisions, mix, cycles, density trace, embeddings —
-/// must be identical for uniform, skewed and hostile (`-0.0`, denormal,
-/// all-zero) inputs, each served solo.
+/// `m` in CSR storing every element that is not `+0.0` (so every `-0.0`),
+/// and every `+0.0` at `(r, c)` with `keep_zero(r, c)`.
+fn csr_storing(m: &DenseMatrix, keep_zero: impl Fn(usize, usize) -> bool) -> CsrMatrix {
+    let (rows, cols) = m.shape();
+    let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
+    for r in 0..rows {
+        for c in 0..cols {
+            let v = m.get(r, c);
+            if v.to_bits() != 0 || keep_zero(r, c) {
+                col_idx.push(c as u32);
+                values.push(v);
+            }
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_parts(rows, cols, row_ptr, col_idx, values)
+}
+
+/// The CSR-stored requests of the one-pass ingest, for a plan whose Update
+/// row blocks are `n2` rows: uniform at Cora's 1.27 %, hub-skewed rows,
+/// explicitly stored `0.0`, `-0.0` and denormal entries, empty rows and two
+/// empty row blocks, and an all-empty request.
+fn csr_requests(ds: &GraphDataset, n2: usize) -> Vec<(&'static str, FeatureMatrix)> {
+    let (v, dim) = (ds.graph.num_vertices(), ds.features.dim());
+    let csr = |m: &DenseMatrix| FeatureMatrix::Sparse(CsrMatrix::from_dense(m));
+    let mut explicit = dense_features(v, dim, 0.02, 44).to_dense();
+    for r in (0..v).step_by(7) {
+        explicit.set(r, r % dim, 0.0);
+        explicit.set(r, (r + 1) % dim, -0.0);
+        explicit.set(r, (r + 2) % dim, 1.0e-40);
+    }
+    let mut holes = dense_features(v, dim, 0.05, 45).to_dense();
+    for r in (0..v).filter(|&r| r % 3 == 0 || (n2..3 * n2).contains(&r)) {
+        for c in 0..dim {
+            holes.set(r, c, 0.0);
+        }
+    }
+    vec![
+        (
+            "CSR 1.27 %",
+            csr(&dense_features(v, dim, 0.0127, 46).to_dense()),
+        ),
+        (
+            "CSR hub-skewed",
+            csr(&skewed_request(ds, v / 4, 47).to_dense()),
+        ),
+        (
+            "CSR explicit zeros",
+            FeatureMatrix::Sparse(csr_storing(&explicit, |r, c| r % 7 == 0 && c == r % dim)),
+        ),
+        ("CSR empty rows and blocks", csr(&holes)),
+        (
+            "CSR all-empty",
+            FeatureMatrix::Sparse(CsrMatrix::empty(v, dim)),
+        ),
+    ]
+}
+
+/// Requests whose layer-0 Update streams them over row blocks, dense- or
+/// CSR-stored: that kernel's own pass fills the kernel's input profile (the
+/// GEMM's and right-sparse body's scan, the CSR gather's and Gustavson rows'
+/// count) and the session prices from it, while the oracle refits the same
+/// operand in a separate pass.  Everything a report exposes — decisions,
+/// mix, cycles, density trace, embeddings — must agree, on hostile
+/// (`-0.0`, denormal, empty) inputs, each served solo, over dense and
+/// 95 %-pruned weights.  On the regions fallback the pruned model's
+/// hub-skewed CSR request must run some of kernel 0's row blocks as
+/// Gustavson rows, so their count is checked too.
 fn assert_scanned_profiles_equal_separate_refits() {
-    let (model, ds) = fixture(GnnModelKind::Gcn);
+    let (dense_model, ds) = fixture(GnnModelKind::Gcn);
     let v = ds.graph.num_vertices();
     let mut hostile = dense_features(v, ds.features.dim(), 0.02, 41).to_dense();
     for r in (0..v).step_by(7) {
         hostile.set(r, r % ds.features.dim(), -0.0);
         hostile.set(r, (r + 1) % ds.features.dim(), 1.0e-40);
     }
-    let requests = [
-        dense_features(v, ds.features.dim(), 0.0127, 40),
-        skewed_request(&ds, v / 4, 42),
-        FeatureMatrix::Dense(hostile),
-        dense_features(v, ds.features.dim(), 0.0, 43),
+    let dense_requests = [
+        (
+            "dense 1.27 %",
+            dense_features(v, ds.features.dim(), 0.0127, 40),
+        ),
+        ("dense hub-skewed", skewed_request(&ds, v / 4, 42)),
+        ("dense hostile", FeatureMatrix::Dense(hostile)),
+        (
+            "dense all-zero",
+            dense_features(v, ds.features.dim(), 0.0, 43),
+        ),
     ];
     let strategies = MappingStrategy::paper_strategies();
-    let oracle = ReferenceExecutor::new(&model, &ds.graph);
-    let plan = plan(&model, &ds);
-    let mut session = plan.session(&strategies);
-    for (i, request) in requests.iter().enumerate() {
-        assert_matches_oracle(
-            &session.infer(request).unwrap(),
-            &plan,
-            &run_oracle(&oracle, request, &plan),
-            &format!("one-scan profile, request {i}"),
-        );
+    for (weights, model) in [
+        ("dense", dense_model.clone()),
+        ("95%-pruned", prune_model(&dense_model, 0.95)),
+    ] {
+        let oracle = ReferenceExecutor::new(&model, &ds.graph);
+        let plan = plan(&model, &ds);
+        let mut session = plan.session(&strategies);
+        let registry = Arc::new(Registry::new(TelemetryLevel::Trace));
+        *session.telemetry_mut() = SessionTelemetry::with_capacity(registry, 1 << 14);
+        let mut gustavson_blocks = 0;
+        let csr = csr_requests(&ds, plan.partition().n2);
+        for (what, request) in dense_requests.iter().cloned().chain(csr) {
+            session.telemetry_mut().clear_recorder();
+            assert_matches_oracle(
+                &session.infer(&request).unwrap(),
+                &plan,
+                &run_oracle(&oracle, &request, &plan),
+                &format!("one-pass profile, {weights} weights, {what}"),
+            );
+            gustavson_blocks += session
+                .telemetry()
+                .recorder()
+                .spans()
+                .filter(|s| (s.layer, s.kernel) == (0, 0) && s.is_block())
+                .filter(|s| s.primitive == SpanPrimitive::Spmm)
+                .count();
+        }
+        if weights == "95%-pruned" && is_regions_child() {
+            assert!(gustavson_blocks > 0, "no kernel-0 block ran Gustavson rows");
+        }
     }
 }
 

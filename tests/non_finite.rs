@@ -55,11 +55,45 @@ fn is_non_finite(err: &DynasparseError, op: &str) -> bool {
     matches!(err, DynasparseError::Execution(MatrixError::NonFinite { op: o }) if *o == op)
 }
 
+/// `m` with the stored value at entry `at` replaced by `v`.
+fn with_stored(m: &CsrMatrix, at: usize, v: f32) -> CsrMatrix {
+    let mut values = m.values().to_vec();
+    values[at] = v;
+    let (row_ptr, col_idx) = (m.row_ptr().to_vec(), m.col_idx().to_vec());
+    CsrMatrix::from_parts(m.rows(), m.cols(), row_ptr, col_idx, values)
+}
+
+/// Each model kind over dense and 95 %-pruned weights refuses poisoned
+/// requests: the two poisons together, dense- and CSR-stored, and each
+/// non-finite value alone at the first and at the last stored entry of a
+/// CSR request.  No value is read before the pass that serves a request.
+/// GCN's kernel 0 is an Update over the request, refused by its own pass
+/// (the gather or Gustavson rows that count its row blocks, or the refit
+/// after a whole-product skip or sparse-sparse product); GraphSAGE, GIN and
+/// SGC start with an Aggregate over the static adjacency, so the refit of
+/// their input profile (`refit_dense`, `refit_csr`) refuses it.
 #[test]
 fn every_route_refuses_non_finite_features_and_serves_on() {
     let ds = Dataset::Cora.spec().generate_scaled(5, 0.12);
     let clean = ds.features.to_dense();
     let bad = poisoned(&clean);
+    let clean_csr = CsrMatrix::from_dense(&clean);
+    let mut requests = vec![
+        (
+            "dense-stored, both poisons".to_string(),
+            FeatureMatrix::Dense(bad.clone()),
+        ),
+        (
+            "CSR-stored, both poisons".to_string(),
+            FeatureMatrix::Sparse(stored_csr(&bad)),
+        ),
+    ];
+    for at in [0, clean_csr.nnz() - 1] {
+        for v in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let request = FeatureMatrix::Sparse(with_stored(&clean_csr, at, v));
+            requests.push((format!("CSR-stored, {v} at stored entry {at}"), request));
+        }
+    }
     let strategies = MappingStrategy::paper_strategies();
     for kind in GnnModelKind::all() {
         let dense_weights = GnnModel::standard(kind, clean.cols(), 16, ds.spec.num_classes, 2);
@@ -70,16 +104,17 @@ fn every_route_refuses_non_finite_features_and_serves_on() {
             let plan = Planner::new(EngineOptions::default())
                 .plan(&model, &ds)
                 .unwrap();
+            let first = plan.program().kernels[0].ir.kind;
+            assert_eq!(first == KernelKind::Update, kind == GnnModelKind::Gcn);
             let want = fingerprint(&plan.session(&strategies).infer(&ds.features).unwrap());
-            for (storage, request) in [
-                ("dense", FeatureMatrix::Dense(bad.clone())),
-                ("CSR", FeatureMatrix::Sparse(stored_csr(&bad))),
-            ] {
-                let ctx = format!("{kind:?}, {weights} weights, {storage}-stored features");
+            for (what, request) in &requests {
+                let ctx = format!("{kind:?}, {weights} weights, {what}");
                 let mut session = plan.session(&strategies);
-                let err = session.infer(&request).unwrap_err();
+                let err = session.infer(request).unwrap_err();
                 assert!(is_non_finite(&err, "session infer"), "{ctx}: {err:?}");
-                let err = session.infer_batch(&[request]).unwrap_err();
+                let err = session
+                    .infer_batch(std::slice::from_ref(request))
+                    .unwrap_err();
                 assert!(is_non_finite(&err, "session infer_batch"), "{ctx}: {err:?}");
                 let served = session.infer(&ds.features).unwrap();
                 assert!(
@@ -165,9 +200,13 @@ fn a_serve_ticket_resolves_to_the_refusal_without_a_respawn() {
         Err(ServeError::Inference(err)) => assert!(is_non_finite(&err, "session infer"), "{err:?}"),
         other => panic!("expected the non-finite refusal, got {other:?}"),
     }
-    // CSR-stored: refused at submission.
-    match runtime.submit(FeatureMatrix::Sparse(stored_csr(&poisoned(&clean)))) {
-        Err(ServeError::Inference(err)) => assert!(is_non_finite(&err, "serve submit"), "{err:?}"),
+    // CSR-stored: accepted (submission reads no value), then refused on the
+    // worker by kernel 0's gather, as a dense one is by its scan.
+    let ticket = runtime
+        .submit(FeatureMatrix::Sparse(stored_csr(&poisoned(&clean))))
+        .unwrap();
+    match ticket.wait() {
+        Err(ServeError::Inference(err)) => assert!(is_non_finite(&err, "session infer"), "{err:?}"),
         other => panic!("expected the non-finite refusal, got {other:?}"),
     }
     let served = runtime.submit(ds.features.clone()).unwrap().wait().unwrap();
