@@ -9,17 +9,12 @@
 //! sparsity via a performance model of the platform that executes it (paper
 //! §VI-A), so this module measures that model on the actual host:
 //!
-//! * [`HostCalibration::measure`] times the four host kernels
-//!   ([`gemm_into`], [`CsrMatrix::spmm_dense_into`],
-//!   [`right_sparse_rows_into`], [`CsrMatrix::spgemm_with`]) over a small
-//!   fixed-seed density × shape grid and fits one [`PrimitiveFit`] cost curve
-//!   per kernel: GEMM ∝ `m·n·d`; SpDMM once per orientation — ∝ `nnz(X)·d`
-//!   for the CSR-left kernel (the left operand's zeros skipped) and
-//!   ∝ `m·nnz(Y)`, plus the `m·n` tile transposition and the `m·d` column
-//!   walk, for the right-sparse kernel (the right operand's zeros skipped),
-//!   so the primitive is priced by whichever operand the kernel that runs it
-//!   skips; Gustavson SPMM ∝ its flop-proportional nnz work plus the expected
-//!   touched-output and per-row scatter terms.
+//! * [`HostCalibration::measure`] times three host kernels ([`gemm_into`],
+//!   [`CsrMatrix::spmm_dense_into`], [`CsrMatrix::spgemm_with`]) over a
+//!   small fixed-seed density × shape grid and fits one [`PrimitiveFit`]
+//!   cost curve per kernel: GEMM ∝ `m·n·d`; SpDMM ∝ `nnz(X)·d` (the left
+//!   operand's zeros skipped); Gustavson SPMM ∝ its flop-proportional nnz
+//!   work plus the expected touched-output and per-row scatter terms.
 //! * [`HostCalibration::cheapest`] is the **argmin over predicted costs**
 //!   of GEMM, SpDMM and SPMM.  It is the whole calibrated decision:
 //!   `dynasparse-model`'s `KernelDispatcher` checks a fit once with
@@ -102,25 +97,20 @@ impl ProductShape {
 ///   regions and this model must agree on.  The envelope is accurate in
 ///   the dense band, the only band where GEMM can win on a host, and
 ///   overestimating GEMM elsewhere can only push the argmin toward the
-///   sparse kernels that measure faster there anyway.  SpDMM has one
-///   kernel per orientation, each proportional to the operand it skips:
-///   `α_X·m·n·d` for `spmm_dense_into`, which walks the *left* CSR's nnz and
-///   never skips zeros of the dense right operand, and `α_Y·m·n·d` for
-///   `right_sparse_rows_into` ([`HostPrimitive::SpDmmRight`]), which walks
-///   the stored entries of the *right* operand for every row of a dense
-///   left one.  Together they are the accelerator's `α_min` — where a kernel
-///   exists: only an Update over dense-stored features can run the second,
-///   and [`UpdateFit`] prices that choice, so `decide` never weighs it.  SPMM: the
-///   Gustavson flop count `α_X·α_Y·m·n·d`.
+///   sparse kernels that measure faster there anyway.  SpDMM:
+///   `α_X·m·n·d` for `spmm_dense_into`, which walks the left CSR's nnz and
+///   never skips zeros of the dense right operand.  (The other orientation,
+///   `right_sparse_rows_into`, runs only for an Update over dense-stored
+///   features, and [`UpdateFit`] prices it at the model's widths; the grid
+///   has no curve for it.)  SPMM: the Gustavson flop count `α_X·α_Y·m·n·d`.
 /// * `output` — elements the primitive writes (dense `m·d` for GEMM and
-///   both SpDMM kernels — the right-sparse one also starts one column walk
-///   per tile for each; for SPMM the *expected* touched outputs
+///   SpDMM; for SPMM the *expected* touched outputs
 ///   `m·d·(1 − e^{−α_X·α_Y·n})`, which also sizes its per-row scatter-list
 ///   sort).
-/// * `rows` — `m`, the per-row loop overhead; `m·n` for the right-sparse
-///   SpDMM, whose per-row cost is counting and transposing the whole `X`
-///   row.  (`m·(n + d)` and `m` would not do: both grid shapes have
-///   `n + d = 160`, which makes the two collinear and the fit singular.)
+/// * `rows` — `m`, the per-row loop overhead.
+///
+/// A primitive the grid does not price ([`HostPrimitive::SpDmmRight`],
+/// [`HostPrimitive::Skip`]) has no features.
 fn features(prim: HostPrimitive, shape: ProductShape, ax: f64, ay: f64) -> [f64; 3] {
     let macs = shape.macs();
     let out = (shape.m * shape.d) as f64;
@@ -128,13 +118,12 @@ fn features(prim: HostPrimitive, shape: ProductShape, ax: f64, ay: f64) -> [f64;
     match prim {
         HostPrimitive::Gemm => [macs, out, rows],
         HostPrimitive::SpDmm => [ax * macs, out, rows],
-        HostPrimitive::SpDmmRight => [ay * macs, out, rows * shape.n as f64],
         HostPrimitive::Spmm => {
             let flops = ax * ay * macs;
             let touched = out * (1.0 - (-(ax * ay) * shape.n as f64).exp());
             [flops, touched, rows]
         }
-        HostPrimitive::Skip => [0.0, 0.0, 0.0],
+        HostPrimitive::SpDmmRight | HostPrimitive::Skip => [0.0, 0.0, 0.0],
     }
 }
 
@@ -146,8 +135,7 @@ pub struct PrimitiveFit {
     pub work: f64,
     /// Milliseconds per output element written/touched.
     pub output: f64,
-    /// Milliseconds per output row (loop overhead) — per element of the
-    /// rows read, for the right-sparse SpDMM (see `features`).
+    /// Milliseconds per output row (loop overhead).
     pub per_row: f64,
 }
 
@@ -237,10 +225,6 @@ pub struct CalibrationSample {
     pub gemm_ms: f64,
     /// Measured milliseconds of the sparse-dense CSR row kernel.
     pub spdmm_ms: f64,
-    /// Measured milliseconds of the right-sparse row kernel (dense left
-    /// operand, right operand as the CSR of its transpose), scaled up from
-    /// the first `RIGHT_SPARSE_TIMED_ROWS` rows.
-    pub spdmm_right_ms: f64,
     /// Measured milliseconds of the Gustavson sparse-sparse kernel.
     pub spmm_ms: f64,
 }
@@ -253,9 +237,6 @@ pub struct HostCalibration {
     pub gemm: PrimitiveFit,
     /// Fitted SpDMM cost curve (CSR left operand).
     pub spdmm: PrimitiveFit,
-    /// Fitted SpDMM cost curve of the other orientation (dense left operand,
-    /// sparse right one).
-    pub spdmm_right: PrimitiveFit,
     /// Fitted SPMM (Gustavson) cost curve.
     pub spmm: PrimitiveFit,
     /// Number of grid points measured (0 for synthetic fits).
@@ -264,18 +245,12 @@ pub struct HostCalibration {
     pub measure_ms: f64,
 }
 
-/// Output rows the calibration times the right-sparse kernel over.  Its row
-/// tiles share nothing and cost the same, so two of them time the whole
-/// product, and the fourth kernel adds a few percent to the calibration pass
-/// instead of a fifth.
-const RIGHT_SPARSE_TIMED_ROWS: usize = 32;
-
 /// Environment variable read by [`HostCalibration::shared`]: `off` (or
 /// `regions`) disables calibration entirely.
 pub const CALIBRATION_ENV: &str = "DYNASPARSE_CALIBRATION";
 
 impl HostCalibration {
-    /// Times the four host kernels over `config`'s grid and fits one cost
+    /// Times the three CSR-or-GEMM host kernels over `config`'s grid and fits one cost
     /// curve per kernel.  The fit is always [valid](Self::is_valid), even
     /// on a degenerate grid (no points, one point, all-zero operands): a
     /// curve the least squares cannot resolve falls back to a positive,
@@ -291,9 +266,8 @@ impl HostCalibration {
                     let t = match prim {
                         HostPrimitive::Gemm => s.gemm_ms,
                         HostPrimitive::SpDmm => s.spdmm_ms,
-                        HostPrimitive::SpDmmRight => s.spdmm_right_ms,
                         HostPrimitive::Spmm => s.spmm_ms,
-                        HostPrimitive::Skip => 0.0,
+                        HostPrimitive::SpDmmRight | HostPrimitive::Skip => 0.0,
                     };
                     (features(prim, shape, s.alpha_x, s.alpha_y), t)
                 })
@@ -303,7 +277,6 @@ impl HostCalibration {
         HostCalibration {
             gemm: fit_for(HostPrimitive::Gemm),
             spdmm: fit_for(HostPrimitive::SpDmm),
-            spdmm_right: fit_for(HostPrimitive::SpDmmRight),
             spmm: fit_for(HostPrimitive::Spmm),
             samples: samples.len(),
             measure_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -323,7 +296,6 @@ impl HostCalibration {
                 let y = random_dense(&mut rng, n, d, ay);
                 let xs = CsrMatrix::from_dense(&x);
                 let ys = CsrMatrix::from_dense(&y);
-                let yt = CsrMatrix::from_dense(&y.transpose());
                 let mut out = DenseMatrix::zeros(m, d);
                 let gemm_ms = time_min_ms(reps, || {
                     gemm_into(&x, &y, &mut out).expect("calibration shapes agree");
@@ -332,12 +304,6 @@ impl HostCalibration {
                     xs.spmm_dense_into(&y, &mut out)
                         .expect("calibration shapes agree");
                 });
-                let timed_rows = m.min(RIGHT_SPARSE_TIMED_ROWS);
-                let timed = &mut out.as_mut_slice()[..timed_rows * d];
-                let spdmm_right_ms = time_min_ms(reps, || {
-                    right_sparse_rows_into(&x, &yt, 0, timed, 0, &mut [])
-                        .expect("calibration shapes agree");
-                }) * (m as f64 / timed_rows.max(1) as f64);
                 let spmm_ms = time_min_ms(reps, || {
                     let product = xs
                         .spgemm_with(&ys, &mut scratch)
@@ -352,7 +318,6 @@ impl HostCalibration {
                     alpha_y: ys.density(),
                     gemm_ms,
                     spdmm_ms,
-                    spdmm_right_ms,
                     spmm_ms,
                 });
             }
@@ -375,11 +340,6 @@ impl HostCalibration {
                 output: 2.0e-7,
                 per_row: 0.0,
             },
-            spdmm_right: PrimitiveFit {
-                work: 2.0e-6,
-                output: 2.0e-7,
-                per_row: 0.0,
-            },
             spmm: PrimitiveFit {
                 work: 4.0e-5,
                 output: 4.0e-7,
@@ -393,7 +353,9 @@ impl HostCalibration {
     /// Predicted milliseconds of executing `X × Y` with `prim`.  `alpha_x`
     /// is the density of the left operand (the one the host kernels consume
     /// in CSR form), `alpha_y` the right operand's; both go through
-    /// [`sanitize_density`] first.
+    /// [`sanitize_density`] first.  [`HostPrimitive::SpDmmRight`] reads
+    /// `NaN`: the grid has no curve for it, and the dense Update that runs
+    /// it is priced by its [`UpdateFit`].
     pub fn predict(
         &self,
         prim: HostPrimitive,
@@ -404,8 +366,8 @@ impl HostCalibration {
         let fit = match prim {
             HostPrimitive::Gemm => &self.gemm,
             HostPrimitive::SpDmm => &self.spdmm,
-            HostPrimitive::SpDmmRight => &self.spdmm_right,
             HostPrimitive::Spmm => &self.spmm,
+            HostPrimitive::SpDmmRight => return f64::NAN,
             HostPrimitive::Skip => return 0.0,
         };
         let (ax, ay) = (sanitize_density(alpha_x), sanitize_density(alpha_y));
@@ -436,7 +398,7 @@ impl HostCalibration {
 
     /// Whether every fitted curve is finite, non-negative and non-trivial.
     pub fn is_valid(&self) -> bool {
-        [&self.gemm, &self.spdmm, &self.spdmm_right, &self.spmm]
+        [&self.gemm, &self.spdmm, &self.spmm]
             .iter()
             .all(|fit| fit.is_valid())
     }
@@ -841,30 +803,29 @@ mod tests {
     }
 
     #[test]
-    fn the_default_grid_resolves_every_right_sparse_coefficient() {
-        // Both default shapes have `n + d = 160`: features that are not
-        // independent on the grid (such as `m·(n + d)` beside `m`) make the
-        // normal equations singular and the fit fall back to `work` alone,
-        // which prices a kernel without its fixed costs.
+    fn the_default_grid_resolves_every_spdmm_and_spmm_coefficient() {
+        // The two default shapes give GEMM only two distinct feature rows
+        // (its features do not vary with density), so its fit rests on the
+        // `work` fallback; SpDMM's and SPMM's features vary with the
+        // densities and must stay independent on the grid, or the normal
+        // equations go singular and a kernel is priced without its fixed
+        // costs.
         let truth = [9.0e-8, 5.0e-7, 3.0e-7];
         let config = CalibrationConfig::default();
-        let rows: Vec<([f64; 3], f64)> = config
-            .shapes
-            .iter()
-            .flat_map(|&(m, n, d)| config.densities.iter().map(move |&a| (m, n, d, a)))
-            .map(|(m, n, d, (ax, ay))| {
-                let f = features(
-                    HostPrimitive::SpDmmRight,
-                    ProductShape::new(m, n, d),
-                    ax,
-                    ay,
-                );
-                (f, truth[0] * f[0] + truth[1] * f[1] + truth[2] * f[2])
-            })
-            .collect();
-        let fit = fit_nonnegative(&rows);
-        for (got, want) in fit.coefficients().iter().zip(truth) {
-            assert!((got - want).abs() / want < 1e-6, "{fit:?}");
+        for prim in [HostPrimitive::SpDmm, HostPrimitive::Spmm] {
+            let rows: Vec<([f64; 3], f64)> = config
+                .shapes
+                .iter()
+                .flat_map(|&(m, n, d)| config.densities.iter().map(move |&a| (m, n, d, a)))
+                .map(|(m, n, d, (ax, ay))| {
+                    let f = features(prim, ProductShape::new(m, n, d), ax, ay);
+                    (f, truth[0] * f[0] + truth[1] * f[1] + truth[2] * f[2])
+                })
+                .collect();
+            let fit = fit_nonnegative(&rows);
+            for (got, want) in fit.coefficients().iter().zip(truth) {
+                assert!((got - want).abs() / want < 1e-6, "{prim:?}: {fit:?}");
+            }
         }
     }
 

@@ -1732,10 +1732,11 @@ mod tests {
         );
     }
 
-    const PRIMITIVES: [HostPrimitive; 4] = [
+    /// The primitives the generic grid prices (the right-sparse body is
+    /// priced per width by an `UpdateFit`).
+    const PRIMITIVES: [HostPrimitive; 3] = [
         HostPrimitive::Gemm,
         HostPrimitive::SpDmm,
-        HostPrimitive::SpDmmRight,
         HostPrimitive::Spmm,
     ];
 
@@ -1767,6 +1768,8 @@ mod tests {
             let predicted = dispatcher.predict_ms(prim, shape, 0.3, 0.3);
             assert!(predicted.is_finite() && predicted > 0.0, "{prim:?}");
         }
+        let right_sparse = dispatcher.predict_ms(HostPrimitive::SpDmmRight, shape, 0.3, 0.3);
+        assert!(right_sparse.is_nan(), "the grid has no right-sparse curve");
         // Prices follow the fit the dispatcher was built over.
         let mut doubled = (*calibration).clone();
         doubled.gemm.work *= 2.0;

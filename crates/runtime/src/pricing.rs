@@ -305,14 +305,14 @@ fn hash_bucketed(h: &mut Fnv2, profile: &DensityProfile, buckets: &mut BucketTab
     }
 }
 
-/// Content fingerprint of a calibration: the twelve fit coefficients, hashed
+/// Content fingerprint of a calibration: the nine fit coefficients, hashed
 /// bit-exactly.  `None` (region cost model) fingerprints to a fixed constant.
 pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
     let Some(c) = calibration else {
         return 0x7f4a_7c15_9e37_79b9;
     };
     let mut h = Fnv2::new();
-    for fit in [&c.gemm, &c.spdmm, &c.spdmm_right, &c.spmm] {
+    for fit in [&c.gemm, &c.spdmm, &c.spmm] {
         h.word(fit.work.to_bits());
         h.word(fit.output.to_bits());
         h.word(fit.per_row.to_bits());
@@ -889,7 +889,7 @@ mod tests {
             calibration_fingerprint(Some(&b))
         );
         let mut c = HostCalibration::reference();
-        c.spdmm_right.per_row += 1.0e-9;
+        c.spdmm.per_row += 1.0e-9;
         assert_ne!(
             calibration_fingerprint(Some(&a)),
             calibration_fingerprint(Some(&c))

@@ -29,9 +29,17 @@
 //!   by a circuit breaker), and deadline-bounded draining
 //!   ([`ServeRuntime::shutdown_with_deadline`]) — every submitted ticket
 //!   resolves to a result or a typed [`ServeError`], never hangs.
-//! - [`ServeReport`] aggregates per-request queue wait, service latency
-//!   (p50/p99/p99.9), throughput, the batch-size histogram, per-worker
-//!   loads, and the shed/expired/panic/respawn counts.
+//! - Each runtime records its serve events once, into a counters-level
+//!   telemetry [`Registry`](dynasparse_telemetry::Registry) of its own
+//!   ([`ServeRuntime::metrics`]): the request, drain, shed, expiry, panic
+//!   and respawn counters, the queue-wait, service and drain-size
+//!   histograms, and the queue-depth and shed-watermark gauges.  Recording
+//!   takes no lock and allocates nothing.  [`ServeReport`] is read off that
+//!   registry: throughput, the batch-size histogram, the counts, and
+//!   queue-wait and service [`LatencySummary`]s whose p50/p99/p99.9 are
+//!   exact to within one log-linear bucket (≤ 6.25 % wide).  It counts its
+//!   own runtime only, at any `DYNASPARSE_TELEMETRY` level; per-worker
+//!   counts are the registry's per-shard breakdown.
 //!
 //! Reports are **bit-identical** to a single serial session over the same
 //! request stream: each request's runtime profiling and pricing starts from
@@ -85,6 +93,9 @@
 //! );
 //! ```
 //!
+//! For a dashboard, export the runtime's registry before shutting it down:
+//! `runtime.metrics().snapshot().to_prometheus()`.
+//!
 //! [`CompiledPlan`]: dynasparse::CompiledPlan
 
 #![warn(missing_docs)]
@@ -100,6 +111,6 @@ pub mod runtime;
 pub use cache::{CacheStats, PlanCache};
 pub use error::ServeError;
 pub use fingerprint::PlanFingerprint;
-pub use metrics::{BatchBar, LatencySummary, MetricsCollector, ServeReport, WorkerLoad};
+pub use metrics::{BatchBar, LatencySummary, ServeReport, FAILURES_KEPT};
 pub use queue::{BoundedQueue, DrainedBatch, PushError};
 pub use runtime::{Priority, ServeConfig, ServeRuntime, SubmitOptions, Ticket};

@@ -1,73 +1,71 @@
-//! Serving metrics: per-request samples, percentile summaries, and the
-//! aggregate [`ServeReport`] a runtime hands back at shutdown.
+//! Serving metrics: the aggregate [`ServeReport`] a runtime hands back,
+//! read off the telemetry registry the runtime records into.
+//!
+//! Each [`ServeRuntime`](crate::ServeRuntime) owns one counters-level
+//! [`Registry`] (exposed by [`ServeRuntime::metrics`](crate::ServeRuntime::metrics)).
+//! Admission and the workers record every serve event there once — served
+//! requests, drains, sheds, expiries, panics, respawns, queue wait, service
+//! time and drain sizes — and a report is a read of it: it counts only its
+//! own runtime, whatever else publishes into the process-global registry,
+//! and at any `DYNASPARSE_TELEMETRY` level.  Latencies come from log-linear
+//! histograms, so their quantiles are exact to within one bucket (1/16 of
+//! an octave); the recording path is a few atomic adds and never allocates.
 
+use dynasparse_telemetry::{CounterId, HistogramId, HistogramSample, Registry, TelemetryLevel};
 use serde::Serialize;
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Summary statistics over one latency dimension, in milliseconds.
+/// Summary statistics over one latency dimension, in milliseconds, read off
+/// a microsecond histogram ([`LatencySummary::from_micros`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,
-    /// Arithmetic mean.
+    /// Arithmetic mean (exact: the histogram's sum over its count).
     pub mean_ms: f64,
-    /// Median (50th percentile).
+    /// Median, to within one histogram bucket.
     pub p50_ms: f64,
-    /// 99th percentile.
+    /// 99th percentile, to within one histogram bucket.
     pub p99_ms: f64,
-    /// 99.9th percentile (equals `max_ms` below 1000 samples).
+    /// 99.9th percentile, to within one histogram bucket (the largest
+    /// sample's bucket below 1000 samples).
     pub p999_ms: f64,
-    /// Largest sample.
+    /// Upper bound of the largest sample's bucket: at least the largest
+    /// sample, and at most one bucket above it.
     pub max_ms: f64,
 }
 
 impl LatencySummary {
-    /// Summarizes `samples` (order irrelevant); all-zero for no samples.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    /// Summarizes a histogram of microsecond samples; all-zero when empty.
+    pub fn from_micros(h: &HistogramSample) -> Self {
+        let ms = |us: f64| us / 1e3;
         LatencySummary {
-            count: sorted.len(),
-            mean_ms: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50_ms: percentile(&sorted, 0.50),
-            p99_ms: percentile(&sorted, 0.99),
-            p999_ms: percentile(&sorted, 0.999),
-            max_ms: *sorted.last().unwrap(),
+            count: h.count as usize,
+            mean_ms: ms(h.mean()),
+            p50_ms: ms(h.quantile(0.50)),
+            p99_ms: ms(h.quantile(0.99)),
+            p999_ms: ms(h.quantile(0.999)),
+            max_ms: ms(h.max() as f64),
         }
     }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice; `q` in `[0, 1]`.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let rank = (q * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// One bar of the batch-size histogram: how many drains took `size` requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BatchBar {
-    /// Batch size (number of requests one queue drain took).
+    /// Batch size (number of requests one queue drain took); exact below
+    /// 32, the upper bound of its histogram bucket above.
     pub size: usize,
     /// Number of batches of that size.
     pub batches: u64,
 }
 
-/// Requests served by one worker thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct WorkerLoad {
-    /// Worker index within the pool.
-    pub worker: usize,
-    /// Requests that worker served.
-    pub requests: u64,
-}
-
 /// Aggregate serving metrics produced by
-/// [`ServeRuntime::shutdown`](crate::ServeRuntime::shutdown).
+/// [`ServeRuntime::snapshot`](crate::ServeRuntime::snapshot) and
+/// [`ServeRuntime::shutdown`](crate::ServeRuntime::shutdown), read off the
+/// runtime's own registry (see the [module docs](self)).
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ServeReport {
     /// Requests served to completion (successes and typed failures alike).
@@ -85,13 +83,8 @@ pub struct ServeReport {
     /// Each request's own host time, from its turn to its final result
     /// (its one `Session::infer`).
     pub service: LatencySummary,
-    /// End-to-end request latency (enqueue → reply ready): queue wait plus
-    /// service.
-    pub turnaround: LatencySummary,
     /// Distribution of drain sizes, ascending by size.
     pub batch_histogram: Vec<BatchBar>,
-    /// Per-worker request counts, ascending by worker index.
-    pub worker_loads: Vec<WorkerLoad>,
     /// Submissions rejected by the load-shedding watermark (they never
     /// entered the queue and are not in `requests`).
     pub shed: u64,
@@ -102,9 +95,9 @@ pub struct ServeReport {
     pub worker_panics: u64,
     /// Worker sessions rebuilt after a caught panic.
     pub worker_respawns: u64,
-    /// Stringified panic payloads observed by the supervisor, plus any
-    /// terminal worker-thread panic recovered at `join` time (previously
-    /// discarded by `let _ = worker.join()`).
+    /// The last [`FAILURES_KEPT`] stringified panic payloads, oldest first:
+    /// those the supervisor caught, plus any terminal worker-thread panic
+    /// recovered at `join` time.  `worker_panics` keeps the full count.
     pub worker_failures: Vec<String>,
 }
 
@@ -119,128 +112,68 @@ impl ServeReport {
     }
 }
 
-#[derive(Default)]
-struct MetricsInner {
-    queue_wait_ms: Vec<f64>,
-    service_ms: Vec<f64>,
-    turnaround_ms: Vec<f64>,
-    batch_sizes: Vec<u64>,
-    worker_requests: Vec<u64>,
-    shed: u64,
-    deadline_expired: u64,
-    worker_panics: u64,
-    worker_respawns: u64,
-    worker_failures: Vec<String>,
+/// Panic messages a runtime keeps (see [`ServeReport::worker_failures`]).
+pub const FAILURES_KEPT: usize = 16;
+
+/// What a runtime records into: its own registry, and the last
+/// [`FAILURES_KEPT`] panic messages in a ring locked only on a panic.
+pub(crate) struct ServeMetrics {
+    pub(crate) registry: Arc<Registry>,
+    failures: Mutex<VecDeque<String>>,
 }
 
-/// Thread-safe collector the worker pool records into.
-#[derive(Default)]
-pub struct MetricsCollector {
-    inner: Mutex<MetricsInner>,
-}
-
-impl MetricsCollector {
-    /// Creates a collector for `workers` worker threads.
-    pub fn new(workers: usize) -> Self {
-        MetricsCollector {
-            inner: Mutex::new(MetricsInner {
-                worker_requests: vec![0; workers],
-                ..MetricsInner::default()
-            }),
+impl ServeMetrics {
+    pub(crate) fn new() -> Self {
+        ServeMetrics {
+            registry: Arc::new(Registry::new(TelemetryLevel::Counters)),
+            failures: Mutex::new(VecDeque::with_capacity(FAILURES_KEPT)),
         }
     }
 
-    /// Records one served request.
-    pub fn record_request(
-        &self,
-        worker: usize,
-        queue_wait: Duration,
-        service: Duration,
-        turnaround: Duration,
-    ) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.queue_wait_ms.push(queue_wait.as_secs_f64() * 1e3);
-        inner.service_ms.push(service.as_secs_f64() * 1e3);
-        inner.turnaround_ms.push(turnaround.as_secs_f64() * 1e3);
-        if worker >= inner.worker_requests.len() {
-            inner.worker_requests.resize(worker + 1, 0);
+    /// Keeps `message`, dropping the oldest one kept past [`FAILURES_KEPT`].
+    pub(crate) fn record_failure(&self, message: String) {
+        let mut failures = self.failures.lock().unwrap_or_else(|e| e.into_inner());
+        if failures.len() == FAILURES_KEPT {
+            failures.pop_front();
         }
-        inner.worker_requests[worker] += 1;
+        failures.push_back(message);
     }
 
-    /// Records one queue drain of `size` requests.
-    pub fn record_batch(&self, size: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        if size >= inner.batch_sizes.len() {
-            inner.batch_sizes.resize(size + 1, 0);
-        }
-        inner.batch_sizes[size] += 1;
-    }
-
-    /// Records one submission rejected by the load-shedding watermark.
-    pub fn record_shed(&self) {
-        self.inner.lock().unwrap().shed += 1;
-    }
-
-    /// Records one accepted request dropped because its deadline expired
-    /// before a worker reached it.
-    pub fn record_deadline_expired(&self) {
-        self.inner.lock().unwrap().deadline_expired += 1;
-    }
-
-    /// Records one caught worker panic, with its stringified payload.
-    pub fn record_worker_panic(&self, message: String) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.worker_panics += 1;
-        inner.worker_failures.push(message);
-    }
-
-    /// Records one worker-session rebuild after a caught panic.
-    pub fn record_worker_respawn(&self) {
-        self.inner.lock().unwrap().worker_respawns += 1;
-    }
-
-    /// Records a worker thread's terminal panic payload recovered at
-    /// `join` time (a panic that escaped the supervisor).
-    pub fn record_worker_join_failure(&self, message: String) {
-        self.inner.lock().unwrap().worker_failures.push(message);
-    }
-
-    /// Snapshots the aggregate report; `wall` is the runtime's lifetime.
-    pub fn report(&self, wall: Duration) -> ServeReport {
-        let inner = self.inner.lock().unwrap();
-        let requests = inner.service_ms.len() as u64;
+    /// Reads the report; `wall` is the runtime's lifetime so far.
+    pub(crate) fn report(&self, wall: Duration) -> ServeReport {
+        let r = &self.registry;
+        let requests = r.counter(CounterId::ServeRequests);
         let wall_seconds = wall.as_secs_f64();
         ServeReport {
             requests,
-            batches: inner.batch_sizes.iter().sum(),
+            batches: r.counter(CounterId::ServeBatches),
             wall_seconds,
             throughput_rps: if wall_seconds > 0.0 {
                 requests as f64 / wall_seconds
             } else {
                 0.0
             },
-            queue_wait: LatencySummary::from_samples(&inner.queue_wait_ms),
-            service: LatencySummary::from_samples(&inner.service_ms),
-            turnaround: LatencySummary::from_samples(&inner.turnaround_ms),
-            batch_histogram: inner
-                .batch_sizes
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| n > 0)
-                .map(|(size, &batches)| BatchBar { size, batches })
+            queue_wait: LatencySummary::from_micros(&r.histogram(HistogramId::QueueWaitMicros)),
+            service: LatencySummary::from_micros(&r.histogram(HistogramId::ServiceMicros)),
+            batch_histogram: r
+                .histogram(HistogramId::BatchSize)
+                .nonempty()
+                .map(|(size, batches)| BatchBar {
+                    size: size as usize,
+                    batches,
+                })
                 .collect(),
-            worker_loads: inner
-                .worker_requests
+            shed: r.counter(CounterId::ServeShed),
+            deadline_expired: r.counter(CounterId::ServeDeadlineExpired),
+            worker_panics: r.counter(CounterId::ServeWorkerPanics),
+            worker_respawns: r.counter(CounterId::ServeWorkerRespawns),
+            worker_failures: self
+                .failures
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
                 .iter()
-                .enumerate()
-                .map(|(worker, &requests)| WorkerLoad { worker, requests })
+                .cloned()
                 .collect(),
-            shed: inner.shed,
-            deadline_expired: inner.deadline_expired,
-            worker_panics: inner.worker_panics,
-            worker_respawns: inner.worker_respawns,
-            worker_failures: inner.worker_failures.clone(),
         }
     }
 }
@@ -249,166 +182,174 @@ impl MetricsCollector {
 mod tests {
     use super::*;
 
+    /// The summary of `samples_us` (microseconds, in the order given), as a
+    /// runtime's registry records them.
+    fn summary(samples_us: &[u64]) -> LatencySummary {
+        let r = Registry::new(TelemetryLevel::Counters);
+        for (i, &v) in samples_us.iter().enumerate() {
+            r.observe(i, HistogramId::ServiceMicros, v);
+        }
+        LatencySummary::from_micros(&r.histogram(HistogramId::ServiceMicros))
+    }
+
+    /// The nearest-rank percentile the exact per-request vectors gave, ms.
+    fn nearest_rank_ms(samples_us: &[u64], q: f64) -> f64 {
+        let mut sorted = samples_us.to_vec();
+        sorted.sort_unstable();
+        sorted[(q * (sorted.len() - 1) as f64).round() as usize] as f64 / 1e3
+    }
+
+    /// Asserts `got_ms` is within one bucket of `want_ms`: a bucket is 1 µs
+    /// wide below 32 µs and at most 1/16 of its lower bound above.
+    fn assert_within_a_bucket(got_ms: f64, want_ms: f64, what: &str) {
+        let width_ms = (want_ms / 16.0).max(1e-3);
+        assert!(
+            (got_ms - want_ms).abs() <= width_ms + 1e-12,
+            "{what}: {got_ms} ms is more than a bucket ({width_ms} ms) from {want_ms} ms"
+        );
+    }
+
+    /// Every statistic of `samples_us` against the exact values.
+    fn assert_tracks(samples_us: &[u64]) -> LatencySummary {
+        let s = summary(samples_us);
+        assert_eq!(s.count, samples_us.len());
+        let mean = samples_us.iter().sum::<u64>() as f64 / samples_us.len() as f64 / 1e3;
+        assert!((s.mean_ms - mean).abs() < 1e-9, "the mean is exact");
+        for (got, q) in [(s.p50_ms, 0.5), (s.p99_ms, 0.99), (s.p999_ms, 0.999)] {
+            let want = nearest_rank_ms(samples_us, q);
+            assert_within_a_bucket(got, want, &format!("q {q}"));
+        }
+        let max = nearest_rank_ms(samples_us, 1.0);
+        assert!(s.max_ms >= max);
+        assert_within_a_bucket(s.max_ms, max, "max");
+        s
+    }
+
     #[test]
     fn summary_percentiles() {
-        let samples: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.count, 100);
+        let samples: Vec<u64> = (1..=100).map(|v| v * 1000).collect();
+        let s = assert_tracks(&samples);
         assert!((s.mean_ms - 50.5).abs() < 1e-12);
-        assert!((s.p50_ms - 51.0).abs() < 1.0);
-        assert!(s.p99_ms >= 98.0 && s.p99_ms <= 100.0);
-        assert_eq!(s.max_ms, 100.0);
-        assert_eq!(LatencySummary::from_samples(&[]), LatencySummary::default());
+        assert_within_a_bucket(s.p50_ms, 51.0, "median");
+        assert!(s.p99_ms >= 98.0 && s.p99_ms <= 100.0 + 100.0 / 16.0);
+        assert_eq!(summary(&[]), LatencySummary::default());
     }
 
     #[test]
     fn empty_and_single_sample_summaries_are_degenerate_but_defined() {
         // No samples: every field is zero, not NaN (the report is
         // serialized, and NaN would poison the JSON).
-        let empty = LatencySummary::from_samples(&[]);
+        let empty = summary(&[]);
         assert_eq!(empty, LatencySummary::default());
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.p50_ms, 0.0);
-        assert_eq!(empty.p99_ms, 0.0);
-        // One sample: every percentile, the mean and the max collapse onto
-        // that sample.
-        let one = LatencySummary::from_samples(&[7.25]);
-        assert_eq!(one.count, 1);
+        assert_eq!((empty.count, empty.p50_ms, empty.p99_ms), (0, 0.0, 0.0));
+        // One sample: every percentile and the max collapse onto its
+        // bucket; the mean is the sample.
+        let one = assert_tracks(&[7250]);
         assert_eq!(one.mean_ms, 7.25);
-        assert_eq!(one.p50_ms, 7.25);
-        assert_eq!(one.p99_ms, 7.25);
-        assert_eq!(one.max_ms, 7.25);
+        assert_eq!((one.p50_ms, one.p99_ms), (one.p999_ms, one.p999_ms));
+        // Below 32 µs a sample is a bucket of its own: everything is exact.
+        let small = summary(&[7]);
+        assert_eq!(
+            (small.p50_ms, small.max_ms, small.mean_ms),
+            (0.007, 0.007, 0.007)
+        );
     }
 
     #[test]
     fn tie_heavy_samples_keep_percentiles_on_real_samples() {
-        // Nearest-rank percentiles must return an actual sample value, even
-        // when the distribution is a step function of two values.
-        let mut samples = vec![1.0; 99];
-        samples.push(100.0);
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50_ms, 1.0, "median of 99x 1.0 + 1x 100.0 is 1.0");
-        assert_eq!(s.max_ms, 100.0);
-        assert!(
-            s.p99_ms == 1.0 || s.p99_ms == 100.0,
-            "p99 must be one of the sample values, got {}",
-            s.p99_ms
-        );
-        // All-identical samples: every statistic equals that value.
-        let flat = LatencySummary::from_samples(&[3.0; 17]);
-        assert_eq!(flat.p50_ms, 3.0);
-        assert_eq!(flat.p99_ms, 3.0);
-        assert_eq!(flat.max_ms, 3.0);
+        // A step function of two values: the median and p99 (rank 98 of
+        // 100) stay on the low step's bucket, the max on the high one's.
+        let mut samples = vec![1000; 99];
+        samples.push(100_000);
+        let s = assert_tracks(&samples);
+        assert_within_a_bucket(s.p50_ms, 1.0, "median of 99x 1 ms + 1x 100 ms");
+        assert_within_a_bucket(s.p99_ms, 1.0, "p99");
+        assert_within_a_bucket(s.max_ms, 100.0, "max");
+        // All-identical samples: every statistic sits on that value.
+        let flat = assert_tracks(&[3000; 17]);
+        assert_eq!(flat.p50_ms, flat.p99_ms);
         assert_eq!(flat.mean_ms, 3.0);
     }
 
     #[test]
     fn percentiles_are_order_invariant_under_adversarial_orderings() {
-        // The summary sorts internally, so descending, interleaved and
-        // sorted inputs must summarize identically.
-        let sorted: Vec<f64> = (1..=101).map(|v| v as f64).collect();
-        let descending: Vec<f64> = sorted.iter().rev().copied().collect();
-        let interleaved: Vec<f64> = (0..101)
-            .map(|i| {
-                // 51, 1, 52, 2, ... — alternating halves.
-                if i % 2 == 0 {
-                    (51 + i / 2) as f64
-                } else {
-                    (1 + i / 2) as f64
-                }
-            })
+        // A histogram forgets the order: descending, interleaved and sorted
+        // inputs summarize identically.
+        let sorted: Vec<u64> = (1..=101).map(|v| v * 1000).collect();
+        let descending: Vec<u64> = sorted.iter().rev().copied().collect();
+        // 51, 1, 52, 2, ... (ms): alternating halves.
+        let interleaved: Vec<u64> = (0..101u64)
+            .map(|i| 1000 * if i % 2 == 0 { 51 + i / 2 } else { 1 + i / 2 })
             .collect();
-        let a = LatencySummary::from_samples(&sorted);
-        let b = LatencySummary::from_samples(&descending);
-        let c = LatencySummary::from_samples(&interleaved);
-        assert_eq!(a.p50_ms, b.p50_ms);
-        assert_eq!(a.p50_ms, c.p50_ms);
-        assert_eq!(a.p99_ms, b.p99_ms);
-        assert_eq!(a.p99_ms, c.p99_ms);
-        assert_eq!(a.max_ms, 101.0);
-        assert_eq!(b.max_ms, 101.0);
-        // Odd count: the median is the exact middle sample.
-        assert_eq!(a.p50_ms, 51.0);
-        // Nearest-rank p99 of 101 ascending integers: rank round(0.99*100).
-        assert_eq!(a.p99_ms, 100.0);
-    }
-
-    #[test]
-    fn collector_aggregates_batches_and_workers() {
-        let m = MetricsCollector::new(2);
-        let ms = Duration::from_millis;
-        m.record_batch(2);
-        m.record_request(0, ms(1), ms(10), ms(11));
-        m.record_request(0, ms(2), ms(10), ms(12));
-        m.record_batch(1);
-        m.record_request(1, ms(0), ms(10), ms(10));
-        let r = m.report(Duration::from_secs(2));
-        assert_eq!(r.requests, 3);
-        assert_eq!(r.batches, 2);
-        assert!((r.throughput_rps - 1.5).abs() < 1e-12);
-        assert!((r.mean_batch_size() - 1.5).abs() < 1e-12);
-        assert_eq!(
-            r.batch_histogram,
-            vec![
-                BatchBar {
-                    size: 1,
-                    batches: 1
-                },
-                BatchBar {
-                    size: 2,
-                    batches: 1
-                }
-            ]
-        );
-        assert_eq!(
-            r.worker_loads,
-            vec![
-                WorkerLoad {
-                    worker: 0,
-                    requests: 2
-                },
-                WorkerLoad {
-                    worker: 1,
-                    requests: 1
-                }
-            ]
-        );
-        assert!((r.service.mean_ms - 10.0).abs() < 1e-9);
+        let a = assert_tracks(&sorted);
+        assert_eq!(a, assert_tracks(&descending));
+        assert_eq!(a, assert_tracks(&interleaved));
+        // Odd count: the median is the middle sample's bucket; nearest-rank
+        // p99 of 101 is rank round(0.99 · 100).
+        assert_within_a_bucket(a.p50_ms, 51.0, "median");
+        assert_within_a_bucket(a.p99_ms, 100.0, "p99");
     }
 
     #[test]
     fn p999_tracks_the_tail() {
-        let samples: Vec<f64> = (1..=2000).map(|v| v as f64).collect();
-        let s = LatencySummary::from_samples(&samples);
+        let samples: Vec<u64> = (1..=2000).map(|v| v * 1000).collect();
+        let s = assert_tracks(&samples);
         assert!(s.p999_ms >= s.p99_ms);
         assert!(s.p999_ms <= s.max_ms);
-        assert!(s.p999_ms >= 1997.0, "p999 of 1..=2000 must sit in the tail");
-        // Small sample counts collapse p999 onto the max.
-        let few = LatencySummary::from_samples(&[1.0, 2.0, 3.0]);
-        assert_eq!(few.p999_ms, 3.0);
+        assert!(s.p999_ms >= 1997.0 - 1997.0 / 16.0);
+        // Small sample counts collapse p999 onto the max's bucket.
+        let few = assert_tracks(&[1000, 2000, 3000]);
+        assert_within_a_bucket(few.p999_ms, 3.0, "p999 of three samples");
+    }
+
+    #[test]
+    fn collector_aggregates_batches_and_workers() {
+        // Two workers, recording through their own shards.
+        let m = ServeMetrics::new();
+        let r = &m.registry;
+        for (worker, size) in [(0, 2), (1, 1)] {
+            r.incr(worker, CounterId::ServeBatches);
+            r.observe(worker, HistogramId::BatchSize, size);
+        }
+        for (worker, wait_us) in [(0, 1000), (0, 2000), (1, 0)] {
+            r.incr(worker, CounterId::ServeRequests);
+            r.observe(worker, HistogramId::QueueWaitMicros, wait_us);
+            r.observe(worker, HistogramId::ServiceMicros, 10_000);
+        }
+        let report = m.report(Duration::from_secs(2));
+        assert_eq!((report.requests, report.batches), (3, 2));
+        assert!((report.throughput_rps - 1.5).abs() < 1e-12);
+        assert!((report.mean_batch_size() - 1.5).abs() < 1e-12);
+        let bar = |size, batches| BatchBar { size, batches };
+        assert_eq!(report.batch_histogram, vec![bar(1, 1), bar(2, 1)]);
+        assert_eq!(r.counter_per_shard(CounterId::ServeRequests)[..2], [2, 1]);
+        assert!((report.service.mean_ms - 10.0).abs() < 1e-9);
+        assert!((report.queue_wait.mean_ms - 1.0).abs() < 1e-9);
+        assert_within_a_bucket(report.queue_wait.p50_ms, 1.0, "median wait");
+        assert_within_a_bucket(report.service.p50_ms, 10.0, "median service");
     }
 
     #[test]
     fn collector_tracks_supervision_counts_and_failures() {
-        let m = MetricsCollector::new(1);
-        m.record_shed();
-        m.record_shed();
-        m.record_deadline_expired();
-        m.record_worker_panic("poisoned request 3".to_string());
-        m.record_worker_respawn();
-        m.record_worker_join_failure("worker 0 died".to_string());
-        let r = m.report(Duration::from_secs(1));
-        assert_eq!(r.shed, 2);
-        assert_eq!(r.deadline_expired, 1);
-        assert_eq!(r.worker_panics, 1);
-        assert_eq!(r.worker_respawns, 1);
-        assert_eq!(
-            r.worker_failures,
-            vec![
-                "poisoned request 3".to_string(),
-                "worker 0 died".to_string()
-            ]
-        );
+        let m = ServeMetrics::new();
+        let r = &m.registry;
+        r.incr(0, CounterId::ServeShed);
+        r.incr(0, CounterId::ServeShed);
+        r.incr(1, CounterId::ServeDeadlineExpired);
+        for i in 0..40 {
+            r.incr(1, CounterId::ServeWorkerPanics);
+            m.record_failure(format!("poisoned request {i}"));
+        }
+        r.incr(1, CounterId::ServeWorkerRespawns);
+        m.record_failure("worker 0 died".to_string());
+        let report = m.report(Duration::from_secs(1));
+        assert_eq!((report.shed, report.deadline_expired), (2, 1));
+        assert_eq!((report.worker_panics, report.worker_respawns), (40, 1));
+        // The ring keeps the last sixteen messages, oldest first.
+        let want: Vec<String> = (25..40)
+            .map(|i| format!("poisoned request {i}"))
+            .chain(["worker 0 died".to_string()])
+            .collect();
+        assert_eq!(report.worker_failures, want);
     }
 }

@@ -14,6 +14,12 @@
 //! on the session it opened at thread start, id stamp, metrics — and
 //! replies as soon as that request is done.
 //!
+//! The runtime records its serve events — requests, drains, sheds,
+//! expiries, panics, respawns, queue wait, service time, queue depth — once,
+//! into a counters-level [`Registry`] of its own ([`ServeRuntime::metrics`]),
+//! which [`ServeReport`] is read off.  Worker sessions publish their kernel
+//! telemetry into [`ServeConfig::telemetry`] (or the global registry).
+//!
 //! Because every request is profiled and priced from a freshly reset
 //! analyzer/scheduler, a report does not depend on which worker served the
 //! request or on what was served before it: the runtime's outputs are
@@ -21,7 +27,7 @@
 //! (proved by `tests/integration_serve.rs`).
 
 use crate::error::ServeError;
-use crate::metrics::{MetricsCollector, ServeReport};
+use crate::metrics::{ServeMetrics, ServeReport};
 use crate::queue::{BoundedQueue, PushError};
 use dynasparse::{CompiledPlan, FaultHook, InferenceReport, MappingStrategy, Session};
 use dynasparse_graph::FeatureMatrix;
@@ -44,9 +50,10 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Mapping strategies every request is priced under.
     pub strategies: Vec<MappingStrategy>,
-    /// Telemetry registry every worker session and queue gauge publishes
-    /// into; `None` resolves to the process-global
-    /// [`Registry::global`] (leveled by `DYNASPARSE_TELEMETRY`).
+    /// Telemetry registry every worker session publishes its kernel
+    /// telemetry into; `None` resolves to the process-global
+    /// [`Registry::global`] (leveled by `DYNASPARSE_TELEMETRY`).  Serve
+    /// events go to the runtime's own registry ([`ServeRuntime::metrics`]).
     pub telemetry: Option<Arc<Registry>>,
     /// Load-shedding watermarks `(high, low)` on queue depth, with
     /// hysteresis: once depth reaches `high`, submissions are rejected with
@@ -117,8 +124,8 @@ impl ServeConfig {
         self
     }
 
-    /// Routes worker-session and queue telemetry into `registry` instead of
-    /// the process-global one (tests inject leveled registries this way).
+    /// Routes worker-session telemetry into `registry` instead of the
+    /// process-global one (tests inject leveled registries this way).
     pub fn telemetry(mut self, registry: Arc<Registry>) -> Self {
         self.telemetry = Some(registry);
         self
@@ -280,7 +287,7 @@ pub struct ServeRuntime {
     plan: Arc<CompiledPlan>,
     config: ServeConfig,
     queue: Arc<BoundedQueue<QueuedRequest>>,
-    metrics: Arc<MetricsCollector>,
+    metrics: Arc<ServeMetrics>,
     telemetry: Arc<Registry>,
     workers: Vec<thread::JoinHandle<()>>,
     started: Instant,
@@ -301,10 +308,12 @@ impl ServeRuntime {
             config.queue_capacity,
             Priority::LANES,
         ));
-        let metrics = Arc::new(MetricsCollector::new(config.workers.max(1)));
+        let metrics = Arc::new(ServeMetrics::new());
         let telemetry = config.telemetry.clone().unwrap_or_else(Registry::global);
         if let Some((high, _)) = config.shed_watermarks {
-            telemetry.gauge_set(GaugeId::ShedWatermark, high as f64);
+            metrics
+                .registry
+                .gauge_set(GaugeId::ShedWatermark, high as f64);
         }
         let live_workers = Arc::new(AtomicUsize::new(config.workers.max(1)));
         let workers = (0..config.workers.max(1))
@@ -319,19 +328,18 @@ impl ServeRuntime {
                     .name(format!("dynasparse-serve-{index}"))
                     .spawn(move || {
                         // The session is opened here, before the first
-                        // request arrives.  It publishes into the runtime's
+                        // request arrives.  It publishes into the configured
                         // registry through the worker's own shard, so
                         // per-shard counter breakdowns read as per-worker
                         // ones; post-panic rebuilds keep that telemetry.
                         let mut session = plan.session_shared(&config.strategies);
-                        session.set_telemetry(Arc::clone(&telemetry));
+                        session.set_telemetry(telemetry);
                         session.set_telemetry_shard(index);
                         Worker {
                             index,
                             max_batch: config.max_batch,
                             queue,
                             metrics,
-                            telemetry,
                             live_workers,
                             session,
                             respawns_left: config.max_worker_respawns,
@@ -369,12 +377,22 @@ impl ServeRuntime {
         self.queue.len()
     }
 
-    /// The telemetry registry the runtime's workers, queue gauges and
-    /// session probes publish into — the injected
-    /// [`ServeConfig::telemetry`] registry, or [`Registry::global`] when
-    /// none was configured.  Snapshot it for Prometheus/JSON exposition.
+    /// The telemetry registry the worker sessions publish kernel telemetry
+    /// into — the injected [`ServeConfig::telemetry`] registry, or
+    /// [`Registry::global`] when none was configured.
     pub fn telemetry(&self) -> &Arc<Registry> {
         &self.telemetry
+    }
+
+    /// The runtime's own counters-level registry, which holds every serve
+    /// event of this runtime and no other (`dynasparse_serve_*`: requests,
+    /// drains, sheds, expiries, panics, respawns, the queue-wait, service
+    /// and drain-size histograms, the queue-depth and shed-watermark
+    /// gauges).  [`ServeRuntime::snapshot`] is read off it; snapshot it for
+    /// Prometheus/JSON exposition.  It records at any
+    /// `DYNASPARSE_TELEMETRY` level.
+    pub fn metrics(&self) -> &Arc<Registry> {
+        &self.metrics.registry
     }
 
     /// Submits a request, blocking while the queue is at capacity
@@ -452,8 +470,7 @@ impl ServeRuntime {
             false
         };
         if shedding {
-            self.metrics.record_shed();
-            self.telemetry.incr(0, CounterId::ServeShed);
+            self.metrics.registry.incr(0, CounterId::ServeShed);
             Err(ServeError::Overloaded {
                 depth,
                 watermark: high,
@@ -519,7 +536,8 @@ impl ServeRuntime {
             .collect()
     }
 
-    /// Metrics accumulated so far, without stopping the runtime.
+    /// Metrics accumulated so far, without stopping the runtime (a read of
+    /// [`ServeRuntime::metrics`]).
     pub fn snapshot(&self) -> ServeReport {
         self.metrics.report(self.started.elapsed())
     }
@@ -527,8 +545,7 @@ impl ServeRuntime {
     /// Stops accepting requests, drains the queue, joins every worker and
     /// returns the final aggregate metrics.  Every queued ticket is served;
     /// a worker thread that died of an uncaught panic has its payload
-    /// recovered into [`ServeReport::worker_failures`] (it used to be
-    /// discarded).
+    /// recovered into [`ServeReport::worker_failures`].
     pub fn shutdown(self) -> ServeReport {
         self.queue.close();
         join_workers(self.workers, &self.metrics);
@@ -566,10 +583,10 @@ impl ServeRuntime {
 
 /// Joins the pool, recovering (instead of discarding) the panic payload of
 /// any worker whose thread died outside the supervisor's catch.
-fn join_workers(workers: Vec<thread::JoinHandle<()>>, metrics: &MetricsCollector) {
+fn join_workers(workers: Vec<thread::JoinHandle<()>>, metrics: &ServeMetrics) {
     for (index, worker) in workers.into_iter().enumerate() {
         if let Err(payload) = worker.join() {
-            metrics.record_worker_join_failure(format!(
+            metrics.record_failure(format!(
                 "worker {index} thread panicked: {}",
                 panic_message(&payload)
             ));
@@ -615,8 +632,7 @@ struct Worker {
     index: usize,
     max_batch: usize,
     queue: Arc<BoundedQueue<QueuedRequest>>,
-    metrics: Arc<MetricsCollector>,
-    telemetry: Arc<Registry>,
+    metrics: Arc<ServeMetrics>,
     /// Workers still serving; the last one to retire on an open circuit
     /// breaker closes the queue and fails residual tickets.
     live_workers: Arc<AtomicUsize>,
@@ -638,13 +654,11 @@ impl Worker {
                 self.shed_expired(request);
             }
             if !drained.batch.is_empty() {
-                let size = drained.batch.len();
-                self.metrics.record_batch(size);
-                self.telemetry
-                    .gauge_set(GaugeId::QueueDepth, self.queue.len() as f64);
-                self.telemetry.incr(self.index, CounterId::ServeBatches);
-                self.telemetry
-                    .observe(self.index, HistogramId::BatchSize, size as u64);
+                let metrics = &self.metrics.registry;
+                metrics.gauge_set(GaugeId::QueueDepth, self.queue.len() as f64);
+                metrics.incr(self.index, CounterId::ServeBatches);
+                let size = drained.batch.len() as u64;
+                metrics.observe(self.index, HistogramId::BatchSize, size);
                 for request in drained.batch {
                     self.serve(request);
                 }
@@ -668,8 +682,8 @@ impl Worker {
             .deadline
             .map(|d| Instant::now().saturating_duration_since(d))
             .unwrap_or_default();
-        self.metrics.record_deadline_expired();
-        self.telemetry
+        self.metrics
+            .registry
             .incr(self.index, CounterId::ServeDeadlineExpired);
         let _ = request
             .envelope
@@ -702,16 +716,14 @@ impl Worker {
             Err(payload) => payload,
         };
         let message = panic_message(payload.as_ref());
-        self.metrics.record_worker_panic(message.clone());
-        self.telemetry
-            .incr(self.index, CounterId::ServeWorkerPanics);
+        self.metrics.record_failure(message.clone());
+        let metrics = &self.metrics.registry;
+        metrics.incr(self.index, CounterId::ServeWorkerPanics);
         if self.respawns_left == 0 {
             self.breaker_open = true;
         } else {
             self.respawns_left -= 1;
-            self.metrics.record_worker_respawn();
-            self.telemetry
-                .incr(self.index, CounterId::ServeWorkerRespawns);
+            metrics.incr(self.index, CounterId::ServeWorkerRespawns);
             self.session.rebuild_after_panic();
         }
         Err(ServeError::WorkerPanicked { message })
@@ -742,23 +754,11 @@ impl Worker {
             Err(ServeError::WorkerPanicked { .. }) | Err(ServeError::Abandoned { .. })
         ) {
             let queue_wait = turn.duration_since(envelope.enqueued);
-            self.metrics.record_request(
-                self.index,
-                queue_wait,
-                service,
-                envelope.enqueued.elapsed(),
-            );
-            self.telemetry.incr(self.index, CounterId::ServeRequests);
-            self.telemetry.observe(
-                self.index,
-                HistogramId::QueueWaitMicros,
-                queue_wait.as_micros() as u64,
-            );
-            self.telemetry.observe(
-                self.index,
-                HistogramId::ServiceMicros,
-                service.as_micros() as u64,
-            );
+            let metrics = &self.metrics.registry;
+            metrics.incr(self.index, CounterId::ServeRequests);
+            let micros = |d: Duration| d.as_micros() as u64;
+            metrics.observe(self.index, HistogramId::QueueWaitMicros, micros(queue_wait));
+            metrics.observe(self.index, HistogramId::ServiceMicros, micros(service));
         }
         // A dropped ticket (caller gave up) is fine; ignore send errors.
         let _ = envelope.reply.send(result);
@@ -862,15 +862,16 @@ mod tests {
         for r in &results {
             assert!(r.is_ok());
         }
+        let metrics = Arc::clone(runtime.metrics());
         let report = runtime.shutdown();
         assert_eq!(report.requests, 6);
         assert!(report.batches >= 2, "6 requests, max_batch 4 → ≥ 2 batches");
         assert!(report.throughput_rps > 0.0);
         assert!(report.mean_batch_size() >= 1.0);
-        assert_eq!(
-            report.worker_loads.iter().map(|w| w.requests).sum::<u64>(),
-            6
-        );
+        // Each worker counts into its own shard: the per-worker loads.
+        let per_worker = metrics.counter_per_shard(CounterId::ServeRequests);
+        assert_eq!(per_worker.iter().sum::<u64>(), 6);
+        assert_eq!(per_worker[2..], [0; 6], "two workers write two shards");
     }
 
     #[test]
@@ -1119,6 +1120,37 @@ mod tests {
             "panic payload must surface in worker_failures: {:?}",
             report.worker_failures
         );
+    }
+
+    #[test]
+    fn forty_panics_are_all_counted_and_the_last_sixteen_messages_kept() {
+        let (plan, features) = plan_fixture();
+        let runtime = ServeRuntime::start(
+            plan,
+            ServeConfig::default()
+                .workers(1)
+                .max_batch(1)
+                .max_worker_respawns(40),
+        );
+        let tickets: Vec<Ticket> = (0..40)
+            .map(|i| {
+                let fault: FaultHook = Arc::new(move |_| panic!("poisoned request {i}"));
+                // 40 fit the default queue of 64: none bounces.
+                runtime
+                    .try_submit_with_fault(features.clone(), SubmitOptions::default(), fault)
+                    .unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            assert!(matches!(
+                ticket.wait(),
+                Err(ServeError::WorkerPanicked { .. })
+            ));
+        }
+        let report = runtime.shutdown();
+        assert_eq!((report.worker_panics, report.worker_respawns), (40, 40));
+        let want: Vec<String> = (24..40).map(|i| format!("poisoned request {i}")).collect();
+        assert_eq!(report.worker_failures, want);
     }
 
     #[test]

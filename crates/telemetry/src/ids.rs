@@ -202,7 +202,7 @@ impl GaugeId {
     }
 }
 
-/// Log2-bucketed histograms (sharded; merged by summation on snapshot).
+/// Log-linear histograms (sharded; merged by summation on snapshot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HistogramId {

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::ids::{CounterId, GaugeId, HistogramId};
-use crate::snapshot::TelemetrySnapshot;
+use crate::snapshot::{HistogramSample, TelemetrySnapshot};
 use crate::TelemetryLevel;
 
 /// Writer shards for counters and histograms. Serve workers write to
@@ -13,40 +13,47 @@ use crate::TelemetryLevel;
 /// shards on snapshot, so the shard count only affects write contention.
 pub const NUM_SHARDS: usize = 8;
 
-/// Buckets per log2 histogram. Bucket `0` counts values `<= 1`; bucket `b`
-/// counts `2^(b-1) < v <= 2^b`; the last bucket absorbs everything above
-/// `2^(HISTOGRAM_BUCKETS - 2)` (the `+Inf` bucket in Prometheus terms).
-pub const HISTOGRAM_BUCKETS: usize = 32;
+/// Sub-buckets per octave of a log-linear histogram (a power of two).
+pub const SUB_BUCKETS: usize = 16;
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+
+/// Buckets per log-linear histogram.  Values below `2 · SUB_BUCKETS` (32)
+/// get one bucket each, so they are exact; above that, every octave
+/// `[2^e, 2^(e+1))` is cut into [`SUB_BUCKETS`] equal buckets, so no bucket
+/// is wider than 1/16 (6.25 %) of its lower bound.  The buckets cover all of
+/// `u64`: there is no overflow bucket.
+pub const HISTOGRAM_BUCKETS: usize = SUB_BUCKETS * (65 - SUB_BITS as usize);
 
 pub(crate) const NUM_COUNTERS: usize = CounterId::ALL.len();
 pub(crate) const NUM_GAUGES: usize = GaugeId::ALL.len();
 pub(crate) const NUM_HISTOGRAMS: usize = HistogramId::ALL.len();
 
-/// The log2 bucket index for `v`: `0` for `v <= 1`, otherwise the smallest
-/// `b` with `v <= 2^b`, clamped into the overflow bucket.
+/// The bucket holding `v`: `v` itself below [`SUB_BUCKETS`]; above, the
+/// octave's first bucket plus the [`SUB_BITS`] bits after `v`'s leading one.
+/// (The octave `[16, 32)` lands on `v` too, so all of `[0, 32)` is exact.)
 pub(crate) fn bucket_index(v: u64) -> usize {
-    if v <= 1 {
-        0
-    } else {
-        let b = 64 - (v - 1).leading_zeros() as usize;
-        b.min(HISTOGRAM_BUCKETS - 1)
+    if v < SUB_BUCKETS as u64 {
+        return v as usize;
     }
+    let shift = 63 - v.leading_zeros() - SUB_BITS;
+    (shift as usize + 1) * SUB_BUCKETS + ((v >> shift) as usize & (SUB_BUCKETS - 1))
 }
 
-/// The inclusive upper bound of bucket `b` (`u64::MAX` for the overflow
-/// bucket, rendered as `+Inf` in the Prometheus exposition).
-pub(crate) fn bucket_upper_bound(b: usize) -> u64 {
-    if b + 1 >= HISTOGRAM_BUCKETS {
-        u64::MAX
-    } else {
-        1u64 << b
+/// The inclusive bounds `(lower, upper)` of bucket `b`, the values
+/// [`bucket_index`] maps to `b`.
+pub(crate) fn bucket_bounds(b: usize) -> (u64, u64) {
+    if b < SUB_BUCKETS {
+        return (b as u64, b as u64);
     }
+    let shift = b / SUB_BUCKETS - 1;
+    let lower = ((SUB_BUCKETS + b % SUB_BUCKETS) as u64) << shift;
+    (lower, lower + ((1u64 << shift) - 1))
 }
 
-/// One log2 histogram slot: per-bucket counts plus a running count/sum.
+/// One log-linear histogram slot: per-bucket counts plus a running sum.
+/// The count is the buckets' total, summed on read.
 pub(crate) struct HistogramSlot {
     pub(crate) buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    pub(crate) count: AtomicU64,
     pub(crate) sum: AtomicU64,
 }
 
@@ -54,14 +61,12 @@ impl HistogramSlot {
     fn new() -> HistogramSlot {
         HistogramSlot {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
 
     fn observe(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 }
@@ -223,10 +228,23 @@ impl Registry {
         TelemetrySnapshot::collect(self)
     }
 
-    /// Visits every shard (snapshot-side histogram merge).
-    pub(crate) fn for_each_shard(&self, mut f: impl FnMut(&Shard)) {
+    /// The merged (all-shard) histogram `id`.  Allocates its bucket vector;
+    /// the writers never do.
+    pub fn histogram(&self, id: HistogramId) -> HistogramSample {
+        let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
+        let mut sum = 0u64;
         for shard in self.shards.iter() {
-            f(shard);
+            let slot = &shard.histograms[id.idx()];
+            for (acc, bucket) in buckets.iter_mut().zip(slot.buckets.iter()) {
+                *acc += bucket.load(Ordering::Relaxed);
+            }
+            sum += slot.sum.load(Ordering::Relaxed);
+        }
+        HistogramSample {
+            id,
+            count: buckets.iter().sum(),
+            buckets,
+            sum,
         }
     }
 }
@@ -236,35 +254,85 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_zero_and_one_share_the_first_bucket() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
+    fn small_values_get_a_bucket_each() {
+        for v in 0..2 * SUB_BUCKETS as u64 {
+            assert_eq!(bucket_index(v), v as usize);
+            assert_eq!(bucket_bounds(v as usize), (v, v));
+        }
+        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(bucket_bounds(HISTOGRAM_BUCKETS - 1).1, u64::MAX);
     }
 
     #[test]
     fn bucket_boundaries_below_exact_above_each_log2_edge() {
-        // Bucket b counts 2^(b-1) < v <= 2^b: an exact power lands in its
-        // own bucket, one above spills into the next, one below stays put.
-        for b in 1..HISTOGRAM_BUCKETS - 1 {
-            let edge = 1u64 << b;
-            assert_eq!(bucket_index(edge), b, "exact 2^{b}");
-            assert_eq!(bucket_index(edge + 1), b + 1, "2^{b} + 1");
-            let below = bucket_index(edge - 1);
-            let expect = if edge - 1 <= 1u64 << (b - 1) {
-                b - 1
-            } else {
-                b
-            };
-            assert_eq!(below, expect, "2^{b} - 1");
+        // From 32 up, a power of two opens its octave's first bucket and
+        // the value below it closes the previous octave's last one.
+        for e in 5..64 {
+            let edge = 1u64 << e;
+            let b = bucket_index(edge);
+            assert_eq!(bucket_bounds(b).0, edge, "2^{e} opens its bucket");
+            assert_eq!(b % SUB_BUCKETS, 0, "2^{e} is an octave's first bucket");
+            assert_eq!(bucket_index(edge - 1), b - 1, "2^{e} - 1");
+            assert_eq!(
+                bucket_bounds(b - 1).1,
+                edge - 1,
+                "2^{e} - 1 closes its bucket"
+            );
         }
     }
 
     #[test]
     fn bucket_overflow_clamps_to_last() {
-        assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_index(1u64 << 62), HISTOGRAM_BUCKETS - 1);
-        assert_eq!(bucket_upper_bound(HISTOGRAM_BUCKETS - 1), u64::MAX);
-        assert_eq!(bucket_upper_bound(3), 8);
+        // No overflow bucket: the top of `u64` is the last bucket's range.
+        let last = HISTOGRAM_BUCKETS - 1;
+        assert_eq!(bucket_index(u64::MAX), last);
+        assert_eq!(bucket_index(31 << 59), last);
+        assert_eq!(bucket_index((31 << 59) - 1), last - 1);
+        assert_eq!(bucket_bounds(last), (31 << 59, u64::MAX));
+    }
+
+    #[test]
+    fn every_value_lands_in_a_bucket_that_contains_it_and_no_bucket_is_wide() {
+        // Every octave edge and its neighbours, then a fixed-seed spread of
+        // values over every magnitude (splitmix64, shifted right by a
+        // varying amount so small values are drawn as often as large ones).
+        let mut values: Vec<u64> = (0..64)
+            .flat_map(|e| {
+                let edge = 1u64 << e;
+                [edge - 1, edge, edge + 1]
+            })
+            .chain([u64::MAX, u64::MAX - 1])
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..20_000u32 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            values.push((z ^ (z >> 31)) >> (i % 64));
+        }
+        for v in values {
+            let b = bucket_index(v);
+            assert!(b < HISTOGRAM_BUCKETS, "{v} -> bucket {b}");
+            let (lower, upper) = bucket_bounds(b);
+            assert!(
+                lower <= v && v <= upper,
+                "{v} outside bucket {b} [{lower}, {upper}]"
+            );
+            let width = upper - lower + 1;
+            if v >= 2 * SUB_BUCKETS as u64 {
+                assert!(
+                    width * SUB_BUCKETS as u64 <= lower,
+                    "bucket {b} [{lower}, {upper}] is wider than 1/16 of its lower bound"
+                );
+            } else {
+                assert_eq!(width, 1, "{v} must be exact");
+            }
+        }
+        // The buckets tile `u64`: each starts one past the last one's end.
+        for b in 1..HISTOGRAM_BUCKETS {
+            assert_eq!(bucket_bounds(b).0, bucket_bounds(b - 1).1 + 1, "bucket {b}");
+        }
     }
 
     #[test]

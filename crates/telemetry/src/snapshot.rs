@@ -3,10 +3,9 @@
 //! dependency-free crate could use).
 
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 
 use crate::ids::{CounterId, GaugeId, HistogramId};
-use crate::registry::{bucket_upper_bound, Registry, HISTOGRAM_BUCKETS};
+use crate::registry::{bucket_bounds, Registry, HISTOGRAM_BUCKETS};
 
 /// A merged counter: the all-shard total plus the per-shard breakdown
 /// (per-worker, when serve workers pinned their shard).
@@ -29,27 +28,65 @@ pub struct GaugeSample {
     pub value: f64,
 }
 
-/// A merged log2 histogram.
+/// A merged log-linear histogram (bucket layout: [`HISTOGRAM_BUCKETS`]).
 #[derive(Debug, Clone)]
 pub struct HistogramSample {
     /// Which histogram this samples.
     pub id: HistogramId,
     /// Per-bucket counts (not cumulative), bucket 0 first.
     pub buckets: Vec<u64>,
-    /// Total observations.
+    /// Total observations (the buckets' sum).
     pub count: u64,
     /// Sum of observed values.
     pub sum: u64,
 }
 
 impl HistogramSample {
-    /// The mean observed value (0 when empty).
+    /// The mean observed value (0 when empty); exact, from the running sum.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
             self.sum as f64 / self.count as f64
         }
+    }
+
+    /// The nearest-rank `q`-quantile (`q` in `[0, 1]`; the sample of rank
+    /// `round(q · (count − 1))`), to within its bucket: the middle of the
+    /// bucket that holds that sample, so exact below 32 and off by at most
+    /// half a bucket width (≤ 3.125 %) above.  0 when empty.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
+        let mut seen = 0u64;
+        for (b, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen > rank {
+                let (lower, upper) = bucket_bounds(b);
+                return (lower as f64 + upper as f64) / 2.0;
+            }
+        }
+        0.0
+    }
+
+    /// The inclusive upper bound of the highest non-empty bucket: at least
+    /// the largest observed value, and exact below 32.  0 when empty.
+    pub fn max(&self) -> u64 {
+        self.buckets
+            .iter()
+            .rposition(|&n| n > 0)
+            .map_or(0, |b| bucket_bounds(b).1)
+    }
+
+    /// `(upper bound, count)` of every non-empty bucket, ascending.
+    pub fn nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(b, &n)| (bucket_bounds(b).1, n))
     }
 }
 
@@ -84,25 +121,7 @@ impl TelemetrySnapshot {
             .collect();
         let histograms = HistogramId::ALL
             .iter()
-            .map(|&id| {
-                let mut buckets = vec![0u64; HISTOGRAM_BUCKETS];
-                let mut count = 0u64;
-                let mut sum = 0u64;
-                registry.for_each_shard(|shard| {
-                    let slot = &shard.histograms[id.idx()];
-                    for (acc, bucket) in buckets.iter_mut().zip(slot.buckets.iter()) {
-                        *acc += bucket.load(Ordering::Relaxed);
-                    }
-                    count += slot.count.load(Ordering::Relaxed);
-                    sum += slot.sum.load(Ordering::Relaxed);
-                });
-                HistogramSample {
-                    id,
-                    buckets,
-                    count,
-                    sum,
-                }
-            })
+            .map(|&id| registry.histogram(id))
             .collect();
         TelemetrySnapshot {
             counters,
@@ -151,6 +170,8 @@ impl TelemetrySnapshot {
         for h in &self.histograms {
             let _ = writeln!(out, "# HELP {} {}", h.id.name(), h.id.help());
             let _ = writeln!(out, "# TYPE {} histogram", h.id.name());
+            // Every bucket up to the last non-empty one; the last bucket's
+            // bound is `u64::MAX`, which the `+Inf` line stands for.
             let last_used = h
                 .buckets
                 .iter()
@@ -163,7 +184,7 @@ impl TelemetrySnapshot {
                     out,
                     "{}_bucket{{le=\"{}\"}} {}",
                     h.id.name(),
-                    bucket_upper_bound(b),
+                    bucket_bounds(b).1,
                     cumulative
                 );
             }
@@ -213,16 +234,11 @@ impl TelemetrySnapshot {
                 h.count,
                 h.sum
             );
-            let mut first = true;
-            for (b, &bucket) in h.buckets.iter().enumerate() {
-                if bucket == 0 {
-                    continue;
-                }
-                if !first {
+            for (i, (le, bucket)) in h.nonempty().enumerate() {
+                if i > 0 {
                     out.push(',');
                 }
-                first = false;
-                let _ = write!(out, "[{},{}]", bucket_upper_bound(b), bucket);
+                let _ = write!(out, "[{le},{bucket}]");
             }
             out.push_str("]}");
         }
@@ -262,8 +278,9 @@ mod tests {
         let h = snap.histogram(HistogramId::BatchSize);
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 5);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[2], 1);
+        // Small values are exact: each has a bucket of its own.
+        assert_eq!(h.buckets[1], 1);
+        assert_eq!(h.buckets[4], 1);
         assert!((h.mean() - 2.5).abs() < 1e-12);
 
         let prom = snap.to_prometheus();
@@ -293,7 +310,32 @@ mod tests {
         assert!(prom.contains("dynasparse_kernel_micros_bucket{le=\"1\"} 1"));
         assert!(prom.contains("dynasparse_kernel_micros_bucket{le=\"2\"} 3"));
         assert!(prom.contains("dynasparse_kernel_micros_bucket{le=\"4\"} 4"));
-        assert!(prom.contains("dynasparse_kernel_micros_bucket{le=\"128\"} 5"));
+        // 100 lands in [100, 103], a sixteenth of the octave [64, 128).
+        assert!(prom.contains("dynasparse_kernel_micros_bucket{le=\"99\"} 4"));
+        assert!(prom.contains("dynasparse_kernel_micros_bucket{le=\"103\"} 5"));
+        assert!(
+            !prom.contains("le=\"107\""),
+            "no bucket past the last non-empty one"
+        );
         assert!(prom.contains("dynasparse_kernel_micros_bucket{le=\"+Inf\"} 5"));
+    }
+
+    #[test]
+    fn quantiles_read_the_nearest_rank_sample_to_within_its_bucket() {
+        let r = Registry::new(TelemetryLevel::Counters);
+        assert_eq!(r.histogram(HistogramId::ServiceMicros).quantile(0.5), 0.0);
+        for v in [5u64, 7, 1000, 1000, 100_000] {
+            r.observe(0, HistogramId::ServiceMicros, v);
+        }
+        let h = r.histogram(HistogramId::ServiceMicros);
+        // Ranks round(q · 4): 0 → 5 and 1 → 7 are exact (buckets of one),
+        // 2 → 1000 is the middle of [992, 1023], 4 → 100000 of [98304,
+        // 102399].
+        assert_eq!(h.quantile(0.0), 5.0);
+        assert_eq!(h.quantile(0.25), 7.0);
+        assert_eq!(h.quantile(0.5), 1007.5);
+        assert_eq!(h.quantile(1.0), 100_351.5);
+        assert_eq!(h.max(), 102_399);
+        assert_eq!(h.count, 5);
     }
 }

@@ -11,43 +11,56 @@
 //! proves both, in one child run per thread count, then checks that a full
 //! `Session::infer` allocates only its constant per-request bookkeeping
 //! (reports, output clone, analyzer pricing) — the same count every request.
+//! Last, a served request through a `ServeRuntime` leaves the heap as it
+//! found it: after warm-up the bytes outstanding do not grow with the
+//! number of requests served.
 //!
-//! Everything runs in a single `#[test]` because the counter is global.
+//! Everything runs in a single `#[test]` because the counters are global.
 
 mod common;
 
 use common::{at_one_and_two_kernel_threads, regions_dispatcher};
-use dynasparse::{MappingStrategy, Planner};
+use dynasparse::{FaultHook, MappingStrategy, Planner};
 use dynasparse_graph::generators::{dense_features, power_law_graph, PowerLawConfig};
-use dynasparse_graph::{Dataset, FeatureMatrix};
+use dynasparse_graph::{Dataset, FeatureMatrix, GraphDataset};
 use dynasparse_matrix::{CsrMatrix, DispatchPolicy, PartitionSpec, ThreadPool};
 use dynasparse_model::{prune_model, GnnModel, GnnModelKind, ReferenceExecutor};
+use dynasparse_serve::{ServeConfig, ServeRuntime, SubmitOptions};
 use dynasparse_telemetry::{CounterId, Registry, SessionTelemetry, TelemetryLevel};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+/// Heap bytes outstanding: allocated and not yet freed.
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as isize, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(
+            new_size as isize - layout.size() as isize,
+            Ordering::Relaxed,
+        );
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 }
@@ -410,5 +423,75 @@ fn check_allocations() {
         x <= 16 * lookups,
         "a cycle of {lookups} missed lookups spent {x} allocations; pricing a kernel must not \
          allocate per task"
+    );
+
+    check_serve_heap();
+}
+
+/// The serve path's heap: a runtime serving one small request at a time
+/// must hold the same heap bytes after request 1 000 as after request
+/// 4 000.  The bytes are read inside the worker, by a hook on the first
+/// kernel of the request after each of those: the worker has dropped all
+/// of the request before, and the client is parked on the probe's ticket,
+/// so the probe sees the same state every time unless something grows per
+/// request.  At two kernel threads one thing is left to timing: the pool
+/// keeps a finished fan-out's job (an 80-byte `Arc<Job>`) queued until a
+/// pool thread next looks, so there the two reads may differ by that job.
+/// A small graph keeps 4 000 requests to seconds in a debug build.
+fn check_serve_heap() {
+    let graph = power_law_graph(
+        "alloc-serve",
+        &PowerLawConfig {
+            num_vertices: 48,
+            num_edges: 180,
+            exponent: 2.2,
+            seed: 5,
+        },
+    );
+    let request = dense_features(48, 24, 0.2, 6);
+    let dataset = GraphDataset {
+        spec: Dataset::Cora.spec(),
+        scale: 1.0,
+        graph,
+        features: request.clone(),
+    };
+    let model = GnnModel::gcn(24, 8, 5, 17);
+    let plan = Planner::default().plan_shared(&model, &dataset).unwrap();
+    let runtime = ServeRuntime::start(plan, ServeConfig::default().workers(1).max_batch(1));
+    let live_at_probe = Arc::new(AtomicIsize::new(0));
+    let probe: FaultHook = {
+        let live_at_probe = Arc::clone(&live_at_probe);
+        Arc::new(move |kernel| {
+            if kernel == 0 {
+                live_at_probe.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        })
+    };
+    let mut live = Vec::with_capacity(2);
+    for served in 1..=4000 {
+        runtime.submit(request.clone()).unwrap().wait().unwrap();
+        if served == 1000 || served == 4000 {
+            let hook = Arc::clone(&probe);
+            runtime
+                .try_submit_with_fault(request.clone(), SubmitOptions::default(), hook)
+                .unwrap()
+                .wait()
+                .unwrap();
+            live.push(live_at_probe.load(Ordering::Relaxed));
+        }
+    }
+    let report = runtime.shutdown();
+    assert_eq!(report.requests, 4002);
+    let slack = if ThreadPool::global().threads() == 1 {
+        0
+    } else {
+        128
+    };
+    assert!(
+        (live[1] - live[0]).abs() <= slack,
+        "heap bytes outstanding after request 1000 ({}) and after request 4000 ({}): a \
+         served request must leave nothing behind",
+        live[0],
+        live[1]
     );
 }

@@ -12,15 +12,11 @@ mod common;
 use common::{is_regions_child, rerun_on_the_regions_fallback};
 use dynasparse::{MappingStrategy, Planner};
 use dynasparse_graph::{Dataset, FeatureMatrix};
-use dynasparse_matrix::ops::right_sparse_rows_into;
-use dynasparse_matrix::random::random_dense;
+use dynasparse_matrix::DenseMatrix;
 use dynasparse_matrix::{
     CalibrationConfig, DispatchPolicy, HostCalibration, HostPrimitive, ProductShape,
 };
-use dynasparse_matrix::{CsrMatrix, DenseMatrix};
 use dynasparse_model::{GnnModel, ReferenceExecutor};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 /// The shape and densities of the recorded mispick.
@@ -214,77 +210,4 @@ fn a_faster_gemm_does_not_reach_the_sparse_sparse_region() {
             }
         }
     }
-}
-
-#[test]
-fn the_right_sparse_curve_prices_the_pruned_wide_updates_it_runs() {
-    // A session picks and prices the dense Update's two bodies by the
-    // plan's width fits (`UpdateFit`); the generic fit's fourth curve prices
-    // the right-sparse body wherever a dispatcher has no width fit, so what
-    // it owes the system is an honest price for what runs.  On the four
-    // Update products of the
-    // ledger's `pruned_wide` request (GIN 128→64→16 over 2048 vertices,
-    // 90 %-pruned weights), a measured fit must price the kernel within 2x
-    // in sum, per product within 3x (the small ones run tens of
-    // microseconds).
-    if HostCalibration::shared().is_none() {
-        return; // DYNASPARSE_CALIBRATION=off
-    }
-    let mut rng = StdRng::seed_from_u64(20);
-    let products: Vec<_> = [
-        (128, 64, 0.98),
-        (64, 64, 0.49),
-        (64, 16, 0.59),
-        (16, 16, 0.45),
-    ]
-    .into_iter()
-    .map(|(n, d, alpha_h)| {
-        let x = random_dense(&mut rng, 2048, n, alpha_h);
-        let w = random_dense(&mut rng, n, d, 0.1);
-        (x, CsrMatrix::from_dense(&w.transpose()), w.density())
-    })
-    .collect();
-    let priced_as_measured = |calibration: &HostCalibration| -> Result<(), String> {
-        let (mut measured_sum, mut predicted_sum) = (0.0, 0.0);
-        for (x, wt, alpha_w) in &products {
-            let shape = ProductShape::new(x.rows(), x.cols(), wt.rows());
-            let mut out = vec![0.0f32; shape.m * shape.d];
-            let measured = (0..7)
-                .map(|_| {
-                    let started = std::time::Instant::now();
-                    right_sparse_rows_into(x, wt, 0, &mut out, 0, &mut []).unwrap();
-                    started.elapsed().as_secs_f64() * 1e3
-                })
-                .fold(f64::INFINITY, f64::min);
-            let predicted =
-                calibration.predict(HostPrimitive::SpDmmRight, shape, x.density(), *alpha_w);
-            if !(1.0 / 3.0..=3.0).contains(&(measured / predicted)) {
-                return Err(format!(
-                    "{shape:?}: measured {measured:.4} ms, priced {predicted:.4} ms"
-                ));
-            }
-            measured_sum += measured;
-            predicted_sum += predicted;
-        }
-        if !(0.5..=2.0).contains(&(measured_sum / predicted_sum)) {
-            return Err(format!(
-                "the four products measure {measured_sum:.4} ms and are priced \
-                 {predicted_sum:.4} ms"
-            ));
-        }
-        Ok(())
-    };
-    // This box runs at two speeds (a busy sibling hardware thread halves
-    // this one, and the other tests of this binary come and go), so a fit and
-    // a timing taken at different moments can disagree by 2x on their own:
-    // the fit is measured afresh, back to back with the timings, and a
-    // disagreement is retried before it counts.
-    let mut verdict = Ok(());
-    for _ in 0..5 {
-        verdict = priced_as_measured(&HostCalibration::measure(&CalibrationConfig::default()));
-        if verdict.is_ok() {
-            break;
-        }
-    }
-    verdict.unwrap();
 }

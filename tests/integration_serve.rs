@@ -303,6 +303,7 @@ fn multi_worker_telemetry_merge_is_complete_and_deterministic() {
                 .telemetry(Arc::clone(&registry)),
         );
         let results = runtime.serve_all(stream.iter().cloned());
+        let metrics = Arc::clone(runtime.metrics());
         runtime.shutdown();
         for r in results {
             r.expect("request failed");
@@ -318,9 +319,10 @@ fn multi_worker_telemetry_merge_is_complete_and_deterministic() {
         );
         assert_eq!(registry.counter(CounterId::KernelSpans), expected_spans);
         assert_eq!(
-            registry.counter(CounterId::ServeRequests),
+            metrics.counter(CounterId::ServeRequests),
             stream.len() as u64
         );
+        assert_eq!(registry.counter(CounterId::ServeRequests), 0);
         assert_eq!(
             registry.counter(CounterId::SessionRequests),
             stream.len() as u64
@@ -365,4 +367,65 @@ fn serving_workers_share_the_plans_measured_calibration() {
         assert_reports_identical(&want[i], &r.unwrap(), &format!("calibrated request {i}"));
     }
     runtime.shutdown();
+}
+
+#[test]
+fn a_runtime_counts_its_requests_with_its_sessions_telemetry_off() {
+    // The report is read off the runtime's own counters-level registry, so
+    // a runtime whose sessions publish into a silent registry still
+    // reports every request it served.
+    use dynasparse_telemetry::{CounterId, HistogramId, Registry, TelemetryLevel};
+
+    let (plan, _) = plan_fixture();
+    let stream = request_stream(&plan, 7);
+    let silent = Arc::new(Registry::new(TelemetryLevel::Off));
+    let runtime = ServeRuntime::start(
+        Arc::clone(&plan),
+        ServeConfig::default()
+            .workers(2)
+            .telemetry(Arc::clone(&silent)),
+    );
+    for r in runtime.serve_all(stream.iter().cloned()) {
+        r.expect("request failed");
+    }
+    let metrics = Arc::clone(runtime.metrics());
+    let report = runtime.shutdown();
+    assert_eq!(report.requests, 7);
+    assert_eq!((report.queue_wait.count, report.service.count), (7, 7));
+    assert!(report.service.p50_ms > 0.0 && report.service.max_ms >= report.service.p50_ms);
+    assert_eq!(metrics.counter(CounterId::ServeRequests), 7);
+    assert_eq!(metrics.histogram(HistogramId::ServiceMicros).count, 7);
+    assert_eq!(silent.counter(CounterId::SessionRequests), 0);
+}
+
+#[test]
+fn two_runtimes_on_the_global_registry_each_report_only_their_own_requests() {
+    use dynasparse_telemetry::CounterId;
+
+    // Both runtimes' sessions publish into the process-global registry (no
+    // `ServeConfig::telemetry`), served at the same time; each report and
+    // each runtime's registry still count that runtime's requests alone.
+    let (plan, _) = plan_fixture();
+    let stream = request_stream(&plan, 9);
+    let (a, b) = (3, 9);
+    let runtimes = [a, b].map(|_| ServeRuntime::start(Arc::clone(&plan), ServeConfig::default()));
+    thread::scope(|scope| {
+        for (runtime, n) in runtimes.iter().zip([a, b]) {
+            let requests = &stream[..n];
+            scope.spawn(move || {
+                for r in runtime.serve_all(requests.iter().cloned()) {
+                    r.expect("request failed");
+                }
+            });
+        }
+    });
+    let reports = runtimes.map(|runtime| {
+        let metrics = Arc::clone(runtime.metrics());
+        (runtime.shutdown(), metrics)
+    });
+    for ((report, metrics), n) in reports.iter().zip([a, b]) {
+        assert_eq!(report.requests, n as u64);
+        assert_eq!(report.service.count, n);
+        assert_eq!(metrics.counter(CounterId::ServeRequests), n as u64);
+    }
 }

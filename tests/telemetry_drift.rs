@@ -87,12 +87,7 @@ fn stale_calibration_moves_the_drift_gauges() {
     );
     let exec = ReferenceExecutor::new(&model, &ds.graph);
     let mut stale = HostCalibration::reference();
-    for fit in [
-        &mut stale.gemm,
-        &mut stale.spdmm,
-        &mut stale.spdmm_right,
-        &mut stale.spmm,
-    ] {
+    for fit in [&mut stale.gemm, &mut stale.spdmm, &mut stale.spmm] {
         fit.work *= 1e6;
         fit.output *= 1e6;
         fit.per_row *= 1e6;
