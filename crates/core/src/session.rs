@@ -275,7 +275,7 @@ impl<'p> Session<'p> {
         // priced at the plan's input density until something counts it.
         // Decisions change routing only: results stay bit-identical.
         let policy = DispatchPolicy::from_regions(accelerator.psys);
-        let mut dispatcher = KernelDispatcher::priced(
+        let mut dispatcher = KernelDispatcher::new(
             executor.model(),
             policy,
             compiled.calibration.clone(),

@@ -9,14 +9,15 @@
 //! sparsity via a performance model of the platform that executes it (paper
 //! §VI-A), so this module measures that model on the actual host:
 //!
-//! * [`HostCalibration::measure`] times three host kernels ([`gemm_into`],
-//!   [`CsrMatrix::spmm_dense_into`], [`CsrMatrix::spgemm_with`]) over a
-//!   small fixed-seed density × shape grid and fits one [`PrimitiveFit`]
-//!   cost curve per kernel: GEMM ∝ `m·n·d`; SpDMM ∝ `nnz(X)·d` (the left
-//!   operand's zeros skipped); Gustavson SPMM ∝ its flop-proportional nnz
-//!   work plus the expected touched-output and per-row scatter terms.
+//! * [`HostCalibration::measure`] times the two host kernels a CSR-stored
+//!   left operand runs ([`CsrMatrix::spmm_dense_into`],
+//!   [`CsrMatrix::spgemm_with`]) over a small fixed-seed density × shape
+//!   grid and fits one [`PrimitiveFit`] cost curve per kernel: SpDMM ∝
+//!   `nnz(X)·d` (the left operand's zeros skipped); Gustavson SPMM ∝ its
+//!   flop-proportional nnz work plus the expected touched-output and per-row
+//!   scatter terms.
 //! * [`HostCalibration::cheapest`] is the **argmin over predicted costs**
-//!   of GEMM, SpDMM and SPMM.  It is the whole calibrated decision:
+//!   of SpDMM and SPMM.  It is the whole calibrated decision:
 //!   `dynasparse-model`'s `KernelDispatcher` checks a fit once with
 //!   [`HostCalibration::is_valid`] when it is built, and decides by the
 //!   paper's closed-form regions ([`DispatchPolicy::decide`]), the
@@ -26,14 +27,12 @@
 //!   out `Arc` clones, which compiled plans share across worker sessions;
 //!   nothing changes the fit afterwards.  `DYNASPARSE_CALIBRATION=off`
 //!   disables calibration (regions only).
-//! * [`UpdateFit`] prices the one choice the generic fit cannot make: which
-//!   of its two bodies an Update over dense-stored features runs, the
-//!   counting GEMM or the right-sparse kernel over `Wᵀ`.  A model fixes each
-//!   Update's widths `(n, d)` and weight density, so the two bodies are
-//!   timed at exactly those, per output row at a few densities of `H`
-//!   ([`UpdateFit::shared`]: once per width pair and weight density per
-//!   process), instead of extrapolated from the generic grid, whose GEMM
-//!   curve is the dense envelope and blind to `α_H`.
+//! * [`UpdateFit`] prices the bodies a dense-stored left operand runs: an
+//!   Update over dense-stored features runs the counting GEMM or the
+//!   right-sparse kernel over `Wᵀ`.  A model fixes each Update's widths
+//!   `(n, d)` and weight density, so the two bodies are timed at exactly
+//!   those, per output row at a few densities of `H` ([`UpdateFit::shared`]:
+//!   once per width pair and weight density per process).
 //!
 //! [`DispatchPolicy`]: crate::DispatchPolicy
 //! [`DispatchPolicy::decide`]: crate::DispatchPolicy::decide
@@ -41,7 +40,7 @@
 use crate::csr::{CsrMatrix, SpGemmScratch};
 use crate::dense::DenseMatrix;
 use crate::dispatch::{sanitize_density, HostPrimitive};
-use crate::ops::{gemm_into, gemm_rows_into, right_sparse_rows_into};
+use crate::ops::{gemm_rows_into, right_sparse_rows_into};
 use crate::random::random_dense;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,45 +84,31 @@ impl ProductShape {
 /// The features describe the *host* kernels being priced, not the
 /// accelerator's Table IV model, and the two genuinely differ:
 ///
-/// * `work` — the host kernel's inner-loop trip count.  GEMM: `m·n·d`,
-///   the dense count, kept as a conservative upper envelope.  The row
-///   kernel of `gemm_into` skips zero elements of `X` (one test per 16-lane
-///   group, survivors compacted), so its measured cost falls with density,
-///   roughly an `m·n` scan plus `α_X·m·n·d` multiply-adds — but priced that
-///   way a dense-dense product with a narrow output (`d` below the scan's
-///   worth of MACs per element) loses to the CSR-fed SpDMM, which never
-///   scans, and no non-negative coefficients keep both that extreme at
-///   GEMM for every `d` and `α_X = 0.1` at SpDMM, the two ends the Table IV
-///   regions and this model must agree on.  The envelope is accurate in
-///   the dense band, the only band where GEMM can win on a host, and
-///   overestimating GEMM elsewhere can only push the argmin toward the
-///   sparse kernels that measure faster there anyway.  SpDMM:
+/// * `work` — the host kernel's inner-loop trip count.  SpDMM:
 ///   `α_X·m·n·d` for `spmm_dense_into`, which walks the left CSR's nnz and
 ///   never skips zeros of the dense right operand.  (The other orientation,
 ///   `right_sparse_rows_into`, runs only for an Update over dense-stored
 ///   features, and [`UpdateFit`] prices it at the model's widths; the grid
 ///   has no curve for it.)  SPMM: the Gustavson flop count `α_X·α_Y·m·n·d`.
-/// * `output` — elements the primitive writes (dense `m·d` for GEMM and
-///   SpDMM; for SPMM the *expected* touched outputs
-///   `m·d·(1 − e^{−α_X·α_Y·n})`, which also sizes its per-row scatter-list
-///   sort).
+/// * `output` — elements the primitive writes (dense `m·d` for SpDMM; for
+///   SPMM the *expected* touched outputs `m·d·(1 − e^{−α_X·α_Y·n})`, which
+///   also sizes its per-row scatter-list sort).
 /// * `rows` — `m`, the per-row loop overhead.
 ///
-/// A primitive the grid does not price ([`HostPrimitive::SpDmmRight`],
-/// [`HostPrimitive::Skip`]) has no features.
+/// A primitive the grid does not price ([`HostPrimitive::Gemm`],
+/// [`HostPrimitive::SpDmmRight`], [`HostPrimitive::Skip`]) has no features.
 fn features(prim: HostPrimitive, shape: ProductShape, ax: f64, ay: f64) -> [f64; 3] {
     let macs = shape.macs();
     let out = (shape.m * shape.d) as f64;
     let rows = shape.m as f64;
     match prim {
-        HostPrimitive::Gemm => [macs, out, rows],
         HostPrimitive::SpDmm => [ax * macs, out, rows],
         HostPrimitive::Spmm => {
             let flops = ax * ay * macs;
             let touched = out * (1.0 - (-(ax * ay) * shape.n as f64).exp());
             [flops, touched, rows]
         }
-        HostPrimitive::SpDmmRight | HostPrimitive::Skip => [0.0, 0.0, 0.0],
+        HostPrimitive::Gemm | HostPrimitive::SpDmmRight | HostPrimitive::Skip => [0.0, 0.0, 0.0],
     }
 }
 
@@ -221,28 +206,20 @@ pub struct CalibrationSample {
     pub alpha_x: f64,
     /// Measured density of the right operand.
     pub alpha_y: f64,
-    /// Measured milliseconds of the blocked dense GEMM.
-    pub gemm_ms: f64,
     /// Measured milliseconds of the sparse-dense CSR row kernel.
     pub spdmm_ms: f64,
     /// Measured milliseconds of the Gustavson sparse-sparse kernel.
     pub spmm_ms: f64,
 }
 
-/// The result of a host micro-calibration: one fitted cost curve per
-/// primitive plus the provenance of the measurement.
+/// The result of a host micro-calibration: one fitted cost curve per body a
+/// CSR-stored left operand runs.
 #[derive(Debug, Clone)]
 pub struct HostCalibration {
-    /// Fitted GEMM cost curve.
-    pub gemm: PrimitiveFit,
     /// Fitted SpDMM cost curve (CSR left operand).
     pub spdmm: PrimitiveFit,
     /// Fitted SPMM (Gustavson) cost curve.
     pub spmm: PrimitiveFit,
-    /// Number of grid points measured (0 for synthetic fits).
-    pub samples: usize,
-    /// Wall-clock milliseconds the calibration pass spent measuring.
-    pub measure_ms: f64,
 }
 
 /// Environment variable read by [`HostCalibration::shared`]: `off` (or
@@ -250,36 +227,26 @@ pub struct HostCalibration {
 pub const CALIBRATION_ENV: &str = "DYNASPARSE_CALIBRATION";
 
 impl HostCalibration {
-    /// Times the three CSR-or-GEMM host kernels over `config`'s grid and fits one cost
-    /// curve per kernel.  The fit is always [valid](Self::is_valid), even
+    /// Times the two CSR-left host kernels over `config`'s grid and fits one
+    /// cost curve per kernel.  The fit is always [valid](Self::is_valid), even
     /// on a degenerate grid (no points, one point, all-zero operands): a
     /// curve the least squares cannot resolve falls back to a positive,
     /// finite work term.
     pub fn measure(config: &CalibrationConfig) -> HostCalibration {
-        let started = Instant::now();
         let samples = Self::measure_grid(config);
-        let fit_for = |prim: HostPrimitive| {
+        let fit_for = |prim: HostPrimitive, ms: fn(&CalibrationSample) -> f64| {
             let rows: Vec<([f64; 3], f64)> = samples
                 .iter()
                 .map(|s| {
                     let shape = ProductShape::new(s.m, s.n, s.d);
-                    let t = match prim {
-                        HostPrimitive::Gemm => s.gemm_ms,
-                        HostPrimitive::SpDmm => s.spdmm_ms,
-                        HostPrimitive::Spmm => s.spmm_ms,
-                        HostPrimitive::SpDmmRight | HostPrimitive::Skip => 0.0,
-                    };
-                    (features(prim, shape, s.alpha_x, s.alpha_y), t)
+                    (features(prim, shape, s.alpha_x, s.alpha_y), ms(s))
                 })
                 .collect();
             fit_nonnegative(&rows)
         };
         HostCalibration {
-            gemm: fit_for(HostPrimitive::Gemm),
-            spdmm: fit_for(HostPrimitive::SpDmm),
-            spmm: fit_for(HostPrimitive::Spmm),
-            samples: samples.len(),
-            measure_ms: started.elapsed().as_secs_f64() * 1e3,
+            spdmm: fit_for(HostPrimitive::SpDmm, |s| s.spdmm_ms),
+            spmm: fit_for(HostPrimitive::Spmm, |s| s.spmm_ms),
         }
     }
 
@@ -297,9 +264,6 @@ impl HostCalibration {
                 let xs = CsrMatrix::from_dense(&x);
                 let ys = CsrMatrix::from_dense(&y);
                 let mut out = DenseMatrix::zeros(m, d);
-                let gemm_ms = time_min_ms(reps, || {
-                    gemm_into(&x, &y, &mut out).expect("calibration shapes agree");
-                });
                 let spdmm_ms = time_min_ms(reps, || {
                     xs.spmm_dense_into(&y, &mut out)
                         .expect("calibration shapes agree");
@@ -316,7 +280,6 @@ impl HostCalibration {
                     d,
                     alpha_x: xs.density(),
                     alpha_y: ys.density(),
-                    gemm_ms,
                     spdmm_ms,
                     spmm_ms,
                 });
@@ -326,15 +289,10 @@ impl HostCalibration {
     }
 
     /// A deterministic, machine-independent stand-in fit with the canonical
-    /// cost ordering (per-MAC: GEMM < SpDMM < Gustavson), for tests that
+    /// cost ordering (per unit of work: SpDMM < Gustavson), for tests that
     /// need a fit independent of the host they run on.
     pub fn reference() -> HostCalibration {
         HostCalibration {
-            gemm: PrimitiveFit {
-                work: 1.0e-6,
-                output: 1.0e-7,
-                per_row: 0.0,
-            },
             spdmm: PrimitiveFit {
                 work: 4.0e-6,
                 output: 2.0e-7,
@@ -345,17 +303,16 @@ impl HostCalibration {
                 output: 4.0e-7,
                 per_row: 1.0e-4,
             },
-            samples: 0,
-            measure_ms: 0.0,
         }
     }
 
     /// Predicted milliseconds of executing `X × Y` with `prim`.  `alpha_x`
     /// is the density of the left operand (the one the host kernels consume
     /// in CSR form), `alpha_y` the right operand's; both go through
-    /// [`sanitize_density`] first.  [`HostPrimitive::SpDmmRight`] reads
-    /// `NaN`: the grid has no curve for it, and the dense Update that runs
-    /// it is priced by its [`UpdateFit`].
+    /// [`sanitize_density`] first.  [`HostPrimitive::Gemm`] and
+    /// [`HostPrimitive::SpDmmRight`] read `NaN`: a CSR left operand runs
+    /// neither, so the grid has no curve for them, and the dense Update that
+    /// runs them is priced by its [`UpdateFit`].
     pub fn predict(
         &self,
         prim: HostPrimitive,
@@ -364,18 +321,17 @@ impl HostCalibration {
         alpha_y: f64,
     ) -> f64 {
         let fit = match prim {
-            HostPrimitive::Gemm => &self.gemm,
             HostPrimitive::SpDmm => &self.spdmm,
             HostPrimitive::Spmm => &self.spmm,
-            HostPrimitive::SpDmmRight => return f64::NAN,
+            HostPrimitive::Gemm | HostPrimitive::SpDmmRight => return f64::NAN,
             HostPrimitive::Skip => return 0.0,
         };
         let (ax, ay) = (sanitize_density(alpha_x), sanitize_density(alpha_y));
         fit.predict(features(prim, shape, ax, ay))
     }
 
-    /// The primitive with the smallest predicted cost among GEMM, SpDMM and
-    /// SPMM; a tie keeps the earlier one in that order.  An empty shape, or
+    /// The body a CSR-stored left operand runs with the smaller predicted
+    /// cost, SpDMM or SPMM; a tie keeps SpDMM.  An empty shape, or
     /// a density that sanitises to zero (non-positive, `-∞`, or the `NaN` of
     /// a degenerate empty-dimension operand's `0/0`), is
     /// [`HostPrimitive::Skip`].
@@ -384,23 +340,18 @@ impl HostCalibration {
         if ax <= 0.0 || ay <= 0.0 || shape.is_empty() {
             return HostPrimitive::Skip;
         }
-        let mut best = HostPrimitive::Gemm;
-        let mut best_cost = self.predict(best, shape, ax, ay);
-        for prim in [HostPrimitive::SpDmm, HostPrimitive::Spmm] {
-            let cost = self.predict(prim, shape, ax, ay);
-            if cost < best_cost {
-                best = prim;
-                best_cost = cost;
-            }
+        let spdmm = self.predict(HostPrimitive::SpDmm, shape, ax, ay);
+        let spmm = self.predict(HostPrimitive::Spmm, shape, ax, ay);
+        if spmm < spdmm {
+            HostPrimitive::Spmm
+        } else {
+            HostPrimitive::SpDmm
         }
-        best
     }
 
     /// Whether every fitted curve is finite, non-negative and non-trivial.
     pub fn is_valid(&self) -> bool {
-        [&self.gemm, &self.spdmm, &self.spmm]
-            .iter()
-            .all(|fit| fit.is_valid())
+        self.spdmm.is_valid() && self.spmm.is_valid()
     }
 
     /// The process-wide shared calibration, honoring [`CALIBRATION_ENV`]:
@@ -767,10 +718,12 @@ mod tests {
     #[test]
     fn reference_fit_picks_each_primitive_in_its_band() {
         let fit = HostCalibration::reference();
-        assert_eq!(fit.cheapest(shape(), 1.0, 1.0), HostPrimitive::Gemm);
+        assert_eq!(fit.cheapest(shape(), 1.0, 1.0), HostPrimitive::SpDmm);
         assert_eq!(fit.cheapest(shape(), 0.1, 1.0), HostPrimitive::SpDmm);
         assert_eq!(fit.cheapest(shape(), 0.005, 0.005), HostPrimitive::Spmm);
         assert_eq!(fit.cheapest(shape(), 0.0, 0.5), HostPrimitive::Skip);
+        // A CSR left operand never runs the GEMM, so the grid prices none.
+        assert!(fit.predict(HostPrimitive::Gemm, shape(), 1.0, 1.0).is_nan());
     }
 
     #[test]
@@ -785,7 +738,7 @@ mod tests {
         // +inf sanitizes to full density, which must not Skip.
         assert_eq!(
             fit.cheapest(shape(), f64::INFINITY, 1.0),
-            HostPrimitive::Gemm
+            HostPrimitive::SpDmm
         );
         assert_eq!(regions.decide(f64::INFINITY, 1.0), HostPrimitive::Gemm);
     }
@@ -804,12 +757,9 @@ mod tests {
 
     #[test]
     fn the_default_grid_resolves_every_spdmm_and_spmm_coefficient() {
-        // The two default shapes give GEMM only two distinct feature rows
-        // (its features do not vary with density), so its fit rests on the
-        // `work` fallback; SpDMM's and SPMM's features vary with the
-        // densities and must stay independent on the grid, or the normal
-        // equations go singular and a kernel is priced without its fixed
-        // costs.
+        // SpDMM's and SPMM's features vary with the densities and must stay
+        // independent on the grid, or the normal equations go singular and
+        // a kernel is priced without its fixed costs.
         let truth = [9.0e-8, 5.0e-7, 3.0e-7];
         let config = CalibrationConfig::default();
         for prim in [HostPrimitive::SpDmm, HostPrimitive::Spmm] {
@@ -841,11 +791,9 @@ mod tests {
         };
         let calibration = HostCalibration::measure(&config);
         assert!(calibration.is_valid(), "{calibration:?}");
-        assert_eq!(calibration.samples, 5);
-        assert!(calibration.measure_ms > 0.0);
-        // Gustavson pays more per flop than the dense-row kernels pay per
-        // MAC — the asymmetry the Table IV regions cannot see.
-        assert!(calibration.spmm.work > calibration.gemm.work);
+        // Gustavson pays more per flop than the sparse-dense row kernel pays
+        // per MAC — the asymmetry the Table IV regions cannot see.
+        assert!(calibration.spmm.work > calibration.spdmm.work);
     }
 
     #[test]

@@ -410,9 +410,9 @@ proptest! {
 
 /// The calibrated argmin and the Table IV regions describe different cost
 /// surfaces, but they must agree at the extremes: a dense-dense product is
-/// GEMM under both, and an empty (or degenerate-NaN) operand is Skip under
-/// both.  Uses the deterministic reference fit so the property holds on any
-/// machine.
+/// the regions' GEMM, which a CSR left operand runs as SpDMM, the fit's pick
+/// there; and an empty (or degenerate-NaN) operand is Skip under both.  Uses
+/// the deterministic reference fit so the property holds on any machine.
 mod cost_model_extremes {
     use super::*;
     use dynasparse_matrix::{DispatchPolicy, HostCalibration, HostPrimitive, ProductShape};
@@ -438,7 +438,7 @@ mod cost_model_extremes {
             let (calibrated, regions) = policies();
             let shape = ProductShape::new(m, n, d);
             prop_assert_eq!(regions.decide(ax, ay), HostPrimitive::Gemm);
-            prop_assert_eq!(calibrated.cheapest(shape, ax, ay), HostPrimitive::Gemm);
+            prop_assert_eq!(calibrated.cheapest(shape, ax, ay), HostPrimitive::SpDmm);
         }
 
         #[test]

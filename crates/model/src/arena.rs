@@ -106,17 +106,18 @@ pub fn price_update_widths(model: &GnnModel) -> Vec<UpdateFit> {
 /// Runtime kernel-to-host-primitive dispatcher for one model: the one host
 /// decider.
 ///
-/// With a valid host calibration every product over a CSR-stored left
-/// operand runs the argmin over the calibrated costs
-/// ([`HostCalibration::cheapest`]), and an Update over dense-stored features
-/// runs whichever of its two bodies — the counting GEMM or the right-sparse
-/// body over `Wᵀ` — its [`UpdateFit`] prices lower at the model's widths
-/// ([`KernelDispatcher::choose_dense_update`]).  Without one
-/// (`DYNASPARSE_CALIBRATION=off`, or a fit [`KernelDispatcher::new`]
-/// refused) it runs the Table IV regions of `policy`, with the density rule
-/// [`DispatchPolicy::prefers_right_sparse`] for the dense Update.  `policy`
-/// also owns the sparse-output threshold and the Gustavson weight-cache
-/// gate.  The dispatcher also holds the per-model caches the routes need,
+/// A product over a CSR-stored left operand runs one of the bodies such an
+/// operand has — Skip, SpDMM or Gustavson — as [`KernelDispatcher::decide`]
+/// picks it: with a valid host calibration, the cheaper of the two
+/// calibrated curves ([`HostCalibration::cheapest`]).  An Update over
+/// dense-stored features runs whichever of its two bodies — the counting
+/// GEMM or the right-sparse body over `Wᵀ` — its [`UpdateFit`] prices lower
+/// at the model's widths ([`KernelDispatcher::choose_dense_update`]).
+/// Without a calibration (`DYNASPARSE_CALIBRATION=off`, or a fit
+/// [`KernelDispatcher::new`] refused) both run the Table IV regions of
+/// `policy`, with the density rule [`DispatchPolicy::prefers_right_sparse`]
+/// for the dense Update.  `policy` also owns the sparse-output threshold and
+/// the Gustavson weight-cache gate.  The dispatcher also holds the per-model caches the routes need,
 /// built once when it is created: `W` in CSR for every weight sparse enough
 /// that a sparse-sparse route can be chosen for it, and `Wᵀ` in CSR for
 /// every weight the right-sparse body can run — under a fit, every weight
@@ -143,9 +144,13 @@ pub struct KernelDispatcher {
 
 impl KernelDispatcher {
     /// Builds the dispatcher for `model`, deciding by `calibration` when one
-    /// is supplied (the dense Update priced by [`price_update_widths`]) and
-    /// by the Table IV regions of `policy` otherwise.  `policy` also owns the
-    /// sparse-output retention threshold and the CSR weight-cache gate.
+    /// is supplied and by the Table IV regions of `policy` otherwise.
+    /// `policy` also owns the sparse-output retention threshold and the CSR
+    /// weight-cache gate.  `update_fits` holds the dense-left Update prices,
+    /// one [`UpdateFit`] per weight, indexed like `model.weights` (a plan's,
+    /// timed by [`price_update_widths`], or hand-built ones); they are read
+    /// only with a valid `calibration`, and a weight without a fit runs the
+    /// GEMM.
     ///
     /// The fit is checked here, once: one that is not
     /// [valid](HostCalibration::is_valid) (a non-finite, negative or zero
@@ -153,22 +158,6 @@ impl KernelDispatcher {
     /// dispatcher decides by the regions, prices nothing, and
     /// [`KernelDispatcher::calibration`] returns `None`.
     pub fn new(
-        model: &GnnModel,
-        policy: DispatchPolicy,
-        calibration: Option<Arc<HostCalibration>>,
-    ) -> Self {
-        let update_fits = match &calibration {
-            Some(c) if c.is_valid() => price_update_widths(model),
-            _ => Vec::new(),
-        };
-        Self::priced(model, policy, calibration, &update_fits)
-    }
-
-    /// Like [`KernelDispatcher::new`], with the dense-left Update prices
-    /// given: `update_fits` holds one [`UpdateFit`] per weight, indexed like
-    /// `model.weights` (a plan's, or hand-built ones).  They are read only
-    /// with a valid `calibration`; a weight without a fit runs the GEMM.
-    pub fn priced(
         model: &GnnModel,
         policy: DispatchPolicy,
         calibration: Option<Arc<HostCalibration>>,
@@ -235,14 +224,21 @@ impl KernelDispatcher {
         self.calibration.as_ref()
     }
 
-    /// Picks the host primitive for one (sub-)product over a CSR-stored left
-    /// operand.  An empty shape or a non-positive (or `NaN`) density is
-    /// [`HostPrimitive::Skip`] (the caller zero-fills the block rows).
+    /// Picks the body one (sub-)product over a CSR-stored left operand runs:
+    /// [`HostPrimitive::Skip`], [`HostPrimitive::SpDmm`] or
+    /// [`HostPrimitive::Spmm`], the only bodies such an operand has.  An
+    /// empty shape or a non-positive (or `NaN`) density is Skip (the caller
+    /// zero-fills the block rows).  Under the Table IV regions a GEMM
+    /// decision runs as SpDMM: a CSR operand has no dense rows to stream,
+    /// and the CSR row kernel computes the same product.
     pub fn decide(&self, shape: ProductShape, alpha_x: f64, alpha_y: f64) -> HostPrimitive {
         match &self.calibration {
             Some(calibration) => calibration.cheapest(shape, alpha_x, alpha_y),
             None if shape.is_empty() => HostPrimitive::Skip,
-            None => self.policy.decide(alpha_x, alpha_y),
+            None => match self.policy.decide(alpha_x, alpha_y) {
+                HostPrimitive::Gemm => HostPrimitive::SpDmm,
+                prim => prim,
+            },
         }
     }
 
@@ -721,13 +717,7 @@ impl BlockBody<'_> {
             BlockBody::CsrLeft { x, y, y_csr, .. } => {
                 let alpha_x = block_density(x.rows_nnz(r0, r0 + rows), rows, n);
                 let prim = match y_csr {
-                    Some(_) => match dispatcher.decide(shape, alpha_x, product.alpha_y) {
-                        HostPrimitive::Skip => HostPrimitive::Skip,
-                        HostPrimitive::Spmm => HostPrimitive::Spmm,
-                        HostPrimitive::Gemm | HostPrimitive::SpDmm | HostPrimitive::SpDmmRight => {
-                            HostPrimitive::SpDmm
-                        }
-                    },
+                    Some(_) => dispatcher.decide(shape, alpha_x, product.alpha_y),
                     // Without a CSR right operand the route is structurally
                     // forced: the block has work for the sparse-dense kernel
                     // or it has none.
@@ -867,9 +857,8 @@ impl Pass<'_> {
             (HostPrimitive::Spmm, Some(y_csr)) => {
                 (HostPrimitive::Spmm, Exec::SparseProduct(x, y_csr))
             }
-            // Every other decision runs the CSR-left block body against the
-            // dense right operand (a GEMM decision would need a dense left
-            // operand, which adjacencies and CSR features never justify).
+            // SpDMM, or Gustavson without a CSR right operand: the CSR-left
+            // block body against the dense right operand.
             (_, y_csr) => {
                 let y = match (y_dense, y_csr) {
                     (Some(y), _) => y.row_major(),
@@ -1215,7 +1204,12 @@ mod tests {
                 partition.n2,
                 calibration.is_some()
             );
-            let dispatcher = KernelDispatcher::new(exec.model(), policy, calibration);
+            let dispatcher = KernelDispatcher::new(
+                exec.model(),
+                policy,
+                calibration,
+                &price_update_widths(exec.model()),
+            );
             // One arena serves every request: reuse across requests of
             // different densities and representations is part of the check.
             let mut arena = exec.arena(VERTICES);
@@ -1359,7 +1353,7 @@ mod tests {
         partition: &PartitionSpec,
         blocks: bool,
     ) -> Vec<(u16, u16, SpanPrimitive)> {
-        let dispatcher = KernelDispatcher::new(exec.model(), DispatchPolicy::default(), None);
+        let dispatcher = KernelDispatcher::new(exec.model(), DispatchPolicy::default(), None, &[]);
         spans_under(&dispatcher, exec, request, partition, blocks)
     }
 
@@ -1499,7 +1493,7 @@ mod tests {
             .collect();
         let calibration = Some(Arc::new(HostCalibration::reference()));
         let policy = DispatchPolicy::from_regions(16);
-        let mut dispatcher = KernelDispatcher::priced(model, policy, calibration, &fits);
+        let mut dispatcher = KernelDispatcher::new(model, policy, calibration, &fits);
         dispatcher.set_input_density(input_density);
         dispatcher
     }
@@ -1537,7 +1531,7 @@ mod tests {
             assert_eq!(want == HostPrimitive::SpDmmRight, right < gemm);
         }
         // Under the regions nothing is priced.
-        let regions = KernelDispatcher::new(&model, DispatchPolicy::default(), None);
+        let regions = KernelDispatcher::new(&model, DispatchPolicy::default(), None, &[]);
         let h = fresh_dense(VERTICES, 24, 0.5, 75);
         assert_eq!(regions.choose_dense_update(0, &h), None);
     }
@@ -1680,7 +1674,7 @@ mod tests {
     fn a_request_that_does_not_fit_the_model_is_a_shape_error() {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None);
+        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None, &[]);
         let mut arena = exec.arena(VERTICES);
         for request in [
             dense_features(VERTICES, 23, 0.3, 1),
@@ -1713,7 +1707,12 @@ mod tests {
         let exec = ReferenceExecutor::new(&model, &small_graph());
         let calibration = Arc::new(HostCalibration::reference());
         let policy = DispatchPolicy::from_regions(16);
-        let dispatcher = KernelDispatcher::new(&model, policy, Some(calibration));
+        let dispatcher = KernelDispatcher::new(
+            &model,
+            policy,
+            Some(calibration),
+            &price_update_widths(&model),
+        );
         let partition = PartitionSpec::new(13, 7).unwrap();
         let mut arena = exec.arena(VERTICES);
         let predicted = exec
@@ -1732,28 +1731,29 @@ mod tests {
         );
     }
 
-    /// The primitives the generic grid prices (the right-sparse body is
-    /// priced per width by an `UpdateFit`).
-    const PRIMITIVES: [HostPrimitive; 3] = [
-        HostPrimitive::Gemm,
-        HostPrimitive::SpDmm,
-        HostPrimitive::Spmm,
-    ];
+    /// The bodies the generic grid prices, the two a CSR left operand runs
+    /// (the dense-left bodies are priced per width by an `UpdateFit`).
+    const PRIMITIVES: [HostPrimitive; 2] = [HostPrimitive::SpDmm, HostPrimitive::Spmm];
 
     #[test]
     fn without_a_calibration_the_dispatcher_decides_by_the_regions() {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let policy = DispatchPolicy::from_regions(16);
-        let dispatcher = KernelDispatcher::new(&model, policy, None);
+        let dispatcher = KernelDispatcher::new(&model, policy, None, &[]);
         assert!(dispatcher.calibration().is_none());
         let shape = ProductShape::new(32, 32, 8);
-        for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
-            assert_eq!(dispatcher.decide(shape, ax, ay), policy.decide(ax, ay));
+        for (ax, ay, body) in [
+            (0.9, 0.8, HostPrimitive::SpDmm),
+            (0.01, 1.0, HostPrimitive::SpDmm),
+            (0.05, 0.1, HostPrimitive::Spmm),
+        ] {
+            assert_eq!(dispatcher.decide(shape, ax, ay), body);
             for prim in PRIMITIVES {
                 assert!(dispatcher.predict_ms(prim, shape, ax, ay).is_nan());
             }
         }
-        assert_eq!(dispatcher.decide(shape, 0.9, 0.8), HostPrimitive::Gemm);
+        // The regions' GEMM runs as SpDMM over a CSR left operand.
+        assert_eq!(policy.decide(0.9, 0.8), HostPrimitive::Gemm);
     }
 
     #[test]
@@ -1761,23 +1761,27 @@ mod tests {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let calibration = Arc::new(HostCalibration::reference());
         let policy = DispatchPolicy::from_regions(16);
-        let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::clone(&calibration)));
+        let widths = price_update_widths(&model);
+        let dispatcher =
+            KernelDispatcher::new(&model, policy, Some(Arc::clone(&calibration)), &widths);
         assert!(Arc::ptr_eq(dispatcher.calibration().unwrap(), &calibration));
         let shape = ProductShape::new(64, 64, 16);
         for prim in PRIMITIVES {
             let predicted = dispatcher.predict_ms(prim, shape, 0.3, 0.3);
             assert!(predicted.is_finite() && predicted > 0.0, "{prim:?}");
         }
-        let right_sparse = dispatcher.predict_ms(HostPrimitive::SpDmmRight, shape, 0.3, 0.3);
-        assert!(right_sparse.is_nan(), "the grid has no right-sparse curve");
+        for prim in [HostPrimitive::Gemm, HostPrimitive::SpDmmRight] {
+            let predicted = dispatcher.predict_ms(prim, shape, 0.3, 0.3);
+            assert!(predicted.is_nan(), "the grid has no {prim:?} curve");
+        }
         // Prices follow the fit the dispatcher was built over.
         let mut doubled = (*calibration).clone();
-        doubled.gemm.work *= 2.0;
-        doubled.gemm.output *= 2.0;
-        doubled.gemm.per_row *= 2.0;
-        let rescaled = KernelDispatcher::new(&model, policy, Some(Arc::new(doubled)));
-        let before = dispatcher.predict_ms(HostPrimitive::Gemm, shape, 0.3, 0.3);
-        let after = rescaled.predict_ms(HostPrimitive::Gemm, shape, 0.3, 0.3);
+        doubled.spdmm.work *= 2.0;
+        doubled.spdmm.output *= 2.0;
+        doubled.spdmm.per_row *= 2.0;
+        let rescaled = KernelDispatcher::new(&model, policy, Some(Arc::new(doubled)), &widths);
+        let before = dispatcher.predict_ms(HostPrimitive::SpDmm, shape, 0.3, 0.3);
+        let after = rescaled.predict_ms(HostPrimitive::SpDmm, shape, 0.3, 0.3);
         assert!(
             (after - 2.0 * before).abs() <= 1e-12 * after,
             "{before} → {after}"
@@ -1785,11 +1789,58 @@ mod tests {
     }
 
     #[test]
+    fn a_csr_left_decision_is_a_body_a_csr_operand_runs() {
+        // Whatever decides — the reference fit, a measured one or the Table
+        // IV regions — a CSR left operand is sent only to a body it has.
+        let model = GnnModel::gcn(24, 8, 5, 13);
+        let policy = DispatchPolicy::from_regions(16);
+        let measured = HostCalibration::measure(&CalibrationConfig {
+            shapes: vec![(32, 32, 8), (48, 24, 16)],
+            densities: vec![(1.0, 1.0), (0.5, 0.5), (0.1, 1.0), (0.1, 0.1), (0.02, 0.02)],
+            reps: 1,
+            seed: 13,
+        });
+        let mut densities: Vec<f64> = (0..=16)
+            .map(|i| 10f64.powf(-4.0 + i as f64 / 4.0))
+            .collect();
+        densities.extend([0.0, f64::NAN]);
+        for fit in [None, Some(HostCalibration::reference()), Some(measured)] {
+            let calibrated = fit.is_some();
+            let dispatcher = KernelDispatcher::new(&model, policy, fit.map(Arc::new), &[]);
+            assert_eq!(dispatcher.calibration().is_some(), calibrated);
+            for (m, n, d) in [
+                (0, 24, 8),
+                (48, 0, 8),
+                (48, 24, 0),
+                (1, 1, 1),
+                (48, 24, 8),
+                (2708, 1433, 16),
+                (2708, 2708, 7),
+            ] {
+                let shape = ProductShape::new(m, n, d);
+                for &ax in &densities {
+                    for &ay in &densities {
+                        let body = dispatcher.decide(shape, ax, ay);
+                        assert!(
+                            matches!(
+                                body,
+                                HostPrimitive::Skip | HostPrimitive::SpDmm | HostPrimitive::Spmm
+                            ),
+                            "{body:?} for {shape:?} at α = {ax} × {ay}, calibrated {calibrated}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_shapes_and_dead_densities_skip_with_and_without_a_calibration() {
         let model = GnnModel::gcn(24, 8, 5, 13);
         let policy = DispatchPolicy::from_regions(16);
         for calibration in [None, Some(Arc::new(HostCalibration::reference()))] {
-            let dispatcher = KernelDispatcher::new(&model, policy, calibration);
+            let dispatcher =
+                KernelDispatcher::new(&model, policy, calibration, &price_update_widths(&model));
             let calibrated = dispatcher.calibration().is_some();
             for shape in [
                 ProductShape::new(0, 16, 16),
@@ -1814,27 +1865,47 @@ mod tests {
 
     #[test]
     fn a_non_finite_fit_prediction_falls_back_to_the_regions() {
-        // The fit is checked once, when the dispatcher is built: an invalid
-        // one is dropped, so every decision is the regions' and nothing is
-        // priced.
+        // The fit is checked once, when the dispatcher is built: one with an
+        // invalid curve is dropped, so every decision is the regions' and
+        // nothing is priced.
         let model = GnnModel::gcn(24, 8, 5, 13);
         let policy = DispatchPolicy::from_regions(16);
+        let widths = price_update_widths(&model);
         let shape = ProductShape::new(64, 64, 16);
-        for broken in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
-            let mut fit = HostCalibration::reference();
-            fit.spmm.work = broken;
-            let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::new(fit)));
-            assert!(dispatcher.calibration().is_none(), "spmm.work = {broken}");
-            for (ax, ay) in [(0.9, 0.8), (0.01, 1.0), (0.05, 0.1)] {
-                assert_eq!(dispatcher.decide(shape, ax, ay), policy.decide(ax, ay));
-                assert!(dispatcher
-                    .predict_ms(HostPrimitive::Gemm, shape, ax, ay)
-                    .is_nan());
+        type Curve = fn(&mut HostCalibration) -> &mut f64;
+        let curves: [(&str, Curve); 2] = [
+            ("spdmm", |fit| &mut fit.spdmm.work),
+            ("spmm", |fit| &mut fit.spmm.work),
+        ];
+        for (curve, work) in curves {
+            for broken in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+                let mut fit = HostCalibration::reference();
+                *work(&mut fit) = broken;
+                let dispatcher =
+                    KernelDispatcher::new(&model, policy, Some(Arc::new(fit)), &widths);
+                assert!(
+                    dispatcher.calibration().is_none(),
+                    "{curve}.work = {broken}"
+                );
+                for (ax, ay, body) in [
+                    (0.9, 0.8, HostPrimitive::SpDmm),
+                    (0.01, 1.0, HostPrimitive::SpDmm),
+                    (0.05, 0.1, HostPrimitive::Spmm),
+                ] {
+                    assert_eq!(dispatcher.decide(shape, ax, ay), body);
+                    assert!(dispatcher
+                        .predict_ms(HostPrimitive::SpDmm, shape, ax, ay)
+                        .is_nan());
+                }
             }
         }
         // A sound fit is kept.
-        let sound =
-            KernelDispatcher::new(&model, policy, Some(Arc::new(HostCalibration::reference())));
+        let sound = KernelDispatcher::new(
+            &model,
+            policy,
+            Some(Arc::new(HostCalibration::reference())),
+            &widths,
+        );
         assert!(sound.calibration().is_some());
     }
 
@@ -1865,7 +1936,12 @@ mod tests {
             ),
         ] {
             let fit = Arc::new(HostCalibration::measure(&config));
-            let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::clone(&fit)));
+            let dispatcher = KernelDispatcher::new(
+                &model,
+                policy,
+                Some(Arc::clone(&fit)),
+                &price_update_widths(&model),
+            );
             assert!(
                 dispatcher.calibration().is_some(),
                 "{what}: the dispatcher refused the measured fit {fit:?}"
@@ -1902,7 +1978,8 @@ mod tests {
         for kind in [GnnModelKind::Gcn, GnnModelKind::GraphSage] {
             let model = GnnModel::standard(kind, 24, 8, 5, 13);
             let exec = ReferenceExecutor::new(&model, &small_graph());
-            let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::from_regions(16), None);
+            let dispatcher =
+                KernelDispatcher::new(&model, DispatchPolicy::from_regions(16), None, &[]);
             let mut arena = exec.arena(VERTICES);
             for (request, finite) in [(&clean, true), (&poisoned, false)] {
                 let request = FeatureMatrix::Sparse(request.clone());
@@ -1934,7 +2011,7 @@ mod tests {
     fn callback_sees_every_kernel_in_order() {
         let model = GnnModel::gin(16, 8, 4, 29);
         let exec = ReferenceExecutor::new(&model, &small_graph());
-        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None);
+        let dispatcher = KernelDispatcher::new(&model, DispatchPolicy::default(), None, &[]);
         let mut arena = exec.arena(VERTICES);
         let h0 = dense_features(VERTICES, 16, 0.4, 5);
         let partition = PartitionSpec::new(16, 8).unwrap();
@@ -1976,9 +2053,10 @@ mod tests {
         let model = GnnModel::gcn(24, 8, 5, 17);
         let calibration = Some(Arc::new(HostCalibration::reference()));
         let policy = DispatchPolicy::from_regions(16);
-        let calibrated = KernelDispatcher::new(&model, policy, calibration);
+        let calibrated =
+            KernelDispatcher::new(&model, policy, calibration, &price_update_widths(&model));
         assert!(calibrated.calibration().is_some());
-        assert!(KernelDispatcher::new(&model, policy, None)
+        assert!(KernelDispatcher::new(&model, policy, None, &[])
             .calibration()
             .is_none());
         // `check_against_reference` runs every case under both cost models.
@@ -2003,7 +2081,7 @@ mod tests {
             // request classes (0.0052 and 0.0208), so the slot flips.
             sparse_output_threshold: 0.015,
         };
-        let dispatcher = KernelDispatcher::new(&model, policy, None);
+        let dispatcher = KernelDispatcher::new(&model, policy, None, &[]);
         let mut arena = exec.arena(VERTICES);
         let sparse_req = sparse(&dense_features(VERTICES, 24, 0.01, 3));
         let dense_req = sparse(&dense_features(VERTICES, 24, 0.06, 4));
@@ -2045,7 +2123,7 @@ mod tests {
     fn spmm_eligible_weights_are_cached_as_csr() {
         let policy = DispatchPolicy::from_regions(16);
         let model = prune_model(&GnnModel::gcn(24, 16, 5, 41), 0.95);
-        let dispatcher = KernelDispatcher::new(&model, policy, None);
+        let dispatcher = KernelDispatcher::new(&model, policy, None, &[]);
         assert!(
             dispatcher.weight_csr.iter().any(|w| w.is_some()),
             "a 95%-pruned weight is SPMM-eligible"
@@ -2058,7 +2136,7 @@ mod tests {
             assert_eq!(transposed.to_dense(), w.transpose());
         }
         let dense_model = GnnModel::gcn(24, 16, 5, 41);
-        let dense_dispatcher = KernelDispatcher::new(&dense_model, policy, None);
+        let dense_dispatcher = KernelDispatcher::new(&dense_model, policy, None, &[]);
         assert!(dense_dispatcher.weight_csr.iter().all(|w| w.is_none()));
         assert!(dense_dispatcher.weight_t.iter().all(|w| w.is_none()));
     }
@@ -2072,7 +2150,7 @@ mod tests {
         let calibration = Some(Arc::new(HostCalibration::reference()));
         let model = GnnModel::gcn(24, 16, 5, 41);
         let fits = [crossing_fit(0.5), gemm_everywhere_fit()];
-        let dispatcher = KernelDispatcher::priced(&model, policy, calibration, &fits);
+        let dispatcher = KernelDispatcher::new(&model, policy, calibration, &fits);
         assert!(dispatcher.weight_csr.iter().all(|w| w.is_none()));
         let transposed = dispatcher.weight_t[0].as_ref().expect("a price crosses");
         assert_eq!(transposed.to_dense(), model.weights[0].transpose());

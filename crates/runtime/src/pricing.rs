@@ -305,14 +305,14 @@ fn hash_bucketed(h: &mut Fnv2, profile: &DensityProfile, buckets: &mut BucketTab
     }
 }
 
-/// Content fingerprint of a calibration: the nine fit coefficients, hashed
-/// bit-exactly.  `None` (region cost model) fingerprints to a fixed constant.
+/// Content fingerprint of a calibration: the six coefficients of its SpDMM
+/// and Gustavson curves, hashed bit-exactly.  `None` (region cost model) fingerprints to a fixed constant.
 pub fn calibration_fingerprint(calibration: Option<&HostCalibration>) -> u64 {
     let Some(c) = calibration else {
         return 0x7f4a_7c15_9e37_79b9;
     };
     let mut h = Fnv2::new();
-    for fit in [&c.gemm, &c.spdmm, &c.spmm] {
+    for fit in [&c.spdmm, &c.spmm] {
         h.word(fit.work.to_bits());
         h.word(fit.output.to_bits());
         h.word(fit.per_row.to_bits());
@@ -878,22 +878,30 @@ mod tests {
     #[test]
     fn fingerprints_track_content_not_identity() {
         let a = HostCalibration::reference();
-        let mut b = HostCalibration::reference();
+        let b = HostCalibration::reference();
         assert_eq!(
             calibration_fingerprint(Some(&a)),
             calibration_fingerprint(Some(&b))
         );
-        b.spmm.work *= 2.0;
-        assert_ne!(
-            calibration_fingerprint(Some(&a)),
-            calibration_fingerprint(Some(&b))
-        );
-        let mut c = HostCalibration::reference();
-        c.spdmm.per_row += 1.0e-9;
-        assert_ne!(
-            calibration_fingerprint(Some(&a)),
-            calibration_fingerprint(Some(&c))
-        );
+        // Each of the six coefficients of both curves is hashed.
+        type Coefficient = fn(&mut HostCalibration) -> &mut f64;
+        let coefficients: [Coefficient; 6] = [
+            |c| &mut c.spdmm.work,
+            |c| &mut c.spdmm.output,
+            |c| &mut c.spdmm.per_row,
+            |c| &mut c.spmm.work,
+            |c| &mut c.spmm.output,
+            |c| &mut c.spmm.per_row,
+        ];
+        for (i, coefficient) in coefficients.iter().enumerate() {
+            let mut c = HostCalibration::reference();
+            *coefficient(&mut c) += 1.0e-9;
+            assert_ne!(
+                calibration_fingerprint(Some(&a)),
+                calibration_fingerprint(Some(&c)),
+                "coefficient {i}"
+            );
+        }
         assert_ne!(
             calibration_fingerprint(Some(&a)),
             calibration_fingerprint(None)

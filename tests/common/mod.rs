@@ -83,7 +83,7 @@ pub fn at_one_and_two_kernel_threads(test: &str, body: impl FnOnce()) {
 /// A dispatcher deciding by the Table IV regions (no calibration), for
 /// executor-level tests.
 pub fn regions_dispatcher(model: &GnnModel, policy: DispatchPolicy) -> KernelDispatcher {
-    KernelDispatcher::new(model, policy, None)
+    KernelDispatcher::new(model, policy, None, &[])
 }
 
 /// What the fixed-kernel oracle observes, kernel by kernel in execution

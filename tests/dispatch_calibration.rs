@@ -24,10 +24,10 @@ fn bench_point() -> (ProductShape, f64, f64) {
     (ProductShape::new(512, 512, 64), 0.1, 0.1)
 }
 
-/// Measures `[gemm, spdmm, spmm]` milliseconds at one grid point through
-/// the calibration's own grid walk (same fixed seed as
+/// Measures `[spdmm, spmm]` milliseconds at one grid point through the
+/// calibration's own grid walk (same fixed seed as
 /// `tests/timing_budgets.rs`).
-fn measure_point(shape: ProductShape, ax: f64, ay: f64) -> [f64; 3] {
+fn measure_point(shape: ProductShape, ax: f64, ay: f64) -> [f64; 2] {
     let config = CalibrationConfig {
         shapes: vec![(shape.m, shape.n, shape.d)],
         densities: vec![(ax, ay)],
@@ -35,7 +35,7 @@ fn measure_point(shape: ProductShape, ax: f64, ay: f64) -> [f64; 3] {
         seed: 42,
     };
     let sample = HostCalibration::measure_grid(&config)[0];
-    [sample.gemm_ms, sample.spdmm_ms, sample.spmm_ms]
+    [sample.spdmm_ms, sample.spmm_ms]
 }
 
 #[test]
@@ -52,21 +52,20 @@ fn calibrated_policy_fixes_the_recorded_spmm_mispick() {
     assert_eq!(regions.decide(ax, ay), HostPrimitive::Spmm);
     let pick = calibration.cheapest(shape, ax, ay);
     // The calibrated pick must be (within measurement noise of) the
-    // measured-fastest primitive on the binary actually running — this
-    // holds in debug builds too, where the kernel cost ratios differ.
+    // measured-fastest body a CSR left operand runs, on the binary actually
+    // running — this holds in debug builds too, where the kernel cost
+    // ratios differ.
     let measured = measure_point(shape, ax, ay);
-    let best = measured.iter().cloned().fold(f64::INFINITY, f64::min);
+    let best = measured[0].min(measured[1]);
     let pick_ms = match pick {
-        HostPrimitive::Gemm => measured[0],
-        HostPrimitive::SpDmm => measured[1],
-        HostPrimitive::Spmm => measured[2],
-        HostPrimitive::SpDmmRight => unreachable!("no decide returns it"),
-        HostPrimitive::Skip => unreachable!("non-empty operands"),
+        HostPrimitive::SpDmm => measured[0],
+        HostPrimitive::Spmm => measured[1],
+        other => unreachable!("a CSR left operand does not run {other:?}"),
     };
     assert!(
         pick_ms <= 2.0 * best,
         "calibrated pick {pick:?} measures {pick_ms:.3} ms but the best \
-         primitive measures {best:.3} ms (gemm/spdmm/spmm = {measured:?})"
+         body measures {best:.3} ms (spdmm/spmm = {measured:?})"
     );
     // In optimized builds the sparse-dense row kernel wins this band by a
     // wide margin and the pick must be SpDMM — the acceptance criterion of
@@ -77,8 +76,7 @@ fn calibrated_policy_fixes_the_recorded_spmm_mispick() {
             pick,
             HostPrimitive::SpDmm,
             "optimized host must pick SpDMM at α = 0.1 × 0.1 \
-             (gemm {:.4} ms, spdmm {:.4} ms, spmm {:.4} ms predicted)",
-            calibration.predict(HostPrimitive::Gemm, shape, ax, ay),
+             (spdmm {:.4} ms, spmm {:.4} ms predicted)",
             calibration.predict(HostPrimitive::SpDmm, shape, ax, ay),
             calibration.predict(HostPrimitive::Spmm, shape, ax, ay),
         );
@@ -172,42 +170,4 @@ fn calibrated_and_regions_sessions_are_bit_identical() {
     let got = session.infer(&ds.features).unwrap().output_embeddings;
     assert_eq!(got.to_dense().as_slice(), want.to_dense().as_slice());
     rerun_on_the_regions_fallback("calibrated_and_regions_sessions_are_bit_identical");
-}
-
-#[test]
-fn a_faster_gemm_does_not_reach_the_sparse_sparse_region() {
-    // The one-scan GEMM row kernel made the measured GEMM curve cheaper.
-    // For a CSR-stored operand a Gemm and an SpDmm decision execute the
-    // same host kernel, so a cheaper GEMM can change what *runs* only by
-    // taking products from the Spmm region — and it must not: on the
-    // products the ledger's CSR-fed workloads dispatch (`pricing_churn`,
-    // `serve_paced`: Cora GCN-16, the CSR-stored features and adjacency as
-    // left operands, up to 20 % dense, against any right operand), wherever
-    // Gustavson clearly beats SpDMM, GEMM stays dearer than both.  (Near a
-    // three-way tie the measured fit's noise decides, as it always did.)
-    let Some(calibration) = HostCalibration::shared() else {
-        return; // DYNASPARSE_CALIBRATION=off
-    };
-    let densities: Vec<f64> = (0..=16)
-        .map(|i| 10f64.powf(-4.0 + i as f64 / 4.0))
-        .collect();
-    for (m, n, d) in [(2708, 1433, 16), (2708, 2708, 16), (2708, 2708, 7)] {
-        let shape = ProductShape::new(m, n, d);
-        for &ax in densities.iter().filter(|&&ax| ax <= 0.2) {
-            for &ay in &densities {
-                let [gemm, spdmm, spmm] = [
-                    HostPrimitive::Gemm,
-                    HostPrimitive::SpDmm,
-                    HostPrimitive::Spmm,
-                ]
-                .map(|prim| calibration.predict(prim, shape, ax, ay));
-                assert!(
-                    !(spmm < 0.5 * spdmm && gemm < spmm),
-                    "{m}x{n}x{d} at α = {ax:.4} × {ay:.4}: GEMM takes a product from \
-                     the sparse-sparse route (gemm {gemm:.4} ms, spdmm {spdmm:.4} ms, \
-                     spmm {spmm:.4} ms)"
-                );
-            }
-        }
-    }
 }

@@ -48,7 +48,7 @@ fn dispatch_over(
             *price *= scale;
         }
     }
-    let dispatcher = KernelDispatcher::priced(
+    let dispatcher = KernelDispatcher::new(
         exec.model(),
         DispatchPolicy::from_regions(16),
         Some(Arc::new(fit)),
@@ -87,7 +87,7 @@ fn stale_calibration_moves_the_drift_gauges() {
     );
     let exec = ReferenceExecutor::new(&model, &ds.graph);
     let mut stale = HostCalibration::reference();
-    for fit in [&mut stale.gemm, &mut stale.spdmm, &mut stale.spmm] {
+    for fit in [&mut stale.spdmm, &mut stale.spmm] {
         fit.work *= 1e6;
         fit.output *= 1e6;
         fit.per_row *= 1e6;

@@ -2,10 +2,10 @@
 //! path and the telemetry layer must stay inside.
 //!
 //! - `calibrated_pick_is_within_2x_of_the_measured_best`: over a fixed-seed
-//!   density grid at 512 × 512 × 64 each of the dispatcher's two picks — for
-//!   a CSR-stored left operand, and between the two bodies of a dense-stored
-//!   one — costs at most 2x the measured best kernel it could have run, and
-//!   α = 0.1 × 0.1 picks SpDMM outright.
+//!   density grid at 512 × 512 × 64 each of the dispatcher's two picks —
+//!   between SpDMM and Gustavson for a CSR-stored left operand, and between
+//!   the two bodies of a dense-stored one — costs at most 2x the measured
+//!   best body it could have run, and α = 0.1 × 0.1 picks SpDMM outright.
 //! - `per_width_pick_is_within_1_25x_of_the_measured_best`: on held-out
 //!   Update products the dispatcher's choice between the counting GEMM and
 //!   the right-sparse body costs at most 1.25x the faster of the two.
@@ -38,7 +38,7 @@ use dynasparse_matrix::{
     CalibrationConfig, CsrMatrix, DenseMatrix, DispatchPolicy, HostCalibration, HostPrimitive,
     ProductShape, UpdateChoice,
 };
-use dynasparse_model::{GnnModel, GnnModelKind, KernelDispatcher};
+use dynasparse_model::{price_update_widths, GnnModel, GnnModelKind, KernelDispatcher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -95,21 +95,19 @@ fn calibrated_pick_is_within_2x_of_the_measured_best() {
     {
         let (m, n, d) = (sample.m, sample.n, sample.d);
         // The dispatcher's two decisions over this product: the calibrated
-        // argmin, what a CSR-stored left operand runs (GEMM stands for the
-        // dense kernel the argmin may still prefer), weighed against GEMM,
-        // SpDMM and SPMM as the grid walk measured them; and the priced
-        // choice between the two bodies of an Update over a dense-stored
-        // one, weighed against those two measured over the whole product
-        // in the executor's blocks.
+        // argmin, what a CSR-stored left operand runs, weighed against the
+        // two bodies it can run, SpDMM and SPMM, as the grid walk measured
+        // them; and the priced choice between the two bodies of an Update
+        // over a dense-stored one, weighed against those two measured over
+        // the whole product in the executor's blocks.
         let csr_pick =
             calibration.cheapest(ProductShape::new(m, n, d), sample.alpha_x, sample.alpha_y);
         let csr_ms = match csr_pick {
-            HostPrimitive::Gemm => sample.gemm_ms,
             HostPrimitive::SpDmm => sample.spdmm_ms,
             HostPrimitive::Spmm => sample.spmm_ms,
-            other => unreachable!("the argmin never returns {other:?}"),
+            other => unreachable!("a CSR left operand does not run {other:?}"),
         };
-        let csr_best = sample.gemm_ms.min(sample.spdmm_ms).min(sample.spmm_ms);
+        let csr_best = sample.spdmm_ms.min(sample.spmm_ms);
         let (x, y) = update_operands(&mut rng, (m, n, d), ax, ay);
         let dense_pick = dense_update_choice(&calibration, regions, &x, y.clone()).pick;
         let [gemm_ms, right_ms] = measure_update_bodies(&x, &y);
@@ -119,10 +117,10 @@ fn calibrated_pick_is_within_2x_of_the_measured_best() {
         };
         println!(
             "alpha {ax} x {ay}: csr-left picked {} {csr_ms:.3} ms, best {csr_best:.3} ms \
-             (gemm/spdmm/spmm = {:.3?}); dense-left picked {} {dense_ms:.3} ms \
+             (spdmm/spmm = {:.3?}); dense-left picked {} {dense_ms:.3} ms \
              (gemm/right-sparse = {gemm_ms:.3}/{right_ms:.3})",
             csr_pick.label(),
-            [sample.gemm_ms, sample.spdmm_ms, sample.spmm_ms],
+            [sample.spdmm_ms, sample.spmm_ms],
             dense_pick.label(),
         );
         for (operand, picked, pick_ms, best) in [
@@ -174,7 +172,12 @@ fn dense_update_choice(
 ) -> UpdateChoice {
     let mut model = GnnModel::gcn(w.rows(), w.cols(), 2, 1);
     model.weights[0] = w;
-    let dispatcher = KernelDispatcher::new(&model, policy, Some(Arc::clone(calibration)));
+    let dispatcher = KernelDispatcher::new(
+        &model,
+        policy,
+        Some(Arc::clone(calibration)),
+        &price_update_widths(&model),
+    );
     dispatcher
         .choose_dense_update(0, x)
         .expect("a calibrated dispatcher prices the dense Update")
